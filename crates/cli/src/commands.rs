@@ -42,6 +42,18 @@ fn parse_mix(s: &str) -> Result<ByzMix, ArgError> {
     }
 }
 
+/// The committee protocol's precondition, checked where the flags enter so
+/// a bad pair is an error message, not the constructor's assertion.
+fn check_committee_budget(k: usize, t: usize, flag: &str) -> Result<(), ArgError> {
+    if 2 * t < k {
+        return Ok(());
+    }
+    Err(ArgError(format!(
+        "--protocol committee needs 2·{flag} < --k (got {flag}={t}, --k={k}): with half or \
+         more of the peers Byzantine, Thm 3.1 forces Q = n on every deterministic protocol"
+    )))
+}
+
 /// `dr run` — execute one protocol under the standard adversary.
 pub fn run(args: &Args) -> Result<(), ArgError> {
     let n: usize = args.require_num("n")?;
@@ -97,7 +109,10 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
         "alg2-early" => {
             runners::run_crash_multi_pumped(n, k, b, crashes, msg_bits, true, seed, pump)
         }
-        "committee" => runners::run_committee_pumped(n, k, b, b, seed, pump),
+        "committee" => {
+            check_committee_budget(k, b, "--b")?;
+            runners::run_committee_pumped(n, k, b, b, seed, pump)
+        }
         "two-cycle" => runners::run_two_cycle(n, k, b, mix, seed),
         "multi-cycle" => runners::run_multi_cycle(n, k, b, mix, seed),
         other => return Err(ArgError(format!("unknown --protocol '{other}'"))),
@@ -165,7 +180,8 @@ pub fn attack(args: &Args) -> Result<(), ArgError> {
         }
         "alg1" => deterministic_attack(n, k, target, move |_| SingleCrashDownload::new(n, k), seed),
         "committee" => {
-            let t: usize = args.num("t", (k - 1) / 4)?;
+            let t: usize = args.num("t", k.saturating_sub(1) / 4)?;
+            check_committee_budget(k, t, "--t")?;
             deterministic_attack(n, k, target, move |_| CommitteeDownload::new(n, k, t), seed)
         }
         other => return Err(ArgError(format!("unknown --protocol '{other}'"))),

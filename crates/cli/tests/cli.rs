@@ -124,6 +124,34 @@ fn pump_threads_without_shards_is_rejected() {
 }
 
 #[test]
+fn committee_with_a_byzantine_half_is_an_error_not_a_panic() {
+    let run = ["run", "--n", "64", "--k", "4", "--b", "2"];
+    let attack = ["attack", "--n", "64", "--k", "4", "--t", "2"];
+    for args in [&run[..], &attack[..]] {
+        let mut args = args.to_vec();
+        args.extend(["--protocol", "committee"]);
+        let (ok, _, stderr) = dr(&args);
+        assert!(!ok);
+        assert!(stderr.contains("Thm 3.1"), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+    // The largest legal budget still runs.
+    let (ok, stdout, _) = dr(&[
+        "run",
+        "--protocol",
+        "committee",
+        "--n",
+        "64",
+        "--k",
+        "5",
+        "--b",
+        "2",
+    ]);
+    assert!(ok, "{stdout}");
+    assert!(stdout.contains("verified"));
+}
+
+#[test]
 fn duplicate_pump_threads_flag_is_rejected() {
     let (ok, _, stderr) = dr(&[
         "run",

@@ -234,6 +234,39 @@ impl BitArray {
         self.words[w]
     }
 
+    /// Reads the 64 bits starting at bit position `pos` (bit `pos` lands in
+    /// bit 0 of the result), shifting across the word boundary as needed.
+    /// Positions past the end of the array read as zero.
+    #[inline]
+    pub fn word_at(&self, pos: usize) -> u64 {
+        read_word(&self.words, pos)
+    }
+
+    /// ORs the 64 bits of `bits` into the array starting at bit position
+    /// `pos` — the write-side twin of [`BitArray::word_at`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a set bit of `bits` would land past the end.
+    pub fn or_word_at(&mut self, pos: usize, bits: u64) {
+        if bits == 0 {
+            return;
+        }
+        let span = 64 - bits.leading_zeros() as usize;
+        assert!(
+            pos + span <= self.len,
+            "or_word_at {pos}..{} out of range {}",
+            pos + span,
+            self.len
+        );
+        let (w, s) = (pos / 64, pos % 64);
+        let words = self.words_mut();
+        words[w] |= bits << s;
+        if s + span > 64 {
+            words[w + 1] |= bits >> (64 - s);
+        }
+    }
+
     /// Flips bit `i` and returns its new value.
     ///
     /// # Panics
@@ -248,6 +281,22 @@ impl BitArray {
     /// Number of one-bits.
     pub fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Iterates over the indices of the one-bits in ascending order,
+    /// skipping all-zero words in one step.
+    pub fn ones(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                if rest == 0 {
+                    return None;
+                }
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                Some(w * 64 + bit)
+            })
+        })
     }
 
     /// Extracts the bits of `range` as a new array.
@@ -519,6 +568,31 @@ impl PartialArray {
             self.known.set(i, true);
             self.values.set(i, value);
             self.unknown -= 1;
+        }
+    }
+
+    /// Records the bits of packed word `w` selected by `mask`, taking their
+    /// values from the same positions of `values`: exactly
+    /// `learn(64·w + b, values bit b)` for every set bit `b` of `mask`, in
+    /// one word operation. Bits already known keep their first value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `w` is out of range or `mask` selects a bit past the end.
+    pub fn learn_word(&mut self, w: usize, mask: u64, values: u64) {
+        let known = self.known.words[w];
+        // `w` is in range, so at least one bit of it is.
+        let in_range = low_mask((self.len() - w * 64).min(64));
+        assert!(
+            mask & !in_range == 0,
+            "learn_word mask {mask:#x} of word {w} out of range {}",
+            self.len()
+        );
+        let fresh = mask & !known;
+        if fresh != 0 {
+            self.values.words_mut()[w] |= values & fresh;
+            self.known.words_mut()[w] |= fresh;
+            self.unknown -= fresh.count_ones() as usize;
         }
     }
 

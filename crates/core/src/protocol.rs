@@ -72,6 +72,28 @@ pub trait Context<M: ProtocolMessage> {
         out
     }
 
+    /// Queries the bits selected by `mask` (cost: one bit charged per set
+    /// bit, in ascending index order). The answer has `mask.len()` bits:
+    /// the source's value where `mask` is set, zero elsewhere.
+    ///
+    /// This is the strided sibling of [`Context::query_range`], for
+    /// protocols whose query set is structural but not contiguous (the
+    /// committee protocol's round-robin membership). The provided
+    /// implementation loops over [`Context::query`] for the set bits;
+    /// contexts backed by a real [`SourceHandle`](crate::SourceHandle)
+    /// override it with one batched meter update and a word-level read,
+    /// and contexts that answer from elsewhere keep this default, exactly
+    /// as for `query_range`.
+    fn query_masked(&mut self, mask: &BitArray) -> BitArray {
+        let mut out = BitArray::zeros(mask.len());
+        for i in mask.ones() {
+            if self.query(i) {
+                out.set(i, true);
+            }
+        }
+        out
+    }
+
     /// Source of randomness for randomized protocols. Deterministic
     /// environments seed this per peer so runs are reproducible.
     fn rng(&mut self) -> &mut dyn RngCore;

@@ -52,6 +52,30 @@ pub trait Source: Send + Sync {
     fn bits(&self, range: Range<usize>) -> BitArray {
         BitArray::from_fn(range.len(), |i| self.bit(range.start + i))
     }
+
+    /// Returns the bits selected by `mask`, in place: an array of
+    /// `mask.len()` bits equal to the source where `mask` is set and zero
+    /// elsewhere.
+    ///
+    /// The provided implementation calls [`Source::bit`] for the set bits
+    /// of `mask` only, in ascending order — a streaming source is never
+    /// asked for a bit the caller did not select. In-memory sources
+    /// override it with a word-level AND (see [`ArraySource`]). As with
+    /// [`Source::bits`], overrides must agree bit-for-bit with the default
+    /// and metering is the caller's job.
+    ///
+    /// # Panics
+    ///
+    /// Implementations may panic if `mask.len() > len()`.
+    fn bits_masked(&self, mask: &BitArray) -> BitArray {
+        let mut out = BitArray::zeros(mask.len());
+        for i in mask.ones() {
+            if self.bit(i) {
+                out.set(i, true);
+            }
+        }
+        out
+    }
 }
 
 impl Source for Box<dyn Source> {
@@ -63,6 +87,9 @@ impl Source for Box<dyn Source> {
     }
     fn bits(&self, range: Range<usize>) -> BitArray {
         (**self).bits(range)
+    }
+    fn bits_masked(&self, mask: &BitArray) -> BitArray {
+        (**self).bits_masked(mask)
     }
 }
 
@@ -78,6 +105,9 @@ impl<S: Source + ?Sized> Source for std::sync::Arc<S> {
     }
     fn bits(&self, range: Range<usize>) -> BitArray {
         (**self).bits(range)
+    }
+    fn bits_masked(&self, mask: &BitArray) -> BitArray {
+        (**self).bits_masked(mask)
     }
 }
 
@@ -113,6 +143,20 @@ impl Source for ArraySource {
         // Word-aligned copy (shift/mask across word boundaries) instead of
         // the per-bit default.
         self.bits.slice(range)
+    }
+
+    fn bits_masked(&self, mask: &BitArray) -> BitArray {
+        assert!(
+            mask.len() <= self.bits.len(),
+            "mask of {} bits over a source of {}",
+            mask.len(),
+            self.bits.len()
+        );
+        // The mask's zeroed tail keeps the result's tail zeroed.
+        let words = (0..mask.word_count())
+            .map(|w| self.bits.word(w) & mask.word(w))
+            .collect();
+        BitArray::from_words(mask.len(), words)
     }
 }
 
@@ -167,6 +211,19 @@ impl QueryMeter {
         self.counts[peer.index()].fetch_add(range.len() as u64, Ordering::Relaxed);
         if let Some(log) = &self.index_log {
             log[peer.index()].lock().extend(range);
+        }
+    }
+
+    /// Records that `peer` queried every index set in `mask`: one atomic
+    /// add of its popcount, and — when index tracking is on — one lock
+    /// acquisition extending the log with the set indices in ascending
+    /// order. Equivalent to calling [`QueryMeter::record`] for each set
+    /// index in turn, both in counts and in the recorded log.
+    pub fn record_masked(&self, peer: PeerId, mask: &BitArray) {
+        // dr-lint: allow(atomic-ordering): same counter discipline as `record`
+        self.counts[peer.index()].fetch_add(mask.count_ones() as u64, Ordering::Relaxed);
+        if let Some(log) = &self.index_log {
+            log[peer.index()].lock().extend(mask.ones());
         }
     }
 
@@ -305,6 +362,17 @@ impl MeterDelta {
         }
     }
 
+    /// Buffers a masked query by `peer`, charging one query per set bit —
+    /// identical accounting to [`QueryMeter::record_masked`].
+    pub fn record_masked(&mut self, peer: PeerId, mask: &BitArray) {
+        let l = self.local_of(peer);
+        self.touch(l);
+        self.counts[l] += mask.count_ones() as u64;
+        if let Some(buf) = &mut self.indices {
+            buf[l].extend(mask.ones());
+        }
+    }
+
     /// Whether any counts are buffered and not yet folded.
     pub fn is_empty(&self) -> bool {
         self.dirty.is_empty()
@@ -419,6 +487,18 @@ impl SourceHandle {
     pub fn query_range(&self, range: Range<usize>) -> BitArray {
         self.meter.record_range(self.peer, range.clone());
         self.source.bits(range)
+    }
+
+    /// Queries the bits selected by `mask` (see [`Source::bits_masked`]
+    /// for the shape of the answer).
+    ///
+    /// Cost accounting: one bit is charged per set bit of `mask` — exactly
+    /// as if [`SourceHandle::query`] were called for each set index in
+    /// ascending order — in a single meter update
+    /// ([`QueryMeter::record_masked`]).
+    pub fn query_masked(&self, mask: &BitArray) -> BitArray {
+        self.meter.record_masked(self.peer, mask);
+        self.source.bits_masked(mask)
     }
 
     /// Queries made so far by this handle's peer.

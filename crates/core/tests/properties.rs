@@ -1,6 +1,9 @@
 //! Crate-local property tests for `dr-core` invariants.
 
-use dr_core::{ArraySource, Assignment, BitArray, PeerId, PeerSet, SharedSource, Source};
+use dr_core::{
+    ArraySource, Assignment, BitArray, PartialArray, PeerId, PeerSet, QueryMeter, SharedSource,
+    Source,
+};
 use proptest::prelude::*;
 
 proptest! {
@@ -203,5 +206,82 @@ proptest! {
             mutated.copy_range(off, &donor, 0..take);
             assert_intact(&shared, &snapshot);
         }
+    }
+
+    #[test]
+    fn learn_word_equals_a_loop_of_learn(
+        known_first in prop::collection::vec((any::<bool>(), any::<bool>()), 0..200),
+        w_raw in 0usize..4,
+        mask_raw in any::<u64>(),
+        values in any::<u64>(),
+    ) {
+        let n = known_first.len();
+        let mut fast = PartialArray::new(n);
+        for (i, &(known, value)) in known_first.iter().enumerate() {
+            if known {
+                fast.learn(i, value);
+            }
+        }
+        let mut slow = fast.clone();
+        if n > 0 {
+            let w = w_raw % n.div_ceil(64);
+            // Only in-range bits may be selected; the last word is partial
+            // whenever n is not a multiple of 64.
+            let in_word = (n - w * 64).min(64);
+            let mask = if in_word == 64 { mask_raw } else { mask_raw & ((1 << in_word) - 1) };
+            fast.learn_word(w, mask, values);
+            for b in (0..64).filter(|b| (mask >> b) & 1 == 1) {
+                slow.learn(w * 64 + b, (values >> b) & 1 == 1);
+            }
+        }
+        prop_assert_eq!(fast.unknown_count(), slow.unknown_count());
+        prop_assert_eq!(fast, slow);
+    }
+
+    #[test]
+    fn masked_reads_and_ones_agree_with_the_per_bit_view(
+        bools in prop::collection::vec((any::<bool>(), any::<bool>()), 0..300),
+        pos in 0usize..400,
+    ) {
+        let bits: BitArray = bools.iter().map(|b| b.0).collect();
+        let mask: BitArray = bools.iter().map(|b| b.1).collect();
+        let set: Vec<usize> = (0..mask.len()).filter(|&i| mask.get(i)).collect();
+        prop_assert_eq!(mask.ones().collect::<Vec<_>>(), set.clone());
+        let word: u64 = (0..64)
+            .filter(|b| pos + b < bits.len() && bits.get(pos + b))
+            .map(|b| 1 << b)
+            .sum();
+        prop_assert_eq!(bits.word_at(pos), word);
+        // ... and its write-side twin: OR the mask's bits pos..pos+64 in.
+        let mut ored = bits.clone();
+        ored.or_word_at(pos, mask.word_at(pos));
+        let expected = BitArray::from_fn(bits.len(), |i| {
+            bits.get(i) || ((pos..pos + 64).contains(&i) && mask.get(i))
+        });
+        prop_assert_eq!(ored, expected);
+
+        // ArraySource's word-AND override against the trait's default.
+        struct PerBit(BitArray);
+        impl Source for PerBit {
+            fn len(&self) -> usize { self.0.len() }
+            fn bit(&self, index: usize) -> bool { self.0.get(index) }
+        }
+        let expected = BitArray::from_fn(bits.len(), |i| bits.get(i) && mask.get(i));
+        prop_assert_eq!(ArraySource::new(bits.clone()).bits_masked(&mask), expected.clone());
+        prop_assert_eq!(PerBit(bits.clone()).bits_masked(&mask), expected);
+
+        // One meter update, the same log as a record per set bit.
+        let (bulk, per_bit) = (QueryMeter::with_index_tracking(1), QueryMeter::with_index_tracking(1));
+        bulk.record_masked(PeerId(0), &mask);
+        for &i in &set {
+            per_bit.record(PeerId(0), i);
+        }
+        prop_assert_eq!(bulk.counts(), per_bit.counts());
+        prop_assert_eq!(bulk.indices(PeerId(0)), per_bit.indices(PeerId(0)));
+        let mut delta = bulk.delta(0, 1);
+        delta.record_masked(PeerId(0), &mask);
+        bulk.fold(&mut delta);
+        prop_assert_eq!(bulk.count(PeerId(0)), 2 * set.len() as u64);
+        prop_assert_eq!(bulk.indices(PeerId(0)), Some([set.clone(), set].concat()));
     }
 }

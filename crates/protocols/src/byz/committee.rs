@@ -9,11 +9,16 @@
 //! every peer eventually accepts every bit. Byzantine members can lie or
 //! stay silent but can never assemble `t + 1` votes for a wrong value.
 //!
+//! The tally treats the `n`-bit input wholesale instead of as `n` one-bit
+//! instances: votes are counted in bit-sliced counter planes, 64 input
+//! bits per word operation, so one [`VoteBatch`] costs `O(n/64)` word
+//! steps and — past the first batch from its sender — no allocation (see
+//! DESIGN.md §4, "Word-parallel handlers").
+//!
 //! `Q = ⌈n(2t+1)/k⌉` per peer and `M = O(k · n(2t+1)/k) = O(nt)` vote
 //! messages (batched into one physical message per recipient here, sized
 //! accordingly).
 
-use dr_core::collections::DetMap;
 use dr_core::{BitArray, Context, PartialArray, PeerId, Protocol, ProtocolMessage};
 
 /// A batch of committee votes: a packed bitmap of the sender's claimed
@@ -48,6 +53,158 @@ pub fn in_committee(j: usize, k: usize, c: usize, peer: PeerId) -> bool {
     off < c.min(k)
 }
 
+/// All-ones mask over the low `bits` bits (`bits ≤ 64`).
+fn low_mask(bits: usize) -> u64 {
+    if bits >= 64 {
+        u64::MAX
+    } else {
+        (1 << bits) - 1
+    }
+}
+
+/// One word of a membership mask, with the shift schedule that moves bits
+/// between index order (a bit per input index) and rank order (a bit per
+/// *member* index, as packed in a [`VoteBatch`]): six masked shifts per
+/// word instead of one step per member. This is the parallel-suffix
+/// "compress"/"expand" pair of Hacker's Delight §7-4/7-5, with the
+/// schedule computed once per word of the repeating mask pattern, not per
+/// word of the input.
+#[derive(Debug, Clone, Copy)]
+struct MaskWord {
+    mask: u64,
+    /// `moves[i]`: the mask bits that travel `2^i` positions at step `i`.
+    moves: [u64; 6],
+}
+
+impl MaskWord {
+    fn new(mask: u64) -> Self {
+        let mut moves = [0; 6];
+        let mut m = mask;
+        let mut zeros_below = !m << 1;
+        for (i, mv) in moves.iter_mut().enumerate() {
+            // Prefix parity: bits with an odd number of (remaining) zeros
+            // below them.
+            let mut odd = zeros_below ^ (zeros_below << 1);
+            for s in [2, 4, 8, 16, 32] {
+                odd ^= odd << s;
+            }
+            *mv = odd & m;
+            m = (m ^ *mv) | (*mv >> (1 << i));
+            zeros_below &= !odd;
+        }
+        MaskWord { mask, moves }
+    }
+
+    /// The same schedule restricted to the low `bits` positions (the last
+    /// word of an array whose length is not a multiple of 64). A prefix
+    /// of the mask keeps the ranks of the members it keeps.
+    fn cut(self, bits: usize) -> Self {
+        MaskWord {
+            mask: self.mask & low_mask(bits),
+            ..self
+        }
+    }
+
+    /// Scatters the low bits of `src` to the set positions of the mask,
+    /// lowest first (`src` bit `r` lands on the `r`-th set bit): rank
+    /// order → index order.
+    fn deposit(&self, mut src: u64) -> u64 {
+        for (i, mv) in self.moves.iter().enumerate().rev() {
+            src = (src & !mv) | ((src << (1 << i)) & mv);
+        }
+        src & self.mask
+    }
+
+    /// Gathers the bits of `src` at the set positions of the mask into
+    /// the low bits of the result: index order → rank order, the inverse
+    /// of [`MaskWord::deposit`].
+    fn extract(&self, src: u64) -> u64 {
+        let mut src = src & self.mask;
+        for (i, mv) in self.moves.iter().enumerate() {
+            let moved = src & mv;
+            src = (src ^ moved) | (moved >> (1 << i));
+        }
+        src
+    }
+}
+
+/// Adds the 0/1 word `new` to 64 bit-sliced counters (`planes[i]` holds
+/// bit `i` of each count) with a ripple carry, and returns the positions
+/// of `new` whose count is now exactly `target`.
+fn add_votes(planes: &mut [u64], new: u64, target: usize) -> u64 {
+    let mut carry = new;
+    let mut hit = new;
+    for (i, plane) in planes.iter_mut().enumerate() {
+        let sum = *plane ^ carry;
+        carry &= *plane;
+        *plane = sum;
+        hit &= if (target >> i) & 1 == 1 { sum } else { !sum };
+    }
+    debug_assert_eq!(carry, 0, "vote counter overflow");
+    hit
+}
+
+/// One peer's committee-membership set as a mask over the `n` input
+/// indices. `(j·c) mod k` repeats every `k` indices, so the mask is a
+/// repeating pattern of `k / gcd(k, 64)` words; only the array's last
+/// word needs its tail cut. One buffer per protocol instance, re-aimed
+/// at whichever peer is being decoded.
+#[derive(Debug)]
+struct Membership {
+    n: usize,
+    k: usize,
+    c: usize,
+    /// Pattern length in words, capped at the array's own word count.
+    period: usize,
+    pattern: Vec<MaskWord>,
+}
+
+impl Membership {
+    fn new(n: usize, k: usize, c: usize) -> Self {
+        let period = (k >> k.trailing_zeros().min(6)).min(n.div_ceil(64));
+        Membership {
+            n,
+            k,
+            c,
+            period,
+            pattern: Vec::with_capacity(period),
+        }
+    }
+
+    /// Makes this the membership set of `peer`.
+    fn aim(&mut self, peer: PeerId) {
+        let (k, c) = (self.k, self.c);
+        self.pattern.clear();
+        self.pattern.extend((0..self.period).map(|w| {
+            MaskWord::new((0..64).fold(0, |word, b| {
+                word | u64::from(in_committee(w * 64 + b, k, c, peer)) << b
+            }))
+        }));
+    }
+
+    /// Number of mask words (`⌈n/64⌉`).
+    fn words(&self) -> usize {
+        self.n.div_ceil(64)
+    }
+
+    /// Word `w` of the mask.
+    fn word(&self, w: usize) -> MaskWord {
+        let word = self.pattern[w % self.pattern.len()];
+        if w + 1 == self.words() {
+            word.cut(self.n - w * 64)
+        } else {
+            word
+        }
+    }
+
+    /// Size of the set: how many votes a well-formed batch carries.
+    fn count(&self) -> usize {
+        (0..self.words())
+            .map(|w| self.word(w).mask.count_ones() as usize)
+            .sum()
+    }
+}
+
 /// Deterministic Byzantine-tolerant Download via per-bit committees.
 ///
 /// # Examples
@@ -73,13 +230,23 @@ pub fn in_committee(j: usize, k: usize, c: usize, peer: PeerId) -> bool {
 #[derive(Debug)]
 pub struct CommitteeDownload {
     n: usize,
-    k: usize,
     t: usize,
     acc: PartialArray,
     out: Option<BitArray>,
-    /// Per-bit vote tally: bit → (value → distinct committee voters),
-    /// ordered so no hash order can leak into the accept sequence.
-    tally: DetMap<usize, [Vec<PeerId>; 2]>,
+    /// Counter planes per input word: `⌈log₂(2t+2)⌉`, enough to count the
+    /// `2t + 1` members of a committee.
+    planes: usize,
+    /// Bit-sliced vote counters, one stack per vote value: the count of
+    /// distinct committee members that voted `v` on bit `64·w + b` has its
+    /// bit `i` at bit `b` of `votes[v][w·planes + i]`.
+    votes: [Vec<u64>; 2],
+    /// `seen[p][v]` bit `r`: sender `p` already voted `v` on its `r`-th
+    /// committee bit. Kept in the packed (rank) order of [`VoteBatch`], so
+    /// it costs `n·c/k` bits per value, not `n`, and only for senders
+    /// actually heard from.
+    seen: Vec<Option<[BitArray; 2]>>,
+    /// The membership mask of the peer being decoded.
+    members: Membership,
 }
 
 impl CommitteeDownload {
@@ -93,19 +260,29 @@ impl CommitteeDownload {
     /// forces `Q = n`).
     pub fn new(n: usize, k: usize, t: usize) -> Self {
         assert!(2 * t < k, "committee protocol requires t < k/2");
+        let planes = (usize::BITS - (2 * t + 1).leading_zeros()) as usize;
+        let counters = || vec![0; n.div_ceil(64) * planes];
         CommitteeDownload {
             n,
-            k,
             t,
             acc: PartialArray::new(n),
             out: None,
-            tally: DetMap::new(),
+            planes,
+            votes: [counters(), counters()],
+            seen: (0..k).map(|_| None).collect(),
+            members: Membership::new(n, k, 2 * t + 1),
         }
     }
 
     /// Committee size used by this instance.
     pub fn committee_size(&self) -> usize {
         2 * self.t + 1
+    }
+
+    /// The bits accepted so far (queried directly, or backed by `t + 1`
+    /// committee votes).
+    pub fn learned(&self) -> &PartialArray {
+        &self.acc
     }
 
     /// Chaos-campaign invariant envelope: each bit is queried by its
@@ -123,28 +300,57 @@ impl CommitteeDownload {
         }
     }
 
-    fn member(&self, j: usize, peer: PeerId) -> bool {
-        in_committee(j, self.k, self.committee_size(), peer)
-    }
-
     fn check_done(&mut self) {
         if self.out.is_none() && self.acc.is_complete() {
             self.out = Some(self.acc.clone().into_complete());
         }
     }
 
-    fn record_vote(&mut self, from: PeerId, j: usize, value: bool) {
-        if j >= self.n || !self.member(j, from) {
-            return; // non-member votes are ignored outright
+    /// Counts `from`'s votes and accepts every bit that reaches `t + 1`
+    /// distinct votes for one value (first value wins, as in
+    /// [`PartialArray::learn`]). Vote `r` of the batch is for the `r`-th
+    /// index of `from`'s membership set, so non-member votes cannot even
+    /// be expressed; a repeated `(sender, bit, value)` counts once.
+    ///
+    /// Returns whether the batch covered the whole membership set. A
+    /// short batch has its prefix tallied; a long one's surplus is
+    /// ignored.
+    fn tally(&mut self, from: PeerId, values: &BitArray) -> bool {
+        let Some(seen) = self.seen.get_mut(from.index()) else {
+            return true; // not one of the k peers: sits on no committee
+        };
+        self.members.aim(from);
+        let seen = seen.get_or_insert_with(|| {
+            let seats = self.members.count();
+            [BitArray::zeros(seats), BitArray::zeros(seats)]
+        });
+        // Rank of the current word's first member: the batch position its
+        // votes start at.
+        let mut rank = 0;
+        for w in 0..self.members.words() {
+            let members = self.members.word(w);
+            let here = members.mask.count_ones() as usize;
+            let present = here.min(values.len().saturating_sub(rank));
+            let ones = values.word_at(rank);
+            let voted = [!ones & low_mask(present), ones & low_mask(present)];
+            let mut accepted = [0u64; 2];
+            for (v, seen) in seen.iter_mut().enumerate() {
+                let fresh = voted[v] & !seen.word_at(rank);
+                if fresh != 0 {
+                    seen.or_word_at(rank, fresh);
+                    let counters = &mut self.votes[v][w * self.planes..][..self.planes];
+                    accepted[v] = add_votes(counters, members.deposit(fresh), self.t + 1);
+                }
+            }
+            // A batch holds one vote per index, so the two are disjoint.
+            self.acc
+                .learn_word(w, accepted[0] | accepted[1], accepted[1]);
+            if present < here {
+                return false;
+            }
+            rank += here;
         }
-        let entry = self.tally.entry(j).or_default();
-        let bucket = &mut entry[usize::from(value)];
-        if !bucket.contains(&from) {
-            bucket.push(from);
-        }
-        if entry[usize::from(value)].len() > self.t {
-            self.acc.learn(j, value);
-        }
+        true
     }
 }
 
@@ -152,19 +358,24 @@ impl Protocol for CommitteeDownload {
     type Msg = VoteBatch;
 
     fn on_start(&mut self, ctx: &mut dyn Context<VoteBatch>) {
-        let me = ctx.me();
-        let c = self.committee_size();
-        // Pack votes straight into a BitArray (one word-level buffer, no
-        // intermediate Vec<bool>): vote r is the r-th index j with
-        // `in_committee(j, k, c, me)`, in ascending order of j.
-        let mine: Vec<usize> = (0..self.n)
-            .filter(|&j| in_committee(j, self.k, c, me))
-            .collect();
-        let mut values = BitArray::zeros(mine.len());
-        for (r, &j) in mine.iter().enumerate() {
-            let v = ctx.query(j);
-            self.acc.learn(j, v);
-            values.set(r, v);
+        self.members.aim(ctx.me());
+        let mine = &self.members;
+        let mask = BitArray::from_words(
+            self.n,
+            (0..mine.words()).map(|w| mine.word(w).mask).collect(),
+        );
+        // One metered call for the whole membership set, charged and
+        // logged exactly like a query per member in ascending order.
+        let answers = ctx.query_masked(&mask);
+        // Vote r is the answer for the r-th member index: gather the
+        // answers from index order into the batch's rank order.
+        let mut values = BitArray::zeros(mask.count_ones());
+        let mut rank = 0;
+        for w in 0..mine.words() {
+            let members = mine.word(w);
+            self.acc.learn_word(w, members.mask, answers.word(w));
+            values.or_word_at(rank, members.extract(answers.word(w)));
+            rank += members.mask.count_ones() as usize;
         }
         ctx.broadcast(VoteBatch { values });
         self.check_done();
@@ -175,21 +386,14 @@ impl Protocol for CommitteeDownload {
             return;
         }
         // Decode the packed bitmap against the sender's structural
-        // membership set; a batch of the wrong arity is discarded
-        // wholesale (Byzantine senders gain nothing from malformed
-        // batches — only committee votes are tallied anyway).
-        let c = self.committee_size();
-        let mut r = 0usize;
-        for j in 0..self.n {
-            if in_committee(j, self.k, c, from) {
-                if r >= msg.values.len() {
-                    return;
-                }
-                self.record_vote(from, j, msg.values.get(r));
-                r += 1;
-            }
+        // membership set. A batch of the wrong arity is not discarded: a
+        // short one has the votes it does carry tallied, but does not
+        // trigger the completion check (the next batch does); a long
+        // one's surplus is ignored. Byzantine senders gain nothing either
+        // way — only committee votes are tallied.
+        if self.tally(from, &msg.values) {
+            self.check_done();
         }
-        self.check_done();
     }
 
     fn output(&self) -> Option<&BitArray> {
@@ -315,18 +519,215 @@ mod tests {
         report.verify_downloads(&input).unwrap();
     }
 
+    /// A context for driving `on_message` alone: it sends nowhere and is
+    /// never queried.
+    struct NullCtx(rand::rngs::mock::StepRng);
+
+    impl Context<VoteBatch> for NullCtx {
+        fn me(&self) -> PeerId {
+            PeerId(0)
+        }
+        fn num_peers(&self) -> usize {
+            0
+        }
+        fn input_len(&self) -> usize {
+            0
+        }
+        fn send(&mut self, _to: PeerId, _msg: VoteBatch) {}
+        fn query(&mut self, _index: usize) -> bool {
+            unreachable!("on_message never queries")
+        }
+        fn rng(&mut self) -> &mut dyn rand::RngCore {
+            &mut self.0
+        }
+    }
+
+    fn deliver(p: &mut CommitteeDownload, from: usize, votes: &[bool]) {
+        let batch = VoteBatch {
+            values: BitArray::from_bools(votes),
+        };
+        let mut ctx = NullCtx(rand::rngs::mock::StepRng::new(0, 1));
+        p.on_message(PeerId(from), batch, &mut ctx);
+    }
+
+    /// The bit-sliced count of `value`-votes on bit `j`.
+    fn count(p: &CommitteeDownload, value: bool, j: usize) -> usize {
+        let planes = &p.votes[usize::from(value)][j / 64 * p.planes..][..p.planes];
+        planes
+            .iter()
+            .enumerate()
+            .map(|(i, plane)| ((plane >> (j % 64)) & 1) << i)
+            .sum::<u64>() as usize
+    }
+
+    #[test]
+    fn deposit_and_extract_follow_the_mask() {
+        // Set positions 2, 4, 5, 7, 63; src bits 0, 2, 4 pick the
+        // 0th, 2nd and 4th of them.
+        let m = MaskWord::new(0b1011_0100 | 1 << 63);
+        assert_eq!(m.deposit(0b10101), 0b0010_0100 | 1 << 63);
+        assert_eq!(m.extract(0b0010_0100 | 1 << 63), 0b10101);
+        assert_eq!(m.extract(u64::MAX), 0b11111);
+        // Against the one-member-at-a-time definition, on masks of every
+        // density, whole and cut.
+        let mut x = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for round in 0..400 {
+            let mask = match round % 4 {
+                0 => next(),
+                1 => next() & next(),
+                2 => next() | next(),
+                _ => [0, u64::MAX, 1, 1 << 63][round / 4 % 4],
+            };
+            let m = MaskWord::new(mask).cut(if round % 3 == 0 { 64 } else { round % 64 + 1 });
+            let src = next();
+            let (mut scattered, mut gathered, mut rank) = (0u64, 0u64, 0);
+            for b in (0..64).filter(|b| (m.mask >> b) & 1 == 1) {
+                scattered |= ((src >> rank) & 1) << b;
+                gathered |= ((src >> b) & 1) << rank;
+                rank += 1;
+            }
+            let in_rank = src & low_mask(rank);
+            assert_eq!(m.deposit(in_rank), scattered, "deposit mask {:#x}", m.mask);
+            assert_eq!(m.extract(src), gathered, "extract mask {:#x}", m.mask);
+            assert_eq!(m.extract(m.deposit(in_rank)), in_rank);
+        }
+    }
+
+    #[test]
+    fn bit_sliced_counters_count_and_flag_the_target() {
+        let mut planes = [0u64; 3];
+        for round in 1..=5 {
+            // Position 0 is voted every round, position 1 every other.
+            let new = if round % 2 == 1 { 0b11 } else { 0b01 };
+            let hit = add_votes(&mut planes, new, 3);
+            let expected = match round {
+                3 => 0b01, // position 0 reaches 3 votes
+                5 => 0b10, // position 1 does, two rounds later
+                _ => 0,
+            };
+            assert_eq!(hit, expected, "round {round}");
+        }
+        assert_eq!(planes, [0b11, 0b10, 0b01]); // counts 5 and 3
+    }
+
+    #[test]
+    fn membership_mask_matches_the_membership_test() {
+        for (n, k, c) in [
+            (200, 7, 3),
+            (130, 12, 5),
+            (64, 64, 9),
+            (5, 96, 3),
+            (0, 3, 1),
+        ] {
+            let mut members = Membership::new(n, k, c);
+            for p in (0..k).map(PeerId) {
+                members.aim(p);
+                let mut count = 0;
+                for j in 0..n {
+                    let in_mask = (members.word(j / 64).mask >> (j % 64)) & 1 == 1;
+                    assert_eq!(in_mask, in_committee(j, k, c, p), "n={n} k={k} c={c} j={j}");
+                    count += usize::from(in_mask);
+                }
+                assert_eq!(members.count(), count);
+                // No stray bits past n in the last word.
+                if n % 64 != 0 {
+                    assert_eq!(members.word(n / 64).mask >> (n % 64), 0);
+                }
+            }
+        }
+    }
+
     #[test]
     fn non_member_votes_are_ignored() {
         let mut p = CommitteeDownload::new(10, 5, 1);
         let c = p.committee_size();
         // Find a peer not on bit 0's committee.
         let outsider = (0..5)
-            .map(PeerId)
-            .find(|&q| !committee(0, 5, c).any(|m| m == q))
+            .find(|&q| !committee(0, 5, c).any(|m| m == PeerId(q)))
             .unwrap();
-        p.record_vote(outsider, 0, true);
-        p.record_vote(outsider, 0, true);
+        let seats = (0..10)
+            .filter(|&j| in_committee(j, 5, c, PeerId(outsider)))
+            .count();
+        // Whatever it sends, and however often, decodes onto its own
+        // seats only.
+        deliver(&mut p, outsider, &vec![true; seats]);
+        deliver(&mut p, outsider, &vec![true; seats]);
+        deliver(&mut p, outsider, &[false; 10]);
         assert!(!p.acc.is_known(0));
+        for j in 0..10 {
+            let seated = usize::from(in_committee(j, 5, c, PeerId(outsider)));
+            assert_eq!(count(&p, true, j), seated, "bit {j}");
+            assert_eq!(count(&p, false, j), seated, "bit {j}");
+        }
+    }
+
+    #[test]
+    fn short_batch_tallies_its_prefix_and_skips_the_completion_check() {
+        // k = 5, c = 3: peer 0 sits on bits {0,1,3}, 1 on {0,2,3}, 2 on
+        // {0,2,4}, 3 on {1,2,4}, 4 on {1,3,4}. Two votes accept a bit.
+        let mut p = CommitteeDownload::new(5, 5, 1);
+        for from in [0, 3, 4] {
+            deliver(&mut p, from, &[true; 3]);
+        }
+        // Bits 1, 3, 4 are accepted; 0 and 2 have one vote each.
+        assert_eq!(p.acc.unknown_iter().collect::<Vec<_>>(), vec![0, 2]);
+        // Peer 1's batch stops one vote short: bits 0 and 2 are tallied
+        // (and complete the array), bit 3 is not.
+        deliver(&mut p, 1, &[true; 2]);
+        assert!(p.acc.is_complete());
+        assert_eq!(count(&p, true, 3), 2);
+        assert!(p.output().is_none(), "a short batch must not terminate");
+        // Not even an empty one.
+        deliver(&mut p, 2, &[]);
+        assert!(p.output().is_none());
+        // The next well-formed (or long) batch runs the check.
+        deliver(&mut p, 2, &[true; 4]);
+        assert_eq!(p.output(), Some(&BitArray::from_bools(&[true; 5])));
+    }
+
+    #[test]
+    fn long_batch_surplus_is_ignored() {
+        let mut exact = CommitteeDownload::new(70, 5, 1);
+        let mut long = CommitteeDownload::new(70, 5, 1);
+        for from in 0..3 {
+            let seats = (0..70)
+                .filter(|&j| in_committee(j, 5, 3, PeerId(from)))
+                .count();
+            let mut votes: Vec<bool> = (0..seats).map(|r| r % 3 == 0).collect();
+            deliver(&mut exact, from, &votes);
+            votes.extend([true; 90]);
+            deliver(&mut long, from, &votes);
+            assert_eq!(exact.acc, long.acc);
+            assert_eq!(exact.votes, long.votes);
+        }
+        // A long batch is well-formed enough to run the completion check.
+        let mut p = CommitteeDownload::new(0, 3, 1);
+        deliver(&mut p, 1, &[true; 4]);
+        assert_eq!(p.output(), Some(&BitArray::zeros(0)));
+    }
+
+    #[test]
+    fn repeats_count_once_but_both_values_count() {
+        let mut p = CommitteeDownload::new(5, 5, 1);
+        deliver(&mut p, 0, &[true; 3]);
+        deliver(&mut p, 0, &[true; 3]);
+        assert_eq!((count(&p, true, 0), count(&p, false, 0)), (1, 0));
+        assert_eq!(p.acc.unknown_count(), 5);
+        deliver(&mut p, 0, &[false; 3]);
+        assert_eq!((count(&p, true, 0), count(&p, false, 0)), (1, 1));
+        // First value to reach t + 1 wins, later majorities do not flip it.
+        deliver(&mut p, 1, &[false; 3]);
+        assert_eq!(p.acc.get(0), Some(false));
+        deliver(&mut p, 1, &[true; 3]);
+        deliver(&mut p, 2, &[true; 3]);
+        assert_eq!(count(&p, true, 0), 3);
+        assert_eq!(p.acc.get(0), Some(false));
     }
 
     #[test]

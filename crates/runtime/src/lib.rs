@@ -173,6 +173,10 @@ impl<M: ProtocolMessage> Context<M> for ThreadCtx<M> {
         // default per-bit loop. Identical cost accounting and results.
         self.handle.query_range(range)
     }
+    fn query_masked(&mut self, mask: &BitArray) -> BitArray {
+        // Same bulk path for a strided query set.
+        self.handle.query_masked(mask)
+    }
     fn rng(&mut self) -> &mut dyn RngCore {
         &mut self.rng
     }

@@ -239,6 +239,12 @@ impl<M: ProtocolMessage> Context<M> for LaneCtx<'_, M> {
         self.delta.record_range(self.me, range.clone());
         self.source.bits(range)
     }
+    fn query_masked(&mut self, mask: &BitArray) -> BitArray {
+        // Same bulk path for a strided query set: one buffered meter
+        // update + the source's masked read.
+        self.delta.record_masked(self.me, mask);
+        self.source.bits_masked(mask)
+    }
     fn rng(&mut self) -> &mut dyn RngCore {
         self.rng
     }

@@ -368,7 +368,9 @@ impl<M> EventPump<M> {
     }
 
     /// Payloads currently alive across all slabs (queued + held +
-    /// pre-start buffered).
+    /// pre-start buffered). Read only by the debug-build slab-leak check
+    /// and the unit tests.
+    #[cfg(any(debug_assertions, test))]
     pub(crate) fn live_payloads(&self) -> usize {
         self.live
     }

@@ -72,6 +72,7 @@ pub(crate) struct LaneFlags {
     pub(crate) crashed: bool,
 }
 
+#[cfg(debug_assertions)]
 impl LaneFlags {
     /// Whether the authoritative status and this mirror agree.
     pub(crate) fn mirrors(&self, status: &PeerStatus) -> bool {

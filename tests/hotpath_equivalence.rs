@@ -8,10 +8,16 @@
 //! twice — once against the standard `ArraySource` (bulk word-level reads)
 //! and once against a reference `Source` with no `bits` override, so every
 //! range read falls back to the per-bit default — and demand identical
-//! reports.
+//! reports. The second half does the same for `Context::query_masked`,
+//! the strided sibling the committee protocol queries through.
 
-use dr_download::core::{BitArray, FaultModel, ModelParams, PeerId, Source};
-use dr_download::protocols::{CrashMultiDownload, TwoCycleDownload};
+use dr_download::core::{
+    ArraySource, BitArray, Context, FaultModel, ModelParams, PeerId, Protocol, ProtocolMessage,
+    SharedSource, Source,
+};
+use dr_download::protocols::{CrashMultiDownload, FakeSourceAgent, TwoCycleDownload};
+use dr_download::runtime::{run_threaded, RuntimeConfig};
+use dr_download::sim::explore::{explore, ExploreConfig};
 use dr_download::sim::{CrashPlan, RunReport, SimBuilder, StandardAdversary, UniformDelay};
 use std::ops::Range;
 
@@ -104,4 +110,193 @@ fn two_cycle_bulk_path_matches_per_bit_reference() {
         .unwrap();
     let (bulk, reference) = run_both(params, 13, 0..0, move |_| TwoCycleDownload::new(n, k, b));
     assert_eq!(bulk, reference);
+}
+
+// ---------------------------------------------------------------------
+// `Context::query_masked`: the strided sibling of `query_range`.
+//
+// The contexts that sit on a real source (simulator lane, explorer,
+// threaded runtime) answer it with one batched meter update and the
+// source's masked read; everything else — and `FakeCtx` in particular —
+// keeps the provided per-set-bit default. All of them must charge, log
+// and answer exactly like a loop of one-bit queries in ascending order.
+// ---------------------------------------------------------------------
+
+#[derive(Debug, Clone)]
+struct Never;
+
+impl ProtocolMessage for Never {
+    fn bit_len(&self) -> usize {
+        0
+    }
+}
+
+/// The masks a probe asks for: all ones, empty, one bit, a run
+/// straddling a word boundary, and a committee-like stride — shifted per
+/// peer so the per-peer logs differ.
+fn probe_masks(n: usize, peer: PeerId) -> Vec<BitArray> {
+    let p = peer.index();
+    vec![
+        BitArray::from_fn(n, |_| true),
+        BitArray::zeros(n),
+        BitArray::from_fn(n, |i| i == (p * 37 + 63) % n),
+        BitArray::from_fn(n, |i| (60 + p..70 + p).contains(&i)),
+        BitArray::from_fn(n, |i| (i + p).is_multiple_of(3)),
+    ]
+}
+
+/// Queries [`probe_masks`] on start — through `query_masked`, or through
+/// the loop of one-bit queries it must be indistinguishable from — and
+/// outputs the all-ones answer, which the executor checks against the
+/// input. Every other answer must be that array under its mask.
+struct MaskProbe {
+    bulk: bool,
+    /// What the all-ones answer must be, for a probe whose output nobody
+    /// checks (a Byzantine one).
+    expect: Option<BitArray>,
+    out: Option<BitArray>,
+}
+
+impl MaskProbe {
+    fn new(bulk: bool) -> Self {
+        MaskProbe {
+            bulk,
+            expect: None,
+            out: None,
+        }
+    }
+}
+
+impl Protocol for MaskProbe {
+    type Msg = Never;
+
+    fn on_start(&mut self, ctx: &mut dyn Context<Never>) {
+        let n = ctx.input_len();
+        for mask in probe_masks(n, ctx.me()) {
+            let answer = if self.bulk {
+                ctx.query_masked(&mask)
+            } else {
+                let mut out = BitArray::zeros(n);
+                for i in mask.ones() {
+                    out.set(i, ctx.query(i));
+                }
+                out
+            };
+            let world = self.out.get_or_insert_with(|| answer.clone());
+            let expected = BitArray::from_fn(n, |i| mask.get(i) && world.get(i));
+            assert_eq!(answer, expected, "peer {} mask {mask:?}", ctx.me());
+        }
+        if let Some(expect) = &self.expect {
+            assert_eq!(self.out.as_ref(), Some(expect));
+        }
+    }
+
+    fn on_message(&mut self, _from: PeerId, _msg: Never, _ctx: &mut dyn Context<Never>) {}
+
+    fn output(&self) -> Option<&BitArray> {
+        self.out.as_ref()
+    }
+}
+
+#[test]
+fn source_handle_query_masked_meters_like_the_per_bit_loop() {
+    let n = 3 * 64 + 5;
+    let input = test_input(n);
+    let bulk = SharedSource::with_index_tracking(ArraySource::new(input.clone()), 3);
+    let default = SharedSource::with_index_tracking(PerBitSource(input.clone()), 3);
+    let per_bit = SharedSource::with_index_tracking(PerBitSource(input.clone()), 3);
+    for p in (0..3).map(PeerId) {
+        for mask in probe_masks(n, p) {
+            let a = bulk.handle(p).query_masked(&mask);
+            let b = default.handle(p).query_masked(&mask);
+            let mut c = BitArray::zeros(n);
+            for i in mask.ones() {
+                c.set(i, per_bit.handle(p).query(i));
+            }
+            assert_eq!(a, c, "{mask:?}");
+            assert_eq!(b, c, "{mask:?}");
+        }
+        assert_eq!(bulk.meter().count(p), per_bit.meter().count(p));
+        assert_eq!(default.meter().count(p), per_bit.meter().count(p));
+        assert_eq!(bulk.meter().indices(p), per_bit.meter().indices(p));
+        assert_eq!(default.meter().indices(p), per_bit.meter().indices(p));
+    }
+}
+
+#[test]
+fn simulator_query_masked_matches_per_bit_reference() {
+    let (n, k) = (3 * 64 + 5, 5);
+    let params = ModelParams::builder(n, k).build().unwrap();
+    let input = test_input(n);
+    let run = |bulk: bool, reference_source: bool| {
+        let b = SimBuilder::new(params)
+            .seed(3)
+            .protocol(move |_| MaskProbe::new(bulk))
+            .track_query_indices();
+        let b = if reference_source {
+            b.source(PerBitSource(input.clone()), input.clone())
+        } else {
+            b.input(input.clone())
+        };
+        let report = b.build().run().unwrap();
+        report.verify_downloads(&input).unwrap();
+        fingerprint(&report)
+    };
+    let per_bit = run(false, false);
+    assert_eq!(run(true, false), per_bit, "ArraySource word-AND read");
+    assert_eq!(run(true, true), per_bit, "Source::bits_masked default");
+    // Five masks per peer: n + 0 + 1 + 10 + every third bit.
+    assert!(per_bit.1.iter().all(|&q| q >= (n + 11 + n / 3) as u64));
+}
+
+#[test]
+fn fake_context_answers_query_masked_from_the_fabricated_array() {
+    let (n, k) = (3 * 64 + 5, 4);
+    let params = ModelParams::builder(n, k)
+        .faults(FaultModel::Byzantine, 1)
+        .build()
+        .unwrap();
+    let input = test_input(n);
+    let fake = BitArray::from_fn(n, |i| !input.get(i));
+    let fooled = MaskProbe {
+        expect: Some(fake.clone()),
+        ..MaskProbe::new(true)
+    };
+    let report = SimBuilder::new(params)
+        .seed(4)
+        .input(input.clone())
+        .protocol(move |_| MaskProbe::new(true))
+        .byzantine(PeerId(2), FakeSourceAgent::new(fooled, fake))
+        .build()
+        .run()
+        .unwrap();
+    report.verify_downloads(&input).unwrap();
+    // The per-bit default never reached the real source or its meter.
+    assert_eq!(report.query_counts[2], 0);
+    assert!(report.query_counts[0] > 0);
+}
+
+#[test]
+fn explorer_and_threads_answer_query_masked_like_the_per_bit_loop() {
+    let (n, k) = (2 * 64 + 9, 3);
+    let input = test_input(n);
+    for bulk in [true, false] {
+        // The probe checks its answers against each other, the explorer
+        // checks its output against the input.
+        let report = explore(&ExploreConfig::new(k, input.clone()), move |_| {
+            MaskProbe::new(bulk)
+        });
+        assert!(
+            report.exhaustive && report.counterexample.is_none(),
+            "{report:?}"
+        );
+    }
+    let params = ModelParams::builder(n, k).build().unwrap();
+    let counts = |bulk: bool| {
+        let report =
+            run_threaded(RuntimeConfig::new(params, 8), move |_| MaskProbe::new(bulk)).unwrap();
+        report.verify(&[]).unwrap();
+        report.query_counts
+    };
+    assert_eq!(counts(true), counts(false));
 }
