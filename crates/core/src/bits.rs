@@ -630,6 +630,61 @@ impl PartialArray {
         }
     }
 
+    /// Records `bits` against an explicit index list: exactly
+    /// `learn(indices[r], bits.get(r))` for every `r` in order — known
+    /// bits and repeated indices keep their first value — but on the word
+    /// planes directly, un-sharing each once per call instead of once per
+    /// bit. This is the receive side of a packed bitmap over a structural
+    /// index set (Algorithm 2's per-phase owner sets).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lengths differ or an index is out of range.
+    pub fn learn_scattered(&mut self, indices: &[u32], bits: &BitArray) {
+        assert_eq!(indices.len(), bits.len(), "length mismatch");
+        let len = self.len();
+        let known = self.known.words_mut();
+        let values = self.values.words_mut();
+        for (chunk, &packed) in indices.chunks(64).zip(bits.words.iter()) {
+            for (r, &i) in chunk.iter().enumerate() {
+                let i = i as usize;
+                assert!(i < len, "bit index {i} out of range {len}");
+                let (w, s) = (i / 64, i % 64);
+                if known[w] >> s & 1 == 0 {
+                    known[w] |= 1 << s;
+                    values[w] |= (packed >> r & 1) << s;
+                    self.unknown -= 1;
+                }
+            }
+        }
+    }
+
+    /// Packs the values at `indices`, in list order, or `None` if any of
+    /// them is unknown: `get(indices[r])` for every `r`, read off the word
+    /// planes and assembled a word at a time. The send side of
+    /// [`PartialArray::learn_scattered`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is out of range (unless an earlier one was
+    /// unknown, exactly as a loop of `get` that stops at the first `None`).
+    pub fn gather(&self, indices: &[u32]) -> Option<BitArray> {
+        let len = self.len();
+        let mut words = vec![0u64; indices.len().div_ceil(64)];
+        for (chunk, word) in indices.chunks(64).zip(words.iter_mut()) {
+            for (r, &i) in chunk.iter().enumerate() {
+                let i = i as usize;
+                assert!(i < len, "bit index {i} out of range {len}");
+                let (w, s) = (i / 64, i % 64);
+                if self.known.words[w] >> s & 1 == 0 {
+                    return None;
+                }
+                *word |= (self.values.words[w] >> s & 1) << r;
+            }
+        }
+        Some(BitArray::from_words(indices.len(), words))
+    }
+
     /// Copies every known bit of `other` into `self`, one word at a time.
     /// Bits known in both keep `self`'s value.
     ///

@@ -245,6 +245,34 @@ impl Source for ChunkedSource {
             .collect();
         BitArray::from_words(out_len, words)
     }
+
+    /// One lock acquisition and one cache lookup per mask word that
+    /// selects anything, instead of one of each per selected bit. Chunks
+    /// are visited in the same ascending order as by the per-bit default
+    /// and every selected bit still counts as a read of its word, so all
+    /// of [`ChunkStats`] comes out the same.
+    fn bits_masked(&self, mask: &BitArray) -> BitArray {
+        assert!(
+            mask.len() <= self.len,
+            "mask of {} bits over a source of {}",
+            mask.len(),
+            self.len
+        );
+        let mut cache = self.cache.lock();
+        let words = (0..mask.word_count())
+            .map(|w| {
+                let selected = mask.word(w);
+                if selected == 0 {
+                    return 0;
+                }
+                let word = cache.word(self.seed, self.chunk_words, self.max_resident, w);
+                // The reads after the first find the chunk resident.
+                cache.hits += u64::from(selected.count_ones()) - 1;
+                word & selected
+            })
+            .collect();
+        BitArray::from_words(mask.len(), words)
+    }
 }
 
 #[cfg(test)]
@@ -289,6 +317,48 @@ mod tests {
                 reference.bits(range.clone()),
                 "range {range:?}"
             );
+        }
+    }
+
+    /// A `ChunkedSource` seen through `len` and `bit` only: every provided
+    /// method runs its per-bit default against the same cache.
+    struct PerBitView<'a>(&'a ChunkedSource);
+
+    impl Source for PerBitView<'_> {
+        fn len(&self) -> usize {
+            self.0.len()
+        }
+        fn bit(&self, index: usize) -> bool {
+            self.0.bit(index)
+        }
+    }
+
+    #[test]
+    fn bits_masked_matches_per_bit_default_and_its_chunk_traffic() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(41);
+        for case in 0..40 {
+            let n = rng.gen_range(1..2000usize);
+            let (chunk_words, max_resident) = (rng.gen_range(1..6usize), rng.gen_range(1..4usize));
+            let bulk = ChunkedSource::with_geometry(n, 17, chunk_words, max_resident);
+            let per_bit = ChunkedSource::with_geometry(n, 17, chunk_words, max_resident);
+            // A few masks in a row, so each starts from a warm cache:
+            // dense, sparse, strided, and shorter than the source.
+            for _ in 0..4 {
+                let len = if rng.gen_bool(0.3) {
+                    rng.gen_range(0..=n)
+                } else {
+                    n
+                };
+                let keep = [0.9, 0.5, 0.02][rng.gen_range(0..3usize)];
+                let stride = rng.gen_range(1..9usize);
+                let mask = BitArray::from_fn(len, |i| i % stride == 0 && rng.gen_bool(keep));
+                let got = bulk.bits_masked(&mask);
+                assert_eq!(got, PerBitView(&per_bit).bits_masked(&mask), "case {case}");
+                // Generation, eviction, residency, and a read counted per
+                // selected bit: nothing tells the two apart.
+                assert_eq!(bulk.stats(), per_bit.stats(), "case {case}");
+            }
         }
     }
 

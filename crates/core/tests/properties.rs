@@ -239,6 +239,64 @@ proptest! {
     }
 
     #[test]
+    fn learn_scattered_equals_a_loop_of_learn(
+        known_first in prop::collection::vec((any::<bool>(), any::<bool>()), 1..200),
+        // Unsorted, with repeats, longer than a word of packed values.
+        picks in prop::collection::vec((0usize..200, any::<bool>()), 0..150),
+    ) {
+        let n = known_first.len();
+        let mut fast = PartialArray::new(n);
+        for (i, &(known, value)) in known_first.iter().enumerate() {
+            if known {
+                fast.learn(i, value);
+            }
+        }
+        let mut slow = fast.clone();
+        let snapshot = fast.clone();
+        let indices: Vec<u32> = picks.iter().map(|p| (p.0 % n) as u32).collect();
+        let values: BitArray = picks.iter().map(|p| p.1).collect();
+        fast.learn_scattered(&indices, &values);
+        for (r, &i) in indices.iter().enumerate() {
+            // Known bits and the second occurrence of an index keep
+            // their first value.
+            slow.learn(i as usize, values.get(r));
+        }
+        prop_assert_eq!(fast.unknown_count(), slow.unknown_count());
+        prop_assert_eq!(&fast, &slow);
+        // The planes were un-shared first: the clone taken before still
+        // reads as it did.
+        for (i, &(known, value)) in known_first.iter().enumerate() {
+            prop_assert_eq!(snapshot.get(i), known.then_some(value));
+        }
+    }
+
+    #[test]
+    fn gather_equals_a_loop_of_get(
+        known_first in prop::collection::vec((any::<bool>(), any::<bool>()), 1..200),
+        picks in prop::collection::vec(0usize..200, 0..150),
+        only_known in any::<bool>(),
+    ) {
+        let n = known_first.len();
+        let mut acc = PartialArray::new(n);
+        for (i, &(known, value)) in known_first.iter().enumerate() {
+            if known {
+                acc.learn(i, value);
+            }
+        }
+        // Half the cases ask only for known bits, so `Some` is exercised
+        // on long lists too.
+        let indices: Vec<u32> = picks
+            .iter()
+            .map(|p| p % n)
+            .filter(|&i| !only_known || acc.is_known(i))
+            .map(|i| i as u32)
+            .collect();
+        let expected: Option<Vec<bool>> = indices.iter().map(|&i| acc.get(i as usize)).collect();
+        prop_assert_eq!(expected.is_none(), indices.iter().any(|&i| !acc.is_known(i as usize)));
+        prop_assert_eq!(acc.gather(&indices), expected.map(|v| BitArray::from_bools(&v)));
+    }
+
+    #[test]
     fn masked_reads_and_ones_agree_with_the_per_bit_view(
         bools in prop::collection::vec((any::<bool>(), any::<bool>()), 0..300),
         pos in 0usize..400,
@@ -284,4 +342,24 @@ proptest! {
         prop_assert_eq!(bulk.count(PeerId(0)), 2 * set.len() as u64);
         prop_assert_eq!(bulk.indices(PeerId(0)), Some([set.clone(), set].concat()));
     }
+}
+
+#[test]
+#[should_panic(expected = "out of range")]
+fn learn_scattered_rejects_an_out_of_range_index_like_learn() {
+    PartialArray::new(70).learn_scattered(&[3, 70], &BitArray::zeros(2));
+}
+
+#[test]
+#[should_panic(expected = "out of range")]
+fn gather_rejects_an_out_of_range_index_like_get() {
+    let mut acc = PartialArray::new(70);
+    acc.learn(3, true);
+    let _ = acc.gather(&[3, 70]);
+}
+
+#[test]
+#[should_panic(expected = "length mismatch")]
+fn learn_scattered_rejects_a_bitmap_of_the_wrong_length() {
+    PartialArray::new(70).learn_scattered(&[3, 4], &BitArray::zeros(3));
 }

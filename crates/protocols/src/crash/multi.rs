@@ -31,9 +31,11 @@
 //! soon as late stage-1 answers resolve every missing peer, removing
 //! long-response waits from the time complexity.
 
-use super::owner::owner;
+use super::owner::Partition;
+use super::query_unknown;
 use dr_core::collections::DetMap;
 use dr_core::{BitArray, Context, PartialArray, PeerId, Protocol, ProtocolMessage};
+use std::sync::Arc;
 
 /// Messages of Algorithm 2. All bit payloads are packed bitmaps over
 /// *structural* index sets (`{j : owner(j, phase, k) = peer}`), which
@@ -92,6 +94,44 @@ impl ProtocolMessage for MultiCrashMsg {
     }
 }
 
+/// What a peer keeps per phase while stragglers may still ask about it.
+#[derive(Debug)]
+struct PhaseCache {
+    /// The phase's owner sets, shared with every other instance that has
+    /// the same `(n, k)` and is near the same phase.
+    partition: Arc<Partition>,
+    /// Our own packed phase set — the answer to every `Request1` of the
+    /// phase — once we are past stage 1 and someone has asked.
+    own_answer: Option<BitArray>,
+}
+
+/// The per-phase caches of one peer. A field of its own so that an owner
+/// set can be borrowed from it next to the peer's `acc`.
+#[derive(Debug)]
+struct PhaseCaches {
+    n: usize,
+    k: usize,
+    /// Ordered map: pruned with `retain`, which must visit phases
+    /// deterministically.
+    by_phase: DetMap<u32, PhaseCache>,
+}
+
+impl PhaseCaches {
+    /// The cache of `phase`, fetching the shared partition on first use.
+    fn of(&mut self, phase: u32) -> &mut PhaseCache {
+        let (n, k) = (self.n, self.k);
+        self.by_phase.entry(phase).or_insert_with(|| PhaseCache {
+            partition: Partition::shared(n, k, phase),
+            own_answer: None,
+        })
+    }
+
+    /// The sorted bit set owned by `peer` in `phase`.
+    fn set(&mut self, phase: u32, peer: PeerId) -> &[u32] {
+        self.of(phase).partition.set(peer)
+    }
+}
+
 /// Local position within the phase/stage lattice, used for deferral.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Position {
@@ -134,10 +174,7 @@ pub struct CrashMultiDownload {
     out: Option<BitArray>,
     phase: u32,
     stage: u8,
-    /// Cached structural sets per phase: `sets[phase][peer]` = sorted bit
-    /// indices owned by `peer` in that phase. Ordered map: the cache is
-    /// pruned with `retain`, which must visit phases deterministically.
-    sets: DetMap<u32, Vec<Vec<u32>>>,
+    phases: PhaseCaches,
     /// Peers counted as heard-from this phase (self, vacuous, full answers).
     correct: Vec<bool>,
     /// Missing peers computed on entering stage 3.
@@ -186,7 +223,11 @@ impl CrashMultiDownload {
             out: None,
             phase: 0,
             stage: 1,
-            sets: DetMap::new(),
+            phases: PhaseCaches {
+                n,
+                k,
+                by_phase: DetMap::new(),
+            },
             correct: vec![false; k],
             missing: Vec::new(),
             resp2_senders: vec![false; k],
@@ -235,51 +276,39 @@ impl CrashMultiDownload {
         }
     }
 
-    /// The sorted bit set owned by `peer` in `phase` (computed once per
-    /// phase, then cached).
-    fn owner_set(&mut self, phase: u32, peer: PeerId) -> &[u32] {
-        let k = self.k;
-        let n = self.n;
-        let per_phase = self.sets.entry(phase).or_insert_with(|| {
-            let mut sets = vec![Vec::new(); k];
-            for j in 0..n {
-                sets[owner(j, phase as usize, k)].push(j as u32);
-            }
-            sets
-        });
-        &per_phase[peer.index()]
-    }
-
     /// Learns a packed bitmap over `peer`'s phase set. Returns `false` if
     /// the bitmap length does not match the set (malformed).
     fn learn_set_values(&mut self, phase: u32, peer: PeerId, values: &BitArray) -> bool {
-        let set: Vec<u32> = self.owner_set(phase, peer).to_vec();
+        let set = self.phases.set(phase, peer);
         if values.len() != set.len() {
             return false;
         }
-        for (r, &j) in set.iter().enumerate() {
-            self.acc.learn(j as usize, values.get(r));
-        }
+        self.acc.learn_scattered(set, values);
         true
     }
 
     /// Packs the values of `peer`'s phase set, if all of them are known.
     fn pack_set_values(&mut self, phase: u32, peer: PeerId) -> Option<BitArray> {
-        let set: Vec<u32> = self.owner_set(phase, peer).to_vec();
-        let mut out = BitArray::zeros(set.len());
-        for (r, &j) in set.iter().enumerate() {
-            match self.acc.get(j as usize) {
-                Some(true) => out.set(r, true),
-                Some(false) => {}
-                None => return None,
-            }
-        }
-        Some(out)
+        self.acc.gather(self.phases.set(phase, peer))
+    }
+
+    /// Our own packed phase set: packed on the first request of the
+    /// phase, the same shared buffer for every later one.
+    fn own_answer(&mut self, phase: u32, me: PeerId) -> BitArray {
+        let cache = self.phases.of(phase);
+        cache
+            .own_answer
+            .get_or_insert_with(|| {
+                self.acc
+                    .gather(cache.partition.set(me))
+                    .expect("past stage 1 of the phase, our own set is fully known")
+            })
+            .clone()
     }
 
     /// Whether any bit of `peer`'s phase set is still unknown to us.
     fn lacks_bits_of(&mut self, phase: u32, peer: PeerId) -> bool {
-        let set: Vec<u32> = self.owner_set(phase, peer).to_vec();
+        let set = self.phases.set(phase, peer);
         set.iter().any(|&j| !self.acc.is_known(j as usize))
     }
 
@@ -287,10 +316,7 @@ impl CrashMultiDownload {
     /// array (Claim 2), output, halt.
     fn terminate(&mut self, ctx: &mut dyn Context<MultiCrashMsg>) {
         let unknown: Vec<usize> = self.acc.unknown_iter().collect();
-        for j in unknown {
-            let v = ctx.query(j);
-            self.acc.learn(j, v);
-        }
+        query_unknown(&mut self.acc, unknown, ctx);
         let bits = self.acc.clone().into_complete();
         self.out = Some(bits.clone());
         // Claim 2: send everything to every peer that might still be
@@ -326,21 +352,17 @@ impl CrashMultiDownload {
             self.correct = vec![false; self.k];
             self.missing.clear();
             self.resp2_senders = vec![false; self.k];
-            // Drop set caches for phases nobody will ask about again
-            // (keep a window for stragglers).
+            // Drop the caches (our hold on the shared partition and our
+            // packed answer) of phases nobody will ask about again; keep
+            // a window for stragglers.
             let current = self.phase;
-            self.sets.retain(|&p, _| p + 8 >= current);
+            self.phases.by_phase.retain(|&p, _| p + 8 >= current);
 
             // Stage 1: query our own unknown share, request everyone
             // else's.
             let me = ctx.me();
-            let my_set: Vec<u32> = self.owner_set(self.phase, me).to_vec();
-            for j in my_set {
-                if !self.acc.is_known(j as usize) {
-                    let v = ctx.query(j as usize);
-                    self.acc.learn(j as usize, v);
-                }
-            }
+            let mine = self.phases.set(current, me).iter().map(|&j| j as usize);
+            query_unknown(&mut self.acc, mine, ctx);
             self.correct[me.index()] = true;
             for w in 0..self.k {
                 if w == me.index() {
@@ -462,10 +484,7 @@ impl CrashMultiDownload {
     ) {
         match msg {
             MultiCrashMsg::Request1 { phase } => {
-                let me = ctx.me();
-                let values = self
-                    .pack_set_values(phase, me)
-                    .expect("past stage 1 of the phase, our own set is fully known");
+                let values = self.own_answer(phase, ctx.me());
                 ctx.send(from, MultiCrashMsg::Response1 { phase, values });
             }
             MultiCrashMsg::Request2 { phase, missing } => {
@@ -523,6 +542,19 @@ impl Protocol for CrashMultiDownload {
         if self.out.is_some() {
             return;
         }
+        // No honest peer names a phase outside 1..=max_phases: drop such a
+        // message here, before it can reach the owner function (phase 0
+        // is outside its domain) or sit in `pending` forever.
+        let named = match &msg {
+            MultiCrashMsg::Request1 { phase }
+            | MultiCrashMsg::Response1 { phase, .. }
+            | MultiCrashMsg::Request2 { phase, .. }
+            | MultiCrashMsg::Response2 { phase, .. } => Some(*phase),
+            MultiCrashMsg::Final { .. } => None,
+        };
+        if named.is_some_and(|phase| phase == 0 || phase > self.max_phases) {
+            return;
+        }
         match msg {
             MultiCrashMsg::Request1 { phase } => {
                 if self.ready_for(phase, 2) {
@@ -552,6 +584,9 @@ impl Protocol for CrashMultiDownload {
             }
             MultiCrashMsg::Response2 { phase, answers } => {
                 for (u, answer) in &answers {
+                    if u.index() >= self.k {
+                        continue; // no such peer, no such set
+                    }
                     if let Some(values) = answer {
                         self.learn_set_values(phase, *u, values);
                     }
@@ -768,6 +803,170 @@ mod tests {
             let (report, input) = run(100 + seed, 150, k, b, plan, seed % 2 == 0);
             report.verify_downloads(&input).unwrap();
         }
+    }
+
+    /// A context outside any simulation: answers queries from `input`
+    /// and keeps what was sent.
+    struct LoneCtx {
+        me: PeerId,
+        k: usize,
+        input: BitArray,
+        sent: Vec<(PeerId, MultiCrashMsg)>,
+        rng: rand::rngs::mock::StepRng,
+    }
+
+    impl Context<MultiCrashMsg> for LoneCtx {
+        fn me(&self) -> PeerId {
+            self.me
+        }
+        fn num_peers(&self) -> usize {
+            self.k
+        }
+        fn input_len(&self) -> usize {
+            self.input.len()
+        }
+        fn send(&mut self, to: PeerId, msg: MultiCrashMsg) {
+            self.sent.push((to, msg));
+        }
+        fn query(&mut self, index: usize) -> bool {
+            self.input.get(index)
+        }
+        fn rng(&mut self) -> &mut dyn rand::RngCore {
+            &mut self.rng
+        }
+    }
+
+    /// Peer 0 of `(n, k, b) = (64, 4, 1)`, started and waiting in stage 2
+    /// of phase 1.
+    fn started() -> (CrashMultiDownload, LoneCtx) {
+        let (n, k) = (64, 4);
+        let mut p = CrashMultiDownload::new(n, k, 1);
+        let mut ctx = LoneCtx {
+            me: PeerId(0),
+            k,
+            input: BitArray::from_fn(n, |i| i % 3 == 0),
+            sent: Vec::new(),
+            rng: rand::rngs::mock::StepRng::new(0, 1),
+        };
+        p.on_start(&mut ctx);
+        assert_eq!((p.phase, p.stage), (1, 2));
+        ctx.sent.clear();
+        (p, ctx)
+    }
+
+    #[test]
+    fn phase_zero_messages_are_dropped() {
+        // Phase 0 is outside `owner`'s domain; each of these used to
+        // reach its `assert!(phase > 0)`.
+        let (mut p, mut ctx) = started();
+        let unknown = p.acc.unknown_count();
+        let values = BitArray::from_fn(16, |_| true);
+        for msg in [
+            MultiCrashMsg::Request1 { phase: 0 },
+            MultiCrashMsg::Response1 {
+                phase: 0,
+                values: values.clone(),
+            },
+            MultiCrashMsg::Request2 {
+                phase: 0,
+                missing: vec![PeerId(2)],
+            },
+            MultiCrashMsg::Response2 {
+                phase: 0,
+                answers: vec![(PeerId(2), Some(values))],
+            },
+        ] {
+            p.on_message(PeerId(1), msg, &mut ctx);
+        }
+        assert!(ctx.sent.is_empty(), "nothing is answered");
+        assert!(p.pending.is_empty(), "nothing is deferred");
+        assert_eq!(p.acc.unknown_count(), unknown, "nothing is learned");
+        assert!(p.phases.by_phase.keys().eq([1].iter()), "no partition");
+    }
+
+    #[test]
+    fn requests_past_the_phase_cap_are_not_parked() {
+        // No peer ever reaches phase max_phases + 1, so such a request
+        // could never be answered: it used to sit in `pending` for good.
+        let (mut p, mut ctx) = started();
+        let beyond = p.max_phases + 1;
+        p.on_message(
+            PeerId(1),
+            MultiCrashMsg::Request1 { phase: beyond },
+            &mut ctx,
+        );
+        p.on_message(
+            PeerId(2),
+            MultiCrashMsg::Request2 {
+                phase: u32::MAX,
+                missing: vec![PeerId(3)],
+            },
+            &mut ctx,
+        );
+        assert!(p.pending.is_empty());
+        // The cap itself is a legal phase and is still deferred.
+        let cap = p.max_phases;
+        p.on_message(PeerId(1), MultiCrashMsg::Request1 { phase: cap }, &mut ctx);
+        assert_eq!(p.pending.len(), 1);
+        assert!(ctx.sent.is_empty());
+    }
+
+    #[test]
+    fn response2_about_a_nonexistent_peer_is_skipped() {
+        // Only the request side checked `u < k`; an answer naming peer 77
+        // indexed past the partition. Its neighbours are still learned.
+        let (mut p, mut ctx) = started();
+        let theirs = p.phases.set(1, PeerId(2)).to_vec();
+        let values = BitArray::from_fn(theirs.len(), |r| ctx.input.get(theirs[r] as usize));
+        p.on_message(
+            PeerId(1),
+            MultiCrashMsg::Response2 {
+                phase: 1,
+                answers: vec![
+                    (PeerId(77), Some(BitArray::zeros(16))),
+                    (PeerId(2), Some(values)),
+                ],
+            },
+            &mut ctx,
+        );
+        assert!(!p.lacks_bits_of(1, PeerId(2)));
+        assert!(p.lacks_bits_of(1, PeerId(3)));
+    }
+
+    #[test]
+    fn instances_of_one_size_hold_one_partition() {
+        let (mut a, _) = started();
+        let (mut b, _) = started();
+        let shared = Arc::clone(&a.phases.of(1).partition);
+        assert!(Arc::ptr_eq(&shared, &b.phases.of(1).partition));
+        // ... and fetch a later phase's the same way.
+        assert!(Arc::ptr_eq(
+            &a.phases.of(2).partition,
+            &b.phases.of(2).partition
+        ));
+        let mut other = CrashMultiDownload::new(65, 4, 1);
+        assert!(!Arc::ptr_eq(&shared, &other.phases.of(1).partition));
+    }
+
+    #[test]
+    fn every_response1_of_a_phase_shares_one_packed_buffer() {
+        let (mut p, mut ctx) = started();
+        for from in 1..4 {
+            p.on_message(PeerId(from), MultiCrashMsg::Request1 { phase: 1 }, &mut ctx);
+        }
+        let answers: Vec<&BitArray> = ctx
+            .sent
+            .iter()
+            .map(|(_, msg)| match msg {
+                MultiCrashMsg::Response1 { phase: 1, values } => values,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(answers.len(), 3);
+        let mine: Vec<bool> = (0..64).step_by(4).map(|j| ctx.input.get(j)).collect();
+        assert_eq!(answers[0], &BitArray::from_bools(&mine));
+        assert!(answers[1].shares_buffer_with(answers[0]));
+        assert!(answers[2].shares_buffer_with(answers[0]));
     }
 
     #[test]

@@ -19,6 +19,11 @@
 //! adversary that crashes the right `k/2` peers can leave a quarter of
 //! the input permanently assigned to dead owners.)
 
+use dr_core::collections::DetMap;
+use dr_core::sync::{Mutex, PoisonError};
+use dr_core::PeerId;
+use std::sync::{Arc, OnceLock, Weak};
+
 /// `splitmix64` finalizer: a high-quality 64-bit mixing function.
 fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -41,6 +46,109 @@ pub fn owner(j: usize, phase: usize, k: usize) -> usize {
         (splitmix64(j as u64 ^ (phase as u64).wrapping_mul(0xa076_1d64_78bd_642f)) % k as u64)
             as usize
     }
+}
+
+/// One phase of [`owner`], tabulated: every peer's bit set `{j : owner(j,
+/// phase, k) = peer}` as a slice of one index array (CSR layout).
+///
+/// `owner` is global, so the table is the same for every peer of every
+/// execution with the same `(n, k, phase)`: [`Partition::shared`] hands
+/// all of them one `Arc`. The registry behind it is a memo of a pure
+/// function — which instance built the table, or whether it was built at
+/// all, changes no bit of it — so sharing it across peers, simulations and
+/// threads is invisible to determinism.
+#[derive(Debug)]
+pub(crate) struct Partition {
+    key: PartitionKey,
+    /// The `n` bit indices grouped by owner, ascending within a group.
+    idx: Vec<u32>,
+    /// Peer `p`'s group is `idx[start[p]..start[p + 1]]`.
+    start: Vec<u32>,
+}
+
+/// `(n, k, phase)`.
+type PartitionKey = (usize, usize, u32);
+
+type Registry = Mutex<DetMap<PartitionKey, Weak<Partition>>>;
+
+fn registry() -> &'static Registry {
+    static REGISTRY: OnceLock<Registry> = OnceLock::new();
+    REGISTRY.get_or_init(|| Mutex::new(DetMap::new()))
+}
+
+impl Partition {
+    /// The partition of `n` bits over `k` peers in the given 1-based
+    /// phase, built by the first caller and shared with every later one
+    /// for as long as any of them holds it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k == 0`, `phase == 0` or `n` does not fit a `u32`.
+    pub(crate) fn shared(n: usize, k: usize, phase: u32) -> Arc<Partition> {
+        let key = (n, k, phase);
+        // The map is valid between any two statements below, so a
+        // panicking builder (bad arguments) must not wedge everyone else.
+        let mut live = registry().lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(shared) = live.get(&key).and_then(Weak::upgrade) {
+            return shared;
+        }
+        // Built under the lock: concurrent first callers wait for one
+        // table instead of each building their own.
+        let built = Arc::new(Partition::build(key));
+        live.insert(key, Arc::downgrade(&built));
+        built
+    }
+
+    /// Counting sort of `0..n` by owner.
+    fn build(key: PartitionKey) -> Partition {
+        let (n, k, phase) = key;
+        assert!(u32::try_from(n).is_ok(), "n = {n} does not fit a u32 index");
+        let owner_of = |j: usize| owner(j, phase as usize, k);
+        let mut start = vec![0u32; k + 1];
+        for j in 0..n {
+            start[owner_of(j) + 1] += 1;
+        }
+        for p in 0..k {
+            start[p + 1] += start[p];
+        }
+        let mut next = start.clone();
+        let mut idx = vec![0u32; n];
+        for j in 0..n {
+            let slot = &mut next[owner_of(j)];
+            idx[*slot as usize] = j as u32;
+            *slot += 1;
+        }
+        Partition { key, idx, start }
+    }
+
+    /// The sorted bit indices `peer` owns in this phase.
+    pub(crate) fn set(&self, peer: PeerId) -> &[u32] {
+        let p = peer.index();
+        &self.idx[self.start[p] as usize..self.start[p + 1] as usize]
+    }
+}
+
+impl Drop for Partition {
+    /// The last holder is gone: forget the entry, unless a newer table
+    /// for the same key has already replaced it.
+    fn drop(&mut self) {
+        let mut live = registry().lock().unwrap_or_else(PoisonError::into_inner);
+        if live
+            .get(&self.key)
+            .is_some_and(|entry| entry.strong_count() == 0)
+        {
+            live.remove(&self.key);
+        }
+    }
+}
+
+/// Number of `(n, k)` partitions (one per phase) that instances of
+/// [`CrashMultiDownload`](super::CrashMultiDownload) currently hold,
+/// process-wide — for tests of the sharing.
+#[doc(hidden)]
+pub fn live_partitions(n: usize, k: usize) -> usize {
+    let live = registry().lock().unwrap_or_else(PoisonError::into_inner);
+    live.range((n, k, 0)..=(n, k, u32::MAX)).count()
 }
 
 #[cfg(test)]
@@ -99,6 +207,50 @@ mod tests {
             "unknown set failed to drain: {} left",
             unknown.len()
         );
+    }
+
+    #[test]
+    fn partition_tabulates_owner() {
+        // Sizes no other test uses: the registry is process-wide.
+        let (n, k) = (1003, 7);
+        for phase in [1, 2, 5] {
+            let partition = Partition::shared(n, k, phase);
+            let mut seen = 0;
+            for p in 0..k {
+                let expected: Vec<u32> = (0..n)
+                    .filter(|&j| owner(j, phase as usize, k) == p)
+                    .map(|j| j as u32)
+                    .collect();
+                assert_eq!(partition.set(PeerId(p)), expected, "phase {phase} peer {p}");
+                seen += expected.len();
+            }
+            assert_eq!(seen, n);
+        }
+        // More peers than bits: the surplus peers own nothing.
+        let sparse = Partition::shared(3, 5, 1);
+        assert_eq!(sparse.set(PeerId(2)), [2]);
+        assert!(sparse.set(PeerId(4)).is_empty());
+    }
+
+    #[test]
+    fn partition_is_shared_while_held_and_forgotten_after() {
+        let key = (1009, 11, 3);
+        let held = |key: &PartitionKey| registry().lock().unwrap().contains_key(key);
+        let first = Partition::shared(key.0, key.1, key.2);
+        let second = Partition::shared(key.0, key.1, key.2);
+        assert!(Arc::ptr_eq(&first, &second));
+        assert!(!Arc::ptr_eq(&first, &Partition::shared(key.0, key.1, 4)));
+        assert!(
+            !held(&(key.0, key.1, 4)),
+            "dropped at the end of its statement"
+        );
+        drop(first);
+        assert!(held(&key), "one holder left");
+        drop(second);
+        assert!(!held(&key));
+        // A later caller starts over.
+        let again = Partition::shared(key.0, key.1, key.2);
+        assert_eq!(Arc::strong_count(&again), 1);
     }
 
     #[test]

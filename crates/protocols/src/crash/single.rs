@@ -21,6 +21,7 @@
 //! happens by the end of phase 2's stage 2). `Q ≤ ⌈n/k⌉ + ⌈n/(k(k−1))⌉`,
 //! i.e. `O(n/k)`.
 
+use super::query_unknown;
 use dr_core::{BitArray, Context, PartialArray, PeerId, Protocol, ProtocolMessage};
 
 /// Messages of Algorithm 1. Bit payloads are packed bitmaps over
@@ -304,10 +305,7 @@ impl SingleCrashDownload {
             // (possible only with partial adversarial shares): query the
             // remainder directly, then terminate in completion mode.
             let unknown: Vec<usize> = self.acc.unknown_iter().collect();
-            for j in unknown {
-                let v = ctx.query(j);
-                self.acc.learn(j, v);
-            }
+            query_unknown(&mut self.acc, unknown, ctx);
             self.finish_if_complete(ctx);
             return;
         }
@@ -318,12 +316,7 @@ impl SingleCrashDownload {
             .expect("missing peer set before phase 2")
             .index();
         let mine = self.phase2_share(m, ctx.me().index());
-        for &j in &mine {
-            if !self.acc.is_known(j) {
-                let v = ctx.query(j);
-                self.acc.learn(j, v);
-            }
-        }
+        query_unknown(&mut self.acc, mine.iter().copied(), ctx);
         let values = self.pack(&mine);
         ctx.broadcast(SingleCrashMsg::Share2 {
             missing: PeerId(m),
@@ -339,10 +332,7 @@ impl Protocol for SingleCrashDownload {
     fn on_start(&mut self, ctx: &mut dyn Context<SingleCrashMsg>) {
         self.me = ctx.me().index();
         let mine = self.phase1_share(self.me);
-        for &j in &mine {
-            let v = ctx.query(j);
-            self.acc.learn(j, v);
-        }
+        query_unknown(&mut self.acc, mine.iter().copied(), ctx);
         let values = self.pack(&mine);
         self.p1_heard[self.me] = true;
         self.p1_shares[self.me] = Some(values.clone());

@@ -15,7 +15,9 @@ use dr_download::core::{
     ArraySource, BitArray, Context, FaultModel, ModelParams, PeerId, Protocol, ProtocolMessage,
     SharedSource, Source,
 };
-use dr_download::protocols::{CrashMultiDownload, FakeSourceAgent, TwoCycleDownload};
+use dr_download::protocols::{
+    CrashMultiDownload, FakeSourceAgent, SingleCrashDownload, TwoCycleDownload,
+};
 use dr_download::runtime::{run_threaded, RuntimeConfig};
 use dr_download::sim::explore::{explore, ExploreConfig};
 use dr_download::sim::{CrashPlan, RunReport, SimBuilder, StandardAdversary, UniformDelay};
@@ -110,6 +112,103 @@ fn two_cycle_bulk_path_matches_per_bit_reference() {
         .unwrap();
     let (bulk, reference) = run_both(params, 13, 0..0, move |_| TwoCycleDownload::new(n, k, b));
     assert_eq!(bulk, reference);
+}
+
+// ---------------------------------------------------------------------
+// The crash protocols ask for their shares through `query_masked` where
+// they used to loop over `ctx.query`. The loop is still there — it is
+// the provided default of `query_masked` — so a context that forwards
+// only the per-bit `query` runs each protocol the way it ran before.
+// ---------------------------------------------------------------------
+
+/// Hands the wrapped protocol a context with `query` but neither bulk
+/// override.
+struct PerBitQueries<P>(P);
+
+struct PerBitCtx<'a, M>(&'a mut dyn Context<M>);
+
+impl<M: ProtocolMessage> Context<M> for PerBitCtx<'_, M> {
+    fn me(&self) -> PeerId {
+        self.0.me()
+    }
+    fn num_peers(&self) -> usize {
+        self.0.num_peers()
+    }
+    fn input_len(&self) -> usize {
+        self.0.input_len()
+    }
+    fn send(&mut self, to: PeerId, msg: M) {
+        self.0.send(to, msg)
+    }
+    fn query(&mut self, index: usize) -> bool {
+        self.0.query(index)
+    }
+    fn rng(&mut self) -> &mut dyn rand::RngCore {
+        self.0.rng()
+    }
+}
+
+impl<P: Protocol> Protocol for PerBitQueries<P> {
+    type Msg = P::Msg;
+
+    fn on_start(&mut self, ctx: &mut dyn Context<P::Msg>) {
+        self.0.on_start(&mut PerBitCtx(ctx))
+    }
+    fn on_message(&mut self, from: PeerId, msg: P::Msg, ctx: &mut dyn Context<P::Msg>) {
+        self.0.on_message(from, msg, &mut PerBitCtx(ctx))
+    }
+    fn output(&self) -> Option<&BitArray> {
+        self.0.output()
+    }
+}
+
+/// Masked or per-bit queries, word-level or per-bit source: four runs of
+/// one seeded execution, one fingerprint.
+fn assert_query_paths_agree<P, F>(params: ModelParams, seed: u64, crashes: Range<usize>, make: F)
+where
+    P: Protocol + 'static,
+    F: Fn() -> P + Send + Clone + 'static,
+{
+    let masked = {
+        let make = make.clone();
+        run_both(params, seed, crashes.clone(), move |_| make())
+    };
+    let per_bit = run_both(params, seed, crashes, move |_| PerBitQueries(make()));
+    assert_eq!(
+        masked.0, masked.1,
+        "masked queries: ArraySource vs default Source"
+    );
+    assert_eq!(
+        per_bit.0, per_bit.1,
+        "per-bit queries: ArraySource vs default Source"
+    );
+    assert_eq!(masked.0, per_bit.0, "masked vs per-bit queries");
+    assert!(masked.0 .1.iter().any(|&q| q > 0), "somebody queried");
+}
+
+#[test]
+fn crash_protocols_meter_masked_queries_like_their_per_bit_loops() {
+    let crash = |n: usize, k: usize, b: usize| {
+        ModelParams::builder(n, k)
+            .faults(FaultModel::Crash, b)
+            .build()
+            .unwrap()
+    };
+    // Word-straddling lengths; with and without the crash that sends
+    // Algorithm 1 into its phase-2 reassignment queries.
+    for (seed, crashes) in [(3, 0..0), (4, 0..1), (5, 0..1)] {
+        let (n, k) = (5 * 64 + 9, 5);
+        assert_query_paths_agree(crash(n, k, 1), seed, crashes, move || {
+            SingleCrashDownload::new(n, k)
+        });
+    }
+    // Stage-1 shares over several phases, then the terminal remainder.
+    for (seed, b) in [(6, 0), (7, 3), (8, 6)] {
+        let (n, k) = (9 * 64 + 17, 8);
+        assert_query_paths_agree(crash(n, k, b), seed, 0..b, move || {
+            CrashMultiDownload::new(n, k, b)
+        });
+    }
 }
 
 // ---------------------------------------------------------------------
