@@ -1,38 +1,10 @@
-//! Simulator hot-loop scaling benchmarks.
-//!
-//! `pump/*` prices the hot-loop overhaul in isolation: the pre-overhaul
-//! event-pump shape (inline heap payloads, deep per-recipient copies,
-//! O(k) stop scan) against the current shape (slab slots, shared-buffer
-//! clones, counter stop check) on the committee broadcast pattern. The
-//! `full_run/*` entries exercise the real simulator end to end at two
-//! grid points per workload so regressions in the surrounding machinery
-//! (adversary hooks, metering, trace plumbing) show up here too.
+//! Simulator scaling benchmarks: the real simulator end to end at two
+//! grid points per workload, so regressions in the pump and the
+//! machinery around it (adversary hooks, metering, trace plumbing) show
+//! up here.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dr_bench::pump::{pump_new, pump_old};
+use criterion::{criterion_group, criterion_main, Criterion};
 use dr_bench::runners::{run_committee, run_crash_multi};
-
-fn bench_pump(c: &mut Criterion) {
-    let mut group = c.benchmark_group("sim_scaling_pump");
-    group.sample_size(10);
-    for &(n, k, rounds) in &[(1usize << 14, 16usize, 4usize), (1 << 16, 32, 2)] {
-        group.bench_with_input(
-            BenchmarkId::new("old_shape", format!("n{n}_k{k}")),
-            &(n, k, rounds),
-            |b, &(n, k, rounds)| {
-                b.iter(|| pump_old(n, k, rounds));
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("new_shape", format!("n{n}_k{k}")),
-            &(n, k, rounds),
-            |b, &(n, k, rounds)| {
-                b.iter(|| pump_new(n, k, rounds));
-            },
-        );
-    }
-    group.finish();
-}
 
 fn bench_full_runs(c: &mut Criterion) {
     let mut group = c.benchmark_group("sim_scaling_full_run");
@@ -52,5 +24,5 @@ fn bench_full_runs(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(sim_scaling, bench_pump, bench_full_runs);
+criterion_group!(sim_scaling, bench_full_runs);
 criterion_main!(sim_scaling);

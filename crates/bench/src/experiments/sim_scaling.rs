@@ -1,19 +1,13 @@
 //! E-scale — simulator hot-loop scaling (events/sec and memory proxy).
 //!
-//! Four families of rows, recorded as `BENCH_sim_scaling.json`:
+//! Three families of rows, recorded as `BENCH_sim_scaling.json`:
 //!
-//! * **Pump rows** price the hot-loop shapes against each other: the
-//!   pre-overhaul shape (inline payloads, deep per-recipient copies,
-//!   O(k) stop scan), the current serial shape (slab slots,
-//!   shared-buffer clones, counter stop check), and the sharded shape
-//!   (per-shard heaps drained through a time-window barrier) on the
-//!   committee broadcast pattern — see [`crate::pump`]. The speedup
-//!   column is the events/sec ratio; the acceptance bar is ≥ 5× old→new
-//!   at the largest grid point.
-//! * **Workload rows** run the real simulator end to end (committee and
-//!   crash-multi) across a (k, n) grid, reporting events/sec and the
-//!   peak-RSS proxy `peak_queue · sizeof(event) + peak_slab · payload
-//!   bytes` from the run's peak queue/slab occupancy.
+//! * **Workload rows** run the real simulator end to end (committee,
+//!   crash-multi and two-cycle) across a (k, n) grid, reporting
+//!   events/sec and the peak-RSS proxy `peak_queue · sizeof(event) +
+//!   peak_slab · payload bytes` from the run's peak queue/slab
+//!   occupancy. The two-cycle rows (`k²` deliveries, a handful of
+//!   queries) are the ones the event pump itself bounds.
 //! * **Race rows** rerun the workload grid serial vs sharded vs
 //!   parallel (sharded pump with window dispatch on the execution
 //!   plane, [`crate::plane::PlaneExecutor`]) and gate hard on
@@ -32,15 +26,16 @@
 //! `wall_clock_secs` is stripped.
 //!
 //! Set `DR_SIM_SCALING_SMOKE=1` (the CI smoke job does) to drop the
-//! largest grid point of each family and shrink pump rounds.
+//! largest grid point of each family.
 
 use crate::metrics::{ExperimentParams, ExperimentRecord, Measured, MetricsSink};
-use crate::pump::{pump_events, pump_new, pump_old, pump_sharded};
 use crate::runners::{
     run_committee, run_committee_pumped, run_committee_sharded, run_crash_multi,
-    run_crash_multi_pumped, run_crash_multi_sharded, run_crash_multi_streaming, PumpMode,
+    run_crash_multi_pumped, run_crash_multi_sharded, run_crash_multi_streaming, run_two_cycle,
+    two_cycle_segmentation, ByzMix, PumpMode,
 };
 use crate::table::{f, Table};
+use dr_core::SegmentId;
 use dr_sim::RunReport;
 use std::time::Instant;
 
@@ -50,9 +45,6 @@ const EXPERIMENT: &str = "sim_scaling";
 /// `seq: u64` + `EventKind` (tag-padded `Deliver { from, to, slot }`,
 /// 24 bytes with `PeerId = usize`) = 40.
 const EVENT_BYTES: u64 = 40;
-
-/// Shard count for the sharded-pump microbench rows.
-const PUMP_SHARDS: usize = 8;
 
 /// Shard count for the end-to-end serial-vs-sharded race rows.
 const WORKLOAD_SHARDS: usize = 8;
@@ -74,15 +66,6 @@ fn smoke() -> bool {
     std::env::var("DR_SIM_SCALING_SMOKE").is_ok_and(|v| v != "0" && !v.is_empty())
 }
 
-/// Pump grid: committee-pattern broadcast storms, (n, k, rounds).
-fn pump_grid() -> Vec<(usize, usize, usize)> {
-    let mut grid = vec![(1 << 14, 16, 8), (1 << 16, 32, 4)];
-    if !smoke() {
-        grid.push((1 << 18, 64, 2));
-    }
-    grid
-}
-
 /// Times `op` once after one warmup run, returning (result, seconds).
 fn timed<T>(mut op: impl FnMut() -> T) -> (T, f64) {
     std::hint::black_box(op());
@@ -98,60 +81,8 @@ pub fn run() -> Vec<Table> {
 
 /// Runs the scaling experiment, recording per-row metrics.
 pub fn run_metered(sink: &mut MetricsSink) -> Vec<Table> {
-    let mut pump = Table::new(
-        "E-scale-a — hot-loop shape, committee broadcast pattern (old vs new vs sharded)",
-        &[
-            "n",
-            "k",
-            "events",
-            "ev/s old",
-            "ev/s new",
-            "ev/s sharded",
-            "speedup",
-            "shard speedup",
-        ],
-    );
-    for (n, k, rounds) in pump_grid() {
-        let events = pump_events(k, rounds);
-        let (old_stats, old_secs) = timed(|| pump_old(n, k, rounds));
-        let (new_stats, new_secs) = timed(|| pump_new(n, k, rounds));
-        let (sharded_stats, sharded_secs) = timed(|| pump_sharded(n, k, rounds, PUMP_SHARDS));
-        assert_eq!(old_stats, new_stats, "pump shapes diverged at n={n} k={k}");
-        assert_eq!(
-            new_stats, sharded_stats,
-            "sharded pump diverged at n={n} k={k}"
-        );
-        let old_rate = events as f64 / old_secs;
-        let new_rate = events as f64 / new_secs;
-        let sharded_rate = events as f64 / sharded_secs;
-        pump.row(vec![
-            n.to_string(),
-            k.to_string(),
-            events.to_string(),
-            f(old_rate),
-            f(new_rate),
-            f(sharded_rate),
-            f(new_rate / old_rate),
-            f(sharded_rate / new_rate),
-        ]);
-        for (variant, secs) in [
-            ("old", old_secs),
-            ("new", new_secs),
-            ("sharded", sharded_secs),
-        ] {
-            sink.push(ExperimentRecord::new(
-                EXPERIMENT,
-                format!(
-                    "pump {variant} n={n} k={k} events={events} (events/wall_clock_secs = ev/s)"
-                ),
-                ExperimentParams::nk(n, k),
-                Measured::queries_only(&[], secs),
-            ));
-        }
-    }
-
     let mut workloads = Table::new(
-        "E-scale-b — end-to-end simulator scaling",
+        "E-scale-a — end-to-end simulator scaling",
         &[
             "workload",
             "n",
@@ -169,11 +100,13 @@ pub fn run_metered(sink: &mut MetricsSink) -> Vec<Table> {
                             k: usize,
                             b: usize,
                             a: usize,
+                            payload_bits: usize,
                             (report, secs): (RunReport, f64)| {
         let rate = report.events as f64 / secs;
-        // Resident size is dominated by queued events plus live payloads.
+        // Resident size is dominated by queued events plus live payloads,
+        // priced as if no two slots shared a buffer.
         let proxy_bytes =
-            report.peak_queue_len * EVENT_BYTES + report.peak_slab_len * (n as u64 / 8);
+            report.peak_queue_len * EVENT_BYTES + report.peak_slab_len * (payload_bits as u64 / 8);
         workloads.row(vec![
             workload.to_string(),
             n.to_string(),
@@ -187,8 +120,11 @@ pub fn run_metered(sink: &mut MetricsSink) -> Vec<Table> {
         sink.push(ExperimentRecord::new(
             EXPERIMENT,
             format!(
-                "{workload} n={n} k={k} events={} peak_queue={} peak_slab={} (events/wall_clock_secs = ev/s)",
-                report.events, report.peak_queue_len, report.peak_slab_len
+                "{workload} n={n} k={k} events={} peak_queue={} peak_slab={} fingerprint={:016x} (events/wall_clock_secs = ev/s)",
+                report.events,
+                report.peak_queue_len,
+                report.peak_slab_len,
+                report.fingerprint()
             ),
             ExperimentParams::nkb(n, k, b).with_a(a),
             Measured::one(&report, secs),
@@ -201,7 +137,7 @@ pub fn run_metered(sink: &mut MetricsSink) -> Vec<Table> {
     }
     for &(n, k, t) in &committee_grid {
         let m = timed(|| run_committee(n, k, t, t, 11));
-        workload_row(sink, "committee", n, k, t, 0, m);
+        workload_row(sink, "committee", n, k, t, 0, n, m);
     }
 
     let mut crash_grid = vec![(1 << 14, 8usize, 3usize), (1 << 16, 32, 8)];
@@ -210,11 +146,24 @@ pub fn run_metered(sink: &mut MetricsSink) -> Vec<Table> {
     }
     for &(n, k, b) in &crash_grid {
         let m = timed(|| run_crash_multi(n, k, b, b, 1024, false, 13));
-        workload_row(sink, "crash_multi", n, k, b, 1024, m);
+        workload_row(sink, "crash_multi", n, k, b, 1024, n, m);
+    }
+
+    // Two-cycle at a fixed n: every peer broadcasts one claim and waits
+    // for k − b, so events grow as k² while queries stay near n/p.
+    let mut two_cycle_grid = vec![256usize, 512];
+    if !smoke() {
+        two_cycle_grid.push(1024);
+    }
+    for &k in &two_cycle_grid {
+        let (n, b) = (1 << 17, k / 8);
+        let (seg, _) = two_cycle_segmentation(n, k, b).expect("sampled plan at this size");
+        let m = timed(|| run_two_cycle(n, k, b, ByzMix::Mixed, 17));
+        workload_row(sink, "two_cycle", n, k, b, 0, seg.len_of(SegmentId(0)), m);
     }
 
     let mut race = Table::new(
-        "E-scale-c — serial vs sharded vs parallel event pump, end to end (fingerprints gated equal)",
+        "E-scale-b — serial vs sharded vs parallel event pump, end to end (fingerprints gated equal)",
         &[
             "workload",
             "n",
@@ -301,7 +250,7 @@ pub fn run_metered(sink: &mut MetricsSink) -> Vec<Table> {
     }
 
     let mut streaming = Table::new(
-        "E-scale-d — streaming source, bounded resident set (crash_multi)",
+        "E-scale-c — streaming source, bounded resident set (crash_multi)",
         &[
             "n bits",
             "k",
@@ -360,5 +309,5 @@ pub fn run_metered(sink: &mut MetricsSink) -> Vec<Table> {
         ));
     }
 
-    vec![pump, workloads, race, streaming]
+    vec![workloads, race, streaming]
 }

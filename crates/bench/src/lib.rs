@@ -15,7 +15,6 @@ pub mod experiments;
 pub mod metrics;
 pub mod par;
 pub mod plane;
-pub mod pump;
 pub mod runners;
 pub mod stats;
 pub mod sync;

@@ -48,7 +48,9 @@ fn read_word(words: &[u64], pos: usize) -> u64 {
 /// what makes broadcast payloads in the simulator zero-copy — `k − 1`
 /// clones of an `n`-bit message cost `O(k)`, not `O(k·n)` — while
 /// `Eq`/`Hash`/`Ord`/serde all keep value semantics over the bit
-/// contents, never the sharing state.
+/// contents, never the sharing state. Comparing two arrays that share a
+/// buffer is a pointer compare, not a word scan: `cmp` checks for it, and
+/// the derived `eq` gets it from `Arc`'s own same-allocation shortcut.
 ///
 /// # Examples
 ///
@@ -160,8 +162,7 @@ impl BitArray {
     /// `self`. [`Clone`] is the right call almost everywhere (it is
     /// `O(1)` and copy-on-write protects both sides); `deep_clone`
     /// exists for the cases that need a guaranteed-unaliased buffer —
-    /// aliasing tests and the pre-rewrite cost baseline in the
-    /// `sim_scaling` benchmarks.
+    /// aliasing tests and benchmark probes that time a private copy.
     pub fn deep_clone(&self) -> BitArray {
         BitArray {
             len: self.len,
@@ -436,6 +437,10 @@ impl Ord for BitArray {
     /// is a pure function of the data, which deterministic-tier protocol
     /// state relies on (e.g. the τ-frequent string table).
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        // Buffers are only ever shared by `clone`, which copies `len` too.
+        if self.shares_buffer_with(other) {
+            return std::cmp::Ordering::Equal;
+        }
         let words = self.words.len().min(other.words.len());
         for w in 0..words {
             // Bit 0 is the LSB of word 0; reversing each word makes the

@@ -8,15 +8,40 @@
 //! become frequent in total, which bounds the decision-tree work no matter
 //! what the adversary injects.
 
-use dr_core::collections::{DetMap, DetSet};
+use dr_core::collections::DetMap;
 use dr_core::{BitArray, PeerId, SegmentId};
+
+/// Sets bit `i` of a word-packed set that grows on demand; `true` if it
+/// was clear.
+fn insert_bit(words: &mut Vec<u64>, i: usize) -> bool {
+    let (w, mask) = (i / 64, 1u64 << (i % 64));
+    if w >= words.len() {
+        words.resize(w + 1, 0);
+    }
+    let fresh = words[w] & mask == 0;
+    words[w] |= mask;
+    fresh
+}
+
+/// The claims recorded for one segment.
+#[derive(Debug, Default, Clone)]
+struct SegmentClaims {
+    /// string → distinct-sender count, ordered so that iteration (and
+    /// therefore [`frequent`](FrequencyTable::frequent)) never depends on
+    /// insertion or hash order.
+    strings: DetMap<BitArray, usize>,
+    /// Bit `p` set once peer `p` has claimed this segment.
+    senders: Vec<u64>,
+}
 
 /// Accumulates `(segment, string)` claims by sender and extracts the
 /// τ-frequent strings per segment.
 ///
 /// Duplicate claims by the same sender for the same segment are ignored
 /// (first claim wins), so a single Byzantine peer cannot inflate a
-/// string's frequency.
+/// string's frequency. Who has claimed what is kept as packed bitsets
+/// indexed by sender id, so the table costs `⌈max id / 64⌉` words per
+/// claimed segment: senders are peer ids in `0..k`, not arbitrary keys.
 ///
 /// # Examples
 ///
@@ -34,13 +59,9 @@ use dr_core::{BitArray, PeerId, SegmentId};
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct FrequencyTable {
-    /// segment → (string → distinct-sender count), ordered so that
-    /// iteration (and therefore [`frequent`](FrequencyTable::frequent))
-    /// never depends on insertion or hash order.
-    counts: DetMap<SegmentId, DetMap<BitArray, usize>>,
-    /// (sender, segment) pairs already recorded.
-    seen: DetSet<(PeerId, SegmentId)>,
-    senders: DetMap<PeerId, usize>,
+    segments: DetMap<SegmentId, SegmentClaims>,
+    /// Bit `p` set once peer `p` has made any claim.
+    senders: Vec<u64>,
 }
 
 impl FrequencyTable {
@@ -52,16 +73,12 @@ impl FrequencyTable {
     /// Records a claim. Returns `true` if this was the sender's first
     /// claim for the segment (and was therefore counted).
     pub fn record(&mut self, sender: PeerId, segment: SegmentId, string: BitArray) -> bool {
-        if !self.seen.insert((sender, segment)) {
+        let claims = self.segments.entry(segment).or_default();
+        if !insert_bit(&mut claims.senders, sender.index()) {
             return false;
         }
-        *self
-            .counts
-            .entry(segment)
-            .or_default()
-            .entry(string)
-            .or_insert(0) += 1;
-        *self.senders.entry(sender).or_insert(0) += 1;
+        *claims.strings.entry(string).or_insert(0) += 1;
+        insert_bit(&mut self.senders, sender.index());
         true
     }
 
@@ -71,10 +88,12 @@ impl FrequencyTable {
     /// `BitArray`'s lexicographic `Ord` — the same order the old explicit
     /// `Vec<bool>` sort produced — so no re-sort is needed.
     pub fn frequent(&self, segment: SegmentId, threshold: usize) -> Vec<BitArray> {
-        self.counts
+        self.segments
             .get(&segment)
-            .map(|m| {
-                m.iter()
+            .map(|claims| {
+                claims
+                    .strings
+                    .iter()
                     .filter(|(_, &c)| c >= threshold)
                     .map(|(s, _)| s.clone())
                     .collect()
@@ -84,17 +103,19 @@ impl FrequencyTable {
 
     /// Number of distinct strings recorded for `segment` (frequent or not).
     pub fn distinct(&self, segment: SegmentId) -> usize {
-        self.counts.get(&segment).map_or(0, |m| m.len())
+        self.segments.get(&segment).map_or(0, |c| c.strings.len())
     }
 
     /// Total number of claims recorded for `segment` (the paper's `R_i`).
     pub fn received(&self, segment: SegmentId) -> usize {
-        self.counts.get(&segment).map_or(0, |m| m.values().sum())
+        self.segments
+            .get(&segment)
+            .map_or(0, |c| c.strings.values().sum())
     }
 
     /// Number of distinct peers that have made at least one claim.
     pub fn distinct_senders(&self) -> usize {
-        self.senders.len()
+        self.senders.iter().map(|w| w.count_ones() as usize).sum()
     }
 }
 

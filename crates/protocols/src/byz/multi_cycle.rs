@@ -19,7 +19,7 @@
 
 use super::decision_tree::DecisionTree;
 use super::frequent::FrequencyTable;
-use super::segment_msg::SegmentMsg;
+use super::segment_msg::{Heard, SegmentMsg};
 use dr_core::{BitArray, Context, PeerId, Protocol, SegmentId, Segmentation};
 use rand::Rng;
 
@@ -94,7 +94,7 @@ pub struct MultiCycleDownload {
     /// Current cycle (1-based); claims for cycle `c` live at index `c−1`.
     cycle: u32,
     tables: Vec<FrequencyTable>,
-    heard: Vec<Vec<bool>>,
+    heard: Vec<Heard>,
     my_pick: Vec<Option<SegmentId>>,
     my_value: Vec<Option<BitArray>>,
     out: Option<BitArray>,
@@ -140,7 +140,7 @@ impl MultiCycleDownload {
             plan,
             cycle: 1,
             tables: (0..cycles).map(|_| FrequencyTable::new()).collect(),
-            heard: (0..cycles).map(|_| vec![false; k]).collect(),
+            heard: (0..cycles).map(|_| Heard::new(k)).collect(),
             my_pick: vec![None; cycles],
             my_value: vec![None; cycles],
             out: None,
@@ -226,19 +226,12 @@ impl MultiCycleDownload {
         }
     }
 
-    fn heard_count(&self, cycle: u32) -> usize {
-        self.heard[cycle as usize - 1]
-            .iter()
-            .filter(|&&h| h)
-            .count()
-    }
-
     /// Advances through every cycle whose wait condition is satisfied.
     fn advance(&mut self, ctx: &mut dyn Context<SegmentMsg>) {
         let (_, _, cycles) = self.plan_parts();
         while self.out.is_none()
             && self.cycle < cycles
-            && self.heard_count(self.cycle) >= self.k - self.b
+            && self.heard[self.cycle as usize - 1].count() >= self.k - self.b
         {
             let next = self.cycle + 1;
             let seg_next = self.segmentation(next);
@@ -261,7 +254,7 @@ impl MultiCycleDownload {
                 self.out = Some(bits);
             } else {
                 self.tables[next as usize - 1].record(ctx.me(), pick, bits.clone());
-                self.heard[next as usize - 1][ctx.me().index()] = true;
+                self.heard[next as usize - 1].insert(ctx.me());
                 ctx.broadcast(SegmentMsg {
                     cycle: next,
                     segment: pick,
@@ -286,7 +279,7 @@ impl Protocol for MultiCycleDownload {
         self.my_pick[0] = Some(pick);
         self.my_value[0] = Some(bits.clone());
         self.tables[0].record(ctx.me(), pick, bits.clone());
-        self.heard[0][ctx.me().index()] = true;
+        self.heard[0].insert(ctx.me());
         ctx.broadcast(SegmentMsg {
             cycle: 1,
             segment: pick,
@@ -302,8 +295,7 @@ impl Protocol for MultiCycleDownload {
         let (_, _, cycles) = self.plan_parts();
         let c = msg.cycle as usize;
         if (1..cycles as usize).contains(&c) {
-            if !self.heard[c - 1][from.index()] {
-                self.heard[c - 1][from.index()] = true;
+            if self.heard[c - 1].insert(from) {
                 let seg = self.segmentation(msg.cycle);
                 if msg.segment.index() < seg.count() && msg.bits.len() == seg.len_of(msg.segment) {
                     self.tables[c - 1].record(from, msg.segment, msg.bits);

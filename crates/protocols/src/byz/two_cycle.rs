@@ -25,7 +25,7 @@
 
 use super::decision_tree::DecisionTree;
 use super::frequent::FrequencyTable;
-use super::segment_msg::SegmentMsg;
+use super::segment_msg::{Heard, SegmentMsg};
 use dr_core::{BitArray, Context, PartialArray, PeerId, Protocol, SegmentId, Segmentation};
 use rand::Rng;
 
@@ -108,7 +108,7 @@ pub struct TwoCycleDownload {
     my_pick: Option<SegmentId>,
     my_bits: Option<BitArray>,
     table: FrequencyTable,
-    heard: Vec<bool>,
+    heard: Heard,
     out: Option<BitArray>,
     /// Segments with no τ-frequent string, resolved by direct queries
     /// (should be empty w.h.p.; exposed for experiments).
@@ -151,7 +151,7 @@ impl TwoCycleDownload {
             my_pick: None,
             my_bits: None,
             table: FrequencyTable::new(),
-            heard: vec![false; k],
+            heard: Heard::new(k),
             out: None,
             fallback_segments: 0,
         }
@@ -197,10 +197,6 @@ impl TwoCycleDownload {
         }
     }
 
-    fn heard_count(&self) -> usize {
-        self.heard.iter().filter(|&&h| h).count()
-    }
-
     /// Cycle 2: resolve every segment via decision trees and terminate.
     fn determine_all(&mut self, ctx: &mut dyn Context<SegmentMsg>) {
         let seg = self.seg.expect("sampled mode");
@@ -235,7 +231,7 @@ impl TwoCycleDownload {
     }
 
     fn maybe_advance(&mut self, ctx: &mut dyn Context<SegmentMsg>) {
-        if self.out.is_none() && self.heard_count() >= self.k - self.b {
+        if self.out.is_none() && self.heard.count() >= self.k - self.b {
             self.determine_all(ctx);
         }
     }
@@ -256,7 +252,7 @@ impl Protocol for TwoCycleDownload {
                 self.my_pick = Some(pick);
                 self.my_bits = Some(bits.clone());
                 self.table.record(ctx.me(), pick, bits.clone());
-                self.heard[ctx.me().index()] = true;
+                self.heard.insert(ctx.me());
                 ctx.broadcast(SegmentMsg {
                     cycle: 1,
                     segment: pick,
@@ -274,14 +270,12 @@ impl Protocol for TwoCycleDownload {
         let seg = self.seg.expect("sampled mode");
         // Any first message from a sender counts toward progress; only
         // well-formed cycle-1 claims enter the frequency table.
-        if !self.heard[from.index()] {
-            self.heard[from.index()] = true;
-            if msg.cycle == 1
-                && msg.segment.index() < seg.count()
-                && msg.bits.len() == seg.len_of(msg.segment)
-            {
-                self.table.record(from, msg.segment, msg.bits);
-            }
+        if self.heard.insert(from)
+            && msg.cycle == 1
+            && msg.segment.index() < seg.count()
+            && msg.bits.len() == seg.len_of(msg.segment)
+        {
+            self.table.record(from, msg.segment, msg.bits);
         }
         self.maybe_advance(ctx);
     }

@@ -1,15 +1,20 @@
 //! Iteration-order property tests: protocol state built from the same
 //! facts in *any* insertion order must behave identically, and full runs
-//! must fingerprint identically on re-execution.
+//! must fingerprint identically on re-execution. The bitset-backed
+//! τ-frequent table is also held to the B-tree one it replaced, and the
+//! cycle protocols to the exact delivery on which their wait ends.
 //!
 //! These are the regression guards behind the ordered-collection sweep
 //! (`dr-lint` rule `unordered-collections`): before it, `HashMap` state
 //! in the committee tally and the τ-frequent table meant a per-instance
 //! random hash seed sat one iteration away from replay divergence.
 
-use dr_core::{BitArray, Context, PeerId, Protocol, SegmentId};
-use dr_protocols::byz::{in_committee, FrequencyTable, VoteBatch};
-use dr_protocols::{CommitteeDownload, TwoCycleDownload};
+use dr_core::collections::{DetMap, DetSet};
+use dr_core::{BitArray, Context, PeerId, Protocol, SegmentId, Segmentation};
+use dr_protocols::byz::{in_committee, FrequencyTable, SegmentMsg, VoteBatch};
+use dr_protocols::{
+    CommitteeDownload, MultiCycleDownload, MultiCyclePlan, TwoCycleDownload, TwoCyclePlan,
+};
 use dr_sim::SimBuilder;
 use proptest::prelude::*;
 use rand::{rngs::StdRng, RngCore, SeedableRng};
@@ -26,13 +31,27 @@ fn shuffled<T: Clone>(items: &[T], seed: u64) -> Vec<T> {
     out
 }
 
-/// Minimal honest context: answers queries from a fixed input, drops
-/// outgoing messages, seeds the RNG from the peer ID.
+/// Minimal honest context: answers queries from a fixed input, counts
+/// and drops outgoing messages, seeds the RNG from the peer ID.
 struct FixedCtx {
     me: PeerId,
     k: usize,
     input: BitArray,
     rng: StdRng,
+    sent: usize,
+}
+
+impl FixedCtx {
+    /// The context of peer `k − 1` over `input`.
+    fn last_peer(k: usize, input: &BitArray) -> Self {
+        FixedCtx {
+            me: PeerId(k - 1),
+            k,
+            input: input.clone(),
+            rng: StdRng::seed_from_u64(1),
+            sent: 0,
+        }
+    }
 }
 
 impl<M: dr_core::ProtocolMessage> Context<M> for FixedCtx {
@@ -45,7 +64,9 @@ impl<M: dr_core::ProtocolMessage> Context<M> for FixedCtx {
     fn input_len(&self) -> usize {
         self.input.len()
     }
-    fn send(&mut self, _to: PeerId, _msg: M) {}
+    fn send(&mut self, _to: PeerId, _msg: M) {
+        self.sent += 1;
+    }
     fn query(&mut self, index: usize) -> bool {
         self.input.get(index)
     }
@@ -66,8 +87,229 @@ fn truthful_batch(sender: PeerId, input: &BitArray, k: usize, c: usize) -> VoteB
     }
 }
 
+/// The τ-frequent table as it stood before the sender bitsets, kept
+/// verbatim as the reference: one B-tree of `(sender, segment)` pairs
+/// and one of senders.
+#[derive(Default)]
+struct BTreeFrequencyTable {
+    counts: DetMap<SegmentId, DetMap<BitArray, usize>>,
+    seen: DetSet<(PeerId, SegmentId)>,
+    senders: DetMap<PeerId, usize>,
+}
+
+impl BTreeFrequencyTable {
+    fn record(&mut self, sender: PeerId, segment: SegmentId, string: BitArray) -> bool {
+        if !self.seen.insert((sender, segment)) {
+            return false;
+        }
+        *self
+            .counts
+            .entry(segment)
+            .or_default()
+            .entry(string)
+            .or_insert(0) += 1;
+        *self.senders.entry(sender).or_insert(0) += 1;
+        true
+    }
+
+    fn frequent(&self, segment: SegmentId, threshold: usize) -> Vec<BitArray> {
+        self.counts
+            .get(&segment)
+            .map(|m| {
+                m.iter()
+                    .filter(|(_, &c)| c >= threshold)
+                    .map(|(s, _)| s.clone())
+                    .collect()
+            })
+            .unwrap_or_default()
+    }
+
+    fn distinct(&self, segment: SegmentId) -> usize {
+        self.counts.get(&segment).map_or(0, |m| m.len())
+    }
+
+    fn received(&self, segment: SegmentId) -> usize {
+        self.counts.get(&segment).map_or(0, |m| m.values().sum())
+    }
+
+    fn distinct_senders(&self) -> usize {
+        self.senders.len()
+    }
+}
+
+/// Sender ids on both sides of every word boundary a `k ≤ 4097` run has.
+const SENDERS: [usize; 14] = [
+    0, 1, 63, 64, 65, 127, 128, 129, 191, 192, 1023, 1024, 4095, 4096,
+];
+
+/// Segment ids far enough apart that nothing dense could index them.
+const SEGMENTS: [usize; 6] = [0, 1, 7, 1000, 1 << 20, usize::MAX / 2];
+
+/// The input `FixedCtx` answers from in the wait-condition tests.
+fn wait_input(n: usize) -> BitArray {
+    BitArray::from_fn(n, |i| i % 3 == 0)
+}
+
+/// A truthful cycle-`cycle` claim for `segment` of `seg`.
+fn claim(input: &BitArray, seg: Segmentation, cycle: u32, segment: usize) -> SegmentMsg {
+    let range = seg.range(SegmentId(segment));
+    SegmentMsg {
+        cycle,
+        segment: SegmentId(segment),
+        bits: input.slice(range),
+    }
+}
+
+#[test]
+fn two_cycle_advances_on_exactly_the_k_minus_b_th_distinct_sender() {
+    let (n, k, b) = (32usize, 9usize, 2usize);
+    let plan = TwoCyclePlan::Sampled {
+        segments: 2,
+        threshold: 2,
+    };
+    let seg = Segmentation::new(n, 2);
+    let input = wait_input(n);
+    let mut proto = TwoCycleDownload::with_plan(n, k, b, plan);
+    let mut ctx = FixedCtx::last_peer(k, &input);
+    proto.on_start(&mut ctx);
+
+    let good = |s| claim(&input, seg, 1, s);
+    let wrong_cycle = SegmentMsg {
+        cycle: 2,
+        ..good(0)
+    };
+    let wrong_length = SegmentMsg {
+        bits: BitArray::zeros(3),
+        ..good(1)
+    };
+    let wrong_segment = SegmentMsg {
+        segment: SegmentId(2),
+        ..good(0)
+    };
+    // The peer itself is the first of the k − b = 7 it waits for. A
+    // sender's first message counts whatever it carries; later ones do
+    // not.
+    let before: Vec<(usize, SegmentMsg)> = vec![
+        (0, good(0)),
+        (0, good(1)),
+        (1, wrong_cycle),
+        (1, good(0)),
+        (2, wrong_length),
+        (3, wrong_segment),
+        (4, good(1)),
+        (4, good(1)),
+        (0, good(0)),
+    ];
+    for (from, msg) in before {
+        proto.on_message(PeerId(from), msg, &mut ctx);
+        assert!(proto.output().is_none(), "advanced early, after p{from}");
+    }
+    proto.on_message(PeerId(5), good(0), &mut ctx);
+    assert_eq!(proto.output(), Some(&input));
+}
+
+#[test]
+fn multi_cycle_advances_on_exactly_the_k_minus_b_th_distinct_sender() {
+    let (n, k, b) = (32usize, 9usize, 2usize);
+    let plan = MultiCyclePlan::Sampled {
+        initial_segments: 4,
+        threshold: 2,
+        cycles: 3,
+    };
+    let input = wait_input(n);
+    let mut proto = MultiCycleDownload::with_plan(n, k, b, plan);
+    let mut ctx = FixedCtx::last_peer(k, &input);
+    proto.on_start(&mut ctx);
+    assert_eq!(ctx.sent, k - 1);
+
+    // Each waiting cycle ends on its own count of k − b = 7, the peer
+    // included; the broadcast of the next cycle's claim marks the step.
+    for (cycle, segments) in [(1u32, 4usize), (2, 2)] {
+        let seg = Segmentation::new(n, segments);
+        let good = |s| claim(&input, seg, cycle, s);
+        let wrong_length = SegmentMsg {
+            bits: BitArray::zeros(1),
+            ..good(0)
+        };
+        let wrong_segment = SegmentMsg {
+            segment: SegmentId(segments),
+            ..good(0)
+        };
+        // A claim for a cycle nobody waits on is dropped unseen: p5 is
+        // still unheard when its real claim arrives last.
+        let no_such_cycle = SegmentMsg {
+            cycle: 0,
+            ..good(0)
+        };
+        let final_cycle = SegmentMsg {
+            cycle: 3,
+            ..good(0)
+        };
+        let before: Vec<(usize, SegmentMsg)> = vec![
+            (0, good(0)),
+            (0, good(1)),
+            (1, wrong_length),
+            (1, good(0)),
+            (5, no_such_cycle),
+            (2, wrong_segment),
+            (3, good(1)),
+            (5, final_cycle),
+            (4, good(segments - 1)),
+            (4, good(0)),
+        ];
+        let sent = ctx.sent;
+        for (from, msg) in before {
+            proto.on_message(PeerId(from), msg, &mut ctx);
+            assert_eq!(ctx.sent, sent, "cycle {cycle} ended early, after p{from}");
+            assert!(proto.output().is_none());
+        }
+        proto.on_message(PeerId(5), good(0), &mut ctx);
+        if cycle == 1 {
+            assert_eq!(
+                ctx.sent,
+                sent + k - 1,
+                "cycle 1 did not end on the 7th sender"
+            );
+            assert!(proto.output().is_none());
+        }
+    }
+    assert_eq!(proto.output(), Some(&input));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn frequency_table_matches_its_btree_reference(
+        claims in prop::collection::vec(
+            (0usize..SENDERS.len(), 0usize..SEGMENTS.len(), 0u8..5, any::<bool>()),
+            1..200,
+        ),
+    ) {
+        let mut table = FrequencyTable::new();
+        let mut reference = BTreeFrequencyTable::default();
+        for (sender, segment, shape, bit) in claims {
+            let sender = PeerId(SENDERS[sender]);
+            let segment = SegmentId(SEGMENTS[segment]);
+            let string = BitArray::from_fn(4, |i| (i as u8) < shape || bit);
+            prop_assert_eq!(
+                table.record(sender, segment, string.clone()),
+                reference.record(sender, segment, string)
+            );
+            prop_assert_eq!(table.distinct_senders(), reference.distinct_senders());
+        }
+        // SegmentId(2) is never claimed.
+        for segment in SEGMENTS.into_iter().chain([2]).map(SegmentId) {
+            for threshold in 0..6 {
+                prop_assert_eq!(
+                    table.frequent(segment, threshold),
+                    reference.frequent(segment, threshold)
+                );
+            }
+            prop_assert_eq!(table.distinct(segment), reference.distinct(segment));
+            prop_assert_eq!(table.received(segment), reference.received(segment));
+        }
+    }
 
     #[test]
     fn frequency_table_is_insertion_order_invariant(
@@ -126,12 +368,7 @@ proptest! {
 
         let run = |order: &[(PeerId, VoteBatch)]| {
             let mut proto = CommitteeDownload::new(n, k, t);
-            let mut ctx = FixedCtx {
-                me: PeerId(k - 1),
-                k,
-                input: input.clone(),
-                rng: StdRng::seed_from_u64(1),
-            };
+            let mut ctx = FixedCtx::last_peer(k, &input);
             proto.on_start(&mut ctx);
             for (from, batch) in order {
                 proto.on_message(*from, batch.clone(), &mut ctx);

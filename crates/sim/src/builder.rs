@@ -174,12 +174,12 @@ impl<M: ProtocolMessage> SimBuilder<M> {
         self
     }
 
-    /// Partitions peers across `shards` event queues and message slabs
-    /// advanced under a conservative time-window barrier (default: 1, the
-    /// serial pump). Any value produces a bit-identical execution — same
-    /// seed, same [`fingerprint`](crate::RunReport::fingerprint) — the
-    /// sharded layout trades one global heap for per-shard heaps merged a
-    /// tick-window at a time, which pays off on large runs.
+    /// Partitions peers across `shards` lanes and message slabs advanced
+    /// under a conservative time-window barrier (default: 1, the serial
+    /// pump). Any value produces a bit-identical execution — same seed,
+    /// same [`fingerprint`](crate::RunReport::fingerprint): the event
+    /// queue is one tick-bucketed structure whatever the count; shards
+    /// decide which peers a window's worker threads step together.
     ///
     /// # Panics
     ///

@@ -1,28 +1,37 @@
-//! The event pump: the sharded queue/slab structure behind the simulator
-//! hot loop, and the single source of truth for event pop order.
+//! The event pump: the queue/slab structure behind the simulator hot
+//! loop, and the single source of truth for event pop order.
 //!
 //! [`EventPump`] owns the pending-event queue and the payload slabs for a
-//! run. There is one layout for every shard count: peers are partitioned
-//! across `s` shards (`shard(p) = p mod s`, with `s = 1` recovering the
-//! serial configuration), each with its own heap and slab, advanced under
-//! a conservative time-window barrier:
+//! run. Pending events sit in one ordered map of tick buckets for the
+//! whole pump; payloads sit in per-shard slabs (`shard(p) = p mod s`, with
+//! `s = 1` the serial configuration). There is one layout and one serving
+//! order for every shard count:
 //!
+//! * **Buckets.** `push` stamps nothing and sorts nothing: it appends the
+//!   event to the `Vec` of its tick. The simulator hands out `seq` stamps
+//!   globally and monotonically *at push time*, so every bucket is already
+//!   in ascending `seq` order — the serving order — by construction
+//!   (checked by a debug assertion at refill). The map is ordered rather
+//!   than a ring of `TICKS_PER_UNIT` slots because the horizon is not
+//!   bounded by one unit: a `p`-packet message lands `(p−1)·TICKS_PER_UNIT`
+//!   later still, and heal ticks and retransmission back-off reach further;
+//!   a ring would need an overflow queue beside it.
 //! * **Window.** All pending events sharing the minimum tick `T` form one
 //!   window. Message latencies are clamped to `1..=TICKS_PER_UNIT`, so an
 //!   event processed at tick `T` can only schedule events at `T + 1` or
-//!   later — the window is causally closed and can be drained from every
-//!   shard up front without missing a cross-shard send into it.
-//! * **Merge.** The drained window is sorted by the global `seq` stamp, so
-//!   events pop in exactly the global `(at, seq)` order a single heap
-//!   would produce. With one shard the refill is a straight heap drain of
-//!   the minimum tick; the serving order is identical either way, which is
-//!   why the pre-unification serial backend could be deleted without
-//!   re-pinning a single golden fingerprint.
+//!   later — the window is causally closed. Refilling it is `pop_first`
+//!   on the map and a swap of the bucket into the window; the drained
+//!   `Vec` goes to a spare list and backs the next new tick, so a long run
+//!   allocates as many buckets as it ever has ticks pending at once.
 //! * **Same-tick appends.** The one exception to "new events land after
 //!   the window" is the pre-start flush, which re-enqueues buffered
 //!   messages at the *current* tick. Those pushes carry fresh `seq` stamps
-//!   larger than everything already drained, so appending them to the
-//!   active window keeps it sorted — checked by a debug assertion.
+//!   larger than everything already in the window, so appending them to
+//!   the active window keeps it in serving order — checked by a debug
+//!   assertion.
+//!
+//! Events therefore pop in global `(at, seq)` order whatever the shard
+//! count, which is why no golden fingerprint depends on it.
 //!
 //! Occupancy accounting (queue depth, live payloads, peaks) lives both on
 //! the pump wrapper (global, matching the historical serial counters) and
@@ -39,8 +48,7 @@
 
 use crate::time::Ticks;
 use dr_core::PeerId;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::BTreeMap;
 
 /// Slot-indexed store for message payloads.
 ///
@@ -158,32 +166,14 @@ pub(crate) struct QueuedEvent {
     pub(crate) kind: EventKind,
 }
 
-impl PartialEq for QueuedEvent {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for QueuedEvent {}
-impl PartialOrd for QueuedEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for QueuedEvent {
-    // Reversed so that BinaryHeap pops the earliest event first.
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
-/// One shard: a private event heap plus a private payload slab for the
-/// peers this shard owns. The slab sits in an `Option` so the parallel
-/// dispatch path can lend it to a worker thread for the duration of a
-/// window; every access asserts it is home.
+/// One shard: the payload slab and the queue-depth counters of the peers
+/// this shard owns. The slab sits in an `Option` so the parallel dispatch
+/// path can lend it to a worker thread for the duration of a window; every
+/// access asserts it is home.
 struct Shard<M> {
-    queue: BinaryHeap<QueuedEvent>,
     slab: Option<MsgSlab<M>>,
-    /// Events currently queued for this shard (heap + unserved window).
+    /// Events currently queued for this shard's peers (buckets + unserved
+    /// window).
     queued: usize,
     peak_queued: usize,
 }
@@ -194,18 +184,23 @@ impl<M> Shard<M> {
     }
 }
 
-/// The simulator's pending-event queue and payload store: per-shard heaps
-/// and slabs drained through a time-window barrier, popping events in
+/// The simulator's pending-event queue and payload store: tick buckets
+/// drained a window at a time and per-shard slabs, popping events in
 /// global `(at, seq)` order for any shard count (1 = the serial layout).
 pub(crate) struct EventPump<M> {
     shards: Vec<Shard<M>>,
+    /// Pending events after the active window, one bucket per tick, each
+    /// in ascending `seq` order (push order).
+    buckets: BTreeMap<Ticks, Vec<QueuedEvent>>,
+    /// Emptied bucket `Vec`s, reused for new ticks.
+    spare: Vec<Vec<QueuedEvent>>,
     /// Events of the active window in ascending `seq` order; positions
     /// before `cursor` have been popped.
     window: Vec<QueuedEvent>,
     cursor: usize,
     /// Tick of the active window. Stays set after the window drains so a
     /// same-tick push (pre-start flush) still lands in the window rather
-    /// than a shard heap.
+    /// than a bucket.
     window_at: Option<Ticks>,
     /// Per-slab slot capacity; inserting past it yields [`SlabOverflow`].
     capacity: u32,
@@ -223,12 +218,13 @@ impl<M> EventPump<M> {
         EventPump {
             shards: (0..shards)
                 .map(|_| Shard {
-                    queue: BinaryHeap::new(),
                     slab: Some(MsgSlab::new()),
                     queued: 0,
                     peak_queued: 0,
                 })
                 .collect(),
+            buckets: BTreeMap::new(),
+            spare: Vec::new(),
             window: Vec::new(),
             cursor: 0,
             window_at: None,
@@ -255,7 +251,7 @@ impl<M> EventPump<M> {
         match self.window_at {
             Some(t) if ev.at == t => {
                 // Same-tick append (pre-start flush): `seq` stamps are
-                // globally monotonic, so the window stays sorted.
+                // globally monotonic, so the window stays in serving order.
                 debug_assert!(
                     self.window.last().is_none_or(|last| last.seq < ev.seq),
                     "same-tick push out of seq order"
@@ -267,7 +263,11 @@ impl<M> EventPump<M> {
                     earlier.is_none_or(|t| ev.at > t),
                     "event scheduled before the active window (latency < 1?)"
                 );
-                self.shards[s].queue.push(ev);
+                let spare = &mut self.spare;
+                self.buckets
+                    .entry(ev.at)
+                    .or_insert_with(|| spare.pop().unwrap_or_default())
+                    .push(ev);
             }
         }
         self.shards[s].queued += 1;
@@ -276,28 +276,22 @@ impl<M> EventPump<M> {
         self.peak_queued = self.peak_queued.max(self.queued);
     }
 
-    /// Refills the window with every shard's events at the global minimum
-    /// tick, merged by seq. Returns `false` if all heaps are empty.
+    /// Makes the earliest bucket the active window. Returns `false` if
+    /// nothing is pending.
     fn refill(&mut self) -> bool {
         debug_assert!(self.cursor >= self.window.len());
-        self.window.clear();
-        self.cursor = 0;
-        let Some(t) = self
-            .shards
-            .iter()
-            .filter_map(|s| s.queue.peek())
-            .map(|ev| ev.at)
-            .min()
-        else {
+        let Some((t, bucket)) = self.buckets.pop_first() else {
             return false;
         };
+        debug_assert!(
+            bucket.windows(2).all(|w| w[0].seq < w[1].seq),
+            "bucket out of seq order"
+        );
+        let mut drained = std::mem::replace(&mut self.window, bucket);
+        drained.clear();
+        self.spare.push(drained);
+        self.cursor = 0;
         self.window_at = Some(t);
-        for shard in &mut self.shards {
-            while shard.queue.peek().is_some_and(|ev| ev.at == t) {
-                self.window.push(shard.queue.pop().expect("peeked"));
-            }
-        }
-        self.window.sort_unstable_by_key(|ev| ev.seq);
         true
     }
 
@@ -402,6 +396,7 @@ impl<M> EventPump<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn ev(at: Ticks, seq: u64, peer: usize) -> QueuedEvent {
         QueuedEvent {
@@ -409,6 +404,11 @@ mod tests {
             seq,
             kind: EventKind::Start(PeerId(peer)),
         }
+    }
+
+    /// `(at, seq, subject)` of an event, for comparing against a model.
+    fn flat(e: QueuedEvent) -> (Ticks, u64, usize) {
+        (e.at, e.seq, e.kind.subject().index())
     }
 
     fn drain_order(pump: &mut EventPump<()>) -> Vec<(Ticks, u64)> {
@@ -553,5 +553,83 @@ mod tests {
         assert_eq!(pump.live_payloads(), 1);
         assert_eq!(pump.peak_live(), 2);
         assert_eq!(pump.peak_live_per_shard(), vec![1, 1]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Random pushes (same-tick appends mid-window and after a drained
+        /// window included), pops and window takes, against a flat list
+        /// searched for its `(at, seq)` minimum and counted naively.
+        #[test]
+        fn pump_serves_like_a_sorted_list(
+            ops in prop::collection::vec((0u8..8, 0u64..4, 0usize..16), 1..200),
+        ) {
+            for shards in [1usize, 2, 3, 7] {
+                let mut pump: EventPump<()> = EventPump::new(shards, u32::MAX);
+                let mut pending: Vec<(Ticks, u64, usize)> = Vec::new();
+                let mut pushed = Vec::new();
+                let mut served = Vec::new();
+                // Tick of the pump's active window: pushes may not precede it.
+                let mut now: Option<Ticks> = None;
+                let mut peak = 0;
+                let mut peaks = vec![0u64; shards];
+                let key = |e: &(Ticks, u64, usize)| (e.0, e.1);
+
+                for &(op, dt, peer) in &ops {
+                    match op {
+                        0..=4 => {
+                            let e = (now.unwrap_or(0) + dt, pushed.len() as u64, peer);
+                            pump.push(ev(e.0, e.1, e.2));
+                            pending.push(e);
+                            pushed.push(e);
+                            peak = peak.max(pending.len());
+                            for (s, p) in peaks.iter_mut().enumerate() {
+                                let depth = pending.iter().filter(|e| e.2 % shards == s).count();
+                                *p = (*p).max(depth as u64);
+                            }
+                        }
+                        5 | 6 => {
+                            let want = pending.iter().copied().min_by_key(key);
+                            let got = pump.pop().map(flat);
+                            prop_assert_eq!(got, want, "shards={}", shards);
+                            if let Some(e) = want {
+                                pending.retain(|p| *p != e);
+                                served.push(e);
+                                now = Some(e.0);
+                            }
+                        }
+                        _ => {
+                            let min = dt as usize + 1;
+                            let got = pump.take_window_at_least(min);
+                            // A refused take has still moved the window on
+                            // to the earliest pending tick.
+                            now = pending.iter().map(|e| e.0).min().or(now);
+                            let mut window: Vec<_> =
+                                pending.iter().copied().filter(|e| Some(e.0) == now).collect();
+                            window.sort_unstable_by_key(key);
+                            if window.len() < min {
+                                prop_assert!(got.is_none(), "shards={}", shards);
+                            } else {
+                                let got: Vec<_> = got
+                                    .expect("window large enough")
+                                    .into_iter()
+                                    .map(flat)
+                                    .collect();
+                                prop_assert_eq!(&got, &window, "shards={}", shards);
+                                pending.retain(|p| !window.contains(p));
+                                served.extend(window);
+                            }
+                        }
+                    }
+                    prop_assert_eq!(pump.queued, pending.len());
+                }
+                served.extend(std::iter::from_fn(|| pump.pop()).map(flat));
+                pushed.sort_unstable_by_key(key);
+                prop_assert_eq!(&served, &pushed, "shards={}", shards);
+                prop_assert_eq!(pump.peak_queued(), peak);
+                prop_assert_eq!(pump.peak_queued_per_shard(), peaks);
+            }
+        }
     }
 }

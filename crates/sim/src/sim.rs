@@ -17,10 +17,10 @@
 //!
 //! # Hot-loop layout
 //!
-//! Message payloads never live inside heap nodes. Every in-flight or held
-//! payload sits in a slab (see the `shard` module) and is addressed by a
-//! `u32` slot, so a queued event is a small `Copy` struct and heap sifts
-//! move a handful of words instead of whole `BitArray`s. Each slot is
+//! Message payloads never live inside queued events. Every in-flight or
+//! held payload sits in a slab (see the `shard` module) and is addressed
+//! by a `u32` slot, so a queued event is a small `Copy` struct appended to
+//! the bucket of its tick, and no `BitArray` moves with it. Each slot is
 //! owned by exactly one of: a queued `Deliver` event, a held message, or a
 //! pre-start buffer entry; whichever path consumes or drops the message
 //! frees the slot. Combined with the copy-on-write `BitArray` buffer, a

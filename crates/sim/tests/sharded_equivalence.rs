@@ -1,7 +1,7 @@
 //! Serial-vs-sharded pump equivalence: same seed, same configuration,
 //! any shard count ⇒ bit-identical execution.
 //!
-//! The sharded pump (per-shard heaps and slabs under a time-window
+//! The sharded pump (per-shard lanes and slabs under a time-window
 //! barrier) claims to reproduce the serial pump's global `(at, seq)`
 //! event order exactly — so every observable, down to the run
 //! fingerprint, must match. These tests check that claim across random
