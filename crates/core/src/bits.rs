@@ -37,6 +37,17 @@ fn read_word(words: &[u64], pos: usize) -> u64 {
     }
 }
 
+/// The positions of the set bits of `word`, lowest first.
+pub(crate) fn ones_of(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros() as usize;
+            word &= word - 1;
+            bit
+        })
+    })
+}
+
 /// A fixed-length packed array of bits.
 ///
 /// Unused high bits of the last word are kept zeroed so that `Eq` and `Hash`
@@ -235,6 +246,12 @@ impl BitArray {
         self.words[w]
     }
 
+    /// The packed representation, [`BitArray::word`] for every `w`.
+    #[inline]
+    pub(crate) fn as_words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// Reads the 64 bits starting at bit position `pos` (bit `pos` lands in
     /// bit 0 of the result), shifting across the word boundary as needed.
     /// Positions past the end of the array read as zero.
@@ -287,17 +304,10 @@ impl BitArray {
     /// Iterates over the indices of the one-bits in ascending order,
     /// skipping all-zero words in one step.
     pub fn ones(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(w, &word)| {
-            let mut rest = word;
-            std::iter::from_fn(move || {
-                if rest == 0 {
-                    return None;
-                }
-                let bit = rest.trailing_zeros() as usize;
-                rest &= rest - 1;
-                Some(w * 64 + bit)
-            })
-        })
+        self.words
+            .iter()
+            .enumerate()
+            .flat_map(|(w, &word)| ones_of(word).map(move |bit| w * 64 + bit))
     }
 
     /// Extracts the bits of `range` as a new array.

@@ -8,16 +8,25 @@
 //! [`Source`] and guarantees each 64-bit word of the input is fetched
 //! upstream **at most once**, no matter how many concurrent readers race:
 //!
-//! * **Word-level cache.** The keyspace is word indices (`bit / 64`),
-//!   striped contiguously across shards so adjacent words land in the same
-//!   shard and a range read touches few locks. Each shard owns a
-//!   [`DetMap`] of filled words behind one mutex.
+//! * **Word-level cache, stored in pages.** The keyspace is word indices
+//!   (`bit / 64`), and a word is the unit of presence, classification and
+//!   billing. Storage is by *page*: 64 consecutive words and one `u64` of
+//!   presence bits (520 bytes per 4096 bits of input), allocated when the
+//!   first of its words is filled and held in the owning shard's
+//!   [`DetMap`] by page index, so memory stays proportional to what was
+//!   touched. Words are striped contiguously across shards in whole pages
+//!   — **a page lives in exactly one shard** — so adjacent words share a
+//!   lock and a range read takes few of them. A read walks its span a
+//!   page at a time under the shard mutex: one map lookup per page, the
+//!   absent words read off `mask & !present`, and a page piece that is
+//!   all there copied out with one `copy_from_slice`.
 //! * **Single-flight coalescing.** A miss elects the first arriving reader
 //!   as *leader* for a contiguous run of absent words: it records the run
 //!   in the shard's in-flight list, drops the lock, performs one upstream
-//!   [`Source::bits`] call, fills the words, and notifies. Readers that
-//!   miss on a word already in flight park on the shard condvar and are
-//!   handed the filled words without an upstream query of their own.
+//!   [`Source::bits`] call, copies the words into their pages, sets the
+//!   presence bits, and notifies. Readers that miss on a word already in
+//!   flight park on the shard condvar and are handed the filled words
+//!   without an upstream query of their own.
 //! * **Range batching.** Absent words are claimed as maximal contiguous
 //!   runs, so `r` adjacent missing words become one upstream `bits` call —
 //!   riding the PR 2 word-level fast paths instead of `r` round trips.
@@ -38,9 +47,10 @@
 //! counters are independent monotonic `Relaxed` atomics that never gate
 //! control flow (see DESIGN.md §4). The loom model in
 //! `crates/core/tests/loom_admission.rs` exhaustively interleaves the
-//! claim/fetch/fill/notify protocol, including leader panics.
+//! claim/fetch/fill/notify protocol, including leader panics and two
+//! readers splitting one page.
 
-use crate::bits::BitArray;
+use crate::bits::{ones_of, BitArray};
 use crate::collections::DetMap;
 use crate::peer::PeerId;
 use crate::source::{QueryMeter, Source};
@@ -58,16 +68,73 @@ const CLASS_HIT: u8 = 1;
 const CLASS_COALESCED: u8 = 2;
 const CLASS_LED: u8 = 3;
 
+/// Classifies a word unless an earlier pass already did.
+fn classify(class: &mut u8, seen_as: u8) {
+    if *class == CLASS_NONE {
+        *class = seen_as;
+    }
+}
+
+/// Words per [`Page`]: one presence bit each in a `u64`.
+const PAGE_WORDS: usize = 64;
+
+/// 64 consecutive cache words and which of them are filled. Page `p`
+/// holds words `64p .. 64p + 64`; a word's value is meaningful only where
+/// its `present` bit is set.
+#[derive(Debug)]
+struct Page {
+    present: u64,
+    words: [u64; PAGE_WORDS],
+}
+
+/// Splits a word range into its per-page pieces: the page index and the
+/// in-page word offsets (`0..64`) the range covers there.
+fn page_pieces(words: Range<usize>) -> impl Iterator<Item = (usize, Range<usize>)> {
+    (words.start / PAGE_WORDS..words.end.div_ceil(PAGE_WORDS)).map(move |p| {
+        let base = p * PAGE_WORDS;
+        let lo = words.start.max(base) - base;
+        let hi = words.end.min(base + PAGE_WORDS) - base;
+        (p, lo..hi)
+    })
+}
+
+/// Presence mask of the non-empty in-page offsets `piece`.
+fn piece_mask(piece: &Range<usize>) -> u64 {
+    (u64::MAX >> (PAGE_WORDS - piece.len())) << piece.start
+}
+
 /// Per-shard cache state, guarded by the shard mutex.
 #[derive(Debug, Default)]
 struct ShardState {
-    /// Filled words: word index → word value. Never evicted.
-    words: DetMap<usize, u64>,
+    /// Pages holding at least one filled word, by page index. Never
+    /// evicted.
+    pages: DetMap<usize, Box<Page>>,
+    /// Presence bits set across `pages`.
+    resident: u64,
     /// Word runs currently being fetched upstream by a leader.
     inflight: Vec<Range<usize>>,
     /// Bumped by [`CachedSource::invalidate_all`]; a leader only fills
     /// words if the epoch it claimed under is still current.
     epoch: u64,
+}
+
+impl ShardState {
+    /// Stores `values` as words `first..`, setting their presence bits.
+    fn fill(&mut self, first: usize, values: &[u64]) {
+        for (p, piece) in page_pieces(first..first + values.len()) {
+            let page = self.pages.entry(p).or_insert_with(|| {
+                Box::new(Page {
+                    present: 0,
+                    words: [0; PAGE_WORDS],
+                })
+            });
+            let from = p * PAGE_WORDS + piece.start - first;
+            let mask = piece_mask(&piece);
+            page.words[piece.clone()].copy_from_slice(&values[from..from + piece.len()]);
+            self.resident += u64::from((mask & !page.present).count_ones());
+            page.present |= mask;
+        }
+    }
 }
 
 struct Shard {
@@ -138,8 +205,8 @@ pub struct CachedSource {
     inner: Arc<dyn Source>,
     len: usize,
     shards: Vec<Shard>,
-    /// Words per shard stripe (contiguous striping keeps range reads on
-    /// few shards).
+    /// Words per shard stripe, a whole number of pages (contiguous
+    /// striping keeps range reads on few shards).
     stripe: usize,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -186,10 +253,11 @@ impl CachedSource {
     pub fn from_arc(inner: Arc<dyn Source>, shards: usize) -> Self {
         assert!(shards > 0, "CachedSource needs at least one shard");
         let len = inner.len();
-        let words_total = len.div_ceil(64);
-        // Every shard gets a contiguous stripe; the last also owns the
-        // remainder. `max(1)` keeps `shard_of` well-defined for tiny inputs.
-        let stripe = words_total.div_ceil(shards).max(1);
+        let pages_total = len.div_ceil(64).div_ceil(PAGE_WORDS);
+        // Every shard gets a contiguous stripe of whole pages, so a page
+        // lives in exactly one shard; trailing shards of a small input own
+        // nothing. `max(1)` keeps `shard_of` well-defined for empty inputs.
+        let stripe = pages_total.div_ceil(shards).max(1) * PAGE_WORDS;
         let shards = (0..shards)
             .map(|_| Shard {
                 state: Mutex::new(ShardState::default()),
@@ -226,11 +294,7 @@ impl CachedSource {
     /// Current cumulative statistics. `resident_words` takes each shard
     /// lock briefly; intended for post-run inspection, not hot paths.
     pub fn stats(&self) -> CacheStats {
-        let resident: u64 = self
-            .shards
-            .iter()
-            .map(|s| lock_shard(s).words.len() as u64)
-            .sum();
+        let resident: u64 = self.shards.iter().map(|s| lock_shard(s).resident).sum();
         CacheStats {
             // dr-lint: allow(atomic-ordering): independent monotonic counters; reads are statistical, never gate control flow
             hits: self.hits.load(Ordering::Relaxed),
@@ -252,7 +316,8 @@ impl CachedSource {
         for shard in &self.shards {
             {
                 let mut state = lock_shard(shard);
-                state.words.clear();
+                state.pages.clear();
+                state.resident = 0;
                 state.epoch += 1;
             }
             // Wake waiters so they re-classify against the empty map and
@@ -286,21 +351,12 @@ impl CachedSource {
         if range.is_empty() {
             return (BitArray::zeros(0), receipt);
         }
-        let w0 = range.start / 64;
-        let w1 = range.end.div_ceil(64);
-        let span = w1 - w0;
-        let mut out = vec![0u64; span];
-        let mut class = vec![CLASS_NONE; span];
-
-        // Walk the word span stripe by stripe so each iteration deals with
-        // exactly one shard's lock.
-        let mut w = w0;
-        while w < w1 {
-            let s = self.shard_of(w);
-            let seg_end = self.stripe_end(s).min(w1);
-            self.read_shard_span(s, w..seg_end, w0, &mut out, &mut class, &mut receipt, on_fetch);
-            w = seg_end;
-        }
+        // The cache words the range touches land in the buffer the result
+        // is built from: one copy, page by page.
+        let span = range.start / 64..range.end.div_ceil(64);
+        let mut words = vec![0u64; span.len()];
+        let mut class = vec![CLASS_NONE; span.len()];
+        self.read_word_span(span, &mut words, &mut class, &mut receipt, on_fetch);
 
         for &c in &class {
             match c {
@@ -319,30 +375,48 @@ impl CachedSource {
             // dr-lint: allow(atomic-ordering): independent monotonic counter; statistics only, never gates control flow
             .fetch_add(receipt.coalesced_words, Ordering::Relaxed);
 
-        let sh = range.start % 64;
-        let out_len = range.len();
-        let words: Vec<u64> = (0..out_len.div_ceil(64))
-            .map(|r| {
-                let lo = out[r] >> sh;
-                if sh == 0 {
-                    lo
-                } else {
-                    lo | out.get(r + 1).copied().unwrap_or(0) << (64 - sh)
-                }
-            })
-            .collect();
-        (BitArray::from_words(out_len, words), receipt)
+        // A range that starts inside a word shifts down in place; the
+        // span may then be one word longer than the result.
+        let shift = range.start % 64;
+        if shift != 0 {
+            for r in 0..words.len() {
+                let above = words.get(r + 1).copied().unwrap_or(0);
+                words[r] = words[r] >> shift | above << (64 - shift);
+            }
+        }
+        words.truncate(range.len().div_ceil(64));
+        (BitArray::from_words(range.len(), words), receipt)
     }
 
-    /// Resolves words `span` (all owned by shard `s`) into `out`/`class`
-    /// (indexed relative to `base`), leading or coalescing fetches as
-    /// needed. Loops until every word in the span is present.
-    #[allow(clippy::too_many_arguments)]
+    /// Resolves cache words `span` into `out`/`class` (one entry per
+    /// word), stripe by stripe so each step deals with exactly one
+    /// shard's lock.
+    fn read_word_span(
+        &self,
+        span: Range<usize>,
+        out: &mut [u64],
+        class: &mut [u8],
+        receipt: &mut ReadReceipt,
+        on_fetch: &mut dyn FnMut(Range<usize>),
+    ) {
+        let mut w = span.start;
+        while w < span.end {
+            let s = self.shard_of(w);
+            let seg_end = self.stripe_end(s).min(span.end);
+            let seg = w - span.start..seg_end - span.start;
+            let (seg_out, seg_class) = (&mut out[seg.clone()], &mut class[seg]);
+            self.read_shard_span(s, w..seg_end, seg_out, seg_class, receipt, on_fetch);
+            w = seg_end;
+        }
+    }
+
+    /// Resolves words `span` (all owned by shard `s`) into `out`/`class`,
+    /// leading or coalescing fetches as needed. Loops until every word in
+    /// the span is present.
     fn read_shard_span(
         &self,
         s: usize,
         span: Range<usize>,
-        base: usize,
         out: &mut [u64],
         class: &mut [u8],
         receipt: &mut ReadReceipt,
@@ -351,30 +425,41 @@ impl CachedSource {
         let shard = &self.shards[s];
         let mut state = lock_shard(shard);
         loop {
-            // Classify every word in the span under the lock. Absent words
-            // not covered by an in-flight run accumulate into maximal
-            // contiguous runs for this call to lead.
+            // Walk the span a page at a time under the lock. Present words
+            // are copied out; absent words not covered by an in-flight run
+            // accumulate into maximal contiguous runs for this call to lead.
             let mut runs: Vec<Range<usize>> = Vec::new();
             let mut wait_needed = false;
-            for w in span.clone() {
-                let i = w - base;
-                if let Some(&v) = state.words.get(&w) {
-                    out[i] = v;
-                    if class[i] == CLASS_NONE {
-                        class[i] = CLASS_HIT;
+            for (p, piece) in page_pieces(span.clone()) {
+                let base = p * PAGE_WORDS;
+                // `out`/`class` index of in-page offset `b`.
+                let at = |b: usize| base + b - span.start;
+                let mask = piece_mask(&piece);
+                // Only a fully present piece is copied: the pass that
+                // returns sees every piece full, and what an earlier pass
+                // copies is overwritten by it.
+                let present = state.pages.get(&p).map_or(0, |page| {
+                    let present = page.present & mask;
+                    if present == mask {
+                        out[at(piece.start)..at(piece.end)]
+                            .copy_from_slice(&page.words[piece.clone()]);
                     }
-                } else if state.inflight.iter().any(|r| r.contains(&w)) {
-                    wait_needed = true;
-                    if class[i] == CLASS_NONE {
-                        class[i] = CLASS_COALESCED;
-                    }
-                } else {
-                    match runs.last_mut() {
-                        Some(last) if last.end == w => last.end = w + 1,
-                        _ => runs.push(w..w + 1),
-                    }
-                    if class[i] == CLASS_NONE {
-                        class[i] = CLASS_LED;
+                    present
+                });
+                for b in ones_of(present) {
+                    classify(&mut class[at(b)], CLASS_HIT);
+                }
+                for b in ones_of(mask & !present) {
+                    let w = base + b;
+                    if state.inflight.iter().any(|r| r.contains(&w)) {
+                        wait_needed = true;
+                        classify(&mut class[at(b)], CLASS_COALESCED);
+                    } else {
+                        match runs.last_mut() {
+                            Some(last) if last.end == w => last.end = w + 1,
+                            _ => runs.push(w..w + 1),
+                        }
+                        classify(&mut class[at(b)], CLASS_LED);
                     }
                 }
             }
@@ -400,7 +485,7 @@ impl CachedSource {
     }
 
     /// Performs the upstream fetches for `runs` (claimed by this call),
-    /// fills the shard map, and notifies waiters. On upstream panic,
+    /// fills the shard's pages, and notifies waiters. On upstream panic,
     /// un-claims the remaining runs and re-raises so parked waiters
     /// re-elect a leader instead of deadlocking.
     fn lead_fetch(
@@ -417,13 +502,16 @@ impl CachedSource {
                 let bit_lo = run.start * 64;
                 let bit_hi = (run.end * 64).min(self.len);
                 let fetched = self.inner.bits(bit_lo..bit_hi);
+                assert_eq!(
+                    fetched.len(),
+                    bit_hi - bit_lo,
+                    "upstream returned the wrong number of bits for {bit_lo}..{bit_hi}"
+                );
                 {
                     let mut state = lock_shard(shard);
                     state.inflight.retain(|r| r != run);
                     if state.epoch == epoch {
-                        for (j, w) in run.clone().enumerate() {
-                            state.words.insert(w, fetched.word(j));
-                        }
+                        state.fill(run.start, fetched.as_words());
                     }
                 }
                 shard.cv.notify_all();

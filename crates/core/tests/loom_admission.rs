@@ -4,7 +4,7 @@
 //! loom_admission`. Under the `loom-model` feature the `crate::sync`
 //! facade swaps the per-shard mutex/condvar for the vendored loom
 //! implementations, and `loom::model` explores every interleaving of the
-//! claim/fetch/fill/notify protocol. Three properties are load-bearing:
+//! claim/fetch/fill/notify protocol. Four properties are load-bearing:
 //!
 //! 1. **Exactly one upstream query per coalesced group** — concurrent
 //!    misses on the same words must produce one upstream `bits` call, no
@@ -16,6 +16,10 @@
 //!    upstream unwinds through the leader, un-claims its runs, and wakes
 //!    waiters so they re-elect (and themselves observe the panic) rather
 //!    than parking forever.
+//! 4. **A page is shared, its words are not** — two readers whose ranges
+//!    split one page claim disjoint word runs of it, coalesce only on the
+//!    words the other already has in flight, and fill the same page
+//!    without losing each other's presence bits.
 #![cfg(feature = "loom-model")]
 
 use dr_core::{ArraySource, BitArray, CachedSource, Source};
@@ -73,6 +77,48 @@ fn overlapping_ranges_never_double_fetch_or_lose_waiters() {
         b.join().unwrap();
         // Word 1 overlaps both readers; it still went upstream once.
         assert_eq!(cache.stats().upstream_bits, 128);
+    });
+}
+
+#[test]
+fn readers_splitting_one_page_lead_disjoint_runs() {
+    loom::model(|| {
+        // One page: A asks words 0..32, B asks words 16..64.
+        let input = BitArray::from_fn(64 * 64, |i| i % 7 < 3);
+        let cache = Arc::new(CachedSource::new(ArraySource::new(input.clone()), 1));
+        let reader = |words: std::ops::Range<usize>| {
+            let cache = Arc::clone(&cache);
+            let input = input.clone();
+            loom::thread::spawn(move || {
+                let bits = words.start * 64..words.end * 64;
+                let mut fetched = Vec::new();
+                let (got, receipt) = cache.read_range_with(bits.clone(), &mut |r| fetched.push(r));
+                assert_eq!(got, input.slice(bits));
+                (receipt, fetched)
+            })
+        };
+        let a = reader(0..32);
+        let b = reader(16..64);
+        let (ra, fetched_a) = a.join().unwrap();
+        let (rb, fetched_b) = b.join().unwrap();
+        // Whoever saw words 16..32 second found them in flight or cached;
+        // B always leads 32..64 itself, and in the racing schedule where A
+        // claimed first it coalesces on exactly 16..32.
+        assert_eq!(ra.hit_words + ra.coalesced_words + ra.fetched_words, 32);
+        assert_eq!(rb.hit_words + rb.coalesced_words + rb.fetched_words, 48);
+        assert_eq!(ra.fetched_words + rb.fetched_words, 64);
+        assert!(rb.fetched_words >= 32 && rb.coalesced_words <= 16);
+        if rb.coalesced_words == 16 {
+            assert_eq!(fetched_a, vec![0..32 * 64]);
+            assert_eq!(fetched_b, vec![32 * 64..64 * 64]);
+        }
+        // Each word went upstream once, and both fills landed in the page.
+        let stats = cache.stats();
+        assert_eq!(stats.upstream_bits, 64 * 64);
+        assert_eq!(stats.upstream_calls, ra.upstream_calls + rb.upstream_calls);
+        assert_eq!(stats.resident_words, 64);
+        assert_eq!(Source::bits(&*cache, 0..64 * 64), input);
+        assert_eq!(cache.stats().upstream_bits, 64 * 64);
     });
 }
 

@@ -1,12 +1,117 @@
 //! Crate-local property tests for `dr-core` invariants.
 
 use dr_core::{
-    ArraySource, Assignment, BitArray, PartialArray, PeerId, PeerSet, QueryMeter, SharedSource,
-    Source,
+    ArraySource, Assignment, BitArray, CacheStats, CachedSource, PartialArray, PeerId, PeerSet,
+    QueryMeter, ReadReceipt, SharedSource, Source,
 };
 use proptest::prelude::*;
+use std::ops::Range;
+
+/// What a single-threaded [`CachedSource`] must do, word by word: `None`
+/// is an absent word. The stripe rule is restated here on purpose (whole
+/// pages per shard), so a change to it has to be made twice.
+struct CacheModel {
+    len: usize,
+    stripe: usize,
+    words: Vec<Option<u64>>,
+    stats: CacheStats,
+}
+
+impl CacheModel {
+    fn new(len: usize, shards: usize) -> Self {
+        let words = len.div_ceil(64);
+        CacheModel {
+            len,
+            stripe: words.div_ceil(64).div_ceil(shards).max(1) * 64,
+            words: vec![None; words],
+            stats: CacheStats::default(),
+        }
+    }
+
+    fn invalidate_all(&mut self) {
+        self.words.fill(None);
+        self.stats.resident_words = 0;
+    }
+
+    /// Reads `range` of `input`: the bits, the receipt and the upstream
+    /// bit ranges, one per maximal run of absent words inside one shard's
+    /// stripe.
+    fn read(
+        &mut self,
+        input: &BitArray,
+        range: Range<usize>,
+    ) -> (BitArray, ReadReceipt, Vec<Range<usize>>) {
+        let mut receipt = ReadReceipt::default();
+        let mut fetched: Vec<Range<usize>> = Vec::new();
+        if range.is_empty() {
+            return (BitArray::zeros(0), receipt, fetched);
+        }
+        let mut run_end = None;
+        for w in range.start / 64..range.end.div_ceil(64) {
+            if self.words[w].is_some() {
+                receipt.hit_words += 1;
+                continue;
+            }
+            receipt.fetched_words += 1;
+            let bits = w * 64..(w * 64 + 64).min(self.len);
+            self.words[w] = Some(input.word(w));
+            if run_end == Some(w) && w % self.stripe != 0 {
+                fetched.last_mut().expect("a run is open").end = bits.end;
+            } else {
+                fetched.push(bits);
+            }
+            run_end = Some(w + 1);
+        }
+        receipt.upstream_calls = fetched.len() as u64;
+        receipt.fetched_bits = fetched.iter().map(|r| r.len() as u64).sum();
+        self.stats.hits += receipt.hit_words;
+        self.stats.misses += receipt.fetched_words;
+        self.stats.upstream_calls += receipt.upstream_calls;
+        self.stats.upstream_bits += receipt.fetched_bits;
+        self.stats.resident_words += receipt.fetched_words;
+        let bits = BitArray::from_fn(range.len(), |i| {
+            let bit = range.start + i;
+            self.words[bit / 64].expect("read words are present") >> (bit % 64) & 1 == 1
+        });
+        (bits, receipt, fetched)
+    }
+}
 
 proptest! {
+    /// The paged store against the per-word model: interleaved reads and
+    /// invalidations on lengths whose tail page is partly past `len`, odd
+    /// shard counts, and ranges placed on page and stripe boundaries.
+    #[test]
+    fn cached_source_matches_the_per_word_model(
+        len in 1usize..40_000,
+        shards in 1usize..8,
+        ops in prop::collection::vec((0usize..10, any::<u64>(), 0usize..9_000, -70isize..70), 1..24),
+    ) {
+        let input = BitArray::from_fn(len, |i| (i.wrapping_mul(2_654_435_761) >> 7) % 5 < 2);
+        let cache = CachedSource::new(ArraySource::new(input.clone()), shards);
+        let mut model = CacheModel::new(len, shards);
+        for (kind, pick, span, nudge) in ops {
+            if kind == 0 {
+                cache.invalidate_all();
+                model.invalidate_all();
+            } else {
+                // Start near a page boundary (odd kinds) or a stripe
+                // boundary (even kinds), `nudge` bits to either side.
+                let unit = if kind % 2 == 1 { 64 * 64 } else { model.stripe * 64 };
+                let anchor = (pick as usize % (len / unit + 1)) * unit;
+                let start = anchor.saturating_add_signed(nudge).min(len - 1);
+                let range = start..(start + span).min(len);
+                let mut fetched = Vec::new();
+                let (bits, receipt) = cache.read_range_with(range.clone(), &mut |r| fetched.push(r));
+                let (want_bits, want_receipt, want_fetched) = model.read(&input, range.clone());
+                prop_assert_eq!(bits, want_bits, "range {:?}", range);
+                prop_assert_eq!(receipt, want_receipt, "range {:?}", range);
+                prop_assert_eq!(fetched, want_fetched, "range {:?}", range);
+            }
+            prop_assert_eq!(cache.stats(), model.stats);
+        }
+    }
+
     #[test]
     fn peerset_roundtrip(universe in 1usize..200, members in prop::collection::vec(0usize..200, 0..40)) {
         let mut s = PeerSet::new(universe);

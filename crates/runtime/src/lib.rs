@@ -22,7 +22,7 @@
 
 pub mod serve;
 
-pub use serve::{FrontDoor, RequestOutcome, ServeConfig};
+pub use serve::{FrontDoor, RequestOutcome, ServeConfig, ServeError};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use dr_core::{

@@ -5,11 +5,14 @@
 //! the external source as the expensive resource. [`FrontDoor`] is the
 //! in-process version of that service:
 //!
-//! * it accepts **many concurrent download requests** ([`FrontDoor::serve`]
-//!   is called from any number of client threads),
+//! * it accepts **many concurrent download requests**
+//!   ([`FrontDoor::try_serve`], or [`FrontDoor::serve`] for callers whose
+//!   ranges are known good, from any number of client threads),
 //! * admission is **bounded**: at most `max_in_flight` requests are served
 //!   at once, the rest block at the gate (backpressure instead of
-//!   unbounded queue growth),
+//!   unbounded queue growth); a range that ends past the source is
+//!   refused with a [`ServeError`] before it takes a permit, and a request
+//!   that unwinds (an upstream panic) gives its permit back,
 //! * each admitted request is **fanned over the peer fleet**: its range is
 //!   split into contiguous per-peer spans, each read through the shared
 //!   [`AdmissionPlane`] so the leading peer is charged amortized `Q`,
@@ -23,7 +26,8 @@
 //! upstream `Q`, the quantity `fig_serve` tracks cold vs. warm.
 
 use dr_core::sync::{Condvar, Mutex, PoisonError};
-use dr_core::{AdmissionPlane, BitArray, PeerId, QueryMeter, ReadReceipt, Source};
+use dr_core::{AdmissionPlane, BitArray, PeerId, PlaneHandle, QueryMeter, ReadReceipt, Source};
+use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -81,7 +85,9 @@ impl Gate {
         }
     }
 
-    fn acquire(&self) {
+    /// Blocks until a permit is free and takes it; dropping the returned
+    /// guard gives it back, on unwind too.
+    fn acquire(&self) -> Permit<'_> {
         let mut permits = self
             .permits
             .lock()
@@ -93,19 +99,50 @@ impl Gate {
                 .unwrap_or_else(PoisonError::into_inner);
         }
         *permits -= 1;
+        Permit(self)
     }
+}
 
-    fn release(&self) {
+/// One admitted request's hold on the [`Gate`].
+struct Permit<'a>(&'a Gate);
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
         {
             let mut permits = self
+                .0
                 .permits
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner);
             *permits += 1;
         }
-        self.cv.notify_one();
+        self.0.cv.notify_one();
     }
 }
+
+/// Why [`FrontDoor::try_serve`] refused a request.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ServeError {
+    /// The requested range ends past the source.
+    OutOfRange {
+        /// The range asked for.
+        range: Range<usize>,
+        /// Bits in the source.
+        len: usize,
+    },
+}
+
+impl fmt::Display for ServeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ServeError::OutOfRange { range, len } => {
+                write!(f, "range {range:?} out of bounds for source of {len} bits")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ServeError {}
 
 /// Outcome of one served request.
 #[derive(Debug, Clone)]
@@ -153,8 +190,9 @@ impl RequestOutcome {
 #[derive(Clone)]
 pub struct FrontDoor {
     plane: AdmissionPlane,
+    /// One handle per fleet peer, built once; requests borrow them.
+    fleet: Arc<[PlaneHandle]>,
     gate: Arc<Gate>,
-    num_peers: usize,
 }
 
 impl FrontDoor {
@@ -162,10 +200,13 @@ impl FrontDoor {
     /// plane.
     pub fn new(source: impl Source + 'static, config: ServeConfig) -> Self {
         let plane = AdmissionPlane::new(source, config.num_peers, config.shards.max(1));
+        let fleet = (0..config.num_peers)
+            .map(|p| plane.handle(PeerId(p)))
+            .collect();
         FrontDoor {
             plane,
+            fleet,
             gate: Arc::new(Gate::new(config.max_in_flight)),
-            num_peers: config.num_peers,
         }
     }
 
@@ -189,8 +230,19 @@ impl FrontDoor {
         self.plane.is_empty()
     }
 
+    /// [`FrontDoor::try_serve`] for callers that know their range is in
+    /// bounds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range.end > len()`.
+    pub fn serve(&self, range: Range<usize>) -> RequestOutcome {
+        self.try_serve(range).unwrap_or_else(|e| panic!("{e}"))
+    }
+
     /// Serves one download request, blocking at the admission gate if
-    /// `max_in_flight` requests are already in service.
+    /// `max_in_flight` requests are already in service. A range that ends
+    /// past the source is refused before it takes a place at the gate.
     ///
     /// The range is split into `num_peers` contiguous spans, each read
     /// through that peer's plane handle: the peer leading a miss is
@@ -199,46 +251,37 @@ impl FrontDoor {
     ///
     /// # Panics
     ///
-    /// Panics if `range.end > len()`.
-    pub fn serve(&self, range: Range<usize>) -> RequestOutcome {
-        let arrived = Instant::now();
-        self.gate.acquire();
-        let admitted = Instant::now();
-        let outcome = self.serve_admitted(range, admitted);
-        self.gate.release();
-        RequestOutcome {
-            queued: admitted - arrived,
-            ..outcome
+    /// Propagates a panic of the upstream source; the request's permit is
+    /// returned to the gate first.
+    pub fn try_serve(&self, range: Range<usize>) -> Result<RequestOutcome, ServeError> {
+        if range.end > self.len() {
+            return Err(ServeError::OutOfRange {
+                range,
+                len: self.len(),
+            });
         }
-    }
-
-    fn serve_admitted(&self, range: Range<usize>, admitted: Instant) -> RequestOutcome {
+        let arrived = Instant::now();
+        let _permit = self.gate.acquire();
+        let admitted = Instant::now();
         let total = range.len();
         let mut bits = BitArray::zeros(total);
         let mut receipt = ReadReceipt::default();
-        if total > 0 {
-            // Contiguous per-peer spans, word-aligned at the seams so two
-            // peers never split (and double-fetch) one cache word.
-            let span = total.div_ceil(self.num_peers).div_ceil(64) * 64;
-            let mut offset = 0;
-            let mut peer = 0;
-            while offset < total {
-                let end = (offset + span).min(total);
-                let handle = self.plane.handle(PeerId(peer % self.num_peers));
-                let (chunk, r) = handle.query_range(range.start + offset..range.start + end);
-                bits.write_at(offset, &chunk);
-                receipt.absorb(&r);
-                offset = end;
-                peer += 1;
-            }
+        // Contiguous per-peer spans, word-aligned at the seams so two
+        // peers never split (and double-fetch) one cache word.
+        let span = total.div_ceil(self.fleet.len()).div_ceil(64) * 64;
+        for (handle, offset) in self.fleet.iter().zip((0..total).step_by(span.max(1))) {
+            let end = (offset + span).min(total);
+            let (chunk, r) = handle.query_range(range.start + offset..range.start + end);
+            bits.write_at(offset, &chunk);
+            receipt.absorb(&r);
         }
-        RequestOutcome {
+        Ok(RequestOutcome {
             bits,
             metered_bits: receipt.fetched_bits,
             receipt,
-            queued: Duration::ZERO,
+            queued: admitted - arrived,
             service: admitted.elapsed(),
-        }
+        })
     }
 }
 
@@ -248,6 +291,8 @@ mod tests {
     use dr_core::ArraySource;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+    use std::sync::mpsc;
     use std::thread;
 
     fn door(n: usize, peers: usize, seed: u64) -> (FrontDoor, BitArray) {
@@ -366,6 +411,107 @@ mod tests {
         // Six clients, one array: the plane pays n bits upstream, total.
         assert_eq!(door.plane().cache().stats().upstream_bits, 4096);
         assert_eq!(door.meter().counts().iter().sum::<u64>(), 4096);
+    }
+
+    #[test]
+    fn unaligned_requests_are_bit_identical_to_the_input() {
+        // Starts off a word boundary (the cache's shift path) and lengths
+        // that do not divide into `64 * num_peers` (a short last span).
+        for (n, peers) in [(5000, 3), (777, 4), (4096, 5)] {
+            let (door, input) = door(n, peers, 7);
+            for range in [
+                1..n,
+                63..65,
+                65..n - 1,
+                100..100 + 64 * peers + 5,
+                n - 10..n,
+            ] {
+                let cold = door.serve(range.clone());
+                assert_eq!(cold.bits, input.slice(range.clone()), "{range:?} of {n}");
+                let warm = door.serve(range.clone());
+                assert_eq!(
+                    warm.bits,
+                    input.slice(range.clone()),
+                    "{range:?} of {n}, warm"
+                );
+                assert_eq!(warm.metered_bits, 0);
+            }
+        }
+    }
+
+    /// Runs `request` on a thread of its own and fails, instead of hanging
+    /// the suite, if it is still blocked after ten seconds.
+    fn unless_blocked<T: Send + 'static>(request: impl FnOnce() -> T + Send + 'static) -> T {
+        let (done, outcome) = mpsc::channel();
+        // dr-lint: allow(raw-thread-spawn): a client thread in a test; joined below unless it is the wedged one the test reports
+        let client = thread::spawn(move || {
+            let _ = done.send(catch_unwind(AssertUnwindSafe(request)));
+        });
+        let outcome = outcome
+            .recv_timeout(Duration::from_secs(10))
+            .expect("request still blocked at the gate: a permit leaked");
+        client.join().expect("client thread sends, never panics");
+        outcome.unwrap_or_else(|panic| resume_unwind(panic))
+    }
+
+    /// An upstream whose first word explodes; the rest reads as `inner`.
+    struct Mined(ArraySource);
+
+    impl Source for Mined {
+        fn len(&self) -> usize {
+            self.0.len()
+        }
+        fn bit(&self, index: usize) -> bool {
+            assert!(index >= 64, "upstream exploded");
+            self.0.bit(index)
+        }
+    }
+
+    #[test]
+    fn a_panicking_request_returns_its_permit() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let input = BitArray::random(1024, &mut rng);
+        let door = FrontDoor::new(
+            Mined(ArraySource::new(input.clone())),
+            ServeConfig::new(2).with_max_in_flight(1),
+        );
+        for _ in 0..2 {
+            let mined = door.clone();
+            let blown = unless_blocked(move || {
+                catch_unwind(AssertUnwindSafe(|| mined.serve(0..256))).is_err()
+            });
+            assert!(blown, "the upstream panic reaches the client");
+        }
+        let healthy = door.clone();
+        let out = unless_blocked(move || healthy.serve(512..1024));
+        assert_eq!(out.bits, input.slice(512..1024));
+    }
+
+    #[test]
+    fn a_bad_range_is_refused_before_the_gate() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let input = BitArray::random(256, &mut rng);
+        let door = FrontDoor::new(
+            ArraySource::new(input.clone()),
+            ServeConfig::new(2).with_max_in_flight(1),
+        );
+        let refused = door.try_serve(200..257).unwrap_err();
+        assert_eq!(
+            refused,
+            ServeError::OutOfRange {
+                range: 200..257,
+                len: 256
+            }
+        );
+        assert_eq!(
+            refused.to_string(),
+            "range 200..257 out of bounds for source of 256 bits"
+        );
+        let panicking = door.clone();
+        assert!(catch_unwind(AssertUnwindSafe(move || panicking.serve(0..300))).is_err());
+        // Neither refusal took the door's only permit with it.
+        let out = unless_blocked(move || door.try_serve(0..256));
+        assert_eq!(out.expect("in range").bits, input);
     }
 
     #[test]
