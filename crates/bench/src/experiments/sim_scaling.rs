@@ -5,9 +5,11 @@
 //! * **Workload rows** run the real simulator end to end (committee,
 //!   crash-multi and two-cycle) across a (k, n) grid, reporting
 //!   events/sec and the peak-RSS proxy `peak_queue · sizeof(event) +
-//!   peak_slab · payload bytes` from the run's peak queue/slab
-//!   occupancy. The two-cycle rows (`k²` deliveries, a handful of
-//!   queries) are the ones the event pump itself bounds.
+//!   peak_slab · (sizeof(slot) + payload bytes)` from the run's peak
+//!   queue/slab occupancy. A slot is one stored payload however many
+//!   recipients wait for it, so each is priced once. The two-cycle rows
+//!   (`k²` deliveries, a handful of queries) are the ones the event pump
+//!   itself bounds.
 //! * **Race rows** rerun the workload grid serial vs sharded vs
 //!   parallel (sharded pump with window dispatch on the execution
 //!   plane, [`crate::plane::PlaneExecutor`]) and gate hard on
@@ -103,10 +105,11 @@ pub fn run_metered(sink: &mut MetricsSink) -> Vec<Table> {
                             payload_bits: usize,
                             (report, secs): (RunReport, f64)| {
         let rate = report.events as f64 / secs;
-        // Resident size is dominated by queued events plus live payloads,
-        // priced as if no two slots shared a buffer.
-        let proxy_bytes =
-            report.peak_queue_len * EVENT_BYTES + report.peak_slab_len * (payload_bits as u64 / 8);
+        // Resident size is dominated by queued events plus occupied slab
+        // slots. These runs use one shard, where every slot holds a
+        // distinct payload: its cell in the slab and its buffer, once.
+        let proxy_bytes = report.peak_queue_len * EVENT_BYTES
+            + report.peak_slab_len * (report.slab_slot_bytes + payload_bits as u64 / 8);
         workloads.row(vec![
             workload.to_string(),
             n.to_string(),

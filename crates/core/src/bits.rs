@@ -451,26 +451,23 @@ impl Ord for BitArray {
         if self.shares_buffer_with(other) {
             return std::cmp::Ordering::Equal;
         }
-        let words = self.words.len().min(other.words.len());
-        for w in 0..words {
-            // Bit 0 is the LSB of word 0; reversing each word makes the
-            // earliest bit the most significant, so plain `u64` order is
-            // bit-lexicographic order. Tail bits past `len` are kept
-            // zeroed, so a prefix compares equal through its last word
-            // and the length comparison below settles it.
-            let a = self.words[w].reverse_bits();
-            let b = other.words[w].reverse_bits();
-            match a.cmp(&b) {
-                std::cmp::Ordering::Equal => {}
-                diff => {
-                    // The differing word might only differ past one
-                    // array's end; the length check covers that case.
-                    let first_diff = (a ^ b).leading_zeros() as usize + w * 64;
-                    if first_diff >= self.len.min(other.len) {
-                        break;
-                    }
-                    return diff;
-                }
+        // Skip the equal prefix a word at a time. Bit 0 is the LSB of word
+        // 0, so in the first differing word the lowest differing bit is
+        // the earliest one, and the array holding a 1 there is the larger.
+        // Tail bits past `len` are kept zeroed, so a prefix compares equal
+        // through its last word; a difference past the shorter array's
+        // end is no difference in the common prefix either. The length
+        // comparison settles both.
+        let differing = self
+            .words
+            .iter()
+            .zip(other.words.iter())
+            .enumerate()
+            .find(|(_, (a, b))| a != b);
+        if let Some((w, (&a, &b))) = differing {
+            let bit = (a ^ b).trailing_zeros();
+            if w * 64 + (bit as usize) < self.len.min(other.len) {
+                return ((a >> bit) & 1).cmp(&((b >> bit) & 1));
             }
         }
         self.len.cmp(&other.len)

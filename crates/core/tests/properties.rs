@@ -207,15 +207,30 @@ proptest! {
     fn bitarray_order_matches_bool_lexicographic(
         a in prop::collection::vec(any::<bool>(), 0..200),
         b in prop::collection::vec(any::<bool>(), 0..200),
+        prefix in prop::collection::vec(any::<bool>(), 0..400),
+        zeros in 1usize..130,
     ) {
         // `Ord` on the packed representation must agree with the
         // lexicographic order of the unpacked bit sequence — this is what
         // makes DetMap<BitArray, _> iteration deterministic *and*
         // human-predictable (the τ-frequent table relies on it).
-        let pa = BitArray::from_bools(&a);
-        let pb = BitArray::from_bools(&b);
-        prop_assert_eq!(pa.cmp(&pb), a.cmp(&b));
-        prop_assert_eq!(pa.cmp(&pa), std::cmp::Ordering::Equal);
+        let agree = |a: &[bool], b: &[bool]| {
+            let (pa, pb) = (BitArray::from_bools(a), BitArray::from_bools(b));
+            pa.cmp(&pb) == a.cmp(b) && pb.cmp(&pa) == b.cmp(a)
+        };
+        prop_assert!(agree(&a, &b));
+        prop_assert!(agree(&a, &a));
+        // A long equal prefix: the first difference, if there is one, lies
+        // words into both arrays.
+        let long_a = [&prefix[..], &a[..]].concat();
+        let long_b = [&prefix[..], &b[..]].concat();
+        prop_assert!(agree(&long_a, &long_b));
+        // An array against its extension: where the packed words differ at
+        // all, they differ past the shorter array's end.
+        prop_assert!(agree(&prefix, &long_a));
+        prop_assert!(agree(&a, &[&a[..], &[true][..]].concat()));
+        // An extension by zeros differs from its prefix in no word.
+        prop_assert!(agree(&long_a, &[&long_a[..], &vec![false; zeros][..]].concat()));
     }
 
     #[test]

@@ -8,8 +8,10 @@
 //! become frequent in total, which bounds the decision-tree work no matter
 //! what the adversary injects.
 
+use super::segment_msg::SegmentMsg;
 use dr_core::collections::DetMap;
-use dr_core::{BitArray, PeerId, SegmentId};
+use dr_core::{BitArray, PeerId, PeerSet, SegmentId, Segmentation};
+use std::ops::Range;
 
 /// Sets bit `i` of a word-packed set that grows on demand; `true` if it
 /// was clear.
@@ -116,6 +118,110 @@ impl FrequencyTable {
     /// Number of distinct peers that have made at least one claim.
     pub fn distinct_senders(&self) -> usize {
         self.senders.iter().map(|w| w.count_ones() as usize).sum()
+    }
+}
+
+/// A claim as delivered. The ids are `u32` so that an entry is 24 bytes:
+/// a receiver logs up to `k` of them per cycle.
+#[derive(Debug)]
+struct Claim {
+    sender: u32,
+    segment: u32,
+    bits: BitArray,
+}
+
+/// One cycle's inbox: the peers heard from, and their well-formed claims
+/// in arrival order, not yet counted.
+///
+/// The paper's cycle protocols wait for claims from `k − b` peers and
+/// *then* compute `Freq(S, τ)`. A delivery therefore only marks its
+/// sender heard and appends to a log; [`tally`](CycleClaims::tally)
+/// counts the log into a [`FrequencyTable`] when the wait ends. The table
+/// equals the one [`FrequencyTable::record`] builds delivery by delivery:
+/// a sender is logged at most once, so no count depends on arrival order.
+///
+/// # Examples
+///
+/// ```
+/// use dr_core::{BitArray, PeerId, SegmentId, Segmentation};
+/// use dr_protocols::byz::{CycleClaims, SegmentMsg};
+///
+/// let seg = Segmentation::new(8, 2);
+/// let claim = |segment, bits: BitArray| SegmentMsg { cycle: 1, segment: SegmentId(segment), bits };
+/// let mut inbox = CycleClaims::new(3, 1);
+/// inbox.hear(PeerId(0), claim(1, BitArray::zeros(4)), &seg);
+/// inbox.hear(PeerId(1), claim(1, BitArray::zeros(4)), &seg);
+/// inbox.hear(PeerId(1), claim(0, BitArray::zeros(4)), &seg); // second message: ignored
+/// inbox.hear(PeerId(2), claim(1, BitArray::zeros(3)), &seg); // heard, but malformed
+/// assert_eq!(inbox.heard(), 3);
+/// let table = inbox.tally(0..2);
+/// assert_eq!(table.frequent(SegmentId(1), 2), vec![BitArray::zeros(4)]);
+/// assert_eq!(table.received(SegmentId(1)), 2);
+/// ```
+#[derive(Debug)]
+pub struct CycleClaims {
+    cycle: u32,
+    heard: PeerSet,
+    heard_count: usize,
+    log: Vec<Claim>,
+}
+
+impl CycleClaims {
+    /// An empty inbox for cycle `cycle` (1-based) among `k` peers.
+    pub fn new(k: usize, cycle: u32) -> Self {
+        CycleClaims {
+            cycle,
+            heard: PeerSet::new(k),
+            heard_count: 0,
+            log: Vec::new(),
+        }
+    }
+
+    /// Takes delivery of a message from `sender`. A sender's first message
+    /// counts toward [`heard`](CycleClaims::heard) whatever it carries and
+    /// later ones are ignored; the first is logged as a claim only if it
+    /// is for this cycle and names a segment of `seg` with a string of
+    /// that segment's length.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sender` is not one of the `k` peers.
+    pub fn hear(&mut self, sender: PeerId, msg: SegmentMsg, seg: &Segmentation) {
+        if !self.heard.insert(sender) {
+            return;
+        }
+        self.heard_count += 1;
+        if msg.cycle == self.cycle
+            && msg.segment.index() < seg.count()
+            && msg.bits.len() == seg.len_of(msg.segment)
+        {
+            self.log.push(Claim {
+                sender: u32::try_from(sender.index()).expect("peer ids fit in u32"),
+                segment: u32::try_from(msg.segment.index()).expect("segment ids fit in u32"),
+                bits: msg.bits,
+            });
+        }
+    }
+
+    /// Number of distinct peers heard from.
+    pub fn heard(&self) -> usize {
+        self.heard_count
+    }
+
+    /// Counts the logged claims for the segments in `segments` into a
+    /// table and empties the log.
+    pub fn tally(&mut self, segments: Range<usize>) -> FrequencyTable {
+        let mut table = FrequencyTable::new();
+        for claim in std::mem::take(&mut self.log) {
+            if segments.contains(&(claim.segment as usize)) {
+                table.record(
+                    PeerId(claim.sender as usize),
+                    SegmentId(claim.segment as usize),
+                    claim.bits,
+                );
+            }
+        }
+        table
     }
 }
 

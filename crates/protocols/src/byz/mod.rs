@@ -10,7 +10,7 @@ mod two_cycle;
 
 pub use committee::{committee, in_committee, CommitteeDownload, VoteBatch};
 pub use decision_tree::DecisionTree;
-pub use frequent::FrequencyTable;
+pub use frequent::{CycleClaims, FrequencyTable};
 pub use multi_cycle::{MultiCycleDownload, MultiCyclePlan};
 pub use segment_msg::SegmentMsg;
 pub use two_cycle::{TwoCycleDownload, TwoCyclePlan};

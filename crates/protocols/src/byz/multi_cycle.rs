@@ -18,8 +18,8 @@
 //! parameters.
 
 use super::decision_tree::DecisionTree;
-use super::frequent::FrequencyTable;
-use super::segment_msg::{Heard, SegmentMsg};
+use super::frequent::{CycleClaims, FrequencyTable};
+use super::segment_msg::SegmentMsg;
 use dr_core::{BitArray, Context, PeerId, Protocol, SegmentId, Segmentation};
 use rand::Rng;
 
@@ -93,8 +93,8 @@ pub struct MultiCycleDownload {
     plan: MultiCyclePlan,
     /// Current cycle (1-based); claims for cycle `c` live at index `c−1`.
     cycle: u32,
-    tables: Vec<FrequencyTable>,
-    heard: Vec<Heard>,
+    /// Per-cycle inboxes, each counted when its `k − b` wait ends.
+    claims: Vec<CycleClaims>,
     my_pick: Vec<Option<SegmentId>>,
     my_value: Vec<Option<BitArray>>,
     out: Option<BitArray>,
@@ -139,8 +139,9 @@ impl MultiCycleDownload {
             b,
             plan,
             cycle: 1,
-            tables: (0..cycles).map(|_| FrequencyTable::new()).collect(),
-            heard: (0..cycles).map(|_| Heard::new(k)).collect(),
+            claims: (1..=cycles)
+                .map(|c| CycleClaims::new(k, c as u32))
+                .collect(),
             my_pick: vec![None; cycles],
             my_value: vec![None; cycles],
             out: None,
@@ -205,6 +206,7 @@ impl MultiCycleDownload {
         &mut self,
         cycle: u32,
         child: SegmentId,
+        table: &FrequencyTable,
         ctx: &mut dyn Context<SegmentMsg>,
     ) -> BitArray {
         if self.my_pick[cycle as usize - 1] == Some(child) {
@@ -215,7 +217,7 @@ impl MultiCycleDownload {
         let (_, tau, _) = self.plan_parts();
         let seg = self.segmentation(cycle);
         let range = seg.range(child);
-        let frequent = self.tables[cycle as usize - 1].frequent(child, tau);
+        let frequent = table.frequent(child, tau);
         let tree = DecisionTree::build(&frequent);
         match tree.determine(range.clone(), &mut |j| ctx.query(j)) {
             Some(bits) if bits.len() == range.len() => bits,
@@ -231,15 +233,17 @@ impl MultiCycleDownload {
         let (_, _, cycles) = self.plan_parts();
         while self.out.is_none()
             && self.cycle < cycles
-            && self.heard[self.cycle as usize - 1].count() >= self.k - self.b
+            && self.claims[self.cycle as usize - 1].heard() >= self.k - self.b
         {
             let next = self.cycle + 1;
             let seg_next = self.segmentation(next);
             let pick = SegmentId(ctx.rng().gen_range(0..seg_next.count()));
             let left = SegmentId(2 * pick.index());
             let right = SegmentId(2 * pick.index() + 1);
-            let mut bits = self.resolve_child(self.cycle, left, ctx);
-            let right_bits = self.resolve_child(self.cycle, right, ctx);
+            // Only the two halves of the pick are ever looked up.
+            let table = self.claims[self.cycle as usize - 1].tally(left.index()..right.index() + 1);
+            let mut bits = self.resolve_child(self.cycle, left, &table, ctx);
+            let right_bits = self.resolve_child(self.cycle, right, &table, ctx);
             let mut joined = BitArray::zeros(bits.len() + right_bits.len());
             joined.write_at(0, &bits);
             joined.write_at(bits.len(), &right_bits);
@@ -253,13 +257,13 @@ impl MultiCycleDownload {
                 // cycle-C claims, so terminate without broadcasting.
                 self.out = Some(bits);
             } else {
-                self.tables[next as usize - 1].record(ctx.me(), pick, bits.clone());
-                self.heard[next as usize - 1].insert(ctx.me());
-                ctx.broadcast(SegmentMsg {
+                let claim = SegmentMsg {
                     cycle: next,
                     segment: pick,
                     bits,
-                });
+                };
+                self.claims[next as usize - 1].hear(ctx.me(), claim.clone(), &seg_next);
+                ctx.broadcast(claim);
             }
         }
     }
@@ -278,13 +282,13 @@ impl Protocol for MultiCycleDownload {
         let bits = ctx.query_range(seg.range(pick));
         self.my_pick[0] = Some(pick);
         self.my_value[0] = Some(bits.clone());
-        self.tables[0].record(ctx.me(), pick, bits.clone());
-        self.heard[0].insert(ctx.me());
-        ctx.broadcast(SegmentMsg {
+        let claim = SegmentMsg {
             cycle: 1,
             segment: pick,
             bits,
-        });
+        };
+        self.claims[0].hear(ctx.me(), claim.clone(), &seg);
+        ctx.broadcast(claim);
         self.advance(ctx);
     }
 
@@ -295,12 +299,10 @@ impl Protocol for MultiCycleDownload {
         let (_, _, cycles) = self.plan_parts();
         let c = msg.cycle as usize;
         if (1..cycles as usize).contains(&c) {
-            if self.heard[c - 1].insert(from) {
-                let seg = self.segmentation(msg.cycle);
-                if msg.segment.index() < seg.count() && msg.bits.len() == seg.len_of(msg.segment) {
-                    self.tables[c - 1].record(from, msg.segment, msg.bits);
-                }
-            }
+            // Claims of a later or an earlier cycle go to that cycle's
+            // inbox.
+            let seg = self.segmentation(msg.cycle);
+            self.claims[c - 1].hear(from, msg, &seg);
             self.advance(ctx);
         }
     }

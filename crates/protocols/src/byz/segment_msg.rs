@@ -1,6 +1,6 @@
 //! The message type of the randomized Byzantine protocols (§3.4).
 
-use dr_core::{BitArray, PeerId, PeerSet, ProtocolMessage, SegmentId};
+use dr_core::{BitArray, ProtocolMessage, SegmentId};
 
 /// A claimed value for one segment in one cycle: `⟨cycle, segment, bits⟩`.
 ///
@@ -20,34 +20,6 @@ pub struct SegmentMsg {
 impl ProtocolMessage for SegmentMsg {
     fn bit_len(&self) -> usize {
         32 + 64 + self.bits.len()
-    }
-}
-
-/// The peers one cycle has heard from, with the count kept beside the
-/// set: the cycle protocols test `count() ≥ k − b` on every delivery.
-#[derive(Debug)]
-pub(super) struct Heard {
-    from: PeerSet,
-    count: usize,
-}
-
-impl Heard {
-    pub(super) fn new(k: usize) -> Self {
-        Heard {
-            from: PeerSet::new(k),
-            count: 0,
-        }
-    }
-
-    /// Marks `peer` as heard; `true` if this is its first message.
-    pub(super) fn insert(&mut self, peer: PeerId) -> bool {
-        let first = self.from.insert(peer);
-        self.count += first as usize;
-        first
-    }
-
-    pub(super) fn count(&self) -> usize {
-        self.count
     }
 }
 

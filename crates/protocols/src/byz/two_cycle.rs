@@ -24,8 +24,8 @@
 //! the paper's case analysis.
 
 use super::decision_tree::DecisionTree;
-use super::frequent::FrequencyTable;
-use super::segment_msg::{Heard, SegmentMsg};
+use super::frequent::CycleClaims;
+use super::segment_msg::SegmentMsg;
 use dr_core::{BitArray, Context, PartialArray, PeerId, Protocol, SegmentId, Segmentation};
 use rand::Rng;
 
@@ -107,8 +107,8 @@ pub struct TwoCycleDownload {
     seg: Option<Segmentation>,
     my_pick: Option<SegmentId>,
     my_bits: Option<BitArray>,
-    table: FrequencyTable,
-    heard: Heard,
+    /// Cycle-1 claims, counted when the `k − b` wait ends.
+    claims: CycleClaims,
     out: Option<BitArray>,
     /// Segments with no τ-frequent string, resolved by direct queries
     /// (should be empty w.h.p.; exposed for experiments).
@@ -150,8 +150,7 @@ impl TwoCycleDownload {
             seg,
             my_pick: None,
             my_bits: None,
-            table: FrequencyTable::new(),
-            heard: Heard::new(k),
+            claims: CycleClaims::new(k, 1),
             out: None,
             fallback_segments: 0,
         }
@@ -201,6 +200,7 @@ impl TwoCycleDownload {
     fn determine_all(&mut self, ctx: &mut dyn Context<SegmentMsg>) {
         let seg = self.seg.expect("sampled mode");
         let tau = self.threshold();
+        let table = self.claims.tally(0..seg.count());
         let mut acc = PartialArray::new(self.n);
         for id in seg.ids() {
             let range = seg.range(id);
@@ -211,7 +211,7 @@ impl TwoCycleDownload {
                 );
                 continue;
             }
-            let frequent = self.table.frequent(id, tau);
+            let frequent = table.frequent(id, tau);
             let tree = DecisionTree::build(&frequent);
             let resolved = tree.determine(range.clone(), &mut |j| ctx.query(j));
             match resolved {
@@ -231,7 +231,7 @@ impl TwoCycleDownload {
     }
 
     fn maybe_advance(&mut self, ctx: &mut dyn Context<SegmentMsg>) {
-        if self.out.is_none() && self.heard.count() >= self.k - self.b {
+        if self.out.is_none() && self.claims.heard() >= self.k - self.b {
             self.determine_all(ctx);
         }
     }
@@ -251,13 +251,13 @@ impl Protocol for TwoCycleDownload {
                 let bits = ctx.query_range(seg.range(pick));
                 self.my_pick = Some(pick);
                 self.my_bits = Some(bits.clone());
-                self.table.record(ctx.me(), pick, bits.clone());
-                self.heard.insert(ctx.me());
-                ctx.broadcast(SegmentMsg {
+                let claim = SegmentMsg {
                     cycle: 1,
                     segment: pick,
                     bits,
-                });
+                };
+                self.claims.hear(ctx.me(), claim.clone(), &seg);
+                ctx.broadcast(claim);
                 self.maybe_advance(ctx);
             }
         }
@@ -269,14 +269,8 @@ impl Protocol for TwoCycleDownload {
         }
         let seg = self.seg.expect("sampled mode");
         // Any first message from a sender counts toward progress; only
-        // well-formed cycle-1 claims enter the frequency table.
-        if self.heard.insert(from)
-            && msg.cycle == 1
-            && msg.segment.index() < seg.count()
-            && msg.bits.len() == seg.len_of(msg.segment)
-        {
-            self.table.record(from, msg.segment, msg.bits);
-        }
+        // well-formed cycle-1 claims are logged for the tally.
+        self.claims.hear(from, msg, &seg);
         self.maybe_advance(ctx);
     }
 

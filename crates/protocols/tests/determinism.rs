@@ -1,8 +1,10 @@
 //! Iteration-order property tests: protocol state built from the same
 //! facts in *any* insertion order must behave identically, and full runs
 //! must fingerprint identically on re-execution. The bitset-backed
-//! τ-frequent table is also held to the B-tree one it replaced, and the
-//! cycle protocols to the exact delivery on which their wait ends.
+//! τ-frequent table is also held to the B-tree one it replaced, the
+//! cycle protocols to the exact delivery on which their wait ends, and
+//! their cycle-end tally to the table they used to build delivery by
+//! delivery.
 //!
 //! These are the regression guards behind the ordered-collection sweep
 //! (`dr-lint` rule `unordered-collections`): before it, `HashMap` state
@@ -11,7 +13,7 @@
 
 use dr_core::collections::{DetMap, DetSet};
 use dr_core::{BitArray, Context, PeerId, Protocol, SegmentId, Segmentation};
-use dr_protocols::byz::{in_committee, FrequencyTable, SegmentMsg, VoteBatch};
+use dr_protocols::byz::{in_committee, CycleClaims, FrequencyTable, SegmentMsg, VoteBatch};
 use dr_protocols::{
     CommitteeDownload, MultiCycleDownload, MultiCyclePlan, TwoCycleDownload, TwoCyclePlan,
 };
@@ -135,6 +137,79 @@ impl BTreeFrequencyTable {
     fn distinct_senders(&self) -> usize {
         self.senders.len()
     }
+}
+
+/// One cycle as the cycle protocols kept it before the cycle-end tally,
+/// kept verbatim as the reference: every delivery goes straight into the
+/// frequency table.
+struct PerDeliveryCycle {
+    cycle: u32,
+    heard: DetSet<PeerId>,
+    table: FrequencyTable,
+}
+
+impl PerDeliveryCycle {
+    fn new(cycle: u32) -> Self {
+        PerDeliveryCycle {
+            cycle,
+            heard: DetSet::new(),
+            table: FrequencyTable::new(),
+        }
+    }
+
+    fn on_message(&mut self, from: PeerId, msg: &SegmentMsg, seg: &Segmentation) {
+        if self.heard.insert(from)
+            && msg.cycle == self.cycle
+            && msg.segment.index() < seg.count()
+            && msg.bits.len() == seg.len_of(msg.segment)
+        {
+            self.table.record(from, msg.segment, msg.bits.clone());
+        }
+    }
+}
+
+/// `tallied` answers every query about `segments` as `reference` does.
+fn assert_tables_agree(
+    tallied: &FrequencyTable,
+    reference: &FrequencyTable,
+    segments: std::ops::Range<usize>,
+) {
+    for segment in segments.map(SegmentId) {
+        for threshold in 0..6 {
+            assert_eq!(
+                tallied.frequent(segment, threshold),
+                reference.frequent(segment, threshold)
+            );
+        }
+        assert_eq!(tallied.distinct(segment), reference.distinct(segment));
+        assert_eq!(tallied.received(segment), reference.received(segment));
+    }
+}
+
+/// A delivery drawn for the tally tests: sender, cycle, segment and
+/// string shape. Few senders and segments, so duplicates per sender are
+/// the rule; cycles and segments run past both ends of what a protocol
+/// accepts, and one shape in nine has the wrong length.
+type Delivery = (usize, u32, usize, u8);
+
+fn delivery() -> impl Strategy<Value = Delivery> {
+    (0usize..10, 0u32..5, 0usize..10, 0u8..18)
+}
+
+/// The message of a delivery, sized against the segmentation `seg` of
+/// its cycle.
+fn delivered(d: Delivery, seg: &Segmentation) -> (PeerId, SegmentMsg) {
+    let (from, cycle, segment, shape) = d;
+    let (ones, fill, right_length) = (shape % 4, (shape / 4) % 2 == 1, shape < 16);
+    let want = seg.len_of(SegmentId(segment % seg.count()));
+    let msg = SegmentMsg {
+        cycle,
+        segment: SegmentId(segment),
+        bits: BitArray::from_fn(if right_length { want } else { want + 1 }, |i| {
+            (i as u8) < ones || fill
+        }),
+    };
+    (PeerId(from), msg)
 }
 
 /// Sender ids on both sides of every word boundary a `k ≤ 4097` run has.
@@ -350,6 +425,67 @@ proptest! {
             prop_assert_eq!(forward.received(seg), permuted.received(seg));
         }
         prop_assert_eq!(forward.distinct_senders(), permuted.distinct_senders());
+    }
+
+    #[test]
+    fn two_cycle_tally_matches_per_delivery_recording(
+        deliveries in prop::collection::vec(delivery(), 0..120),
+    ) {
+        // The 2-cycle protocol has one waiting cycle. A first message
+        // that names another cycle, a segment that does not exist or a
+        // string of the wrong length counts as heard and is not tallied.
+        let seg = Segmentation::new(32, 8);
+        let mut inbox = CycleClaims::new(10, 1);
+        let mut reference = PerDeliveryCycle::new(1);
+        for d in deliveries {
+            let (from, msg) = delivered(d, &seg);
+            reference.on_message(from, &msg, &seg);
+            inbox.hear(from, msg, &seg);
+            prop_assert_eq!(inbox.heard(), reference.heard.len());
+        }
+        let tallied = inbox.tally(0..seg.count());
+        assert_tables_agree(&tallied, &reference.table, 0..seg.count() + 2);
+        prop_assert_eq!(tallied.distinct_senders(), reference.table.distinct_senders());
+    }
+
+    #[test]
+    fn multi_cycle_tally_matches_per_delivery_recording(
+        deliveries in prop::collection::vec(delivery(), 0..160),
+        waits in prop::collection::vec(0usize..160, 3),
+        picks in prop::collection::vec(0usize..4, 3),
+    ) {
+        // Three waiting cycles of 8, 4 and 2 segments; claims are filed
+        // under their own cycle whenever they arrive, and a claim for
+        // cycle 0 or 4 is dropped unseen. Cycle `c` is tallied once — for
+        // the two halves of one pick — when its wait ends, here after an
+        // arbitrary number of deliveries: claims of later cycles are
+        // already waiting by then, and its own stragglers no longer count.
+        let cycles = 3usize;
+        let seg_of = |cycle: u32| Segmentation::new(32, 8 >> (cycle - 1));
+        let mut inboxes: Vec<CycleClaims> =
+            (1..=cycles as u32).map(|c| CycleClaims::new(10, c)).collect();
+        let mut reference: Vec<PerDeliveryCycle> =
+            (1..=cycles as u32).map(PerDeliveryCycle::new).collect();
+        let mut ends: Vec<usize> = waits.iter().map(|w| w % (deliveries.len() + 1)).collect();
+        ends.sort_unstable();
+        let mut current = 0;
+        for i in 0..=deliveries.len() {
+            while current < cycles && ends[current] == i {
+                let children = 2 * (picks[current] % (4 >> current));
+                let tallied = inboxes[current].tally(children..children + 2);
+                assert_tables_agree(&tallied, &reference[current].table, children..children + 2);
+                current += 1;
+            }
+            let Some(&d) = deliveries.get(i) else { break };
+            let c = d.1 as usize;
+            if (1..=cycles).contains(&c) {
+                let seg = seg_of(d.1);
+                let (from, msg) = delivered(d, &seg);
+                reference[c - 1].on_message(from, &msg, &seg);
+                inboxes[c - 1].hear(from, msg, &seg);
+                prop_assert_eq!(inboxes[c - 1].heard(), reference[c - 1].heard.len());
+            }
+        }
     }
 
     #[test]

@@ -213,7 +213,9 @@ impl<M: ProtocolMessage> SimBuilder<M> {
     }
 
     /// Caps every message slab at `capacity` payload slots (default:
-    /// `u32::MAX`). Exceeding the cap surfaces as
+    /// `u32::MAX`). A point-to-point message in flight occupies one slot,
+    /// a broadcast one per destination shard however many recipients
+    /// wait for it. Exceeding the cap surfaces as
     /// [`RunError::SlabOverflow`](crate::RunError::SlabOverflow) from
     /// [`Simulation::run`] instead of aborting the process.
     pub fn slab_capacity(mut self, capacity: u32) -> Self {

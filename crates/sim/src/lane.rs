@@ -9,12 +9,13 @@
 //! in the window can schedule another event into it (the only same-tick
 //! append, the pre-start flush, is made by the coordinator between
 //! passes). Events with different subject peers therefore touch disjoint
-//! mutable state inside a window: agent, RNG, pre-start buffer, and
-//! payload slots all belong to the subject, and peers are partitioned
-//! across shards. That makes a window embarrassingly parallel *per
-//! shard* — provided everything shared is either read-only (the source,
-//! the model parameters) or deferred to a serial pass (adversary hooks,
-//! global `seq` stamping, the query meter's atomics).
+//! mutable state inside a window: agent, RNG and pre-start buffer belong
+//! to the subject, a payload slot is shared only among recipients of one
+//! shard (a broadcast stores its payload once per destination shard), and
+//! peers are partitioned across shards. That makes a window embarrassingly
+//! parallel *per shard* — provided everything shared is either read-only
+//! (the source, the model parameters) or deferred to a serial pass
+//! (adversary hooks, global `seq` stamping, the query meter's atomics).
 //!
 //! **Pass 1 (parallel).** Each shard's [`Lane`] plus its message slab is
 //! moved into a job that processes the shard's honest-subject window
@@ -54,6 +55,25 @@ use rand::rngs::StdRng;
 use rand::RngCore;
 use std::sync::Arc;
 
+/// One entry of a step's outbox, in send order.
+pub(crate) enum Outgoing<M> {
+    /// `Context::send`: one message to one peer (the sender included).
+    To(PeerId, M),
+    /// `Context::broadcast`: the same message to every peer other than
+    /// the sender, in ascending id order.
+    Broadcast(M),
+}
+
+impl<M> Outgoing<M> {
+    /// Point-to-point messages this entry stands for among `k` peers.
+    pub(crate) fn fan_out(&self, k: usize) -> usize {
+        match self {
+            Outgoing::To(..) => 1,
+            Outgoing::Broadcast(_) => k - 1,
+        }
+    }
+}
+
 /// What pass 1 decided (and already did, lane-locally) for one event.
 pub(crate) enum Pass1Outcome<M> {
     /// Subject was crashed or terminated; any payload slot was freed.
@@ -66,7 +86,7 @@ pub(crate) enum Pass1Outcome<M> {
         /// Whether this was the subject's start event.
         is_start: bool,
         /// Messages the step emitted, in send order.
-        outbox: Vec<(PeerId, M)>,
+        outbox: Vec<Outgoing<M>>,
         /// Pre-start buffer drained by a start step (`(from, slot)` in
         /// arrival order), for the coordinator to re-enqueue.
         flush: Vec<(PeerId, u32)>,
@@ -95,7 +115,7 @@ pub(crate) struct Lane<M: ProtocolMessage> {
     /// through `delta`.
     pub(crate) source: Arc<dyn Source>,
     /// Drained outbox buffers recycled across steps.
-    pub(crate) spare_outboxes: Vec<Vec<(PeerId, M)>>,
+    pub(crate) spare_outboxes: Vec<Vec<Outgoing<M>>>,
 }
 
 impl<M: ProtocolMessage> Lane<M> {
@@ -140,7 +160,7 @@ impl<M: ProtocolMessage> Lane<M> {
             let flags = self.flags[slot_of];
             if flags.crashed || flags.terminated {
                 if let EventKind::Deliver { slot, .. } = ev.kind {
-                    drop(slab.take(slot));
+                    slab.release(slot);
                 }
                 outcomes.push(Pass1Outcome::Dropped);
                 continue;
@@ -204,8 +224,8 @@ impl<M: ProtocolMessage> Lane<M> {
 
 /// The [`Context`] a lane hands its agents: queries go straight to the
 /// raw source with accounting buffered in the lane's [`MeterDelta`] — no
-/// atomics, no locks — and sends accumulate in the step outbox for the
-/// coordinator to dispatch.
+/// atomics, no locks — and sends and broadcasts accumulate in the step
+/// outbox for the coordinator to dispatch.
 pub(crate) struct LaneCtx<'a, M> {
     pub(crate) me: PeerId,
     pub(crate) num_peers: usize,
@@ -213,7 +233,7 @@ pub(crate) struct LaneCtx<'a, M> {
     pub(crate) source: &'a dyn Source,
     pub(crate) delta: &'a mut MeterDelta,
     pub(crate) rng: &'a mut StdRng,
-    pub(crate) outbox: &'a mut Vec<(PeerId, M)>,
+    pub(crate) outbox: &'a mut Vec<Outgoing<M>>,
 }
 
 impl<M: ProtocolMessage> Context<M> for LaneCtx<'_, M> {
@@ -227,7 +247,13 @@ impl<M: ProtocolMessage> Context<M> for LaneCtx<'_, M> {
         self.input_len
     }
     fn send(&mut self, to: PeerId, msg: M) {
-        self.outbox.push((to, msg));
+        self.outbox.push(Outgoing::To(to, msg));
+    }
+    fn broadcast(&mut self, msg: M) {
+        // One outbox entry, and one payload slot per destination shard,
+        // for the k − 1 messages: the coordinator expands it recipient by
+        // recipient exactly as the provided loop over `send` would.
+        self.outbox.push(Outgoing::Broadcast(msg));
     }
     fn query(&mut self, index: usize) -> bool {
         self.delta.record(self.me, index);

@@ -165,13 +165,20 @@ pub struct RunReport {
     /// Peak event-queue occupancy over the run. Together with
     /// [`peak_slab_len`](Self::peak_slab_len) this is the simulator's
     /// memory-pressure proxy: resident size scales with
-    /// `peak_queue_len · sizeof(event) + peak_slab_len · payload bytes`.
+    /// `peak_queue_len · sizeof(event) + peak_slab_len ·
+    /// (slab_slot_bytes + payload bytes)`.
     /// Not part of [`fingerprint`](Self::fingerprint) (the fingerprint
     /// field list is fixed so recorded goldens stay stable).
     pub peak_queue_len: u64,
-    /// Peak number of payloads simultaneously alive in the message slab
-    /// (queued + held + pre-start buffered).
+    /// Peak number of message-slab slots simultaneously occupied. A slot
+    /// holds one payload whoever waits for it (queued, parked, held or
+    /// pre-start buffered recipients): a broadcast occupies one slot per
+    /// destination shard, a point-to-point send one.
     pub peak_slab_len: u64,
+    /// Bytes one slab slot occupies, not counting what its payload keeps
+    /// on the heap. A constant of the message type; excluded from
+    /// [`fingerprint`](Self::fingerprint).
+    pub slab_slot_bytes: u64,
     /// Per-shard peak event-queue occupancy (one entry per shard; a
     /// single entry for the serial layout). Shows how evenly the window
     /// barrier spreads load across shards. Excluded from
@@ -351,6 +358,7 @@ mod tests {
             deferred_deliveries: 0,
             peak_queue_len: 0,
             peak_slab_len: 0,
+            slab_slot_bytes: 0,
             peak_queue_lens: vec![0],
             peak_slab_lens: vec![0],
             trace: None,

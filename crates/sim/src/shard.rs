@@ -33,7 +33,7 @@
 //! Events therefore pop in global `(at, seq)` order whatever the shard
 //! count, which is why no golden fingerprint depends on it.
 //!
-//! Occupancy accounting (queue depth, live payloads, peaks) lives both on
+//! Occupancy accounting (queue depth, occupied slots, peaks) lives both on
 //! the pump wrapper (global, matching the historical serial counters) and
 //! per shard (for the `RunReport` per-shard peak columns). The parallel
 //! dispatch path borrows whole windows ([`EventPump::take_window_at_least`])
@@ -41,31 +41,57 @@
 //! worker threads can own their shard's state outright for the duration of
 //! a window — see `sim.rs` for the two-pass execution argument.
 //!
-//! Slot lifecycle: every slab slot is owned by exactly one of a queued
-//! `Deliver` event, a held message, or a pre-start buffer entry; whichever
-//! path consumes or cancels the message frees the slot. The simulator
-//! asserts at the end of successful debug runs that no slot is left owned.
+//! Slot lifecycle: a slab slot holds one payload and counts its owners.
+//! A broadcast stores its payload once per destination shard and every
+//! recipient in that shard owns the same slot; a point-to-point send is a
+//! slot with one owner. An owner is a queued `Deliver` or `Retransmit`
+//! event (parked and churn-deferred deliveries included), a held message,
+//! or a pre-start buffer entry, and while a step's outbox is being routed
+//! the dispatch loop owns each slot it filled as well, so a recipient
+//! whose message is lost on the spot cannot free the slot under the
+//! recipients still to come. Whichever path consumes or cancels an
+//! owner's message gives up that owner's claim: the handler gets a clone
+//! while others remain and the payload itself when it is the last, and
+//! the last claim given up frees the slot. Occupancy, peaks and the
+//! capacity bound all count slots, which is what memory holds. The
+//! simulator asserts at the end of debug runs that once every owner has
+//! given up its claim no slot is left occupied.
 
 use crate::time::Ticks;
 use dr_core::PeerId;
 use std::collections::BTreeMap;
 
-/// Slot-indexed store for message payloads.
+/// One slab cell: a payload and the number of owners (queued deliveries,
+/// pending resends, held messages, pre-start entries, the dispatch loop
+/// while it routes) that still refer to it. Vacant cells have no owners.
+struct Slot<M> {
+    msg: Option<M>,
+    owners: u32,
+}
+
+/// Slot-indexed, reference-counted store for message payloads.
 ///
-/// A hand-rolled slab: `insert` hands out a `u32` slot (recycling freed
-/// slots LIFO), `take` moves the payload out and frees the slot. Payloads
-/// stay put for their whole queued/held lifetime — only slot indices move
-/// through the event queue. The slab tracks its own live/peak occupancy so
+/// A hand-rolled slab: `insert` hands out a `u32` slot with one owner
+/// (recycling freed slots LIFO), `retain` adds an owner, and `take` /
+/// `release` give one up, the last of them emptying and freeing the slot.
+/// A broadcast is one slot shared by its recipients in this shard; a
+/// point-to-point send is a slot with one owner. Payloads stay put for
+/// their whole queued/held lifetime — only slot indices move through the
+/// event queue. The slab tracks its own live/peak occupancy, in slots, so
 /// per-shard peaks stay exact even while the slab is lent out to a worker
 /// thread.
 pub(crate) struct MsgSlab<M> {
-    slots: Vec<Option<M>>,
+    slots: Vec<Slot<M>>,
     free: Vec<u32>,
     live: usize,
     peak_live: usize,
 }
 
 impl<M> MsgSlab<M> {
+    /// Bytes one slot occupies in the slab, whatever its payload keeps on
+    /// the heap.
+    pub(crate) const SLOT_BYTES: usize = std::mem::size_of::<Slot<M>>();
+
     fn new() -> Self {
         MsgSlab {
             slots: Vec::new(),
@@ -75,14 +101,18 @@ impl<M> MsgSlab<M> {
         }
     }
 
-    /// Stores a payload, recycling a freed slot when one exists and
-    /// growing the slab otherwise. Fails (instead of panicking) when
-    /// growth would exceed `capacity` slots.
+    /// Stores a payload under one owner, recycling a freed slot when one
+    /// exists and growing the slab otherwise. Fails (instead of panicking)
+    /// when growth would exceed `capacity` slots.
     fn insert(&mut self, msg: M, capacity: u32) -> Result<u32, SlabOverflow> {
+        let cell = Slot {
+            msg: Some(msg),
+            owners: 1,
+        };
         let slot = match self.free.pop() {
             Some(slot) => {
-                debug_assert!(self.slots[slot as usize].is_none());
-                self.slots[slot as usize] = Some(msg);
+                debug_assert_eq!(self.slots[slot as usize].owners, 0);
+                self.slots[slot as usize] = cell;
                 slot
             }
             None => {
@@ -90,7 +120,7 @@ impl<M> MsgSlab<M> {
                     return Err(SlabOverflow { capacity });
                 }
                 let slot = self.slots.len() as u32;
-                self.slots.push(Some(msg));
+                self.slots.push(cell);
                 slot
             }
         };
@@ -99,21 +129,63 @@ impl<M> MsgSlab<M> {
         Ok(slot)
     }
 
-    pub(crate) fn take(&mut self, slot: u32) -> M {
-        let msg = self.slots[slot as usize]
-            .take()
-            .expect("message slot already freed");
-        self.free.push(slot);
-        self.live -= 1;
+    /// The payload in `slot`, which must have an owner.
+    fn get(&self, slot: u32) -> &M {
+        self.slots[slot as usize]
+            .msg
+            .as_ref()
+            .expect("message slot already freed")
+    }
+
+    /// Adds an owner to `slot`.
+    fn retain(&mut self, slot: u32) {
+        let cell = &mut self.slots[slot as usize];
+        assert!(cell.owners > 0, "message slot already freed");
+        cell.owners += 1;
+    }
+
+    /// Gives up one owner's claim on `slot` and hands that owner the
+    /// payload: a clone while other owners remain, the payload itself
+    /// (freeing the slot) for the last one.
+    pub(crate) fn take(&mut self, slot: u32) -> M
+    where
+        M: Clone,
+    {
+        let cell = &mut self.slots[slot as usize];
+        if cell.owners > 1 {
+            cell.owners -= 1;
+            return cell.msg.clone().expect("shared message slot is empty");
+        }
+        let msg = cell.msg.take().expect("message slot already freed");
+        self.vacate(slot);
         msg
     }
 
-    /// Payloads currently stored.
+    /// Gives up one owner's claim on `slot` without reading the payload;
+    /// the last owner's release drops it and frees the slot.
+    pub(crate) fn release(&mut self, slot: u32) {
+        let cell = &mut self.slots[slot as usize];
+        assert!(cell.owners > 0, "message slot already freed");
+        if cell.owners > 1 {
+            cell.owners -= 1;
+        } else {
+            cell.msg = None;
+            self.vacate(slot);
+        }
+    }
+
+    fn vacate(&mut self, slot: u32) {
+        self.slots[slot as usize].owners = 0;
+        self.free.push(slot);
+        self.live -= 1;
+    }
+
+    /// Slots currently holding a payload.
     pub(crate) fn live(&self) -> usize {
         self.live
     }
 
-    /// Peak stored payloads over this slab's lifetime.
+    /// Peak occupied slots over this slab's lifetime.
     fn peak_live(&self) -> usize {
         self.peak_live
     }
@@ -343,27 +415,68 @@ impl<M> EventPump<M> {
         self.shards[s].slab = Some(slab);
     }
 
-    /// Stores a payload in the slab of the shard owning `owner` (the
-    /// destination peer for deliveries, holds, and pre-start buffers).
-    pub(crate) fn insert_payload(&mut self, owner: PeerId, msg: M) -> Result<u32, SlabOverflow> {
-        let s = self.shard_of(owner);
-        let capacity = self.capacity;
-        let slot = self.shards[s].slab().insert(msg, capacity)?;
-        self.live += 1;
+    /// Runs `f` on shard `s`'s slab and carries the slab's change in
+    /// occupied slots over to the pump-wide count.
+    fn on_slab<R>(&mut self, s: usize, f: impl FnOnce(&mut MsgSlab<M>) -> R) -> R {
+        let slab = self.shards[s].slab();
+        let before = slab.live();
+        let out = f(slab);
+        self.live = self.live + slab.live() - before;
         self.peak_live = self.peak_live.max(self.live);
-        Ok(slot)
+        out
     }
 
-    /// Moves a payload out of `owner`'s shard slab, freeing the slot.
-    pub(crate) fn take_payload(&mut self, owner: PeerId, slot: u32) -> M {
+    /// Stores a payload, under one owner, in the slab of the shard owning
+    /// `owner` (the destination peer for deliveries, holds, and pre-start
+    /// buffers).
+    pub(crate) fn insert_payload(&mut self, owner: PeerId, msg: M) -> Result<u32, SlabOverflow> {
+        let capacity = self.capacity;
+        self.on_slab(self.shard_of(owner), |slab| slab.insert(msg, capacity))
+    }
+
+    /// The payload in `slot` of `owner`'s shard slab.
+    pub(crate) fn payload(&self, owner: PeerId, slot: u32) -> &M {
+        self.shards[self.shard_of(owner)]
+            .slab
+            .as_ref()
+            .expect("shard slab lent out")
+            .get(slot)
+    }
+
+    /// Adds an owner to `slot` of `owner`'s shard slab.
+    pub(crate) fn retain_payload(&mut self, owner: PeerId, slot: u32) {
         let s = self.shard_of(owner);
-        self.live -= 1;
-        self.shards[s].slab().take(slot)
+        self.shards[s].slab().retain(slot);
     }
 
-    /// Payloads currently alive across all slabs (queued + held +
-    /// pre-start buffered). Read only by the debug-build slab-leak check
-    /// and the unit tests.
+    /// Hands one owner its payload out of `owner`'s shard slab: a clone
+    /// while the slot has other owners, the payload itself — freeing the
+    /// slot — for the last.
+    pub(crate) fn take_payload(&mut self, owner: PeerId, slot: u32) -> M
+    where
+        M: Clone,
+    {
+        self.on_slab(self.shard_of(owner), |slab| slab.take(slot))
+    }
+
+    /// Gives up one owner's claim on `slot` of `owner`'s shard slab
+    /// without reading it; the last release frees the slot.
+    pub(crate) fn release_payload(&mut self, owner: PeerId, slot: u32) {
+        self.on_slab(self.shard_of(owner), |slab| slab.release(slot));
+    }
+
+    /// Gives up the claim recorded for each shard in `slots` (indexed by
+    /// shard), leaving the table empty.
+    pub(crate) fn release_each(&mut self, slots: &mut [Option<u32>]) {
+        for (s, entry) in slots.iter_mut().enumerate() {
+            if let Some(slot) = entry.take() {
+                self.on_slab(s, |slab| slab.release(slot));
+            }
+        }
+    }
+
+    /// Slots currently occupied across all slabs. Read only by the
+    /// debug-build slab-leak check and the unit tests.
     #[cfg(any(debug_assertions, test))]
     pub(crate) fn live_payloads(&self) -> usize {
         self.live
@@ -374,7 +487,7 @@ impl<M> EventPump<M> {
         self.peak_queued
     }
 
-    /// Peak live payloads over the run (all slabs combined).
+    /// Peak occupied slots over the run (all slabs combined).
     pub(crate) fn peak_live(&self) -> usize {
         self.peak_live
     }
@@ -384,7 +497,7 @@ impl<M> EventPump<M> {
         self.shards.iter().map(|s| s.peak_queued as u64).collect()
     }
 
-    /// Peak live payloads per shard slab.
+    /// Peak occupied slots per shard slab.
     pub(crate) fn peak_live_per_shard(&self) -> Vec<u64> {
         self.shards
             .iter()

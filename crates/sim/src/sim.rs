@@ -20,12 +20,15 @@
 //! Message payloads never live inside queued events. Every in-flight or
 //! held payload sits in a slab (see the `shard` module) and is addressed
 //! by a `u32` slot, so a queued event is a small `Copy` struct appended to
-//! the bucket of its tick, and no `BitArray` moves with it. Each slot is
-//! owned by exactly one of: a queued `Deliver` event, a held message, or a
-//! pre-start buffer entry; whichever path consumes or drops the message
-//! frees the slot. Combined with the copy-on-write `BitArray` buffer, a
-//! k-recipient broadcast of an n-bit payload costs O(k) reference bumps,
-//! not O(k·n) copied bits.
+//! the bucket of its tick, and no `BitArray` moves with it. A slot counts
+//! its owners — queued `Deliver` and `Retransmit` events, held messages,
+//! pre-start buffer entries — and the last one to consume or drop its
+//! message frees it. A step's outbox records a broadcast as one entry and
+//! the dispatch loop stores its payload once per destination shard, so a
+//! k-recipient broadcast of an n-bit payload costs one slot and k − 1
+//! owner counts — not k − 1 slots, payload clones and O(k·n) copied bits —
+//! while the adversary is still consulted, and M, bits, `seq` stamps and
+//! the trace are still charged, per recipient and in `send` order.
 //!
 //! # Lane-major state and parallel windows
 //!
@@ -44,7 +47,7 @@
 
 use crate::adversary::{Adversary, Delivery, HeldInfo, Release};
 use crate::agent::Agent;
-use crate::lane::{Lane, LaneCtx, Pass1Outcome, WindowExecutor};
+use crate::lane::{Lane, LaneCtx, Outgoing, Pass1Outcome, WindowExecutor};
 use crate::linkfault::{LinkDecision, RuntimeLinkState};
 use crate::report::{RunError, RunReport};
 use crate::shard::{EventKind, EventPump, MsgSlab, QueuedEvent};
@@ -121,7 +124,11 @@ pub struct Simulation<M: ProtocolMessage> {
     /// Step outbox reused across serial `process_event` calls (empty
     /// between steps), so each event-handler invocation starts from
     /// retained capacity instead of a fresh allocation.
-    outbox_scratch: Vec<(PeerId, M)>,
+    outbox_scratch: Vec<Outgoing<M>>,
+    /// The dispatch loop's own claims on the slots holding the outbox
+    /// entry it is routing, one per destination shard (all `None` between
+    /// entries).
+    dispatch_slots: Vec<Option<u32>>,
     /// `HeldInfo` buffer reused across `release_held` calls.
     held_infos: Vec<HeldInfo>,
     seq: u64,
@@ -220,6 +227,7 @@ impl<M: ProtocolMessage> Simulation<M> {
             // is pending.
             pending_nonfaulty: k - byz,
             outbox_scratch: Vec::new(),
+            dispatch_slots: vec![None; shards],
             held_infos: Vec::new(),
             seq: 0,
             now: 0,
@@ -308,7 +316,7 @@ impl<M: ProtocolMessage> Simulation<M> {
         // rest of the run.
         let waiting = std::mem::take(&mut self.lanes[s].pre_start[slot]);
         for (from, pslot) in waiting {
-            drop(self.pump.take_payload(peer, pslot));
+            self.pump.release_payload(peer, pslot);
             self.record(TraceEntry::Drop {
                 at: now,
                 from,
@@ -334,18 +342,24 @@ impl<M: ProtocolMessage> Simulation<M> {
     fn dispatch_outbox(
         &mut self,
         peer: PeerId,
-        outbox: &mut Vec<(PeerId, M)>,
+        outbox: &mut Vec<Outgoing<M>>,
     ) -> Result<(), RunError> {
+        let k = self.params.k();
+        // Point-to-point messages of the batch still to go out, in send
+        // order with every broadcast expanded: a mid-send crash cuts it
+        // short, inside a broadcast as readily as between two sends.
+        let mut keep = usize::MAX;
         if !self.status[peer.index()].crashed {
+            let planned = outbox.iter().map(|out| out.fan_out(k)).sum();
             let cut = {
                 let view = View {
                     now: self.now,
                     peers: &self.status,
                 };
-                self.adversary.crash_during_send(&view, peer, outbox.len())
+                self.adversary.crash_during_send(&view, peer, planned)
             };
-            if let Some(keep) = cut {
-                outbox.truncate(keep);
+            if let Some(cut) = cut {
+                keep = cut;
                 self.crash(peer);
             }
         }
@@ -353,6 +367,40 @@ impl<M: ProtocolMessage> Simulation<M> {
         // this point on: the messages it still manages to emit must not
         // count toward the non-faulty communication complexity.
         let sender_nonfaulty_now = self.status[peer.index()].is_nonfaulty();
+        let mut slots = std::mem::take(&mut self.dispatch_slots);
+        let mut routed = Ok(());
+        for out in outbox.drain(..) {
+            if keep == 0 {
+                break;
+            }
+            routed = self.route(peer, out, sender_nonfaulty_now, &mut keep, &mut slots);
+            // The dispatch loop's own claim on each slot it filled ends
+            // here, error or not: recipients routed so far keep theirs.
+            self.pump.release_each(&mut slots);
+            if routed.is_err() {
+                break;
+            }
+        }
+        self.dispatch_slots = slots;
+        routed
+    }
+
+    /// Routes one outbox entry to its recipients — at most `keep` of them,
+    /// counted down — consulting the adversary for each exactly as for a
+    /// point-to-point send. The payload is stored once per destination
+    /// shard, in the slot `slots` records for that shard; every recipient
+    /// that ends up queued, parked, awaiting a resend or held becomes one
+    /// more owner of its shard's slot. The caller's claims in `slots` keep
+    /// those slots occupied until the last recipient is routed, so a
+    /// message lost on the spot cannot free a slot later recipients share.
+    fn route(
+        &mut self,
+        peer: PeerId,
+        out: Outgoing<M>,
+        sender_nonfaulty_now: bool,
+        keep: &mut usize,
+        slots: &mut [Option<u32>],
+    ) -> Result<(), RunError> {
         // Peer statuses cannot change for the rest of the batch, so one
         // `View` serves every message. The destructuring splits the borrow:
         // the view holds `status` while the loop mutates the disjoint
@@ -382,23 +430,63 @@ impl<M: ProtocolMessage> Simulation<M> {
             now: *now,
             peers: &*status,
         };
-        let packet_bits = params.msg_bits() as u64;
-        for (to, msg) in outbox.drain(..) {
-            let bits = msg.bit_len() as u64;
-            let packets = (bits.div_ceil(packet_bits)).max(1);
+        let (recipients, skip, msg) = match out {
+            Outgoing::To(to, msg) => (to.index()..to.index() + 1, None, msg),
+            Outgoing::Broadcast(msg) => (0..params.k(), Some(peer), msg),
+        };
+        let bits = msg.bit_len() as u64;
+        let packets = (bits.div_ceil(params.msg_bits() as u64)).max(1);
+        let transmission = (packets - 1) * TICKS_PER_UNIT;
+        // The payload moves into the slab at the first recipient; that
+        // slot then serves as the copy every later read is taken from.
+        let mut msg = Some(msg);
+        let mut home = None;
+        for to in recipients.map(PeerId).filter(|&to| Some(to) != skip) {
+            if *keep == 0 {
+                break;
+            }
+            *keep -= 1;
             if sender_nonfaulty_now {
                 *messages_sent += packets;
                 *message_bits += bits;
             }
-            match adversary.on_send(&view, peer, to, &msg, adv_rng) {
+            let shard = pump.shard_of(to);
+            let slot = match slots[shard] {
+                Some(slot) => slot,
+                None => {
+                    let payload = msg.take().unwrap_or_else(|| {
+                        let (first, slot) = home.expect("payload moved into its first slot");
+                        pump.payload(first, slot).clone()
+                    });
+                    let slot =
+                        pump.insert_payload(to, payload)
+                            .map_err(|e| RunError::SlabOverflow {
+                                capacity: e.capacity,
+                            })?;
+                    slots[shard] = Some(slot);
+                    slot
+                }
+            };
+            let (first, first_slot) = *home.get_or_insert((to, slot));
+            // Stamps and queues an event that owns `slot` alongside the
+            // dispatch loop and the recipients routed before.
+            let mut push_owner = |pump: &mut EventPump<M>, at: Ticks, kind: EventKind| {
+                pump.retain_payload(to, slot);
+                pump.push(QueuedEvent {
+                    at,
+                    seq: *seq,
+                    kind,
+                });
+                *seq += 1;
+            };
+            match adversary.on_send(&view, peer, to, pump.payload(first, first_slot), adv_rng) {
                 Delivery::After(latency) => {
                     let latency = latency.clamp(1, TICKS_PER_UNIT);
-                    let transmission = (packets - 1) * TICKS_PER_UNIT;
-                    // An active cut parks the message: it keeps its slab
-                    // slot (owned by the delivery event, so the leak audit
-                    // covers it) and re-enters delivery deterministically
-                    // when the partition heals. The adversary's `on_send`
-                    // was consulted as usual, so the RNG draw sequence and
+                    // An active cut parks the message: its delivery event
+                    // owns the slot (so the leak audit covers it) and
+                    // re-enters delivery deterministically when the
+                    // partition heals. The adversary's `on_send` was
+                    // consulted as usual, so the RNG draw sequence and
                     // positional schedule trace are partition-agnostic.
                     if let Some(heal) = links.cut_heal(peer, to, *now) {
                         *parked_messages += 1;
@@ -410,22 +498,15 @@ impl<M: ProtocolMessage> Simulation<M> {
                                 until: heal,
                             });
                         }
-                        let slot =
-                            pump.insert_payload(to, msg)
-                                .map_err(|e| RunError::SlabOverflow {
-                                    capacity: e.capacity,
-                                })?;
-                        let s = *seq;
-                        *seq += 1;
-                        pump.push(QueuedEvent {
-                            at: heal + latency + transmission,
-                            seq: s,
-                            kind: EventKind::Deliver {
+                        push_owner(
+                            pump,
+                            heal + latency + transmission,
+                            EventKind::Deliver {
                                 from: peer,
                                 to,
                                 slot,
                             },
-                        });
+                        );
                         continue;
                     }
                     // Lossy links: the initial transmission attempt may be
@@ -445,16 +526,9 @@ impl<M: ProtocolMessage> Simulation<M> {
                                 attempt: 0,
                             });
                         }
-                        let slot =
-                            pump.insert_payload(to, msg)
-                                .map_err(|e| RunError::SlabOverflow {
-                                    capacity: e.capacity,
-                                })?;
                         if links.policy.max_retries == 0 {
-                            // No retries allowed: the message is lost. The
-                            // drop frees the slot immediately instead of
-                            // leaking it.
-                            drop(pump.take_payload(to, slot));
+                            // No retries allowed: the message is lost, and
+                            // this recipient never becomes an owner.
                             *messages_lost += 1;
                             if let Some(trace) = trace {
                                 trace.push(TraceEntry::Lost {
@@ -481,37 +555,27 @@ impl<M: ProtocolMessage> Simulation<M> {
                                     attempt: 1,
                                 },
                             );
-                            let s = *seq;
-                            *seq += 1;
-                            pump.push(QueuedEvent {
-                                at: *now + links.backoff(1),
-                                seq: s,
-                                kind: EventKind::Retransmit {
+                            push_owner(
+                                pump,
+                                *now + links.backoff(1),
+                                EventKind::Retransmit {
                                     from: peer,
                                     to,
                                     slot,
                                 },
-                            });
+                            );
                         }
                         continue;
                     }
-                    let at = *now + latency + transmission;
-                    let slot =
-                        pump.insert_payload(to, msg)
-                            .map_err(|e| RunError::SlabOverflow {
-                                capacity: e.capacity,
-                            })?;
-                    let s = *seq;
-                    *seq += 1;
-                    pump.push(QueuedEvent {
-                        at,
-                        seq: s,
-                        kind: EventKind::Deliver {
+                    push_owner(
+                        pump,
+                        *now + latency + transmission,
+                        EventKind::Deliver {
                             from: peer,
                             to,
                             slot,
                         },
-                    });
+                    );
                 }
                 Delivery::Hold => {
                     if let Some(trace) = trace {
@@ -521,11 +585,7 @@ impl<M: ProtocolMessage> Simulation<M> {
                             to,
                         });
                     }
-                    let slot =
-                        pump.insert_payload(to, msg)
-                            .map_err(|e| RunError::SlabOverflow {
-                                capacity: e.capacity,
-                            })?;
+                    pump.retain_payload(to, slot);
                     held.push(HeldMessage {
                         from: peer,
                         to,
@@ -549,7 +609,7 @@ impl<M: ProtocolMessage> Simulation<M> {
         let st = self.status[to.index()].clone();
         if st.crashed || st.terminated {
             if let EventKind::Deliver { from, to, slot } = kind {
-                drop(self.pump.take_payload(to, slot));
+                self.pump.release_payload(to, slot);
                 let at = self.now;
                 self.record(TraceEntry::Drop { at, from, to });
             }
@@ -597,7 +657,7 @@ impl<M: ProtocolMessage> Simulation<M> {
             if crash_now {
                 self.crash(to);
                 if let EventKind::Deliver { slot, .. } = kind {
-                    drop(self.pump.take_payload(to, slot));
+                    self.pump.release_payload(to, slot);
                 }
                 return None;
             }
@@ -728,6 +788,21 @@ impl<M: ProtocolMessage> Simulation<M> {
         } else {
             None
         };
+        let pumped = self.pump_events(executor.as_deref());
+        // Whatever ended the run, every occupied slot must still have its
+        // owners. A parallel window that failed half-way through its
+        // replay is the exception: the events it had not reached are
+        // neither in the pump nor applied.
+        #[cfg(debug_assertions)]
+        if pumped.is_ok() || executor.is_none() {
+            self.assert_no_leaked_slots();
+        }
+        pumped.map(|()| self.into_report())
+    }
+
+    /// The run loop: serves events until every nonfaulty peer has
+    /// terminated or the run fails.
+    fn pump_events(&mut self, executor: Option<&dyn WindowExecutor>) -> Result<(), RunError> {
         let window_min = self.parallel_window_min.max(1);
         loop {
             debug_assert_eq!(
@@ -736,17 +811,17 @@ impl<M: ProtocolMessage> Simulation<M> {
                 "pending-nonfaulty counter out of sync with peer statuses"
             );
             if self.pending_nonfaulty == 0 {
-                break;
+                return Ok(());
             }
             if self.events >= self.max_events {
                 return Err(RunError::EventLimitExceeded {
                     limit: self.max_events,
                 });
             }
-            if let Some(ex) = &executor {
+            if let Some(ex) = executor {
                 if let Some(window) = self.pump.take_window_at_least(window_min) {
                     self.now = self.now.max(window[0].at);
-                    self.run_window(window, &**ex)?;
+                    self.run_window(window, ex)?;
                     continue;
                 }
             }
@@ -781,9 +856,6 @@ impl<M: ProtocolMessage> Simulation<M> {
                 }
             }
         }
-        #[cfg(debug_assertions)]
-        self.assert_no_leaked_slots();
-        Ok(self.into_report())
     }
 
     /// Executes one taken window through the two-pass scheme: pass 1 fans
@@ -952,13 +1024,13 @@ impl<M: ProtocolMessage> Simulation<M> {
         for ev in rest {
             if let EventKind::Retransmit { to, slot, .. } = ev.kind {
                 self.retrans.remove(&(to.index(), slot));
-                drop(self.pump.take_payload(to, slot));
+                self.pump.release_payload(to, slot);
                 continue;
             }
             let subject = ev.kind.subject();
             if self.status[subject.index()].role == PeerRole::Byzantine {
                 if let EventKind::Deliver { to, slot, .. } = ev.kind {
-                    drop(self.pump.take_payload(to, slot));
+                    self.pump.release_payload(to, slot);
                 }
             } else if let Some(Pass1Outcome::Stepped { flush, outbox, .. }) =
                 outcomes[subject.index() % num_shards].next()
@@ -969,7 +1041,7 @@ impl<M: ProtocolMessage> Simulation<M> {
                 // exactly as the serial loop would never have sent it.
                 drop(outbox);
                 for (_, pslot) in flush {
-                    drop(self.pump.take_payload(subject, pslot));
+                    self.pump.release_payload(subject, pslot);
                 }
             }
         }
@@ -989,8 +1061,8 @@ impl<M: ProtocolMessage> Simulation<M> {
             .expect("retransmit event fired without resend state");
         let target = &self.status[to.index()];
         if target.crashed || target.terminated {
-            // Same as a delivery to a dead peer: free the slot and move on.
-            drop(self.pump.take_payload(to, slot));
+            // Same as a delivery to a dead peer: give up the slot and move on.
+            self.pump.release_payload(to, slot);
             let at = self.now;
             self.record(TraceEntry::Drop { at, from, to });
             return Ok(());
@@ -1036,7 +1108,7 @@ impl<M: ProtocolMessage> Simulation<M> {
                     attempt: st.attempt,
                 });
                 if st.attempt >= self.links.policy.max_retries {
-                    drop(self.pump.take_payload(to, slot));
+                    self.pump.release_payload(to, slot);
                     self.messages_lost += 1;
                     let attempts = st.attempt + 1;
                     self.record(TraceEntry::Lost {
@@ -1080,24 +1152,27 @@ impl<M: ProtocolMessage> Simulation<M> {
         }
     }
 
-    /// Debug-build invariant: at the end of a successful run every slab
-    /// slot is owned by a still-pending queue event, held message, or
-    /// pre-start buffer entry — after draining those, zero payloads may
-    /// remain live. Catches lifecycle leaks (e.g. slots stranded by a
-    /// cancelled delivery) that release builds would silently accumulate.
+    /// Debug-build invariant: at the end of a run every occupied slab slot
+    /// counts exactly its still-pending owners — queued and parked
+    /// deliveries, pending resends, held messages and pre-start buffer
+    /// entries. Each of those gives up its claim here; after that no slot
+    /// may remain occupied (a claim too many), and none may have been
+    /// freed early (a claim too few panics in the slab). Catches lifecycle
+    /// leaks (e.g. slots stranded by a cancelled delivery) that release
+    /// builds would silently accumulate.
     #[cfg(debug_assertions)]
     fn assert_no_leaked_slots(&mut self) {
         let shards = self.lanes.len();
         while let Some(ev) = self.pump.pop() {
             match ev.kind {
                 EventKind::Deliver { to, slot, .. } => {
-                    drop(self.pump.take_payload(to, slot));
+                    self.pump.release_payload(to, slot);
                 }
                 // A pending resend owns its payload slot exactly like a
                 // queued delivery; drop its metadata alongside the slot.
                 EventKind::Retransmit { to, slot, .. } => {
                     self.retrans.remove(&(to.index(), slot));
-                    drop(self.pump.take_payload(to, slot));
+                    self.pump.release_payload(to, slot);
                 }
                 EventKind::Start(_) => {}
             }
@@ -1107,7 +1182,7 @@ impl<M: ProtocolMessage> Simulation<M> {
             "slab leak: resend state with no queued retransmit event"
         );
         for h in std::mem::take(&mut self.held) {
-            drop(self.pump.take_payload(h.to, h.slot));
+            self.pump.release_payload(h.to, h.slot);
         }
         for s in 0..shards {
             let buffers = std::mem::take(&mut self.lanes[s].pre_start);
@@ -1120,7 +1195,7 @@ impl<M: ProtocolMessage> Simulation<M> {
                     );
                 }
                 for (_, pslot) in buf {
-                    drop(self.pump.take_payload(peer, pslot));
+                    self.pump.release_payload(peer, pslot);
                 }
             }
         }
@@ -1259,6 +1334,7 @@ impl<M: ProtocolMessage> Simulation<M> {
             deferred_deliveries: self.deferred_deliveries,
             peak_queue_len: self.pump.peak_queued() as u64,
             peak_slab_len: self.pump.peak_live() as u64,
+            slab_slot_bytes: MsgSlab::<M>::SLOT_BYTES as u64,
             peak_queue_lens: self.pump.peak_queued_per_shard(),
             peak_slab_lens: self.pump.peak_live_per_shard(),
             trace: self.trace,

@@ -2,9 +2,10 @@
 //! capacity error path, and the adaptive crasher's pre-start behavior.
 //!
 //! Debug builds end every successful run with the simulator's
-//! no-leaked-slots audit (every payload slot must be owned by a queued
-//! delivery, a held message, or a pre-start buffer entry), so simply
-//! driving these scenarios to completion is itself the regression check.
+//! no-leaked-slots audit (every occupied payload slot must count exactly
+//! the queued deliveries, pending resends, held messages and pre-start
+//! buffer entries that share it), so simply driving these scenarios to
+//! completion is itself the regression check.
 
 use dr_core::{BitArray, Context, FaultModel, ModelParams, PeerId, Protocol, ProtocolMessage};
 use dr_sim::{
@@ -231,25 +232,28 @@ fn chaos_campaign_leaks_no_slots() {
     }
 }
 
-/// A slab capped at 2 slots cannot hold the 3-ping broadcast batch of
-/// the first peer to start: the run must surface the structured
-/// overflow error instead of panicking mid-pump.
+/// A broadcast occupies one slot whatever its fan-out, so a slab capped
+/// at 1 slot holds the 3-ping broadcast of the first peer to start — and
+/// not the second peer's, sent while those pings are still queued: the
+/// run must surface the structured overflow error instead of panicking
+/// mid-pump.
 #[test]
 fn tiny_slab_capacity_is_a_structured_error() {
     let sim = SimBuilder::new(ModelParams::fault_free(64, 4).unwrap())
         .seed(3)
-        .slab_capacity(2)
+        .slab_capacity(1)
         .protocol(move |_| Solo { out: None })
         .adversary(DetBenign)
         .build();
     match sim.run() {
-        Err(RunError::SlabOverflow { capacity }) => assert_eq!(capacity, 2),
+        Err(RunError::SlabOverflow { capacity }) => assert_eq!(capacity, 1),
         other => panic!("expected slab overflow, got {other:?}"),
     }
 }
 
-/// Per-shard slabs enforce the cap independently: two of peer 0's three
-/// pings land in the same shard, overflowing a 1-slot cap.
+/// Per-shard slabs enforce the cap independently: peer 0's broadcast
+/// takes one slot in each of the two shards, and peer 1's, sent while
+/// those are still queued, finds a 1-slot cap already used up.
 #[test]
 fn sharded_slab_capacity_is_enforced_per_shard() {
     let sim = SimBuilder::new(ModelParams::fault_free(64, 4).unwrap())
@@ -265,19 +269,18 @@ fn sharded_slab_capacity_is_enforced_per_shard() {
     }
 }
 
-/// An ample capacity is never hit: the same run that overflows at 2
-/// slots completes untouched at 16 (slots are recycled after delivery,
-/// so the cap bounds concurrent payloads, not total traffic).
+/// An ample capacity is never hit: the same run that overflows at 1
+/// slot completes untouched at 4 (slots are recycled after the last
+/// delivery, so the cap bounds concurrent payloads, not total traffic).
 #[test]
 fn ample_slab_capacity_never_trips() {
     let sim = SimBuilder::new(ModelParams::fault_free(64, 4).unwrap())
         .seed(3)
-        .slab_capacity(16)
+        .slab_capacity(4)
         .protocol(move |_| Solo { out: None })
         .adversary(DetBenign)
         .build();
-    sim.run()
-        .expect("16 slots cover 3 concurrent pings per peer");
+    sim.run().expect("4 slots cover one broadcast per peer");
 }
 
 /// Unit-latency lossy adversary that drops every transmission attempt,
