@@ -24,7 +24,6 @@
 //! violation → shrink → replay pipeline in tests and CI.
 
 use crate::par;
-use crate::runners::PumpMode;
 use dr_core::{
     BitArray, Context, FaultModel, ModelParams, PartialArray, PeerId, Protocol, ProtocolMessage,
 };
@@ -294,25 +293,17 @@ fn make_recorded<M: ProtocolMessage>(
     }
 }
 
-fn execute<M, P, F>(
-    case: &CaseConfig,
-    seed: u64,
-    adv: AdvSource<'_>,
-    pump: PumpMode,
-    factory: F,
-) -> RunOutcome
+fn execute<M, P, F>(case: &CaseConfig, seed: u64, adv: AdvSource<'_>, factory: F) -> RunOutcome
 where
     M: ProtocolMessage,
     P: Agent<M> + 'static,
     F: FnMut(PeerId) -> P + Send + 'static,
 {
     let (recorder, handle) = make_recorded::<M>(case, seed, &adv);
-    let mut builder = pump.apply(
-        SimBuilder::new(case.params())
-            .seed(seed)
-            .protocol(factory)
-            .adversary(recorder),
-    );
+    let mut builder = SimBuilder::new(case.params())
+        .seed(seed)
+        .protocol(factory)
+        .adversary(recorder);
     for i in 0..case.byz_count() {
         builder = builder.byzantine(PeerId(i), SilentAgent::new());
     }
@@ -349,38 +340,22 @@ where
 /// Runs one chaos case with the given seed and adversary source,
 /// recording the schedule and checking all invariants.
 pub fn run_case(case: &CaseConfig, seed: u64, adv: AdvSource<'_>) -> RunOutcome {
-    run_case_pumped(case, seed, adv, PumpMode::serial())
-}
-
-/// [`run_case`] under an arbitrary [`PumpMode`]. Every pump mode
-/// records the same schedule and fingerprint (crash-capable adversaries
-/// degrade window dispatch to serial automatically).
-pub fn run_case_pumped(
-    case: &CaseConfig,
-    seed: u64,
-    adv: AdvSource<'_>,
-    pump: PumpMode,
-) -> RunOutcome {
     let (n, k, b) = (case.n, case.k, case.b);
     match case.protocol {
-        ProtocolKind::CrashSingle => execute(case, seed, adv, pump, move |_| {
-            SingleCrashDownload::new(n, k)
-        }),
-        ProtocolKind::CrashMulti => execute(case, seed, adv, pump, move |_| {
-            CrashMultiDownload::new(n, k, b)
-        }),
-        ProtocolKind::Committee => execute(case, seed, adv, pump, move |_| {
-            CommitteeDownload::new(n, k, b)
-        }),
-        ProtocolKind::TwoCycle => execute(case, seed, adv, pump, move |_| {
-            TwoCycleDownload::new(n, k, b)
-        }),
-        ProtocolKind::MultiCycle => execute(case, seed, adv, pump, move |_| {
-            MultiCycleDownload::new(n, k, b)
-        }),
-        ProtocolKind::Fragile => {
-            execute(case, seed, adv, pump, move |_| FragileDownload::new(n, k))
+        ProtocolKind::CrashSingle => {
+            execute(case, seed, adv, move |_| SingleCrashDownload::new(n, k))
         }
+        ProtocolKind::CrashMulti => {
+            execute(case, seed, adv, move |_| CrashMultiDownload::new(n, k, b))
+        }
+        ProtocolKind::Committee => {
+            execute(case, seed, adv, move |_| CommitteeDownload::new(n, k, b))
+        }
+        ProtocolKind::TwoCycle => execute(case, seed, adv, move |_| TwoCycleDownload::new(n, k, b)),
+        ProtocolKind::MultiCycle => {
+            execute(case, seed, adv, move |_| MultiCycleDownload::new(n, k, b))
+        }
+        ProtocolKind::Fragile => execute(case, seed, adv, move |_| FragileDownload::new(n, k)),
     }
 }
 
@@ -441,15 +416,11 @@ pub struct Campaign {
     /// Directory for `chaos_repro_<hash>.json` files (written only for
     /// violations; created if missing). `None` disables writing.
     pub out_dir: Option<PathBuf>,
-    /// Event-pump mode the sweep runs under. Fingerprints are identical
-    /// for every mode, so reproducers transfer between modes; shrinking
-    /// and replay always run on the serial pump.
-    pub pump: PumpMode,
 }
 
 impl Campaign {
     /// The default campaign: [`default_cases`] with `runs_per_case` seeds
-    /// each, shrinking enabled, no repro files, serial pump.
+    /// each, shrinking enabled, no repro files.
     pub fn new(runs_per_case: u64, base_seed: u64) -> Self {
         Campaign {
             cases: default_cases(),
@@ -457,7 +428,6 @@ impl Campaign {
             base_seed,
             shrink: true,
             out_dir: None,
-            pump: PumpMode::serial(),
         }
     }
 }
@@ -490,11 +460,10 @@ pub fn run_campaign(campaign: &Campaign) -> CampaignReport {
     // case list and base seed into the closure.
     let cases = campaign.cases.clone();
     let base_seed = campaign.base_seed;
-    let pump = campaign.pump;
     let failures: Vec<Option<(usize, u64, String)>> = par::run_indexed(total, move |i| {
         let case = &cases[i / rpc];
         let seed = base_seed + i as u64;
-        let outcome = run_case_pumped(case, seed, AdvSource::Fresh, pump);
+        let outcome = run_case(case, seed, AdvSource::Fresh);
         outcome.violation.map(|v| (i / rpc, seed, v))
     });
     let mut violations = Vec::new();

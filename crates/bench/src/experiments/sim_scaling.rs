@@ -1,6 +1,6 @@
 //! E-scale — simulator hot-loop scaling (events/sec and memory proxy).
 //!
-//! Three families of rows, recorded as `BENCH_sim_scaling.json`:
+//! Two families of rows, recorded as `BENCH_sim_scaling.json`:
 //!
 //! * **Workload rows** run the real simulator end to end (committee,
 //!   crash-multi and two-cycle) across a (k, n) grid, reporting
@@ -10,12 +10,6 @@
 //!   recipients wait for it, so each is priced once. The two-cycle rows
 //!   (`k²` deliveries, a handful of queries) are the ones the event pump
 //!   itself bounds.
-//! * **Race rows** rerun the workload grid serial vs sharded vs
-//!   parallel (sharded pump with window dispatch on the execution
-//!   plane, [`crate::plane::PlaneExecutor`]) and gate hard on
-//!   fingerprint equality — every pump must be an exact behavioral
-//!   replica, timed on the same workload. Crash-planned rows time the
-//!   degrade-to-serial gate rather than a fan-out.
 //! * **Streaming rows** run crash-multi against a generate-on-demand
 //!   [`ChunkedSource`](dr_core::ChunkedSource) at `n` up to 2²⁷ bits
 //!   (≥ 10⁸) with a fixed 512 KiB resident budget, verifying outputs
@@ -32,9 +26,8 @@
 
 use crate::metrics::{ExperimentParams, ExperimentRecord, Measured, MetricsSink};
 use crate::runners::{
-    run_committee, run_committee_pumped, run_committee_sharded, run_crash_multi,
-    run_crash_multi_pumped, run_crash_multi_sharded, run_crash_multi_streaming, run_two_cycle,
-    two_cycle_segmentation, ByzMix, PumpMode,
+    run_committee, run_crash_multi, run_crash_multi_streaming, run_two_cycle,
+    two_cycle_segmentation, ByzMix,
 };
 use crate::table::{f, Table};
 use dr_core::SegmentId;
@@ -47,15 +40,6 @@ const EXPERIMENT: &str = "sim_scaling";
 /// `seq: u64` + `EventKind` (tag-padded `Deliver { from, to, slot }`,
 /// 24 bytes with `PeerId = usize`) = 40.
 const EVENT_BYTES: u64 = 40;
-
-/// Shard count for the end-to-end serial-vs-sharded race rows.
-const WORKLOAD_SHARDS: usize = 8;
-
-/// Window-dispatch thread count for the parallel-pump race rows. This is
-/// a configuration knob, not a core count: on machines with fewer cores
-/// the measured rate simply reflects that (the recorded `wall_clock_secs`
-/// is always the honest elapsed time on the machine that ran it).
-const PUMP_THREADS: usize = 4;
 
 /// Streaming-source geometry: 1024-word (8 KiB) chunks, at most 64
 /// resident — a 512 KiB budget regardless of `n`.
@@ -106,8 +90,8 @@ pub fn run_metered(sink: &mut MetricsSink) -> Vec<Table> {
                             (report, secs): (RunReport, f64)| {
         let rate = report.events as f64 / secs;
         // Resident size is dominated by queued events plus occupied slab
-        // slots. These runs use one shard, where every slot holds a
-        // distinct payload: its cell in the slab and its buffer, once.
+        // slots. Every slot holds a distinct payload: its cell in the
+        // slab and its buffer, once.
         let proxy_bytes = report.peak_queue_len * EVENT_BYTES
             + report.peak_slab_len * (report.slab_slot_bytes + payload_bits as u64 / 8);
         workloads.row(vec![
@@ -165,95 +149,8 @@ pub fn run_metered(sink: &mut MetricsSink) -> Vec<Table> {
         workload_row(sink, "two_cycle", n, k, b, 0, seg.len_of(SegmentId(0)), m);
     }
 
-    let mut race = Table::new(
-        "E-scale-b — serial vs sharded vs parallel event pump, end to end (fingerprints gated equal)",
-        &[
-            "workload",
-            "n",
-            "k",
-            "shards",
-            "threads",
-            "events",
-            "ev/s serial",
-            "ev/s sharded",
-            "ev/s parallel",
-            "speedup",
-            "par speedup",
-        ],
-    );
-    let mut race_row = |sink: &mut MetricsSink,
-                        workload: &str,
-                        n: usize,
-                        k: usize,
-                        b: usize,
-                        (serial, serial_secs): (RunReport, f64),
-                        (sharded, sharded_secs): (RunReport, f64),
-                        (parallel, parallel_secs): (RunReport, f64)| {
-        // The hard gate: the sharded and parallel pumps must be exact
-        // behavioral replicas of the serial one, not approximations.
-        assert_eq!(
-            serial.fingerprint(),
-            sharded.fingerprint(),
-            "sharded pump diverged from serial: {workload} n={n} k={k}"
-        );
-        assert_eq!(
-            serial.fingerprint(),
-            parallel.fingerprint(),
-            "parallel pump diverged from serial: {workload} n={n} k={k}"
-        );
-        let serial_rate = serial.events as f64 / serial_secs;
-        let sharded_rate = sharded.events as f64 / sharded_secs;
-        let parallel_rate = parallel.events as f64 / parallel_secs;
-        race.row(vec![
-            workload.to_string(),
-            n.to_string(),
-            k.to_string(),
-            WORKLOAD_SHARDS.to_string(),
-            PUMP_THREADS.to_string(),
-            serial.events.to_string(),
-            f(serial_rate),
-            f(sharded_rate),
-            f(parallel_rate),
-            f(sharded_rate / serial_rate),
-            f(parallel_rate / serial_rate),
-        ]);
-        for (variant, report, secs) in [
-            ("serial", &serial, serial_secs),
-            ("sharded", &sharded, sharded_secs),
-            ("parallel", &parallel, parallel_secs),
-        ] {
-            sink.push(ExperimentRecord::new(
-                EXPERIMENT,
-                format!(
-                    "race {workload} {variant} n={n} k={k} events={} fingerprint={:016x} (events/wall_clock_secs = ev/s)",
-                    report.events,
-                    report.fingerprint()
-                ),
-                ExperimentParams::nkb(n, k, b),
-                Measured::one(report, secs),
-            ));
-        }
-    };
-    let pump_mode = PumpMode::parallel(WORKLOAD_SHARDS, PUMP_THREADS);
-    for &(n, k, t) in &committee_grid {
-        let serial = timed(|| run_committee_sharded(n, k, t, t, 11, 1));
-        let sharded = timed(|| run_committee_sharded(n, k, t, t, 11, WORKLOAD_SHARDS));
-        let parallel = timed(|| run_committee_pumped(n, k, t, t, 11, pump_mode));
-        race_row(sink, "committee", n, k, t, serial, sharded, parallel);
-    }
-    // Crash plans make the adversary non-parallel-safe, so the parallel
-    // rows here time the *degrade-to-serial* gate: the row shows what the
-    // knob costs (nothing but the check) when the run cannot fan out.
-    for &(n, k, b) in &crash_grid {
-        let serial = timed(|| run_crash_multi_sharded(n, k, b, b, 1024, false, 13, 1));
-        let sharded =
-            timed(|| run_crash_multi_sharded(n, k, b, b, 1024, false, 13, WORKLOAD_SHARDS));
-        let parallel = timed(|| run_crash_multi_pumped(n, k, b, b, 1024, false, 13, pump_mode));
-        race_row(sink, "crash_multi", n, k, b, serial, sharded, parallel);
-    }
-
     let mut streaming = Table::new(
-        "E-scale-c — streaming source, bounded resident set (crash_multi)",
+        "E-scale-b — streaming source, bounded resident set (crash_multi)",
         &[
             "n bits",
             "k",
@@ -286,7 +183,6 @@ pub fn run_metered(sink: &mut MetricsSink) -> Vec<Table> {
                 0xD0_57_AE,
                 CHUNK_WORDS,
                 MAX_RESIDENT,
-                1,
             )
         });
         let resident_bytes = stats.peak_resident as u64 * (CHUNK_WORDS as u64) * 8;
@@ -312,5 +208,5 @@ pub fn run_metered(sink: &mut MetricsSink) -> Vec<Table> {
         ));
     }
 
-    vec![workloads, race, streaming]
+    vec![workloads, streaming]
 }

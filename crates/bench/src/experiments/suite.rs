@@ -10,9 +10,7 @@
 //!   seeds = 1008 runs (see [`crate::chaos::default_cases`]).
 //!
 //! Each unit runs at plane thread count 1 and, when the machine has
-//! more than one core, at `ncpu` (with the chaos sweep additionally
-//! running its parallel-eligible cases under `PumpMode::parallel(ncpu,
-//! ncpu)`). Every row's label records the *honest*
+//! more than one core, at `ncpu`. Every row's label records the *honest*
 //! `available_parallelism` of the machine that produced it — on a
 //! single-core box the sweep collapses to one thread count and no
 //! speedup is claimed. Timing lives exclusively in `wall_clock_secs`;
@@ -27,7 +25,6 @@ use crate::metrics::{
     set_trials, trials, ExperimentParams, ExperimentRecord, Measured, MetricsSink,
 };
 use crate::par;
-use crate::runners::PumpMode;
 use crate::table::{f, Table};
 use std::time::Instant;
 
@@ -107,12 +104,7 @@ pub fn run_metered(sink: &mut MetricsSink) -> Vec<Table> {
         run_paper_experiments();
         let exp_secs = started.elapsed().as_secs_f64();
 
-        let mut campaign = Campaign::new(chaos_runs_per_case, CHAOS_SEED);
-        campaign.pump = if t > 1 {
-            PumpMode::parallel(t, t)
-        } else {
-            PumpMode::serial()
-        };
+        let campaign = Campaign::new(chaos_runs_per_case, CHAOS_SEED);
         let chaos_runs = campaign.cases.len() * chaos_runs_per_case as usize;
         let started = Instant::now();
         let report = run_campaign(&campaign);

@@ -17,7 +17,6 @@ pub mod par;
 pub mod plane;
 pub mod runners;
 pub mod stats;
-pub mod sync;
 pub mod table;
 
 pub use metrics::{ExperimentParams, ExperimentRecord, Measured, MetricsSink};

@@ -1,12 +1,12 @@
 //! The synchronization core of the execution plane, factored out of the
 //! public module so it can be model-checked.
 //!
-//! Everything in here speaks only through the [`crate::sync`] facade —
+//! Everything in here speaks only through the [`dr_core::sync`] facade —
 //! under the `loom-model` feature the mutex, condvar, and completion-queue
 //! operations become loom scheduling points, and `tests/loom_plane.rs`
 //! exhaustively verifies the protocol properties the public docs promise:
-//! no lost wakeups, no double-pop, window-only helpers never steal trials,
-//! and a panicking job never deadlocks its submitter.
+//! no lost wakeups, no double-pop, and a panicking job never deadlocks its
+//! submitter.
 //!
 //! The public `plane` module owns everything process-global (worker
 //! threads, thread-count policy, the `OnceLock` singleton); this core is
@@ -15,22 +15,14 @@
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
-use crate::sync::{Arc, Condvar, Mutex};
+use dr_core::sync::{Arc, Condvar, Mutex};
 
 /// A queued unit of work.
-pub type Job = Box<dyn FnOnce() + Send + 'static>;
+type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// A queued job tagged with its scheduling class.
-pub struct Entry {
-    /// Window (intra-trial) jobs jump the queue; trial jobs wait in line.
-    pub window: bool,
-    /// The work itself.
-    pub job: Job,
-}
-
-/// Two-priority injector state guarded by the core's mutex.
+/// Injector state guarded by the core's mutex.
 struct Injector {
-    entries: VecDeque<Entry>,
+    jobs: VecDeque<Job>,
     /// Once set, workers exit instead of parking (queued jobs still drain
     /// first). Only models and tests shut a core down; the process-global
     /// plane lives forever.
@@ -56,37 +48,24 @@ impl PlaneCore {
     pub fn new() -> Self {
         PlaneCore {
             queue: Mutex::new(Injector {
-                entries: VecDeque::new(),
+                jobs: VecDeque::new(),
                 shutdown: false,
             }),
             work: Condvar::new(),
         }
     }
 
-    /// Enqueues a batch: window jobs at the front (order preserved),
-    /// trial jobs at the back.
-    pub fn push(&self, entries: Vec<Entry>) {
-        // Window jobs jump the queue but keep submission order among
-        // themselves (reversed push_front); trial jobs append in order.
-        let (window, trial): (Vec<Entry>, Vec<Entry>) = entries.into_iter().partition(|e| e.window);
+    /// Enqueues a batch at the back, in order.
+    fn push(&self, jobs: Vec<Job>) {
         let mut q = self.queue.lock().unwrap();
-        for e in window.into_iter().rev() {
-            q.entries.push_front(e);
-        }
-        q.entries.extend(trial);
+        q.jobs.extend(jobs);
         drop(q);
         self.work.notify_all();
     }
 
-    /// Pops the next job, or — with `window_only` — only a front-of-queue
-    /// window job (helpers inside a trial must not recurse into another
-    /// whole trial).
-    pub fn pop(&self, window_only: bool) -> Option<Job> {
-        let mut q = self.queue.lock().unwrap();
-        if window_only && !q.entries.front().is_some_and(|e| e.window) {
-            return None;
-        }
-        q.entries.pop_front().map(|e| e.job)
+    /// Pops the next job.
+    fn pop(&self) -> Option<Job> {
+        self.queue.lock().unwrap().jobs.pop_front()
     }
 
     /// Body of a worker thread: run jobs, park when the queue is empty,
@@ -97,8 +76,8 @@ impl PlaneCore {
             let job = {
                 let mut q = self.queue.lock().unwrap();
                 loop {
-                    if let Some(e) = q.entries.pop_front() {
-                        break e.job;
+                    if let Some(job) = q.jobs.pop_front() {
+                        break job;
                     }
                     if q.shutdown {
                         return;
@@ -121,27 +100,18 @@ impl PlaneCore {
 
     /// Submits `jobs` as one batch and helps until all of them finished,
     /// returning results in index order. This is the submitter side of the
-    /// blocking discipline:
-    ///
-    /// * `window == false` (trial batch): jobs queue at the back and the
-    ///   submitter helps with **anything** poppable, including whole stolen
-    ///   trials — it is a top-level frame.
-    /// * `window == true` (window batch): jobs jump to the front and the
-    ///   submitter helps with **window jobs only** — it sits inside a
-    ///   trial, and popping another whole trial would recurse unboundedly.
-    ///
-    /// The submitter parks on the completion queue only when nothing it may
-    /// run is poppable, which means every unfinished job is running on some
-    /// other thread and will push its completion: no lost wakeups, no
-    /// cycles. A panic inside a job is caught, forwarded as a completion,
-    /// and resumed here on the submitting thread.
+    /// blocking discipline: the submitter helps with anything poppable and
+    /// parks on the completion queue only when the queue is empty, which
+    /// means every unfinished job is running on some other thread and will
+    /// push its completion: no lost wakeups, no cycles. A panic inside a
+    /// job is caught, forwarded as a completion, and resumed here on the
+    /// submitting thread.
     ///
     /// `on_done(index, &result)` fires on the submitting thread in
     /// completion order as each result is collected (the streaming hook).
     pub fn run_batch<T, C>(
         &self,
         jobs: Vec<Box<dyn FnOnce() -> T + Send + 'static>>,
-        window: bool,
         mut on_done: C,
     ) -> Vec<T>
     where
@@ -150,28 +120,24 @@ impl PlaneCore {
     {
         let count = jobs.len();
         let done: Arc<CompletionQueue<T>> = Arc::new(CompletionQueue::new());
-        let entries = jobs
+        let wrapped = jobs
             .into_iter()
             .enumerate()
-            .map(|(i, job)| {
+            .map(|(i, job)| -> Job {
                 let done = Arc::clone(&done);
-                let wrapped: Job = Box::new(move || {
+                Box::new(move || {
                     let out = catch_unwind(AssertUnwindSafe(job));
                     done.push(i, out);
-                });
-                Entry {
-                    window,
-                    job: wrapped,
-                }
+                })
             })
             .collect();
-        self.push(entries);
+        self.push(wrapped);
 
         let mut slots: Vec<Option<T>> = (0..count).map(|_| None).collect();
         let mut received = 0usize;
         while received < count {
-            // Help while anything this frame may run is poppable.
-            while let Some(job) = self.pop(window) {
+            // Help while anything is poppable.
+            while let Some(job) = self.pop() {
                 job();
                 while let Some((i, out)) = done.try_pop() {
                     received += 1;

@@ -1,38 +1,19 @@
-//! The unified work-stealing execution plane.
+//! The work-stealing execution plane.
 //!
-//! One process-wide pool schedules **both** levels of bench parallelism:
-//!
-//! * **trial jobs** — whole simulation runs fanned out by
-//!   [`run_indexed`] (experiment trials, chaos campaign runs), and
-//! * **window jobs** — intra-trial per-shard lane tasks submitted by the
-//!   simulator through [`PlaneExecutor`] (see
-//!   [`dr_sim::WindowExecutor`]).
-//!
-//! Both kinds share a single two-priority deque: window jobs enter at
-//! the **front**, trial jobs at the **back**. A worker that finishes a
-//! trial therefore steals pending lane work from still-running trials
-//! before starting the next trial, and lane work never starves behind a
-//! long backlog of queued trials.
+//! One process-wide pool schedules the bench's **trial jobs** — whole
+//! simulation runs fanned out by [`run_indexed`] (experiment trials,
+//! chaos campaign runs) — through a single FIFO deque.
 //!
 //! # Blocking discipline (deadlock freedom)
 //!
-//! Submitters never park while work they could run sits in the queue —
-//! they *help*:
-//!
-//! * a [`run_indexed`] caller pops **anything** (it is a top-level
-//!   frame; running a stolen trial merely nests a bounded trial→window
-//!   DAG),
-//! * a [`PlaneExecutor::run_jobs`] caller pops **window jobs only** — it
-//!   sits inside a trial, and popping another whole trial there would
-//!   recurse unboundedly.
-//!
-//! A submitter parks (on its batch's completion queue) only when none of
-//! its jobs are poppable, which means every unfinished job is *running*
-//! on some other thread and will signal completion; hence no lost
-//! wakeups and no cycles. Jobs themselves never block on other jobs.
+//! A [`run_indexed`] caller never parks while work sits in the queue —
+//! it *helps*, popping anything. It parks (on its batch's completion
+//! queue) only when the queue is empty, which means every unfinished job
+//! is *running* on some other thread and will signal completion; hence no
+//! lost wakeups and no cycles. Jobs themselves never block on other jobs.
 //!
 //! These claims are not just argued here: the protocol lives in
-//! [`core::PlaneCore`], built on the [`crate::sync`] facade, and
+//! [`core::PlaneCore`], built on the [`dr_core::sync`] facade, and
 //! `tests/loom_plane.rs` model-checks them exhaustively under the
 //! `loom-model` feature (every interleaving of push/pop/park/wakeup/
 //! panic-forwarding on small batches).
@@ -45,11 +26,9 @@
 //! # Determinism
 //!
 //! The plane schedules; it never reorders results. [`run_indexed`]
-//! returns results in index order regardless of completion order, and
-//! window jobs only ever carry the simulator's pass-1 lane work, whose
-//! bit-identity argument lives in `dr_sim`'s lane module. Thread count
-//! (including 1, which runs everything inline) never changes any
-//! reported value.
+//! returns results in index order regardless of completion order, so
+//! thread count (including 1, which runs everything inline) never
+//! changes any reported value.
 
 // Model tests need to instantiate fresh cores; normal builds keep the
 // synchronization internals private to the plane.
@@ -64,8 +43,6 @@ pub(crate) mod core;
 // data — they are monotonic config/bookkeeping cells (DESIGN.md §4).
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
-
-use dr_sim::WindowExecutor;
 
 use self::core::PlaneCore;
 
@@ -190,47 +167,7 @@ where
             job
         })
         .collect();
-    p.core.run_batch(jobs, false, |i, v| on_done(i, v))
-}
-
-/// [`dr_sim::WindowExecutor`] backed by the plane: lane jobs are pushed
-/// to the front of the shared queue and the calling thread helps run
-/// window work until its own batch completes.
-///
-/// `threads` is the desired *window-level* parallelism, independent of
-/// the trial-level [`thread_count`] (a `--pump-threads 4` run must fan
-/// its lanes out even when trials are serial). At `threads <= 1` the
-/// batch runs inline on the caller.
-#[derive(Debug, Clone, Copy)]
-pub struct PlaneExecutor {
-    threads: usize,
-}
-
-impl PlaneExecutor {
-    /// An executor fanning window jobs over `threads` threads (the
-    /// caller counts as one).
-    pub fn new(threads: usize) -> Self {
-        PlaneExecutor { threads }
-    }
-
-    /// The configured window-level thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-}
-
-impl WindowExecutor for PlaneExecutor {
-    fn run_jobs(&self, jobs: Vec<Box<dyn FnOnce() + Send>>) {
-        if self.threads <= 1 || jobs.len() <= 1 {
-            for job in jobs {
-                job();
-            }
-            return;
-        }
-        let p = plane();
-        p.ensure_workers(self.threads - 1);
-        p.core.run_batch(jobs, true, |_, _| ());
-    }
+    p.core.run_batch(jobs, on_done)
 }
 
 #[cfg(test)]
@@ -274,68 +211,6 @@ mod tests {
         set_threads(0);
         assert_eq!(got, (0..20).collect::<Vec<_>>());
         assert_eq!(seen, vec![1; 20]);
-    }
-
-    #[test]
-    fn executor_runs_every_job() {
-        use std::sync::atomic::AtomicU32;
-        let hits = Arc::new(AtomicU32::new(0));
-        let ex = PlaneExecutor::new(3);
-        let jobs: Vec<Box<dyn FnOnce() + Send>> = (0..16)
-            .map(|_| {
-                let hits = Arc::clone(&hits);
-                let job: Box<dyn FnOnce() + Send> = Box::new(move || {
-                    // dr-lint: allow(atomic-ordering): test counter, read only after the batch barrier
-                    hits.fetch_add(1, Ordering::Relaxed);
-                });
-                job
-            })
-            .collect();
-        ex.run_jobs(jobs);
-        // dr-lint: allow(atomic-ordering): test counter, read only after the batch barrier
-        assert_eq!(hits.load(Ordering::Relaxed), 16);
-    }
-
-    #[test]
-    fn executor_single_thread_is_inline() {
-        let ex = PlaneExecutor::new(1);
-        let mut ran = false;
-        // A non-Send-hostile check: inline execution happens on this
-        // thread, so a borrowed flag would not even compile if jobs were
-        // shipped to workers; use a channel to stay within 'static.
-        let (tx, rx) = crossbeam::channel::unbounded();
-        ex.run_jobs(vec![Box::new(move || tx.send(()).unwrap())]);
-        if rx.try_recv().is_ok() {
-            ran = true;
-        }
-        assert!(ran);
-    }
-
-    #[test]
-    fn trials_and_window_jobs_share_the_plane() {
-        // Trials that each fan out window jobs: exercises the nested
-        // help path (window submitters inside trial jobs).
-        set_threads(4);
-        let got = run_indexed(8, |t| {
-            let ex = PlaneExecutor::new(2);
-            let sum = Arc::new(AtomicUsize::new(0));
-            let jobs: Vec<Box<dyn FnOnce() + Send>> = (0..4)
-                .map(|j| {
-                    let sum = Arc::clone(&sum);
-                    let job: Box<dyn FnOnce() + Send> = Box::new(move || {
-                        // dr-lint: allow(atomic-ordering): test counter, read only after the batch barrier
-                        sum.fetch_add(t * 10 + j, Ordering::Relaxed);
-                    });
-                    job
-                })
-                .collect();
-            ex.run_jobs(jobs);
-            // dr-lint: allow(atomic-ordering): test counter, read only after the batch barrier
-            sum.load(Ordering::Relaxed)
-        });
-        set_threads(0);
-        let want: Vec<usize> = (0..8).map(|t| 4 * (t * 10) + 6).collect();
-        assert_eq!(got, want);
     }
 
     #[test]

@@ -24,57 +24,6 @@ pub enum ByzMix {
     Colluders,
 }
 
-/// Event-pump configuration for a runner: shard count plus the
-/// window-level pump thread count.
-///
-/// With `threads > 1` the run attaches the shared execution plane
-/// ([`crate::plane::PlaneExecutor`]) as its window executor and lowers
-/// the parallel-window threshold to 2, so causally-closed windows
-/// actually fan out. Whether a window *may* run in parallel is still
-/// gated inside the simulator (shards > 1, no trace, adversary
-/// parallel-safe); every combination yields bit-identical reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PumpMode {
-    /// Event-pump shard count (1 = the serial pump).
-    pub shards: usize,
-    /// Window-level pump threads (1 = serial dispatch).
-    pub threads: usize,
-}
-
-impl PumpMode {
-    /// The classic serial pump.
-    pub fn serial() -> Self {
-        PumpMode {
-            shards: 1,
-            threads: 1,
-        }
-    }
-
-    /// Sharded pump with serial dispatch.
-    pub fn sharded(shards: usize) -> Self {
-        PumpMode { shards, threads: 1 }
-    }
-
-    /// Sharded pump with parallel window dispatch on the plane.
-    pub fn parallel(shards: usize, threads: usize) -> Self {
-        PumpMode { shards, threads }
-    }
-
-    /// Applies this mode to a builder.
-    pub fn apply<M: dr_core::ProtocolMessage>(&self, builder: SimBuilder<M>) -> SimBuilder<M> {
-        let builder = builder.shards(self.shards);
-        if self.threads > 1 {
-            builder
-                .pump_executor(std::sync::Arc::new(crate::plane::PlaneExecutor::new(
-                    self.threads,
-                )))
-                .parallel_window_min(2)
-        } else {
-            builder
-        }
-    }
-}
-
 /// Builds crash-fault parameters.
 pub fn crash_params(n: usize, k: usize, b: usize, msg_bits: usize) -> ModelParams {
     ModelParams::builder(n, k)
@@ -134,53 +83,10 @@ pub fn run_crash_multi(
     early_release: bool,
     seed: u64,
 ) -> RunReport {
-    run_crash_multi_sharded(n, k, b, crashes, msg_bits, early_release, seed, 1)
-}
-
-/// [`run_crash_multi`] on the sharded event pump; `shards = 1` is the
-/// serial pump, and every shard count yields the same fingerprint.
-#[allow(clippy::too_many_arguments)]
-pub fn run_crash_multi_sharded(
-    n: usize,
-    k: usize,
-    b: usize,
-    crashes: usize,
-    msg_bits: usize,
-    early_release: bool,
-    seed: u64,
-    shards: usize,
-) -> RunReport {
-    run_crash_multi_pumped(
-        n,
-        k,
-        b,
-        crashes,
-        msg_bits,
-        early_release,
-        seed,
-        PumpMode::sharded(shards),
-    )
-}
-
-/// [`run_crash_multi`] under an arbitrary [`PumpMode`]. Every
-/// (shards, threads) combination yields the same fingerprint; with
-/// crashes planned the adversary is not parallel-safe, so dispatch
-/// degrades to serial automatically.
-#[allow(clippy::too_many_arguments)]
-pub fn run_crash_multi_pumped(
-    n: usize,
-    k: usize,
-    b: usize,
-    crashes: usize,
-    msg_bits: usize,
-    early_release: bool,
-    seed: u64,
-    pump: PumpMode,
-) -> RunReport {
     assert!(crashes <= b);
     let victims: Vec<PeerId> = (0..crashes).map(PeerId).collect();
     let plan = CrashPlan::before_event(victims, 1 + seed % 3);
-    let builder = SimBuilder::new(crash_params(n, k, b, msg_bits))
+    let sim = SimBuilder::new(crash_params(n, k, b, msg_bits))
         .seed(seed)
         .protocol(move |_| {
             let p = CrashMultiDownload::new(n, k, b);
@@ -190,8 +96,9 @@ pub fn run_crash_multi_pumped(
                 p
             }
         })
-        .adversary(StandardAdversary::new(UniformDelay::new(), plan));
-    verified(pump.apply(builder).build())
+        .adversary(StandardAdversary::new(UniformDelay::new(), plan))
+        .build();
+    verified(sim)
 }
 
 /// Algorithm 2 against a streaming [`ChunkedSource`] — the source is
@@ -211,7 +118,6 @@ pub fn run_crash_multi_streaming(
     source_seed: u64,
     chunk_words: usize,
     max_resident: usize,
-    shards: usize,
 ) -> (RunReport, dr_core::ChunkStats) {
     assert!(crashes <= b);
     let source = std::sync::Arc::new(dr_core::ChunkedSource::with_geometry(
@@ -224,7 +130,6 @@ pub fn run_crash_multi_streaming(
     let plan = CrashPlan::before_event(victims, 1 + seed % 3);
     let sim = SimBuilder::new(crash_params(n, k, b, msg_bits))
         .seed(seed)
-        .shards(shards)
         .streaming_source(source.clone())
         .protocol(move |_| CrashMultiDownload::new(n, k, b))
         .adversary(StandardAdversary::new(UniformDelay::new(), plan))
@@ -248,38 +153,10 @@ pub fn run_crash_multi_streaming(
 /// Deterministic committee protocol with `silent` of the `t` Byzantine
 /// peers instantiated as silent.
 pub fn run_committee(n: usize, k: usize, t: usize, silent: usize, seed: u64) -> RunReport {
-    run_committee_sharded(n, k, t, silent, seed, 1)
-}
-
-/// [`run_committee`] on the sharded event pump; `shards = 1` is the
-/// serial pump, and every shard count yields the same fingerprint.
-pub fn run_committee_sharded(
-    n: usize,
-    k: usize,
-    t: usize,
-    silent: usize,
-    seed: u64,
-    shards: usize,
-) -> RunReport {
-    run_committee_pumped(n, k, t, silent, seed, PumpMode::sharded(shards))
-}
-
-/// [`run_committee`] under an arbitrary [`PumpMode`]; every
-/// (shards, threads) combination yields the same fingerprint.
-pub fn run_committee_pumped(
-    n: usize,
-    k: usize,
-    t: usize,
-    silent: usize,
-    seed: u64,
-    pump: PumpMode,
-) -> RunReport {
     assert!(silent <= t);
-    let mut builder = pump.apply(
-        SimBuilder::new(byz_params(n, k, t))
-            .seed(seed)
-            .protocol(move |_| CommitteeDownload::new(n, k, t)),
-    );
+    let mut builder = SimBuilder::new(byz_params(n, k, t))
+        .seed(seed)
+        .protocol(move |_| CommitteeDownload::new(n, k, t));
     for i in 0..silent {
         builder = builder.byzantine(PeerId(i), SilentAgent::new());
     }
@@ -340,24 +217,9 @@ pub fn two_cycle_segmentation(n: usize, k: usize, b: usize) -> Option<(Segmentat
 
 /// 2-cycle randomized protocol run under a Byzantine mix.
 pub fn run_two_cycle(n: usize, k: usize, b: usize, mix: ByzMix, seed: u64) -> RunReport {
-    run_two_cycle_pumped(n, k, b, mix, seed, PumpMode::serial())
-}
-
-/// [`run_two_cycle`] under an arbitrary [`PumpMode`]; every
-/// (shards, threads) combination yields the same fingerprint.
-pub fn run_two_cycle_pumped(
-    n: usize,
-    k: usize,
-    b: usize,
-    mix: ByzMix,
-    seed: u64,
-    pump: PumpMode,
-) -> RunReport {
-    let builder = pump.apply(
-        SimBuilder::new(byz_params(n, k, b))
-            .seed(seed)
-            .protocol(move |_| TwoCycleDownload::new(n, k, b)),
-    );
+    let builder = SimBuilder::new(byz_params(n, k, b))
+        .seed(seed)
+        .protocol(move |_| TwoCycleDownload::new(n, k, b));
     let builder = match two_cycle_segmentation(n, k, b) {
         // Colluders form groups of τ consecutive IDs sharing one target
         // segment and one fake string, so each group crosses the
@@ -472,20 +334,10 @@ mod tests {
     }
 
     #[test]
-    fn sharded_runners_match_serial_fingerprints() {
-        let serial = run_committee(48, 7, 2, 2, 4);
-        let sharded = run_committee_sharded(48, 7, 2, 2, 4, 3);
-        assert_eq!(serial.fingerprint(), sharded.fingerprint());
-        let serial = run_crash_multi(128, 8, 4, 3, 1024, false, 3);
-        let sharded = run_crash_multi_sharded(128, 8, 4, 3, 1024, false, 3, 5);
-        assert_eq!(serial.fingerprint(), sharded.fingerprint());
-    }
-
-    #[test]
     fn streaming_runner_verifies_and_stays_bounded() {
         // 16 chunks of 256 bits with a 4-chunk cache: plenty of eviction
         // and regeneration traffic on the way to a verified download.
-        let (report, stats) = run_crash_multi_streaming(4096, 8, 2, 2, 1024, 3, 99, 4, 4, 2);
+        let (report, stats) = run_crash_multi_streaming(4096, 8, 2, 2, 1024, 3, 99, 4, 4);
         assert!(stats.peak_resident <= 4);
         assert!(stats.evicted > 0, "cache never cycled: {stats:?}");
         assert!(report.events > 0);

@@ -11,8 +11,6 @@
 //!   up as a deadlock, which the checker reports);
 //! * no double-pop / lost jobs — every submitted job runs exactly once and
 //!   results land in index order;
-//! * window-only helpers never steal trial jobs — the in-trial blocking
-//!   discipline that keeps trial nesting bounded;
 //! * a panicking job is forwarded to its submitter and never deadlocks
 //!   waiters or workers.
 //!
@@ -21,8 +19,8 @@
 //! coverage.
 #![cfg(feature = "loom-model")]
 
-use dr_bench::plane::core::{Entry, PlaneCore};
-use loom::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use dr_bench::plane::core::PlaneCore;
+use loom::sync::atomic::{AtomicUsize, Ordering};
 use loom::sync::Arc;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -47,7 +45,7 @@ fn worker_and_submitter_run_every_job_exactly_once() {
                 job
             })
             .collect();
-        let out = core.run_batch(jobs, false, |_, _| ());
+        let out = core.run_batch(jobs, |_, _| ());
         // Index order regardless of which thread ran which job; a lost or
         // double-popped job would break one of these on some schedule.
         assert_eq!(out, vec![0, 1]);
@@ -71,80 +69,9 @@ fn submitter_alone_helps_its_batch_to_completion() {
             })
             .collect();
         let mut completion_order = Vec::new();
-        let out = core.run_batch(jobs, false, |i, _| completion_order.push(i));
+        let out = core.run_batch(jobs, |i, _| completion_order.push(i));
         assert_eq!(out, vec![0, 1, 4]);
         assert_eq!(completion_order, vec![0, 1, 2]);
-    });
-}
-
-#[test]
-fn window_helper_never_steals_a_queued_trial() {
-    // A trial job sits in the queue while a window batch runs with no
-    // workers: the window submitter must help *around* it (window jobs
-    // jump the queue) and must never pop the trial — popping a whole trial
-    // from inside a trial is the unbounded-recursion case the blocking
-    // discipline forbids.
-    loom::model(|| {
-        let core = PlaneCore::new();
-        let trial_ran = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&trial_ran);
-        core.push(vec![Entry {
-            window: false,
-            job: Box::new(move || flag.store(true, Ordering::SeqCst)),
-        }]);
-        let window_ran = Arc::new(AtomicUsize::new(0));
-        let jobs: Vec<TrialJob> = (0..2)
-            .map(|i| {
-                let window_ran = Arc::clone(&window_ran);
-                let job: TrialJob = Box::new(move || {
-                    window_ran.fetch_add(1, Ordering::SeqCst);
-                    i
-                });
-                job
-            })
-            .collect();
-        let out = core.run_batch(jobs, true, |_, _| ());
-        assert_eq!(out, vec![0, 1]);
-        assert_eq!(window_ran.load(Ordering::SeqCst), 2);
-        assert!(
-            !trial_ran.load(Ordering::SeqCst),
-            "window-only helper popped a trial job"
-        );
-        // The trial is still there for a top-level frame to run.
-        let job = core.pop(false).expect("trial job must still be queued");
-        job();
-        assert!(trial_ran.load(Ordering::SeqCst));
-        assert!(core.pop(false).is_none());
-    });
-}
-
-#[test]
-fn window_batch_with_worker_completes_on_every_schedule() {
-    // Worker and in-trial submitter race over front-of-queue window jobs;
-    // the batch must complete (each job exactly once) no matter who wins
-    // which pop, and the worker must park/wake correctly around it.
-    loom::model(|| {
-        let core = Arc::new(PlaneCore::new());
-        let ran = Arc::new(AtomicUsize::new(0));
-        let worker = {
-            let core = Arc::clone(&core);
-            loom::thread::spawn(move || core.worker_loop())
-        };
-        let jobs: Vec<TrialJob> = (0..2)
-            .map(|i| {
-                let ran = Arc::clone(&ran);
-                let job: TrialJob = Box::new(move || {
-                    ran.fetch_add(1, Ordering::SeqCst);
-                    i
-                });
-                job
-            })
-            .collect();
-        let out = core.run_batch(jobs, true, |_, _| ());
-        assert_eq!(out, vec![0, 1]);
-        assert_eq!(ran.load(Ordering::SeqCst), 2);
-        core.shutdown();
-        worker.join().unwrap();
     });
 }
 
@@ -162,7 +89,7 @@ fn panicking_job_reaches_the_submitter_and_never_deadlocks() {
             loom::thread::spawn(move || core.worker_loop())
         };
         let jobs: Vec<TrialJob> = vec![Box::new(|| 7), Box::new(|| panic!("job boom"))];
-        let result = catch_unwind(AssertUnwindSafe(|| core.run_batch(jobs, false, |_, _| ())));
+        let result = catch_unwind(AssertUnwindSafe(|| core.run_batch(jobs, |_, _| ())));
         let payload = result.expect_err("the panic must be forwarded");
         let msg = payload
             .downcast_ref::<&str>()

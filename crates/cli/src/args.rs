@@ -1,14 +1,13 @@
 //! Minimal `--key value` argument parsing (no external dependencies).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Parsed command line: a subcommand plus `--key value` options.
 #[derive(Debug, Clone)]
 pub struct Args {
     /// The subcommand (first positional argument).
     pub command: String,
-    // dr-lint: allow(unordered-collections): tooling tier; looked up by key, never iterated, and duplicates are rejected at parse time
-    options: HashMap<String, String>,
+    options: BTreeMap<String, String>,
 }
 
 /// A parse or validation failure, printed to stderr with usage.
@@ -32,7 +31,7 @@ impl Args {
         let command = it
             .next()
             .ok_or_else(|| ArgError("missing subcommand".into()))?;
-        let mut options = HashMap::new();
+        let mut options = BTreeMap::new();
         while let Some(key) = it.next() {
             let Some(name) = key.strip_prefix("--") else {
                 return Err(ArgError(format!("expected --option, got '{key}'")));
@@ -45,6 +44,22 @@ impl Args {
             }
         }
         Ok(Args { command, options })
+    }
+
+    /// Rejects any option not in `known` — a typo such as `--sed 9` would
+    /// otherwise run with the default it meant to override.
+    ///
+    /// # Errors
+    ///
+    /// Fails naming the first unknown option (in name order).
+    pub fn reject_unknown(&self, known: &[&str]) -> Result<(), ArgError> {
+        match self.options.keys().find(|k| !known.contains(&k.as_str())) {
+            None => Ok(()),
+            Some(name) => Err(ArgError(format!(
+                "unknown option --{name} for '{}'",
+                self.command
+            ))),
+        }
     }
 
     /// Returns a string option.
@@ -116,6 +131,14 @@ mod tests {
         assert!(err.0.contains("more than once"), "{err}");
         // Same flag twice with the same value is still ambiguous intent.
         assert!(parse("run --n 8 --n 8").is_err());
+    }
+
+    #[test]
+    fn rejects_options_the_subcommand_does_not_know() {
+        let a = parse("run --n 8 --sed 9 --bogus 1").unwrap();
+        assert!(a.reject_unknown(&["n", "sed", "bogus"]).is_ok());
+        let err = a.reject_unknown(&["n", "seed"]).unwrap_err();
+        assert_eq!(err.0, "unknown option --bogus for 'run'");
     }
 
     #[test]

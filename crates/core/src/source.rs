@@ -174,7 +174,7 @@ impl QueryMeter {
     /// Creates a meter for `num_peers` peers, counting only.
     pub fn new(num_peers: usize) -> Self {
         QueryMeter {
-            // dr-lint: allow(sync-primitive-outside-facade): per-peer counters shared across shard jobs; the fold protocol over them is modelled by dr-sim's loom_fold suite at the slots layer
+            // dr-lint: allow(sync-primitive-outside-facade): independent per-peer counters shared by the threaded runtime's peer threads; no protocol is built on them
             counts: (0..num_peers).map(|_| AtomicU64::new(0)).collect(),
             index_log: None,
         }
@@ -185,7 +185,7 @@ impl QueryMeter {
     /// target peer never queried).
     pub fn with_index_tracking(num_peers: usize) -> Self {
         QueryMeter {
-            // dr-lint: allow(sync-primitive-outside-facade): same counters as `new`, covered by the loom_fold suite
+            // dr-lint: allow(sync-primitive-outside-facade): same counters as `new`
             counts: (0..num_peers).map(|_| AtomicU64::new(0)).collect(),
             // dr-lint: allow(sync-primitive-outside-facade): parking_lot index log; appended under lock, read only after the run
             index_log: Some((0..num_peers).map(|_| Mutex::new(Vec::new())).collect()),
@@ -255,121 +255,102 @@ impl QueryMeter {
             .map(|log| log[peer.index()].lock().clone())
     }
 
-    /// Creates an empty [`MeterDelta`] for the peers shard `shard` of
-    /// `num_shards` owns (`peer % num_shards == shard`), with index
+    /// Creates an empty [`MeterDelta`] over this meter's peers, with index
     /// buffering matching this meter's tracking mode.
-    pub fn delta(&self, shard: usize, num_shards: usize) -> MeterDelta {
-        assert!(shard < num_shards, "shard {shard} out of {num_shards}");
+    pub fn delta(&self) -> MeterDelta {
         let k = self.counts.len();
-        // Shards past the peer count (oversharding) own no peers.
-        let locals = if shard < k {
-            (k - shard).div_ceil(num_shards)
-        } else {
-            0
-        };
         MeterDelta {
-            shard,
-            num_shards,
-            counts: vec![0; locals],
+            counts: vec![0; k],
             indices: self
                 .index_log
                 .as_ref()
-                .map(|_| (0..locals).map(|_| Vec::new()).collect()),
+                .map(|_| (0..k).map(|_| Vec::new()).collect()),
             dirty: Vec::new(),
-            in_dirty: vec![false; locals],
+            in_dirty: vec![false; k],
         }
     }
 
-    /// Merges (and clears) a shard's buffered counts and index logs into
+    /// Merges (and clears) a delta's buffered counts and index logs into
     /// this meter: one atomic add per peer the delta touched since the
     /// last fold, instead of one per query.
     ///
     /// Per-peer index logs keep the exact order the peer issued its
-    /// queries in, because each peer's queries are buffered by exactly
-    /// one delta and appended contiguously here.
+    /// queries in, because the delta buffers them in that order and they
+    /// are appended contiguously here.
     pub fn fold(&self, delta: &mut MeterDelta) {
         debug_assert_eq!(
             self.index_log.is_some(),
             delta.indices.is_some(),
             "meter/delta tracking modes diverged"
         );
-        for l in delta.dirty.drain(..) {
-            let l = l as usize;
-            delta.in_dirty[l] = false;
-            let peer = l * delta.num_shards + delta.shard;
-            // dr-lint: allow(atomic-ordering): fold runs on the window coordinator after the executor barrier; the delta values are already synchronized by the join
-            self.counts[peer].fetch_add(delta.counts[l], Ordering::Relaxed);
-            delta.counts[l] = 0;
+        for p in delta.dirty.drain(..) {
+            let p = p as usize;
+            delta.in_dirty[p] = false;
+            // dr-lint: allow(atomic-ordering): same counter discipline as `record`; the delta is owned by the folding thread
+            self.counts[p].fetch_add(delta.counts[p], Ordering::Relaxed);
+            delta.counts[p] = 0;
             if let (Some(log), Some(buf)) = (&self.index_log, &mut delta.indices) {
-                log[peer].lock().append(&mut buf[l]);
+                log[p].lock().append(&mut buf[p]);
             }
         }
     }
 }
 
-/// Shard-local query-count buffer: the lock-free, allocation-reusing
-/// stand-in for [`QueryMeter`] on the simulator's dispatch hot path.
+/// Query-count buffer: the lock-free, allocation-reusing stand-in for
+/// [`QueryMeter`] on the simulator's dispatch hot path.
 ///
-/// Each simulation shard records its peers' queries into plain `u64`
-/// counters (plus index buffers when tracking is on) and merges them
-/// into the shared meter with [`QueryMeter::fold`] at the window
-/// barrier — one atomic add per active peer per window instead of one
-/// per query, and no atomic traffic at all from within a window.
+/// The simulator records a step's queries into plain `u64` counters (plus
+/// index buffers when tracking is on) and merges them into the shared
+/// meter with [`QueryMeter::fold`] once the step ends — one atomic add per
+/// step instead of one per query.
 #[derive(Debug)]
 pub struct MeterDelta {
-    shard: usize,
-    num_shards: usize,
-    /// Buffered counts, indexed by local slot `peer / num_shards`.
+    /// Buffered counts, indexed by peer.
     counts: Vec<u64>,
-    /// Buffered query indices per local slot (tracking mode only).
+    /// Buffered query indices per peer (tracking mode only).
     indices: Option<Vec<Vec<usize>>>,
-    /// Local slots touched since the last fold.
+    /// Peers touched since the last fold.
     dirty: Vec<u32>,
     in_dirty: Vec<bool>,
 }
 
 impl MeterDelta {
-    fn local_of(&self, peer: PeerId) -> usize {
-        debug_assert_eq!(peer.index() % self.num_shards, self.shard);
-        peer.index() / self.num_shards
-    }
-
-    fn touch(&mut self, l: usize) {
-        if !self.in_dirty[l] {
-            self.in_dirty[l] = true;
-            self.dirty.push(l as u32);
+    /// Marks `peer` as touched since the last fold and returns its index.
+    fn touch(&mut self, peer: PeerId) -> usize {
+        let p = peer.index();
+        if !self.in_dirty[p] {
+            self.in_dirty[p] = true;
+            self.dirty.push(p as u32);
         }
+        p
     }
 
-    /// Buffers one query by `peer` (must belong to this delta's shard).
+    /// Buffers one query by `peer`.
     pub fn record(&mut self, peer: PeerId, index: usize) {
-        let l = self.local_of(peer);
-        self.touch(l);
-        self.counts[l] += 1;
+        let p = self.touch(peer);
+        self.counts[p] += 1;
         if let Some(buf) = &mut self.indices {
-            buf[l].push(index);
+            buf[p].push(index);
         }
     }
 
     /// Buffers a range query by `peer`, charging one query per bit —
     /// identical accounting to [`QueryMeter::record_range`].
     pub fn record_range(&mut self, peer: PeerId, range: Range<usize>) {
-        let l = self.local_of(peer);
-        self.touch(l);
-        self.counts[l] += range.len() as u64;
+        let p = self.touch(peer);
+        self.counts[p] += range.len() as u64;
         if let Some(buf) = &mut self.indices {
-            buf[l].extend(range);
+            buf[p].extend(range);
         }
     }
 
     /// Buffers a masked query by `peer`, charging one query per set bit —
     /// identical accounting to [`QueryMeter::record_masked`].
     pub fn record_masked(&mut self, peer: PeerId, mask: &BitArray) {
-        let l = self.local_of(peer);
-        self.touch(l);
-        self.counts[l] += mask.count_ones() as u64;
+        let p = self.touch(peer);
+        self.counts[p] += mask.count_ones() as u64;
         if let Some(buf) = &mut self.indices {
-            buf[l].extend(mask.ones());
+            buf[p].extend(mask.ones());
         }
     }
 
@@ -557,35 +538,33 @@ mod tests {
 
     #[test]
     fn delta_folds_match_direct_metering() {
-        // Two meters, one fed directly and one through per-shard deltas,
-        // must agree on counts and per-peer index logs.
+        // Two meters, one fed directly and one through a delta, must
+        // agree on counts and per-peer index logs.
         let direct = QueryMeter::with_index_tracking(5);
-        let deltas_target = QueryMeter::with_index_tracking(5);
-        let mut deltas: Vec<MeterDelta> = (0..2).map(|s| deltas_target.delta(s, 2)).collect();
+        let folded = QueryMeter::with_index_tracking(5);
+        let mut delta = folded.delta();
         let queries: [(usize, usize); 5] = [(0, 3), (1, 7), (2, 1), (0, 2), (3, 9)];
         for (p, i) in queries {
             direct.record(PeerId(p), i);
-            deltas[p % 2].record(PeerId(p), i);
+            delta.record(PeerId(p), i);
         }
         direct.record_range(PeerId(4), 2..6);
-        deltas[0].record_range(PeerId(4), 2..6);
-        for d in &mut deltas {
-            deltas_target.fold(d);
-            assert!(d.is_empty());
-        }
-        assert_eq!(direct.counts(), deltas_target.counts());
+        delta.record_range(PeerId(4), 2..6);
+        folded.fold(&mut delta);
+        assert!(delta.is_empty());
+        assert_eq!(direct.counts(), folded.counts());
         for p in 0..5 {
             assert_eq!(
                 direct.indices(PeerId(p)),
-                deltas_target.indices(PeerId(p)),
+                folded.indices(PeerId(p)),
                 "peer {p}"
             );
         }
         // A reused delta keeps folding correctly.
-        deltas[1].record(PeerId(1), 4);
-        deltas_target.fold(&mut deltas[1]);
+        delta.record(PeerId(1), 4);
+        folded.fold(&mut delta);
         direct.record(PeerId(1), 4);
-        assert_eq!(direct.counts(), deltas_target.counts());
+        assert_eq!(direct.counts(), folded.counts());
     }
 
     #[test]

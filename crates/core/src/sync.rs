@@ -1,18 +1,20 @@
-//! Synchronization facade for the query admission plane.
+//! The workspace's synchronization facade.
 //!
-//! The single-flight coalescing protocol in [`crate::cached`] is the only
-//! blocking cross-thread protocol this crate owns: concurrent cache misses
-//! elect a leader that fetches from the upstream source while followers
-//! park on a condvar. Its primitives are constructed through this module —
-//! `std::sync` by default, the vendored `loom` model checker under the
-//! `loom-model` feature (std-equivalent outside `loom::model`) — so
-//! `tests/loom_admission.rs` can exhaustively interleave the
-//! claim/fetch/fill/notify protocol, including leader panics, without a
-//! second copy of the code.
+//! Two blocking cross-thread protocols are model-checked, and both
+//! construct their primitives through this module — `std::sync` by
+//! default, the vendored `loom` model checker under the `loom-model`
+//! feature (std-equivalent outside `loom::model`):
+//!
+//! * the single-flight coalescing protocol in `cached.rs`
+//!   (concurrent cache misses elect a leader that fetches from the
+//!   upstream source while followers park on a condvar), interleaved
+//!   exhaustively — leader panics included — by
+//!   `tests/loom_admission.rs`;
+//! * `dr-bench`'s execution plane (`plane/core.rs`: injector, worker
+//!   parking, completion queue), interleaved by its `tests/loom_plane.rs`.
 //!
 //! The `sync-primitive-outside-facade` lint keys off this file: raw
-//! primitive construction elsewhere in the deterministic tier needs a
-//! justified allow.
+//! primitive construction elsewhere needs a justified allow.
 
 #[cfg(feature = "loom-model")]
 pub use loom::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};

@@ -456,7 +456,7 @@ proptest! {
         }
         prop_assert_eq!(bulk.counts(), per_bit.counts());
         prop_assert_eq!(bulk.indices(PeerId(0)), per_bit.indices(PeerId(0)));
-        let mut delta = bulk.delta(0, 1);
+        let mut delta = bulk.delta();
         delta.record_masked(PeerId(0), &mask);
         bulk.fold(&mut delta);
         prop_assert_eq!(bulk.count(PeerId(0)), 2 * set.len() as u64);

@@ -24,9 +24,9 @@
 //! The deterministic tier is `core`, `sim`, `protocols`, `oracle`; the
 //! tooling tier is `bench`, `cli`, `runtime`, and `lint` itself.
 //!
-//! The three concurrency rules share two carve-outs: the sync facades
-//! (`crates/bench/src/sync.rs`, `crates/sim/src/sync.rs`) and the plane
-//! module are the sanctioned owners of raw primitives, and files driving
+//! The three concurrency rules share two carve-outs: the sync facade
+//! (`crates/core/src/sync.rs`) and the plane module are the sanctioned
+//! owners of raw primitives, and files driving
 //! the vendored `loom` checker are the modelling layer itself. Everywhere
 //! else, an explicit `Ordering::*`, a nested lock guard, or a raw
 //! primitive construction needs an anchored

@@ -58,14 +58,10 @@ fn is_plane_file(file: &str) -> bool {
     file == "crates/bench/src/plane.rs" || file.starts_with("crates/bench/src/plane/")
 }
 
-/// The sync facades: the swap points where `std::sync` becomes `loom::sync`
+/// The sync facade: the swap point where `std::sync` becomes `loom::sync`
 /// under the `loom-model` feature. Primitive re-exports live here by
-/// definition, so the facade-routing rules do not apply to them.
-const FACADE_FILES: &[&str] = &[
-    "crates/bench/src/sync.rs",
-    "crates/core/src/sync.rs",
-    "crates/sim/src/sync.rs",
-];
+/// definition, so the facade-routing rules do not apply to it.
+const FACADE_FILES: &[&str] = &["crates/core/src/sync.rs"];
 
 /// Primitive types whose *construction* the `sync-primitive-outside-facade`
 /// rule polices.
@@ -208,16 +204,13 @@ pub fn check_source(file: &str, source: &str, tier: Tier, is_lib_rs: bool) -> Ve
     let imports_model_checker = tokens
         .windows(3)
         .any(|w| w[0].is_ident("loom") && w[1].is_punct(':') && w[2].is_punct(':'));
-    // Files that construct primitives *through* a sync facade path
-    // (`crate::sync`, `dr_bench::sync`, `dr_core::sync`, `dr_sim::sync`)
-    // are already routed through the swap point the facade rule exists to
+    // Files that construct primitives *through* the sync facade path
+    // (`crate::sync` inside dr-core, `dr_core::sync` elsewhere) are
+    // already routed through the swap point the facade rule exists to
     // enforce.
     let uses_facade_sync = tokens.iter().enumerate().any(|(i, t)| {
         t.is_ident("sync")
-            && (path_prefix_is(tokens, i, "crate")
-                || path_prefix_is(tokens, i, "dr_bench")
-                || path_prefix_is(tokens, i, "dr_core")
-                || path_prefix_is(tokens, i, "dr_sim"))
+            && (path_prefix_is(tokens, i, "crate") || path_prefix_is(tokens, i, "dr_core"))
     });
     let is_facade = FACADE_FILES.contains(&file);
     // `.write()`/`.read()` only mean lock acquisition in files that
@@ -398,11 +391,10 @@ pub fn check_source(file: &str, source: &str, tier: Tier, is_lib_rs: bool) -> Ve
                         "thread::{} creates OS threads outside the execution plane",
                         t.text
                     ),
-                    suggestion:
-                        "schedule onto the shared pool (dr_bench::plane::run_indexed for trials, \
-                         PlaneExecutor for window jobs); a genuinely unpoolable thread needs a \
+                    suggestion: "schedule onto the shared pool (dr_bench::plane::run_indexed); a \
+                         genuinely unpoolable thread needs a \
                          `dr-lint: allow(raw-thread-spawn)` with its reason"
-                            .into(),
+                        .into(),
                 });
             }
             // atomic-ordering: every explicit ordering at a call site is a
@@ -467,7 +459,7 @@ pub fn check_source(file: &str, source: &str, tier: Tier, is_lib_rs: bool) -> Ve
                     rule: RULE_SYNC_OUTSIDE_FACADE,
                     message: format!("raw {name}::new outside the sync facade"),
                     suggestion: format!(
-                        "construct through the crate's sync facade (src/sync.rs) so the \
+                        "construct through the sync facade (dr_core::sync) so the \
                          loom-model feature can swap in the checked primitive, or justify \
                          with `// dr-lint: allow(sync-primitive-outside-facade): <why {name} \
                          cannot be modelled>`"

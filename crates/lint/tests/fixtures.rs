@@ -190,7 +190,7 @@ fn atomic_ordering_fires_at_call_sites_not_imports() {
     assert_eq!(rule_count(&diags, "atomic-ordering"), 3, "{diags:?}");
     // The facade is exempt by path; model-checking files by their
     // `loom::` imports (loom collapses every ordering to SeqCst anyway).
-    let diags = check_source("crates/bench/src/sync.rs", &src, Tier::Tooling, false);
+    let diags = check_source("crates/core/src/sync.rs", &src, Tier::Deterministic, false);
     assert_eq!(rule_count(&diags, "atomic-ordering"), 0, "{diags:?}");
     let model_src = format!("use loom::sync::atomic::Ordering;\n{src}");
     let diags = check_source(
@@ -240,13 +240,13 @@ fn sync_primitive_construction_needs_the_facade() {
         "{diags:?}"
     );
     assert_eq!(diags.len(), 3);
-    // Exempt by path: the plane module and the facades themselves.
+    // Exempt by path: the plane module and the facade itself.
     let diags = check_source("crates/bench/src/plane/core.rs", &src, Tier::Tooling, false);
     assert_eq!(rule_count(&diags, "sync-primitive-outside-facade"), 0);
-    let diags = check_source("crates/sim/src/sync.rs", &src, Tier::Deterministic, false);
+    let diags = check_source("crates/core/src/sync.rs", &src, Tier::Deterministic, false);
     assert_eq!(rule_count(&diags, "sync-primitive-outside-facade"), 0);
-    // Exempt by import: construction routed through a crate's facade.
-    let routed = format!("use crate::sync::Mutex;\n{src}");
+    // Exempt by import: construction routed through the facade.
+    let routed = format!("use dr_core::sync::Mutex;\n{src}");
     let diags = check_source(
         "crates/sim/src/fixture.rs",
         &routed,

@@ -83,12 +83,11 @@ fn verified(sim: dr_sim::Simulation<impl ProtocolMessage>) -> RunReport {
 }
 
 /// Algorithm 1 (single-crash) with peer 1 felled mid-run.
-fn run_crash_single(seed: u64, shards: usize) -> RunReport {
+fn run_crash_single(seed: u64) -> RunReport {
     let (n, k) = (60, 4);
     let plan = CrashPlan::before_event([PeerId(1)], seed % 4);
     let sim = SimBuilder::new(crash_params(n, k, 1))
         .seed(seed)
-        .shards(shards)
         .protocol(move |_| SingleCrashDownload::new(n, k))
         .adversary(StandardAdversary::new(UniformDelay::new(), plan))
         .build();
@@ -96,13 +95,12 @@ fn run_crash_single(seed: u64, shards: usize) -> RunReport {
 }
 
 /// Algorithm 2 (multi-crash) with 3 of budget 4 crashed.
-fn run_crash_multi(seed: u64, shards: usize) -> RunReport {
+fn run_crash_multi(seed: u64) -> RunReport {
     let (n, k, b, crashes) = (128, 8, 4, 3);
     let victims: Vec<PeerId> = (0..crashes).map(PeerId).collect();
     let plan = CrashPlan::before_event(victims, 1 + seed % 3);
     let sim = SimBuilder::new(crash_params(n, k, b))
         .seed(seed)
-        .shards(shards)
         .protocol(move |_| CrashMultiDownload::new(n, k, b))
         .adversary(StandardAdversary::new(UniformDelay::new(), plan))
         .build();
@@ -110,11 +108,10 @@ fn run_crash_multi(seed: u64, shards: usize) -> RunReport {
 }
 
 /// Deterministic committee protocol with one silent Byzantine peer.
-fn run_committee(seed: u64, shards: usize) -> RunReport {
+fn run_committee(seed: u64) -> RunReport {
     let (n, k, t) = (48, 7, 2);
     let builder = SimBuilder::new(byz_params(n, k, t))
         .seed(seed)
-        .shards(shards)
         .protocol(move |_| CommitteeDownload::new(n, k, t))
         .byzantine(PeerId(0), SilentAgent::new());
     verified(builder.build())
@@ -122,11 +119,10 @@ fn run_committee(seed: u64, shards: usize) -> RunReport {
 
 /// 2-cycle protocol in the sampled regime with a mixed Byzantine slate
 /// (equivocator, colluders, noise) targeting the chosen segmentation.
-fn run_two_cycle(seed: u64, shards: usize) -> RunReport {
+fn run_two_cycle(seed: u64) -> RunReport {
     let (n, k, b) = (4096, 96, 6);
     let builder = SimBuilder::new(byz_params(n, k, b))
         .seed(seed)
-        .shards(shards)
         .protocol(move |_| TwoCycleDownload::new(n, k, b));
     let (seg, tau) = match TwoCyclePlan::choose(n, k, b) {
         TwoCyclePlan::Sampled {
@@ -153,11 +149,10 @@ fn run_two_cycle(seed: u64, shards: usize) -> RunReport {
 }
 
 /// Multi-cycle protocol with a silent Byzantine slate.
-fn run_multi_cycle(seed: u64, shards: usize) -> RunReport {
+fn run_multi_cycle(seed: u64) -> RunReport {
     let (n, k, b) = (4096, 96, 8);
     let mut builder = SimBuilder::new(byz_params(n, k, b))
         .seed(seed)
-        .shards(shards)
         .protocol(move |_| MultiCycleDownload::new(n, k, b));
     for i in 0..b {
         builder = builder.byzantine(PeerId(i), SilentAgent::new());
@@ -165,9 +160,8 @@ fn run_multi_cycle(seed: u64, shards: usize) -> RunReport {
     verified(builder.build())
 }
 
-/// A seeded single-run driver for one golden case, parameterized by the
-/// pump shard count (1 = the serial pump the goldens were recorded on).
-type CaseRunner = fn(u64, usize) -> RunReport;
+/// A seeded single-run driver for one golden case.
+type CaseRunner = fn(u64) -> RunReport;
 
 /// The golden grid: (case name, runner).
 fn cases() -> Vec<(&'static str, CaseRunner)> {
@@ -388,7 +382,7 @@ fn fingerprints_match_pre_rewrite_goldens() {
         for seed in SEEDS {
             let (g_name, g_seed, ref golden) = GOLDENS[i];
             assert_eq!((g_name, g_seed), (name, seed), "golden table out of sync");
-            let got = golden_of(&run(seed, 1));
+            let got = golden_of(&run(seed));
             assert_eq!(
                 &got, golden,
                 "{name} seed={seed}: run diverged from pre-rewrite golden"
@@ -397,29 +391,6 @@ fn fingerprints_match_pre_rewrite_goldens() {
         }
     }
     assert_eq!(i, GOLDENS.len());
-}
-
-/// The sharded pump must reproduce the serial goldens *bit-identically*:
-/// every protocol family, every pinned seed, checked against the very
-/// same pre-rewrite table — not merely against a fresh serial run.
-#[test]
-fn fingerprints_match_goldens_under_sharded_pump() {
-    for shards in [3, 8] {
-        let mut i = 0;
-        for (name, run) in cases() {
-            for seed in SEEDS {
-                let (g_name, g_seed, ref golden) = GOLDENS[i];
-                assert_eq!((g_name, g_seed), (name, seed), "golden table out of sync");
-                let got = golden_of(&run(seed, shards));
-                assert_eq!(
-                    &got, golden,
-                    "{name} seed={seed} shards={shards}: sharded pump diverged from golden"
-                );
-                i += 1;
-            }
-        }
-        assert_eq!(i, GOLDENS.len());
-    }
 }
 
 /// Record → replay bit-identity on the golden grid: a schedule recorded
@@ -462,7 +433,7 @@ fn recorded_schedules_replay_bit_identically() {
 fn print_goldens() {
     for (name, run) in cases() {
         for seed in SEEDS {
-            let g = golden_of(&run(seed, 1));
+            let g = golden_of(&run(seed));
             println!(
                 "    (\"{name}\", {seed}, Golden {{ fingerprint: 0x{:016x}, q: {}, t_ticks: {}, \
                  msgs: {}, msg_bits: {}, events: {}, releases: {} }}),",

@@ -112,23 +112,9 @@ pub trait Adversary<M: ProtocolMessage>: Send {
         None
     }
 
-    /// Whether the simulator may run window batches of this adversary's
-    /// executions on worker threads (see `lane.rs`). Returning `true` is a
-    /// contract that the crash hooks are *inert* for the whole run —
-    /// [`crash_before_event`](Self::crash_before_event) always returns
-    /// `false` and [`crash_during_send`](Self::crash_during_send) always
-    /// returns `None` — because the parallel pass skips the per-event
-    /// crash consultation (it is the one serial hook whose answer the
-    /// lanes would need mid-window). Everything else (delays, holds,
-    /// quiescence decisions, RNG draws) runs serially in pass 2 either
-    /// way. The default is `false`: adaptive adversaries fall back to the
-    /// bit-identical serial pump.
-    ///
-    /// Link faults need no special handling here: an active
-    /// [`link_fault_plan`](Self::link_fault_plan) or
-    /// [`lossy`](Self::lossy) declaration degrades the run to the serial
-    /// pump through the simulator's own eligibility gate regardless of
-    /// this answer.
+    // Inert: nothing reads it. Kept only so `benchmark/` (which overrides
+    // it) compiles; the next `[benchmark]` PR removes it.
+    #[doc(hidden)]
     fn parallel_safe(&self) -> bool {
         false
     }
@@ -145,9 +131,7 @@ pub trait Adversary<M: ProtocolMessage>: Send {
 
     /// Whether this adversary drops transmissions — the gate for
     /// [`on_transmit`](Self::on_transmit) consultations. Must be constant
-    /// for the whole run. Returning `true` degrades the sharded pump to
-    /// the bit-identical serial path (transmission decisions interleave
-    /// with the event order).
+    /// for the whole run.
     fn lossy(&self) -> bool {
         false
     }
@@ -209,10 +193,6 @@ impl<M: ProtocolMessage> Adversary<M> for Box<dyn Adversary<M>> {
         planned: usize,
     ) -> Option<usize> {
         (**self).crash_during_send(view, peer, planned)
-    }
-
-    fn parallel_safe(&self) -> bool {
-        (**self).parallel_safe()
     }
 
     fn link_fault_plan(&self) -> LinkFaultPlan {
@@ -477,12 +457,6 @@ impl<M: ProtocolMessage> Adversary<M> for StandardAdversary<M> {
 
     fn planned_crashes(&self) -> Option<usize> {
         Some(self.crash_plan.num_crashed())
-    }
-
-    fn parallel_safe(&self) -> bool {
-        // The crash plan is the only source of crashes; an empty one makes
-        // both crash hooks provably inert for the whole run.
-        self.crash_plan.num_crashed() == 0
     }
 }
 

@@ -2,13 +2,11 @@
 
 use crate::adversary::{Adversary, StandardAdversary};
 use crate::agent::Agent;
-use crate::lane::WindowExecutor;
 use crate::sim::Simulation;
 use crate::view::PeerRole;
 use dr_core::{ArraySource, BitArray, ModelParams, PeerId, ProtocolMessage, SharedSource, Source};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
 
 /// Factory producing each peer's agent; `Send` so a built
 /// [`Simulation`] can move to a worker thread.
@@ -60,10 +58,7 @@ pub struct SimBuilder<M: ProtocolMessage> {
     factory: Option<AgentFactory<M>>,
     byzantine: Vec<(PeerId, Box<dyn Agent<M>>)>,
     max_events: u64,
-    shards: usize,
     slab_capacity: u32,
-    executor: Option<Arc<dyn WindowExecutor>>,
-    parallel_window_min: usize,
     index_tracking: bool,
     trace: bool,
 }
@@ -81,10 +76,7 @@ impl<M: ProtocolMessage> SimBuilder<M> {
             factory: None,
             byzantine: Vec::new(),
             max_events: 50_000_000,
-            shards: 1,
             slab_capacity: u32::MAX,
-            executor: None,
-            parallel_window_min: 32,
             index_tracking: false,
             trace: false,
         }
@@ -174,48 +166,10 @@ impl<M: ProtocolMessage> SimBuilder<M> {
         self
     }
 
-    /// Partitions peers across `shards` lanes and message slabs advanced
-    /// under a conservative time-window barrier (default: 1, the serial
-    /// pump). Any value produces a bit-identical execution — same seed,
-    /// same [`fingerprint`](crate::RunReport::fingerprint): the event
-    /// queue is one tick-bucketed structure whatever the count; shards
-    /// decide which peers a window's worker threads step together.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn shards(mut self, shards: usize) -> Self {
-        assert!(shards >= 1, "shards must be at least 1");
-        self.shards = shards;
-        self
-    }
-
-    /// Installs a [`WindowExecutor`] that runs each window's per-shard
-    /// event batches on worker threads (e.g. `dr_bench::plane`'s pool).
-    /// Takes effect only when [`shards`](Self::shards) > 1, tracing is
-    /// off, and the adversary reports
-    /// [`parallel_safe`](crate::Adversary::parallel_safe); otherwise the
-    /// run stays on the serial pump. Either way the execution — and
-    /// [`RunReport::fingerprint`](crate::RunReport::fingerprint) — is
-    /// bit-identical for the same seed and configuration.
-    pub fn pump_executor(mut self, executor: Arc<dyn WindowExecutor>) -> Self {
-        self.executor = Some(executor);
-        self
-    }
-
-    /// Minimum unserved window size worth fanning out to the executor
-    /// (default: 32). Smaller windows stay on the serial pop path, where
-    /// per-event overhead beats job-dispatch overhead. Tests exercising
-    /// the parallel path on small topologies set this low.
-    pub fn parallel_window_min(mut self, min: usize) -> Self {
-        self.parallel_window_min = min;
-        self
-    }
-
-    /// Caps every message slab at `capacity` payload slots (default:
-    /// `u32::MAX`). A point-to-point message in flight occupies one slot,
-    /// a broadcast one per destination shard however many recipients
-    /// wait for it. Exceeding the cap surfaces as
+    /// Caps the message slab at `capacity` payload slots (default:
+    /// `u32::MAX`). A message in flight occupies one slot, a broadcast
+    /// one however many recipients wait for it. Exceeding the cap
+    /// surfaces as
     /// [`RunError::SlabOverflow`](crate::RunError::SlabOverflow) from
     /// [`Simulation::run`] instead of aborting the process.
     pub fn slab_capacity(mut self, capacity: u32) -> Self {
@@ -313,11 +267,8 @@ impl<M: ProtocolMessage> SimBuilder<M> {
             adversary,
             self.seed,
             self.max_events,
-            self.shards,
             self.slab_capacity,
         );
-        sim.executor = self.executor;
-        sim.parallel_window_min = self.parallel_window_min;
         if self.trace {
             sim.enable_trace();
         }

@@ -97,13 +97,6 @@ impl<M: ProtocolMessage> Adversary<M> for AdaptiveCrasher {
     fn planned_crashes(&self) -> Option<usize> {
         Some(self.budget)
     }
-
-    fn parallel_safe(&self) -> bool {
-        // With a zero budget every crash consultation returns false
-        // without touching any state, so skipping those consultations in
-        // parallel windows changes nothing.
-        self.budget == 0
-    }
 }
 
 /// Holds each message with probability `hold_prob` and, when compelled at
@@ -152,12 +145,6 @@ impl<M: ProtocolMessage> Adversary<M> for HoldUntilQuiescence {
         order.sort_by_key(|&i| (held[i].sent_at, i));
         order.truncate(self.release_chunk);
         Release::Some(order)
-    }
-
-    fn parallel_safe(&self) -> bool {
-        // Never crashes or cuts; holds and releases happen in the serial
-        // coordinator pass regardless of dispatch mode.
-        true
     }
 }
 
@@ -294,13 +281,6 @@ impl<M: ProtocolMessage> Adversary<M> for ChaosAdversary {
 
     fn planned_crashes(&self) -> Option<usize> {
         Some(self.cfg.crash_budget)
-    }
-
-    fn parallel_safe(&self) -> bool {
-        // `budget_left()` short-circuits before the decision RNG is
-        // drawn, so with a zero crash budget both crash hooks are inert
-        // and RNG-neutral — skipping them cannot change the run.
-        self.cfg.crash_budget == 0
     }
 }
 

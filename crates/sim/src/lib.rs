@@ -22,15 +22,13 @@ mod adversary;
 mod agent;
 mod builder;
 pub mod chaos;
+mod ctx;
 pub mod explore;
-mod lane;
 mod linkfault;
 mod report;
 mod schedule;
 mod shard;
 mod sim;
-pub mod slots;
-pub mod sync;
 mod time;
 mod trace;
 mod view;
@@ -42,7 +40,6 @@ pub use adversary::{
 pub use agent::{Agent, SilentAgent};
 pub use builder::SimBuilder;
 pub use chaos::{AdaptiveCrasher, ChaosAdversary, ChaosConfig, HoldUntilQuiescence};
-pub use lane::{SerialWindowExecutor, WindowExecutor};
 pub use linkfault::{
     ChurnDirective, ChurnMixer, LinkDecision, LinkFaultPlan, LossyLinks, PartitionDirective,
     PartitionHealer, RetransmitPolicy,

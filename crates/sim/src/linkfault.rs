@@ -47,9 +47,7 @@
 //! without losing messages.
 //!
 //! All three capabilities are recorded/replayed through
-//! [`ScheduleTrace`](crate::ScheduleTrace) and degrade the sharded pump to
-//! the bit-identical serial path while active (see
-//! `Simulation::parallel_eligible`).
+//! [`ScheduleTrace`](crate::ScheduleTrace).
 
 use crate::adversary::{Adversary, Delivery};
 use crate::time::{Ticks, TICKS_PER_UNIT};
@@ -164,7 +162,6 @@ pub(crate) struct RuntimeLinkState {
     /// Per-peer `(leave, rejoin)` windows.
     away: Vec<Vec<(Ticks, Ticks)>>,
     pub(crate) policy: RetransmitPolicy,
-    trivial: bool,
 }
 
 impl RuntimeLinkState {
@@ -221,14 +218,7 @@ impl RuntimeLinkState {
             cuts,
             away,
             policy: plan.retransmit,
-            trivial: plan.is_trivial(),
         }
-    }
-
-    /// Whether the plan declared no partitions and no churn (the parallel
-    /// pump eligibility condition alongside `!lossy`).
-    pub(crate) fn is_trivial(&self) -> bool {
-        self.trivial
     }
 
     /// If an active cut separates `a` from `b` at `now`, the latest heal
@@ -351,12 +341,6 @@ impl<M: ProtocolMessage> Adversary<M> for PartitionHealer {
     fn planned_crashes(&self) -> Option<usize> {
         Some(0)
     }
-
-    fn parallel_safe(&self) -> bool {
-        // Crash hooks are inert; the nontrivial plan itself degrades the
-        // run to the serial pump through the separate link-fault gate.
-        true
-    }
 }
 
 /// Adversary dropping transmissions per link at a seed-jittered rate,
@@ -442,12 +426,6 @@ impl<M: ProtocolMessage> Adversary<M> for LossyLinks {
     fn planned_crashes(&self) -> Option<usize> {
         Some(0)
     }
-
-    fn parallel_safe(&self) -> bool {
-        // Crash hooks are inert; lossiness degrades the run to the serial
-        // pump through the separate link-fault gate.
-        true
-    }
 }
 
 /// Adversary churning a seed-derived subset of peers through staggered
@@ -522,12 +500,6 @@ impl<M: ProtocolMessage> Adversary<M> for ChurnMixer {
 
     fn planned_crashes(&self) -> Option<usize> {
         Some(0)
-    }
-
-    fn parallel_safe(&self) -> bool {
-        // Crash hooks are inert; churn degrades the run to the serial
-        // pump through the separate link-fault gate.
-        true
     }
 }
 

@@ -21,13 +21,13 @@ pub enum RunError {
         /// The configured limit.
         limit: u64,
     },
-    /// A message slab hit its configured slot capacity (see
+    /// The message slab hit its configured slot capacity (see
     /// [`SimBuilder::slab_capacity`](crate::SimBuilder::slab_capacity)):
-    /// storing one more in-flight payload would have grown some slab past
+    /// storing one more in-flight payload would have grown it past
     /// `capacity` slots. Reported as an error so capacity-bounded runs
     /// fail gracefully instead of aborting mid-pump.
     SlabOverflow {
-        /// The per-slab slot capacity that was hit.
+        /// The slot capacity that was hit.
         capacity: u32,
     },
     /// A lossy link dropped the same message more times than the
@@ -172,24 +172,13 @@ pub struct RunReport {
     pub peak_queue_len: u64,
     /// Peak number of message-slab slots simultaneously occupied. A slot
     /// holds one payload whoever waits for it (queued, parked, held or
-    /// pre-start buffered recipients): a broadcast occupies one slot per
-    /// destination shard, a point-to-point send one.
+    /// pre-start buffered recipients): a broadcast occupies one slot, as
+    /// a point-to-point send does.
     pub peak_slab_len: u64,
     /// Bytes one slab slot occupies, not counting what its payload keeps
     /// on the heap. A constant of the message type; excluded from
     /// [`fingerprint`](Self::fingerprint).
     pub slab_slot_bytes: u64,
-    /// Per-shard peak event-queue occupancy (one entry per shard; a
-    /// single entry for the serial layout). Shows how evenly the window
-    /// barrier spreads load across shards. Excluded from
-    /// [`fingerprint`](Self::fingerprint) like the global peaks — the
-    /// parallel dispatch path drains whole windows before re-inserting,
-    /// so peaks can be *lower* than the serial pump observes, while every
-    /// fingerprinted quantity is bit-identical.
-    pub peak_queue_lens: Vec<u64>,
-    /// Per-shard peak slab occupancy (see
-    /// [`peak_queue_lens`](Self::peak_queue_lens)).
-    pub peak_slab_lens: Vec<u64>,
     /// Structured execution trace, present when the simulation was built
     /// with [`trace`](crate::SimBuilder::trace). Render with
     /// [`render_trace`](crate::render_trace).
@@ -359,8 +348,6 @@ mod tests {
             peak_queue_len: 0,
             peak_slab_len: 0,
             slab_slot_bytes: 0,
-            peak_queue_lens: vec![0],
-            peak_slab_lens: vec![0],
             trace: None,
         }
     }

@@ -315,16 +315,6 @@ impl<M: ProtocolMessage> Adversary<M> for RecordingAdversary<M> {
         self.inner.planned_crashes()
     }
 
-    fn parallel_safe(&self) -> bool {
-        // Recording adds no decisions of its own. With an inert-crash
-        // inner adversary the parallel path records the same trace the
-        // serial pump would: the skipped `crash_before_event`
-        // consultations could only ever have appended to `crashes`, which
-        // stays empty either way, and the positional send/release/start
-        // streams are produced serially in pass 2.
-        self.inner.parallel_safe()
-    }
-
     fn link_fault_plan(&self) -> LinkFaultPlan {
         // Fetched once at build time; capture the plan into the trace so
         // replay reconstructs the same cuts, churn, and retry policy.
@@ -474,17 +464,6 @@ impl<M: ProtocolMessage> Adversary<M> for ReplayAdversary {
             .iter()
             .find(|c| c.call == call)
             .map(|c| c.keep.min(planned))
-    }
-
-    fn parallel_safe(&self) -> bool {
-        // A crash-free, cut-free trace makes both crash hooks provably
-        // inert, so the replay may fan windows out to workers and still be
-        // bit-identical. Any recorded fault forces the serial pump (a cut
-        // crashing a peer mid-window would invalidate pass-1 decisions
-        // already taken for its later events). Recorded link faults do
-        // not flip this bit: the simulator's own link-fault gate degrades
-        // those runs to the serial pump.
-        self.trace.crashes.is_empty() && self.trace.cuts.is_empty()
     }
 
     fn link_fault_plan(&self) -> LinkFaultPlan {

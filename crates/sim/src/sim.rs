@@ -24,39 +24,37 @@
 //! its owners — queued `Deliver` and `Retransmit` events, held messages,
 //! pre-start buffer entries — and the last one to consume or drop its
 //! message frees it. A step's outbox records a broadcast as one entry and
-//! the dispatch loop stores its payload once per destination shard, so a
-//! k-recipient broadcast of an n-bit payload costs one slot and k − 1
-//! owner counts — not k − 1 slots, payload clones and O(k·n) copied bits —
-//! while the adversary is still consulted, and M, bits, `seq` stamps and
-//! the trace are still charged, per recipient and in `send` order.
+//! the dispatch loop stores its payload once, so a k-recipient broadcast
+//! of an n-bit payload costs one slot and k − 1 owner counts — not k − 1
+//! slots, payload clones and O(k·n) copied bits — while the adversary is
+//! still consulted, and M, bits, `seq` stamps and the trace are still
+//! charged, per recipient and in `send` order.
 //!
-//! # Lane-major state and parallel windows
+//! # One pump, one order
 //!
-//! Mutable per-peer state (agent, RNG, pre-start buffer, lifecycle-flag
-//! mirror) lives in per-shard [`Lane`]s rather than k-length vectors, and
-//! query accounting goes through each lane's `MeterDelta` rather than the
-//! shared meter's atomics. The coordinator keeps the authoritative
-//! contiguous [`PeerStatus`] vector — the read-only core every adversary
-//! `View` borrows — and mirrors every lifecycle transition into the owning
-//! lane's flags. When a [`WindowExecutor`] is installed, window batches
-//! whose events all share one tick run their per-shard halves on worker
-//! threads and replay the global bookkeeping serially — see `lane.rs` for
-//! the two-pass argument and why `RunReport::fingerprint()` is
-//! bit-identical to the serial pump for every (shards × threads)
-//! combination.
+//! The paper's adversary decides every delivery, hold and crash against
+//! the whole history, so Q, T and M are defined over one global order of
+//! events. The run loop is that order: it pops one event at a time, runs
+//! the subject's handler, and dispatches its outbox before the next pop.
+//! Per-peer state (agent, RNG, pre-start buffer) sits in flat vectors
+//! indexed by `PeerId`; the contiguous [`PeerStatus`] vector is the only
+//! copy of the lifecycle bits and the read-only core every adversary
+//! `View` borrows. A step's queries are buffered in one `MeterDelta` and
+//! folded into the shared meter when the step ends.
 
 use crate::adversary::{Adversary, Delivery, HeldInfo, Release};
 use crate::agent::Agent;
-use crate::lane::{Lane, LaneCtx, Outgoing, Pass1Outcome, WindowExecutor};
+use crate::ctx::{LaneCtx, Outgoing};
 use crate::linkfault::{LinkDecision, RuntimeLinkState};
 use crate::report::{RunError, RunReport};
 use crate::shard::{EventKind, EventPump, MsgSlab, QueuedEvent};
-use crate::slots::ResultSlots;
 use crate::time::{Ticks, TICKS_PER_UNIT};
 use crate::trace::TraceEntry;
-use crate::view::{LaneFlags, PeerRole, PeerStatus, View};
+use crate::view::{PeerRole, PeerStatus, View};
 use dr_core::collections::DetMap;
-use dr_core::{BitArray, ModelParams, PeerId, PeerSet, ProtocolMessage, SharedSource};
+use dr_core::{
+    BitArray, MeterDelta, ModelParams, PeerId, PeerSet, ProtocolMessage, SharedSource, Source,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -91,23 +89,25 @@ pub struct Simulation<M: ProtocolMessage> {
     /// built with `SimBuilder::streaming_source`).
     pub(crate) input: Option<BitArray>,
     pub(crate) source: SharedSource,
-    /// Authoritative per-peer status — the shared read-only core every
-    /// adversary `View` borrows. Lifecycle bits are mirrored into the
-    /// owning lane's `LaneFlags` at every transition.
+    /// Per-peer status — the read-only core every adversary `View`
+    /// borrows.
     pub(crate) status: Vec<PeerStatus>,
     pub(crate) adversary: Box<dyn Adversary<M>>,
     pub(crate) adv_rng: StdRng,
     pub(crate) max_events: u64,
-    /// Per-shard mutable peer state: peer `p` lives in lane
-    /// `p % lanes.len()` at slot `p / lanes.len()`.
-    lanes: Vec<Lane<M>>,
+    /// Per-peer mutable state, indexed by `PeerId`.
+    agents: Vec<Box<dyn Agent<M>>>,
+    rngs: Vec<StdRng>,
+    /// Messages that arrived at a peer before its start event, waiting
+    /// for it to begin. Entries are `(from, slot)` into the slab.
+    pre_start: Vec<Vec<(PeerId, u32)>>,
+    /// The running step's query buffer, folded into the shared meter
+    /// after each step.
+    delta: MeterDelta,
+    /// Unmetered handle to the source; steps do their own accounting
+    /// through `delta`.
+    raw_source: Arc<dyn Source>,
     pump: EventPump<M>,
-    /// Executor for parallel window batches; `None` keeps every window on
-    /// the calling thread through the identical two-pass path disabled.
-    pub(crate) executor: Option<Arc<dyn WindowExecutor>>,
-    /// Minimum unserved window size worth fanning out to workers; smaller
-    /// windows stay on the serial pop path.
-    pub(crate) parallel_window_min: usize,
     held: Vec<HeldMessage>,
     /// Validated runtime form of the adversary's link-fault plan
     /// (partitions, churn windows, retransmission policy).
@@ -121,14 +121,10 @@ pub struct Simulation<M: ProtocolMessage> {
     /// Maintained incrementally at crash and termination transitions so
     /// the run loop's stop check is O(1) instead of an O(k) scan.
     pending_nonfaulty: usize,
-    /// Step outbox reused across serial `process_event` calls (empty
-    /// between steps), so each event-handler invocation starts from
-    /// retained capacity instead of a fresh allocation.
+    /// Step outbox reused across `process_event` calls (empty between
+    /// steps), so each event-handler invocation starts from retained
+    /// capacity instead of a fresh allocation.
     outbox_scratch: Vec<Outgoing<M>>,
-    /// The dispatch loop's own claims on the slots holding the outbox
-    /// entry it is routing, one per destination shard (all `None` between
-    /// entries).
-    dispatch_slots: Vec<Option<u32>>,
     /// `HeldInfo` buffer reused across `release_held` calls.
     held_infos: Vec<HeldInfo>,
     seq: u64,
@@ -158,7 +154,6 @@ impl<M: ProtocolMessage> Simulation<M> {
         adversary: Box<dyn Adversary<M>>,
         seed: u64,
         max_events: u64,
-        shards: usize,
         slab_capacity: u32,
     ) -> Self {
         let k = params.k();
@@ -185,28 +180,11 @@ impl<M: ProtocolMessage> Simulation<M> {
         let link_plan = adversary.link_fault_plan();
         let links = RuntimeLinkState::new(&link_plan, k);
         let lossy = adversary.lossy();
-        let mut lanes: Vec<Lane<M>> = (0..shards)
-            .map(|s| Lane {
-                shard: s,
-                num_shards: shards,
-                agents: Vec::new(),
-                rngs: Vec::new(),
-                pre_start: Vec::new(),
-                flags: Vec::new(),
-                delta: source.meter().delta(s, shards),
-                source: source.source_arc(),
-                spare_outboxes: Vec::new(),
-            })
+        let delta = source.meter().delta();
+        let raw_source = source.source_arc();
+        let rngs = (0..k)
+            .map(|p| StdRng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9).wrapping_add(p as u64)))
             .collect();
-        for (p, agent) in agents.into_iter().enumerate() {
-            let lane = &mut lanes[p % shards];
-            lane.agents.push(agent);
-            lane.rngs.push(StdRng::seed_from_u64(
-                seed.wrapping_mul(0x9e37_79b9).wrapping_add(p as u64),
-            ));
-            lane.pre_start.push(Vec::new());
-            lane.flags.push(LaneFlags::default());
-        }
         Simulation {
             params,
             input,
@@ -215,10 +193,12 @@ impl<M: ProtocolMessage> Simulation<M> {
             adversary,
             adv_rng: StdRng::seed_from_u64(seed ^ 0xdead_beef),
             max_events,
-            lanes,
-            pump: EventPump::new(shards, slab_capacity),
-            executor: None,
-            parallel_window_min: 32,
+            agents,
+            rngs,
+            pre_start: (0..k).map(|_| Vec::new()).collect(),
+            delta,
+            raw_source,
+            pump: EventPump::new(slab_capacity),
             held: Vec::new(),
             links,
             lossy,
@@ -227,7 +207,6 @@ impl<M: ProtocolMessage> Simulation<M> {
             // is pending.
             pending_nonfaulty: k - byz,
             outbox_scratch: Vec::new(),
-            dispatch_slots: vec![None; shards],
             held_infos: Vec::new(),
             seq: 0,
             now: 0,
@@ -274,12 +253,6 @@ impl<M: ProtocolMessage> Simulation<M> {
         &self.params
     }
 
-    /// The lane and lane-local slot owning `peer`.
-    fn lane_slot(&self, peer: PeerId) -> (usize, usize) {
-        let shards = self.lanes.len();
-        (peer.index() % shards, peer.index() / shards)
-    }
-
     fn push_event(&mut self, at: Ticks, kind: EventKind) {
         let seq = self.seq;
         self.seq += 1;
@@ -306,17 +279,15 @@ impl<M: ProtocolMessage> Simulation<M> {
             self.pending_nonfaulty -= 1;
         }
         st.crashed = true;
-        let (s, slot) = self.lane_slot(peer);
-        self.lanes[s].flags[slot].crashed = true;
         let now = self.now;
         self.record(TraceEntry::Crash { at: now, peer });
         // A crashed peer never starts, so anything parked in its pre-start
         // buffer can never be delivered or dropped through the normal
         // paths — free those slots now instead of leaking them for the
         // rest of the run.
-        let waiting = std::mem::take(&mut self.lanes[s].pre_start[slot]);
+        let waiting = std::mem::take(&mut self.pre_start[peer.index()]);
         for (from, pslot) in waiting {
-            self.pump.release_payload(peer, pslot);
+            self.pump.release_payload(pslot);
             self.record(TraceEntry::Drop {
                 at: now,
                 from,
@@ -338,7 +309,7 @@ impl<M: ProtocolMessage> Simulation<M> {
     /// # Errors
     ///
     /// Returns [`RunError::SlabOverflow`] if storing a payload would grow
-    /// a message slab past its configured capacity.
+    /// the message slab past its configured capacity.
     fn dispatch_outbox(
         &mut self,
         peer: PeerId,
@@ -367,39 +338,28 @@ impl<M: ProtocolMessage> Simulation<M> {
         // this point on: the messages it still manages to emit must not
         // count toward the non-faulty communication complexity.
         let sender_nonfaulty_now = self.status[peer.index()].is_nonfaulty();
-        let mut slots = std::mem::take(&mut self.dispatch_slots);
-        let mut routed = Ok(());
         for out in outbox.drain(..) {
             if keep == 0 {
                 break;
             }
-            routed = self.route(peer, out, sender_nonfaulty_now, &mut keep, &mut slots);
-            // The dispatch loop's own claim on each slot it filled ends
-            // here, error or not: recipients routed so far keep theirs.
-            self.pump.release_each(&mut slots);
-            if routed.is_err() {
-                break;
-            }
+            self.route(peer, out, sender_nonfaulty_now, &mut keep)?;
         }
-        self.dispatch_slots = slots;
-        routed
+        Ok(())
     }
 
     /// Routes one outbox entry to its recipients — at most `keep` of them,
     /// counted down — consulting the adversary for each exactly as for a
-    /// point-to-point send. The payload is stored once per destination
-    /// shard, in the slot `slots` records for that shard; every recipient
+    /// point-to-point send. The payload is stored once; every recipient
     /// that ends up queued, parked, awaiting a resend or held becomes one
-    /// more owner of its shard's slot. The caller's claims in `slots` keep
-    /// those slots occupied until the last recipient is routed, so a
-    /// message lost on the spot cannot free a slot later recipients share.
+    /// more owner of its slot. The loop's own claim keeps the slot
+    /// occupied until the last recipient is routed, so a message lost on
+    /// the spot cannot free a slot later recipients share.
     fn route(
         &mut self,
         peer: PeerId,
         out: Outgoing<M>,
         sender_nonfaulty_now: bool,
         keep: &mut usize,
-        slots: &mut [Option<u32>],
     ) -> Result<(), RunError> {
         // Peer statuses cannot change for the rest of the batch, so one
         // `View` serves every message. The destructuring splits the borrow:
@@ -437,49 +397,38 @@ impl<M: ProtocolMessage> Simulation<M> {
         let bits = msg.bit_len() as u64;
         let packets = (bits.div_ceil(params.msg_bits() as u64)).max(1);
         let transmission = (packets - 1) * TICKS_PER_UNIT;
-        // The payload moves into the slab at the first recipient; that
-        // slot then serves as the copy every later read is taken from.
-        let mut msg = Some(msg);
-        let mut home = None;
-        for to in recipients.map(PeerId).filter(|&to| Some(to) != skip) {
-            if *keep == 0 {
-                break;
-            }
+        let mut recipients = recipients
+            .map(PeerId)
+            .filter(|&to| Some(to) != skip)
+            .take(*keep)
+            .peekable();
+        if recipients.peek().is_none() {
+            return Ok(());
+        }
+        let slot = pump
+            .insert_payload(msg)
+            .map_err(|e| RunError::SlabOverflow {
+                capacity: e.capacity,
+            })?;
+        // Stamps and queues an event that owns `slot` alongside the
+        // dispatch loop and the recipients routed before.
+        let mut push_owner = |pump: &mut EventPump<M>, at: Ticks, kind: EventKind| {
+            pump.retain_payload(slot);
+            pump.push(QueuedEvent {
+                at,
+                seq: *seq,
+                kind,
+            });
+            *seq += 1;
+        };
+        let mut routed = Ok(());
+        for to in recipients {
             *keep -= 1;
             if sender_nonfaulty_now {
                 *messages_sent += packets;
                 *message_bits += bits;
             }
-            let shard = pump.shard_of(to);
-            let slot = match slots[shard] {
-                Some(slot) => slot,
-                None => {
-                    let payload = msg.take().unwrap_or_else(|| {
-                        let (first, slot) = home.expect("payload moved into its first slot");
-                        pump.payload(first, slot).clone()
-                    });
-                    let slot =
-                        pump.insert_payload(to, payload)
-                            .map_err(|e| RunError::SlabOverflow {
-                                capacity: e.capacity,
-                            })?;
-                    slots[shard] = Some(slot);
-                    slot
-                }
-            };
-            let (first, first_slot) = *home.get_or_insert((to, slot));
-            // Stamps and queues an event that owns `slot` alongside the
-            // dispatch loop and the recipients routed before.
-            let mut push_owner = |pump: &mut EventPump<M>, at: Ticks, kind: EventKind| {
-                pump.retain_payload(to, slot);
-                pump.push(QueuedEvent {
-                    at,
-                    seq: *seq,
-                    kind,
-                });
-                *seq += 1;
-            };
-            match adversary.on_send(&view, peer, to, pump.payload(first, first_slot), adv_rng) {
+            match adversary.on_send(&view, peer, to, pump.payload(slot), adv_rng) {
                 Delivery::After(latency) => {
                     let latency = latency.clamp(1, TICKS_PER_UNIT);
                     // An active cut parks the message: its delivery event
@@ -539,11 +488,12 @@ impl<M: ProtocolMessage> Simulation<M> {
                                 });
                             }
                             if links.policy.fail_fast {
-                                return Err(RunError::RetriesExhausted {
+                                routed = Err(RunError::RetriesExhausted {
                                     from: peer,
                                     to,
                                     attempts: 1,
                                 });
+                                break;
                             }
                         } else {
                             *retransmissions += 1;
@@ -585,7 +535,7 @@ impl<M: ProtocolMessage> Simulation<M> {
                             to,
                         });
                     }
-                    pump.retain_payload(to, slot);
+                    pump.retain_payload(slot);
                     held.push(HeldMessage {
                         from: peer,
                         to,
@@ -596,7 +546,10 @@ impl<M: ProtocolMessage> Simulation<M> {
                 }
             }
         }
-        Ok(())
+        // The dispatch loop's own claim ends here, error or not:
+        // recipients routed so far keep theirs.
+        pump.release_payload(slot);
+        routed
     }
 
     /// Delivers one event to a peer, running its handler. The produced
@@ -605,11 +558,10 @@ impl<M: ProtocolMessage> Simulation<M> {
     /// crashed by the adversary just now).
     fn process_event(&mut self, kind: EventKind) -> Option<PeerId> {
         let to = kind.subject();
-        let (s, slot) = self.lane_slot(to);
         let st = self.status[to.index()].clone();
         if st.crashed || st.terminated {
             if let EventKind::Deliver { from, to, slot } = kind {
-                self.pump.release_payload(to, slot);
+                self.pump.release_payload(slot);
                 let at = self.now;
                 self.record(TraceEntry::Drop { at, from, to });
             }
@@ -636,11 +588,8 @@ impl<M: ProtocolMessage> Simulation<M> {
         // (equivalent to the adversary delaying them until the recipient
         // is awake).
         if !st.started {
-            if let EventKind::Deliver {
-                from, slot: pslot, ..
-            } = kind
-            {
-                self.lanes[s].pre_start[slot].push((from, pslot));
+            if let EventKind::Deliver { from, slot, .. } = kind {
+                self.pre_start[to.index()].push((from, slot));
                 return None;
             }
         }
@@ -657,7 +606,7 @@ impl<M: ProtocolMessage> Simulation<M> {
             if crash_now {
                 self.crash(to);
                 if let EventKind::Deliver { slot, .. } = kind {
-                    self.pump.release_payload(to, slot);
+                    self.pump.release_payload(slot);
                 }
                 return None;
             }
@@ -674,7 +623,7 @@ impl<M: ProtocolMessage> Simulation<M> {
                 None
             }
             EventKind::Deliver { from, slot, .. } => {
-                let msg = self.pump.take_payload(to, slot);
+                let msg = self.pump.take_payload(slot);
                 let (at, bits) = (self.now, msg.bit_len());
                 self.record(TraceEntry::Deliver { at, from, to, bits });
                 Some((from, msg))
@@ -688,41 +637,29 @@ impl<M: ProtocolMessage> Simulation<M> {
         }
         debug_assert!(self.outbox_scratch.is_empty());
         {
-            let Lane {
-                agents,
-                rngs,
-                flags,
-                delta,
-                source,
-                ..
-            } = &mut self.lanes[s];
             let mut ctx = LaneCtx {
                 me: to,
                 num_peers: self.params.k(),
                 input_len: self.params.n(),
-                source: &**source,
-                delta,
-                rng: &mut rngs[slot],
+                source: &*self.raw_source,
+                delta: &mut self.delta,
+                rng: &mut self.rngs[to.index()],
                 outbox: &mut self.outbox_scratch,
             };
+            let agent = &mut self.agents[to.index()];
             match delivery {
-                None => {
-                    flags[slot].started = true;
-                    agents[slot].on_start(&mut ctx);
-                }
-                Some((from, msg)) => {
-                    agents[slot].on_message(from, msg, &mut ctx);
-                }
+                None => agent.on_start(&mut ctx),
+                Some((from, msg)) => agent.on_message(from, msg, &mut ctx),
             }
         }
-        // Serial steps keep the shared meter current at step granularity:
-        // one atomic merge per touched peer per step (cheaper than the old
-        // per-query atomics, identical totals and per-peer index order).
-        self.source.meter().fold(&mut self.lanes[s].delta);
+        // Keep the shared meter current at step granularity: one atomic
+        // merge per step (cheaper than per-query atomics, identical totals
+        // and per-peer index order).
+        self.source.meter().fold(&mut self.delta);
         if is_start {
             // Deliver anything that arrived before the peer woke up,
             // immediately after its start step, in arrival order.
-            let waiting = std::mem::take(&mut self.lanes[s].pre_start[slot]);
+            let waiting = std::mem::take(&mut self.pre_start[to.index()]);
             for (from, pslot) in waiting {
                 let now = self.now;
                 self.push_event(
@@ -736,9 +673,8 @@ impl<M: ProtocolMessage> Simulation<M> {
             }
         }
         let was_terminated = self.status[to.index()].terminated;
-        let terminated = self.lanes[s].agents[slot].is_terminated();
+        let terminated = self.agents[to.index()].is_terminated();
         self.status[to.index()].terminated = terminated;
-        self.lanes[s].flags[slot].terminated = terminated;
         if !was_terminated && terminated {
             if self.status[to.index()].is_nonfaulty() {
                 self.pending_nonfaulty -= 1;
@@ -749,23 +685,6 @@ impl<M: ProtocolMessage> Simulation<M> {
         Some(to)
     }
 
-    /// Whether window batches may fan out to worker threads at all for
-    /// this run: needs an executor, more than one shard, no trace
-    /// recording (lanes don't record), and an adversary whose crash hooks
-    /// are inert (see [`Adversary::parallel_safe`]).
-    fn parallel_eligible(&self) -> bool {
-        self.executor.is_some()
-            && self.pump.num_shards() > 1
-            && self.trace.is_none()
-            && self.adversary.parallel_safe()
-            // Link faults degrade to the bit-identical serial pump:
-            // transmit decisions, partition parking, and churn deferrals
-            // interleave with the global event order, which only the
-            // serial path reproduces exactly.
-            && !self.lossy
-            && self.links.is_trivial()
-    }
-
     /// Runs the execution to completion.
     ///
     /// # Errors
@@ -774,7 +693,7 @@ impl<M: ProtocolMessage> Simulation<M> {
     /// nonfaulty peer is still waiting (the protocols in the paper are
     /// proven never to reach this state),
     /// [`RunError::EventLimitExceeded`] if the livelock guard trips, or
-    /// [`RunError::SlabOverflow`] if a payload slab hits its configured
+    /// [`RunError::SlabOverflow`] if the payload slab hits its configured
     /// slot capacity.
     pub fn run(mut self) -> Result<RunReport, RunError> {
         // The adversary decides when every peer starts (any finite offset;
@@ -783,27 +702,17 @@ impl<M: ProtocolMessage> Simulation<M> {
             let offset = self.adversary.start_offset(PeerId(p), &mut self.adv_rng);
             self.push_event(offset, EventKind::Start(PeerId(p)));
         }
-        let executor = if self.parallel_eligible() {
-            self.executor.clone()
-        } else {
-            None
-        };
-        let pumped = self.pump_events(executor.as_deref());
+        let pumped = self.pump_events();
         // Whatever ended the run, every occupied slot must still have its
-        // owners. A parallel window that failed half-way through its
-        // replay is the exception: the events it had not reached are
-        // neither in the pump nor applied.
+        // owners.
         #[cfg(debug_assertions)]
-        if pumped.is_ok() || executor.is_none() {
-            self.assert_no_leaked_slots();
-        }
+        self.assert_no_leaked_slots();
         pumped.map(|()| self.into_report())
     }
 
     /// The run loop: serves events until every nonfaulty peer has
     /// terminated or the run fails.
-    fn pump_events(&mut self, executor: Option<&dyn WindowExecutor>) -> Result<(), RunError> {
-        let window_min = self.parallel_window_min.max(1);
+    fn pump_events(&mut self) -> Result<(), RunError> {
         loop {
             debug_assert_eq!(
                 self.pending_nonfaulty == 0,
@@ -817,13 +726,6 @@ impl<M: ProtocolMessage> Simulation<M> {
                 return Err(RunError::EventLimitExceeded {
                     limit: self.max_events,
                 });
-            }
-            if let Some(ex) = executor {
-                if let Some(window) = self.pump.take_window_at_least(window_min) {
-                    self.now = self.now.max(window[0].at);
-                    self.run_window(window, ex)?;
-                    continue;
-                }
             }
             match self.pump.pop() {
                 Some(ev) => {
@@ -858,197 +760,8 @@ impl<M: ProtocolMessage> Simulation<M> {
         }
     }
 
-    /// Executes one taken window through the two-pass scheme: pass 1 fans
-    /// per-shard honest-subject batches out to `executor` (each job owning
-    /// its lane and slab outright), pass 2 serially replays the global
-    /// bookkeeping in seq order — including running Byzantine-subject
-    /// events through the ordinary serial path. See `lane.rs` for why
-    /// this is bit-identical to popping the window one event at a time.
-    fn run_window(
-        &mut self,
-        window: Vec<QueuedEvent>,
-        executor: &dyn WindowExecutor,
-    ) -> Result<(), RunError> {
-        let num_shards = self.lanes.len();
-        // Partition honest-subject events per shard, preserving seq order.
-        let mut shard_events: Vec<Vec<QueuedEvent>> = (0..num_shards).map(|_| Vec::new()).collect();
-        for ev in &window {
-            // Retransmit events never reach this path (lossy runs are
-            // ineligible for parallel windows), but filter defensively:
-            // they are coordinator work, not lane work.
-            if matches!(ev.kind, EventKind::Retransmit { .. }) {
-                continue;
-            }
-            let subject = ev.kind.subject();
-            if self.status[subject.index()].role == PeerRole::Honest {
-                shard_events[subject.index() % num_shards].push(*ev);
-            }
-        }
-        // Pass 1: move each participating shard's lane and slab into a
-        // job; results come home through write-once per-shard slots (the
-        // put/drain protocol is model-checked in tests/loom_fold.rs).
-        type LaneResult<M> = (Lane<M>, MsgSlab<M>, Vec<Pass1Outcome<M>>);
-        let results: Arc<ResultSlots<LaneResult<M>>> = Arc::new(ResultSlots::new(num_shards));
-        let params = self.params;
-        let mut lent = vec![false; num_shards];
-        let mut jobs: Vec<Box<dyn FnOnce() + Send>> = Vec::new();
-        for (s, events) in shard_events.into_iter().enumerate() {
-            if events.is_empty() {
-                continue;
-            }
-            #[cfg(debug_assertions)]
-            self.assert_lane_mirrors(s);
-            lent[s] = true;
-            let vacated = self.lanes[s].vacated();
-            let mut lane = std::mem::replace(&mut self.lanes[s], vacated);
-            let mut slab = self.pump.take_slab(s);
-            let slots = Arc::clone(&results);
-            jobs.push(Box::new(move || {
-                let outcomes = lane.run_window(&mut slab, &events, &params);
-                slots.put(s, (lane, slab, outcomes));
-            }));
-        }
-        executor.run_jobs(jobs);
-        // Bring lanes and slabs home and fold each shard's meter delta:
-        // one atomic merge per touched peer per shard per window instead
-        // of one per query. Peers never move between shards, so per-peer
-        // index-log order is untouched by the shard fold order.
-        let mut outcomes: Vec<std::vec::IntoIter<Pass1Outcome<M>>> =
-            (0..num_shards).map(|_| Vec::new().into_iter()).collect();
-        {
-            let mut slots = results.take_all();
-            for (s, was_lent) in lent.iter().enumerate() {
-                if !was_lent {
-                    continue;
-                }
-                let (lane, slab, outs) = slots[s]
-                    .take()
-                    .expect("window executor finished without running every job");
-                self.lanes[s] = lane;
-                self.pump.put_slab(s, slab);
-                self.source.meter().fold(&mut self.lanes[s].delta);
-                outcomes[s] = outs.into_iter();
-            }
-        }
-        // Pass 2: replay global bookkeeping in seq order with the serial
-        // loop's exact per-event stop/guard checks.
-        for (i, ev) in window.iter().enumerate() {
-            if self.pending_nonfaulty == 0 {
-                self.free_unreached_window(&window[i..], &mut outcomes);
-                break;
-            }
-            if self.events >= self.max_events {
-                return Err(RunError::EventLimitExceeded {
-                    limit: self.max_events,
-                });
-            }
-            if let EventKind::Retransmit { from, to, slot } = ev.kind {
-                self.handle_retransmit(from, to, slot)?;
-                continue;
-            }
-            let subject = ev.kind.subject();
-            if self.status[subject.index()].role == PeerRole::Byzantine {
-                // Byzantine steps run serially: the serial loop may stop
-                // mid-window, and a Byzantine handler it would never have
-                // run must not run here either.
-                if let Some(peer) = self.process_event(ev.kind) {
-                    let mut outbox = std::mem::take(&mut self.outbox_scratch);
-                    let dispatched = self.dispatch_outbox(peer, &mut outbox);
-                    self.outbox_scratch = outbox;
-                    dispatched?;
-                }
-                continue;
-            }
-            let s = subject.index() % num_shards;
-            match outcomes[s]
-                .next()
-                .expect("pass-1 outcome missing for honest window event")
-            {
-                Pass1Outcome::Dropped | Pass1Outcome::Parked => {}
-                Pass1Outcome::Stepped {
-                    is_start,
-                    mut outbox,
-                    flush,
-                    terminated_after,
-                } => {
-                    self.status[subject.index()].events_processed += 1;
-                    self.events += 1;
-                    if is_start {
-                        self.status[subject.index()].started = true;
-                        // Re-enqueue pre-start arrivals at the current
-                        // tick — the same-tick window append, with the
-                        // same seq stamps the serial loop would allocate.
-                        for (from, pslot) in flush {
-                            let now = self.now;
-                            self.push_event(
-                                now,
-                                EventKind::Deliver {
-                                    from,
-                                    to: subject,
-                                    slot: pslot,
-                                },
-                            );
-                        }
-                    }
-                    let was_terminated = self.status[subject.index()].terminated;
-                    self.status[subject.index()].terminated = terminated_after;
-                    if !was_terminated
-                        && terminated_after
-                        && self.status[subject.index()].is_nonfaulty()
-                    {
-                        self.pending_nonfaulty -= 1;
-                    }
-                    let dispatched = self.dispatch_outbox(subject, &mut outbox);
-                    outbox.clear();
-                    self.lanes[s].spare_outboxes.push(outbox);
-                    dispatched?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Frees the payload slots of window events past the serial stop
-    /// point (`pending_nonfaulty == 0` mid-window). The serial loop would
-    /// have left these queued for the end-of-run drain; the parallel path
-    /// already took them out of the pump, so it frees them here instead.
-    /// Honest events past the stop point were necessarily `Dropped` by
-    /// their lanes (every honest peer had terminated at an earlier seq),
-    /// so only unprocessed Byzantine deliveries still own slots.
-    fn free_unreached_window(
-        &mut self,
-        rest: &[QueuedEvent],
-        outcomes: &mut [std::vec::IntoIter<Pass1Outcome<M>>],
-    ) {
-        let num_shards = self.lanes.len();
-        for ev in rest {
-            if let EventKind::Retransmit { to, slot, .. } = ev.kind {
-                self.retrans.remove(&(to.index(), slot));
-                self.pump.release_payload(to, slot);
-                continue;
-            }
-            let subject = ev.kind.subject();
-            if self.status[subject.index()].role == PeerRole::Byzantine {
-                if let EventKind::Deliver { to, slot, .. } = ev.kind {
-                    self.pump.release_payload(to, slot);
-                }
-            } else if let Some(Pass1Outcome::Stepped { flush, outbox, .. }) =
-                outcomes[subject.index() % num_shards].next()
-            {
-                // Unreachable when every honest peer has terminated, but
-                // free defensively: an unapplied step's flushed pre-start
-                // slots would otherwise leak, and its outbox is dropped
-                // exactly as the serial loop would never have sent it.
-                drop(outbox);
-                for (_, pslot) in flush {
-                    self.pump.release_payload(subject, pslot);
-                }
-            }
-        }
-    }
-
     /// A backed-off resend attempt fires: re-consult the adversary's
-    /// transmit decision for the message parked in `to`'s slab at `slot`.
+    /// transmit decision for the message parked in the slab at `slot`.
     /// On success the delivery is scheduled with the message's original
     /// latency; on another drop the backoff doubles until the retry cap,
     /// after which the message is abandoned (slot freed, counted into
@@ -1062,7 +775,7 @@ impl<M: ProtocolMessage> Simulation<M> {
         let target = &self.status[to.index()];
         if target.crashed || target.terminated {
             // Same as a delivery to a dead peer: give up the slot and move on.
-            self.pump.release_payload(to, slot);
+            self.pump.release_payload(slot);
             let at = self.now;
             self.record(TraceEntry::Drop { at, from, to });
             return Ok(());
@@ -1108,7 +821,7 @@ impl<M: ProtocolMessage> Simulation<M> {
                     attempt: st.attempt,
                 });
                 if st.attempt >= self.links.policy.max_retries {
-                    self.pump.release_payload(to, slot);
+                    self.pump.release_payload(slot);
                     self.messages_lost += 1;
                     let attempts = st.attempt + 1;
                     self.record(TraceEntry::Lost {
@@ -1138,20 +851,6 @@ impl<M: ProtocolMessage> Simulation<M> {
         Ok(())
     }
 
-    /// Debug-build check that a lane's lifecycle-flag mirror agrees with
-    /// the authoritative statuses before the lane is lent to a worker.
-    #[cfg(debug_assertions)]
-    fn assert_lane_mirrors(&self, s: usize) {
-        let lane = &self.lanes[s];
-        for (slot, flags) in lane.flags.iter().enumerate() {
-            let peer = slot * self.lanes.len() + s;
-            assert!(
-                flags.mirrors(&self.status[peer]),
-                "lane {s} flags out of sync with status for peer {peer}"
-            );
-        }
-    }
-
     /// Debug-build invariant: at the end of a run every occupied slab slot
     /// counts exactly its still-pending owners — queued and parked
     /// deliveries, pending resends, held messages and pre-start buffer
@@ -1162,17 +861,16 @@ impl<M: ProtocolMessage> Simulation<M> {
     /// builds would silently accumulate.
     #[cfg(debug_assertions)]
     fn assert_no_leaked_slots(&mut self) {
-        let shards = self.lanes.len();
         while let Some(ev) = self.pump.pop() {
             match ev.kind {
-                EventKind::Deliver { to, slot, .. } => {
-                    self.pump.release_payload(to, slot);
+                EventKind::Deliver { slot, .. } => {
+                    self.pump.release_payload(slot);
                 }
                 // A pending resend owns its payload slot exactly like a
                 // queued delivery; drop its metadata alongside the slot.
                 EventKind::Retransmit { to, slot, .. } => {
                     self.retrans.remove(&(to.index(), slot));
-                    self.pump.release_payload(to, slot);
+                    self.pump.release_payload(slot);
                 }
                 EventKind::Start(_) => {}
             }
@@ -1182,21 +880,18 @@ impl<M: ProtocolMessage> Simulation<M> {
             "slab leak: resend state with no queued retransmit event"
         );
         for h in std::mem::take(&mut self.held) {
-            self.pump.release_payload(h.to, h.slot);
+            self.pump.release_payload(h.slot);
         }
-        for s in 0..shards {
-            let buffers = std::mem::take(&mut self.lanes[s].pre_start);
-            for (slot_idx, buf) in buffers.into_iter().enumerate() {
-                let peer = PeerId(slot_idx * shards + s);
-                if self.status[peer.index()].crashed {
-                    assert!(
-                        buf.is_empty(),
-                        "slab leak: crashed peer {peer} still owns pre-start slots"
-                    );
-                }
-                for (_, pslot) in buf {
-                    self.pump.release_payload(peer, pslot);
-                }
+        for (p, buf) in std::mem::take(&mut self.pre_start).into_iter().enumerate() {
+            if self.status[p].crashed {
+                assert!(
+                    buf.is_empty(),
+                    "slab leak: crashed peer {} still owns pre-start slots",
+                    PeerId(p)
+                );
+            }
+            for (_, pslot) in buf {
+                self.pump.release_payload(pslot);
             }
         }
         assert_eq!(
@@ -1276,15 +971,9 @@ impl<M: ProtocolMessage> Simulation<M> {
         }
     }
 
-    fn into_report(mut self) -> RunReport {
+    fn into_report(self) -> RunReport {
         let k = self.params.k();
-        let shards = self.lanes.len();
-        // Every delta should already be folded (serial steps fold per
-        // event, parallel windows at the barrier); fold defensively so the
-        // meter is provably complete before it is read.
-        for lane in &mut self.lanes {
-            self.source.meter().fold(&mut lane.delta);
-        }
+        debug_assert!(self.delta.is_empty(), "step ended without a meter fold");
         let mut nonfaulty = PeerSet::new(k);
         let mut crashed = PeerSet::new(k);
         let mut byzantine = PeerSet::new(k);
@@ -1312,9 +1001,7 @@ impl<M: ProtocolMessage> Simulation<M> {
         });
         let max_nonfaulty_queries = self.source.meter().max_over(nonfaulty.iter());
         RunReport {
-            outputs: (0..k)
-                .map(|p| self.lanes[p % shards].agents[p / shards].output().cloned())
-                .collect(),
+            outputs: self.agents.iter().map(|a| a.output().cloned()).collect(),
             nonfaulty,
             crashed,
             byzantine,
@@ -1335,8 +1022,6 @@ impl<M: ProtocolMessage> Simulation<M> {
             peak_queue_len: self.pump.peak_queued() as u64,
             peak_slab_len: self.pump.peak_live() as u64,
             slab_slot_bytes: MsgSlab::<M>::SLOT_BYTES as u64,
-            peak_queue_lens: self.pump.peak_queued_per_shard(),
-            peak_slab_lens: self.pump.peak_live_per_shard(),
             trace: self.trace,
         }
     }

@@ -6,13 +6,9 @@
 //! status (role, started/terminated/crashed, events processed). Adversaries
 //! make delay, hold, and crash decisions from this view.
 //!
-//! Peer state is split in two for the parallel dispatch path: the
-//! contiguous [`PeerStatus`] vector owned by the coordinator is the
-//! *shared read-only core* every adversary `View` borrows, while each
-//! shard lane carries a mutable [`LaneFlags`] mirror of the three
-//! lifecycle bits its worker needs mid-window (see `lane.rs`). The
-//! coordinator keeps the two in sync at every status transition and
-//! debug-asserts the mirror before lending a lane out.
+//! The simulator's contiguous [`PeerStatus`] vector is the only copy of
+//! the lifecycle bits: the run loop updates it between steps and every
+//! `View` borrows it.
 
 use crate::time::Ticks;
 use dr_core::{PeerId, PeerSet};
@@ -56,29 +52,6 @@ impl PeerStatus {
     /// Whether this peer is nonfaulty so far: honest and not crashed.
     pub fn is_nonfaulty(&self) -> bool {
         self.role == PeerRole::Honest && !self.crashed
-    }
-}
-
-/// The per-shard mutable mirror of a peer's lifecycle bits: the half of
-/// the peer-state split a shard lane owns while its window batch runs on
-/// a worker thread. Only the subject peer's own events mutate these
-/// flags, and a window batch processes each lane's events in global
-/// sequence order, so the mirror is always current for every decision
-/// the lane makes (drop, park, or step).
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct LaneFlags {
-    pub(crate) started: bool,
-    pub(crate) terminated: bool,
-    pub(crate) crashed: bool,
-}
-
-#[cfg(debug_assertions)]
-impl LaneFlags {
-    /// Whether the authoritative status and this mirror agree.
-    pub(crate) fn mirrors(&self, status: &PeerStatus) -> bool {
-        self.started == status.started
-            && self.terminated == status.terminated
-            && self.crashed == status.crashed
     }
 }
 

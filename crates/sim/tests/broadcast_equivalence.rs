@@ -1,8 +1,7 @@
 //! Differential test for one-slot broadcasts.
 //!
 //! The simulator's context records `Context::broadcast` as one outbox
-//! entry and stores its payload once per destination shard, shared by the
-//! recipients. The provided default of `broadcast` — a loop over `send`,
+//! entry and stores its payload once, shared by the recipients. The provided default of `broadcast` — a loop over `send`,
 //! one payload and one slot per recipient — is still there, so a context
 //! that forwards only `send` runs a protocol the way every broadcast ran
 //! before. Whole executions of the two must be indistinguishable: the
@@ -16,11 +15,9 @@ use dr_sim::{
     Adversary, ChaosAdversary, ChaosConfig, ChurnDirective, ChurnMixer, Delivery,
     HoldUntilQuiescence, LinkDecision, LinkFaultPlan, LossyLinks, PartitionDirective,
     PartitionHealer, RecordingAdversary, Release, RetransmitPolicy, RunError, RunReport,
-    ScheduleTrace, SerialWindowExecutor, SimBuilder, StandardAdversary, Ticks, TraceEntry, View,
-    TICKS_PER_UNIT,
+    ScheduleTrace, SimBuilder, StandardAdversary, Ticks, TraceEntry, View, TICKS_PER_UNIT,
 };
 use rand::rngs::StdRng;
-use std::sync::Arc;
 
 /// A stretch of the input, as its sender read it from the source.
 #[derive(Debug, Clone)]
@@ -334,14 +331,12 @@ fn params(case: &Case) -> ModelParams {
 /// occupancy (zero for a failed run).
 fn observe<P: Protocol<Msg = Chunk> + 'static>(
     case: &Case,
-    shards: usize,
     wrap: fn(Gossip) -> P,
 ) -> (Observed, u64) {
     let (recorder, handle) = RecordingAdversary::new((case.adversary)());
     let (k, quorum) = (case.k, case.quorum);
     let run = SimBuilder::new(params(case))
         .seed(case.seed)
-        .shards(shards)
         .trace()
         .protocol(move |_| wrap(Gossip::new(k, quorum, true)))
         .adversary(recorder)
@@ -358,28 +353,18 @@ fn observe<P: Protocol<Msg = Chunk> + 'static>(
     (observed, peak_slab)
 }
 
-/// The native run and the send-only run of `case` agree, at every shard
-/// count, and in one shard the native one never occupies more slots.
+/// The native run and the send-only run of `case` agree, and the native
+/// one never occupies more slots.
 fn assert_equivalent(case: &Case) -> Observed {
-    let mut serial = None;
-    for shards in [1usize, 3, 8] {
-        let (native, native_slab) = observe(case, shards, |g| g);
-        let (adapted, adapted_slab) = observe(case, shards, PerRecipientSends);
-        assert_eq!(native, adapted, "{} shards={shards}", case.label);
-        // With a shard per recipient a broadcast is as many slots as
-        // sends; in one shard it is one.
-        assert!(
-            shards > 1 || native_slab <= adapted_slab,
-            "{}: {native_slab} slots natively, {adapted_slab} per recipient",
-            case.label
-        );
-        if let Some(serial) = &serial {
-            assert_eq!(&native, serial, "{} shards={shards} vs 1", case.label);
-        } else {
-            serial = Some(native);
-        }
-    }
-    serial.expect("ran at one shard")
+    let (native, native_slab) = observe(case, |g| g);
+    let (adapted, adapted_slab) = observe(case, PerRecipientSends);
+    assert_eq!(native, adapted, "{}", case.label);
+    assert!(
+        native_slab <= adapted_slab,
+        "{}: {native_slab} slots natively, {adapted_slab} per recipient",
+        case.label
+    );
+    native
 }
 
 fn completed<'a>(observed: &'a Observed, label: &str) -> &'a Facts {
@@ -729,49 +714,17 @@ fn chaos_draws_the_same_schedule() {
     assert!(cuts > 0, "no seed cut a batch");
 }
 
-/// The parallel window path hands lanes' outboxes to the same dispatch
-/// loop: fingerprints agree with the serial send-only run.
+/// Capacity counts slots. Peer 1's broadcast to peers 0 and 2 fits a
+/// one-slot slab, which two private copies would not. While it is in
+/// flight peer 0 broadcasts and finds the slab full. The run fails with
+/// the structured error, and the audit that follows (debug builds) finds
+/// peer 1's slot still owned by its two recipients.
 #[test]
-fn parallel_windows_dispatch_broadcasts_identically() {
-    let (n, k) = (200, 12);
-    let run = |shards: usize, native: bool| {
-        let builder = SimBuilder::new(ModelParams::fault_free(n, k).unwrap())
-            .seed(47)
-            .shards(shards)
-            .parallel_window_min(1)
-            .pump_executor(Arc::new(SerialWindowExecutor))
-            .adversary(StandardAdversary::benign().simultaneous_start());
-        let report = if native {
-            builder.protocol(move |_| Gossip::new(k, k - 1, true))
-        } else {
-            builder.protocol(move |_| PerRecipientSends(Gossip::new(k, k - 1, true)))
-        }
-        .build()
-        .run()
-        .unwrap();
-        (report.fingerprint(), report.messages_sent, report.events)
-    };
-    let reference = run(1, false);
-    for shards in [1usize, 3, 8] {
-        assert_eq!(run(shards, true), reference, "shards={shards}");
-        assert_eq!(run(shards, false), reference, "shards={shards}");
-    }
-}
-
-/// Capacity counts slots. Peer 1's broadcast to peers 0 and 2 — both in
-/// shard 0 of 2 — fits a one-slot slab, which two private copies would
-/// not. While it is in flight peer 0 broadcasts: its slot for peer 1 in
-/// shard 1 is stored, the one for peer 2 finds shard 0 full. The run
-/// fails with the structured error, and the audit that follows (debug
-/// builds) finds peer 1's slot still owned by its two recipients and
-/// peer 0's given up by the dispatch loop.
-#[test]
-fn slab_overflow_in_the_middle_of_a_broadcast() {
+fn slab_overflow_while_a_broadcast_is_in_flight() {
     let (n, k) = (60, 3);
     let run = |capacity: u32| {
         SimBuilder::new(ModelParams::fault_free(n, k).unwrap())
             .seed(53)
-            .shards(2)
             .slab_capacity(capacity)
             .protocol(move |_| Gossip::new(k, 0, false))
             .adversary(Script {
@@ -785,8 +738,8 @@ fn slab_overflow_in_the_middle_of_a_broadcast() {
         Err(RunError::SlabOverflow { capacity }) => assert_eq!(capacity, 1),
         other => panic!("expected slab overflow, got {other:?}"),
     }
-    // Peer 2 starts last, with both broadcasts waiting for it in shard 0,
-    // and adds its own.
-    let report = run(3).expect("three slots per shard are enough");
-    assert_eq!(report.peak_slab_lens, vec![3, 1]);
+    // Peer 2 starts last, with both broadcasts waiting for it, and adds
+    // its own.
+    let report = run(3).expect("three slots are enough");
+    assert_eq!(report.peak_slab_len, 3);
 }

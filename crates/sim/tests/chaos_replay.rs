@@ -5,8 +5,9 @@ use dr_core::{
     BitArray, Context, FaultModel, ModelParams, PartialArray, PeerId, Protocol, ProtocolMessage,
 };
 use dr_sim::{
-    Adversary, ChaosAdversary, ChaosConfig, CrashPlan, Delivery, RecordingAdversary,
-    ReplayAdversary, RunError, SilentAgent, SimBuilder, StandardAdversary, UniformDelay, View,
+    Adversary, ChaosAdversary, ChaosConfig, CrashPlan, Delivery, HoldUntilQuiescence,
+    RecordingAdversary, ReplayAdversary, RunError, SilentAgent, SimBuilder, StandardAdversary,
+    UniformDelay, View,
 };
 use rand::rngs::StdRng;
 
@@ -104,6 +105,37 @@ fn recorded_chaos_run_replays_bit_identically() {
     let replayed = sim.run().unwrap();
     assert_eq!(replayed.fingerprint(), original.fingerprint());
     assert_eq!(rehandle.take(), trace);
+}
+
+/// A schedule of holds released two at a time under compulsion replays
+/// bit-identically: positional decision alignment holds because the pump
+/// consults the adversary in the identical sequence.
+#[test]
+fn recorded_hold_schedule_replays_bit_identically() {
+    let (n, k) = (96, 6);
+    let params = ModelParams::fault_free(n, k).unwrap();
+    for seed in [3u64, 1719, 0xBEEF] {
+        let (recorder, handle) = RecordingAdversary::new(HoldUntilQuiescence::new(0.5, 2));
+        let recorded = SimBuilder::new(params)
+            .seed(seed)
+            .protocol(move |_| Balanced::new(n))
+            .adversary(recorder)
+            .build()
+            .run()
+            .expect("fault-free run terminates");
+        let replayed = SimBuilder::new(params)
+            .seed(seed)
+            .protocol(move |_| Balanced::new(n))
+            .adversary(ReplayAdversary::new(handle.take()))
+            .build()
+            .run()
+            .expect("replay terminates");
+        assert_eq!(
+            recorded.fingerprint(),
+            replayed.fingerprint(),
+            "seed={seed}: replay diverged"
+        );
+    }
 }
 
 #[test]

@@ -149,12 +149,10 @@ fn run_balanced(
     n: usize,
     k: usize,
     seed: u64,
-    shards: usize,
     adversary: impl Adversary<Chunk> + 'static,
 ) -> Result<RunReport, RunError> {
     SimBuilder::new(ModelParams::fault_free(n, k).unwrap())
         .seed(seed)
-        .shards(shards)
         .protocol(move |_| Balanced::new(n))
         .adversary(adversary)
         .build()
@@ -184,7 +182,6 @@ fn partition_parks_messages_until_heal() {
         n,
         k,
         9,
-        1,
         StaticCut {
             group: vec![PeerId(0)],
             heal,
@@ -243,7 +240,7 @@ fn exhausted_retries_surface_as_structured_error() {
         max_retries: 2,
         fail_fast: true,
     };
-    match run_balanced(64, 4, 3, 1, AlwaysDrop { policy }) {
+    match run_balanced(64, 4, 3, AlwaysDrop { policy }) {
         Err(RunError::RetriesExhausted { attempts, .. }) => {
             // Original send + max_retries resends, all dropped.
             assert_eq!(attempts, 3);
@@ -262,7 +259,7 @@ fn exhausted_retries_without_fail_fast_deadlock_balanced() {
         max_retries: 1,
         fail_fast: false,
     };
-    match run_balanced(64, 4, 3, 1, AlwaysDrop { policy }) {
+    match run_balanced(64, 4, 3, AlwaysDrop { policy }) {
         Err(RunError::Deadlock { stuck }) => assert_eq!(stuck.len(), 4),
         other => panic!("expected deadlock from total loss, got {other:?}"),
     }
@@ -304,48 +301,18 @@ fn link_fault_adversaries_replay_bit_identically() {
                 .verify_downloads(&input)
                 .unwrap_or_else(|v| panic!("{label}/{seed}: {v}"));
             let trace = handle.take();
-            for shards in [1usize, 4] {
-                let replayed =
-                    run_balanced(n, k, seed, shards, ReplayAdversary::new(trace.clone()))
-                        .unwrap_or_else(|e| panic!("{label}/{seed}/shards={shards}: {e}"));
-                assert_eq!(
-                    replayed.fingerprint(),
-                    original.fingerprint(),
-                    "{label}/{seed}/shards={shards}: fingerprint diverged"
-                );
-                assert_eq!(
-                    link_counters(&replayed),
-                    link_counters(&original),
-                    "{label}/{seed}/shards={shards}: link counters diverged"
-                );
-            }
-        }
-    }
-}
-
-/// The degrade gate: a link-fault run under the sharded pump is
-/// bit-identical to the serial pump (the eligibility gate falls back to
-/// serial windows while partitions, churn, or lossiness are active).
-#[test]
-fn sharded_pump_degrades_bit_identically_under_link_faults() {
-    let (n, k) = (128, 8);
-    for seed in [2u64, 13] {
-        for shards in [2usize, 3, 8] {
-            let serial = run_balanced(n, k, seed, 1, PartitionHealer::new(k, seed, 2)).unwrap();
-            let sharded = run_balanced(n, k, seed, shards, PartitionHealer::new(k, seed, 2))
-                .unwrap_or_else(|e| panic!("seed={seed} shards={shards}: {e}"));
-            assert_eq!(serial.fingerprint(), sharded.fingerprint());
-            assert_eq!(link_counters(&serial), link_counters(&sharded));
-
-            let serial = run_balanced(n, k, seed, 1, LossyLinks::new(seed, 250)).unwrap();
-            let sharded = run_balanced(n, k, seed, shards, LossyLinks::new(seed, 250)).unwrap();
-            assert_eq!(serial.fingerprint(), sharded.fingerprint());
-            assert_eq!(link_counters(&serial), link_counters(&sharded));
-
-            let serial = run_balanced(n, k, seed, 1, ChurnMixer::new(k, seed, 2)).unwrap();
-            let sharded = run_balanced(n, k, seed, shards, ChurnMixer::new(k, seed, 2)).unwrap();
-            assert_eq!(serial.fingerprint(), sharded.fingerprint());
-            assert_eq!(link_counters(&serial), link_counters(&sharded));
+            let replayed = run_balanced(n, k, seed, ReplayAdversary::new(trace))
+                .unwrap_or_else(|e| panic!("{label}/{seed}: {e}"));
+            assert_eq!(
+                replayed.fingerprint(),
+                original.fingerprint(),
+                "{label}/{seed}: fingerprint diverged"
+            );
+            assert_eq!(
+                link_counters(&replayed),
+                link_counters(&original),
+                "{label}/{seed}: link counters diverged"
+            );
         }
     }
 }
@@ -383,7 +350,7 @@ fn churn_defers_deliveries_losslessly() {
             }
         }
     }
-    let report = run_balanced(n, k, 21, 1, FixedChurn).expect("deferred events re-fire at rejoin");
+    let report = run_balanced(n, k, 21, FixedChurn).expect("deferred events re-fire at rejoin");
     assert!(report.deferred_deliveries > 0, "nothing deferred");
     assert!(
         report.virtual_time_ticks >= 4 * TICKS_PER_UNIT,
@@ -400,8 +367,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Same-seed `LossyLinks` runs replay bit-identically at any drop
-    /// rate, serial and sharded alike: fingerprints and link counters
-    /// are equal, and (with the generous default retry budget) the
+    /// rate: fingerprints and link counters are equal, and (with the generous default retry budget) the
     /// terminating run's downloads verify at any drop rate < 1.0.
     #[test]
     fn lossy_runs_replay_and_verify_at_any_drop_rate(
@@ -430,13 +396,10 @@ proptest! {
                 if drop_permille > 0 {
                     prop_assert!(report.link_drops > 0 || report.retransmissions == 0);
                 }
-                for shards in [1usize, 4] {
-                    let replayed =
-                        run_balanced(n, k, seed, shards, ReplayAdversary::new(trace.clone()))
-                            .unwrap_or_else(|e| panic!("replay: {e}"));
-                    prop_assert_eq!(replayed.fingerprint(), report.fingerprint());
-                    prop_assert_eq!(link_counters(&replayed), link_counters(&report));
-                }
+                let replayed = run_balanced(n, k, seed, ReplayAdversary::new(trace))
+                    .unwrap_or_else(|e| panic!("replay: {e}"));
+                prop_assert_eq!(replayed.fingerprint(), report.fingerprint());
+                prop_assert_eq!(link_counters(&replayed), link_counters(&report));
             }
             Err(RunError::Deadlock { .. }) => {
                 // Legal only if something was genuinely abandoned.
@@ -451,10 +414,10 @@ proptest! {
     #[test]
     fn partitions_and_churn_never_lose_messages(seed in any::<u64>()) {
         let (n, k) = (64, 8);
-        let report = run_balanced(n, k, seed, 1, PartitionHealer::new(k, seed, 2))
+        let report = run_balanced(n, k, seed, PartitionHealer::new(k, seed, 2))
             .unwrap_or_else(|e| panic!("partition: {e}"));
         prop_assert_eq!(report.messages_lost, 0);
-        let report = run_balanced(n, k, seed, 1, ChurnMixer::new(k, seed, 2))
+        let report = run_balanced(n, k, seed, ChurnMixer::new(k, seed, 2))
             .unwrap_or_else(|e| panic!("churn: {e}"));
         prop_assert_eq!(report.messages_lost, 0);
     }

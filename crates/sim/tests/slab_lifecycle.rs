@@ -1,11 +1,11 @@
 //! Slab-lifecycle regressions: slot ownership across crashes, the
 //! capacity error path, and the adaptive crasher's pre-start behavior.
 //!
-//! Debug builds end every successful run with the simulator's
+//! Debug builds end every run, failed ones included, with the simulator's
 //! no-leaked-slots audit (every occupied payload slot must count exactly
 //! the queued deliveries, pending resends, held messages and pre-start
 //! buffer entries that share it), so simply driving these scenarios to
-//! completion is itself the regression check.
+//! their end is itself the regression check.
 
 use dr_core::{BitArray, Context, FaultModel, ModelParams, PeerId, Protocol, ProtocolMessage};
 use dr_sim::{
@@ -175,37 +175,34 @@ fn crash_params(n: usize, k: usize, b: usize) -> ModelParams {
 /// The held-at-start leak: a peer with pings waiting in its pre-start
 /// buffer crashes before its first step. Its buffered slots must be
 /// freed at the crash — the debug no-leak audit at end of run fails
-/// otherwise. Swept across serial and sharded pumps.
+/// otherwise.
 #[test]
 fn crash_before_start_frees_buffered_slots() {
     let (n, k) = (64, 5);
     let victim = PeerId(k - 1);
-    for shards in [1usize, 2, 3] {
-        let sim = SimBuilder::new(crash_params(n, k, 1))
-            .seed(7)
-            .shards(shards)
-            .protocol(move |_| Solo { out: None })
-            .adversary(CrashVictimAtStart { victim })
-            .build();
-        let report = sim
-            .run()
-            .expect("solo peers terminate regardless of the crash");
-        assert!(report.crashed.contains(victim), "shards={shards}");
-        for p in 0..k - 1 {
-            assert!(
-                report.outputs[p].is_some(),
-                "honest peer {p} missing output (shards={shards})"
-            );
-        }
-        // The victim never ran: it holds no output and took no queries.
-        assert!(report.outputs[victim.index()].is_none());
-        assert_eq!(report.query_counts[victim.index()], 0);
+    let sim = SimBuilder::new(crash_params(n, k, 1))
+        .seed(7)
+        .protocol(move |_| Solo { out: None })
+        .adversary(CrashVictimAtStart { victim })
+        .build();
+    let report = sim
+        .run()
+        .expect("solo peers terminate regardless of the crash");
+    assert!(report.crashed.contains(victim));
+    for p in 0..k - 1 {
+        assert!(
+            report.outputs[p].is_some(),
+            "honest peer {p} missing output"
+        );
     }
+    // The victim never ran: it holds no output and took no queries.
+    assert!(report.outputs[victim.index()].is_none());
+    assert_eq!(report.query_counts[victim.index()], 0);
 }
 
 /// Chaos campaign over the full lifecycle: random crashes (including
-/// before-start), mid-send cuts, and holds, across seeds and shard
-/// counts. Every run must complete and pass the debug no-leak audit.
+/// before-start), mid-send cuts, and holds, across seeds. Every run must
+/// complete and pass the debug no-leak audit.
 #[test]
 fn chaos_campaign_leaks_no_slots() {
     let (n, k, b) = (64, 8, 3);
@@ -217,18 +214,13 @@ fn chaos_campaign_leaks_no_slots() {
         partial_release_prob: 0.5,
     };
     for seed in 0..12u64 {
-        for shards in [1usize, 4] {
-            let sim = SimBuilder::new(crash_params(n, k, b))
-                .seed(seed)
-                .shards(shards)
-                .protocol(move |_| Solo { out: None })
-                .adversary(ChaosAdversary::new(seed, cfg))
-                .build();
-            let report = sim
-                .run()
-                .unwrap_or_else(|e| panic!("seed={seed} shards={shards}: {e}"));
-            assert!(report.crashed.len() <= b, "seed={seed} shards={shards}");
-        }
+        let sim = SimBuilder::new(crash_params(n, k, b))
+            .seed(seed)
+            .protocol(move |_| Solo { out: None })
+            .adversary(ChaosAdversary::new(seed, cfg))
+            .build();
+        let report = sim.run().unwrap_or_else(|e| panic!("seed={seed}: {e}"));
+        assert!(report.crashed.len() <= b, "seed={seed}");
     }
 }
 
@@ -251,20 +243,102 @@ fn tiny_slab_capacity_is_a_structured_error() {
     }
 }
 
-/// Per-shard slabs enforce the cap independently: peer 0's broadcast
-/// takes one slot in each of the two shards, and peer 1's, sent while
-/// those are still queued, finds a 1-slot cap already used up.
+/// Sends to peer 1 arrive after a full unit, sends to peer 2 are held,
+/// everything else arrives on the next tick; peer 0 starts first and the
+/// last peer almost a unit later. After peer 0's start step its broadcast
+/// therefore has one recipient queued, one held and (a tick later) one
+/// waiting in a pre-start buffer — every kind of owner a slot can have.
+struct ScatterOwners {
+    k: usize,
+}
+
+impl<M: ProtocolMessage> Adversary<M> for ScatterOwners {
+    fn start_offset(&mut self, peer: PeerId, _rng: &mut StdRng) -> Ticks {
+        if peer.index() == self.k - 1 {
+            TICKS_PER_UNIT - 1
+        } else {
+            5 * peer.index() as Ticks
+        }
+    }
+
+    fn on_send(
+        &mut self,
+        _view: &dr_sim::View<'_>,
+        _from: PeerId,
+        to: PeerId,
+        _msg: &M,
+        _rng: &mut StdRng,
+    ) -> Delivery {
+        match to.index() {
+            1 => Delivery::After(TICKS_PER_UNIT),
+            2 => Delivery::Hold,
+            _ => Delivery::After(1),
+        }
+    }
+
+    fn planned_crashes(&self) -> Option<usize> {
+        Some(0)
+    }
+}
+
+/// A run the livelock guard stops after two steps, while peer 0's
+/// broadcast slot is still owned by a queued delivery (to peer 1), a held
+/// message (to peer 2) and a pre-start buffer entry (peer 3 has not
+/// started). The audit runs after the error and must account for all
+/// three.
 #[test]
-fn sharded_slab_capacity_is_enforced_per_shard() {
-    let sim = SimBuilder::new(ModelParams::fault_free(64, 4).unwrap())
-        .seed(3)
-        .shards(2)
-        .slab_capacity(1)
+fn event_limit_with_queued_held_and_buffered_recipients_leaks_no_slots() {
+    let k = 4;
+    let sim = SimBuilder::new(ModelParams::fault_free(64, k).unwrap())
+        .seed(31)
+        .max_events(2)
         .protocol(move |_| Solo { out: None })
-        .adversary(DetBenign)
+        .adversary(ScatterOwners { k })
         .build();
     match sim.run() {
-        Err(RunError::SlabOverflow { capacity }) => assert_eq!(capacity, 1),
+        Err(RunError::EventLimitExceeded { limit }) => assert_eq!(limit, 2),
+        other => panic!("expected the event limit, got {other:?}"),
+    }
+}
+
+/// Two point-to-point sends, then a broadcast, in one start step.
+struct SendsThenBroadcast {
+    out: Option<BitArray>,
+}
+
+impl Protocol for SendsThenBroadcast {
+    type Msg = Ping;
+
+    fn on_start(&mut self, ctx: &mut dyn Context<Ping>) {
+        ctx.send(PeerId(1), Ping);
+        ctx.send(PeerId(2), Ping);
+        ctx.broadcast(Ping);
+        self.out = Some(ctx.query_range(0..ctx.input_len()));
+    }
+
+    fn on_message(&mut self, _from: PeerId, _msg: Ping, _ctx: &mut dyn Context<Ping>) {}
+
+    fn output(&self) -> Option<&BitArray> {
+        self.out.as_ref()
+    }
+}
+
+/// The slab fills up in the middle of a step's outbox: peer 0's two
+/// sends are already routed — one queued, one held — when its broadcast
+/// finds the 2-slot slab full. The run fails with the structured error
+/// and the recipients routed before it still own their slots, which the
+/// audit must find and release.
+#[test]
+fn slab_overflow_mid_outbox_keeps_routed_recipients_accounted() {
+    let k = 4;
+    let sim = SimBuilder::new(ModelParams::fault_free(64, k).unwrap())
+        .seed(37)
+        .slab_capacity(2)
+        .protocol(move |_| SendsThenBroadcast { out: None })
+        .adversary(ScatterOwners { k })
+        .build();
+    match sim.run() {
+        Err(RunError::SlabOverflow { capacity }) => assert_eq!(capacity, 2),
         other => panic!("expected slab overflow, got {other:?}"),
     }
 }
@@ -393,31 +467,22 @@ fn lost_messages_free_their_slots() {
 /// A run that ends while messages are still parked behind an unhealed
 /// cut: the parked payloads' slots are owned by queued deliveries the
 /// run never drains, and the audit must account for every one of them.
-/// Swept across serial and sharded pumps (link faults degrade the
-/// sharded pump to the serial path, but the audit runs either way).
 #[test]
 fn parked_payloads_survive_an_unhealed_cut_without_leaking() {
     let (n, k) = (64, 5);
     let heal = 100 * TICKS_PER_UNIT;
-    for shards in [1usize, 2] {
-        let sim = SimBuilder::new(ModelParams::fault_free(n, k).unwrap())
-            .seed(23)
-            .shards(shards)
-            .protocol(move |_| Solo { out: None })
-            .adversary(StaticCut { heal })
-            .build();
-        let report = sim.run().expect("solo peers terminate mid-cut");
-        // Peer 0's k-1 outgoing pings plus the k-1 inbound ones all park.
-        assert_eq!(
-            report.parked_messages,
-            2 * (k as u64 - 1),
-            "shards={shards}"
-        );
-        assert!(
-            report.virtual_time_ticks < heal,
-            "solo run should end before the far-future heal (shards={shards})"
-        );
-    }
+    let sim = SimBuilder::new(ModelParams::fault_free(n, k).unwrap())
+        .seed(23)
+        .protocol(move |_| Solo { out: None })
+        .adversary(StaticCut { heal })
+        .build();
+    let report = sim.run().expect("solo peers terminate mid-cut");
+    // Peer 0's k-1 outgoing pings plus the k-1 inbound ones all park.
+    assert_eq!(report.parked_messages, 2 * (k as u64 - 1));
+    assert!(
+        report.virtual_time_ticks < heal,
+        "solo run should end before the far-future heal"
+    );
 }
 
 /// A run that ends with resends still pending: the backed-off
