@@ -322,6 +322,9 @@ pub fn zeros(n: usize) -> BitArray {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dr_core::sync::{Arc, Mutex};
+    use dr_core::{ChunkedSource, Context};
+    use dr_protocols::MultiCrashMsg;
 
     #[test]
     fn all_runners_produce_verified_reports() {
@@ -341,6 +344,91 @@ mod tests {
         assert!(stats.peak_resident <= 4);
         assert!(stats.evicted > 0, "cache never cycled: {stats:?}");
         assert!(report.events > 0);
+    }
+
+    /// `CrashMultiDownload`, noting after each of its handler calls the
+    /// most owner tables of its size that were live at once.
+    struct Watched {
+        inner: CrashMultiDownload,
+        n: usize,
+        k: usize,
+        peak: Arc<Mutex<usize>>,
+    }
+
+    impl Watched {
+        fn watch(&self) {
+            let live = dr_protocols::crash::live_partitions(self.n, self.k);
+            let mut peak = self
+                .peak
+                .lock()
+                .expect("no watcher panics holding the peak");
+            *peak = live.max(*peak);
+        }
+    }
+
+    impl dr_core::Protocol for Watched {
+        type Msg = MultiCrashMsg;
+
+        fn on_start(&mut self, ctx: &mut dyn Context<MultiCrashMsg>) {
+            self.inner.on_start(ctx);
+            self.watch();
+        }
+
+        fn on_message(
+            &mut self,
+            from: PeerId,
+            msg: MultiCrashMsg,
+            ctx: &mut dyn Context<MultiCrashMsg>,
+        ) {
+            self.inner.on_message(from, msg, ctx);
+            self.watch();
+        }
+
+        fn output(&self) -> Option<&BitArray> {
+            self.inner.output()
+        }
+    }
+
+    /// The most owner tables live at once in a verified streaming run of
+    /// `stream`'s shape (k = 8, b = 2, sim seed 13), with both crashed
+    /// peers falling before their `crash_event`-th event.
+    fn peak_owner_tables(crash_event: u64) -> usize {
+        // An n no other test uses: the registry is process-wide.
+        let (n, k, b) = (16411, 8, 2);
+        let geometry = || ChunkedSource::with_geometry(n, 99, 16, 4);
+        let source = Arc::new(geometry());
+        let peak = Arc::new(Mutex::new(0));
+        let watching = Arc::clone(&peak);
+        let sim = SimBuilder::new(crash_params(n, k, b, 1 << 12))
+            .seed(13)
+            .streaming_source(Arc::clone(&source))
+            .protocol(move |_| Watched {
+                inner: CrashMultiDownload::new(n, k, b),
+                n,
+                k,
+                peak: Arc::clone(&watching),
+            })
+            .adversary(StandardAdversary::new(
+                UniformDelay::new(),
+                CrashPlan::before_event([PeerId(0), PeerId(1)], crash_event),
+            ))
+            .build();
+        let report = sim.run().expect("run must terminate");
+        report.verify_downloads_source(&geometry()).unwrap();
+        assert!(source.stats().peak_resident <= 4);
+        let peak = *peak.lock().expect("no watcher panics holding the peak");
+        peak
+    }
+
+    #[test]
+    fn phase_one_streaming_run_holds_no_owner_table() {
+        // Crashing before their third event, the two victims have each
+        // answered a request: stage 3 recovers their bits and phase 1 is
+        // the whole run. Its owner sets are strides, so no table is live.
+        assert_eq!(peak_owner_tables(2), 0);
+        // Crashing right after they start, they answer nobody: their bits
+        // fall to the hashed phase 2, which does hold a table.
+        assert!(peak_owner_tables(1) > 0);
     }
 
     #[test]

@@ -37,6 +37,14 @@ fn read_word(words: &[u64], pos: usize) -> u64 {
     }
 }
 
+/// Panics for bit index `i` of an array of `len` bits. Out of line, so
+/// that the range check in a per-bit loop keeps `i` in a register.
+#[cold]
+#[inline(never)]
+fn out_of_range(i: usize, len: usize) -> ! {
+    panic!("bit index {i} out of range {len}")
+}
+
 /// The positions of the set bits of `word`, lowest first.
 pub(crate) fn ones_of(mut word: u64) -> impl Iterator<Item = usize> {
     std::iter::from_fn(move || {
@@ -495,6 +503,95 @@ impl FromIterator<bool> for BitArray {
     }
 }
 
+/// The bit indices a packed bitmap is scattered to or gathered from, in
+/// packing order: bit `r` of the bitmap belongs to the `r`-th index.
+///
+/// A structural index set is either tabulated or arithmetic. Algorithm 2's
+/// hashed owner sets are tables; a round-robin share `{j : j mod k = p}`
+/// is the stride `p, p + k, …` and needs no memory at all.
+///
+/// # Examples
+///
+/// ```
+/// use dr_core::BitIndices;
+///
+/// // Peer 2's round-robin share of 20 bits over 8 peers.
+/// let share = BitIndices::stride_below(20, 2, 8);
+/// assert_eq!(share, BitIndices::Stride { start: 2, step: 8, count: 3 });
+/// assert_eq!(share.len(), BitIndices::Table(&[2, 10, 18]).len());
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BitIndices<'a> {
+    /// An explicit list.
+    Table(&'a [u32]),
+    /// `start, start + step, …`: `count` indices.
+    Stride {
+        /// The first index.
+        start: usize,
+        /// The distance between consecutive indices.
+        step: usize,
+        /// How many indices.
+        count: usize,
+    },
+}
+
+impl BitIndices<'_> {
+    /// Every index `start + r·step` below `len`, ascending.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `step == 0`.
+    pub fn stride_below(len: usize, start: usize, step: usize) -> Self {
+        assert!(step > 0, "a stride needs a positive step");
+        BitIndices::Stride {
+            start,
+            step,
+            count: if start < len {
+                (len - start - 1) / step + 1
+            } else {
+                0
+            },
+        }
+    }
+
+    /// Number of indices: the length of a bitmap packed over them.
+    pub fn len(&self) -> usize {
+        match *self {
+            BitIndices::Table(table) => table.len(),
+            BitIndices::Stride { count, .. } => count,
+        }
+    }
+
+    /// Whether there are no indices.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+/// Evaluates `$body` with `$runs` bound to the indices of the
+/// [`BitIndices`] `$list` in packing order, as an iterator over runs of 64:
+/// run `q` holds the indices of packed word `q`, as an iterator of its own.
+/// The kind of list is matched once and `$body` is expanded for each, so
+/// every kind runs its own plain loop — a table load per index for a
+/// table, a multiply-add for a stride — with a packed word at a time in a
+/// register.
+macro_rules! with_runs {
+    ($list:expr, |$runs:ident| $body:expr) => {
+        match $list {
+            BitIndices::Table(table) => {
+                let $runs = table.chunks(64).map(|run| run.iter().map(|&i| i as usize));
+                $body
+            }
+            BitIndices::Stride { start, step, count } => {
+                let $runs = (0..count).step_by(64).map(move |first| {
+                    (first..count.min(first + 64)).map(move |r| start + r * step)
+                });
+                $body
+            }
+        }
+    };
+}
+
 /// A bit array together with a mask of which positions are known.
 ///
 /// This is each peer's working copy of the input: queried or received bits
@@ -608,6 +705,29 @@ impl PartialArray {
         }
     }
 
+    /// Records the bits selected by `mask`, taking their values from the
+    /// same positions of `answers`: exactly [`PartialArray::learn_word`]
+    /// for every word of `mask`, but un-sharing each plane once per call
+    /// instead of once per word. The receive side of a masked query.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mask` or `answers` is not as long as the array.
+    pub fn learn_masked(&mut self, mask: &BitArray, answers: &BitArray) {
+        assert_eq!(mask.len(), self.len(), "length mismatch");
+        assert_eq!(answers.len(), self.len(), "length mismatch");
+        let known = self.known.words_mut().as_mut_slice();
+        let values = self.values.words_mut().as_mut_slice();
+        for (w, (&m, &a)) in mask.words.iter().zip(answers.words.iter()).enumerate() {
+            let fresh = m & !known[w];
+            if fresh != 0 {
+                values[w] |= a & fresh;
+                known[w] |= fresh;
+                self.unknown -= fresh.count_ones() as usize;
+            }
+        }
+    }
+
     /// Records a contiguous run of bits starting at `offset`. Word-level:
     /// bits already known keep their first value (an invariant of the
     /// representation is that `values` is zero wherever `known` is zero,
@@ -642,33 +762,41 @@ impl PartialArray {
         }
     }
 
-    /// Records `bits` against an explicit index list: exactly
+    /// Records `bits` against an index list: exactly
     /// `learn(indices[r], bits.get(r))` for every `r` in order — known
     /// bits and repeated indices keep their first value — but on the word
     /// planes directly, un-sharing each once per call instead of once per
     /// bit. This is the receive side of a packed bitmap over a structural
-    /// index set (Algorithm 2's per-phase owner sets).
+    /// index set (Algorithm 2's per-phase owner sets, Algorithm 1's
+    /// shares).
     ///
     /// # Panics
     ///
     /// Panics if the lengths differ or an index is out of range.
-    pub fn learn_scattered(&mut self, indices: &[u32], bits: &BitArray) {
+    pub fn learn_scattered(&mut self, indices: BitIndices<'_>, bits: &BitArray) {
         assert_eq!(indices.len(), bits.len(), "length mismatch");
         let len = self.len();
-        let known = self.known.words_mut();
-        let values = self.values.words_mut();
-        for (chunk, &packed) in indices.chunks(64).zip(bits.words.iter()) {
-            for (r, &i) in chunk.iter().enumerate() {
-                let i = i as usize;
-                assert!(i < len, "bit index {i} out of range {len}");
-                let (w, s) = (i / 64, i % 64);
-                if known[w] >> s & 1 == 0 {
-                    known[w] |= 1 << s;
-                    values[w] |= (packed >> r & 1) << s;
-                    self.unknown -= 1;
+        // Slices, not `&mut Vec`s: the loop's stores could alias a `Vec`'s
+        // pointer and length in memory, but not a slice's in registers.
+        let known = self.known.words_mut().as_mut_slice();
+        let values = self.values.words_mut().as_mut_slice();
+        let mut learned = 0;
+        with_runs!(indices, |runs| {
+            for (run, &packed) in runs.zip(bits.words.iter()) {
+                for (r, i) in run.enumerate() {
+                    if i >= len {
+                        out_of_range(i, len);
+                    }
+                    let (w, s) = (i / 64, i % 64);
+                    if known[w] >> s & 1 == 0 {
+                        known[w] |= 1 << s;
+                        values[w] |= (packed >> r & 1) << s;
+                        learned += 1;
+                    }
                 }
             }
-        }
+        });
+        self.unknown -= learned;
     }
 
     /// Packs the values at `indices`, in list order, or `None` if any of
@@ -680,21 +808,72 @@ impl PartialArray {
     ///
     /// Panics if an index is out of range (unless an earlier one was
     /// unknown, exactly as a loop of `get` that stops at the first `None`).
-    pub fn gather(&self, indices: &[u32]) -> Option<BitArray> {
+    pub fn gather(&self, indices: BitIndices<'_>) -> Option<BitArray> {
         let len = self.len();
-        let mut words = vec![0u64; indices.len().div_ceil(64)];
-        for (chunk, word) in indices.chunks(64).zip(words.iter_mut()) {
-            for (r, &i) in chunk.iter().enumerate() {
-                let i = i as usize;
-                assert!(i < len, "bit index {i} out of range {len}");
-                let (w, s) = (i / 64, i % 64);
-                if self.known.words[w] >> s & 1 == 0 {
-                    return None;
+        let (known, values) = (self.known.as_words(), self.values.as_words());
+        let mut words = Vec::with_capacity(indices.len().div_ceil(64));
+        with_runs!(indices, |runs| {
+            for run in runs {
+                let mut packed = 0;
+                for (r, i) in run.enumerate() {
+                    if i >= len {
+                        out_of_range(i, len);
+                    }
+                    let (w, s) = (i / 64, i % 64);
+                    if known[w] >> s & 1 == 0 {
+                        return None;
+                    }
+                    packed |= (values[w] >> s & 1) << r;
                 }
-                *word |= (self.values.words[w] >> s & 1) << r;
+                words.push(packed);
             }
-        }
+        });
         Some(BitArray::from_words(indices.len(), words))
+    }
+
+    /// Whether every bit at `indices` is known.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is out of range (unless an earlier one was
+    /// unknown).
+    pub fn knows_all(&self, indices: BitIndices<'_>) -> bool {
+        with_runs!(indices, |runs| {
+            for i in runs.flatten() {
+                if !self.known.get(i) {
+                    return false;
+                }
+            }
+        });
+        true
+    }
+
+    /// The unknown plane: bit `i` is set iff bit `i` is unknown.
+    pub fn unknown_mask(&self) -> BitArray {
+        let words = self.known.words.iter().map(|&k| !k).collect();
+        BitArray::from_words(self.len(), words)
+    }
+
+    /// The still-unknown bits among `indices`, as a mask over the whole
+    /// array: what a peer must query to know all of them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is out of range.
+    pub fn unknown_among(&self, indices: BitIndices<'_>) -> BitArray {
+        let len = self.len();
+        let known = self.known.as_words();
+        let mut words = vec![0u64; known.len()];
+        with_runs!(indices, |runs| {
+            for i in runs.flatten() {
+                if i >= len {
+                    out_of_range(i, len);
+                }
+                let (w, s) = (i / 64, i % 64);
+                words[w] |= !known[w] & 1 << s;
+            }
+        });
+        BitArray::from_words(len, words)
     }
 
     /// Copies every known bit of `other` into `self`, one word at a time.

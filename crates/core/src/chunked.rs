@@ -21,6 +21,15 @@
 //! word-aligned and the [`Source::bits`] override assembles word-level
 //! output (shift/mask across word boundaries) without per-bit loops —
 //! the same fast path [`ArraySource`](crate::ArraySource) uses.
+//!
+//! [`Source::bits`] and [`Source::bits_masked`] walk their range a chunk
+//! at a time: one cache lookup per chunk visited, then plain slice reads.
+//! The counters stay word-granular all the same. A chunk visit is charged
+//! the number of word reads the range makes in it — the first a miss if
+//! the chunk had to be generated, the rest hits — which is exactly what
+//! looking the words up one at a time counted, because reads ascend and
+//! nothing can evict a chunk between two reads of it. A hit therefore
+//! costs a slice copy, a miss a chunk of `word_value` calls.
 
 use crate::bits::BitArray;
 use crate::collections::DetMap;
@@ -82,16 +91,24 @@ struct ChunkCache {
 }
 
 impl ChunkCache {
-    /// Reads global word `w`, generating (and possibly evicting) chunks
-    /// as needed.
-    fn word(&mut self, seed: u64, chunk_words: usize, max_resident: usize, w: usize) -> u64 {
-        let chunk = w / chunk_words;
+    /// The words of `chunk`, generated (and older chunks evicted) first if
+    /// it is not resident, with `reads > 0` word reads counted against it:
+    /// the first misses if the chunk had to be generated, all others hit.
+    /// Exactly what `reads` one-word lookups in a row would count, since
+    /// nothing can evict a chunk between two reads of it.
+    fn chunk(
+        &mut self,
+        seed: u64,
+        chunk_words: usize,
+        max_resident: usize,
+        chunk: usize,
+        reads: u64,
+    ) -> &[u64] {
         if self.chunks.contains_key(&chunk) {
-            self.hits += 1;
+            self.hits += reads;
         } else {
             self.misses += 1;
-        }
-        if !self.chunks.contains_key(&chunk) {
+            self.hits += reads - 1;
             // Make room first so residency never exceeds the cap, even
             // transiently.
             while self.chunks.len() >= max_resident {
@@ -108,7 +125,12 @@ impl ChunkCache {
             self.generated += 1;
             self.peak_resident = self.peak_resident.max(self.chunks.len());
         }
-        self.chunks[&chunk][w % chunk_words]
+        &self.chunks[&chunk]
+    }
+
+    /// Reads global word `w`: one read of its chunk.
+    fn word(&mut self, seed: u64, chunk_words: usize, max_resident: usize, w: usize) -> u64 {
+        self.chunk(seed, chunk_words, max_resident, w / chunk_words, 1)[w % chunk_words]
     }
 }
 
@@ -221,36 +243,50 @@ impl Source for ChunkedSource {
             self.len
         );
         let out_len = range.len();
-        let total_words = self.word_count();
-        let mut cache = self.cache.lock();
-        let mut src = |w: usize| {
-            if w < total_words {
-                cache.word(self.seed, self.chunk_words, self.max_resident, w)
-            } else {
-                0
-            }
-        };
+        let out_words = out_len.div_ceil(64);
         let (w0, sh) = (range.start / 64, range.start % 64);
-        let words: Vec<u64> = (0..out_len.div_ceil(64))
-            .map(|r| {
-                // Word r of the output spans source words w0+r and w0+r+1
-                // unless the range is word-aligned (sh == 0).
-                let lo = src(w0 + r) >> sh;
-                if sh == 0 {
-                    lo
-                } else {
-                    lo | (src(w0 + r + 1) << (64 - sh))
-                }
-            })
-            .collect();
-        BitArray::from_words(out_len, words)
+        // Output word r spans source words w0 + r and, off a word
+        // boundary, w0 + r + 1. Each of those counts as one read of its
+        // word, as it did when words were looked up one at a time: `lo`
+        // reads w0..w0 + out_words, `hi` reads the same run shifted by
+        // one. Words past the end read as zero and are not counted.
+        let lo = w0..w0 + out_words;
+        let hi = if sh == 0 || out_words == 0 {
+            0..0
+        } else {
+            w0 + 1..w0 + out_words + 1
+        };
+        let end = lo.end.max(hi.end).min(self.word_count());
+        let overlap = |a: &Range<usize>, b: &Range<usize>| {
+            (a.end.min(b.end).saturating_sub(a.start.max(b.start))) as u64
+        };
+        let mut src = Vec::with_capacity(out_words + 1);
+        let mut cache = self.cache.lock();
+        let mut w = w0;
+        while w < end {
+            let chunk = w / self.chunk_words;
+            let base = chunk * self.chunk_words;
+            let here = w..end.min(base + self.chunk_words);
+            let reads = overlap(&here, &lo) + overlap(&here, &hi);
+            let words = cache.chunk(self.seed, self.chunk_words, self.max_resident, chunk, reads);
+            src.extend_from_slice(&words[here.start - base..here.end - base]);
+            w = here.end;
+        }
+        src.resize(out_words + 1, 0);
+        if sh != 0 {
+            for r in 0..out_words {
+                src[r] = src[r] >> sh | src[r + 1] << (64 - sh);
+            }
+        }
+        src.truncate(out_words);
+        BitArray::from_words(out_len, src)
     }
 
-    /// One lock acquisition and one cache lookup per mask word that
-    /// selects anything, instead of one of each per selected bit. Chunks
-    /// are visited in the same ascending order as by the per-bit default
-    /// and every selected bit still counts as a read of its word, so all
-    /// of [`ChunkStats`] comes out the same.
+    /// One lock acquisition and one cache lookup per chunk that the mask
+    /// selects anything from, instead of one of each per selected bit.
+    /// Chunks are visited in the same ascending order as by the per-bit
+    /// default and every selected bit still counts as a read of its word,
+    /// so all of [`ChunkStats`] comes out the same.
     fn bits_masked(&self, mask: &BitArray) -> BitArray {
         assert!(
             mask.len() <= self.len,
@@ -258,19 +294,20 @@ impl Source for ChunkedSource {
             mask.len(),
             self.len
         );
+        let mut words = vec![0u64; mask.word_count()];
         let mut cache = self.cache.lock();
-        let words = (0..mask.word_count())
-            .map(|w| {
-                let selected = mask.word(w);
-                if selected == 0 {
-                    return 0;
-                }
-                let word = cache.word(self.seed, self.chunk_words, self.max_resident, w);
-                // The reads after the first find the chunk resident.
-                cache.hits += u64::from(selected.count_ones()) - 1;
-                word & selected
-            })
-            .collect();
+        let selected = mask.as_words().chunks(self.chunk_words);
+        for (chunk, (selected, out)) in selected.zip(words.chunks_mut(self.chunk_words)).enumerate()
+        {
+            let reads = selected.iter().map(|s| u64::from(s.count_ones())).sum();
+            if reads == 0 {
+                continue;
+            }
+            let values = cache.chunk(self.seed, self.chunk_words, self.max_resident, chunk, reads);
+            for ((out, &s), &v) in out.iter_mut().zip(selected).zip(values) {
+                *out = v & s;
+            }
+        }
         BitArray::from_words(mask.len(), words)
     }
 }
@@ -358,6 +395,73 @@ mod tests {
                 // Generation, eviction, residency, and a read counted per
                 // selected bit: nothing tells the two apart.
                 assert_eq!(bulk.stats(), per_bit.stats(), "case {case}");
+            }
+        }
+    }
+
+    /// `bits` as it was when every source word was looked up on its own,
+    /// verbatim: the reference for the chunk-at-a-time walk.
+    fn per_word_bits(source: &ChunkedSource, range: Range<usize>) -> BitArray {
+        let out_len = range.len();
+        let total_words = source.word_count();
+        let mut cache = source.cache.lock();
+        let mut src = |w: usize| {
+            if w < total_words {
+                cache.word(source.seed, source.chunk_words, source.max_resident, w)
+            } else {
+                0
+            }
+        };
+        let (w0, sh) = (range.start / 64, range.start % 64);
+        let words: Vec<u64> = (0..out_len.div_ceil(64))
+            .map(|r| {
+                // Word r of the output spans source words w0+r and w0+r+1
+                // unless the range is word-aligned (sh == 0).
+                let lo = src(w0 + r) >> sh;
+                if sh == 0 {
+                    lo
+                } else {
+                    lo | (src(w0 + r + 1) << (64 - sh))
+                }
+            })
+            .collect();
+        BitArray::from_words(out_len, words)
+    }
+
+    #[test]
+    fn bits_matches_the_per_word_walk_and_its_chunk_traffic() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(43);
+        for case in 0..200 {
+            let n = rng.gen_range(1..3000usize);
+            let (chunk_words, max_resident) = (rng.gen_range(1..7usize), rng.gen_range(1..4usize));
+            let chunked = ChunkedSource::with_geometry(n, 23, chunk_words, max_resident);
+            let per_word = ChunkedSource::with_geometry(n, 23, chunk_words, max_resident);
+            // Several ranges in a row, each from a warm cache: aligned and
+            // not, empty, ending at `n`, and ending one word short of it.
+            for _ in 0..5 {
+                let start = match rng.gen_range(0..4) {
+                    0 => rng.gen_range(0..=n / 64) * 64,
+                    _ => rng.gen_range(0..=n),
+                }
+                .min(n);
+                let end = match rng.gen_range(0..4) {
+                    0 => n,
+                    1 => start,
+                    2 => n.saturating_sub(64).max(start),
+                    _ => rng.gen_range(start..=n),
+                };
+                let got = chunked.bits(start..end);
+                assert_eq!(
+                    got,
+                    per_word_bits(&per_word, start..end),
+                    "case {case} {start}..{end}"
+                );
+                assert_eq!(
+                    chunked.stats(),
+                    per_word.stats(),
+                    "case {case} {start}..{end}"
+                );
             }
         }
     }

@@ -1,8 +1,8 @@
 //! Crate-local property tests for `dr-core` invariants.
 
 use dr_core::{
-    ArraySource, Assignment, BitArray, CacheStats, CachedSource, PartialArray, PeerId, PeerSet,
-    QueryMeter, ReadReceipt, SharedSource, Source,
+    ArraySource, Assignment, BitArray, BitIndices, CacheStats, CachedSource, PartialArray, PeerId,
+    PeerSet, QueryMeter, ReadReceipt, SharedSource, Source,
 };
 use proptest::prelude::*;
 use std::ops::Range;
@@ -375,7 +375,7 @@ proptest! {
         let snapshot = fast.clone();
         let indices: Vec<u32> = picks.iter().map(|p| (p.0 % n) as u32).collect();
         let values: BitArray = picks.iter().map(|p| p.1).collect();
-        fast.learn_scattered(&indices, &values);
+        fast.learn_scattered(BitIndices::Table(&indices), &values);
         for (r, &i) in indices.iter().enumerate() {
             // Known bits and the second occurrence of an index keep
             // their first value.
@@ -413,7 +413,109 @@ proptest! {
             .collect();
         let expected: Option<Vec<bool>> = indices.iter().map(|&i| acc.get(i as usize)).collect();
         prop_assert_eq!(expected.is_none(), indices.iter().any(|&i| !acc.is_known(i as usize)));
-        prop_assert_eq!(acc.gather(&indices), expected.map(|v| BitArray::from_bools(&v)));
+        prop_assert_eq!(acc.gather(BitIndices::Table(&indices)), expected.map(|v| BitArray::from_bools(&v)));
+    }
+
+    #[test]
+    fn stride_scatter_and_gather_equal_loops_of_learn_and_get(
+        known_first in prop::collection::vec((any::<bool>(), any::<bool>()), 0..400),
+        // Steps inside a word, around one word and over several.
+        step in (0usize..3, 0usize..200).prop_map(|(band, off)| match band {
+            0 => 1 + off % 7,
+            1 => 60 + off % 10,
+            _ => 100 + off,
+        }),
+        // A start anywhere, or near (or at) the end: few indices or none.
+        start in (any::<bool>(), 0usize..400),
+        packed in prop::collection::vec(any::<bool>(), 1..64),
+    ) {
+        let n = known_first.len();
+        let start = match start {
+            (true, back) => n.saturating_sub(back % 80),
+            (false, at) => at,
+        };
+        let mut acc = PartialArray::new(n);
+        for (i, &(known, value)) in known_first.iter().enumerate() {
+            if known {
+                acc.learn(i, value);
+            }
+        }
+        let stride = BitIndices::stride_below(n, start, step);
+        let indices: Vec<usize> = (start..n).step_by(step).collect();
+        prop_assert_eq!(stride.len(), indices.len());
+
+        // Before the scatter, most strides hold an unknown bit.
+        let gathered = |acc: &PartialArray| -> Option<BitArray> {
+            let values: Option<Vec<bool>> = indices.iter().map(|&i| acc.get(i)).collect();
+            values.map(|v| BitArray::from_bools(&v))
+        };
+        prop_assert_eq!(acc.gather(stride), gathered(&acc));
+        prop_assert_eq!(acc.knows_all(stride), indices.iter().all(|&i| acc.is_known(i)));
+        let wanted = BitArray::from_fn(n, |i| indices.contains(&i) && !acc.is_known(i));
+        prop_assert_eq!(acc.unknown_among(stride), wanted);
+
+        let values = BitArray::from_fn(indices.len(), |r| packed[r % packed.len()]);
+        let snapshot = acc.clone();
+        let mut slow = acc.clone();
+        acc.learn_scattered(stride, &values);
+        for (r, &i) in indices.iter().enumerate() {
+            slow.learn(i, values.get(r));
+        }
+        prop_assert_eq!(acc.unknown_count(), slow.unknown_count());
+        prop_assert_eq!(&acc, &slow);
+        for (i, &(known, value)) in known_first.iter().enumerate() {
+            prop_assert_eq!(snapshot.get(i), known.then_some(value));
+        }
+
+        // ... and every index of the stride is known now.
+        prop_assert!(acc.knows_all(stride));
+        prop_assert_eq!(acc.gather(stride), gathered(&acc));
+        prop_assert_eq!(acc.unknown_among(stride).count_ones(), 0);
+    }
+
+    #[test]
+    fn learn_masked_equals_a_loop_of_learn_word(
+        bits in prop::collection::vec((any::<bool>(), any::<bool>(), any::<bool>(), any::<bool>()), 0..300),
+    ) {
+        let n = bits.len();
+        let mut fast = PartialArray::new(n);
+        for (i, &(known, value, _, _)) in bits.iter().enumerate() {
+            if known {
+                fast.learn(i, value);
+            }
+        }
+        let snapshot = fast.clone();
+        let mut slow = fast.clone();
+        let mask = BitArray::from_fn(n, |i| bits[i].2);
+        let answers = BitArray::from_fn(n, |i| bits[i].3);
+        fast.learn_masked(&mask, &answers);
+        for w in 0..mask.word_count() {
+            slow.learn_word(w, mask.word(w), answers.word(w));
+        }
+        prop_assert_eq!(fast.unknown_count(), slow.unknown_count());
+        prop_assert_eq!(&fast, &slow);
+        // The planes were un-shared first.
+        for (i, &(known, value, _, _)) in bits.iter().enumerate() {
+            prop_assert_eq!(snapshot.get(i), known.then_some(value));
+        }
+    }
+
+    #[test]
+    fn unknown_mask_is_the_complement_of_known_cut_at_len(
+        known_first in prop::collection::vec((any::<bool>(), any::<bool>()), 0..300),
+    ) {
+        let n = known_first.len();
+        let mut acc = PartialArray::new(n);
+        for (i, &(known, value)) in known_first.iter().enumerate() {
+            if known {
+                acc.learn(i, value);
+            }
+        }
+        let mask = acc.unknown_mask();
+        // `from_fn` keeps the bits past `len` zero, so `Eq` checks the cut.
+        prop_assert_eq!(&mask, &BitArray::from_fn(n, |i| !acc.is_known(i)));
+        prop_assert_eq!(mask.count_ones(), acc.unknown_count());
+        prop_assert_eq!(mask.ones().collect::<Vec<_>>(), acc.unknown_iter().collect::<Vec<_>>());
     }
 
     #[test]
@@ -467,7 +569,7 @@ proptest! {
 #[test]
 #[should_panic(expected = "out of range")]
 fn learn_scattered_rejects_an_out_of_range_index_like_learn() {
-    PartialArray::new(70).learn_scattered(&[3, 70], &BitArray::zeros(2));
+    PartialArray::new(70).learn_scattered(BitIndices::Table(&[3, 70]), &BitArray::zeros(2));
 }
 
 #[test]
@@ -475,11 +577,11 @@ fn learn_scattered_rejects_an_out_of_range_index_like_learn() {
 fn gather_rejects_an_out_of_range_index_like_get() {
     let mut acc = PartialArray::new(70);
     acc.learn(3, true);
-    let _ = acc.gather(&[3, 70]);
+    let _ = acc.gather(BitIndices::Table(&[3, 70]));
 }
 
 #[test]
 #[should_panic(expected = "length mismatch")]
 fn learn_scattered_rejects_a_bitmap_of_the_wrong_length() {
-    PartialArray::new(70).learn_scattered(&[3, 4], &BitArray::zeros(3));
+    PartialArray::new(70).learn_scattered(BitIndices::Table(&[3, 4]), &BitArray::zeros(3));
 }

@@ -31,10 +31,10 @@
 //! soon as late stage-1 answers resolve every missing peer, removing
 //! long-response waits from the time complexity.
 
-use super::owner::Partition;
+use super::owner::{round_robin, Partition};
 use super::query_unknown;
 use dr_core::collections::DetMap;
-use dr_core::{BitArray, Context, PartialArray, PeerId, Protocol, ProtocolMessage};
+use dr_core::{BitArray, BitIndices, Context, PartialArray, PeerId, Protocol, ProtocolMessage};
 use std::sync::Arc;
 
 /// Messages of Algorithm 2. All bit payloads are packed bitmaps over
@@ -97,12 +97,15 @@ impl ProtocolMessage for MultiCrashMsg {
 /// What a peer keeps per phase while stragglers may still ask about it.
 #[derive(Debug)]
 struct PhaseCache {
-    /// The phase's owner sets, shared with every other instance that has
-    /// the same `(n, k)` and is near the same phase.
-    partition: Arc<Partition>,
-    /// Our own packed phase set — the answer to every `Request1` of the
-    /// phase — once we are past stage 1 and someone has asked.
-    own_answer: Option<BitArray>,
+    /// A hashed phase's owner sets, shared with every other instance that
+    /// has the same `(n, k)` and is near the same phase. `None` in phase
+    /// 1, whose sets are strides.
+    partition: Option<Arc<Partition>>,
+    /// Each peer's packed phase set, once we know all of it and someone
+    /// has asked: our own answers every `Request1` of the phase, a missing
+    /// peer's every `Request2` naming it. One shared buffer for all of
+    /// them, packed once.
+    packed: Vec<Option<BitArray>>,
 }
 
 /// The per-phase caches of one peer. A field of its own so that an owner
@@ -117,18 +120,24 @@ struct PhaseCaches {
 }
 
 impl PhaseCaches {
-    /// The cache of `phase`, fetching the shared partition on first use.
+    /// The cache of `phase`, fetching the shared partition of a hashed
+    /// phase on first use.
     fn of(&mut self, phase: u32) -> &mut PhaseCache {
         let (n, k) = (self.n, self.k);
         self.by_phase.entry(phase).or_insert_with(|| PhaseCache {
-            partition: Partition::shared(n, k, phase),
-            own_answer: None,
+            partition: (phase > 1).then(|| Partition::shared(n, k, phase)),
+            packed: vec![None; k],
         })
     }
 
-    /// The sorted bit set owned by `peer` in `phase`.
-    fn set(&mut self, phase: u32, peer: PeerId) -> &[u32] {
-        self.of(phase).partition.set(peer)
+    /// The ascending bit set owned by `peer` in `phase`.
+    fn set(&mut self, phase: u32, peer: PeerId) -> BitIndices<'_> {
+        let n = self.n;
+        let k = self.k;
+        match &self.of(phase).partition {
+            Some(partition) => BitIndices::Table(partition.set(peer)),
+            None => round_robin(n, k, peer),
+        }
     }
 }
 
@@ -287,36 +296,28 @@ impl CrashMultiDownload {
         true
     }
 
-    /// Packs the values of `peer`'s phase set, if all of them are known.
+    /// The packed values of `peer`'s phase set, if all of them are known:
+    /// packed on the first call that finds them so, the same shared
+    /// buffer for every later one (values, once known, never change).
     fn pack_set_values(&mut self, phase: u32, peer: PeerId) -> Option<BitArray> {
-        self.acc.gather(self.phases.set(phase, peer))
-    }
-
-    /// Our own packed phase set: packed on the first request of the
-    /// phase, the same shared buffer for every later one.
-    fn own_answer(&mut self, phase: u32, me: PeerId) -> BitArray {
-        let cache = self.phases.of(phase);
-        cache
-            .own_answer
-            .get_or_insert_with(|| {
-                self.acc
-                    .gather(cache.partition.set(me))
-                    .expect("past stage 1 of the phase, our own set is fully known")
-            })
-            .clone()
+        if let Some(packed) = &self.phases.of(phase).packed[peer.index()] {
+            return Some(packed.clone());
+        }
+        let packed = self.acc.gather(self.phases.set(phase, peer))?;
+        self.phases.of(phase).packed[peer.index()] = Some(packed.clone());
+        Some(packed)
     }
 
     /// Whether any bit of `peer`'s phase set is still unknown to us.
     fn lacks_bits_of(&mut self, phase: u32, peer: PeerId) -> bool {
-        let set = self.phases.set(phase, peer);
-        set.iter().any(|&j| !self.acc.is_known(j as usize))
+        !self.acc.knows_all(self.phases.set(phase, peer))
     }
 
     /// Terminates: query whatever is still unknown, broadcast the full
     /// array (Claim 2), output, halt.
     fn terminate(&mut self, ctx: &mut dyn Context<MultiCrashMsg>) {
-        let unknown: Vec<usize> = self.acc.unknown_iter().collect();
-        query_unknown(&mut self.acc, unknown, ctx);
+        let unknown = self.acc.unknown_mask();
+        query_unknown(&mut self.acc, &unknown, ctx);
         let bits = self.acc.clone().into_complete();
         self.out = Some(bits.clone());
         // Claim 2: send everything to every peer that might still be
@@ -361,8 +362,8 @@ impl CrashMultiDownload {
             // Stage 1: query our own unknown share, request everyone
             // else's.
             let me = ctx.me();
-            let mine = self.phases.set(current, me).iter().map(|&j| j as usize);
-            query_unknown(&mut self.acc, mine, ctx);
+            let mine = self.acc.unknown_among(self.phases.set(current, me));
+            query_unknown(&mut self.acc, &mine, ctx);
             self.correct[me.index()] = true;
             for w in 0..self.k {
                 if w == me.index() {
@@ -484,7 +485,9 @@ impl CrashMultiDownload {
     ) {
         match msg {
             MultiCrashMsg::Request1 { phase } => {
-                let values = self.own_answer(phase, ctx.me());
+                let values = self
+                    .pack_set_values(phase, ctx.me())
+                    .expect("past stage 1 of the phase, our own set is fully known");
                 ctx.send(from, MultiCrashMsg::Response1 { phase, values });
             }
             MultiCrashMsg::Request2 { phase, missing } => {
@@ -916,8 +919,8 @@ mod tests {
         // Only the request side checked `u < k`; an answer naming peer 77
         // indexed past the partition. Its neighbours are still learned.
         let (mut p, mut ctx) = started();
-        let theirs = p.phases.set(1, PeerId(2)).to_vec();
-        let values = BitArray::from_fn(theirs.len(), |r| ctx.input.get(theirs[r] as usize));
+        let theirs: Vec<usize> = (2..64).step_by(4).collect();
+        let values = BitArray::from_fn(theirs.len(), |r| ctx.input.get(theirs[r]));
         p.on_message(
             PeerId(1),
             MultiCrashMsg::Response2 {
@@ -937,15 +940,17 @@ mod tests {
     fn instances_of_one_size_hold_one_partition() {
         let (mut a, _) = started();
         let (mut b, _) = started();
-        let shared = Arc::clone(&a.phases.of(1).partition);
-        assert!(Arc::ptr_eq(&shared, &b.phases.of(1).partition));
+        // Phase 1 is a stride: no table at all.
+        assert!(a.phases.of(1).partition.is_none());
+        let table = |p: &mut CrashMultiDownload, phase| {
+            Arc::clone(p.phases.of(phase).partition.as_ref().expect("hashed"))
+        };
+        let shared = table(&mut a, 2);
+        assert!(Arc::ptr_eq(&shared, &table(&mut b, 2)));
         // ... and fetch a later phase's the same way.
-        assert!(Arc::ptr_eq(
-            &a.phases.of(2).partition,
-            &b.phases.of(2).partition
-        ));
+        assert!(Arc::ptr_eq(&table(&mut a, 3), &table(&mut b, 3)));
         let mut other = CrashMultiDownload::new(65, 4, 1);
-        assert!(!Arc::ptr_eq(&shared, &other.phases.of(1).partition));
+        assert!(!Arc::ptr_eq(&shared, &table(&mut other, 2)));
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! unknown bits is `owner(·, i)` regardless of execution history, making
 //! the first disjunct of Claim 1 hold identically for all unknown bits.
 //!
-//! Phase 1 is the balanced round-robin `j mod k` of the paper. Later
+//! Phase 1 is the balanced round-robin `j mod k` of the paper, so a peer's
+//! phase-1 set is the stride `p, p + k, …` ([`round_robin`]). Later
 //! phases use a `splitmix64`-style hash of `(j, phase)`: each phase deals
 //! any unknown set out in fresh, phase-independent proportions, so a bit
 //! whose current owner has crashed lands on a live owner with probability
@@ -21,7 +22,7 @@
 
 use dr_core::collections::DetMap;
 use dr_core::sync::{Mutex, PoisonError};
-use dr_core::PeerId;
+use dr_core::{BitIndices, PeerId};
 use std::sync::{Arc, OnceLock, Weak};
 
 /// `splitmix64` finalizer: a high-quality 64-bit mixing function.
@@ -48,8 +49,16 @@ pub fn owner(j: usize, phase: usize, k: usize) -> usize {
     }
 }
 
-/// One phase of [`owner`], tabulated: every peer's bit set `{j : owner(j,
-/// phase, k) = peer}` as a slice of one index array (CSR layout).
+/// Peer `peer`'s bit set `{j : owner(j, 1, k) = peer}` in phase 1 over `n`
+/// bits: the round-robin stride `peer, peer + k, …`, computed, never
+/// tabulated.
+pub(crate) fn round_robin(n: usize, k: usize, peer: PeerId) -> BitIndices<'static> {
+    BitIndices::stride_below(n, peer.index(), k)
+}
+
+/// One hashed phase (≥ 2) of [`owner`], tabulated: every peer's bit set
+/// `{j : owner(j, phase, k) = peer}` as a slice of one index array (CSR
+/// layout). Phase 1 needs no table: its sets are [`round_robin`] strides.
 ///
 /// `owner` is global, so the table is the same for every peer of every
 /// execution with the same `(n, k, phase)`: [`Partition::shared`] hands
@@ -77,14 +86,18 @@ fn registry() -> &'static Registry {
 }
 
 impl Partition {
-    /// The partition of `n` bits over `k` peers in the given 1-based
+    /// The partition of `n` bits over `k` peers in the given hashed
     /// phase, built by the first caller and shared with every later one
     /// for as long as any of them holds it.
     ///
     /// # Panics
     ///
-    /// Panics if `k == 0`, `phase == 0` or `n` does not fit a `u32`.
+    /// Panics if `k == 0`, `phase < 2` or `n` does not fit a `u32`.
     pub(crate) fn shared(n: usize, k: usize, phase: u32) -> Arc<Partition> {
+        assert!(
+            phase >= 2,
+            "phase-1 owner sets are strides, never tabulated"
+        );
         let key = (n, k, phase);
         // The map is valid between any two statements below, so a
         // panicking builder (bad arguments) must not wedge everyone else.
@@ -142,7 +155,7 @@ impl Drop for Partition {
     }
 }
 
-/// Number of `(n, k)` partitions (one per phase) that instances of
+/// Number of `(n, k)` partitions (one per hashed phase) that instances of
 /// [`CrashMultiDownload`](super::CrashMultiDownload) currently hold,
 /// process-wide — for tests of the sharing.
 #[doc(hidden)]
@@ -209,11 +222,40 @@ mod tests {
         );
     }
 
+    /// The indices of the ascending `set` of bits below `n`.
+    fn listed(n: usize, set: BitIndices<'_>) -> Vec<usize> {
+        dr_core::PartialArray::new(n)
+            .unknown_among(set)
+            .ones()
+            .collect()
+    }
+
+    #[test]
+    fn round_robin_is_phase_one_of_owner() {
+        for (n, k) in [(1003, 7), (3, 5), (0, 4), (128, 64), (130, 64)] {
+            let mut seen = 0;
+            for p in 0..k {
+                let expected: Vec<usize> = (0..n).filter(|&j| owner(j, 1, k) == p).collect();
+                let set = round_robin(n, k, PeerId(p));
+                assert_eq!(set.len(), expected.len(), "n {n} k {k} peer {p}");
+                assert_eq!(listed(n, set), expected, "n {n} k {k} peer {p}");
+                seen += expected.len();
+            }
+            assert_eq!(seen, n);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "never tabulated")]
+    fn phase_one_has_no_partition() {
+        let _ = Partition::shared(1013, 7, 1);
+    }
+
     #[test]
     fn partition_tabulates_owner() {
         // Sizes no other test uses: the registry is process-wide.
         let (n, k) = (1003, 7);
-        for phase in [1, 2, 5] {
+        for phase in [2, 5] {
             let partition = Partition::shared(n, k, phase);
             let mut seen = 0;
             for p in 0..k {
@@ -226,10 +268,11 @@ mod tests {
             }
             assert_eq!(seen, n);
         }
-        // More peers than bits: the surplus peers own nothing.
-        let sparse = Partition::shared(3, 5, 1);
-        assert_eq!(sparse.set(PeerId(2)), [2]);
-        assert!(sparse.set(PeerId(4)).is_empty());
+        // More peers than bits: some peers own nothing.
+        let sparse = Partition::shared(3, 5, 2);
+        let owned: Vec<usize> = (0..5).map(|p| sparse.set(PeerId(p)).len()).collect();
+        assert_eq!(owned.iter().sum::<usize>(), 3);
+        assert!(owned.contains(&0));
     }
 
     #[test]

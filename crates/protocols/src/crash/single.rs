@@ -22,7 +22,7 @@
 //! i.e. `O(n/k)`.
 
 use super::query_unknown;
-use dr_core::{BitArray, Context, PartialArray, PeerId, Protocol, ProtocolMessage};
+use dr_core::{BitArray, BitIndices, Context, PartialArray, PeerId, Protocol, ProtocolMessage};
 
 /// Messages of Algorithm 1. Bit payloads are packed bitmaps over
 /// *structural* index sets: the phase-1 share of peer `p` is
@@ -177,32 +177,32 @@ impl SingleCrashDownload {
         }
     }
 
-    fn phase1_share(&self, peer: usize) -> Vec<usize> {
-        (0..self.n).filter(|j| j % self.k == peer).collect()
+    /// `peer`'s round-robin share `{j : j ≡ peer (mod k)}`: the stride
+    /// `peer + r·k`.
+    fn phase1_share(&self, peer: usize) -> BitIndices<'static> {
+        BitIndices::stride_below(self.n, peer, self.k)
     }
 
     /// The deterministic even reassignment of `m`'s bits over the other
     /// peers: the `r`-th bit of `m`'s (sorted) share goes to the `r mod
-    /// (k−1)`-th peer of `P ∖ {m}`.
-    fn phase2_share(&self, m: usize, peer: usize) -> Vec<usize> {
-        let others: Vec<usize> = (0..self.k).filter(|&p| p != m).collect();
-        self.phase1_share(m)
-            .into_iter()
-            .enumerate()
-            .filter(|(r, _)| others[r % others.len()] == peer)
-            .map(|(_, j)| j)
-            .collect()
+    /// (k−1)`-th peer of `P ∖ {m}`. For the peer at position `pos` of
+    /// `P ∖ {m}` those are the bits `m + (pos + t·(k−1))·k`: the stride
+    /// from `m + pos·k` with step `k(k−1)`. `m` itself gets nothing.
+    fn phase2_share(&self, m: usize, peer: usize) -> BitIndices<'static> {
+        let pos = match peer.cmp(&m) {
+            std::cmp::Ordering::Less => peer,
+            std::cmp::Ordering::Equal => return BitIndices::Table(&[]),
+            std::cmp::Ordering::Greater => peer - 1,
+        };
+        BitIndices::stride_below(self.n, m + pos * self.k, self.k * (self.k - 1))
     }
 
-    /// Learns a packed bitmap against an explicit index set; rejects
-    /// arity mismatches.
-    fn learn_packed(&mut self, set: &[usize], values: &BitArray) -> bool {
+    /// Learns a packed bitmap against a share; rejects arity mismatches.
+    fn learn_packed(&mut self, set: BitIndices<'_>, values: &BitArray) -> bool {
         if set.len() != values.len() {
             return false;
         }
-        for (r, &j) in set.iter().enumerate() {
-            self.acc.learn(j, values.get(r));
-        }
+        self.acc.learn_scattered(set, values);
         true
     }
 
@@ -236,11 +236,15 @@ impl SingleCrashDownload {
         }
     }
 
-    /// Packs the known values over an index set (all must be known).
-    fn pack(&self, set: &[usize]) -> BitArray {
-        BitArray::from_fn(set.len(), |r| {
-            self.acc.get(set[r]).expect("bit known before packing")
-        })
+    /// Queries what is still unknown of `share`, then packs it.
+    fn query_and_pack(
+        &mut self,
+        share: BitIndices<'_>,
+        ctx: &mut dyn Context<SingleCrashMsg>,
+    ) -> BitArray {
+        let wanted = self.acc.unknown_among(share);
+        query_unknown(&mut self.acc, &wanted, ctx);
+        self.acc.gather(share).expect("bit known before packing")
     }
 
     fn flush_pending_questions(&mut self, ctx: &mut dyn Context<SingleCrashMsg>) {
@@ -304,8 +308,8 @@ impl SingleCrashDownload {
             // Bits arrived in stage 3 but something is still unknown
             // (possible only with partial adversarial shares): query the
             // remainder directly, then terminate in completion mode.
-            let unknown: Vec<usize> = self.acc.unknown_iter().collect();
-            query_unknown(&mut self.acc, unknown, ctx);
+            let unknown = self.acc.unknown_mask();
+            query_unknown(&mut self.acc, &unknown, ctx);
             self.finish_if_complete(ctx);
             return;
         }
@@ -315,9 +319,7 @@ impl SingleCrashDownload {
             .missing
             .expect("missing peer set before phase 2")
             .index();
-        let mine = self.phase2_share(m, ctx.me().index());
-        query_unknown(&mut self.acc, mine.iter().copied(), ctx);
-        let values = self.pack(&mine);
+        let values = self.query_and_pack(self.phase2_share(m, ctx.me().index()), ctx);
         ctx.broadcast(SingleCrashMsg::Share2 {
             missing: PeerId(m),
             values,
@@ -331,9 +333,7 @@ impl Protocol for SingleCrashDownload {
 
     fn on_start(&mut self, ctx: &mut dyn Context<SingleCrashMsg>) {
         self.me = ctx.me().index();
-        let mine = self.phase1_share(self.me);
-        query_unknown(&mut self.acc, mine.iter().copied(), ctx);
-        let values = self.pack(&mine);
+        let values = self.query_and_pack(self.phase1_share(self.me), ctx);
         self.p1_heard[self.me] = true;
         self.p1_shares[self.me] = Some(values.clone());
         ctx.broadcast(SingleCrashMsg::Share1 { values });
@@ -351,8 +351,7 @@ impl Protocol for SingleCrashDownload {
         }
         match msg {
             SingleCrashMsg::Share1 { values } => {
-                let set = self.phase1_share(from.index());
-                if self.learn_packed(&set, &values) {
+                if self.learn_packed(self.phase1_share(from.index()), &values) {
                     self.p1_heard[from.index()] = true;
                     self.p1_shares[from.index()] = Some(values);
                     // A late phase-1 share from our missing peer also
@@ -368,14 +367,17 @@ impl Protocol for SingleCrashDownload {
             }
             SingleCrashMsg::Share2 { missing, values } => {
                 if missing.index() < self.k {
-                    let set = self.phase2_share(missing.index(), from.index());
-                    self.learn_packed(&set, &values);
+                    self.learn_packed(self.phase2_share(missing.index(), from.index()), &values);
                 }
                 if !self.finish_if_complete(ctx) {
                     self.try_advance_from_wait_answers(ctx);
                 }
             }
             SingleCrashMsg::WhoHas { missing } => {
+                // No such peer, no such share: no honest peer asks this.
+                if missing.index() >= self.k {
+                    return;
+                }
                 // Delay the answer until our own stage-2 wait is over.
                 if self.step == Step::P1WaitShares {
                     self.pending_questions.push((from, missing));
@@ -387,7 +389,7 @@ impl Protocol for SingleCrashDownload {
             SingleCrashMsg::Has { missing, values } => {
                 if missing.index() < self.k {
                     let set = self.phase1_share(missing.index());
-                    if self.learn_packed(&set, &values) && self.missing == Some(missing) {
+                    if self.learn_packed(set, &values) && self.missing == Some(missing) {
                         self.answered[from.index()] = true;
                         self.got_bits = true;
                     }
@@ -521,6 +523,11 @@ mod tests {
         let _ = SingleCrashDownload::new(10, 2);
     }
 
+    /// The indices of the ascending `share` of bits below `n`.
+    fn listed(n: usize, share: BitIndices<'_>) -> Vec<usize> {
+        PartialArray::new(n).unknown_among(share).ones().collect()
+    }
+
     #[test]
     fn phase2_share_partitions_missing_bits() {
         let p = SingleCrashDownload::new(100, 5);
@@ -531,9 +538,127 @@ mod tests {
                 assert!(p.phase2_share(m, peer).is_empty());
                 continue;
             }
-            all.extend(p.phase2_share(m, peer));
+            all.extend(listed(100, p.phase2_share(m, peer)));
         }
         all.sort_unstable();
-        assert_eq!(all, p.phase1_share(m));
+        assert_eq!(all, listed(100, p.phase1_share(m)));
+    }
+
+    #[test]
+    fn shares_are_the_filtered_lists_they_replaced() {
+        // The share functions as they were, building each list by
+        // filtering 0..n.
+        fn phase1_share(n: usize, k: usize, peer: usize) -> Vec<usize> {
+            (0..n).filter(|j| j % k == peer).collect()
+        }
+        fn phase2_share(n: usize, k: usize, m: usize, peer: usize) -> Vec<usize> {
+            let others: Vec<usize> = (0..k).filter(|&p| p != m).collect();
+            phase1_share(n, k, m)
+                .into_iter()
+                .enumerate()
+                .filter(|(r, _)| others[r % others.len()] == peer)
+                .map(|(_, j)| j)
+                .collect()
+        }
+        for k in 3..11 {
+            // Empty, fewer bits than peers, and around k(k−1) and its
+            // multiples, where a phase-2 stride gains or loses a member.
+            for n in (0..40).chain([k * (k - 1) - 1, k * (k - 1), 3 * k * (k - 1) + 1, 997]) {
+                let p = SingleCrashDownload::new(n, k);
+                for m in 0..k {
+                    assert_eq!(listed(n, p.phase1_share(m)), phase1_share(n, k, m));
+                    for peer in 0..k {
+                        let share = p.phase2_share(m, peer);
+                        let expected = phase2_share(n, k, m, peer);
+                        assert_eq!(share.len(), expected.len(), "n {n} k {k} m {m} peer {peer}");
+                        assert_eq!(listed(n, share), expected, "n {n} k {k} m {m} peer {peer}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A context outside any simulation: answers queries from `input`
+    /// and keeps what was sent.
+    struct LoneCtx {
+        me: PeerId,
+        k: usize,
+        input: BitArray,
+        sent: Vec<(PeerId, SingleCrashMsg)>,
+        rng: rand::rngs::mock::StepRng,
+    }
+
+    impl Context<SingleCrashMsg> for LoneCtx {
+        fn me(&self) -> PeerId {
+            self.me
+        }
+        fn num_peers(&self) -> usize {
+            self.k
+        }
+        fn input_len(&self) -> usize {
+            self.input.len()
+        }
+        fn send(&mut self, to: PeerId, msg: SingleCrashMsg) {
+            self.sent.push((to, msg));
+        }
+        fn query(&mut self, index: usize) -> bool {
+            self.input.get(index)
+        }
+        fn rng(&mut self) -> &mut dyn rand::RngCore {
+            &mut self.rng
+        }
+    }
+
+    #[test]
+    fn a_question_about_a_nonexistent_peer_is_dropped() {
+        // `WhoHas { missing }` indexed the share table unchecked, so a
+        // `missing ≥ k` panicked: at once past the stage-2 wait, and on
+        // the flush of the buffered questions before it.
+        let (n, k) = (40, 4);
+        let input = BitArray::from_fn(n, |i| i % 3 == 0);
+        let mut p = SingleCrashDownload::new(n, k);
+        let mut ctx = LoneCtx {
+            me: PeerId(0),
+            k,
+            input: input.clone(),
+            sent: Vec::new(),
+            rng: rand::rngs::mock::StepRng::new(0, 1),
+        };
+        p.on_start(&mut ctx);
+        assert_eq!(p.step, Step::P1WaitShares);
+        ctx.sent.clear();
+        // Still waiting for shares: the question would be buffered.
+        p.on_message(
+            PeerId(1),
+            SingleCrashMsg::WhoHas { missing: PeerId(k) },
+            &mut ctx,
+        );
+        assert!(p.pending_questions.is_empty());
+        // Two more shares end the wait (peer 3 stays missing) and flush
+        // the buffer; then the question arrives again.
+        for from in [1, 2] {
+            let values = BitArray::from_fn(p.phase1_share(from).len(), |r| input.get(from + r * k));
+            p.on_message(PeerId(from), SingleCrashMsg::Share1 { values }, &mut ctx);
+        }
+        assert_eq!(p.step, Step::P1WaitAnswers);
+        ctx.sent.clear();
+        p.on_message(
+            PeerId(2),
+            SingleCrashMsg::WhoHas {
+                missing: PeerId(usize::MAX),
+            },
+            &mut ctx,
+        );
+        assert!(ctx.sent.is_empty(), "nothing is answered");
+        // A legal question is still answered.
+        p.on_message(
+            PeerId(2),
+            SingleCrashMsg::WhoHas { missing: PeerId(3) },
+            &mut ctx,
+        );
+        assert!(matches!(
+            ctx.sent.as_slice(),
+            [(PeerId(2), SingleCrashMsg::MeNeither { missing: PeerId(3) })]
+        ));
     }
 }

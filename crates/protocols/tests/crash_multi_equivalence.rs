@@ -1,8 +1,9 @@
 //! Differential test for the word-parallel Algorithm 2.
 //!
-//! `CrashMultiDownload` shares one owner partition per `(n, k, phase)`
-//! between all its instances, packs its own answer once per phase, learns
-//! and packs bitmaps through `PartialArray::{learn_scattered, gather}` and
+//! `CrashMultiDownload` computes its phase-1 owner sets as strides, shares
+//! one owner partition per `(n, k, phase)` of the hashed phases between
+//! all its instances, packs its own answer once per phase, learns and
+//! packs bitmaps through `PartialArray::{learn_scattered, gather}` and
 //! queries through `Context::query_masked`. The version it replaced —
 //! every peer tabulating `owner` for itself, one `learn`/`get`/`query` per
 //! bit — lives on here, verbatim, as the reference: over random sizes,
@@ -11,6 +12,7 @@
 //! logs, T, M, message bits, event count and fingerprint.
 
 use dr_core::collections::DetMap;
+use dr_core::sync::{Arc, Mutex};
 use dr_core::{BitArray, Context, FaultModel, ModelParams, PartialArray, PeerId, Protocol};
 use dr_protocols::crash::live_partitions;
 use dr_protocols::{owner, CrashMultiDownload, MultiCrashMsg};
@@ -602,6 +604,89 @@ proptest! {
     }
 }
 
+/// `CrashMultiDownload`, noting after each of its handler calls the most
+/// owner tables of its size that were live at once.
+struct Watched {
+    inner: CrashMultiDownload,
+    n: usize,
+    k: usize,
+    peak: Arc<Mutex<usize>>,
+}
+
+impl Watched {
+    fn watch(&self) {
+        let live = live_partitions(self.n, self.k);
+        let mut peak = self
+            .peak
+            .lock()
+            .expect("no watcher panics holding the peak");
+        *peak = live.max(*peak);
+    }
+}
+
+impl Protocol for Watched {
+    type Msg = MultiCrashMsg;
+
+    fn on_start(&mut self, ctx: &mut dyn Context<MultiCrashMsg>) {
+        self.inner.on_start(ctx);
+        self.watch();
+    }
+
+    fn on_message(
+        &mut self,
+        from: PeerId,
+        msg: MultiCrashMsg,
+        ctx: &mut dyn Context<MultiCrashMsg>,
+    ) {
+        self.inner.on_message(from, msg, ctx);
+        self.watch();
+    }
+
+    fn output(&self) -> Option<&BitArray> {
+        self.inner.output()
+    }
+}
+
+/// [`run_new`], returning the most owner tables live at once as well.
+fn run_watched(case: &Case) -> (RunReport, usize) {
+    let early = case.early_release;
+    let peak = Arc::new(Mutex::new(0));
+    let watching = Arc::clone(&peak);
+    let report = run(case, move |n, k, b| {
+        let p = CrashMultiDownload::new(n, k, b);
+        Watched {
+            inner: if early { p.with_early_release() } else { p },
+            n,
+            k,
+            peak: Arc::clone(&watching),
+        }
+    });
+    let peak = *peak.lock().expect("no watcher panics holding the peak");
+    (report, peak)
+}
+
+#[test]
+fn a_fault_free_run_registers_no_table() {
+    // Phase 1 deals round-robin strides, and with nobody crashed or
+    // late (b = 0 waits for everyone) phase 1 is the whole run. Sizes no
+    // other test draws: the registry is process-wide.
+    for (n, k) in [(5000, 9), (4099, 64)] {
+        for seed in 0..3 {
+            let case = Case {
+                n,
+                k,
+                b: 0,
+                seed,
+                plan: CrashPlan::none(),
+                early_release: false,
+            };
+            let (report, peak) = run_watched(&case);
+            assert_eq!(peak, 0, "n {n} k {k} seed {seed}");
+            assert_eq!(observe(&report), observe(&run_reference(&case)));
+        }
+    }
+}
+
 #[test]
 fn concurrent_simulations_share_the_registry_and_leave_it_empty() {
     // Sizes the proptest above cannot draw: it runs on another thread of
@@ -610,7 +695,8 @@ fn concurrent_simulations_share_the_registry_and_leave_it_empty() {
     assert_eq!(live_partitions(n, k), 0, "nothing is running yet");
     // Different seeds, crash plans and release rules: the two simulations
     // are in different phases at the same time, fetching and releasing
-    // the same partitions.
+    // the same partitions. Phase 1 needs none, so in both some crashed
+    // peer answers no request: its bits fall to the hashed phases.
     let cases = [
         Case {
             n,
@@ -625,7 +711,7 @@ fn concurrent_simulations_share_the_registry_and_leave_it_empty() {
             k,
             b,
             seed: 4,
-            plan: plan(b, 2, true),
+            plan: plan(b, 0, true),
             early_release: true,
         },
     ];
@@ -640,15 +726,23 @@ fn concurrent_simulations_share_the_registry_and_leave_it_empty() {
             .map(|(case, expected)| {
                 let together = &together;
                 scope.spawn(move || {
-                    for _ in 0..8 {
-                        together.wait();
-                        assert_eq!(&observe(&run_new(case)), expected);
-                    }
+                    (0..8)
+                        .map(|_| {
+                            together.wait();
+                            let (report, peak) = run_watched(case);
+                            (observe(&report) == *expected, peak)
+                        })
+                        .collect::<Vec<_>>()
                 })
             })
             .collect();
-        for handle in handles {
-            handle.join().expect("simulation thread panicked");
+        for (case, handle) in cases.iter().zip(handles) {
+            for (same, peak) in handle.join().expect("simulation thread panicked") {
+                assert!(same, "{case:?}");
+                // The crashes leave bits to the hashed phases, whose
+                // tables the registry hands out.
+                assert!(peak > 0, "never left phase 1: {case:?}");
+            }
         }
     });
     assert_eq!(live_partitions(n, k), 0, "freed with the last instance");
