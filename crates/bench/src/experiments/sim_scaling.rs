@@ -36,11 +36,6 @@ use std::time::Instant;
 
 const EXPERIMENT: &str = "sim_scaling";
 
-/// Bytes a queued event occupies in the current layout: `at: u64` +
-/// `seq: u64` + `EventKind` (tag-padded `Deliver { from, to, slot }`,
-/// 24 bytes with `PeerId = usize`) = 40.
-const EVENT_BYTES: u64 = 40;
-
 /// Streaming-source geometry: 1024-word (8 KiB) chunks, at most 64
 /// resident — a 512 KiB budget regardless of `n`.
 const CHUNK_WORDS: usize = 1024;
@@ -92,7 +87,7 @@ pub fn run_metered(sink: &mut MetricsSink) -> Vec<Table> {
         // Resident size is dominated by queued events plus occupied slab
         // slots. Every slot holds a distinct payload: its cell in the
         // slab and its buffer, once.
-        let proxy_bytes = report.peak_queue_len * EVENT_BYTES
+        let proxy_bytes = report.peak_queue_len * report.event_bytes
             + report.peak_slab_len * (report.slab_slot_bytes + payload_bits as u64 / 8);
         workloads.row(vec![
             workload.to_string(),

@@ -732,7 +732,8 @@ impl PartialArray {
     /// bits already known keep their first value (an invariant of the
     /// representation is that `values` is zero wherever `known` is zero,
     /// so newly-learned bits can be OR-ed in without a read-modify-write
-    /// per bit).
+    /// per bit). Each plane is un-shared at most once per call, and not at
+    /// all if the run teaches nothing.
     ///
     /// # Panics
     ///
@@ -745,21 +746,46 @@ impl PartialArray {
             offset + len,
             self.len()
         );
-        let mut done = 0;
-        while done < len {
-            let pos = offset + done;
-            let (w, bit) = (pos / 64, pos % 64);
-            let take = (64 - bit).min(len - done);
-            let window = low_mask(take) << bit;
-            let fresh = window & !self.known.words[w];
-            if fresh != 0 {
-                let incoming = (read_word(&bits.words, done) & low_mask(take)) << bit;
-                self.values.words_mut()[w] |= incoming & fresh;
-                self.known.words_mut()[w] |= fresh;
-                self.unknown -= fresh.count_ones() as usize;
-            }
-            done += take;
+        if len == 0 {
+            return;
         }
+        let end = offset + len;
+        let (first, last, shift) = (offset / 64, (end - 1) / 64, offset % 64);
+        // The bits of destination word `w` that the run covers.
+        let window = |w: usize| {
+            let head = if w == first { !0 << shift } else { !0 };
+            let tail = if w == last {
+                low_mask(end - 64 * last)
+            } else {
+                !0
+            };
+            head & tail
+        };
+        // Un-share the planes only if some word learns something, so a
+        // call that learns nothing copies nothing.
+        if (first..=last).all(|w| window(w) & !self.known.words[w] == 0) {
+            return;
+        }
+        let known = self.known.words_mut().as_mut_slice();
+        let values = self.values.words_mut().as_mut_slice();
+        let planes = known[first..=last]
+            .iter_mut()
+            .zip(&mut values[first..=last]);
+        // Word `j` of the run lands shifted up by `shift` in destination
+        // word `first + j`, and its top `shift` bits, `carry`, in the next.
+        let (run, mut carry, mut learned) = (bits.as_words(), 0, 0);
+        for (j, (known, value)) in planes.enumerate() {
+            let word = run.get(j).copied().unwrap_or(0);
+            let incoming = word << shift | carry;
+            carry = if shift == 0 { 0 } else { word >> (64 - shift) };
+            let fresh = window(first + j) & !*known;
+            if fresh != 0 {
+                *value |= incoming & fresh;
+                *known |= fresh;
+                learned += fresh.count_ones() as usize;
+            }
+        }
+        self.unknown -= learned;
     }
 
     /// Records `bits` against an index list: exactly
@@ -877,21 +903,43 @@ impl PartialArray {
     }
 
     /// Copies every known bit of `other` into `self`, one word at a time.
-    /// Bits known in both keep `self`'s value.
+    /// Bits known in both keep `self`'s value. Each plane is un-shared at
+    /// most once per call, and not at all if `other` teaches nothing.
     ///
     /// # Panics
     ///
     /// Panics if the lengths differ.
     pub fn merge(&mut self, other: &PartialArray) {
         assert_eq!(self.len(), other.len(), "length mismatch");
-        for w in 0..self.known.words.len() {
-            let fresh = other.known.words[w] & !self.known.words[w];
+        let (their_known, their_values) = (other.known.as_words(), other.values.as_words());
+        // Un-share the planes at the first word that teaches something,
+        // so a merge that learns nothing copies nothing.
+        let Some(first) = self
+            .known
+            .words
+            .iter()
+            .zip(their_known)
+            .position(|(&mine, &theirs)| theirs & !mine != 0)
+        else {
+            return;
+        };
+        let known = self.known.words_mut().as_mut_slice();
+        let values = self.values.words_mut().as_mut_slice();
+        for w in first..known.len() {
+            let fresh = their_known[w] & !known[w];
             if fresh != 0 {
-                self.values.words_mut()[w] |= other.values.words[w] & fresh;
-                self.known.words_mut()[w] |= fresh;
+                values[w] |= their_values[w] & fresh;
+                known[w] |= fresh;
                 self.unknown -= fresh.count_ones() as usize;
             }
         }
+    }
+
+    /// Whether `self` and `other` currently share both word planes (the
+    /// observable side of copy-on-write, as
+    /// [`BitArray::shares_buffer_with`] is for one array).
+    pub fn shares_planes_with(&self, other: &PartialArray) -> bool {
+        self.known.shares_buffer_with(&other.known) && self.values.shares_buffer_with(&other.values)
     }
 
     /// Iterates over indices of unknown bits, in order, skipping fully-known

@@ -182,14 +182,21 @@ impl ModelParamsBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`InvalidParamsError`] when `n == 0`, `k == 0`, `b >= k`
-    /// (at least one peer must be nonfaulty), or `msg_bits == 0`.
+    /// Returns [`InvalidParamsError`] when `n == 0`, `k == 0`,
+    /// `k > u32::MAX` (peer ids are stored in 32 bits), `b >= k` (at least
+    /// one peer must be nonfaulty), or `msg_bits == 0`.
     pub fn build(self) -> Result<ModelParams, InvalidParamsError> {
         if self.n == 0 {
             return Err(InvalidParamsError::new("input length n must be positive"));
         }
         if self.k == 0 {
             return Err(InvalidParamsError::new("peer count k must be positive"));
+        }
+        if u32::try_from(self.k).is_err() {
+            return Err(InvalidParamsError::new(format!(
+                "peer count k={} does not fit the 32-bit peer ids",
+                self.k
+            )));
         }
         if self.b >= self.k {
             return Err(InvalidParamsError::new(format!(
@@ -257,6 +264,15 @@ mod tests {
         assert!(ModelParams::fault_free(0, 4).is_err());
         assert!(ModelParams::fault_free(4, 0).is_err());
         assert!(ModelParams::builder(4, 2).message_bits(0).build().is_err());
+    }
+
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn rejects_peer_ids_past_u32() {
+        let most = u32::MAX as usize;
+        assert!(ModelParams::fault_free(8, most).is_ok());
+        let err = ModelParams::fault_free(8, most + 1).unwrap_err();
+        assert!(err.to_string().contains("32-bit peer ids"));
     }
 
     #[test]

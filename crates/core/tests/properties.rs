@@ -326,6 +326,65 @@ proptest! {
             mutated.copy_range(off, &donor, 0..take);
             assert_intact(&shared, &snapshot);
         }
+
+        // PartialArray::learn_slice and merge, on a half-known array: the
+        // mutated clone un-shares once it learns a bit, the other side
+        // stays as it was.
+        {
+            let mut half = PartialArray::new(n);
+            half.learn_slice(0, &base.slice(0..n / 2));
+            let shared = half.clone();
+            prop_assert!(shared.shares_planes_with(&half));
+            let mut snapshot = PartialArray::new(n);
+            snapshot.merge(&shared);
+            let off = raw_off % n;
+            let run = donor.slice(0..donor.len().min(n - off));
+            let mut taught = PartialArray::new(n);
+            taught.learn_slice(off, &run);
+            let teaches = off + run.len() > n / 2;
+
+            let mut mutated = shared.clone();
+            mutated.learn_slice(off, &run);
+            prop_assert_eq!(mutated.shares_planes_with(&shared), !teaches);
+            prop_assert_eq!(&shared, &snapshot);
+
+            let mut merged = shared.clone();
+            merged.merge(&taught);
+            prop_assert_eq!(merged.shares_planes_with(&shared), !teaches);
+            prop_assert_eq!(&merged, &mutated);
+            prop_assert_eq!(&shared, &snapshot);
+        }
+    }
+
+    #[test]
+    fn learning_nothing_leaves_the_planes_shared(
+        bools in prop::collection::vec(any::<bool>(), 1..300),
+        raw_known in any::<usize>(),
+        raw_off in any::<usize>(),
+        raw_len in any::<usize>(),
+    ) {
+        // A run or a merge that falls inside what is already known teaches
+        // nothing, whatever its values, and must copy nothing: both clones
+        // keep sharing both planes.
+        let n = bools.len();
+        let input = BitArray::from_bools(&bools);
+        let known = raw_known % n + 1;
+        let mut base = PartialArray::new(n);
+        base.learn_slice(0, &input.slice(0..known));
+        let off = raw_off % known;
+        let len = raw_len % (known - off + 1);
+        let contrary = BitArray::from_fn(len, |i| !input.get(off + i));
+
+        let mut learner = base.clone();
+        learner.learn_slice(off, &contrary);
+        prop_assert!(learner.shares_planes_with(&base));
+        let mut subset = PartialArray::new(n);
+        subset.learn_slice(off, &contrary);
+        let mut merger = base.clone();
+        merger.merge(&subset);
+        prop_assert!(merger.shares_planes_with(&base));
+        prop_assert_eq!(&learner, &base);
+        prop_assert_eq!(&merger, &base);
     }
 
     #[test]

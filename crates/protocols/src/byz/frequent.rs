@@ -28,12 +28,46 @@ fn insert_bit(words: &mut Vec<u64>, i: usize) -> bool {
 /// The claims recorded for one segment.
 #[derive(Debug, Default, Clone)]
 struct SegmentClaims {
-    /// string → distinct-sender count, ordered so that iteration (and
-    /// therefore [`frequent`](FrequencyTable::frequent)) never depends on
-    /// insertion or hash order.
-    strings: DetMap<BitArray, usize>,
+    /// Each distinct string with its distinct-sender count, in ascending
+    /// `BitArray` order, so that [`frequent`](FrequencyTable::frequent)
+    /// never depends on insertion order.
+    strings: Vec<(BitArray, usize)>,
+    /// Position in `strings` of the string counted last.
+    last: usize,
     /// Bit `p` set once peer `p` has claimed this segment.
     senders: Vec<u64>,
+}
+
+impl SegmentClaims {
+    /// Counts `sender`'s claim of `string` unless `sender` has claimed
+    /// this segment before; `true` if it was counted.
+    ///
+    /// Honest claims of a segment repeat one string, so a claim is first
+    /// held against the string counted last: `==` is a buffer-pointer
+    /// check, then one `memcmp` of the words. Only another string pays a
+    /// binary search and, if new, an insertion, so `m` claims of `d`
+    /// distinct strings take `O(m log d)` string comparisons in any order,
+    /// equivocation floods included.
+    fn count(&mut self, sender: usize, string: BitArray) -> bool {
+        if !insert_bit(&mut self.senders, sender) {
+            return false;
+        }
+        if self
+            .strings
+            .get(self.last)
+            .is_none_or(|(last, _)| *last != string)
+        {
+            self.last = match self.strings.binary_search_by(|(s, _)| s.cmp(&string)) {
+                Ok(i) => i,
+                Err(i) => {
+                    self.strings.insert(i, (string, 0));
+                    i
+                }
+            };
+        }
+        self.strings[self.last].1 += 1;
+        true
+    }
 }
 
 /// Accumulates `(segment, string)` claims by sender and extracts the
@@ -75,20 +109,21 @@ impl FrequencyTable {
     /// Records a claim. Returns `true` if this was the sender's first
     /// claim for the segment (and was therefore counted).
     pub fn record(&mut self, sender: PeerId, segment: SegmentId, string: BitArray) -> bool {
-        let claims = self.segments.entry(segment).or_default();
-        if !insert_bit(&mut claims.senders, sender.index()) {
-            return false;
+        let counted = self
+            .segments
+            .entry(segment)
+            .or_default()
+            .count(sender.index(), string);
+        if counted {
+            insert_bit(&mut self.senders, sender.index());
         }
-        *claims.strings.entry(string).or_insert(0) += 1;
-        insert_bit(&mut self.senders, sender.index());
-        true
+        counted
     }
 
     /// The `Freq(S, τ)` operator of the paper: every string for `segment`
     /// recorded by at least `threshold` distinct senders, in ascending
-    /// bit-lexicographic order. The ordered map already iterates in
-    /// `BitArray`'s lexicographic `Ord` — the same order the old explicit
-    /// `Vec<bool>` sort produced — so no re-sort is needed.
+    /// bit-lexicographic order — the order the strings are kept in, which
+    /// is `BitArray`'s `Ord`.
     pub fn frequent(&self, segment: SegmentId, threshold: usize) -> Vec<BitArray> {
         self.segments
             .get(&segment)
@@ -96,7 +131,7 @@ impl FrequencyTable {
                 claims
                     .strings
                     .iter()
-                    .filter(|(_, &c)| c >= threshold)
+                    .filter(|(_, c)| *c >= threshold)
                     .map(|(s, _)| s.clone())
                     .collect()
             })
@@ -112,7 +147,7 @@ impl FrequencyTable {
     pub fn received(&self, segment: SegmentId) -> usize {
         self.segments
             .get(&segment)
-            .map_or(0, |c| c.strings.values().sum())
+            .map_or(0, |c| c.strings.iter().map(|(_, n)| n).sum())
     }
 
     /// Number of distinct peers that have made at least one claim.
@@ -136,9 +171,10 @@ struct Claim {
 /// The paper's cycle protocols wait for claims from `k − b` peers and
 /// *then* compute `Freq(S, τ)`. A delivery therefore only marks its
 /// sender heard and appends to a log; [`tally`](CycleClaims::tally)
-/// counts the log into a [`FrequencyTable`] when the wait ends. The table
-/// equals the one [`FrequencyTable::record`] builds delivery by delivery:
-/// a sender is logged at most once, so no count depends on arrival order.
+/// counts the log into a [`FrequencyTable`] when the wait ends, in one
+/// pass. The table equals the one [`FrequencyTable::record`] builds
+/// delivery by delivery: a sender is logged at most once, so no count
+/// depends on arrival order.
 ///
 /// # Examples
 ///
@@ -168,7 +204,16 @@ pub struct CycleClaims {
 
 impl CycleClaims {
     /// An empty inbox for cycle `cycle` (1-based) among `k` peers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k > u32::MAX`, which `ModelParams` refuses too: the log
+    /// stores peer ids in 32 bits.
     pub fn new(k: usize, cycle: u32) -> Self {
+        assert!(
+            u32::try_from(k).is_ok(),
+            "peer ids fit in u32: k={k} is too many"
+        );
         CycleClaims {
             cycle,
             heard: PeerSet::new(k),
@@ -196,7 +241,8 @@ impl CycleClaims {
             && msg.bits.len() == seg.len_of(msg.segment)
         {
             self.log.push(Claim {
-                sender: u32::try_from(sender.index()).expect("peer ids fit in u32"),
+                // `heard` holds `sender`, so `sender < k ≤ u32::MAX`.
+                sender: sender.index() as u32,
                 segment: u32::try_from(msg.segment.index()).expect("segment ids fit in u32"),
                 bits: msg.bits,
             });
@@ -209,19 +255,28 @@ impl CycleClaims {
     }
 
     /// Counts the logged claims for the segments in `segments` into a
-    /// table and empties the log.
+    /// table and empties the log. The table holds one entry per segment of
+    /// `segments`, and each claim goes straight to its segment's entry by
+    /// position in the range: no lookup per claim, and no sort.
     pub fn tally(&mut self, segments: Range<usize>) -> FrequencyTable {
-        let mut table = FrequencyTable::new();
+        let mut claims = vec![SegmentClaims::default(); segments.len()];
+        let mut senders = Vec::new();
         for claim in std::mem::take(&mut self.log) {
-            if segments.contains(&(claim.segment as usize)) {
-                table.record(
-                    PeerId(claim.sender as usize),
-                    SegmentId(claim.segment as usize),
-                    claim.bits,
-                );
+            let (sender, segment) = (claim.sender as usize, claim.segment as usize);
+            let Some(entry) = segment
+                .checked_sub(segments.start)
+                .and_then(|i| claims.get_mut(i))
+            else {
+                continue;
+            };
+            if entry.count(sender, claim.bits) {
+                insert_bit(&mut senders, sender);
             }
         }
-        table
+        FrequencyTable {
+            segments: segments.map(SegmentId).zip(claims).collect(),
+            senders,
+        }
     }
 }
 
@@ -281,6 +336,13 @@ mod tests {
         }
         let frequent = t.frequent(SegmentId(9), tau);
         assert!(frequent.len() <= b / tau);
+    }
+
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    #[should_panic(expected = "peer ids fit in u32")]
+    fn an_inbox_refuses_peer_ids_past_u32() {
+        CycleClaims::new(u32::MAX as usize + 1, 1);
     }
 
     #[test]

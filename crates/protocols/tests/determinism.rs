@@ -141,11 +141,13 @@ impl BTreeFrequencyTable {
 
 /// One cycle as the cycle protocols kept it before the cycle-end tally,
 /// kept verbatim as the reference: every delivery goes straight into the
-/// frequency table.
+/// frequency table, and into the B-tree table beside it, which shares no
+/// counting code with the tally.
 struct PerDeliveryCycle {
     cycle: u32,
     heard: DetSet<PeerId>,
     table: FrequencyTable,
+    btree: BTreeFrequencyTable,
 }
 
 impl PerDeliveryCycle {
@@ -154,6 +156,7 @@ impl PerDeliveryCycle {
             cycle,
             heard: DetSet::new(),
             table: FrequencyTable::new(),
+            btree: BTreeFrequencyTable::default(),
         }
     }
 
@@ -164,25 +167,29 @@ impl PerDeliveryCycle {
             && msg.bits.len() == seg.len_of(msg.segment)
         {
             self.table.record(from, msg.segment, msg.bits.clone());
+            self.btree.record(from, msg.segment, msg.bits.clone());
         }
     }
 }
 
-/// `tallied` answers every query about `segments` as `reference` does.
+/// `tallied` answers every query about `segments` as both tables of
+/// `reference` do.
 fn assert_tables_agree(
     tallied: &FrequencyTable,
-    reference: &FrequencyTable,
+    reference: &PerDeliveryCycle,
     segments: std::ops::Range<usize>,
 ) {
+    let (table, btree) = (&reference.table, &reference.btree);
     for segment in segments.map(SegmentId) {
         for threshold in 0..6 {
-            assert_eq!(
-                tallied.frequent(segment, threshold),
-                reference.frequent(segment, threshold)
-            );
+            let frequent = tallied.frequent(segment, threshold);
+            assert_eq!(frequent, table.frequent(segment, threshold));
+            assert_eq!(frequent, btree.frequent(segment, threshold));
         }
-        assert_eq!(tallied.distinct(segment), reference.distinct(segment));
-        assert_eq!(tallied.received(segment), reference.received(segment));
+        assert_eq!(tallied.distinct(segment), table.distinct(segment));
+        assert_eq!(tallied.distinct(segment), btree.distinct(segment));
+        assert_eq!(tallied.received(segment), table.received(segment));
+        assert_eq!(tallied.received(segment), btree.received(segment));
     }
 }
 
@@ -219,6 +226,43 @@ const SENDERS: [usize; 14] = [
 
 /// Segment ids far enough apart that nothing dense could index them.
 const SEGMENTS: [usize; 6] = [0, 1, 7, 1000, 1 << 20, usize::MAX / 2];
+
+/// A claim drawn for the multi-word tests: sender, segment, string shape
+/// (see [`long_string`]) and a bit position.
+type LongClaim = (usize, usize, u8, usize);
+
+fn long_claim(senders: usize, segments: usize) -> impl Strategy<Value = LongClaim> {
+    (0..senders, 0..segments, 0u8..7, any::<usize>())
+}
+
+/// The string of a multi-word claim against its segment's `truth`, by
+/// shape. Strings are several words long, so comparisons run past the
+/// first word, and shapes mix equal strings that share a buffer, equal
+/// strings that do not, and strings one bit away from the truth.
+/// `earlier` holds the strings claimed before, for the shape that clones
+/// one of them.
+fn long_string(truth: &BitArray, earlier: &[BitArray], shape: u8, pos: usize) -> BitArray {
+    let len = truth.len();
+    let flipped = |i: usize| {
+        let mut s = truth.clone();
+        s.flip(i);
+        s
+    };
+    match shape {
+        // Honest: the truth, sharing one buffer with the other honest claims.
+        0 | 1 => truth.clone(),
+        // The truth in a buffer of its own: equal, word by word.
+        2 => truth.deep_clone(),
+        // An equivocator's: the truth with bit `p` flipped.
+        3 => flipped(pos % len),
+        // Equal to the truth up to its last word.
+        4 => flipped(len - 1 - pos % (len - (len - 1) / 64 * 64)),
+        // A string claimed before, sharing its buffer.
+        5 if !earlier.is_empty() => earlier[pos % earlier.len()].clone(),
+        // One bit too long.
+        _ => BitArray::zeros(len + 1),
+    }
+}
 
 /// The input `FixedCtx` answers from in the wait-condition tests.
 fn wait_input(n: usize) -> BitArray {
@@ -387,6 +431,38 @@ proptest! {
     }
 
     #[test]
+    fn frequency_table_matches_its_btree_reference_on_long_strings(
+        claims in prop::collection::vec(long_claim(SENDERS.len(), SEGMENTS.len()), 1..200),
+        len in 65usize..400,
+    ) {
+        let truth = |segment: usize| BitArray::from_fn(len, |i| (i * 7 + segment) % 5 < 2);
+        let truths: Vec<BitArray> = (0..SEGMENTS.len()).map(truth).collect();
+        let mut earlier: Vec<Vec<BitArray>> = vec![Vec::new(); SEGMENTS.len()];
+        let mut table = FrequencyTable::new();
+        let mut reference = BTreeFrequencyTable::default();
+        for (sender, segment, shape, pos) in claims {
+            let string = long_string(&truths[segment], &earlier[segment], shape, pos);
+            earlier[segment].push(string.clone());
+            let (sender, segment) = (PeerId(SENDERS[sender]), SegmentId(SEGMENTS[segment]));
+            prop_assert_eq!(
+                table.record(sender, segment, string.clone()),
+                reference.record(sender, segment, string)
+            );
+            prop_assert_eq!(table.distinct_senders(), reference.distinct_senders());
+        }
+        for segment in SEGMENTS.into_iter().map(SegmentId) {
+            for threshold in 0..6 {
+                prop_assert_eq!(
+                    table.frequent(segment, threshold),
+                    reference.frequent(segment, threshold)
+                );
+            }
+            prop_assert_eq!(table.distinct(segment), reference.distinct(segment));
+            prop_assert_eq!(table.received(segment), reference.received(segment));
+        }
+    }
+
+    #[test]
     fn frequency_table_is_insertion_order_invariant(
         claims in prop::collection::vec(
             (0usize..12, 0usize..6, 0u8..5, any::<bool>()),
@@ -444,7 +520,7 @@ proptest! {
             prop_assert_eq!(inbox.heard(), reference.heard.len());
         }
         let tallied = inbox.tally(0..seg.count());
-        assert_tables_agree(&tallied, &reference.table, 0..seg.count() + 2);
+        assert_tables_agree(&tallied, &reference, 0..seg.count() + 2);
         prop_assert_eq!(tallied.distinct_senders(), reference.table.distinct_senders());
     }
 
@@ -473,7 +549,7 @@ proptest! {
             while current < cycles && ends[current] == i {
                 let children = 2 * (picks[current] % (4 >> current));
                 let tallied = inboxes[current].tally(children..children + 2);
-                assert_tables_agree(&tallied, &reference[current].table, children..children + 2);
+                assert_tables_agree(&tallied, &reference[current], children..children + 2);
                 current += 1;
             }
             let Some(&d) = deliveries.get(i) else { break };
@@ -485,6 +561,40 @@ proptest! {
                 inboxes[c - 1].hear(from, msg, &seg);
                 prop_assert_eq!(inboxes[c - 1].heard(), reference[c - 1].heard.len());
             }
+        }
+    }
+
+    #[test]
+    fn long_string_tally_matches_per_delivery_recording(
+        deliveries in prop::collection::vec((0u32..3, long_claim(130, 5)), 0..400),
+        extra in 0usize..64,
+        first in 0usize..5,
+        width in 1usize..4,
+    ) {
+        // Four multi-word segments of unequal length and one cycle. Each
+        // inbox is tallied over a subrange, as a multi-cycle peer tallies
+        // the two children it resolves; claims outside it, for another
+        // cycle, for segment 4 (which does not exist) or of the wrong
+        // length are heard and not counted.
+        let seg = Segmentation::new(4 * 150 + extra, 4);
+        let input = BitArray::from_fn(seg.input_len(), |i| (i * 13) % 7 < 3);
+        let mut earlier: Vec<Vec<BitArray>> = vec![Vec::new(); 5];
+        let mut inbox = CycleClaims::new(130, 1);
+        let mut reference = PerDeliveryCycle::new(1);
+        for (cycle, (from, segment, shape, pos)) in deliveries {
+            let truth = input.slice(seg.range(SegmentId(segment % 4)));
+            let bits = long_string(&truth, &earlier[segment], shape, pos);
+            earlier[segment].push(bits.clone());
+            let msg = SegmentMsg { cycle, segment: SegmentId(segment), bits };
+            reference.on_message(PeerId(from), &msg, &seg);
+            inbox.hear(PeerId(from), msg, &seg);
+            prop_assert_eq!(inbox.heard(), reference.heard.len());
+        }
+        let range = first..first + width;
+        let tallied = inbox.tally(range.clone());
+        assert_tables_agree(&tallied, &reference, range.clone());
+        for outside in (0..8).filter(|s| !range.contains(s)).map(SegmentId) {
+            prop_assert_eq!(tallied.received(outside), 0);
         }
     }
 

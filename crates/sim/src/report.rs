@@ -165,7 +165,7 @@ pub struct RunReport {
     /// Peak event-queue occupancy over the run. Together with
     /// [`peak_slab_len`](Self::peak_slab_len) this is the simulator's
     /// memory-pressure proxy: resident size scales with
-    /// `peak_queue_len · sizeof(event) + peak_slab_len ·
+    /// `peak_queue_len · event_bytes + peak_slab_len ·
     /// (slab_slot_bytes + payload bytes)`.
     /// Not part of [`fingerprint`](Self::fingerprint) (the fingerprint
     /// field list is fixed so recorded goldens stay stable).
@@ -179,6 +179,9 @@ pub struct RunReport {
     /// on the heap. A constant of the message type; excluded from
     /// [`fingerprint`](Self::fingerprint).
     pub slab_slot_bytes: u64,
+    /// Bytes one queued event occupies in the event queue. A constant of
+    /// the simulator; excluded from [`fingerprint`](Self::fingerprint).
+    pub event_bytes: u64,
     /// Structured execution trace, present when the simulation was built
     /// with [`trace`](crate::SimBuilder::trace). Render with
     /// [`render_trace`](crate::render_trace).
@@ -348,6 +351,7 @@ mod tests {
             peak_queue_len: 0,
             peak_slab_len: 0,
             slab_slot_bytes: 0,
+            event_bytes: 0,
             trace: None,
         }
     }

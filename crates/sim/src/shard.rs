@@ -6,14 +6,16 @@
 //! sit in one slab:
 //!
 //! * **Buckets.** `push` stamps nothing and sorts nothing: it appends the
-//!   event to the `Vec` of its tick. The simulator hands out `seq` stamps
-//!   globally and monotonically *at push time*, so every bucket is already
-//!   in ascending `seq` order — the serving order — by construction
-//!   (checked by a debug assertion at refill). The map is ordered rather
-//!   than a ring of `TICKS_PER_UNIT` slots because the horizon is not
-//!   bounded by one unit: a `p`-packet message lands `(p−1)·TICKS_PER_UNIT`
-//!   later still, and heal ticks and retransmission back-off reach further;
-//!   a ring would need an overflow queue beside it.
+//!   event to the `Vec` of its tick, so a bucket's append order is its
+//!   serving order. A bucket entry is 16 bytes: the event kind with its
+//!   peer ids narrowed to `u32`. The tick is the bucket's key, not a
+//!   field, and `pop` returns it from the window. The map is ordered
+//!   rather than a ring of `TICKS_PER_UNIT` slots because the horizon is
+//!   not bounded by one unit: a `p`-packet message lands
+//!   `(p−1)·TICKS_PER_UNIT` later still, and heal ticks and retransmission
+//!   back-off reach further; a ring would need an overflow queue beside it
+//!   (and a prototype ring of `2·TICKS_PER_UNIT` buckets ran the
+//!   pump-bound workload no faster than the map).
 //! * **Window.** All pending events sharing the minimum tick `T` form one
 //!   window. Message latencies are clamped to `1..=TICKS_PER_UNIT`, so an
 //!   event processed at tick `T` can only schedule events at `T + 1` or
@@ -23,12 +25,11 @@
 //!   allocates as many buckets as it ever has ticks pending at once.
 //! * **Same-tick appends.** The one exception to "new events land after
 //!   the window" is the pre-start flush, which re-enqueues buffered
-//!   messages at the *current* tick. Those pushes carry fresh `seq` stamps
-//!   larger than everything already in the window, so appending them to
-//!   the active window keeps it in serving order — checked by a debug
-//!   assertion.
+//!   messages at the *current* tick. Those pushes come after everything
+//!   already in the window, so appending them to it keeps the window in
+//!   push order.
 //!
-//! Events therefore pop in global `(at, seq)` order.
+//! Events therefore pop in tick order, and within a tick in push order.
 //!
 //! Slot lifecycle: a slab slot holds one payload and counts its owners.
 //! A broadcast stores its payload once and every recipient owns the same
@@ -177,7 +178,7 @@ pub(crate) struct SlabOverflow {
     pub capacity: u32,
 }
 
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum EventKind {
     Start(PeerId),
     Deliver {
@@ -207,25 +208,76 @@ impl EventKind {
     }
 }
 
+/// An [`EventKind`] as a bucket stores it, peer ids narrowed to `u32`: a
+/// tag and three `u32`s. Up to `k²` of these wait at once, so their size
+/// is most of the pump's memory.
 #[derive(Clone, Copy)]
-pub(crate) struct QueuedEvent {
-    pub(crate) at: Ticks,
-    pub(crate) seq: u64,
-    pub(crate) kind: EventKind,
+enum QueuedEvent {
+    Start(u32),
+    Deliver { from: u32, to: u32, slot: u32 },
+    Retransmit { from: u32, to: u32, slot: u32 },
+}
+
+/// Bytes one queued event occupies in its bucket.
+pub(crate) const EVENT_BYTES: usize = std::mem::size_of::<QueuedEvent>();
+
+const _: () = assert!(EVENT_BYTES == 16);
+
+/// A peer id as a bucket stores it. `ModelParams` refuses `k > u32::MAX`,
+/// so no peer of a run fails this.
+fn narrow(peer: PeerId) -> u32 {
+    u32::try_from(peer.index()).expect("peer ids fit in u32: ModelParams caps k")
+}
+
+impl From<EventKind> for QueuedEvent {
+    fn from(kind: EventKind) -> Self {
+        match kind {
+            EventKind::Start(p) => QueuedEvent::Start(narrow(p)),
+            EventKind::Deliver { from, to, slot } => QueuedEvent::Deliver {
+                from: narrow(from),
+                to: narrow(to),
+                slot,
+            },
+            EventKind::Retransmit { from, to, slot } => QueuedEvent::Retransmit {
+                from: narrow(from),
+                to: narrow(to),
+                slot,
+            },
+        }
+    }
+}
+
+impl From<QueuedEvent> for EventKind {
+    fn from(ev: QueuedEvent) -> Self {
+        let peer = |p: u32| PeerId(p as usize);
+        match ev {
+            QueuedEvent::Start(p) => EventKind::Start(peer(p)),
+            QueuedEvent::Deliver { from, to, slot } => EventKind::Deliver {
+                from: peer(from),
+                to: peer(to),
+                slot,
+            },
+            QueuedEvent::Retransmit { from, to, slot } => EventKind::Retransmit {
+                from: peer(from),
+                to: peer(to),
+                slot,
+            },
+        }
+    }
 }
 
 /// The simulator's pending-event queue and payload store: tick buckets
-/// drained a window at a time and one slab, popping events in global
-/// `(at, seq)` order.
+/// drained a window at a time and one slab, popping events in tick order
+/// and, within a tick, in push order.
 pub(crate) struct EventPump<M> {
     slab: MsgSlab<M>,
     /// Pending events after the active window, one bucket per tick, each
-    /// in ascending `seq` order (push order).
+    /// in push order.
     buckets: BTreeMap<Ticks, Vec<QueuedEvent>>,
     /// Emptied bucket `Vec`s, reused for new ticks.
     spare: Vec<Vec<QueuedEvent>>,
-    /// Events of the active window in ascending `seq` order; positions
-    /// before `cursor` have been popped.
+    /// Events of the active window in push order; positions before
+    /// `cursor` have been popped.
     window: Vec<QueuedEvent>,
     cursor: usize,
     /// Tick of the active window. Stays set after the window drains so a
@@ -254,25 +306,21 @@ impl<M> EventPump<M> {
         }
     }
 
-    pub(crate) fn push(&mut self, ev: QueuedEvent) {
+    /// Queues `kind` at tick `at`, behind everything already queued there.
+    pub(crate) fn push(&mut self, at: Ticks, kind: EventKind) {
+        let ev = QueuedEvent::from(kind);
         match self.window_at {
-            Some(t) if ev.at == t => {
-                // Same-tick append (pre-start flush): `seq` stamps are
-                // globally monotonic, so the window stays in serving order.
-                debug_assert!(
-                    self.window.last().is_none_or(|last| last.seq < ev.seq),
-                    "same-tick push out of seq order"
-                );
-                self.window.push(ev);
-            }
+            // Same-tick append (pre-start flush): the window is still
+            // being served, and this push comes after all of it.
+            Some(t) if at == t => self.window.push(ev),
             earlier => {
                 debug_assert!(
-                    earlier.is_none_or(|t| ev.at > t),
+                    earlier.is_none_or(|t| at > t),
                     "event scheduled before the active window (latency < 1?)"
                 );
                 let spare = &mut self.spare;
                 self.buckets
-                    .entry(ev.at)
+                    .entry(at)
                     .or_insert_with(|| spare.pop().unwrap_or_default())
                     .push(ev);
             }
@@ -288,10 +336,6 @@ impl<M> EventPump<M> {
         let Some((t, bucket)) = self.buckets.pop_first() else {
             return false;
         };
-        debug_assert!(
-            bucket.windows(2).all(|w| w[0].seq < w[1].seq),
-            "bucket out of seq order"
-        );
         let mut drained = std::mem::replace(&mut self.window, bucket);
         drained.clear();
         self.spare.push(drained);
@@ -300,14 +344,17 @@ impl<M> EventPump<M> {
         true
     }
 
-    pub(crate) fn pop(&mut self) -> Option<QueuedEvent> {
+    /// The next event and its tick: the earliest tick first, and within a
+    /// tick the first pushed.
+    pub(crate) fn pop(&mut self) -> Option<(Ticks, EventKind)> {
         if self.cursor >= self.window.len() && !self.refill() {
             return None;
         }
         let ev = self.window[self.cursor];
         self.cursor += 1;
         self.queued -= 1;
-        Some(ev)
+        let at = self.window_at.expect("a filled window has a tick");
+        Some((at, ev.into()))
     }
 
     /// Stores a payload under one owner.
@@ -363,43 +410,48 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn ev(at: Ticks, seq: u64, peer: usize) -> QueuedEvent {
-        QueuedEvent {
-            at,
-            seq,
-            kind: EventKind::Start(PeerId(peer)),
+    /// Push number `i` of a test: the three kinds in turn, every field
+    /// derived from `i` (ids and slots up to `u32::MAX`), and `i` as the
+    /// subject, so a popped event says which push it was.
+    fn nth(i: usize) -> EventKind {
+        let far = PeerId(u32::MAX as usize - i);
+        let slot = u32::MAX - i as u32;
+        match i % 3 {
+            0 => EventKind::Start(PeerId(i)),
+            1 => EventKind::Deliver {
+                from: far,
+                to: PeerId(i),
+                slot,
+            },
+            _ => EventKind::Retransmit {
+                from: far,
+                to: PeerId(i),
+                slot,
+            },
         }
     }
 
-    /// `(at, seq, subject)` of an event, for comparing against a model.
-    fn flat(e: QueuedEvent) -> (Ticks, u64, usize) {
-        (e.at, e.seq, e.kind.subject().index())
+    /// `(tick, push number)` of a popped event, once it is checked to have
+    /// come back with every field it was pushed with.
+    fn which((at, kind): (Ticks, EventKind)) -> (Ticks, usize) {
+        let i = kind.subject().index();
+        assert_eq!(kind, nth(i), "event {i} changed in the queue");
+        (at, i)
     }
 
-    fn drain_order(pump: &mut EventPump<()>) -> Vec<(Ticks, u64)> {
-        std::iter::from_fn(|| pump.pop())
-            .map(|e| (e.at, e.seq))
-            .collect()
+    fn drain(pump: &mut EventPump<()>) -> Vec<(Ticks, usize)> {
+        std::iter::from_fn(|| pump.pop()).map(which).collect()
     }
 
     #[test]
-    fn pops_in_global_at_seq_order() {
-        let mut pump: EventPump<()> = EventPump::new(u32::MAX);
-        // Interleave peers and ticks in a scrambled push order.
-        let pushes = [
-            (5, 0, 0),
-            (1, 1, 3),
-            (5, 2, 1),
-            (1, 3, 2),
-            (9, 4, 5),
-            (1, 5, 4),
-            (5, 6, 6),
-        ];
-        for (at, seq, peer) in pushes {
-            pump.push(ev(at, seq, peer));
+    fn pops_by_tick_then_push_order() {
+        let mut pump = EventPump::new(u32::MAX);
+        // Ticks in a scrambled order.
+        for (i, at) in [5, 1, 5, 1, 9, 1, 5].into_iter().enumerate() {
+            pump.push(at, nth(i));
         }
         assert_eq!(
-            drain_order(&mut pump),
+            drain(&mut pump),
             vec![(1, 1), (1, 3), (1, 5), (5, 0), (5, 2), (5, 6), (9, 4)],
         );
     }
@@ -407,20 +459,28 @@ mod tests {
     #[test]
     fn same_tick_push_lands_in_active_window() {
         let mut pump: EventPump<()> = EventPump::new(u32::MAX);
-        pump.push(ev(4, 0, 0));
-        pump.push(ev(4, 1, 1));
-        pump.push(ev(7, 2, 2));
-        assert_eq!(pump.pop().map(|e| e.seq), Some(0));
+        pump.push(4, nth(0));
+        pump.push(4, nth(1));
+        pump.push(7, nth(2));
+        assert_eq!(pump.pop().map(which), Some((4, 0)));
         // Mid-window push at the same tick (the pre-start flush shape).
-        pump.push(ev(4, 3, 2));
-        assert_eq!(pump.pop().map(|e| e.seq), Some(1));
-        assert_eq!(pump.pop().map(|e| e.seq), Some(3));
+        pump.push(4, nth(3));
+        assert_eq!(pump.pop().map(which), Some((4, 1)));
+        assert_eq!(pump.pop().map(which), Some((4, 3)));
         // Push at the window tick after the window drained but before the
         // next refill — still ahead of the tick-7 event.
-        pump.push(ev(4, 4, 1));
-        assert_eq!(pump.pop().map(|e| e.seq), Some(4));
-        assert_eq!(pump.pop().map(|e| e.seq), Some(2));
+        pump.push(4, nth(4));
+        assert_eq!(pump.pop().map(which), Some((4, 4)));
+        assert_eq!(pump.pop().map(which), Some((7, 2)));
         assert!(pump.pop().is_none());
+    }
+
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    #[should_panic(expected = "peer ids fit in u32")]
+    fn a_peer_id_past_u32_is_refused() {
+        let mut pump: EventPump<()> = EventPump::new(u32::MAX);
+        pump.push(1, EventKind::Start(PeerId(u32::MAX as usize + 1)));
     }
 
     #[test]
@@ -452,8 +512,8 @@ mod tests {
     #[test]
     fn queue_peak_survives_the_drain() {
         let mut pump: EventPump<()> = EventPump::new(u32::MAX);
-        for seq in 0..6 {
-            pump.push(ev(1 + seq, seq, seq as usize));
+        for i in 0..6 {
+            pump.push(1 + i as Ticks, nth(i));
         }
         assert_eq!(pump.peak_queued(), 6);
         while pump.pop().is_some() {}
@@ -465,33 +525,31 @@ mod tests {
 
         /// Random pushes (same-tick appends mid-window and after a drained
         /// window included) and pops, against a flat list searched for its
-        /// `(at, seq)` minimum and counted naively.
+        /// `(tick, push number)` minimum and counted naively.
         #[test]
         fn pump_serves_like_a_sorted_list(
-            ops in prop::collection::vec((0u8..7, 0u64..4, 0usize..16), 1..200),
+            ops in prop::collection::vec((0u8..7, 0u64..4), 1..200),
         ) {
             let mut pump: EventPump<()> = EventPump::new(u32::MAX);
-            let mut pending: Vec<(Ticks, u64, usize)> = Vec::new();
+            let mut pending: Vec<(Ticks, usize)> = Vec::new();
             let mut pushed = Vec::new();
             let mut served = Vec::new();
             // Tick of the pump's active window: pushes may not precede it.
             let mut now: Option<Ticks> = None;
             let mut peak = 0;
-            let key = |e: &(Ticks, u64, usize)| (e.0, e.1);
 
-            for &(op, dt, peer) in &ops {
+            for &(op, dt) in &ops {
                 match op {
                     0..=4 => {
-                        let e = (now.unwrap_or(0) + dt, pushed.len() as u64, peer);
-                        pump.push(ev(e.0, e.1, e.2));
+                        let e = (now.unwrap_or(0) + dt, pushed.len());
+                        pump.push(e.0, nth(e.1));
                         pending.push(e);
                         pushed.push(e);
                         peak = peak.max(pending.len());
                     }
                     _ => {
-                        let want = pending.iter().copied().min_by_key(key);
-                        let got = pump.pop().map(flat);
-                        prop_assert_eq!(got, want);
+                        let want = pending.iter().copied().min();
+                        prop_assert_eq!(pump.pop().map(which), want);
                         if let Some(e) = want {
                             pending.retain(|p| *p != e);
                             served.push(e);
@@ -501,8 +559,8 @@ mod tests {
                 }
                 prop_assert_eq!(pump.queued, pending.len());
             }
-            served.extend(std::iter::from_fn(|| pump.pop()).map(flat));
-            pushed.sort_unstable_by_key(key);
+            served.extend(drain(&mut pump));
+            pushed.sort_unstable();
             prop_assert_eq!(&served, &pushed);
             prop_assert_eq!(pump.peak_queued(), peak);
         }

@@ -27,7 +27,7 @@
 //! the dispatch loop stores its payload once, so a k-recipient broadcast
 //! of an n-bit payload costs one slot and k − 1 owner counts — not k − 1
 //! slots, payload clones and O(k·n) copied bits — while the adversary is
-//! still consulted, and M, bits, `seq` stamps and the trace are still
+//! still consulted, and M, bits, queue entries and the trace are still
 //! charged, per recipient and in `send` order.
 //!
 //! # One pump, one order
@@ -47,7 +47,7 @@ use crate::agent::Agent;
 use crate::ctx::{LaneCtx, Outgoing};
 use crate::linkfault::{LinkDecision, RuntimeLinkState};
 use crate::report::{RunError, RunReport};
-use crate::shard::{EventKind, EventPump, MsgSlab, QueuedEvent};
+use crate::shard::{EventKind, EventPump, MsgSlab, EVENT_BYTES};
 use crate::time::{Ticks, TICKS_PER_UNIT};
 use crate::trace::TraceEntry;
 use crate::view::{PeerRole, PeerStatus, View};
@@ -127,7 +127,6 @@ pub struct Simulation<M: ProtocolMessage> {
     outbox_scratch: Vec<Outgoing<M>>,
     /// `HeldInfo` buffer reused across `release_held` calls.
     held_infos: Vec<HeldInfo>,
-    seq: u64,
     now: Ticks,
     crash_budget: usize,
     messages_sent: u64,
@@ -208,7 +207,6 @@ impl<M: ProtocolMessage> Simulation<M> {
             pending_nonfaulty: k - byz,
             outbox_scratch: Vec::new(),
             held_infos: Vec::new(),
-            seq: 0,
             now: 0,
             crash_budget: params.b() - byz,
             messages_sent: 0,
@@ -251,12 +249,6 @@ impl<M: ProtocolMessage> Simulation<M> {
     /// Model parameters of this run.
     pub fn params(&self) -> &ModelParams {
         &self.params
-    }
-
-    fn push_event(&mut self, at: Ticks, kind: EventKind) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.pump.push(QueuedEvent { at, seq, kind });
     }
 
     fn crash(&mut self, peer: PeerId) {
@@ -375,7 +367,6 @@ impl<M: ProtocolMessage> Simulation<M> {
             links,
             lossy,
             retrans,
-            seq,
             now,
             messages_sent,
             message_bits,
@@ -410,16 +401,11 @@ impl<M: ProtocolMessage> Simulation<M> {
             .map_err(|e| RunError::SlabOverflow {
                 capacity: e.capacity,
             })?;
-        // Stamps and queues an event that owns `slot` alongside the
-        // dispatch loop and the recipients routed before.
-        let mut push_owner = |pump: &mut EventPump<M>, at: Ticks, kind: EventKind| {
+        // Queues an event that owns `slot` alongside the dispatch loop and
+        // the recipients routed before.
+        let push_owner = |pump: &mut EventPump<M>, at: Ticks, kind: EventKind| {
             pump.retain_payload(slot);
-            pump.push(QueuedEvent {
-                at,
-                seq: *seq,
-                kind,
-            });
-            *seq += 1;
+            pump.push(at, kind);
         };
         let mut routed = Ok(());
         for to in recipients {
@@ -579,7 +565,7 @@ impl<M: ProtocolMessage> Simulation<M> {
                 peer: to,
                 until: rejoin,
             });
-            self.push_event(rejoin, kind);
+            self.pump.push(rejoin, kind);
             return None;
         }
         // A peer takes no steps before its start event: messages that
@@ -662,7 +648,7 @@ impl<M: ProtocolMessage> Simulation<M> {
             let waiting = std::mem::take(&mut self.pre_start[to.index()]);
             for (from, pslot) in waiting {
                 let now = self.now;
-                self.push_event(
+                self.pump.push(
                     now,
                     EventKind::Deliver {
                         from,
@@ -700,7 +686,7 @@ impl<M: ProtocolMessage> Simulation<M> {
         // there is no simultaneous-start assumption).
         for p in 0..self.params.k() {
             let offset = self.adversary.start_offset(PeerId(p), &mut self.adv_rng);
-            self.push_event(offset, EventKind::Start(PeerId(p)));
+            self.pump.push(offset, EventKind::Start(PeerId(p)));
         }
         let pumped = self.pump_events();
         // Whatever ended the run, every occupied slot must still have its
@@ -728,13 +714,13 @@ impl<M: ProtocolMessage> Simulation<M> {
                 });
             }
             match self.pump.pop() {
-                Some(ev) => {
-                    self.now = self.now.max(ev.at);
-                    if let EventKind::Retransmit { from, to, slot } = ev.kind {
+                Some((at, kind)) => {
+                    self.now = self.now.max(at);
+                    if let EventKind::Retransmit { from, to, slot } = kind {
                         self.handle_retransmit(from, to, slot)?;
                         continue;
                     }
-                    if let Some(peer) = self.process_event(ev.kind) {
+                    if let Some(peer) = self.process_event(kind) {
                         let mut outbox = std::mem::take(&mut self.outbox_scratch);
                         let dispatched = self.dispatch_outbox(peer, &mut outbox);
                         self.outbox_scratch = outbox;
@@ -792,7 +778,7 @@ impl<M: ProtocolMessage> Simulation<M> {
                 to,
                 until: heal,
             });
-            self.push_event(
+            self.pump.push(
                 heal + st.latency + transmission,
                 EventKind::Deliver { from, to, slot },
             );
@@ -809,7 +795,7 @@ impl<M: ProtocolMessage> Simulation<M> {
         match decision {
             LinkDecision::Transmit => {
                 let at = self.now + st.latency + transmission;
-                self.push_event(at, EventKind::Deliver { from, to, slot });
+                self.pump.push(at, EventKind::Deliver { from, to, slot });
             }
             LinkDecision::Drop => {
                 self.link_drops += 1;
@@ -844,7 +830,8 @@ impl<M: ProtocolMessage> Simulation<M> {
                         },
                     );
                     let fire = self.now + self.links.backoff(next);
-                    self.push_event(fire, EventKind::Retransmit { from, to, slot });
+                    self.pump
+                        .push(fire, EventKind::Retransmit { from, to, slot });
                 }
             }
         }
@@ -861,8 +848,8 @@ impl<M: ProtocolMessage> Simulation<M> {
     /// builds would silently accumulate.
     #[cfg(debug_assertions)]
     fn assert_no_leaked_slots(&mut self) {
-        while let Some(ev) = self.pump.pop() {
-            match ev.kind {
+        while let Some((_, kind)) = self.pump.pop() {
+            match kind {
                 EventKind::Deliver { slot, .. } => {
                     self.pump.release_payload(slot);
                 }
@@ -960,7 +947,7 @@ impl<M: ProtocolMessage> Simulation<M> {
                 }
                 None => self.now + 1 + transmission,
             };
-            self.push_event(
+            self.pump.push(
                 at,
                 EventKind::Deliver {
                     from: h.from,
@@ -1022,6 +1009,7 @@ impl<M: ProtocolMessage> Simulation<M> {
             peak_queue_len: self.pump.peak_queued() as u64,
             peak_slab_len: self.pump.peak_live() as u64,
             slab_slot_bytes: MsgSlab::<M>::SLOT_BYTES as u64,
+            event_bytes: EVENT_BYTES as u64,
             trace: self.trace,
         }
     }
