@@ -42,20 +42,25 @@ fn parse_options() -> Options {
             std::process::exit(2);
         })
     };
+    let number = |args: &mut dyn Iterator<Item = String>, flag: &str| -> u64 {
+        let v = value(args, flag);
+        v.parse().unwrap_or_else(|_| {
+            eprintln!("{flag} expects a number, got '{v}'\n{USAGE}");
+            std::process::exit(2);
+        })
+    };
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--runs-per-case" => {
-                opts.runs_per_case = value(&mut args, "--runs-per-case")
-                    .parse()
-                    .expect("--runs-per-case: integer")
-            }
-            "--seed" => opts.seed = value(&mut args, "--seed").parse().expect("--seed: integer"),
+            "--runs-per-case" => opts.runs_per_case = number(&mut args, "--runs-per-case"),
+            "--seed" => opts.seed = number(&mut args, "--seed"),
             "--out" => opts.out = Some(PathBuf::from(value(&mut args, "--out"))),
-            "--threads" => par::set_threads(
-                value(&mut args, "--threads")
-                    .parse()
-                    .expect("--threads: integer"),
-            ),
+            "--threads" => match number(&mut args, "--threads") {
+                0 => {
+                    eprintln!("--threads must be positive, got '0'\n{USAGE}");
+                    std::process::exit(2);
+                }
+                n => par::set_threads(n as usize),
+            },
             "--no-shrink" => opts.shrink = false,
             "--replay" => opts.replay = Some(PathBuf::from(value(&mut args, "--replay"))),
             "--help" | "-h" => {

@@ -1,5 +1,5 @@
 //! Regenerates the 'suite' whole-workload wall-clock tables: the twelve
-//! paper experiments plus the default chaos campaign, timed at plane
+//! paper experiments plus the default chaos campaign, timed at trial
 //! thread counts 1 and ncpu (see DESIGN.md §4). Set `DR_SUITE_SMOKE=1`
 //! for a CI-sized run.
 

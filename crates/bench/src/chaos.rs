@@ -456,13 +456,9 @@ pub struct CampaignReport {
 pub fn run_campaign(campaign: &Campaign) -> CampaignReport {
     let rpc = campaign.runs_per_case as usize;
     let total = campaign.cases.len() * rpc;
-    // Plane jobs are 'static: move a copy of the (small, Copy-element)
-    // case list and base seed into the closure.
-    let cases = campaign.cases.clone();
-    let base_seed = campaign.base_seed;
-    let failures: Vec<Option<(usize, u64, String)>> = par::run_indexed(total, move |i| {
-        let case = &cases[i / rpc];
-        let seed = base_seed + i as u64;
+    let failures: Vec<Option<(usize, u64, String)>> = par::run_indexed(total, |i| {
+        let case = &campaign.cases[i / rpc];
+        let seed = campaign.base_seed + i as u64;
         let outcome = run_case(case, seed, AdvSource::Fresh);
         outcome.violation.map(|v| (i / rpc, seed, v))
     });

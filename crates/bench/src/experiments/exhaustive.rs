@@ -62,11 +62,10 @@ pub fn run_metered(sink: &mut MetricsSink) -> Vec<Table> {
         let (n, k) = (6usize, 3usize);
         let mut patterns: Vec<Vec<PeerId>> = vec![vec![]];
         patterns.extend((0..k).map(|v| vec![PeerId(v)]));
-        let job_patterns = patterns.clone();
-        let reports = par::run_indexed(patterns.len(), move |i| {
+        let reports = par::run_indexed(patterns.len(), |i| {
             let config = ExploreConfig {
                 max_schedules: budget,
-                ..ExploreConfig::new(k, input(n)).with_crashed(job_patterns[i].clone())
+                ..ExploreConfig::new(k, input(n)).with_crashed(patterns[i].clone())
             };
             explore(&config, move |_| SingleCrashDownload::new(n, k))
         });

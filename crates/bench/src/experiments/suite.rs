@@ -1,4 +1,4 @@
-//! E-suite — whole-workload wall clock on the unified execution plane.
+//! E-suite — whole-workload wall clock by trial thread count.
 //!
 //! Times the complete reproduction workload end to end, as two units:
 //!
@@ -9,7 +9,7 @@
 //! * **chaos** — the default fault-injection campaign, 56 cases × 18
 //!   seeds = 1008 runs (see [`crate::chaos::default_cases`]).
 //!
-//! Each unit runs at plane thread count 1 and, when the machine has
+//! Each unit runs at trial thread count 1 and, when the machine has
 //! more than one core, at `ncpu`. Every row's label records the *honest*
 //! `available_parallelism` of the machine that produced it — on a
 //! single-core box the sweep collapses to one thread count and no
@@ -84,7 +84,7 @@ pub fn run_metered(sink: &mut MetricsSink) -> Vec<Table> {
     }
 
     let mut table = Table::new(
-        "E-suite — whole-workload wall clock on the execution plane",
+        "E-suite — whole-workload wall clock by trial thread count",
         &[
             "workload",
             "threads",

@@ -14,7 +14,6 @@ pub mod cli;
 pub mod experiments;
 pub mod metrics;
 pub mod par;
-pub mod plane;
 pub mod runners;
 pub mod stats;
 pub mod table;

@@ -162,17 +162,17 @@ impl Measured {
     }
 }
 
-/// Runs `trials` simulations with seeds `base_seed + t` across the
-/// worker pool and aggregates all four metrics.
+/// Runs `trials` simulations with seeds `base_seed + t` over
+/// [`par::run_indexed`] and aggregates all four metrics.
 ///
 /// Trial seeds and aggregation order are identical to a serial loop,
 /// so the statistics are bit-identical for any thread count.
 pub fn measure_par<R>(trials: u64, base_seed: u64, run: R) -> Measured
 where
-    R: Fn(u64) -> RunReport + Send + Sync + 'static,
+    R: Fn(u64) -> RunReport + Sync,
 {
     let started = Instant::now();
-    let metrics = par::run_indexed(trials as usize, move |t| {
+    let metrics = par::run_indexed(trials as usize, |t| {
         TrialMetrics::from(&run(base_seed + t as u64))
     });
     Measured::of(&metrics, started.elapsed().as_secs_f64())

@@ -304,12 +304,12 @@ pub fn average<R: FnMut(u64) -> f64>(trials: u64, base_seed: u64, run: R) -> f64
     Stats::sample(trials, base_seed, run).mean
 }
 
-/// Parallel [`average`]: fans trials across the worker pool via
-/// [`Stats::sample_par`]. Seeds and aggregation order match the serial
-/// path, so the result is bit-identical for any thread count.
+/// Parallel [`average`]: fans trials out via [`Stats::sample_par`].
+/// Seeds and aggregation order match the serial path, so the result is
+/// bit-identical for any thread count.
 pub fn average_par<R>(trials: u64, base_seed: u64, run: R) -> f64
 where
-    R: Fn(u64) -> f64 + Send + Sync + 'static,
+    R: Fn(u64) -> f64 + Sync,
 {
     Stats::sample_par(trials, base_seed, run).mean
 }

@@ -51,33 +51,17 @@ impl Stats {
         Stats::of(&xs)
     }
 
-    /// Parallel [`Stats::sample`]: fans the trials across the worker pool.
+    /// Parallel [`Stats::sample`]: fans the trials out over
+    /// [`crate::par::run_indexed`].
     ///
     /// Trial `t` always runs with seed `base_seed + t` and results are
     /// aggregated in trial order, so the returned statistics are
     /// bit-identical to the serial path for any thread count.
     pub fn sample_par<R>(trials: u64, base_seed: u64, f: R) -> Stats
     where
-        R: Fn(u64) -> f64 + Send + Sync + 'static,
+        R: Fn(u64) -> f64 + Sync,
     {
-        Stats::sample_streaming(trials, base_seed, f, |_, _| ())
-    }
-
-    /// [`Stats::sample_par`] that additionally streams each trial's
-    /// metric to `on_trial(trial_index, value)` in completion order as
-    /// it finishes (e.g. for progress reporting), while the returned
-    /// statistics are still folded in trial order — bit-identical to
-    /// the serial path for any thread count.
-    pub fn sample_streaming<R, C>(trials: u64, base_seed: u64, f: R, mut on_trial: C) -> Stats
-    where
-        R: Fn(u64) -> f64 + Send + Sync + 'static,
-        C: FnMut(u64, f64),
-    {
-        let xs = crate::plane::run_indexed_streaming(
-            trials as usize,
-            move |t| f(base_seed + t as u64),
-            |t, &x| on_trial(t as u64, x),
-        );
+        let xs = crate::par::run_indexed(trials as usize, |t| f(base_seed + t as u64));
         Stats::of(&xs)
     }
 }

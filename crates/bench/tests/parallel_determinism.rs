@@ -2,9 +2,13 @@
 //! trial `t` always runs with seed `base_seed + t`, and results are
 //! merged back in index order before aggregation, so thread count and
 //! scheduling cannot leak into the statistics.
+//!
+//! The thread count is process-wide, so this binary has one test, and it
+//! is the only code here that sets the count.
 
 use dr_bench::runners::{average, average_par};
 use dr_bench::{par, Stats};
+use dr_core::sync::Mutex;
 
 /// A deterministic, seed-sensitive stand-in for a simulation run.
 fn fake_trial(seed: u64) -> f64 {
@@ -14,12 +18,14 @@ fn fake_trial(seed: u64) -> f64 {
 }
 
 #[test]
-fn sample_par_matches_sample_bit_for_bit() {
-    for threads in [1, 2, 4, 7] {
+fn parallel_runners_match_serial_at_1_2_and_8_threads() {
+    let serial = Stats::sample(64, 123, fake_trial);
+    let serial_mean = average(17, 9, fake_trial);
+    for threads in [1, 2, 8] {
         par::set_threads(threads);
+        assert_eq!(par::thread_count(), threads);
+
         let par_stats = Stats::sample_par(64, 123, fake_trial);
-        par::set_threads(0);
-        let serial = Stats::sample(64, 123, fake_trial);
         assert_eq!(serial.count, par_stats.count, "threads={threads}");
         // Bit-identity, not approximate equality: the merged sample
         // order must match the serial order exactly.
@@ -30,14 +36,21 @@ fn sample_par_matches_sample_bit_for_bit() {
                 && serial.max.to_bits() == par_stats.max.to_bits(),
             "threads={threads}: serial {serial:?} != parallel {par_stats:?}"
         );
-    }
-}
+        let par_mean = average_par(17, 9, fake_trial);
+        assert_eq!(
+            serial_mean.to_bits(),
+            par_mean.to_bits(),
+            "threads={threads}"
+        );
 
-#[test]
-fn average_par_matches_average() {
-    par::set_threads(3);
-    let p = average_par(17, 9, fake_trial);
+        // Every index runs exactly once, and results come back in order.
+        let calls = Mutex::new(vec![0u32; 37]);
+        let got = par::run_indexed(37, |i| {
+            calls.lock().unwrap()[i] += 1;
+            i * i
+        });
+        assert_eq!(got, (0..37).map(|i| i * i).collect::<Vec<_>>());
+        assert_eq!(*calls.lock().unwrap(), vec![1; 37], "threads={threads}");
+    }
     par::set_threads(0);
-    let s = average(17, 9, fake_trial);
-    assert_eq!(s.to_bits(), p.to_bits());
 }

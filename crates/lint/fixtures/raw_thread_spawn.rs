@@ -1,4 +1,4 @@
-//! Fixture: ad-hoc OS threads that bypass the unified execution plane.
+//! Fixture: ad-hoc OS threads that bypass the trial fan-out.
 //! Three violations (`thread::spawn`, `thread::scope`, `thread::Builder`),
 //! one justified allow, and look-alikes that must stay silent.
 
@@ -16,7 +16,7 @@ fn fans_out_by_hand(jobs: Vec<Box<dyn FnOnce() + Send>>) {
 }
 
 fn scoped_pool(xs: &mut [u64]) {
-    // VIOLATION: a scoped pool still competes with the plane's workers.
+    // VIOLATION: a scoped pool ignores the thread-count knobs.
     thread::scope(|s| {
         for x in xs.iter_mut() {
             s.spawn(|| *x += 1);

@@ -1,6 +1,6 @@
 //! Fixture: `sync-primitive-outside-facade` — raw primitive construction
 //! fires; use (not construction) of a primitive is silent; a justified
-//! allow suppresses. The file-scoped exemptions (the facades, the plane,
+//! allow suppresses. The file-scoped exemptions (the facade,
 //! facade-routed importers, loom-driving model code) are exercised inline
 //! by the tests, since they key off the file path or the import set.
 

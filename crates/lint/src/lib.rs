@@ -16,7 +16,7 @@
 //! | `missing-forbid-unsafe` | `lib.rs` roots | — |
 //! | `bad-allow` | always | always |
 //! | `payload-clone` | always | — |
-//! | `raw-thread-spawn` | always | always (except `bench/src/plane/`) |
+//! | `raw-thread-spawn` | always | always |
 //! | `atomic-ordering` | always | always |
 //! | `lock-discipline` | always | always |
 //! | `sync-primitive-outside-facade` | always | always |
@@ -24,12 +24,12 @@
 //! The deterministic tier is `core`, `sim`, `protocols`, `oracle`; the
 //! tooling tier is `bench`, `cli`, `runtime`, and `lint` itself.
 //!
-//! The three concurrency rules share two carve-outs: the sync facade
-//! (`crates/core/src/sync.rs`) and the plane module are the sanctioned
-//! owners of raw primitives, and files driving
-//! the vendored `loom` checker are the modelling layer itself. Everywhere
-//! else, an explicit `Ordering::*`, a nested lock guard, or a raw
-//! primitive construction needs an anchored
+//! The concurrency rules share two carve-outs: the sync facade
+//! (`crates/core/src/sync.rs`) is the sanctioned owner of raw primitives,
+//! and files driving the vendored `loom` checker are the modelling layer
+//! itself. Everywhere else — the trial fan-out in `dr_bench::par`
+//! included — an OS thread, an explicit `Ordering::*`, a nested lock
+//! guard, or a raw primitive construction needs an anchored
 //! `dr-lint: allow(<rule>): <justification>`.
 //!
 //! Escape hatch: a comment of the form

@@ -24,7 +24,7 @@ pub const RULE_BAD_ALLOW: &str = "bad-allow";
 /// Rule: payload binding cloned inside a `send`/`broadcast` call.
 pub const RULE_PAYLOAD_CLONE: &str = "payload-clone";
 /// Rule: raw `thread::spawn`/`thread::scope`/`thread::Builder` outside the
-/// unified execution plane (`dr_bench::plane`).
+/// trial fan-out (`dr_bench::par::run_indexed`).
 pub const RULE_RAW_THREAD: &str = "raw-thread-spawn";
 /// Rule: explicit atomic memory orderings without a justifying allow
 /// (`SeqCst` is flagged as a lazy default, weaker orderings as claims
@@ -34,7 +34,7 @@ pub const RULE_ATOMIC_ORDERING: &str = "atomic-ordering";
 /// same lexical scope (nested-guard deadlock risk).
 pub const RULE_LOCK_DISCIPLINE: &str = "lock-discipline";
 /// Rule: raw `Mutex`/`Condvar`/`RwLock`/`Atomic*` construction outside the
-/// sync facade and the execution plane, invisible to the loom models.
+/// sync facade, invisible to the loom models.
 pub const RULE_SYNC_OUTSIDE_FACADE: &str = "sync-primitive-outside-facade";
 
 /// Every rule name, for `allow(...)` validation and docs.
@@ -50,13 +50,6 @@ pub const ALL_RULES: &[&str] = &[
     RULE_LOCK_DISCIPLINE,
     RULE_SYNC_OUTSIDE_FACADE,
 ];
-
-/// The files sanctioned to own OS threads and raw primitives: the unified
-/// work-stealing plane (now a module directory) every other crate is
-/// supposed to schedule onto.
-fn is_plane_file(file: &str) -> bool {
-    file == "crates/bench/src/plane.rs" || file.starts_with("crates/bench/src/plane/")
-}
 
 /// The sync facade: the swap point where `std::sync` becomes `loom::sync`
 /// under the `loom-model` feature. Primitive re-exports live here by
@@ -364,19 +357,17 @@ pub fn check_source(file: &str, source: &str, tier: Tier, is_lib_rs: bool) -> Ve
                     j += 1;
                 }
             }
-            // raw-thread-spawn: OS threads must come from the unified
-            // work-stealing plane. An ad-hoc `thread::spawn` (or a scoped
-            // pool via `thread::scope`/`thread::Builder`) competes with
-            // the plane's workers for cores and hides its work from the
-            // plane's two-priority queue, so trial/window scheduling and
-            // the thread-count knobs stop describing reality. Applies to
-            // both tiers — deterministic crates must not thread at all,
-            // and tooling crates must route through `dr_bench::plane`.
+            // raw-thread-spawn: trials fan out through one function,
+            // `dr_bench::par::run_indexed`. An ad-hoc `thread::spawn` (or
+            // a scoped pool via `thread::scope`/`thread::Builder`) ignores
+            // the thread-count knobs (`--threads`, `DR_BENCH_THREADS`), so
+            // they stop describing reality. Applies to both tiers —
+            // deterministic crates must not thread at all. The only escape
+            // is an anchored allow, which `run_indexed` itself carries.
             "spawn" | "scope" | "Builder"
-                if !is_plane_file(file)
-                    && path_prefix_is(tokens, i, "thread")
+                if path_prefix_is(tokens, i, "thread")
                     // `loom::thread::spawn` creates *model* threads inside
-                    // the checker, not OS threads competing with the plane.
+                    // the checker, not OS threads.
                     && !(i >= 6
                         && tokens[i - 4].is_punct(':')
                         && tokens[i - 5].is_punct(':')
@@ -388,10 +379,10 @@ pub fn check_source(file: &str, source: &str, tier: Tier, is_lib_rs: bool) -> Ve
                     col: t.col,
                     rule: RULE_RAW_THREAD,
                     message: format!(
-                        "thread::{} creates OS threads outside the execution plane",
+                        "thread::{} creates OS threads outside the trial fan-out",
                         t.text
                     ),
-                    suggestion: "schedule onto the shared pool (dr_bench::plane::run_indexed); a \
+                    suggestion: "fan trials out with dr_bench::par::run_indexed; a \
                          genuinely unpoolable thread needs a \
                          `dr-lint: allow(raw-thread-spawn)` with its reason"
                         .into(),
@@ -440,14 +431,13 @@ pub fn check_source(file: &str, source: &str, tier: Tier, is_lib_rs: bool) -> Ve
                 });
             }
             // sync-primitive-outside-facade: a primitive constructed
-            // outside the facade/plane never swaps to its loom stand-in,
-            // so the concurrency models cannot see it and the loom suites
+            // outside the facade never swaps to its loom stand-in, so the
+            // concurrency models cannot see it and the loom suites
             // silently lose coverage.
             name if SYNC_PRIMITIVES.contains(&name)
                 && tokens.get(i + 1).is_some_and(|a| a.is_punct(':'))
                 && tokens.get(i + 2).is_some_and(|a| a.is_punct(':'))
                 && tokens.get(i + 3).is_some_and(|a| a.is_ident("new"))
-                && !is_plane_file(file)
                 && !is_facade
                 && !imports_model_checker
                 && !uses_facade_sync =>
@@ -486,7 +476,7 @@ pub fn check_source(file: &str, source: &str, tier: Tier, is_lib_rs: bool) -> Ve
     // `payload-clone`. A guard binding (`let g = x.lock()…`) is live from
     // its statement until `drop(g)` or the end of its block; acquiring
     // another lock while one is live is the two-guard shape that invites
-    // ABBA deadlocks (the exact bug class `loom_plane.rs` models), so it
+    // ABBA deadlocks (a bug class the loom models would report), so it
     // needs an anchored allow stating the lock order. Statement-temporary
     // guards (`x.lock().unwrap().push(…)`) do not outlive their statement
     // and are not tracked.

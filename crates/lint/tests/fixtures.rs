@@ -127,7 +127,7 @@ fn malformed_allows_are_diagnostics_and_do_not_suppress() {
 }
 
 #[test]
-fn raw_thread_spawn_fires_in_both_tiers_but_not_in_the_plane() {
+fn raw_thread_spawn_fires_in_both_tiers_and_an_anchored_allow_is_the_only_escape() {
     let src = fixture("raw_thread_spawn.rs");
     // spawn + scope + Builder fire; the allowed watchdog Builder is
     // suppressed; Command::spawn and thread::sleep stay silent.
@@ -137,7 +137,7 @@ fn raw_thread_spawn_fires_in_both_tiers_but_not_in_the_plane() {
     assert!(
         diags
             .iter()
-            .all(|d| d.suggestion.contains("dr_bench::plane")),
+            .all(|d| d.suggestion.contains("dr_bench::par::run_indexed")),
         "{diags:?}"
     );
     // Deterministic-tier code gets the same treatment.
@@ -148,18 +148,16 @@ fn raw_thread_spawn_fires_in_both_tiers_but_not_in_the_plane() {
         false,
     );
     assert_eq!(rule_count(&diags, "raw-thread-spawn"), 3, "{diags:?}");
-    // The plane itself is the sanctioned owner of OS threads — both the
-    // old single-file path and the module directory it grew into.
-    let diags = check_source("crates/bench/src/plane.rs", &src, Tier::Tooling, false);
-    assert_eq!(rule_count(&diags, "raw-thread-spawn"), 0, "{diags:?}");
-    let diags = check_source("crates/bench/src/plane/core.rs", &src, Tier::Tooling, false);
-    assert_eq!(rule_count(&diags, "raw-thread-spawn"), 0, "{diags:?}");
+    // No path is exempt, not even the trial fan-out's own file: there,
+    // too, only the anchored allow silences a thread.
+    let diags = check_source("crates/bench/src/par.rs", &src, Tier::Tooling, false);
+    assert_eq!(rule_count(&diags, "raw-thread-spawn"), 3, "{diags:?}");
 }
 
 #[test]
 fn loom_thread_spawn_is_model_threads_not_os_threads() {
     // `loom::thread::spawn` creates threads *inside* the model checker;
-    // only unqualified/std spawns compete with the plane for cores.
+    // only unqualified/std spawns create OS threads.
     let model = "fn m() { let h = loom::thread::spawn(|| 1); h.join().unwrap(); }";
     let diags = check_source("crates/bench/tests/fixture.rs", model, Tier::Tooling, false);
     assert_eq!(rule_count(&diags, "raw-thread-spawn"), 0, "{diags:?}");
@@ -240,9 +238,10 @@ fn sync_primitive_construction_needs_the_facade() {
         "{diags:?}"
     );
     assert_eq!(diags.len(), 3);
-    // Exempt by path: the plane module and the facade itself.
-    let diags = check_source("crates/bench/src/plane/core.rs", &src, Tier::Tooling, false);
-    assert_eq!(rule_count(&diags, "sync-primitive-outside-facade"), 0);
+    // Exempt by path: the facade itself, and nothing else. Elsewhere,
+    // the trial fan-out included, an anchored allow is the only escape.
+    let diags = check_source("crates/bench/src/par.rs", &src, Tier::Tooling, false);
+    assert_eq!(rule_count(&diags, "sync-primitive-outside-facade"), 3);
     let diags = check_source("crates/core/src/sync.rs", &src, Tier::Deterministic, false);
     assert_eq!(rule_count(&diags, "sync-primitive-outside-facade"), 0);
     // Exempt by import: construction routed through the facade.
