@@ -4,13 +4,11 @@ pub mod byz_committee;
 pub mod crash_scaling;
 pub mod crash_single;
 pub mod exhaustive;
-pub mod hotpath;
 pub mod lower_bound;
 pub mod msg_size;
 pub mod multi_cycle;
 pub mod oracle;
 pub mod serve;
-pub mod sim_scaling;
 pub mod strategy_ablation;
 pub mod suite;
 pub mod synchrony;
@@ -20,13 +18,8 @@ pub mod two_cycle;
 use crate::metrics::MetricsSink;
 use crate::table::Table;
 
-/// Runs every experiment in sequence, discarding metrics records.
-pub fn run_all() -> Vec<Table> {
-    run_all_metered(&mut MetricsSink::new())
-}
-
-/// Runs every experiment in sequence, recording metrics into `sink`
-/// (one `BENCH_<experiment>.json` group per module on
+/// Runs the twelve paper experiments in sequence, recording metrics into
+/// `sink` (one `BENCH_<experiment>.json` group per module on
 /// [`MetricsSink::write_json`]).
 pub fn run_all_metered(sink: &mut MetricsSink) -> Vec<Table> {
     let mut tables = Vec::new();
@@ -42,13 +35,11 @@ pub fn run_all_metered(sink: &mut MetricsSink) -> Vec<Table> {
     tables.extend(strategy_ablation::run_metered(sink));
     tables.extend(synchrony::run_metered(sink));
     tables.extend(exhaustive::run_metered(sink));
-    tables.extend(hotpath::run_metered(sink));
-    tables.extend(sim_scaling::run_metered(sink));
     // `suite` is deliberately absent: it is the meta-experiment that
     // *times* the twelve above plus the chaos campaign (run it via
     // `dr experiments --only suite` or `fig_suite`). `serve` is also
-    // run separately (`dr serve-bench` / `fig_serve`): it measures wall
-    // clock against a throttled upstream, so batching it with the
-    // deterministic experiments would only slow them down.
+    // run separately (`dr serve-bench`): it measures wall clock against
+    // a throttled upstream, so batching it with the deterministic
+    // experiments would only slow them down.
     tables
 }

@@ -1,4 +1,4 @@
-//! E-serve — multi-client front-door load experiment (`fig_serve`).
+//! E-serve — multi-client front-door load experiment (`dr serve-bench`).
 //!
 //! Drives the `dr-runtime` [`FrontDoor`] with concurrent client threads
 //! over three workloads and records the serving-plane metrics the

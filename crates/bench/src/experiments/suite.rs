@@ -2,9 +2,8 @@
 //!
 //! Times the complete reproduction workload end to end, as two units:
 //!
-//! * **experiments** — the twelve paper experiments (everything in
-//!   [`super::run_all_metered`] except the perf trackers `hotpath` and
-//!   `sim_scaling`, which time themselves), run back to back exactly as
+//! * **experiments** — the twelve paper experiments
+//!   ([`super::run_all_metered`]), run back to back exactly as
 //!   `dr experiments` would;
 //! * **chaos** — the default fault-injection campaign, 56 cases × 18
 //!   seeds = 1008 runs (see [`crate::chaos::default_cases`]).
@@ -41,24 +40,6 @@ fn smoke() -> bool {
 /// The machine's honest core count; every record carries it.
 fn ncpu() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
-}
-
-/// The twelve paper experiments, back to back, into a scratch sink
-/// (this experiment times them; their own records are not re-emitted).
-fn run_paper_experiments() {
-    let sink = &mut MetricsSink::new();
-    super::table1::run_metered(sink);
-    super::crash_single::run_metered(sink);
-    super::crash_scaling::run_metered(sink);
-    super::byz_committee::run_metered(sink);
-    super::two_cycle::run_metered(sink);
-    super::multi_cycle::run_metered(sink);
-    super::lower_bound::run_metered(sink);
-    super::oracle::run_metered(sink);
-    super::msg_size::run_metered(sink);
-    super::strategy_ablation::run_metered(sink);
-    super::synchrony::run_metered(sink);
-    super::exhaustive::run_metered(sink);
 }
 
 /// Runs the suite timing experiment, discarding metrics records.
@@ -100,8 +81,10 @@ pub fn run_metered(sink: &mut MetricsSink) -> Vec<Table> {
     for &t in &thread_counts {
         par::set_threads(t);
 
+        // Into a scratch sink: this experiment times the twelve, their own
+        // records are not re-emitted.
         let started = Instant::now();
-        run_paper_experiments();
+        super::run_all_metered(&mut MetricsSink::new());
         let exp_secs = started.elapsed().as_secs_f64();
 
         let campaign = Campaign::new(chaos_runs_per_case, CHAOS_SEED);

@@ -101,55 +101,6 @@ pub fn run_crash_multi(
     verified(sim)
 }
 
-/// Algorithm 2 against a streaming [`ChunkedSource`] — the source is
-/// generated on demand from `source_seed` with at most `max_resident`
-/// chunks of `chunk_words` words in memory, so `n` may exceed RAM.
-/// Outputs are verified blockwise against an independently rebuilt
-/// source (same `(len, seed)` ⇒ same array), and the cache statistics
-/// of the run's own source are returned alongside the report.
-#[allow(clippy::too_many_arguments)]
-pub fn run_crash_multi_streaming(
-    n: usize,
-    k: usize,
-    b: usize,
-    crashes: usize,
-    msg_bits: usize,
-    seed: u64,
-    source_seed: u64,
-    chunk_words: usize,
-    max_resident: usize,
-) -> (RunReport, dr_core::ChunkStats) {
-    assert!(crashes <= b);
-    let source = std::sync::Arc::new(dr_core::ChunkedSource::with_geometry(
-        n,
-        source_seed,
-        chunk_words,
-        max_resident,
-    ));
-    let victims: Vec<PeerId> = (0..crashes).map(PeerId).collect();
-    let plan = CrashPlan::before_event(victims, 1 + seed % 3);
-    let sim = SimBuilder::new(crash_params(n, k, b, msg_bits))
-        .seed(seed)
-        .streaming_source(source.clone())
-        .protocol(move |_| CrashMultiDownload::new(n, k, b))
-        .adversary(StandardAdversary::new(UniformDelay::new(), plan))
-        .build();
-    let report = sim.run().expect("run must terminate");
-    let stats = source.stats();
-    assert!(
-        stats.peak_resident <= max_resident,
-        "resident set exceeded its cap: {} > {max_resident}",
-        stats.peak_resident
-    );
-    // Verify against a fresh source with the same (len, seed): the
-    // verifier never touches the run's cache, and stays bounded itself.
-    let verifier = dr_core::ChunkedSource::with_geometry(n, source_seed, chunk_words, max_resident);
-    report
-        .verify_downloads_source(&verifier)
-        .expect("download specification violated");
-    (report, stats)
-}
-
 /// Deterministic committee protocol with `silent` of the `t` Byzantine
 /// peers instantiated as silent.
 pub fn run_committee(n: usize, k: usize, t: usize, silent: usize, seed: u64) -> RunReport {
@@ -336,16 +287,6 @@ mod tests {
         run_multi_cycle(4096, 96, 8, ByzMix::Silent, 6);
     }
 
-    #[test]
-    fn streaming_runner_verifies_and_stays_bounded() {
-        // 16 chunks of 256 bits with a 4-chunk cache: plenty of eviction
-        // and regeneration traffic on the way to a verified download.
-        let (report, stats) = run_crash_multi_streaming(4096, 8, 2, 2, 1024, 3, 99, 4, 4);
-        assert!(stats.peak_resident <= 4);
-        assert!(stats.evicted > 0, "cache never cycled: {stats:?}");
-        assert!(report.events > 0);
-    }
-
     /// `CrashMultiDownload`, noting after each of its handler calls the
     /// most owner tables of its size that were live at once.
     struct Watched {
@@ -391,7 +332,9 @@ mod tests {
 
     /// The most owner tables live at once in a verified streaming run of
     /// `stream`'s shape (k = 8, b = 2, sim seed 13), with both crashed
-    /// peers falling before their `crash_event`-th event.
+    /// peers falling before their `crash_event`-th event. The source's
+    /// 17 chunks share a 4-chunk cache, which must stay within its cap
+    /// and actually cycle.
     fn peak_owner_tables(crash_event: u64) -> usize {
         // An n no other test uses: the registry is process-wide.
         let (n, k, b) = (16411, 8, 2);
@@ -415,7 +358,9 @@ mod tests {
             .build();
         let report = sim.run().expect("run must terminate");
         report.verify_downloads_source(&geometry()).unwrap();
-        assert!(source.stats().peak_resident <= 4);
+        let stats = source.stats();
+        assert!(stats.peak_resident <= 4, "cache over its cap: {stats:?}");
+        assert!(stats.evicted > 0, "cache never cycled: {stats:?}");
         let peak = *peak.lock().expect("no watcher panics holding the peak");
         peak
     }

@@ -2,7 +2,7 @@
 
 use crate::args::{ArgError, Args};
 use dr_bench::runners::{self, ByzMix};
-use dr_core::{BitArray, PeerId};
+use dr_core::{BitArray, FaultModel, ModelParams, ModelParamsBuilder, PeerId};
 use dr_protocols::lower_bound::{deterministic_attack, AttackOutcome};
 use dr_protocols::{
     BalancedDownload, CommitteeDownload, CrashMultiDownload, NaiveDownload, SingleCrashDownload,
@@ -42,6 +42,35 @@ fn parse_mix(s: &str) -> Result<ByzMix, ArgError> {
     }
 }
 
+/// Builds an instance's [`ModelParams`] where its flags enter, so a bad
+/// combination is an error naming `flags`, not a runner's panic.
+fn check_params(params: ModelParamsBuilder, flags: &str) -> Result<(), ArgError> {
+    params
+        .build()
+        .map(drop)
+        .map_err(|e| ArgError(format!("{flags}: {e}")))
+}
+
+/// A crash plan may fell no more peers than the fault budget allows.
+fn check_crashes(crashes: usize, b: usize) -> Result<(), ArgError> {
+    if crashes <= b {
+        return Ok(());
+    }
+    Err(ArgError(format!(
+        "--crashes {crashes} exceeds the fault budget --b {b}"
+    )))
+}
+
+/// Algorithm 1's precondition (its constructor asserts it).
+fn check_alg1(k: usize) -> Result<(), ArgError> {
+    if k >= 3 {
+        return Ok(());
+    }
+    Err(ArgError(format!(
+        "--protocol alg1 needs --k >= 3, got --k {k}"
+    )))
+}
+
 /// The committee protocol's precondition, checked where the flags enter so
 /// a bad pair is an error message, not the constructor's assertion.
 fn check_committee_budget(k: usize, t: usize, flag: &str) -> Result<(), ArgError> {
@@ -67,6 +96,12 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
     let protocol = args.get_or("protocol", "alg2");
     let mix = parse_mix(args.get_or("byz-mix", "silent"))?;
     let crashes: usize = args.num("crashes", b)?;
+    check_params(
+        ModelParams::builder(n, k)
+            .faults(FaultModel::Crash, b)
+            .message_bits(msg_bits),
+        &format!("--n {n} --k {k} --b {b} --msg-bits {msg_bits}"),
+    )?;
 
     let report = match protocol {
         "naive" => runners::run_naive(n, k, seed),
@@ -84,9 +119,15 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
                 .map_err(|e| ArgError(format!("verification failed: {e}")))?;
             r
         }
-        "alg1" => runners::run_single_crash(n, k, seed, (crashes > 0).then_some(PeerId(0))),
-        "alg2" => runners::run_crash_multi(n, k, b, crashes, msg_bits, false, seed),
-        "alg2-early" => runners::run_crash_multi(n, k, b, crashes, msg_bits, true, seed),
+        "alg1" => {
+            check_alg1(k)?;
+            runners::run_single_crash(n, k, seed, (crashes > 0).then_some(PeerId(0)))
+        }
+        "alg2" | "alg2-early" => {
+            check_crashes(crashes, b)?;
+            let early_release = protocol == "alg2-early";
+            runners::run_crash_multi(n, k, b, crashes, msg_bits, early_release, seed)
+        }
         "committee" => {
             check_committee_budget(k, b, "--b")?;
             runners::run_committee(n, k, b, b, seed)
@@ -108,6 +149,11 @@ pub fn trace(args: &Args) -> Result<(), ArgError> {
     let b: usize = args.num("b", 1)?;
     let seed: u64 = args.num("seed", 1)?;
     let crashes: usize = args.num("crashes", b)?;
+    check_params(
+        ModelParams::builder(n, k).faults(FaultModel::Crash, b),
+        &format!("--n {n} --k {k} --b {b}"),
+    )?;
+    check_crashes(crashes, b)?;
     let params = runners::crash_params(n, k, b, 1024);
     let victims: Vec<PeerId> = (0..crashes).map(PeerId).collect();
     let sim = dr_sim::SimBuilder::new(params)
@@ -309,6 +355,20 @@ pub fn explore(args: &Args) -> Result<(), ArgError> {
         })?)],
         None => Vec::new(),
     };
+    let flags = match args.get("crash") {
+        Some(v) => format!("--n {n} --k {k} --crash {v}"),
+        None => format!("--n {n} --k {k}"),
+    };
+    check_params(
+        ModelParams::builder(n, k).faults(FaultModel::Crash, crashed.len()),
+        &flags,
+    )?;
+    if let Some(victim) = crashed.iter().find(|p| p.index() >= k) {
+        return Err(ArgError(format!(
+            "--crash {} is not a peer: --k {k} numbers them 0..{k}",
+            victim.index()
+        )));
+    }
     let mut rng_input = BitArray::zeros(n);
     for i in 0..n {
         if (i * 13 + seed as usize).is_multiple_of(3) {
@@ -322,7 +382,10 @@ pub fn explore(args: &Args) -> Result<(), ArgError> {
     };
     let protocol = args.get_or("protocol", "alg2");
     let report = match protocol {
-        "alg1" => explore_with(&config, move |_| SingleCrashDownload::new(n, k)),
+        "alg1" => {
+            check_alg1(k)?;
+            explore_with(&config, move |_| SingleCrashDownload::new(n, k))
+        }
         "alg2" => {
             let b = config.crashed.len().max(1).min(k - 1);
             explore_with(&config, move |_| CrashMultiDownload::new(n, k, b))
@@ -545,8 +608,6 @@ pub fn experiments(args: &Args) -> Result<(), ArgError> {
         Some("strategy_ablation") => exp::strategy_ablation::run_metered(&mut sink),
         Some("synchrony") => exp::synchrony::run_metered(&mut sink),
         Some("exhaustive") => exp::exhaustive::run_metered(&mut sink),
-        Some("hotpath") => exp::hotpath::run_metered(&mut sink),
-        Some("sim_scaling") => exp::sim_scaling::run_metered(&mut sink),
         Some("suite") => exp::suite::run_metered(&mut sink),
         // The serving benchmark writes its own BENCH_serve.json schema;
         // use `dr serve-bench --json <dir>` for that. Here it only prints.

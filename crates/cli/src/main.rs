@@ -47,7 +47,7 @@ USAGE:
   dr experiments [--json <dir>] [--threads <n>] [--trials <n>]
                  [--only <table1|crash_single|crash_scaling|byz_committee|two_cycle|
                   multi_cycle|lower_bound|oracle|msg_size|strategy_ablation|
-                  synchrony|exhaustive|hotpath|sim_scaling|suite|serve>]
+                  synchrony|exhaustive|suite|serve>]
   dr serve-bench [--grid <full|smoke>] [--clients <n>] [--requests <n>]
                  [--range-bits <bits>] [--hot <n>] [--peers <k>] [--throttle-us <µs>]
                  [--json <dir>]       multi-client front-door load benchmark

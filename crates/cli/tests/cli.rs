@@ -135,6 +135,72 @@ fn committee_with_a_byzantine_half_is_an_error_not_a_panic() {
 }
 
 #[test]
+fn bad_instance_flags_are_errors_naming_the_flag_not_panics() {
+    // Each of these used to exit 101 with a runner's panic, or, for
+    // `explore`, print a PASS verdict for an instance that does not exist.
+    let cases = [
+        (
+            "run --protocol alg2 --n 0 --k 4",
+            "--n 0",
+            "input length n must be positive",
+        ),
+        (
+            "run --protocol alg2 --n 64 --k 0",
+            "--k 0",
+            "peer count k must be positive",
+        ),
+        (
+            "run --protocol alg2 --n 64 --k 4 --b 4",
+            "--b 4",
+            "at least one nonfaulty peer",
+        ),
+        (
+            "run --protocol alg2 --n 64 --k 4 --msg-bits 0",
+            "--msg-bits 0",
+            "message size",
+        ),
+        (
+            "run --protocol alg2 --n 64 --k 4 --b 1 --crashes 3",
+            "--crashes 3",
+            "fault budget --b 1",
+        ),
+        (
+            "run --protocol alg1 --n 64 --k 2",
+            "--k 2",
+            "alg1 needs --k >= 3",
+        ),
+        ("trace --k 0", "--k 0", "peer count k must be positive"),
+        ("trace --b 4 --k 4", "--b 4", "at least one nonfaulty peer"),
+        (
+            "explore --protocol alg2 --n 6 --k 0",
+            "--k 0",
+            "peer count k must be positive",
+        ),
+        (
+            "explore --n 6 --k 3 --crash 7",
+            "--crash 7",
+            "is not a peer",
+        ),
+    ];
+    for (args, flag, reason) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_dr"))
+            .args(args.split_whitespace())
+            .output()
+            .expect("binary runs");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args}: {stderr}");
+        assert!(stdout.is_empty(), "{args} printed: {stdout}");
+        let line = stderr.lines().next().unwrap_or_default();
+        assert!(line.starts_with("error: "), "{args}: {stderr}");
+        assert!(
+            line.contains(flag) && line.contains(reason),
+            "{args}: {line}"
+        );
+    }
+}
+
+#[test]
 fn duplicate_flag_is_rejected() {
     let (ok, _, stderr) = dr(&[
         "run",

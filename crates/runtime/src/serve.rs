@@ -23,7 +23,7 @@
 //! Each request gets a [`RequestOutcome`] with its bits, wall-clock
 //! latency split into gate wait vs. service time, and the aggregated
 //! [`ReadReceipt`] — `metered_bits` is the request's *attributed* share of
-//! upstream `Q`, the quantity `fig_serve` tracks cold vs. warm.
+//! upstream `Q`, the quantity `dr serve-bench` tracks cold vs. warm.
 
 use dr_core::sync::{Condvar, Mutex, PoisonError};
 use dr_core::{AdmissionPlane, BitArray, PeerId, PlaneHandle, QueryMeter, ReadReceipt, Source};

@@ -162,26 +162,16 @@ pub struct RunReport {
     /// Deliveries deferred because the recipient had churned away; each
     /// re-fires at the peer's rejoin tick.
     pub deferred_deliveries: u64,
-    /// Peak event-queue occupancy over the run. Together with
-    /// [`peak_slab_len`](Self::peak_slab_len) this is the simulator's
-    /// memory-pressure proxy: resident size scales with
-    /// `peak_queue_len · event_bytes + peak_slab_len ·
-    /// (slab_slot_bytes + payload bytes)`.
-    /// Not part of [`fingerprint`](Self::fingerprint) (the fingerprint
-    /// field list is fixed so recorded goldens stay stable).
+    /// Peak number of events waiting in the event queue at once: with
+    /// [`peak_slab_len`](Self::peak_slab_len), what the run's memory
+    /// grows with. Not part of [`fingerprint`](Self::fingerprint) (the
+    /// fingerprint field list is fixed so recorded goldens stay stable).
     pub peak_queue_len: u64,
     /// Peak number of message-slab slots simultaneously occupied. A slot
     /// holds one payload whoever waits for it (queued, parked, held or
     /// pre-start buffered recipients): a broadcast occupies one slot, as
     /// a point-to-point send does.
     pub peak_slab_len: u64,
-    /// Bytes one slab slot occupies, not counting what its payload keeps
-    /// on the heap. A constant of the message type; excluded from
-    /// [`fingerprint`](Self::fingerprint).
-    pub slab_slot_bytes: u64,
-    /// Bytes one queued event occupies in the event queue. A constant of
-    /// the simulator; excluded from [`fingerprint`](Self::fingerprint).
-    pub event_bytes: u64,
     /// Structured execution trace, present when the simulation was built
     /// with [`trace`](crate::SimBuilder::trace). Render with
     /// [`render_trace`](crate::render_trace).
@@ -350,8 +340,6 @@ mod tests {
             deferred_deliveries: 0,
             peak_queue_len: 0,
             peak_slab_len: 0,
-            slab_slot_bytes: 0,
-            event_bytes: 0,
             trace: None,
         }
     }

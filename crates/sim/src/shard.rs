@@ -75,10 +75,6 @@ pub(crate) struct MsgSlab<M> {
 }
 
 impl<M> MsgSlab<M> {
-    /// Bytes one slot occupies in the slab, whatever its payload keeps on
-    /// the heap.
-    pub(crate) const SLOT_BYTES: usize = std::mem::size_of::<Slot<M>>();
-
     fn new() -> Self {
         MsgSlab {
             slots: Vec::new(),
@@ -219,7 +215,7 @@ enum QueuedEvent {
 }
 
 /// Bytes one queued event occupies in its bucket.
-pub(crate) const EVENT_BYTES: usize = std::mem::size_of::<QueuedEvent>();
+const EVENT_BYTES: usize = std::mem::size_of::<QueuedEvent>();
 
 const _: () = assert!(EVENT_BYTES == 16);
 

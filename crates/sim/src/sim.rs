@@ -47,7 +47,7 @@ use crate::agent::Agent;
 use crate::ctx::{LaneCtx, Outgoing};
 use crate::linkfault::{LinkDecision, RuntimeLinkState};
 use crate::report::{RunError, RunReport};
-use crate::shard::{EventKind, EventPump, MsgSlab, EVENT_BYTES};
+use crate::shard::{EventKind, EventPump};
 use crate::time::{Ticks, TICKS_PER_UNIT};
 use crate::trace::TraceEntry;
 use crate::view::{PeerRole, PeerStatus, View};
@@ -1008,8 +1008,6 @@ impl<M: ProtocolMessage> Simulation<M> {
             deferred_deliveries: self.deferred_deliveries,
             peak_queue_len: self.pump.peak_queued() as u64,
             peak_slab_len: self.pump.peak_live() as u64,
-            slab_slot_bytes: MsgSlab::<M>::SLOT_BYTES as u64,
-            event_bytes: EVENT_BYTES as u64,
             trace: self.trace,
         }
     }
