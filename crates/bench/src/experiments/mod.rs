@@ -37,7 +37,7 @@ pub fn run_all_metered(sink: &mut MetricsSink) -> Vec<Table> {
     tables.extend(exhaustive::run_metered(sink));
     // `suite` is deliberately absent: it is the meta-experiment that
     // *times* the twelve above plus the chaos campaign (run it via
-    // `dr experiments --only suite` or `fig_suite`). `serve` is also
+    // `dr experiments --only suite`). `serve` is also
     // run separately (`dr serve-bench`): it measures wall clock against
     // a throttled upstream, so batching it with the deterministic
     // experiments would only slow them down.

@@ -30,7 +30,7 @@ use std::time::Instant;
 const EXPERIMENT: &str = "suite";
 
 /// Fixed base seed of the timed chaos campaign (same default as
-/// `dr chaos` / `fig_chaos`).
+/// `dr chaos`).
 const CHAOS_SEED: u64 = 0xc0ffee;
 
 fn smoke() -> bool {

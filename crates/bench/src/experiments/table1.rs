@@ -201,7 +201,7 @@ pub fn run_metered(sink: &mut MetricsSink) -> Vec<Table> {
     }
 
     // β ≥ 1/2 Byzantine: the lower bounds say only the naive protocol
-    // works; fig_lower_bound demonstrates the attack.
+    // works; the lower_bound experiment demonstrates the attack.
     {
         let (n, k) = (8192usize, 32usize);
         let m = measure_par(trials, 7, move |seed| run_naive(n, k, seed));

@@ -4,13 +4,13 @@
 //! comparison) and the per-theorem bounds. Each experiment here
 //! regenerates one of them empirically — see `DESIGN.md` for the
 //! experiment index and `EXPERIMENTS.md` for paper-vs-measured records.
-//! Run all of them with `cargo run --release -p dr-bench --bin
-//! all_experiments`, or individually via the `fig_*` / `table1` binaries.
+//! The `dr` command line is the front end: `dr experiments` runs all of
+//! them, `dr experiments --only <name>` one, and `dr chaos` the chaos
+//! campaign.
 
 #![forbid(unsafe_code)]
 
 pub mod chaos;
-pub mod cli;
 pub mod experiments;
 pub mod metrics;
 pub mod par;

@@ -3,8 +3,7 @@
 //! Every experiment, in addition to its human-readable [`Table`]s,
 //! produces one [`ExperimentRecord`] per table row (or representative
 //! configuration). Records accumulate in a [`MetricsSink`]; passing
-//! `--json <dir>` to `all_experiments`, any `fig_*` binary, or
-//! `dr-download experiments` writes them out as one
+//! `--json <dir>` to `dr experiments` writes them out as one
 //! `BENCH_<experiment>.json` file per experiment, each holding a JSON
 //! array of records.
 //!
@@ -20,34 +19,24 @@ use serde::{Deserialize, Serialize};
 use crate::par;
 use crate::stats::Stats;
 
-/// Name of the environment variable consulted by [`trials`].
-pub const TRIALS_ENV: &str = "DR_BENCH_TRIALS";
-
 /// Process-wide override set by [`set_trials`]; 0 means "not set".
 // dr-lint: allow(sync-primitive-outside-facade): process-global config cell; statics cannot hold loom primitives (each model execution needs fresh objects)
 static TRIALS_OVERRIDE: AtomicU64 = AtomicU64::new(0);
 
-/// Overrides the per-row trial count for the whole process (e.g. from a
-/// `--trials` CLI flag). Passing 0 clears the override.
+/// Overrides the per-row trial count for the whole process (from `dr`'s
+/// `--trials` flag). Passing 0 clears the override.
 pub fn set_trials(n: u64) {
     // dr-lint: allow(atomic-ordering): lone config cell, no other memory depends on it
     TRIALS_OVERRIDE.store(n, Ordering::Relaxed);
 }
 
 /// Trials each multi-trial experiment row runs: the [`set_trials`]
-/// override, else `DR_BENCH_TRIALS`, else 3.
+/// override, else 3.
 pub fn trials() -> u64 {
     // dr-lint: allow(atomic-ordering): lone config cell, no other memory depends on it
     let explicit = TRIALS_OVERRIDE.load(Ordering::Relaxed);
     if explicit > 0 {
         return explicit;
-    }
-    if let Ok(v) = std::env::var(TRIALS_ENV) {
-        if let Ok(n) = v.trim().parse::<u64>() {
-            if n > 0 {
-                return n;
-            }
-        }
     }
     3
 }

@@ -11,34 +11,24 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Name of the environment variable consulted by [`thread_count`].
-pub const THREADS_ENV: &str = "DR_BENCH_THREADS";
-
 /// Process-wide override set by [`set_threads`]; 0 means "not set".
 // dr-lint: allow(sync-primitive-outside-facade): process-global config cell; statics cannot hold loom primitives (each model execution needs fresh objects)
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
-/// Overrides the thread count for the whole process (e.g. from a
-/// `--threads` CLI flag). Passing 0 clears the override.
+/// Overrides the thread count for the whole process (from `dr`'s
+/// `--threads` flag). Passing 0 clears the override.
 pub fn set_threads(n: usize) {
     // dr-lint: allow(atomic-ordering): lone config cell, no other memory depends on it
     THREAD_OVERRIDE.store(n, Ordering::Relaxed);
 }
 
-/// Threads a fan-out uses: the [`set_threads`] override, else
-/// `DR_BENCH_THREADS`, else the machine's available parallelism.
+/// Threads a fan-out uses: the [`set_threads`] override, else the
+/// machine's available parallelism.
 pub fn thread_count() -> usize {
     // dr-lint: allow(atomic-ordering): lone config cell, no other memory depends on it
     let explicit = THREAD_OVERRIDE.load(Ordering::Relaxed);
     if explicit > 0 {
         return explicit;
-    }
-    if let Ok(v) = std::env::var(THREADS_ENV) {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
     }
     std::thread::available_parallelism()
         .map(|n| n.get())

@@ -516,8 +516,13 @@ pub fn chaos(args: &Args) -> Result<(), ArgError> {
     );
     for v in &report.violations {
         println!(
-            "  VIOLATION {} seed={}: {}",
-            v.repro.case, v.repro.seed, v.repro.violation
+            "  VIOLATION {} seed={}: {} ({} fault directives, {} holds, {} link directives in shrunk trace)",
+            v.repro.case,
+            v.repro.seed,
+            v.repro.violation,
+            v.repro.trace.num_fault_directives(),
+            v.repro.trace.num_hold_directives(),
+            v.repro.trace.num_link_directives(),
         );
         if let Some(path) = &v.path {
             println!("    repro written to {}", path.display());

@@ -136,8 +136,9 @@ fn committee_with_a_byzantine_half_is_an_error_not_a_panic() {
 
 #[test]
 fn bad_instance_flags_are_errors_naming_the_flag_not_panics() {
-    // Each of these used to exit 101 with a runner's panic, or, for
+    // Each instance case used to exit 101 with a runner's panic, or, for
     // `explore`, print a PASS verdict for an instance that does not exist.
+    // The `chaos` and `experiments` cases pin their option checks.
     let cases = [
         (
             "run --protocol alg2 --n 0 --k 4",
@@ -181,6 +182,30 @@ fn bad_instance_flags_are_errors_naming_the_flag_not_panics() {
             "--crash 7",
             "is not a peer",
         ),
+        // `--runs-per-case 0` first: if a bad flag slipped through, the
+        // campaign would be empty and exit 0 instead of failing.
+        (
+            "chaos --runs-per-case 0 --threads 0",
+            "--threads",
+            "must be positive",
+        ),
+        (
+            "chaos --runs-per-case 0 --threads x",
+            "--threads",
+            "expects a number",
+        ),
+        (
+            "chaos --runs-per-case 0 --seed x",
+            "--seed",
+            "expects a number",
+        ),
+        (
+            "chaos --runs-per-case x",
+            "--runs-per-case",
+            "expects a number",
+        ),
+        ("experiments --threads 0", "--threads", "must be positive"),
+        ("experiments --trials 0", "--trials", "must be positive"),
     ];
     for (args, flag, reason) in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_dr"))

@@ -34,7 +34,7 @@
 use crate::bits::BitArray;
 use crate::collections::DetMap;
 use crate::source::Source;
-use parking_lot::Mutex;
+use crate::sync::{Mutex, MutexGuard, PoisonError};
 use std::collections::VecDeque;
 use std::ops::Range;
 
@@ -168,7 +168,6 @@ impl ChunkedSource {
             seed,
             chunk_words,
             max_resident,
-            // dr-lint: allow(sync-primitive-outside-facade): parking_lot cache lock private to one source; serializes chunk generation only, no cross-lock protocol for loom to model
             cache: Mutex::new(ChunkCache {
                 chunks: DetMap::new(),
                 fifo: VecDeque::new(),
@@ -193,7 +192,7 @@ impl ChunkedSource {
 
     /// Current cache statistics (generation, eviction, residency peaks).
     pub fn stats(&self) -> ChunkStats {
-        let cache = self.cache.lock();
+        let cache = self.cache();
         ChunkStats {
             generated: cache.generated,
             evicted: cache.evicted,
@@ -206,6 +205,13 @@ impl ChunkedSource {
 
     fn word_count(&self) -> usize {
         self.len.div_ceil(64)
+    }
+
+    /// Locks the chunk cache, ignoring poisoning: every chunk is a pure
+    /// function of the seed, so a panic under the lock can upset the
+    /// cache's bookkeeping but never a word it returns.
+    fn cache(&self) -> MutexGuard<'_, ChunkCache> {
+        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -231,7 +237,7 @@ impl Source for ChunkedSource {
             "bit index {index} out of range {}",
             self.len
         );
-        let mut cache = self.cache.lock();
+        let mut cache = self.cache();
         let word = cache.word(self.seed, self.chunk_words, self.max_resident, index / 64);
         word & (1 << (index % 64)) != 0
     }
@@ -261,7 +267,7 @@ impl Source for ChunkedSource {
             (a.end.min(b.end).saturating_sub(a.start.max(b.start))) as u64
         };
         let mut src = Vec::with_capacity(out_words + 1);
-        let mut cache = self.cache.lock();
+        let mut cache = self.cache();
         let mut w = w0;
         while w < end {
             let chunk = w / self.chunk_words;
@@ -295,7 +301,7 @@ impl Source for ChunkedSource {
             self.len
         );
         let mut words = vec![0u64; mask.word_count()];
-        let mut cache = self.cache.lock();
+        let mut cache = self.cache();
         let selected = mask.as_words().chunks(self.chunk_words);
         for (chunk, (selected, out)) in selected.zip(words.chunks_mut(self.chunk_words)).enumerate()
         {
@@ -404,7 +410,7 @@ mod tests {
     fn per_word_bits(source: &ChunkedSource, range: Range<usize>) -> BitArray {
         let out_len = range.len();
         let total_words = source.word_count();
-        let mut cache = source.cache.lock();
+        let mut cache = source.cache();
         let mut src = |w: usize| {
             if w < total_words {
                 cache.word(source.seed, source.chunk_words, source.max_resident, w)

@@ -14,7 +14,7 @@
 
 use crate::bits::BitArray;
 use crate::peer::PeerId;
-use parking_lot::Mutex;
+use crate::sync::{Mutex, MutexGuard, PoisonError};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -187,7 +187,6 @@ impl QueryMeter {
         QueryMeter {
             // dr-lint: allow(sync-primitive-outside-facade): same counters as `new`
             counts: (0..num_peers).map(|_| AtomicU64::new(0)).collect(),
-            // dr-lint: allow(sync-primitive-outside-facade): parking_lot index log; appended under lock, read only after the run
             index_log: Some((0..num_peers).map(|_| Mutex::new(Vec::new())).collect()),
         }
     }
@@ -197,7 +196,7 @@ impl QueryMeter {
         // dr-lint: allow(atomic-ordering): independent monotonic counter; readers observe it only past a barrier or at end of run, never to publish other data
         self.counts[peer.index()].fetch_add(1, Ordering::Relaxed);
         if let Some(log) = &self.index_log {
-            log[peer.index()].lock().push(index);
+            lock_log(&log[peer.index()]).push(index);
         }
     }
 
@@ -210,7 +209,7 @@ impl QueryMeter {
         // dr-lint: allow(atomic-ordering): same counter discipline as `record`
         self.counts[peer.index()].fetch_add(range.len() as u64, Ordering::Relaxed);
         if let Some(log) = &self.index_log {
-            log[peer.index()].lock().extend(range);
+            lock_log(&log[peer.index()]).extend(range);
         }
     }
 
@@ -223,7 +222,7 @@ impl QueryMeter {
         // dr-lint: allow(atomic-ordering): same counter discipline as `record`
         self.counts[peer.index()].fetch_add(mask.count_ones() as u64, Ordering::Relaxed);
         if let Some(log) = &self.index_log {
-            log[peer.index()].lock().extend(mask.ones());
+            lock_log(&log[peer.index()]).extend(mask.ones());
         }
     }
 
@@ -252,7 +251,7 @@ impl QueryMeter {
     pub fn indices(&self, peer: PeerId) -> Option<Vec<usize>> {
         self.index_log
             .as_ref()
-            .map(|log| log[peer.index()].lock().clone())
+            .map(|log| lock_log(&log[peer.index()]).clone())
     }
 
     /// Creates an empty [`MeterDelta`] over this meter's peers, with index
@@ -290,10 +289,16 @@ impl QueryMeter {
             self.counts[p].fetch_add(delta.counts[p], Ordering::Relaxed);
             delta.counts[p] = 0;
             if let (Some(log), Some(buf)) = (&self.index_log, &mut delta.indices) {
-                log[p].lock().append(&mut buf[p]);
+                lock_log(&log[p]).append(&mut buf[p]);
             }
         }
     }
+}
+
+/// Locks one peer's index log. Appends are whole `push`/`extend` calls,
+/// so a log poisoned by a panicking peer thread is still well formed.
+fn lock_log(log: &Mutex<Vec<usize>>) -> MutexGuard<'_, Vec<usize>> {
+    log.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Query-count buffer: the lock-free, allocation-reusing stand-in for

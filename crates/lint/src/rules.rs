@@ -360,8 +360,8 @@ pub fn check_source(file: &str, source: &str, tier: Tier, is_lib_rs: bool) -> Ve
             // raw-thread-spawn: trials fan out through one function,
             // `dr_bench::par::run_indexed`. An ad-hoc `thread::spawn` (or
             // a scoped pool via `thread::scope`/`thread::Builder`) ignores
-            // the thread-count knobs (`--threads`, `DR_BENCH_THREADS`), so
-            // they stop describing reality. Applies to both tiers —
+            // `dr`'s `--threads` knob, so the knob stops describing
+            // reality. Applies to both tiers —
             // deterministic crates must not thread at all. The only escape
             // is an anchored allow, which `run_indexed` itself carries.
             "spawn" | "scope" | "Builder"

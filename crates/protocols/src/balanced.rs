@@ -7,7 +7,7 @@
 //!
 //! This protocol is **not fault tolerant**: a single crashed or silent peer
 //! deadlocks every other peer (the observation motivating §2), which the
-//! tests — and the `fig_lower_bound` experiment — demonstrate.
+//! tests — and the `lower_bound` experiment — demonstrate.
 
 use dr_core::{BitArray, Context, PartialArray, PeerId, Protocol, ProtocolMessage};
 

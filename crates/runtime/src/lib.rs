@@ -3,8 +3,8 @@
 //! The discrete-event simulator (`dr-sim`) gives deterministic, adversary-
 //! controlled executions; this crate gives the complementary evidence that
 //! the same [`dr_core::Protocol`] state machines run unmodified under
-//! *real* concurrency: one OS thread per peer, crossbeam channels as the
-//! complete network, true nondeterministic interleavings from the OS
+//! *real* concurrency: one OS thread per peer, `std::sync::mpsc` channels
+//! as the complete network, true nondeterministic interleavings from the OS
 //! scheduler plus injected per-message latency jitter, and optional crash
 //! injection (a peer thread that silently stops at its `i`-th event).
 //!
@@ -24,13 +24,13 @@ pub mod serve;
 
 pub use serve::{FrontDoor, RequestOutcome, ServeConfig, ServeError};
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use dr_core::{
     ArraySource, BitArray, Context, ModelParams, PeerId, Protocol, ProtocolMessage, SharedSource,
     SourceHandle,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -182,7 +182,7 @@ impl<M: ProtocolMessage> Context<M> for ThreadCtx<M> {
     }
 }
 
-/// Runs one protocol instance per OS thread over crossbeam channels.
+/// Runs one protocol instance per OS thread over `std::sync::mpsc` channels.
 ///
 /// # Errors
 ///
@@ -227,7 +227,7 @@ where
     let mut senders: Vec<Sender<(PeerId, P::Msg)>> = Vec::with_capacity(k);
     let mut receivers: Vec<Receiver<(PeerId, P::Msg)>> = Vec::with_capacity(k);
     for _ in 0..k {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         senders.push(tx);
         receivers.push(rx);
     }
@@ -269,7 +269,7 @@ where
                             return None;
                         }
                     }
-                    match rx.recv_deadline(deadline) {
+                    match rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
                         Ok((from, msg)) => {
                             protocol.on_message(from, msg, &mut ctx);
                             events += 1;
@@ -377,6 +377,34 @@ mod tests {
             let report = run_threaded(config, move |_| CrashMultiDownload::new(100, 4, 1)).unwrap();
             report.verify(&crashed).unwrap();
         }
+    }
+
+    #[test]
+    fn a_peer_that_never_terminates_times_out() {
+        // Never terminates and sends nothing: every peer waits out the
+        // deadline on an empty channel.
+        #[derive(Debug, Clone)]
+        struct Unit;
+        impl ProtocolMessage for Unit {
+            fn bit_len(&self) -> usize {
+                1
+            }
+        }
+        struct Silent;
+        impl Protocol for Silent {
+            type Msg = Unit;
+            fn on_start(&mut self, _: &mut dyn Context<Unit>) {}
+            fn on_message(&mut self, _: PeerId, _: Unit, _: &mut dyn Context<Unit>) {}
+            fn output(&self) -> Option<&BitArray> {
+                None
+            }
+        }
+        let mut config = RuntimeConfig::new(params(64, 3, 0), 5);
+        config.timeout = Duration::from_millis(50);
+        let started = Instant::now();
+        let result = run_threaded(config, |_| Silent);
+        assert_eq!(result.unwrap_err(), RuntimeError::Timeout);
+        assert!(started.elapsed() < Duration::from_secs(5));
     }
 
     #[test]

@@ -346,7 +346,7 @@ mod tests {
         // so the source never sees two overlapping calls.
         struct Tracking {
             inner: ArraySource,
-            state: parking_lot::Mutex<(u32, u32)>, // (current, peak)
+            state: Mutex<(u32, u32)>, // (current, peak)
         }
         impl Source for Tracking {
             fn len(&self) -> usize {
@@ -357,13 +357,13 @@ mod tests {
             }
             fn bits(&self, range: Range<usize>) -> BitArray {
                 {
-                    let mut s = self.state.lock();
+                    let mut s = self.state.lock().unwrap_or_else(PoisonError::into_inner);
                     s.0 += 1;
                     s.1 = s.1.max(s.0);
                 }
                 thread::sleep(Duration::from_micros(200));
                 let out = Source::bits(&self.inner, range);
-                self.state.lock().0 -= 1;
+                self.state.lock().unwrap_or_else(PoisonError::into_inner).0 -= 1;
                 out
             }
         }
@@ -371,7 +371,7 @@ mod tests {
         let input = BitArray::random(2048, &mut rng);
         let tracking = Arc::new(Tracking {
             inner: ArraySource::new(input.clone()),
-            state: parking_lot::Mutex::new((0, 0)),
+            state: Mutex::new((0, 0)),
         });
         let door = FrontDoor::new(
             Arc::clone(&tracking) as Arc<dyn Source>,
@@ -389,7 +389,12 @@ mod tests {
                 });
             }
         });
-        assert_eq!(tracking.state.lock().1, 1, "admission gate must serialize");
+        let peak = tracking
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .1;
+        assert_eq!(peak, 1, "admission gate must serialize");
         // Disjoint ranges: every bit paid exactly once.
         assert_eq!(door.plane().cache().stats().upstream_bits, 2048);
     }

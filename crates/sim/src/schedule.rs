@@ -21,8 +21,8 @@ use crate::linkfault::{
 };
 use crate::time::Ticks;
 use crate::view::{PeerRole, View};
+use dr_core::sync::{Mutex, MutexGuard, PoisonError};
 use dr_core::{PeerId, ProtocolMessage};
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -201,15 +201,21 @@ impl ScheduleTrace {
 /// `Simulation` consumes its adversary, so the recorder hands out an
 /// `Arc`-backed handle up front; call [`take`](TraceHandle::take) after the
 /// run to obtain the captured trace.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct TraceHandle(Arc<Mutex<ScheduleTrace>>);
 
 impl TraceHandle {
     /// Snapshot of the trace recorded so far (the full trace, after the
     /// run completes).
     pub fn take(&self) -> ScheduleTrace {
-        self.0.lock().clone()
+        lock_trace(&self.0).clone()
     }
+}
+
+/// Locks the trace cell. Each decision is one `push`, so a trace poisoned
+/// by a panicking run is still a well-formed prefix.
+fn lock_trace(trace: &Mutex<ScheduleTrace>) -> MutexGuard<'_, ScheduleTrace> {
+    trace.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Wraps any adversary and records every decision it makes into a
@@ -225,7 +231,6 @@ impl<M: ProtocolMessage> RecordingAdversary<M> {
     /// Wraps `inner`, returning the recorder and a handle to the trace it
     /// will fill in.
     pub fn new(inner: impl Adversary<M> + 'static) -> (Self, TraceHandle) {
-        // dr-lint: allow(sync-primitive-outside-facade): parking_lot trace cell; written by the single-threaded sim loop, read after the run
         let trace = Arc::new(Mutex::new(ScheduleTrace::default()));
         let handle = TraceHandle(trace.clone());
         (
@@ -243,7 +248,7 @@ impl<M: ProtocolMessage> RecordingAdversary<M> {
 impl<M: ProtocolMessage> Adversary<M> for RecordingAdversary<M> {
     fn start_offset(&mut self, peer: PeerId, rng: &mut StdRng) -> Ticks {
         let t = self.inner.start_offset(peer, rng);
-        self.trace.lock().start_offsets.push(t);
+        lock_trace(&self.trace).start_offsets.push(t);
         t
     }
 
@@ -256,7 +261,7 @@ impl<M: ProtocolMessage> Adversary<M> for RecordingAdversary<M> {
         rng: &mut StdRng,
     ) -> Delivery {
         let d = self.inner.on_send(view, from, to, msg, rng);
-        self.trace.lock().sends.push(match d {
+        lock_trace(&self.trace).sends.push(match d {
             Delivery::After(t) => Some(t),
             Delivery::Hold => None,
         });
@@ -277,7 +282,7 @@ impl<M: ProtocolMessage> Adversary<M> for RecordingAdversary<M> {
                 Some(v)
             }
         };
-        self.trace.lock().releases.push(canonical);
+        lock_trace(&self.trace).releases.push(canonical);
         r
     }
 
@@ -286,7 +291,7 @@ impl<M: ProtocolMessage> Adversary<M> for RecordingAdversary<M> {
         self.crash_calls += 1;
         let crash = self.inner.crash_before_event(view, peer);
         if crash {
-            self.trace.lock().crashes.push(call);
+            lock_trace(&self.trace).crashes.push(call);
         }
         crash
     }
@@ -303,7 +308,7 @@ impl<M: ProtocolMessage> Adversary<M> for RecordingAdversary<M> {
         if let Some(keep) = cut {
             // Record the effective keep so replay reproduces the same
             // truncation even if the inner adversary over-asked.
-            self.trace.lock().cuts.push(CutDecision {
+            lock_trace(&self.trace).cuts.push(CutDecision {
                 call,
                 keep: keep.min(planned),
             });
@@ -319,7 +324,7 @@ impl<M: ProtocolMessage> Adversary<M> for RecordingAdversary<M> {
         // Fetched once at build time; capture the plan into the trace so
         // replay reconstructs the same cuts, churn, and retry policy.
         let plan = self.inner.link_fault_plan();
-        self.trace.lock().set_link_fault_plan(&plan);
+        lock_trace(&self.trace).set_link_fault_plan(&plan);
         plan
     }
 
@@ -336,8 +341,7 @@ impl<M: ProtocolMessage> Adversary<M> for RecordingAdversary<M> {
         rng: &mut StdRng,
     ) -> LinkDecision {
         let d = self.inner.on_transmit(view, from, to, attempt, rng);
-        self.trace
-            .lock()
+        lock_trace(&self.trace)
             .transmits
             .push(matches!(d, LinkDecision::Transmit));
         d

@@ -1,5 +1,5 @@
 //! The same protocol state machines, real OS threads: one thread per
-//! peer, crossbeam channels as the network, genuine scheduler
+//! peer, `std::sync::mpsc` channels as the network, genuine scheduler
 //! nondeterminism plus injected latency jitter, and live crash injection.
 //!
 //! ```sh
