@@ -3,8 +3,9 @@
 //! Enumerates every message-delivery schedule of tiny instances (per
 //! crash pattern) and checks the Download specification on each: the
 //! "for every execution" quantifier of Theorems 2.3 / 2.13 / 3.4, checked
-//! mechanically rather than sampled. Crash patterns are independent and
-//! fan across the worker pool.
+//! mechanically rather than sampled. Each schedule is one simulator run
+//! under the explorer's hold-and-release-one adversary. Crash patterns
+//! are independent and fan across the worker pool.
 
 use crate::metrics::{ExperimentParams, ExperimentRecord, Measured, MetricsSink};
 use crate::par;
@@ -14,6 +15,7 @@ use dr_protocols::{CommitteeDownload, CrashMultiDownload, SingleCrashDownload};
 use dr_sim::explore::{explore, ExploreConfig};
 
 const EXPERIMENT: &str = "exhaustive";
+const VALID: &str = "every E12 instance has a live peer and in-range crashes";
 
 fn input(n: usize) -> BitArray {
     BitArray::from_fn(n, |i| (i * 11 + 1) % 3 == 0)
@@ -67,7 +69,7 @@ pub fn run_metered(sink: &mut MetricsSink) -> Vec<Table> {
                 max_schedules: budget,
                 ..ExploreConfig::new(k, input(n)).with_crashed(patterns[i].clone())
             };
-            explore(&config, move |_| SingleCrashDownload::new(n, k))
+            explore(&config, move |_| SingleCrashDownload::new(n, k)).expect(VALID)
         });
         for (crashed, report) in patterns.iter().zip(&reports) {
             let label = if crashed.is_empty() {
@@ -99,7 +101,7 @@ pub fn run_metered(sink: &mut MetricsSink) -> Vec<Table> {
                 max_schedules: budget,
                 ..ExploreConfig::new(k, input(n)).with_crashed(vec![PeerId(v)])
             };
-            explore(&config, move |_| CrashMultiDownload::new(n, k, b))
+            explore(&config, move |_| CrashMultiDownload::new(n, k, b)).expect(VALID)
         });
         for (v, report) in reports.iter().enumerate() {
             t.row(vec![
@@ -122,7 +124,7 @@ pub fn run_metered(sink: &mut MetricsSink) -> Vec<Table> {
             max_schedules: budget,
             ..ExploreConfig::new(k, input(n))
         };
-        let report = explore(&config, move |_| CommitteeDownload::new(n, k, byz));
+        let report = explore(&config, move |_| CommitteeDownload::new(n, k, byz)).expect(VALID);
         t.row(vec![
             "Committee".into(),
             n.to_string(),

@@ -359,16 +359,6 @@ pub fn explore(args: &Args) -> Result<(), ArgError> {
         Some(v) => format!("--n {n} --k {k} --crash {v}"),
         None => format!("--n {n} --k {k}"),
     };
-    check_params(
-        ModelParams::builder(n, k).faults(FaultModel::Crash, crashed.len()),
-        &flags,
-    )?;
-    if let Some(victim) = crashed.iter().find(|p| p.index() >= k) {
-        return Err(ArgError(format!(
-            "--crash {} is not a peer: --k {k} numbers them 0..{k}",
-            victim.index()
-        )));
-    }
     let mut rng_input = BitArray::zeros(n);
     for i in 0..n {
         if (i * 13 + seed as usize).is_multiple_of(3) {
@@ -384,14 +374,15 @@ pub fn explore(args: &Args) -> Result<(), ArgError> {
     let report = match protocol {
         "alg1" => {
             check_alg1(k)?;
-            explore_with(&config, move |_| SingleCrashDownload::new(n, k))
+            dr_sim::explore::explore(&config, move |_| SingleCrashDownload::new(n, k))
         }
         "alg2" => {
-            let b = config.crashed.len().max(1).min(k - 1);
-            explore_with(&config, move |_| CrashMultiDownload::new(n, k, b))
+            let b = config.crashed.len().max(1).min(k.saturating_sub(1));
+            dr_sim::explore::explore(&config, move |_| CrashMultiDownload::new(n, k, b))
         }
         other => return Err(ArgError(format!("unknown --protocol '{other}'"))),
-    };
+    }
+    .map_err(|e| ArgError(format!("{flags}: {e}")))?;
     println!(
         "explored {} schedules ({})",
         report.schedules,
@@ -409,15 +400,6 @@ pub fn explore(args: &Args) -> Result<(), ArgError> {
         ),
     }
     Ok(())
-}
-
-fn explore_with<M, P, F>(config: &ExploreConfig, factory: F) -> dr_sim::explore::ExploreReport
-where
-    M: dr_core::ProtocolMessage,
-    P: dr_sim::Agent<M> + 'static,
-    F: Fn(PeerId) -> P,
-{
-    dr_sim::explore::explore(config, factory)
 }
 
 /// `dr chaos` — run a chaos campaign (seeds × adversaries × protocols

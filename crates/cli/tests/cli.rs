@@ -72,6 +72,10 @@ fn explore_passes_on_tiny_instance() {
         "0",
     ]);
     assert!(ok, "{stdout}");
+    assert!(
+        stdout.contains("explored 100 schedules (exhaustive)"),
+        "{stdout}"
+    );
     assert!(stdout.contains("PASS"));
 }
 

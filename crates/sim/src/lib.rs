@@ -9,7 +9,9 @@
 //!
 //! The central types are [`SimBuilder`] → [`Simulation`] → [`RunReport`].
 //! Protocols implement [`dr_core::Protocol`] and are driven unchanged by
-//! either this simulator or the thread-based `dr-runtime`.
+//! either this simulator or the thread-based `dr-runtime`. The exhaustive
+//! schedule explorer ([`explore`]) is an adversary on this simulator, not
+//! a separate executor.
 //!
 //! # Examples
 //!

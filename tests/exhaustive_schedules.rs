@@ -21,7 +21,7 @@ fn algorithm_one_is_schedule_proof_without_crash() {
         max_schedules: 60_000,
         ..ExploreConfig::new(k, tiny_input(n))
     };
-    let report = explore(&config, move |_| SingleCrashDownload::new(n, k));
+    let report = explore(&config, move |_| SingleCrashDownload::new(n, k)).unwrap();
     assert!(
         report.counterexample.is_none(),
         "counterexample: {:?}",
@@ -39,7 +39,7 @@ fn algorithm_one_is_schedule_proof_under_each_crash() {
             max_schedules: 60_000,
             ..ExploreConfig::new(k, tiny_input(n)).with_crashed(vec![PeerId(victim)])
         };
-        let report = explore(&config, move |_| SingleCrashDownload::new(n, k));
+        let report = explore(&config, move |_| SingleCrashDownload::new(n, k)).unwrap();
         assert!(
             report.counterexample.is_none(),
             "victim p{victim}: {:?}",
@@ -58,7 +58,7 @@ fn algorithm_two_is_schedule_proof_under_each_crash() {
             max_schedules: 40_000,
             ..ExploreConfig::new(k, tiny_input(n)).with_crashed(vec![PeerId(victim)])
         };
-        let report = explore(&config, move |_| CrashMultiDownload::new(n, k, b));
+        let report = explore(&config, move |_| CrashMultiDownload::new(n, k, b)).unwrap();
         assert!(
             report.counterexample.is_none(),
             "victim p{victim}: {:?}",
@@ -77,7 +77,7 @@ fn algorithm_two_is_schedule_proof_with_two_crashes() {
         max_schedules: 20_000,
         ..ExploreConfig::new(k, tiny_input(n)).with_crashed(vec![PeerId(0), PeerId(3)])
     };
-    let report = explore(&config, move |_| CrashMultiDownload::new(n, k, b));
+    let report = explore(&config, move |_| CrashMultiDownload::new(n, k, b)).unwrap();
     assert!(
         report.counterexample.is_none(),
         "counterexample: {:?}",
@@ -95,11 +95,63 @@ fn committee_is_schedule_proof_in_its_regime() {
         max_schedules: 60_000,
         ..ExploreConfig::new(k, tiny_input(n))
     };
-    let report = explore(&config, move |_| CommitteeDownload::new(n, k, 1));
+    let report = explore(&config, move |_| CommitteeDownload::new(n, k, 1)).unwrap();
     assert!(
         report.counterexample.is_none(),
         "counterexample: {:?}",
         report.counterexample
     );
     assert!(report.exhaustive, "should finish exhaustively at this size");
+}
+
+/// (protocol, n, k, crashed, schedule budget)
+type Instance = (&'static str, usize, usize, &'static [usize], u64);
+
+#[test]
+fn schedule_counts_pin_the_exploration_tree() {
+    // Exact counts, not just verdicts: a change to what the explorer
+    // treats as one schedule, or to which held messages it may deliver,
+    // moves them. The first rows are E12's; the rest include `dr explore`
+    // instances (Algorithm 2 there uses b = max(1, crashes)).
+    let rows: [(Instance, (u64, bool)); 18] = [
+        (("alg1", 6, 3, &[], 60_000), (60_000, false)),
+        (("alg1", 6, 3, &[0], 60_000), (120, true)),
+        (("alg1", 6, 3, &[1], 60_000), (120, true)),
+        (("alg1", 6, 3, &[2], 60_000), (120, true)),
+        (("alg2", 6, 3, &[0], 60_000), (100, true)),
+        (("alg2", 6, 3, &[1], 60_000), (100, true)),
+        (("alg2", 6, 3, &[2], 60_000), (100, true)),
+        (("committee", 4, 3, &[], 60_000), (1, true)),
+        (("alg2", 4, 4, &[0, 3], 20_000), (10_940, true)),
+        (("alg1", 5, 3, &[1], 60_000), (120, true)),
+        (("alg1", 3, 3, &[2], 60_000), (72, true)),
+        (("alg1", 1, 3, &[0], 60_000), (72, true)),
+        (("alg2", 2, 3, &[1], 60_000), (20, true)),
+        (("alg2", 4, 3, &[0], 60_000), (100, true)),
+        (("alg2", 7, 3, &[2], 60_000), (100, true)),
+        (("alg2", 5, 4, &[1, 2], 60_000), (100, true)),
+        (("alg2", 3, 2, &[1], 60_000), (1, true)),
+        (("alg2", 4, 3, &[], 5_000), (5_000, false)),
+    ];
+    for ((protocol, n, k, crashed, budget), expected) in rows {
+        let b = crashed.len().max(1).min(k - 1);
+        let config = ExploreConfig {
+            max_schedules: budget,
+            ..ExploreConfig::new(k, tiny_input(n))
+                .with_crashed(crashed.iter().map(|&p| PeerId(p)).collect())
+        };
+        let report = match protocol {
+            "alg1" => explore(&config, move |_| SingleCrashDownload::new(n, k)),
+            "alg2" => explore(&config, move |_| CrashMultiDownload::new(n, k, b)),
+            _ => explore(&config, move |_| CommitteeDownload::new(n, k, 1)),
+        }
+        .unwrap();
+        let instance = format!("{protocol} n={n} k={k} crashed={crashed:?}");
+        assert!(report.counterexample.is_none(), "{instance}: {report:?}");
+        assert_eq!(
+            (report.schedules, report.exhaustive),
+            expected,
+            "{instance}"
+        );
+    }
 }

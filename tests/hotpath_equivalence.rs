@@ -214,10 +214,10 @@ fn crash_protocols_meter_masked_queries_like_their_per_bit_loops() {
 // ---------------------------------------------------------------------
 // `Context::query_masked`: the strided sibling of `query_range`.
 //
-// The contexts that sit on a real source (simulator lane, explorer,
-// threaded runtime) answer it with one batched meter update and the
-// source's masked read; everything else — and `FakeCtx` in particular —
-// keeps the provided per-set-bit default. All of them must charge, log
+// The contexts that sit on a real source (the simulator's lane, which
+// the explorer drives too, and the threaded runtime) answer it with one
+// batched meter update and the source's masked read; everything else —
+// and `FakeCtx` in particular — keeps the provided per-set-bit default. All of them must charge, log
 // and answer exactly like a loop of one-bit queries in ascending order.
 // ---------------------------------------------------------------------
 
@@ -384,7 +384,8 @@ fn explorer_and_threads_answer_query_masked_like_the_per_bit_loop() {
         // checks its output against the input.
         let report = explore(&ExploreConfig::new(k, input.clone()), move |_| {
             MaskProbe::new(bulk)
-        });
+        })
+        .unwrap();
         assert!(
             report.exhaustive && report.counterexample.is_none(),
             "{report:?}"
