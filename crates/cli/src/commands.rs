@@ -190,14 +190,24 @@ pub fn attack(args: &Args) -> Result<(), ArgError> {
     let n: usize = args.require_num("n")?;
     let k: usize = args.require_num("k")?;
     let seed: u64 = args.num("seed", 1)?;
-    let target = PeerId(args.num("target", 0usize)?);
+    let target: usize = args.num("target", 0)?;
     let protocol = args.get_or("protocol", "balanced");
+    check_params(ModelParams::builder(n, k), &format!("--n {n} --k {k}"))?;
+    if target >= k {
+        return Err(ArgError(format!(
+            "--target {target} is not a peer: --k {k} numbers them 0..{k}"
+        )));
+    }
+    let target = PeerId(target);
     let outcome = match protocol {
         "naive" => deterministic_attack(n, k, target, |_| NaiveDownload::new(), seed),
         "balanced" => {
             deterministic_attack(n, k, target, move |_| BalancedDownload::new(n, k), seed)
         }
-        "alg1" => deterministic_attack(n, k, target, move |_| SingleCrashDownload::new(n, k), seed),
+        "alg1" => {
+            check_alg1(k)?;
+            deterministic_attack(n, k, target, move |_| SingleCrashDownload::new(n, k), seed)
+        }
         "committee" => {
             let t: usize = args.num("t", k.saturating_sub(1) / 4)?;
             check_committee_budget(k, t, "--t")?;
@@ -228,7 +238,9 @@ pub fn attack(args: &Args) -> Result<(), ArgError> {
 
 /// `dr oracle` — run both ODC pipelines and compare.
 pub fn oracle(args: &Args) -> Result<(), ArgError> {
-    use dr_oracle::{run_baseline, run_download_based, DownloadEngine, OracleConfig};
+    use dr_oracle::{
+        run_baseline, run_download_based, DownloadEngine, OracleConfig, BITS_PER_VALUE,
+    };
     args.reject_unknown(&[
         "nodes",
         "byz-nodes",
@@ -255,6 +267,21 @@ pub fn oracle(args: &Args) -> Result<(), ArgError> {
         "crash" => DownloadEngine::CrashMulti,
         other => return Err(ArgError(format!("unknown --engine '{other}'"))),
     };
+    // Each source's Download instance: `cells` values of
+    // `BITS_PER_VALUE` bits over the oracle nodes.
+    check_params(
+        ModelParams::builder(config.cells * BITS_PER_VALUE, config.nodes)
+            .faults(FaultModel::Byzantine, config.byz_nodes),
+        &format!(
+            "--cells {} --nodes {} --byz-nodes {}",
+            config.cells, config.nodes, config.byz_nodes
+        ),
+    )?;
+    if config.honest_sources == 0 {
+        return Err(ArgError(
+            "--sources 0: need at least one honest source".to_string(),
+        ));
+    }
     let baseline = run_baseline(&config, config.sources());
     let download = run_download_based(&config, engine);
     println!(

@@ -186,6 +186,51 @@ fn bad_instance_flags_are_errors_naming_the_flag_not_panics() {
             "--crash 7",
             "is not a peer",
         ),
+        (
+            "oracle --cells 0",
+            "--cells 0",
+            "input length n must be positive",
+        ),
+        (
+            "oracle --nodes 3 --byz-nodes 3",
+            "--byz-nodes 3",
+            "at least one nonfaulty peer",
+        ),
+        (
+            "oracle --sources 0",
+            "--sources 0",
+            "at least one honest source",
+        ),
+        (
+            "oracle --nodes 0",
+            "--nodes 0",
+            "peer count k must be positive",
+        ),
+        (
+            "oracle --engine crash --nodes 4 --byz-nodes 5",
+            "--byz-nodes 5",
+            "at least one nonfaulty peer",
+        ),
+        (
+            "attack --n 0 --k 4 --protocol naive",
+            "--n 0",
+            "input length n must be positive",
+        ),
+        (
+            "attack --n 64 --k 0 --protocol naive",
+            "--k 0",
+            "peer count k must be positive",
+        ),
+        (
+            "attack --n 64 --k 4 --target 9 --protocol naive",
+            "--target 9",
+            "is not a peer",
+        ),
+        (
+            "attack --n 64 --k 2 --protocol alg1",
+            "--k 2",
+            "alg1 needs --k >= 3",
+        ),
         // `--runs-per-case 0` first: if a bad flag slipped through, the
         // campaign would be empty and exit 0 instead of failing.
         (

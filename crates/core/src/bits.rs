@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 /// All-ones mask covering the low `n` bits (`n <= 64`).
 #[inline]
-fn low_mask(n: usize) -> u64 {
+pub fn low_mask(n: usize) -> u64 {
     debug_assert!(n <= 64);
     if n >= 64 {
         u64::MAX
@@ -54,6 +54,97 @@ pub(crate) fn ones_of(mut word: u64) -> impl Iterator<Item = usize> {
             bit
         })
     })
+}
+
+/// One word of a bit mask, with the shift schedule that moves bits between
+/// index order (a bit per position of the word) and rank order (a bit per
+/// set bit of the mask, lowest first): six masked shifts per word instead
+/// of one step per set bit. This is the parallel-suffix "compress"/"expand"
+/// pair of Hacker's Delight §7-4/7-5. The schedule costs a few moves to
+/// build, so it pays for a mask word used many times: one word of a
+/// repeating pattern, built once and applied across a long array.
+///
+/// # Examples
+///
+/// ```
+/// use dr_core::MaskWord;
+///
+/// // Set positions 2, 4, 5 and 7: rank r is the r-th of them.
+/// let m = MaskWord::new(0b1011_0100);
+/// assert_eq!(m.deposit(0b0101), 0b0010_0100);
+/// assert_eq!(m.extract(0b0010_0100), 0b0101);
+/// assert_eq!(m.cut(5).mask(), 0b0001_0100);
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct MaskWord {
+    mask: u64,
+    /// `moves[i]`: the mask bits that travel `2^i` positions at step `i`.
+    moves: [u64; 6],
+}
+
+impl MaskWord {
+    /// The schedule of `mask`.
+    #[inline]
+    pub fn new(mask: u64) -> Self {
+        let mut moves = [0; 6];
+        let mut m = mask;
+        let mut zeros_below = !m << 1;
+        for (i, mv) in moves.iter_mut().enumerate() {
+            // Prefix parity: bits with an odd number of (remaining) zeros
+            // below them.
+            let mut odd = zeros_below ^ (zeros_below << 1);
+            for s in [2, 4, 8, 16, 32] {
+                odd ^= odd << s;
+            }
+            *mv = odd & m;
+            m = (m ^ *mv) | (*mv >> (1 << i));
+            zeros_below &= !odd;
+        }
+        MaskWord { mask, moves }
+    }
+
+    /// The mask.
+    #[inline]
+    pub fn mask(&self) -> u64 {
+        self.mask
+    }
+
+    /// The same schedule restricted to the low `bits` positions
+    /// (`bits <= 64`), such as the last word of an array whose length is
+    /// not a multiple of 64. A prefix of the mask keeps the ranks of the
+    /// set bits it keeps, so the schedule needs no rebuild.
+    #[inline]
+    pub fn cut(self, bits: usize) -> Self {
+        MaskWord {
+            mask: self.mask & low_mask(bits),
+            ..self
+        }
+    }
+
+    /// Scatters the low bits of `src` to the set positions of the mask,
+    /// lowest first (`src` bit `r` lands on the `r`-th set bit): rank
+    /// order → index order. Bits of `src` past the mask's count are
+    /// dropped.
+    #[inline]
+    pub fn deposit(&self, mut src: u64) -> u64 {
+        for (i, mv) in self.moves.iter().enumerate().rev() {
+            src = (src & !mv) | ((src << (1 << i)) & mv);
+        }
+        src & self.mask
+    }
+
+    /// Gathers the bits of `src` at the set positions of the mask into
+    /// the low bits of the result: index order → rank order, the inverse
+    /// of [`MaskWord::deposit`].
+    #[inline]
+    pub fn extract(&self, src: u64) -> u64 {
+        let mut src = src & self.mask;
+        for (i, mv) in self.moves.iter().enumerate() {
+            let moved = src & mv;
+            src = (src ^ moved) | (moved >> (1 << i));
+        }
+        src
+    }
 }
 
 /// A fixed-length packed array of bits.
@@ -510,6 +601,14 @@ impl FromIterator<bool> for BitArray {
 /// hashed owner sets are tables; a round-robin share `{j : j mod k = p}`
 /// is the stride `p, p + k, …` and needs no memory at all.
 ///
+/// [`PartialArray`]'s scatter, gather and membership queries treat a
+/// stride with `0 < step < 64` that fits the array as a repeating mask and
+/// move it a destination word at a time through [`MaskWord`]. Every other
+/// list — a table, a step of 64 or more (at most one index per word, so
+/// nothing to batch), a step of 0, a stride that runs past the array —
+/// goes an index at a time, and a stride there answers, and panics,
+/// exactly as the table of its indices would.
+///
 /// # Examples
 ///
 /// ```
@@ -568,13 +667,68 @@ impl BitIndices<'_> {
     }
 }
 
+/// The destination words of a stride `start, start + step, …` of `count`
+/// indices with `0 < step < 64` that lies inside `len` bits: `(w, members
+/// of word w)` for every word it touches, in order. `None` for any other
+/// list, which then goes an index at a time ([`with_runs!`]).
+///
+/// The member positions of word `w` depend on `64·w mod step` only, so
+/// they repeat every `step / gcd(step, 64)` words (at most 63): that
+/// pattern, and each word's shift schedule, is built once per call. The
+/// first word is cut below `start` and the last above the last index.
+fn stride_words(
+    indices: BitIndices<'_>,
+    len: usize,
+) -> Option<impl Iterator<Item = (usize, MaskWord)>> {
+    let BitIndices::Stride { start, step, count } = indices else {
+        return None;
+    };
+    if step == 0 || step >= 64 || count == 0 {
+        return None;
+    }
+    let last = (count - 1).checked_mul(step)?.checked_add(start)?;
+    if last >= len {
+        return None;
+    }
+    let (first, end) = (start / 64, last / 64 + 1);
+    // `step` is below 64, so this divides out all of `gcd(step, 64)`.
+    let period = (step >> step.trailing_zeros()).min(end - first);
+    // The first word's members before the cut: the positions congruent to
+    // `start` modulo `step`, of which the lowest is `start % 64 % step`.
+    let mut next = start % 64 % step;
+    let pattern: Vec<MaskWord> = (0..period)
+        .map(|_| {
+            let mut mask = 0;
+            while next < 64 {
+                mask |= 1 << next;
+                next += step;
+            }
+            next -= 64;
+            MaskWord::new(mask)
+        })
+        .collect();
+    let head = MaskWord::new(pattern[0].mask() & u64::MAX << (start % 64));
+    let mut phase = 0;
+    Some((first..end).map(move |w| {
+        let members = if w == first { head } else { pattern[phase] };
+        phase = if phase + 1 == period { 0 } else { phase + 1 };
+        if w + 1 == end {
+            (w, members.cut(last % 64 + 1))
+        } else {
+            (w, members)
+        }
+    }))
+}
+
 /// Evaluates `$body` with `$runs` bound to the indices of the
 /// [`BitIndices`] `$list` in packing order, as an iterator over runs of 64:
 /// run `q` holds the indices of packed word `q`, as an iterator of its own.
 /// The kind of list is matched once and `$body` is expanded for each, so
 /// every kind runs its own plain loop — a table load per index for a
 /// table, a multiply-add for a stride — with a packed word at a time in a
-/// register.
+/// register. This is the index-at-a-time path: the lists
+/// [`stride_words`] does not take, with the range check and the order of
+/// an index table.
 macro_rules! with_runs {
     ($list:expr, |$runs:ident| $body:expr) => {
         match $list {
@@ -807,21 +961,34 @@ impl PartialArray {
         let known = self.known.words_mut().as_mut_slice();
         let values = self.values.words_mut().as_mut_slice();
         let mut learned = 0;
-        with_runs!(indices, |runs| {
-            for (run, &packed) in runs.zip(bits.words.iter()) {
-                for (r, i) in run.enumerate() {
-                    if i >= len {
-                        out_of_range(i, len);
-                    }
-                    let (w, s) = (i / 64, i % 64);
-                    if known[w] >> s & 1 == 0 {
-                        known[w] |= 1 << s;
-                        values[w] |= (packed >> r & 1) << s;
-                        learned += 1;
+        if let Some(stride) = stride_words(indices, len) {
+            // Word `w`'s members take the packed bits from the running
+            // rank on, in order.
+            let mut rank = 0;
+            for (w, members) in stride {
+                let fresh = members.mask() & !known[w];
+                values[w] |= members.deposit(bits.word_at(rank)) & fresh;
+                known[w] |= fresh;
+                learned += fresh.count_ones() as usize;
+                rank += members.mask().count_ones() as usize;
+            }
+        } else {
+            with_runs!(indices, |runs| {
+                for (run, &packed) in runs.zip(bits.words.iter()) {
+                    for (r, i) in run.enumerate() {
+                        if i >= len {
+                            out_of_range(i, len);
+                        }
+                        let (w, s) = (i / 64, i % 64);
+                        if known[w] >> s & 1 == 0 {
+                            known[w] |= 1 << s;
+                            values[w] |= (packed >> r & 1) << s;
+                            learned += 1;
+                        }
                     }
                 }
-            }
-        });
+            });
+        }
         self.unknown -= learned;
     }
 
@@ -837,7 +1004,28 @@ impl PartialArray {
     pub fn gather(&self, indices: BitIndices<'_>) -> Option<BitArray> {
         let len = self.len();
         let (known, values) = (self.known.as_words(), self.values.as_words());
-        let mut words = Vec::with_capacity(indices.len().div_ceil(64));
+        if let Some(stride) = stride_words(indices, len) {
+            let mut words = vec![0u64; indices.len().div_ceil(64)];
+            let mut rank = 0;
+            for (w, members) in stride {
+                if known[w] & members.mask() != members.mask() {
+                    return None;
+                }
+                let packed = members.extract(values[w]);
+                let (q, s) = (rank / 64, rank % 64);
+                let here = members.mask().count_ones() as usize;
+                words[q] |= packed << s;
+                if s + here > 64 {
+                    words[q + 1] |= packed >> (64 - s);
+                }
+                rank += here;
+            }
+            return Some(BitArray::from_words(indices.len(), words));
+        }
+        // A stride that runs past the array can claim more indices than
+        // memory holds; it stops at its first out-of-range one, so reserve
+        // no more than the array has.
+        let mut words = Vec::with_capacity(indices.len().min(len).div_ceil(64));
         with_runs!(indices, |runs| {
             for run in runs {
                 let mut packed = 0;
@@ -864,6 +1052,10 @@ impl PartialArray {
     /// Panics if an index is out of range (unless an earlier one was
     /// unknown).
     pub fn knows_all(&self, indices: BitIndices<'_>) -> bool {
+        if let Some(mut stride) = stride_words(indices, self.len()) {
+            let known = self.known.as_words();
+            return stride.all(|(w, members)| known[w] & members.mask() == members.mask());
+        }
         with_runs!(indices, |runs| {
             for i in runs.flatten() {
                 if !self.known.get(i) {
@@ -890,15 +1082,21 @@ impl PartialArray {
         let len = self.len();
         let known = self.known.as_words();
         let mut words = vec![0u64; known.len()];
-        with_runs!(indices, |runs| {
-            for i in runs.flatten() {
-                if i >= len {
-                    out_of_range(i, len);
-                }
-                let (w, s) = (i / 64, i % 64);
-                words[w] |= !known[w] & 1 << s;
+        if let Some(stride) = stride_words(indices, len) {
+            for (w, members) in stride {
+                words[w] = !known[w] & members.mask();
             }
-        });
+        } else {
+            with_runs!(indices, |runs| {
+                for i in runs.flatten() {
+                    if i >= len {
+                        out_of_range(i, len);
+                    }
+                    let (w, s) = (i / 64, i % 64);
+                    words[w] |= !known[w] & 1 << s;
+                }
+            });
+        }
         BitArray::from_words(len, words)
     }
 
@@ -1258,6 +1456,50 @@ mod tests {
         let v: Vec<usize> = p.unknown_iter().collect();
         let expect: Vec<usize> = (128..200).filter(|&i| i != 130).collect();
         assert_eq!(v, expect);
+    }
+
+    #[test]
+    fn deposit_and_extract_follow_the_mask() {
+        // Set positions 2, 4, 5, 7, 63; src bits 0, 2, 4 pick the
+        // 0th, 2nd and 4th of them.
+        let m = MaskWord::new(0b1011_0100 | 1 << 63);
+        assert_eq!(m.deposit(0b10101), 0b0010_0100 | 1 << 63);
+        assert_eq!(m.extract(0b0010_0100 | 1 << 63), 0b10101);
+        assert_eq!(m.extract(u64::MAX), 0b11111);
+        // Against the one-member-at-a-time definition, on masks of every
+        // density, whole and cut.
+        let mut x = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for round in 0..400 {
+            let mask = match round % 4 {
+                0 => next(),
+                1 => next() & next(),
+                2 => next() | next(),
+                _ => [0, u64::MAX, 1, 1 << 63][round / 4 % 4],
+            };
+            let m = MaskWord::new(mask).cut(if round % 3 == 0 { 64 } else { round % 64 + 1 });
+            let src = next();
+            let (mut scattered, mut gathered, mut rank) = (0u64, 0u64, 0);
+            for b in (0..64).filter(|b| (m.mask() >> b) & 1 == 1) {
+                scattered |= ((src >> rank) & 1) << b;
+                gathered |= ((src >> b) & 1) << rank;
+                rank += 1;
+            }
+            let in_rank = src & low_mask(rank);
+            assert_eq!(
+                m.deposit(in_rank),
+                scattered,
+                "deposit mask {:#x}",
+                m.mask()
+            );
+            assert_eq!(m.extract(src), gathered, "extract mask {:#x}", m.mask());
+            assert_eq!(m.extract(m.deposit(in_rank)), in_rank);
+        }
     }
 
     #[test]

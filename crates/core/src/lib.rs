@@ -62,7 +62,7 @@ mod source;
 pub mod sync;
 
 pub use assignment::Assignment;
-pub use bits::{BitArray, BitIndices, PartialArray};
+pub use bits::{low_mask, BitArray, BitIndices, MaskWord, PartialArray};
 pub use cached::{AdmissionPlane, CacheStats, CachedSource, PlaneHandle, ReadReceipt};
 pub use chunked::{ChunkStats, ChunkedSource};
 pub use error::InvalidParamsError;

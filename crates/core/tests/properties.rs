@@ -477,15 +477,16 @@ proptest! {
 
     #[test]
     fn stride_scatter_and_gather_equal_loops_of_learn_and_get(
-        known_first in prop::collection::vec((any::<bool>(), any::<bool>()), 0..400),
-        // Steps inside a word, around one word and over several.
+        known_first in prop::collection::vec((any::<bool>(), any::<bool>()), 0..2000),
+        // Steps inside a word (a word at a time, patterns of up to 63
+        // words), around one word and over several (an index at a time).
         step in (0usize..3, 0usize..200).prop_map(|(band, off)| match band {
-            0 => 1 + off % 7,
+            0 => 1 + off % 63,
             1 => 60 + off % 10,
             _ => 100 + off,
         }),
         // A start anywhere, or near (or at) the end: few indices or none.
-        start in (any::<bool>(), 0usize..400),
+        start in (any::<bool>(), 0usize..2000),
         packed in prop::collection::vec(any::<bool>(), 1..64),
     ) {
         let n = known_first.len();
@@ -643,4 +644,131 @@ fn gather_rejects_an_out_of_range_index_like_get() {
 #[should_panic(expected = "length mismatch")]
 fn learn_scattered_rejects_a_bitmap_of_the_wrong_length() {
     PartialArray::new(70).learn_scattered(BitIndices::Table(&[3, 4]), &BitArray::zeros(3));
+}
+
+thread_local! {
+    /// Set while [`outcome`] runs an operation expected to panic.
+    static EXPECTING_PANIC: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Runs `op`, returning its value or the message it panicked with. The
+/// panic hook stays silent for it (the expected panics would otherwise
+/// each print, and capture a backtrace); other threads' panics still
+/// report as usual.
+fn outcome<T>(op: impl FnOnce() -> T) -> Result<T, String> {
+    static QUIET_HOOK: std::sync::Once = std::sync::Once::new();
+    QUIET_HOOK.call_once(|| {
+        let report = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if !EXPECTING_PANIC.with(|expecting| expecting.get()) {
+                report(info);
+            }
+        }));
+    });
+    EXPECTING_PANIC.with(|expecting| expecting.set(true));
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(op));
+    EXPECTING_PANIC.with(|expecting| expecting.set(false));
+    result.map_err(|payload| match payload.downcast::<String>() {
+        Ok(message) => *message,
+        Err(payload) => payload
+            .downcast_ref::<&str>()
+            .map_or_else(String::new, |s| s.to_string()),
+    })
+}
+
+/// `stride` against `table` in all four operations: the same answer or
+/// the same panic, and the same planes and unknown count afterwards.
+fn assert_stride_is_its_table(
+    acc: &PartialArray,
+    stride: BitIndices,
+    table: &[u32],
+    bits: &BitArray,
+) {
+    let table = BitIndices::Table(table);
+    let case = format!("{stride:?} over {} bits", acc.len());
+    assert_eq!(
+        outcome(|| acc.gather(stride)),
+        outcome(|| acc.gather(table)),
+        "gather {case}"
+    );
+    assert_eq!(
+        outcome(|| acc.knows_all(stride)),
+        outcome(|| acc.knows_all(table)),
+        "knows_all {case}"
+    );
+    assert_eq!(
+        outcome(|| acc.unknown_among(stride)),
+        outcome(|| acc.unknown_among(table)),
+        "unknown_among {case}"
+    );
+    let (mut by_stride, mut by_table) = (acc.clone(), acc.clone());
+    assert_eq!(
+        outcome(|| by_stride.learn_scattered(stride, bits)),
+        outcome(|| by_table.learn_scattered(table, bits)),
+        "learn_scattered {case}"
+    );
+    assert_eq!(
+        by_stride.unknown_count(),
+        by_table.unknown_count(),
+        "learn_scattered {case}"
+    );
+    assert_eq!(by_stride, by_table, "learn_scattered {case}");
+}
+
+#[test]
+fn strides_answer_and_panic_exactly_like_their_index_tables() {
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    const LENS: [usize; 11] = [0, 1, 63, 64, 65, 127, 128, 129, 300, 1000, 4099];
+    const DENSITIES: [f64; 4] = [0.0, 0.3, 0.97, 1.0];
+    let mut rng = StdRng::seed_from_u64(35);
+    // Every step and start; lengths and densities rotate through the
+    // starts, so each (step, length) pair meets every density.
+    for step in 0..=70usize {
+        for start in 0..=130usize {
+            let n = LENS[start % LENS.len()];
+            let density = DENSITIES[(start / LENS.len() + step) % DENSITIES.len()];
+            let mut acc = PartialArray::new(n);
+            for i in 0..n {
+                if rng.gen_bool(density) {
+                    acc.learn(i, rng.gen());
+                }
+            }
+            // Exactly the indices below `n`, then one index past the end.
+            // A step of 0 repeats its start: three times, if it is in range.
+            let exact = match step {
+                0 => 3 * usize::from(start < n),
+                _ => (n.saturating_sub(start)).div_ceil(step),
+            };
+            for count in [exact, exact + 1] {
+                let stride = BitIndices::Stride { start, step, count };
+                let table: Vec<u32> = (0..count).map(|r| (start + r * step) as u32).collect();
+                let bits = BitArray::random(count, &mut rng);
+                assert_stride_is_its_table(&acc, stride, &table, &bits);
+            }
+            // A count no array can hold: the stride stops where the table
+            // of its indices up to the first one past the end stops, and
+            // a bitmap of its length cannot exist.
+            if step > 0 {
+                let huge = BitIndices::Stride {
+                    start,
+                    step,
+                    count: usize::MAX / step - 1,
+                };
+                let table: Vec<u32> = (0..=exact).map(|r| (start + r * step) as u32).collect();
+                let table = BitIndices::Table(&table);
+                assert_eq!(outcome(|| acc.gather(huge)), outcome(|| acc.gather(table)));
+                assert_eq!(
+                    outcome(|| acc.knows_all(huge)),
+                    outcome(|| acc.knows_all(table))
+                );
+                assert_eq!(
+                    outcome(|| acc.unknown_among(huge)),
+                    outcome(|| acc.unknown_among(table))
+                );
+                let message =
+                    outcome(|| acc.clone().learn_scattered(huge, &BitArray::zeros(exact)));
+                assert!(message.unwrap_err().contains("length mismatch"));
+            }
+        }
+    }
 }

@@ -19,7 +19,9 @@
 //! messages (batched into one physical message per recipient here, sized
 //! accordingly).
 
-use dr_core::{BitArray, Context, PartialArray, PeerId, Protocol, ProtocolMessage};
+use dr_core::{
+    low_mask, BitArray, Context, MaskWord, PartialArray, PeerId, Protocol, ProtocolMessage,
+};
 
 /// A batch of committee votes: a packed bitmap of the sender's claimed
 /// values over its committee-membership bit set, in increasing index
@@ -51,81 +53,6 @@ pub fn in_committee(j: usize, k: usize, c: usize, peer: PeerId) -> bool {
     let start = (j * c) % k;
     let off = (peer.index() + k - start) % k;
     off < c.min(k)
-}
-
-/// All-ones mask over the low `bits` bits (`bits ≤ 64`).
-fn low_mask(bits: usize) -> u64 {
-    if bits >= 64 {
-        u64::MAX
-    } else {
-        (1 << bits) - 1
-    }
-}
-
-/// One word of a membership mask, with the shift schedule that moves bits
-/// between index order (a bit per input index) and rank order (a bit per
-/// *member* index, as packed in a [`VoteBatch`]): six masked shifts per
-/// word instead of one step per member. This is the parallel-suffix
-/// "compress"/"expand" pair of Hacker's Delight §7-4/7-5, with the
-/// schedule computed once per word of the repeating mask pattern, not per
-/// word of the input.
-#[derive(Debug, Clone, Copy)]
-struct MaskWord {
-    mask: u64,
-    /// `moves[i]`: the mask bits that travel `2^i` positions at step `i`.
-    moves: [u64; 6],
-}
-
-impl MaskWord {
-    fn new(mask: u64) -> Self {
-        let mut moves = [0; 6];
-        let mut m = mask;
-        let mut zeros_below = !m << 1;
-        for (i, mv) in moves.iter_mut().enumerate() {
-            // Prefix parity: bits with an odd number of (remaining) zeros
-            // below them.
-            let mut odd = zeros_below ^ (zeros_below << 1);
-            for s in [2, 4, 8, 16, 32] {
-                odd ^= odd << s;
-            }
-            *mv = odd & m;
-            m = (m ^ *mv) | (*mv >> (1 << i));
-            zeros_below &= !odd;
-        }
-        MaskWord { mask, moves }
-    }
-
-    /// The same schedule restricted to the low `bits` positions (the last
-    /// word of an array whose length is not a multiple of 64). A prefix
-    /// of the mask keeps the ranks of the members it keeps.
-    fn cut(self, bits: usize) -> Self {
-        MaskWord {
-            mask: self.mask & low_mask(bits),
-            ..self
-        }
-    }
-
-    /// Scatters the low bits of `src` to the set positions of the mask,
-    /// lowest first (`src` bit `r` lands on the `r`-th set bit): rank
-    /// order → index order.
-    fn deposit(&self, mut src: u64) -> u64 {
-        for (i, mv) in self.moves.iter().enumerate().rev() {
-            src = (src & !mv) | ((src << (1 << i)) & mv);
-        }
-        src & self.mask
-    }
-
-    /// Gathers the bits of `src` at the set positions of the mask into
-    /// the low bits of the result: index order → rank order, the inverse
-    /// of [`MaskWord::deposit`].
-    fn extract(&self, src: u64) -> u64 {
-        let mut src = src & self.mask;
-        for (i, mv) in self.moves.iter().enumerate() {
-            let moved = src & mv;
-            src = (src ^ moved) | (moved >> (1 << i));
-        }
-        src
-    }
 }
 
 /// Adds the 0/1 word `new` to 64 bit-sliced counters (`planes[i]` holds
@@ -200,7 +127,7 @@ impl Membership {
     /// Size of the set: how many votes a well-formed batch carries.
     fn count(&self) -> usize {
         (0..self.words())
-            .map(|w| self.word(w).mask.count_ones() as usize)
+            .map(|w| self.word(w).mask().count_ones() as usize)
             .sum()
     }
 }
@@ -329,7 +256,7 @@ impl CommitteeDownload {
         let mut rank = 0;
         for w in 0..self.members.words() {
             let members = self.members.word(w);
-            let here = members.mask.count_ones() as usize;
+            let here = members.mask().count_ones() as usize;
             let present = here.min(values.len().saturating_sub(rank));
             let ones = values.word_at(rank);
             let voted = [!ones & low_mask(present), ones & low_mask(present)];
@@ -362,7 +289,7 @@ impl Protocol for CommitteeDownload {
         let mine = &self.members;
         let mask = BitArray::from_words(
             self.n,
-            (0..mine.words()).map(|w| mine.word(w).mask).collect(),
+            (0..mine.words()).map(|w| mine.word(w).mask()).collect(),
         );
         // One metered call for the whole membership set, charged and
         // logged exactly like a query per member in ascending order.
@@ -373,9 +300,9 @@ impl Protocol for CommitteeDownload {
         let mut rank = 0;
         for w in 0..mine.words() {
             let members = mine.word(w);
-            self.acc.learn_word(w, members.mask, answers.word(w));
+            self.acc.learn_word(w, members.mask(), answers.word(w));
             values.or_word_at(rank, members.extract(answers.word(w)));
-            rank += members.mask.count_ones() as usize;
+            rank += members.mask().count_ones() as usize;
         }
         ctx.broadcast(VoteBatch { values });
         self.check_done();
@@ -561,45 +488,6 @@ mod tests {
     }
 
     #[test]
-    fn deposit_and_extract_follow_the_mask() {
-        // Set positions 2, 4, 5, 7, 63; src bits 0, 2, 4 pick the
-        // 0th, 2nd and 4th of them.
-        let m = MaskWord::new(0b1011_0100 | 1 << 63);
-        assert_eq!(m.deposit(0b10101), 0b0010_0100 | 1 << 63);
-        assert_eq!(m.extract(0b0010_0100 | 1 << 63), 0b10101);
-        assert_eq!(m.extract(u64::MAX), 0b11111);
-        // Against the one-member-at-a-time definition, on masks of every
-        // density, whole and cut.
-        let mut x = 0x9e37_79b9_7f4a_7c15_u64;
-        let mut next = || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        for round in 0..400 {
-            let mask = match round % 4 {
-                0 => next(),
-                1 => next() & next(),
-                2 => next() | next(),
-                _ => [0, u64::MAX, 1, 1 << 63][round / 4 % 4],
-            };
-            let m = MaskWord::new(mask).cut(if round % 3 == 0 { 64 } else { round % 64 + 1 });
-            let src = next();
-            let (mut scattered, mut gathered, mut rank) = (0u64, 0u64, 0);
-            for b in (0..64).filter(|b| (m.mask >> b) & 1 == 1) {
-                scattered |= ((src >> rank) & 1) << b;
-                gathered |= ((src >> b) & 1) << rank;
-                rank += 1;
-            }
-            let in_rank = src & low_mask(rank);
-            assert_eq!(m.deposit(in_rank), scattered, "deposit mask {:#x}", m.mask);
-            assert_eq!(m.extract(src), gathered, "extract mask {:#x}", m.mask);
-            assert_eq!(m.extract(m.deposit(in_rank)), in_rank);
-        }
-    }
-
-    #[test]
     fn bit_sliced_counters_count_and_flag_the_target() {
         let mut planes = [0u64; 3];
         for round in 1..=5 {
@@ -630,14 +518,14 @@ mod tests {
                 members.aim(p);
                 let mut count = 0;
                 for j in 0..n {
-                    let in_mask = (members.word(j / 64).mask >> (j % 64)) & 1 == 1;
+                    let in_mask = (members.word(j / 64).mask() >> (j % 64)) & 1 == 1;
                     assert_eq!(in_mask, in_committee(j, k, c, p), "n={n} k={k} c={c} j={j}");
                     count += usize::from(in_mask);
                 }
                 assert_eq!(members.count(), count);
                 // No stray bits past n in the last word.
                 if n % 64 != 0 {
-                    assert_eq!(members.word(n / 64).mask >> (n % 64), 0);
+                    assert_eq!(members.word(n / 64).mask() >> (n % 64), 0);
                 }
             }
         }
