@@ -165,7 +165,12 @@ fn client_ranges(grid: &ServeGrid, workload: &str, c: usize) -> Vec<Range<usize>
 }
 
 /// Runs one workload over `door`, returning its record.
-fn run_workload(grid: &ServeGrid, workload: &str, door: &FrontDoor, input: &BitArray) -> ServeRecord {
+fn run_workload(
+    grid: &ServeGrid,
+    workload: &str,
+    door: &FrontDoor,
+    input: &BitArray,
+) -> ServeRecord {
     let stats_before = door.plane().cache().stats();
     let barrier = Arc::new(Barrier::new(grid.clients));
     let started = Instant::now();
@@ -313,14 +318,7 @@ pub fn tables(records: &[ServeRecord]) -> Vec<Table> {
     let mut t = Table::new(
         "E-serve — front-door load: amortized Q, latency, coalescing",
         &[
-            "workload",
-            "req",
-            "req/s",
-            "p50 µs",
-            "p99 µs",
-            "Q/req",
-            "uncached",
-            "coalesce",
+            "workload", "req", "req/s", "p50 µs", "p99 µs", "Q/req", "uncached", "coalesce",
             "hit rate",
         ],
     );

@@ -199,8 +199,8 @@ impl ReadReceipt {
 ///
 /// See the [module docs](self) for the protocol. `CachedSource` itself
 /// implements [`Source`], so anything that reads through the trait — the
-/// simulator, the oracle pipeline, [`SharedSource`](crate::SharedSource) —
-/// transparently gains cross-request amortization.
+/// simulator, the oracle pipeline — transparently gains cross-request
+/// amortization.
 pub struct CachedSource {
     inner: Arc<dyn Source>,
     len: usize,
@@ -229,10 +229,7 @@ impl std::fmt::Debug for CachedSource {
 /// invariant (a panicking leader un-claims its runs before unwinding) is
 /// restored by the panic path itself, so waiters can safely continue.
 fn lock_shard(shard: &Shard) -> MutexGuard<'_, ShardState> {
-    shard
-        .state
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
+    shard.state.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl CachedSource {
@@ -469,10 +466,7 @@ impl CachedSource {
                 }
                 // Everything is cached or in flight: park until a leader
                 // fills and notifies, then re-classify from scratch.
-                state = shard
-                    .cv
-                    .wait(state)
-                    .unwrap_or_else(PoisonError::into_inner);
+                state = shard.cv.wait(state).unwrap_or_else(PoisonError::into_inner);
                 continue;
             }
             // Claim the runs, remember the epoch, and fetch unlocked.
@@ -556,10 +550,8 @@ impl Source for CachedSource {
 /// [`PlaneHandle`]s that attribute *amortized* query cost: a peer is
 /// charged only for the bits its reads actually pulled upstream.
 ///
-/// This is the admission-plane analogue of
-/// [`SharedSource`](crate::SharedSource) — same shape (shared source +
-/// meter + handles), but reads flow through the cache, so two handles
-/// asking overlapping ranges pay `Q` once between them.
+/// Reads flow through the cache, so two handles asking overlapping ranges
+/// pay `Q` once between them.
 #[derive(Debug, Clone)]
 pub struct AdmissionPlane {
     cache: Arc<CachedSource>,
@@ -676,7 +668,10 @@ mod tests {
         let (_, cold) = cache.read_range_with(64..320, &mut |_| {});
         assert_eq!(cold.fetched_words, 4);
         assert_eq!(cold.fetched_bits, 256);
-        assert_eq!(cold.upstream_calls, 1, "contiguous run batches into one call");
+        assert_eq!(
+            cold.upstream_calls, 1,
+            "contiguous run batches into one call"
+        );
         let (_, warm) = cache.read_range_with(64..320, &mut |_| {});
         assert!(warm.is_free());
         assert_eq!(warm.hit_words, 4);

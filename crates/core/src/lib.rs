@@ -19,9 +19,9 @@
 //!   the deterministic crate tier (enforced by `dr-lint`);
 //! * [`Segmentation`] / [`SegmentString`] — the segment machinery of the
 //!   randomized Byzantine protocols (§3.4);
-//! * [`Source`], [`ArraySource`], [`SharedSource`], [`SourceHandle`],
-//!   [`QueryMeter`] — the external source with per-peer query accounting
-//!   (the paper's query-complexity measure `Q`);
+//! * [`Source`], [`ArraySource`] — the external source — and
+//!   [`QueryMeter`], its per-peer query accounting across threads (the
+//!   paper's query-complexity measure `Q`);
 //! * [`ChunkedSource`] — a streaming, generate-on-demand source with a
 //!   bounded resident set, for `n` far beyond RAM;
 //! * [`Assignment`] — the bit-to-peer responsibility function of the
@@ -34,14 +34,17 @@
 //! # Examples
 //!
 //! ```
-//! use dr_core::{ArraySource, BitArray, ModelParams, PeerId, SharedSource};
+//! use dr_core::{ArraySource, BitArray, ModelParams, PeerId, QueryMeter, Source};
 //!
 //! let params = ModelParams::fault_free(64, 4)?;
 //! let input = BitArray::from_fn(params.n(), |i| i % 5 == 0);
-//! let source = SharedSource::new(ArraySource::new(input), params.k());
-//! let handle = source.handle(PeerId(0));
-//! assert!(handle.query(0));
-//! assert_eq!(source.meter().count(PeerId(0)), 1);
+//! let source = ArraySource::new(input);
+//! let meter = QueryMeter::new(params.k());
+//! // Peer 0 reads bits 0..10 and is charged one query per bit read.
+//! let read = Source::bits(&source, 0..10);
+//! meter.record_range(PeerId(0), 0..10);
+//! assert_eq!(read.count_ones(), 2);
+//! assert_eq!(meter.count(PeerId(0)), 10);
 //! # Ok::<(), dr_core::InvalidParamsError>(())
 //! ```
 
@@ -70,4 +73,4 @@ pub use params::{FaultModel, ModelParams, ModelParamsBuilder};
 pub use peer::{PeerId, PeerSet};
 pub use protocol::{Context, Protocol, ProtocolMessage};
 pub use segment::{SegmentId, SegmentString, Segmentation};
-pub use source::{ArraySource, MeterDelta, QueryMeter, SharedSource, Source, SourceHandle};
+pub use source::{ArraySource, QueryMeter, Source};

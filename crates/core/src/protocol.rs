@@ -57,11 +57,12 @@ pub trait Context<M: ProtocolMessage> {
     /// one bit charged per bit in the range).
     ///
     /// The provided implementation loops over [`Context::query`]; contexts
-    /// backed by a real [`SourceHandle`](crate::SourceHandle) override it
-    /// with the bulk word-level path (one batched meter update, identical
-    /// accounting). Contexts that answer queries from somewhere other than
-    /// the handle — e.g. the lower-bound fake-source context — keep this
-    /// default so the per-bit semantics stay authoritative.
+    /// that read a real [`Source`](crate::Source) override it with the bulk
+    /// word-level path ([`Source::bits`](crate::Source::bits) and one
+    /// batched meter update, identical accounting). Contexts that answer
+    /// queries from somewhere other than the source — e.g. the lower-bound
+    /// fake-source context — keep this default so the per-bit semantics
+    /// stay authoritative.
     fn query_range(&mut self, range: Range<usize>) -> BitArray {
         let mut out = BitArray::zeros(range.len());
         for (off, i) in range.enumerate() {
@@ -80,10 +81,10 @@ pub trait Context<M: ProtocolMessage> {
     /// protocols whose query set is structural but not contiguous (the
     /// committee protocol's round-robin membership). The provided
     /// implementation loops over [`Context::query`] for the set bits;
-    /// contexts backed by a real [`SourceHandle`](crate::SourceHandle)
-    /// override it with one batched meter update and a word-level read,
-    /// and contexts that answer from elsewhere keep this default, exactly
-    /// as for `query_range`.
+    /// contexts that read a real [`Source`](crate::Source) override it
+    /// with one batched meter update and a word-level read, and contexts
+    /// that answer from elsewhere keep this default, exactly as for
+    /// `query_range`.
     fn query_masked(&mut self, mask: &BitArray) -> BitArray {
         let mut out = BitArray::zeros(mask.len());
         for i in mask.ones() {

@@ -62,9 +62,7 @@ impl Source for ValueSourceBits {
         }
         let w0 = range.start / 64;
         let w1 = range.end.div_ceil(64);
-        let cells: Vec<u64> = (w0..w1)
-            .map(|w| self.source.read(self.reader, w))
-            .collect();
+        let cells: Vec<u64> = (w0..w1).map(|w| self.source.read(self.reader, w)).collect();
         let sh = range.start % 64;
         let out_len = range.len();
         let words: Vec<u64> = (0..out_len.div_ceil(64))

@@ -272,16 +272,22 @@ pub fn run_download_based(config: &OracleConfig, engine: DownloadEngine) -> OdcO
         let seed = config.seed.wrapping_add(1000 + s as u64);
         let byz = config.byz_nodes;
         let report = match engine {
-            DownloadEngine::CrashMulti => {
-                run_instance(params, seed, Arc::clone(&cache), reference, byz, move |_| {
-                    CrashMultiDownload::new(n_bits, k, byz)
-                })
-            }
-            DownloadEngine::TwoCycle => {
-                run_instance(params, seed, Arc::clone(&cache), reference, byz, move |_| {
-                    TwoCycleDownload::new(n_bits, k, byz)
-                })
-            }
+            DownloadEngine::CrashMulti => run_instance(
+                params,
+                seed,
+                Arc::clone(&cache),
+                reference,
+                byz,
+                move |_| CrashMultiDownload::new(n_bits, k, byz),
+            ),
+            DownloadEngine::TwoCycle => run_instance(
+                params,
+                seed,
+                Arc::clone(&cache),
+                reference,
+                byz,
+                move |_| TwoCycleDownload::new(n_bits, k, byz),
+            ),
         };
         upstream_read_bits += cache.stats().upstream_bits;
         for node in 0..honest_nodes {

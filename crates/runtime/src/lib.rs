@@ -8,8 +8,10 @@
 //! scheduler plus injected per-message latency jitter, and optional crash
 //! injection (a peer thread that silently stops at its `i`-th event).
 //!
-//! Queries go through the same metered [`dr_core::SharedSource`], so query
-//! complexity is measured identically in both worlds.
+//! Peer threads read one shared [`dr_core::Source`] and charge one atomic
+//! [`dr_core::QueryMeter`], one bit per bit queried — the accounting the
+//! simulator keeps in plain per-peer counters — so query complexity is
+//! measured identically in both worlds.
 //!
 //! The [`serve`] module adds the multi-client face of the runtime: a
 //! [`FrontDoor`] that admits many concurrent download requests (bounded,
@@ -25,8 +27,8 @@ pub mod serve;
 pub use serve::{FrontDoor, RequestOutcome, ServeConfig, ServeError};
 
 use dr_core::{
-    ArraySource, BitArray, Context, ModelParams, PeerId, Protocol, ProtocolMessage, SharedSource,
-    SourceHandle,
+    ArraySource, BitArray, Context, ModelParams, PeerId, Protocol, ProtocolMessage, QueryMeter,
+    Source,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -119,30 +121,42 @@ pub enum RuntimeError {
     /// The wall-clock timeout elapsed before every live peer terminated
     /// (deadlock or pathological scheduling).
     Timeout,
+    /// A crash injection the run cannot honour: its peer is out of range,
+    /// repeats an earlier spec's peer, or lies beyond the fault budget `b`.
+    InvalidCrash {
+        /// The offending spec.
+        spec: CrashSpec,
+        /// Which of the three it is.
+        reason: &'static str,
+    },
 }
 
 impl std::fmt::Display for RuntimeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RuntimeError::Timeout => write!(f, "threaded run timed out"),
+            RuntimeError::InvalidCrash { spec, reason } => {
+                write!(f, "invalid crash spec {spec:?}: {reason}")
+            }
         }
     }
 }
 
 impl std::error::Error for RuntimeError {}
 
-struct ThreadCtx<M> {
+struct ThreadCtx<'a, M> {
     me: PeerId,
     num_peers: usize,
     input_len: usize,
-    handle: SourceHandle,
+    source: &'a dyn Source,
+    meter: &'a QueryMeter,
     senders: Vec<Sender<(PeerId, M)>>,
     rng: StdRng,
     jitter: StdRng,
     max_latency: Duration,
 }
 
-impl<M: ProtocolMessage> Context<M> for ThreadCtx<M> {
+impl<M: ProtocolMessage> Context<M> for ThreadCtx<'_, M> {
     fn me(&self) -> PeerId {
         self.me
     }
@@ -166,16 +180,19 @@ impl<M: ProtocolMessage> Context<M> for ThreadCtx<M> {
         let _ = self.senders[to.index()].send((self.me, msg));
     }
     fn query(&mut self, index: usize) -> bool {
-        self.handle.query(index)
+        self.meter.record(self.me);
+        self.source.bit(index)
     }
     fn query_range(&mut self, range: std::ops::Range<usize>) -> BitArray {
         // Bulk path: one meter update + word-level copy instead of the
         // default per-bit loop. Identical cost accounting and results.
-        self.handle.query_range(range)
+        self.meter.record_range(self.me, range.clone());
+        self.source.bits(range)
     }
     fn query_masked(&mut self, mask: &BitArray) -> BitArray {
         // Same bulk path for a strided query set.
-        self.handle.query_masked(mask)
+        self.meter.record_masked(self.me, mask);
+        self.source.bits_masked(mask)
     }
     fn rng(&mut self) -> &mut dyn RngCore {
         &mut self.rng
@@ -186,12 +203,14 @@ impl<M: ProtocolMessage> Context<M> for ThreadCtx<M> {
 ///
 /// # Errors
 ///
-/// Returns [`RuntimeError::Timeout`] if live peers fail to terminate
-/// within the configured wall-clock budget.
+/// Returns [`RuntimeError::InvalidCrash`] before any thread starts if a
+/// crash spec names a peer `>= k`, repeats a peer, or exceeds the fault
+/// budget `b`, and [`RuntimeError::Timeout`] if live peers fail to
+/// terminate within the configured wall-clock budget.
 ///
 /// # Panics
 ///
-/// Panics if `crashes` names more peers than the fault budget allows.
+/// Panics if a peer thread panics.
 ///
 /// # Examples
 ///
@@ -215,14 +234,24 @@ where
 {
     let k = config.params.k();
     let n = config.params.n();
-    let crashed: Vec<PeerId> = config.crashes.iter().map(|c| c.peer).collect();
-    assert!(
-        crashed.len() <= config.params.b(),
-        "more crashes than the fault budget"
-    );
+    let mut crashed: Vec<PeerId> = Vec::with_capacity(config.crashes.len());
+    for &spec in &config.crashes {
+        let reason = if spec.peer.index() >= k {
+            "peer out of range"
+        } else if crashed.contains(&spec.peer) {
+            "peer crashed twice"
+        } else if crashed.len() == config.params.b() {
+            "more crashes than the fault budget"
+        } else {
+            crashed.push(spec.peer);
+            continue;
+        };
+        return Err(RuntimeError::InvalidCrash { spec, reason });
+    }
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0x0051_7eed);
     let input = BitArray::random(n, &mut rng);
-    let source = SharedSource::new(ArraySource::new(input.clone()), k);
+    let source = ArraySource::new(input.clone());
+    let meter = QueryMeter::new(k);
 
     let mut senders: Vec<Sender<(PeerId, P::Msg)>> = Vec::with_capacity(k);
     let mut receivers: Vec<Receiver<(PeerId, P::Msg)>> = Vec::with_capacity(k);
@@ -248,7 +277,8 @@ where
                 me,
                 num_peers: k,
                 input_len: n,
-                handle: source.handle(me),
+                source: &source,
+                meter: &meter,
                 senders: senders.clone(),
                 rng: StdRng::seed_from_u64(config.seed.wrapping_mul(31).wrapping_add(i as u64)),
                 jitter: StdRng::seed_from_u64(config.seed.wrapping_add(7777 + i as u64)),
@@ -297,7 +327,7 @@ where
             return Err(RuntimeError::Timeout);
         }
     }
-    let query_counts = source.meter().counts();
+    let query_counts = meter.counts();
     let max_honest_queries = (0..k)
         .filter(|i| !crashed.contains(&PeerId(*i)))
         .map(|i| query_counts[i])
@@ -408,12 +438,26 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "more crashes")]
-    fn too_many_crashes_panics() {
-        let config = RuntimeConfig::new(params(10, 3, 0), 0).with_crash(CrashSpec {
-            peer: PeerId(0),
+    fn bad_crash_specs_are_errors_naming_the_spec() {
+        let spec = |peer| CrashSpec {
+            peer: PeerId(peer),
             after_events: 0,
-        });
-        let _ = run_threaded(config, |_| NaiveDownload::new());
+        };
+        for (b, specs, bad, reason) in [
+            (
+                0,
+                vec![spec(0)],
+                spec(0),
+                "more crashes than the fault budget",
+            ),
+            (1, vec![spec(3)], spec(3), "peer out of range"),
+            (2, vec![spec(1), spec(1)], spec(1), "peer crashed twice"),
+        ] {
+            let mut config = RuntimeConfig::new(params(10, 3, b), 0);
+            config.crashes = specs;
+            let err = run_threaded(config, |_| NaiveDownload::new()).unwrap_err();
+            assert_eq!(err, RuntimeError::InvalidCrash { spec: bad, reason });
+            assert!(err.to_string().contains(reason), "{err}");
+        }
     }
 }

@@ -88,10 +88,7 @@ impl Gate {
     /// Blocks until a permit is free and takes it; dropping the returned
     /// guard gives it back, on unwind too.
     fn acquire(&self) -> Permit<'_> {
-        let mut permits = self
-            .permits
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut permits = self.permits.lock().unwrap_or_else(PoisonError::into_inner);
         while *permits == 0 {
             permits = self
                 .cv

@@ -4,7 +4,7 @@ use crate::adversary::{Adversary, StandardAdversary};
 use crate::agent::Agent;
 use crate::sim::Simulation;
 use crate::view::PeerRole;
-use dr_core::{ArraySource, BitArray, ModelParams, PeerId, ProtocolMessage, SharedSource, Source};
+use dr_core::{ArraySource, BitArray, ModelParams, PeerId, ProtocolMessage, Source};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -207,25 +207,15 @@ impl<M: ProtocolMessage> SimBuilder<M> {
                 "streaming_source is mutually exclusive with input/source"
             );
             assert_eq!(stream.len(), n, "streaming source length != n");
-            let source = if self.index_tracking {
-                SharedSource::with_index_tracking(stream, k)
-            } else {
-                SharedSource::new(stream, k)
-            };
-            (None, source)
+            (None, stream)
         } else {
             let input = self.input.take().unwrap_or_else(|| {
                 let mut rng = StdRng::seed_from_u64(self.seed ^ 0x1234_5678);
                 BitArray::random(n, &mut rng)
             });
-            let source = match self.custom_source {
-                Some(custom) if self.index_tracking => SharedSource::with_index_tracking(custom, k),
-                Some(custom) => SharedSource::new(custom, k),
-                None if self.index_tracking => {
-                    SharedSource::with_index_tracking(ArraySource::new(input.clone()), k)
-                }
-                None => SharedSource::new(ArraySource::new(input.clone()), k),
-            };
+            let source = self
+                .custom_source
+                .unwrap_or_else(|| Box::new(ArraySource::new(input.clone())));
             (Some(input), source)
         };
         let mut factory = self.factory.expect("protocol factory not set");
@@ -262,6 +252,7 @@ impl<M: ProtocolMessage> SimBuilder<M> {
             self.params,
             input,
             source,
+            self.index_tracking,
             agents,
             roles,
             adversary,

@@ -1,7 +1,7 @@
 //! The simulator's [`Context`]: what an agent's handler sees during one
-//! step, and the outbox that step fills.
+//! step, the outbox that step fills, and the meter its queries charge.
 
-use dr_core::{BitArray, Context, MeterDelta, PeerId, ProtocolMessage, Source};
+use dr_core::{BitArray, Context, PeerId, ProtocolMessage, Source};
 use rand::rngs::StdRng;
 use rand::RngCore;
 
@@ -24,16 +24,58 @@ impl<M> Outgoing<M> {
     }
 }
 
-/// The [`Context`] the simulator hands its agents: queries go straight to
-/// the raw source with accounting buffered in the run's [`MeterDelta`] —
-/// no atomics, no locks — and sends and broadcasts accumulate in the step
-/// outbox for the run loop to dispatch.
+/// The simulator's query meter. One thread runs every step, so the
+/// counters are plain integers the run owns; under
+/// `SimBuilder::track_query_indices` each peer's log also records every
+/// queried index in issue order, for the lower-bound adversaries.
+pub(crate) struct Meter {
+    pub(crate) counts: Vec<u64>,
+    pub(crate) logs: Option<Vec<Vec<usize>>>,
+}
+
+impl Meter {
+    pub(crate) fn new(num_peers: usize, track_indices: bool) -> Self {
+        Meter {
+            counts: vec![0; num_peers],
+            logs: track_indices.then(|| vec![Vec::new(); num_peers]),
+        }
+    }
+
+    fn record(&mut self, peer: PeerId, index: usize) {
+        self.counts[peer.index()] += 1;
+        if let Some(logs) = &mut self.logs {
+            logs[peer.index()].push(index);
+        }
+    }
+
+    /// One bit charged per bit of `range`, logged in ascending order —
+    /// exactly a [`Meter::record`] per index.
+    fn record_range(&mut self, peer: PeerId, range: std::ops::Range<usize>) {
+        self.counts[peer.index()] += range.len() as u64;
+        if let Some(logs) = &mut self.logs {
+            logs[peer.index()].extend(range);
+        }
+    }
+
+    /// One bit charged per set bit of `mask`, logged in ascending order —
+    /// exactly a [`Meter::record`] per set index.
+    fn record_masked(&mut self, peer: PeerId, mask: &BitArray) {
+        self.counts[peer.index()] += mask.count_ones() as u64;
+        if let Some(logs) = &mut self.logs {
+            logs[peer.index()].extend(mask.ones());
+        }
+    }
+}
+
+/// The [`Context`] the simulator hands its agents: queries read the
+/// source and charge the run's [`Meter`], and sends and broadcasts
+/// accumulate in the step outbox for the run loop to dispatch.
 pub(crate) struct LaneCtx<'a, M> {
     pub(crate) me: PeerId,
     pub(crate) num_peers: usize,
     pub(crate) input_len: usize,
     pub(crate) source: &'a dyn Source,
-    pub(crate) delta: &'a mut MeterDelta,
+    pub(crate) meter: &'a mut Meter,
     pub(crate) rng: &'a mut StdRng,
     pub(crate) outbox: &'a mut Vec<Outgoing<M>>,
 }
@@ -58,22 +100,59 @@ impl<M: ProtocolMessage> Context<M> for LaneCtx<'_, M> {
         self.outbox.push(Outgoing::Broadcast(msg));
     }
     fn query(&mut self, index: usize) -> bool {
-        self.delta.record(self.me, index);
+        self.meter.record(self.me, index);
         self.source.bit(index)
     }
     fn query_range(&mut self, range: std::ops::Range<usize>) -> BitArray {
-        // Bulk path: one buffered meter update + word-level copy instead
-        // of the default per-bit loop. Identical accounting and results.
-        self.delta.record_range(self.me, range.clone());
+        // Bulk path: one meter update + word-level copy instead of the
+        // default per-bit loop. Identical accounting and results.
+        self.meter.record_range(self.me, range.clone());
         self.source.bits(range)
     }
     fn query_masked(&mut self, mask: &BitArray) -> BitArray {
-        // Same bulk path for a strided query set: one buffered meter
-        // update + the source's masked read.
-        self.delta.record_masked(self.me, mask);
+        // Same bulk path for a strided query set: one meter update + the
+        // source's masked read.
+        self.meter.record_masked(self.me, mask);
         self.source.bits_masked(mask)
     }
     fn rng(&mut self) -> &mut dyn RngCore {
         self.rng
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn bulk_records_match_per_bit_records_in_counts_and_log_order() {
+        let n = 2 * 64 + 5;
+        let mask = BitArray::from_fn(n, |i| i % 3 == 0 || (60..70).contains(&i));
+        for track in [true, false] {
+            let (mut bulk, mut per_bit) = (Meter::new(3, track), Meter::new(3, track));
+            // Interleaved peers, an empty range and a repeated index: each
+            // log must keep its own peer's issue order.
+            bulk.record(PeerId(1), 7);
+            bulk.record_range(PeerId(0), 3..9);
+            bulk.record_range(PeerId(0), 9..9);
+            bulk.record_masked(PeerId(1), &mask);
+            bulk.record_range(PeerId(1), 2..6);
+            bulk.record(PeerId(0), 4);
+            per_bit.record(PeerId(1), 7);
+            (3..9).for_each(|i| per_bit.record(PeerId(0), i));
+            mask.ones().for_each(|i| per_bit.record(PeerId(1), i));
+            (2..6).for_each(|i| per_bit.record(PeerId(1), i));
+            per_bit.record(PeerId(0), 4);
+            assert_eq!(bulk.counts, per_bit.counts);
+            assert_eq!(bulk.counts, [7, 1 + mask.count_ones() as u64 + 4, 0]);
+            assert_eq!(bulk.logs, per_bit.logs);
+            match bulk.logs {
+                Some(logs) => {
+                    assert_eq!(logs[0], [3, 4, 5, 6, 7, 8, 4]);
+                    assert!(logs[2].is_empty());
+                }
+                None => assert!(!track, "tracking on keeps a log"),
+            }
+        }
     }
 }

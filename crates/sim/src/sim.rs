@@ -39,12 +39,13 @@
 //! Per-peer state (agent, RNG, pre-start buffer) sits in flat vectors
 //! indexed by `PeerId`; the contiguous [`PeerStatus`] vector is the only
 //! copy of the lifecycle bits and the read-only core every adversary
-//! `View` borrows. A step's queries are buffered in one `MeterDelta` and
-//! folded into the shared meter when the step ends.
+//! `View` borrows. Queries charge the run's own meter — plain per-peer
+//! counters, and index logs when tracking is on — with no atomic or lock,
+//! because nothing reads it until the run ends.
 
 use crate::adversary::{Adversary, Delivery, HeldInfo, Release};
 use crate::agent::Agent;
-use crate::ctx::{LaneCtx, Outgoing};
+use crate::ctx::{LaneCtx, Meter, Outgoing};
 use crate::linkfault::{LinkDecision, RuntimeLinkState};
 use crate::report::{RunError, RunReport};
 use crate::shard::{EventKind, EventPump};
@@ -52,12 +53,9 @@ use crate::time::{Ticks, TICKS_PER_UNIT};
 use crate::trace::TraceEntry;
 use crate::view::{PeerRole, PeerStatus, View};
 use dr_core::collections::DetMap;
-use dr_core::{
-    BitArray, MeterDelta, ModelParams, PeerId, PeerSet, ProtocolMessage, SharedSource, Source,
-};
+use dr_core::{BitArray, ModelParams, PeerId, PeerSet, ProtocolMessage, Source};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
 
 struct HeldMessage {
     from: PeerId,
@@ -88,7 +86,8 @@ pub struct Simulation<M: ProtocolMessage> {
     /// Resident reference copy of the source (absent for streaming runs
     /// built with `SimBuilder::streaming_source`).
     pub(crate) input: Option<BitArray>,
-    pub(crate) source: SharedSource,
+    source: Box<dyn Source>,
+    meter: Meter,
     /// Per-peer status — the read-only core every adversary `View`
     /// borrows.
     pub(crate) status: Vec<PeerStatus>,
@@ -101,12 +100,6 @@ pub struct Simulation<M: ProtocolMessage> {
     /// Messages that arrived at a peer before its start event, waiting
     /// for it to begin. Entries are `(from, slot)` into the slab.
     pre_start: Vec<Vec<(PeerId, u32)>>,
-    /// The running step's query buffer, folded into the shared meter
-    /// after each step.
-    delta: MeterDelta,
-    /// Unmetered handle to the source; steps do their own accounting
-    /// through `delta`.
-    raw_source: Arc<dyn Source>,
     pump: EventPump<M>,
     held: Vec<HeldMessage>,
     /// Validated runtime form of the adversary's link-fault plan
@@ -147,7 +140,8 @@ impl<M: ProtocolMessage> Simulation<M> {
     pub(crate) fn from_parts(
         params: ModelParams,
         input: Option<BitArray>,
-        source: SharedSource,
+        source: Box<dyn Source>,
+        track_query_indices: bool,
         agents: Vec<Box<dyn Agent<M>>>,
         roles: Vec<PeerRole>,
         adversary: Box<dyn Adversary<M>>,
@@ -179,8 +173,6 @@ impl<M: ProtocolMessage> Simulation<M> {
         let link_plan = adversary.link_fault_plan();
         let links = RuntimeLinkState::new(&link_plan, k);
         let lossy = adversary.lossy();
-        let delta = source.meter().delta();
-        let raw_source = source.source_arc();
         let rngs = (0..k)
             .map(|p| StdRng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9).wrapping_add(p as u64)))
             .collect();
@@ -188,6 +180,7 @@ impl<M: ProtocolMessage> Simulation<M> {
             params,
             input,
             source,
+            meter: Meter::new(k, track_query_indices),
             status: roles.into_iter().map(PeerStatus::new).collect(),
             adversary,
             adv_rng: StdRng::seed_from_u64(seed ^ 0xdead_beef),
@@ -195,8 +188,6 @@ impl<M: ProtocolMessage> Simulation<M> {
             agents,
             rngs,
             pre_start: (0..k).map(|_| Vec::new()).collect(),
-            delta,
-            raw_source,
             pump: EventPump::new(slab_capacity),
             held: Vec::new(),
             links,
@@ -627,8 +618,8 @@ impl<M: ProtocolMessage> Simulation<M> {
                 me: to,
                 num_peers: self.params.k(),
                 input_len: self.params.n(),
-                source: &*self.raw_source,
-                delta: &mut self.delta,
+                source: &*self.source,
+                meter: &mut self.meter,
                 rng: &mut self.rngs[to.index()],
                 outbox: &mut self.outbox_scratch,
             };
@@ -638,10 +629,6 @@ impl<M: ProtocolMessage> Simulation<M> {
                 Some((from, msg)) => agent.on_message(from, msg, &mut ctx),
             }
         }
-        // Keep the shared meter current at step granularity: one atomic
-        // merge per step (cheaper than per-query atomics, identical totals
-        // and per-peer index order).
-        self.source.meter().fold(&mut self.delta);
         if is_start {
             // Deliver anything that arrived before the peer woke up,
             // immediately after its start step, in arrival order.
@@ -960,7 +947,6 @@ impl<M: ProtocolMessage> Simulation<M> {
 
     fn into_report(self) -> RunReport {
         let k = self.params.k();
-        debug_assert!(self.delta.is_empty(), "step ended without a meter fold");
         let mut nonfaulty = PeerSet::new(k);
         let mut crashed = PeerSet::new(k);
         let mut byzantine = PeerSet::new(k);
@@ -975,25 +961,19 @@ impl<M: ProtocolMessage> Simulation<M> {
                 byzantine.insert(PeerId(i));
             }
         }
-        let query_counts = self.source.meter().counts();
-        let query_indices = self.source.meter().indices(PeerId(0)).map(|_| {
-            (0..k)
-                .map(|p| {
-                    self.source
-                        .meter()
-                        .indices(PeerId(p))
-                        .expect("tracking enabled")
-                })
-                .collect()
-        });
-        let max_nonfaulty_queries = self.source.meter().max_over(nonfaulty.iter());
+        let query_counts = self.meter.counts;
+        let max_nonfaulty_queries = nonfaulty
+            .iter()
+            .map(|p| query_counts[p.index()])
+            .max()
+            .unwrap_or(0);
         RunReport {
             outputs: self.agents.iter().map(|a| a.output().cloned()).collect(),
             nonfaulty,
             crashed,
             byzantine,
             query_counts,
-            query_indices,
+            query_indices: self.meter.logs,
             max_nonfaulty_queries,
             messages_sent: self.messages_sent,
             message_bits: self.message_bits,

@@ -1,8 +1,10 @@
 //! Equivalence regression for the word-level bulk query path.
 //!
-//! `SourceHandle::query_range` now charges the meter in one batched update
-//! and reads bits through `Source::bits` (word-aligned for `ArraySource`).
-//! This must be observationally identical to the bit-at-a-time path: same
+//! `Context::query_range` on a context over a real source charges its
+//! meter in one batched update — the simulator's plain per-peer counters,
+//! the threaded runtime's atomic `QueryMeter` — and reads bits through
+//! `Source::bits` (word-aligned for `ArraySource`). This must be
+//! observationally identical to the bit-at-a-time path: same
 //! outputs, same per-peer query counts (Q), same message totals (M), and
 //! the same per-peer query index logs. We run the same seeded executions
 //! twice — once against the standard `ArraySource` (bulk word-level reads)
@@ -13,7 +15,7 @@
 
 use dr_download::core::{
     ArraySource, BitArray, Context, FaultModel, ModelParams, PeerId, Protocol, ProtocolMessage,
-    SharedSource, Source,
+    QueryMeter, Source,
 };
 use dr_download::protocols::{
     CrashMultiDownload, FakeSourceAgent, SingleCrashDownload, TwoCycleDownload,
@@ -217,8 +219,9 @@ fn crash_protocols_meter_masked_queries_like_their_per_bit_loops() {
 // The contexts that sit on a real source (the simulator's lane, which
 // the explorer drives too, and the threaded runtime) answer it with one
 // batched meter update and the source's masked read; everything else —
-// and `FakeCtx` in particular — keeps the provided per-set-bit default. All of them must charge, log
-// and answer exactly like a loop of one-bit queries in ascending order.
+// and `FakeCtx` in particular — keeps the provided per-set-bit default.
+// All of them must charge, log and answer exactly like a loop of one-bit
+// queries in ascending order.
 // ---------------------------------------------------------------------
 
 #[derive(Debug, Clone)]
@@ -244,10 +247,11 @@ fn probe_masks(n: usize, peer: PeerId) -> Vec<BitArray> {
     ]
 }
 
-/// Queries [`probe_masks`] on start — through `query_masked`, or through
-/// the loop of one-bit queries it must be indistinguishable from — and
-/// outputs the all-ones answer, which the executor checks against the
-/// input. Every other answer must be that array under its mask.
+/// Queries [`probe_masks`] on start, then one bit range — through
+/// `query_masked` and `query_range`, or through the loops of one-bit
+/// queries they must be indistinguishable from — and outputs the all-ones
+/// answer, which the executor checks against the input. Every other
+/// answer must be that array under its mask.
 struct MaskProbe {
     bulk: bool,
     /// What the all-ones answer must be, for a probe whose output nobody
@@ -285,6 +289,15 @@ impl Protocol for MaskProbe {
             let expected = BitArray::from_fn(n, |i| mask.get(i) && world.get(i));
             assert_eq!(answer, expected, "peer {} mask {mask:?}", ctx.me());
         }
+        // One contiguous read too, so the probe charges every query path.
+        let run = 60..70;
+        let answer = if self.bulk {
+            ctx.query_range(run.clone())
+        } else {
+            BitArray::from_fn(run.len(), |i| ctx.query(run.start + i))
+        };
+        let world = self.out.as_ref().expect("the first mask is all ones");
+        assert_eq!(answer, world.slice(run), "peer {} range", ctx.me());
         if let Some(expect) = &self.expect {
             assert_eq!(self.out.as_ref(), Some(expect));
         }
@@ -298,27 +311,24 @@ impl Protocol for MaskProbe {
 }
 
 #[test]
-fn source_handle_query_masked_meters_like_the_per_bit_loop() {
+fn query_meter_and_sources_answer_masked_reads_like_the_per_bit_loop() {
     let n = 3 * 64 + 5;
     let input = test_input(n);
-    let bulk = SharedSource::with_index_tracking(ArraySource::new(input.clone()), 3);
-    let default = SharedSource::with_index_tracking(PerBitSource(input.clone()), 3);
-    let per_bit = SharedSource::with_index_tracking(PerBitSource(input.clone()), 3);
+    let (bulk, default) = (ArraySource::new(input.clone()), PerBitSource(input.clone()));
+    let per_bit = PerBitSource(input);
+    let (masked, looped) = (QueryMeter::new(3), QueryMeter::new(3));
     for p in (0..3).map(PeerId) {
         for mask in probe_masks(n, p) {
-            let a = bulk.handle(p).query_masked(&mask);
-            let b = default.handle(p).query_masked(&mask);
+            masked.record_masked(p, &mask);
             let mut c = BitArray::zeros(n);
             for i in mask.ones() {
-                c.set(i, per_bit.handle(p).query(i));
+                looped.record(p);
+                c.set(i, per_bit.bit(i));
             }
-            assert_eq!(a, c, "{mask:?}");
-            assert_eq!(b, c, "{mask:?}");
+            assert_eq!(bulk.bits_masked(&mask), c, "{mask:?}");
+            assert_eq!(default.bits_masked(&mask), c, "{mask:?}");
         }
-        assert_eq!(bulk.meter().count(p), per_bit.meter().count(p));
-        assert_eq!(default.meter().count(p), per_bit.meter().count(p));
-        assert_eq!(bulk.meter().indices(p), per_bit.meter().indices(p));
-        assert_eq!(default.meter().indices(p), per_bit.meter().indices(p));
+        assert_eq!(masked.count(p), looped.count(p));
     }
 }
 
@@ -399,4 +409,27 @@ fn explorer_and_threads_answer_query_masked_like_the_per_bit_loop() {
         report.query_counts
     };
     assert_eq!(counts(true), counts(false));
+}
+
+#[test]
+fn simulator_and_threads_charge_the_mask_probe_the_same_q() {
+    // The probe's queries depend only on its peer id, so its per-peer Q
+    // is the same under every schedule: the simulator's plain counters
+    // and the runtime's atomic meter must agree on it exactly.
+    let (n, k) = (2 * 64 + 9, 3);
+    let params = ModelParams::builder(n, k).build().unwrap();
+    for bulk in [true, false] {
+        let threads =
+            run_threaded(RuntimeConfig::new(params, 8), move |_| MaskProbe::new(bulk)).unwrap();
+        threads.verify(&[]).unwrap();
+        let sim = SimBuilder::new(params)
+            .seed(8)
+            .input(threads.input.clone())
+            .protocol(move |_| MaskProbe::new(bulk))
+            .build()
+            .run()
+            .unwrap();
+        sim.verify_downloads(&threads.input).unwrap();
+        assert_eq!(sim.query_counts, threads.query_counts, "bulk={bulk}");
+    }
 }

@@ -1,9 +1,12 @@
 //! Cross-backend agreement: the simulator and the thread runtime drive
 //! the same protocol state machines; correctness and query bounds must
-//! hold in both worlds.
+//! hold in both worlds, and where Q does not depend on the schedule the
+//! two must report the same per-peer counts.
 
-use dr_download::core::{FaultModel, ModelParams, PeerId};
-use dr_download::protocols::{CrashMultiDownload, SingleCrashDownload};
+use dr_download::core::{FaultModel, ModelParams, PeerId, Protocol};
+use dr_download::protocols::{
+    BalancedDownload, CrashMultiDownload, NaiveDownload, SingleCrashDownload,
+};
 use dr_download::runtime::{run_threaded, CrashSpec, RuntimeConfig};
 use dr_download::sim::{CrashPlan, SimBuilder, StandardAdversary, UniformDelay};
 
@@ -12,6 +15,44 @@ fn crash_params(n: usize, k: usize, b: usize) -> ModelParams {
         .faults(FaultModel::Crash, b)
         .build()
         .unwrap()
+}
+
+/// Runs `make` fault-free in both backends on the same input and returns
+/// (simulator, threads) per-peer query counts.
+fn query_counts_in_both_backends<P, F>(n: usize, k: usize, make: F) -> (Vec<u64>, Vec<u64>)
+where
+    P: Protocol + 'static,
+    F: Fn(PeerId) -> P + Clone + Send + Sync + 'static,
+{
+    let params = ModelParams::fault_free(n, k).unwrap();
+    let threads = run_threaded(RuntimeConfig::new(params, 3), make.clone()).unwrap();
+    threads.verify(&[]).unwrap();
+    let sim = SimBuilder::new(params)
+        .seed(3)
+        .input(threads.input.clone())
+        .protocol(make)
+        .adversary(StandardAdversary::new(
+            UniformDelay::new(),
+            CrashPlan::none(),
+        ))
+        .build()
+        .run()
+        .unwrap();
+    sim.verify_downloads(&threads.input).unwrap();
+    (sim.query_counts, threads.query_counts)
+}
+
+#[test]
+fn both_backends_report_the_same_per_peer_q() {
+    // Schedule-independent Q: every peer reads all n bits, or exactly its
+    // own balanced share.
+    let (sim, threads) = query_counts_in_both_backends(300, 4, |_| NaiveDownload::new());
+    assert_eq!(sim, threads);
+    assert_eq!(sim, vec![300; 4]);
+    let (n, k) = (1000, 7);
+    let (sim, threads) = query_counts_in_both_backends(n, k, move |_| BalancedDownload::new(n, k));
+    assert_eq!(sim, threads);
+    assert_eq!(sim.iter().sum::<u64>(), n as u64);
 }
 
 #[test]
