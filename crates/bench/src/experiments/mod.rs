@@ -8,9 +8,7 @@ pub mod lower_bound;
 pub mod msg_size;
 pub mod multi_cycle;
 pub mod oracle;
-pub mod serve;
 pub mod strategy_ablation;
-pub mod suite;
 pub mod synchrony;
 pub mod table1;
 pub mod two_cycle;
@@ -35,11 +33,5 @@ pub fn run_all_metered(sink: &mut MetricsSink) -> Vec<Table> {
     tables.extend(strategy_ablation::run_metered(sink));
     tables.extend(synchrony::run_metered(sink));
     tables.extend(exhaustive::run_metered(sink));
-    // `suite` is deliberately absent: it is the meta-experiment that
-    // *times* the twelve above plus the chaos campaign (run it via
-    // `dr experiments --only suite`). `serve` is also
-    // run separately (`dr serve-bench`): it measures wall clock against
-    // a throttled upstream, so batching it with the deterministic
-    // experiments would only slow them down.
     tables
 }

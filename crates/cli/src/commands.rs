@@ -316,59 +316,6 @@ pub fn oracle(args: &Args) -> Result<(), ArgError> {
     Ok(())
 }
 
-/// `dr serve-bench` — drive the multi-client front door and report
-/// requests/s, latency percentiles, amortized Q, and coalesce rate.
-pub fn serve_bench(args: &Args) -> Result<(), ArgError> {
-    use dr_bench::experiments::serve;
-    args.reject_unknown(&[
-        "grid",
-        "clients",
-        "requests",
-        "range-bits",
-        "hot",
-        "peers",
-        "throttle-us",
-        "json",
-    ])?;
-    let base = match args.get_or("grid", "full") {
-        "full" => serve::ServeGrid::full(),
-        "smoke" => serve::ServeGrid::smoke(),
-        other => return Err(ArgError(format!("unknown --grid '{other}'"))),
-    };
-    let grid = serve::ServeGrid {
-        clients: args.num("clients", base.clients)?,
-        requests_per_client: args.num("requests", base.requests_per_client)?,
-        range_bits: args.num("range-bits", base.range_bits)?,
-        hot_ranges: args.num("hot", base.hot_ranges)?,
-        peers: args.num("peers", base.peers)?,
-        throttle_us: args.num("throttle-us", base.throttle_us)?,
-    };
-    if grid.clients == 0 || grid.requests_per_client == 0 || grid.peers == 0 {
-        return Err(ArgError(
-            "--clients, --requests, and --peers must be positive".into(),
-        ));
-    }
-    if !grid.range_bits.is_multiple_of(64) || grid.range_bits == 0 {
-        return Err(ArgError(
-            "--range-bits must be a positive multiple of 64".into(),
-        ));
-    }
-    if grid.hot_ranges == 0 || grid.hot_ranges > grid.requests_per_client {
-        return Err(ArgError("--hot must be in 1..=requests".into()));
-    }
-    let records = serve::run_grid(&grid);
-    for table in serve::tables(&records) {
-        print!("{table}");
-    }
-    serve::gate(&records);
-    if let Some(dir) = args.get("json") {
-        let path = serve::write_json(std::path::Path::new(dir), &records)
-            .map_err(|e| ArgError(format!("failed to write metrics to {dir}: {e}")))?;
-        eprintln!("wrote {}", path.display());
-    }
-    Ok(())
-}
-
 /// `dr explore` — exhaustively enumerate message schedules.
 pub fn explore(args: &Args) -> Result<(), ArgError> {
     args.reject_unknown(&["n", "k", "seed", "max-schedules", "crash", "protocol"])?;
@@ -622,10 +569,6 @@ pub fn experiments(args: &Args) -> Result<(), ArgError> {
         Some("strategy_ablation") => exp::strategy_ablation::run_metered(&mut sink),
         Some("synchrony") => exp::synchrony::run_metered(&mut sink),
         Some("exhaustive") => exp::exhaustive::run_metered(&mut sink),
-        Some("suite") => exp::suite::run_metered(&mut sink),
-        // The serving benchmark writes its own BENCH_serve.json schema;
-        // use `dr serve-bench --json <dir>` for that. Here it only prints.
-        Some("serve") => exp::serve::run(),
         Some(other) => return Err(ArgError(format!("unknown experiment '{other}'"))),
     };
     for table in tables {

@@ -15,9 +15,6 @@
 //!            [--shrink <0|1>] [--replay <chaos_repro_*.json>]
 //! dr lint    [--root <dir>] [--format <text|json>]
 //! dr experiments [--only <name>] [--json <dir>] [--threads <n>] [--trials <n>]
-//! dr serve-bench [--grid <full|smoke>] [--clients <n>] [--requests <n>]
-//!            [--range-bits <bits>] [--hot <n>] [--peers <k>] [--throttle-us <µs>]
-//!            [--json <dir>]
 //! ```
 
 mod args;
@@ -47,10 +44,7 @@ USAGE:
   dr experiments [--json <dir>] [--threads <n>] [--trials <n>]
                  [--only <table1|crash_single|crash_scaling|byz_committee|two_cycle|
                   multi_cycle|lower_bound|oracle|msg_size|strategy_ablation|
-                  synchrony|exhaustive|suite|serve>]
-  dr serve-bench [--grid <full|smoke>] [--clients <n>] [--requests <n>]
-                 [--range-bits <bits>] [--hot <n>] [--peers <k>] [--throttle-us <µs>]
-                 [--json <dir>]       multi-client front-door load benchmark
+                  synchrony|exhaustive>]
 ";
 
 fn main() -> ExitCode {
@@ -75,7 +69,6 @@ fn main() -> ExitCode {
         "chaos" => commands::chaos(&args),
         "lint" => commands::lint(&args),
         "experiments" => commands::experiments(&args),
-        "serve-bench" => commands::serve_bench(&args),
         other => Err(args::ArgError(format!("unknown subcommand '{other}'"))),
     };
     match result {

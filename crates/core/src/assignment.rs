@@ -10,7 +10,6 @@
 //! a deterministic function of the missing peer's bit set.
 
 use crate::peer::PeerId;
-use serde::{Deserialize, Serialize};
 
 /// An assignment of each input bit to the peer responsible for querying it.
 ///
@@ -24,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(a.peer_for(4), PeerId(1));
 /// assert_eq!(a.bits_of(PeerId(0)), vec![0, 3, 6, 9]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Assignment {
     num_peers: usize,
     owner: Vec<u32>,

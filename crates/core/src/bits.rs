@@ -8,7 +8,6 @@
 //! and messages arrive, and the protocol terminates once nothing is unknown.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
@@ -157,7 +156,7 @@ impl MaskWord {
 /// first mutation of a shared array transparently un-shares it. This is
 /// what makes broadcast payloads in the simulator zero-copy — `k − 1`
 /// clones of an `n`-bit message cost `O(k)`, not `O(k·n)` — while
-/// `Eq`/`Hash`/`Ord`/serde all keep value semantics over the bit
+/// `Eq`/`Hash`/`Ord` all keep value semantics over the bit
 /// contents, never the sharing state. Comparing two arrays that share a
 /// buffer is a pointer compare, not a word scan: `cmp` checks for it, and
 /// the derived `eq` gets it from `Arc`'s own same-allocation shortcut.
@@ -179,7 +178,7 @@ impl MaskWord {
 /// assert!(!x.shares_buffer_with(&snapshot));
 /// assert!(!snapshot.get(4));
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct BitArray {
     len: usize,
     words: Arc<Vec<u64>>,
@@ -767,7 +766,7 @@ macro_rules! with_runs {
 /// assert_eq!(p.get(2), Some(true));
 /// assert_eq!(p.get(0), None);
 /// ```
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct PartialArray {
     values: BitArray,
     known: BitArray,

@@ -7,10 +7,9 @@
 //! bounds are stated in terms of (`β`, `γ = 1 − β`, `k − b`, …).
 
 use crate::error::InvalidParamsError;
-use serde::{Deserialize, Serialize};
 
 /// Which failure model the adversary operates under (§1.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultModel {
     /// Faulty peers halt permanently, possibly mid-send.
     Crash,
@@ -42,7 +41,7 @@ impl std::fmt::Display for FaultModel {
 /// assert_eq!(p.min_honest(), 12);
 /// # Ok::<(), dr_core::InvalidParamsError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModelParams {
     n: usize,
     k: usize,

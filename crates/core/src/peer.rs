@@ -6,7 +6,6 @@
 //! used pervasively by protocols to track which peers they have heard from
 //! (the paper's `CORRECT` sets) and which peers are still missing.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a peer in the range `0..k`.
@@ -20,7 +19,7 @@ use std::fmt;
 /// assert_eq!(p.index(), 3);
 /// assert_eq!(p.to_string(), "p3");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PeerId(pub usize);
 
 impl PeerId {
@@ -58,7 +57,7 @@ impl From<usize> for PeerId {
 /// let ids: Vec<_> = s.iter().map(|p| p.index()).collect();
 /// assert_eq!(ids, vec![1, 5]);
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct PeerSet {
     universe: usize,
     words: Vec<u64>,

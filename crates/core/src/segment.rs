@@ -8,12 +8,11 @@
 //! decision-tree machinery operate on.
 
 use crate::bits::BitArray;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Range;
 
 /// Identifier of a segment within a [`Segmentation`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SegmentId(pub usize);
 
 impl SegmentId {
@@ -43,7 +42,7 @@ impl fmt::Display for SegmentId {
 /// assert_eq!(seg.range(SegmentId(0)), 0..3);
 /// assert_eq!(seg.range(SegmentId(2)), 6..10);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Segmentation {
     n: usize,
     count: usize,
@@ -135,7 +134,7 @@ impl Segmentation {
 ///
 /// Two segment strings are *overlapping* when they name the same segment and
 /// *consistent* when in addition their bits agree (i.e. they are equal).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SegmentString {
     /// Which segment this string claims a value for.
     pub segment: SegmentId,

@@ -23,7 +23,7 @@
 //! Each request gets a [`RequestOutcome`] with its bits, wall-clock
 //! latency split into gate wait vs. service time, and the aggregated
 //! [`ReadReceipt`] — `metered_bits` is the request's *attributed* share of
-//! upstream `Q`, the quantity `dr serve-bench` tracks cold vs. warm.
+//! upstream `Q`: the full range on a cold read, zero on a warm one.
 
 use dr_core::sync::{Condvar, Mutex, PoisonError};
 use dr_core::{AdmissionPlane, BitArray, PeerId, PlaneHandle, QueryMeter, ReadReceipt, Source};
@@ -37,29 +37,20 @@ use std::time::{Duration, Instant};
 pub struct ServeConfig {
     /// Fleet size: requests are striped over this many metered peers.
     pub num_peers: usize,
-    /// Cache shards in the admission plane.
-    pub shards: usize,
     /// Maximum concurrently-served requests; further callers block at the
     /// admission gate until a slot frees.
     pub max_in_flight: usize,
 }
 
 impl ServeConfig {
-    /// A front door over `num_peers` peers with one cache shard per peer
-    /// and an in-flight bound of `2 × num_peers`.
+    /// A front door over `num_peers` peers with an in-flight bound of
+    /// `2 × num_peers`. Its admission plane keeps one cache shard per peer.
     pub fn new(num_peers: usize) -> Self {
         assert!(num_peers > 0, "front door needs at least one peer");
         ServeConfig {
             num_peers,
-            shards: num_peers,
             max_in_flight: 2 * num_peers,
         }
-    }
-
-    /// Overrides the cache shard count.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
     }
 
     /// Overrides the in-flight admission bound.
@@ -158,13 +149,6 @@ pub struct RequestOutcome {
     pub service: Duration,
 }
 
-impl RequestOutcome {
-    /// Total request latency as seen by the client.
-    pub fn latency(&self) -> Duration {
-        self.queued + self.service
-    }
-}
-
 /// An in-process multi-client download service: bounded admission in
 /// front of an [`AdmissionPlane`]-backed peer fleet.
 ///
@@ -196,7 +180,7 @@ impl FrontDoor {
     /// Builds a front door serving `source` through a fresh admission
     /// plane.
     pub fn new(source: impl Source + 'static, config: ServeConfig) -> Self {
-        let plane = AdmissionPlane::new(source, config.num_peers, config.shards.max(1));
+        let plane = AdmissionPlane::new(source, config.num_peers, config.num_peers);
         let fleet = (0..config.num_peers)
             .map(|p| plane.handle(PeerId(p)))
             .collect();
@@ -396,23 +380,58 @@ mod tests {
         assert_eq!(door.plane().cache().stats().upstream_bits, 2048);
     }
 
+    /// An upstream that sleeps on every `bits` call, as a remote source
+    /// would, so concurrent misses are still in flight when other clients
+    /// reach the same words.
+    struct Throttled(ArraySource);
+
+    impl Source for Throttled {
+        fn len(&self) -> usize {
+            self.0.len()
+        }
+        fn bit(&self, index: usize) -> bool {
+            self.0.bit(index)
+        }
+        fn bits(&self, range: Range<usize>) -> BitArray {
+            thread::sleep(Duration::from_micros(200));
+            Source::bits(&self.0, range)
+        }
+    }
+
     #[test]
     fn concurrent_overlapping_requests_pay_once_total() {
-        let (door, input) = door(4096, 4, 5);
-        // dr-lint: allow(raw-thread-spawn): concurrent client threads in a test, joined by scope exit
-        thread::scope(|scope| {
-            for _ in 0..6 {
-                let door = door.clone();
-                let input = &input;
-                scope.spawn(move || {
-                    let out = door.serve(0..4096);
-                    assert_eq!(&out.bits, input);
-                });
+        let (instant, input) = door(4096, 4, 5);
+        let throttled = FrontDoor::new(
+            Throttled(ArraySource::new(input.clone())),
+            ServeConfig::new(4),
+        );
+        for door in [instant, throttled] {
+            // dr-lint: allow(raw-thread-spawn): concurrent client threads in a test, joined by scope exit
+            let outcomes: Vec<RequestOutcome> = thread::scope(|scope| {
+                let clients: Vec<_> = (0..6)
+                    .map(|_| {
+                        let door = door.clone();
+                        scope.spawn(move || door.serve(0..4096))
+                    })
+                    .collect();
+                clients
+                    .into_iter()
+                    .map(|c| c.join().expect("client thread panicked"))
+                    .collect()
+            });
+            // Only what holds under every interleaving: whether a word is
+            // a hit, coalesced or fetched depends on timing.
+            for out in &outcomes {
+                assert_eq!(out.bits, input);
+                let r = &out.receipt;
+                assert_eq!(r.hit_words + r.coalesced_words + r.fetched_words, 64);
             }
-        });
-        // Six clients, one array: the plane pays n bits upstream, total.
-        assert_eq!(door.plane().cache().stats().upstream_bits, 4096);
-        assert_eq!(door.meter().counts().iter().sum::<u64>(), 4096);
+            // Six clients, one array: the plane pays n bits upstream, total.
+            let fetched: u64 = outcomes.iter().map(|o| o.receipt.fetched_bits).sum();
+            assert_eq!(fetched, 4096);
+            assert_eq!(door.plane().cache().stats().upstream_bits, 4096);
+            assert_eq!(door.meter().counts().iter().sum::<u64>(), 4096);
+        }
     }
 
     #[test]
