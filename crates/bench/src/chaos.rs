@@ -24,6 +24,7 @@
 //! violation → shrink → replay pipeline in tests and CI.
 
 use crate::par;
+use dr_core::{json::ToJson, json_enum, json_struct};
 use dr_core::{
     BitArray, Context, FaultModel, ModelParams, PartialArray, PeerId, Protocol, ProtocolMessage,
 };
@@ -36,12 +37,11 @@ use dr_sim::{
     Agent, ChurnMixer, LossyLinks, PartitionHealer, RecordingAdversary, ReplayAdversary,
     ScheduleTrace, SilentAgent, SimBuilder, TraceHandle,
 };
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
 /// Protocol under test in a chaos case.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProtocolKind {
     /// Algorithm 1 (`crash::single`), crash model.
     CrashSingle,
@@ -57,6 +57,10 @@ pub enum ProtocolKind {
     /// [`default_cases`], used to exercise the shrink/replay pipeline.
     Fragile,
 }
+
+json_enum!(ToJson, FromJson for ProtocolKind {
+    CrashSingle, CrashMulti, Committee, TwoCycle, MultiCycle, Fragile
+});
 
 impl ProtocolKind {
     /// Short stable label used in reports and filenames.
@@ -82,7 +86,7 @@ impl ProtocolKind {
 }
 
 /// Adversary configuration of a chaos case.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdversaryKind {
     /// [`AdaptiveCrasher`] targeting the most advanced peers.
     AdaptiveCrash,
@@ -103,6 +107,10 @@ pub enum AdversaryKind {
     ChurnMixer,
 }
 
+json_enum!(ToJson, FromJson for AdversaryKind {
+    AdaptiveCrash, HoldHeavy, ChaosMild, ChaosAggressive, PartitionHealer, LossyLinks, ChurnMixer
+});
+
 impl AdversaryKind {
     /// Short stable label used in reports.
     pub fn label(self) -> &'static str {
@@ -119,7 +127,7 @@ impl AdversaryKind {
 }
 
 /// One (protocol, adversary, size) combination of a campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CaseConfig {
     /// Protocol under test.
     pub protocol: ProtocolKind,
@@ -136,6 +144,8 @@ pub struct CaseConfig {
     /// adversaries.
     pub drop_permille: u16,
 }
+
+json_struct!(ToJson, FromJson for CaseConfig { protocol, adversary, n, k, b, drop_permille });
 
 impl CaseConfig {
     /// Heal horizon (time units) of [`PartitionHealer`] cases.
@@ -172,11 +182,10 @@ impl CaseConfig {
         self.b - self.byz_count()
     }
 
-    fn params(&self) -> ModelParams {
+    fn params(&self) -> Result<ModelParams, dr_core::InvalidParamsError> {
         ModelParams::builder(self.n, self.k)
             .faults(self.protocol.fault_model(), self.b)
             .build()
-            .expect("valid chaos case params")
     }
 
     fn envelope(&self) -> CostEnvelope {
@@ -300,7 +309,7 @@ where
     F: FnMut(PeerId) -> P + Send + 'static,
 {
     let (recorder, handle) = make_recorded::<M>(case, seed, &adv);
-    let mut builder = SimBuilder::new(case.params())
+    let mut builder = SimBuilder::new(case.params().expect("valid chaos case params"))
         .seed(seed)
         .protocol(factory)
         .adversary(recorder);
@@ -485,7 +494,7 @@ pub fn run_campaign(campaign: &Campaign) -> CampaignReport {
 }
 
 /// A serializable failing-run reproducer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChaosRepro {
     /// The failing case.
     pub case: CaseConfig,
@@ -499,6 +508,8 @@ pub struct ChaosRepro {
     /// The minimal failing schedule.
     pub trace: ScheduleTrace,
 }
+
+json_struct!(ToJson, FromJson for ChaosRepro { case, seed, violation, fingerprint, trace });
 
 impl ChaosRepro {
     fn from_outcome(case: &CaseConfig, seed: u64, outcome: RunOutcome) -> Option<Self> {
@@ -532,18 +543,32 @@ pub fn replay_repro(repro: &ChaosRepro) -> RunOutcome {
 pub fn write_repro(dir: &Path, repro: &ChaosRepro) -> std::io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
     let path = dir.join(repro.filename());
-    std::fs::write(&path, serde::json::to_string_pretty(repro))?;
+    std::fs::write(&path, repro.to_json().pretty())?;
     Ok(path)
 }
 
-/// Loads a reproducer previously written by [`write_repro`].
+/// Loads a reproducer previously written by [`write_repro`] and checks
+/// that [`replay_repro`] can run it: valid [`ModelParams`] and a
+/// [`LinkFaultPlan::check`](dr_sim::LinkFaultPlan::check)-clean schedule.
 ///
 /// # Errors
 ///
-/// Fails on unreadable files or JSON not shaped like a [`ChaosRepro`].
+/// Fails on unreadable files, JSON not shaped like a [`ChaosRepro`], or a
+/// failed check; the message names the offending field.
 pub fn load_repro(path: &Path) -> Result<ChaosRepro, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path:?}: {e}"))?;
-    serde::json::from_str(&text).map_err(|e| format!("parse {path:?}: {e}"))
+    let repro: ChaosRepro =
+        dr_core::json::from_str(&text).map_err(|e| format!("parse {path:?}: {e}"))?;
+    repro
+        .case
+        .params()
+        .map_err(|e| format!("{path:?}: case: {e}"))?;
+    repro
+        .trace
+        .link_fault_plan()
+        .check(repro.case.k)
+        .map_err(|e| format!("{path:?}: trace.{e}"))?;
+    Ok(repro)
 }
 
 /// Shrinks the failing run `(case, seed)` to a 1-minimal failing
@@ -823,8 +848,8 @@ mod tests {
                 ..Default::default()
             },
         };
-        let text = serde::json::to_string_pretty(&repro);
-        let back: ChaosRepro = serde::json::from_str(&text).unwrap();
+        let text = repro.to_json().pretty();
+        let back: ChaosRepro = dr_core::json::from_str(&text).unwrap();
         assert_eq!(back, repro);
     }
 

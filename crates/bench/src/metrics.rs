@@ -13,8 +13,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
+use dr_core::json::{ToJson, Value};
+use dr_core::json_struct;
 use dr_sim::RunReport;
-use serde::{Deserialize, Serialize};
 
 use crate::par;
 use crate::stats::Stats;
@@ -43,7 +44,7 @@ pub fn trials() -> u64 {
 
 /// Model parameters a record was measured at. Fields that do not apply
 /// to an experiment (e.g. `a` outside the message-size sweep) are 0.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExperimentParams {
     /// Input length in bits.
     pub n: usize,
@@ -54,6 +55,8 @@ pub struct ExperimentParams {
     /// Message size bound in bits (0 where unbounded / not applicable).
     pub a: usize,
 }
+
+json_struct!(ToJson for ExperimentParams { n, k, b, a });
 
 impl ExperimentParams {
     /// Parameters with only `n` and `k` set.
@@ -168,7 +171,7 @@ where
 }
 
 /// One serialized row of experiment output.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentRecord {
     /// Experiment key (e.g. `"fig_multi_cycle"`); names the JSON file.
     pub experiment: String,
@@ -189,6 +192,10 @@ pub struct ExperimentRecord {
     /// Wall-clock seconds spent producing this record.
     pub wall_clock_secs: f64,
 }
+
+json_struct!(ToJson for ExperimentRecord {
+    experiment, label, params, trials, queries, time_units, messages, message_bits, wall_clock_secs
+});
 
 impl ExperimentRecord {
     /// Builds a record from a measurement.
@@ -249,13 +256,14 @@ impl MetricsSink {
         }
         let mut paths = Vec::new();
         for exp in experiments {
-            let rows: Vec<&ExperimentRecord> = self
+            let rows = self
                 .records
                 .iter()
                 .filter(|r| r.experiment == exp)
+                .map(ToJson::to_json)
                 .collect();
             let path = dir.join(format!("BENCH_{exp}.json"));
-            let mut text = serde::json::to_string_pretty(&rows);
+            let mut text = Value::Seq(rows).pretty();
             text.push('\n');
             std::fs::write(&path, text)?;
             paths.push(path);
@@ -301,6 +309,48 @@ mod tests {
         assert_eq!(r.time_units.count, 2);
     }
 
+    /// `sample_record()` as a `BENCH_*.json` row: floats keep `.0`, two-space indent.
+    const SAMPLE_ROW: &str = r#"  {
+    "experiment": "fig_demo",
+    "label": "alg2 β=0.5",
+    "params": {
+      "n": 8192,
+      "k": 64,
+      "b": 16,
+      "a": 1024
+    },
+    "trials": 2,
+    "queries": {
+      "count": 2,
+      "mean": 4.0,
+      "std": 1.4142135623730951,
+      "min": 3.0,
+      "max": 5.0
+    },
+    "time_units": {
+      "count": 2,
+      "mean": 11.0,
+      "std": 1.4142135623730951,
+      "min": 10.0,
+      "max": 12.0
+    },
+    "messages": {
+      "count": 2,
+      "mean": 42.0,
+      "std": 2.8284271247461903,
+      "min": 40.0,
+      "max": 44.0
+    },
+    "message_bits": {
+      "count": 2,
+      "mean": 672.0,
+      "std": 45.254833995939045,
+      "min": 640.0,
+      "max": 704.0
+    },
+    "wall_clock_secs": 0.25
+  }"#;
+
     #[test]
     fn sink_groups_files_by_experiment() {
         let mut sink = MetricsSink::new();
@@ -309,14 +359,12 @@ mod tests {
         other.experiment = "fig_other".to_string();
         sink.push(other);
         sink.push(sample_record());
-        let dir = std::env::temp_dir().join("dr_bench_metrics_test");
+        let dir = std::env::temp_dir().join(format!("dr_metrics_test_{}", std::process::id()));
         let paths = sink.write_json(&dir).expect("write metrics");
         assert_eq!(paths.len(), 2);
         assert!(paths[0].ends_with("BENCH_fig_demo.json"));
-        let text = std::fs::read_to_string(&paths[0]).unwrap();
-        let rows: Vec<ExperimentRecord> = serde::json::from_str(&text).unwrap();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0], sample_record());
+        let demo = std::fs::read_to_string(&paths[0]).unwrap();
+        assert_eq!(demo, format!("[\n{SAMPLE_ROW},\n{SAMPLE_ROW}\n]\n"));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,9 +1,7 @@
 //! Small-sample statistics for multi-trial experiments.
 
-use serde::{Deserialize, Serialize};
-
 /// Summary statistics of a sample.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Stats {
     /// Number of observations.
     pub count: usize,
@@ -16,6 +14,8 @@ pub struct Stats {
     /// Maximum observation.
     pub max: f64,
 }
+
+dr_core::json_struct!(ToJson for Stats { count, mean, std, min, max });
 
 impl Stats {
     /// Computes statistics over a sample.

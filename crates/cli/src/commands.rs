@@ -378,7 +378,9 @@ pub fn explore(args: &Args) -> Result<(), ArgError> {
 
 /// `dr chaos` — run a chaos campaign (seeds × adversaries × protocols
 /// with invariant checks and failing-schedule shrinking), or replay a
-/// `chaos_repro_*.json` reproducer with `--replay`.
+/// `chaos_repro_*.json` reproducer with `--replay`. A `--replay` file that
+/// is malformed JSON, is not shaped like a reproducer, or names an
+/// impossible case or link-fault directive is an `error:` (exit 1).
 pub fn chaos(args: &Args) -> Result<(), ArgError> {
     use dr_bench::chaos::{load_repro, replay_repro, run_campaign, Campaign};
     args.reject_unknown(&[

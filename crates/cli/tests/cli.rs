@@ -142,7 +142,8 @@ fn committee_with_a_byzantine_half_is_an_error_not_a_panic() {
 fn bad_instance_flags_are_errors_naming_the_flag_not_panics() {
     // Each instance case used to exit 101 with a runner's panic, or, for
     // `explore`, print a PASS verdict for an instance that does not exist.
-    // The `chaos` and `experiments` cases pin their option checks.
+    // The `chaos` and `experiments` cases pin their option checks. (Paths
+    // are relative to this crate's root, the test's working directory.)
     let cases = [
         (
             "run --protocol alg2 --n 0 --k 4",
@@ -252,6 +253,18 @@ fn bad_instance_flags_are_errors_naming_the_flag_not_panics() {
             "chaos --runs-per-case x",
             "--runs-per-case",
             "expects a number",
+        ),
+        // Hostile `--replay` files from dr-bench's corpus: the first used to
+        // overflow the stack and abort, the second to exit 101.
+        (
+            "chaos --replay ../bench/tests/repro_corpus/malformed/deep_nesting.json",
+            "deep_nesting.json",
+            "nesting deeper than 64 at byte 64",
+        ),
+        (
+            "chaos --replay ../bench/tests/repro_corpus/malformed/zero_peers.json",
+            "zero_peers.json",
+            "case: invalid model parameters: peer count k must be positive",
         ),
         ("experiments --threads 0", "--threads", "must be positive"),
         ("experiments --trials 0", "--trials", "must be positive"),

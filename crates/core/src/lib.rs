@@ -29,7 +29,9 @@
 //! * [`ModelParams`] — validated instance parameters (`n`, `k`, `b`, `a`);
 //! * [`Protocol`] / [`Context`] / [`ProtocolMessage`] — the event-driven
 //!   state-machine abstraction that both the discrete-event simulator
-//!   (`dr-sim`) and the thread runtime (`dr-runtime`) drive.
+//!   (`dr-sim`) and the thread runtime (`dr-runtime`) drive;
+//! * [`json`] — the small JSON codec of chaos reproducers and experiment
+//!   records.
 //!
 //! # Examples
 //!
@@ -57,6 +59,7 @@ mod cached;
 mod chunked;
 pub mod collections;
 mod error;
+pub mod json;
 mod params;
 mod peer;
 mod protocol;

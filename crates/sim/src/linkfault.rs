@@ -52,7 +52,7 @@
 use crate::adversary::{Adversary, Delivery};
 use crate::time::{Ticks, TICKS_PER_UNIT};
 use crate::view::View;
-use dr_core::{PeerId, ProtocolMessage};
+use dr_core::{json_struct, PeerId, ProtocolMessage};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -84,6 +84,8 @@ pub struct PartitionDirective {
     pub heal_tick: Ticks,
 }
 
+json_struct!(ToJson, FromJson for PartitionDirective { name, group, from_tick, heal_tick });
+
 impl PartitionDirective {
     /// Whether this cut is active at `now`.
     pub fn active_at(&self, now: Ticks) -> bool {
@@ -102,6 +104,8 @@ pub struct ChurnDirective {
     /// Tick at which the peer rejoins (must be after `leave`).
     pub rejoin: Ticks,
 }
+
+json_struct!(ToJson, FromJson for ChurnDirective { peer, leave, rejoin });
 
 /// Bounded-retry policy for dropped transmissions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -146,6 +150,36 @@ impl LinkFaultPlan {
     pub fn is_trivial(&self) -> bool {
         self.partitions.is_empty() && self.churn.is_empty()
     }
+
+    /// Checks every directive against the peer count `k`: each named peer
+    /// is `< k`, and each heal/rejoin tick comes after its window opens.
+    ///
+    /// # Errors
+    ///
+    /// Names the first malformed directive by field and index.
+    pub fn check(&self, k: usize) -> Result<(), String> {
+        for (i, p) in self.partitions.iter().enumerate() {
+            if let Some(peer) = p.group.iter().find(|peer| peer.index() >= k) {
+                return Err(format!(
+                    "partitions[{i}].group: peer {peer} out of range (k={k})"
+                ));
+            }
+            if p.heal_tick <= p.from_tick {
+                return Err(format!(
+                    "partitions[{i}] never active: heal_tick <= from_tick"
+                ));
+            }
+        }
+        for (i, c) in self.churn.iter().enumerate() {
+            if c.peer.index() >= k {
+                return Err(format!("churn[{i}].peer: {} out of range (k={k})", c.peer));
+            }
+            if c.rejoin <= c.leave {
+                return Err(format!("churn[{i}] never away: rejoin <= leave"));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// One cut in the precomputed runtime form: membership bitmap instead of
@@ -170,26 +204,16 @@ impl RuntimeLinkState {
     ///
     /// # Panics
     ///
-    /// Panics on malformed directives (out-of-range peers, heal/rejoin
-    /// not after the window start) — these are build-time configuration
-    /// errors, like an over-budget crash plan.
+    /// Panics when [`LinkFaultPlan::check`] fails — a build-time
+    /// configuration error, like an over-budget crash plan.
     pub(crate) fn new(plan: &LinkFaultPlan, k: usize) -> Self {
+        if let Err(e) = plan.check(k) {
+            panic!("malformed link-fault plan: {e}");
+        }
         let mut cuts = Vec::with_capacity(plan.partitions.len());
         for p in &plan.partitions {
-            assert!(
-                p.heal_tick > p.from_tick,
-                "partition {:?} never active: heal_tick {} <= from_tick {}",
-                p.name,
-                p.heal_tick,
-                p.from_tick
-            );
             let mut member = vec![false; k];
             for peer in &p.group {
-                assert!(
-                    peer.index() < k,
-                    "partition {:?} names out-of-range peer {peer} (k={k})",
-                    p.name
-                );
                 member[peer.index()] = true;
             }
             cuts.push(RuntimeCut {
@@ -200,18 +224,6 @@ impl RuntimeLinkState {
         }
         let mut away = vec![Vec::new(); k];
         for c in &plan.churn {
-            assert!(
-                c.peer.index() < k,
-                "churn directive names out-of-range peer {} (k={k})",
-                c.peer
-            );
-            assert!(
-                c.rejoin > c.leave,
-                "churn directive for {} never away: rejoin {} <= leave {}",
-                c.peer,
-                c.rejoin,
-                c.leave
-            );
             away[c.peer.index()].push((c.leave, c.rejoin));
         }
         RuntimeLinkState {

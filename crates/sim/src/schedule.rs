@@ -21,17 +21,17 @@ use crate::linkfault::{
 };
 use crate::time::Ticks;
 use crate::view::{PeerRole, View};
+use dr_core::json::ToJson;
 use dr_core::sync::{Mutex, MutexGuard, PoisonError};
-use dr_core::{PeerId, ProtocolMessage};
+use dr_core::{json_struct, PeerId, ProtocolMessage};
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// A recorded mid-send cut: on the `call`-th `crash_during_send`
 /// consultation, crash the sender keeping only the first `keep` messages
-/// of its batch. (A named struct because the vendored serde derive does
-/// not support tuples.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// of its batch. (A named struct, not a tuple: committed repro files
+/// encode it as `{"call", "keep"}` and must keep loading.)
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CutDecision {
     /// Index of the `crash_during_send` call this cut fires on.
     pub call: u64,
@@ -39,36 +39,10 @@ pub struct CutDecision {
     pub keep: usize,
 }
 
-/// A serialized [`PartitionDirective`]: a named cut separating `group`
-/// from everyone else over `[from_tick, heal_tick)`. (Peer IDs flatten to
-/// `u64` for the vendored serde derive.)
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PartitionSpec {
-    /// Human-readable cut name (diagnostics only).
-    pub name: String,
-    /// Peers on one side of the cut.
-    pub group: Vec<u64>,
-    /// First tick the cut is active.
-    pub from_tick: u64,
-    /// Tick at which the cut heals (exclusive).
-    pub heal_tick: u64,
-}
-
-/// A serialized [`ChurnDirective`]: `peer` is away over `[leave, rejoin)`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ChurnSpec {
-    /// The churning peer.
-    pub peer: u64,
-    /// Tick the peer leaves.
-    pub leave: u64,
-    /// Tick the peer rejoins (exclusive end of the away window).
-    pub rejoin: u64,
-}
-
 /// Every adversary decision of one run, in hook-call order.
 ///
-/// Encodings chosen for the vendored serde derive (no data-carrying enum
-/// variants, no tuples):
+/// Encodings kept from the first repro files, so they still load (no
+/// data-carrying enum variants, no tuples, peers as bare integers):
 /// * `sends[i] = None` means the `i`-th sent message was held,
 ///   `Some(t)` means it was delivered after `t` ticks;
 /// * `releases[q] = None` means the `q`-th quiescence released everything
@@ -76,7 +50,7 @@ pub struct ChurnSpec {
 /// * `crashes` lists the `crash_before_event` call indices that returned
 ///   `true` (sparse);
 /// * `cuts` lists the `crash_during_send` calls that cut a batch (sparse).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ScheduleTrace {
     /// Start offset (ticks) per `start_offset` call, in call order.
     pub start_offsets: Vec<u64>,
@@ -89,9 +63,9 @@ pub struct ScheduleTrace {
     /// Mid-send cuts by `crash_during_send` call index.
     pub cuts: Vec<CutDecision>,
     /// Partition directives of the recorded link-fault plan.
-    pub partitions: Vec<PartitionSpec>,
+    pub partitions: Vec<PartitionDirective>,
     /// Churn directives of the recorded link-fault plan.
-    pub churn: Vec<ChurnSpec>,
+    pub churn: Vec<ChurnDirective>,
     /// Retransmission backoff base (ticks) of the recorded plan.
     pub backoff_base: u64,
     /// Retry cap of the recorded plan.
@@ -104,6 +78,12 @@ pub struct ScheduleTrace {
     /// marks the replay itself as lossy.
     pub transmits: Vec<bool>,
 }
+
+json_struct!(ToJson, FromJson for CutDecision { call, keep });
+json_struct!(ToJson, FromJson for ScheduleTrace {
+    start_offsets, sends, releases, crashes, cuts, partitions, churn, backoff_base, max_retries,
+    fail_fast, transmits
+});
 
 impl ScheduleTrace {
     /// Total fault directives (crashes + cuts) — the quantity the chaos
@@ -129,25 +109,8 @@ impl ScheduleTrace {
     /// fault-free adversaries).
     pub fn link_fault_plan(&self) -> LinkFaultPlan {
         LinkFaultPlan {
-            partitions: self
-                .partitions
-                .iter()
-                .map(|p| PartitionDirective {
-                    name: p.name.clone(),
-                    group: p.group.iter().map(|&i| PeerId(i as usize)).collect(),
-                    from_tick: p.from_tick,
-                    heal_tick: p.heal_tick,
-                })
-                .collect(),
-            churn: self
-                .churn
-                .iter()
-                .map(|c| ChurnDirective {
-                    peer: PeerId(c.peer as usize),
-                    leave: c.leave,
-                    rejoin: c.rejoin,
-                })
-                .collect(),
+            partitions: self.partitions.clone(),
+            churn: self.churn.clone(),
             retransmit: RetransmitPolicy {
                 backoff_base: self.backoff_base,
                 max_retries: self.max_retries as u32,
@@ -159,25 +122,8 @@ impl ScheduleTrace {
     /// Writes `plan` into the trace's link-fault fields (the inverse of
     /// [`link_fault_plan`](Self::link_fault_plan)).
     pub fn set_link_fault_plan(&mut self, plan: &LinkFaultPlan) {
-        self.partitions = plan
-            .partitions
-            .iter()
-            .map(|p| PartitionSpec {
-                name: p.name.clone(),
-                group: p.group.iter().map(|pid| pid.index() as u64).collect(),
-                from_tick: p.from_tick,
-                heal_tick: p.heal_tick,
-            })
-            .collect();
-        self.churn = plan
-            .churn
-            .iter()
-            .map(|c| ChurnSpec {
-                peer: c.peer.index() as u64,
-                leave: c.leave,
-                rejoin: c.rejoin,
-            })
-            .collect();
+        self.partitions = plan.partitions.clone();
+        self.churn = plan.churn.clone();
         self.backoff_base = plan.retransmit.backoff_base;
         self.max_retries = u64::from(plan.retransmit.max_retries);
         self.fail_fast = plan.retransmit.fail_fast;
@@ -186,7 +132,7 @@ impl ScheduleTrace {
     /// Stable content hash (FNV-1a over the canonical JSON rendering),
     /// used to name `chaos_repro_<hash>.json` files.
     pub fn content_hash(&self) -> u64 {
-        let text = serde::json::to_string(self);
+        let text = self.to_json().to_string();
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for b in text.bytes() {
             h ^= b as u64;
@@ -509,14 +455,14 @@ mod tests {
             releases: vec![None, Some(vec![0, 2])],
             crashes: vec![3],
             cuts: vec![CutDecision { call: 7, keep: 1 }],
-            partitions: vec![PartitionSpec {
+            partitions: vec![PartitionDirective {
                 name: "half".into(),
-                group: vec![0, 2],
+                group: vec![PeerId(0), PeerId(2)],
                 from_tick: 0,
                 heal_tick: 4096,
             }],
-            churn: vec![ChurnSpec {
-                peer: 1,
+            churn: vec![ChurnDirective {
+                peer: PeerId(1),
                 leave: 100,
                 rejoin: 5000,
             }],
@@ -525,8 +471,8 @@ mod tests {
             fail_fast: true,
             transmits: vec![true, false, true],
         };
-        let text = serde::json::to_string_pretty(&trace);
-        let back: ScheduleTrace = serde::json::from_str(&text).unwrap();
+        let text = trace.to_json().pretty();
+        let back: ScheduleTrace = dr_core::json::from_str(&text).unwrap();
         assert_eq!(back, trace);
         assert_eq!(back.content_hash(), trace.content_hash());
     }
