@@ -83,6 +83,58 @@ impl ProtocolKind {
             _ => FaultModel::Byzantine,
         }
     }
+
+    /// The preconditions this protocol's constructor asserts beyond what
+    /// [`ModelParams`] checks, at `k` peers with Byzantine budget `t`.
+    /// `dr`'s flag checks and [`load_repro`] both call it, so a bad
+    /// instance is an error before it can be a constructor's panic.
+    ///
+    /// # Errors
+    ///
+    /// The [`ProtocolLimit`] the instance breaks.
+    pub fn check_limits(self, k: usize, t: usize) -> Result<(), ProtocolLimit> {
+        match self {
+            ProtocolKind::CrashSingle if k < 3 => Err(ProtocolLimit::TooFewPeers { k }),
+            ProtocolKind::Committee if 2 * t >= k => Err(ProtocolLimit::ByzantineHalf { k, t }),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// A protocol precondition an instance breaks (see
+/// [`ProtocolKind::check_limits`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ProtocolLimit {
+    /// Algorithm 1 needs `k >= 3`: its Overlap Lemma intersects two
+    /// `(k−1)`-subsets of the peers.
+    TooFewPeers {
+        /// The peer count asked for.
+        k: usize,
+    },
+    /// The committee protocol needs `2t < k`: with half or more of the
+    /// peers Byzantine, Thm 3.1 forces `Q = n` on every deterministic
+    /// protocol.
+    ByzantineHalf {
+        /// The peer count asked for.
+        k: usize,
+        /// The Byzantine budget asked for.
+        t: usize,
+    },
+}
+
+impl fmt::Display for ProtocolLimit {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            ProtocolLimit::TooFewPeers { k } => {
+                write!(f, "Algorithm 1 needs k >= 3 peers, got k={k}")
+            }
+            ProtocolLimit::ByzantineHalf { k, t } => write!(
+                f,
+                "the committee protocol needs 2·t < k, got t={t}, k={k}: with half or more \
+                 of the peers Byzantine, Thm 3.1 forces Q = n on every deterministic protocol"
+            ),
+        }
+    }
 }
 
 /// Adversary configuration of a chaos case.
@@ -547,8 +599,19 @@ pub fn write_repro(dir: &Path, repro: &ChaosRepro) -> std::io::Result<PathBuf> {
     Ok(path)
 }
 
+/// Largest input length [`load_repro`] accepts, far above the chaos
+/// grid's largest case (`n = 512`): a replay allocates the input and
+/// per-peer state of this many bits.
+pub const MAX_REPRO_N: usize = 1 << 16;
+
+/// Largest peer count [`load_repro`] accepts, far above the chaos grid's
+/// largest case (`k = 64`).
+pub const MAX_REPRO_K: usize = 1 << 10;
+
 /// Loads a reproducer previously written by [`write_repro`] and checks
-/// that [`replay_repro`] can run it: valid [`ModelParams`] and a
+/// that [`replay_repro`] can run it: `n` and `k` within [`MAX_REPRO_N`]
+/// and [`MAX_REPRO_K`], valid [`ModelParams`], the protocol's
+/// [`ProtocolKind::check_limits`], and a
 /// [`LinkFaultPlan::check`](dr_sim::LinkFaultPlan::check)-clean schedule.
 ///
 /// # Errors
@@ -559,9 +622,22 @@ pub fn load_repro(path: &Path) -> Result<ChaosRepro, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path:?}: {e}"))?;
     let repro: ChaosRepro =
         dr_core::json::from_str(&text).map_err(|e| format!("parse {path:?}: {e}"))?;
-    repro
-        .case
-        .params()
+    let case = &repro.case;
+    if case.n > MAX_REPRO_N {
+        return Err(format!(
+            "{path:?}: case.n: {} exceeds the replay cap MAX_REPRO_N = {MAX_REPRO_N}",
+            case.n
+        ));
+    }
+    if case.k > MAX_REPRO_K {
+        return Err(format!(
+            "{path:?}: case.k: {} exceeds the replay cap MAX_REPRO_K = {MAX_REPRO_K}",
+            case.k
+        ));
+    }
+    case.params().map_err(|e| format!("{path:?}: case: {e}"))?;
+    case.protocol
+        .check_limits(case.k, case.b)
         .map_err(|e| format!("{path:?}: case: {e}"))?;
     repro
         .trace

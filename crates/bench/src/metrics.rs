@@ -21,7 +21,6 @@ use crate::par;
 use crate::stats::Stats;
 
 /// Process-wide override set by [`set_trials`]; 0 means "not set".
-// dr-lint: allow(sync-primitive-outside-facade): process-global config cell; statics cannot hold loom primitives (each model execution needs fresh objects)
 static TRIALS_OVERRIDE: AtomicU64 = AtomicU64::new(0);
 
 /// Overrides the per-row trial count for the whole process (from `dr`'s

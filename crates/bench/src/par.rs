@@ -12,7 +12,6 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Process-wide override set by [`set_threads`]; 0 means "not set".
-// dr-lint: allow(sync-primitive-outside-facade): process-global config cell; statics cannot hold loom primitives (each model execution needs fresh objects)
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
 /// Overrides the thread count for the whole process (from `dr`'s
@@ -55,7 +54,6 @@ where
     if workers <= 1 {
         return (0..count).map(f).collect();
     }
-    // dr-lint: allow(sync-primitive-outside-facade): a claim counter local to one fan-out; it guards no data for a loom model to see
     let next = AtomicUsize::new(0);
     let work = || {
         let mut done = Vec::new();

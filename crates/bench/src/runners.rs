@@ -273,9 +273,9 @@ pub fn zeros(n: usize) -> BitArray {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dr_core::sync::{Arc, Mutex};
     use dr_core::{ChunkedSource, Context};
     use dr_protocols::MultiCrashMsg;
+    use std::sync::{Arc, Mutex};
 
     #[test]
     fn all_runners_produce_verified_reports() {

@@ -8,7 +8,7 @@
 
 use dr_bench::runners::{average, average_par};
 use dr_bench::{par, Stats};
-use dr_core::sync::Mutex;
+use std::sync::Mutex;
 
 /// A deterministic, seed-sensitive stand-in for a simulation run.
 fn fake_trial(seed: u64) -> f64 {

@@ -27,8 +27,20 @@ fn malformed_corpus_is_rejected_naming_the_fault() {
     let expected = [
         ("churn_peer_out_of_range", "trace.churn[0].peer: p4"),
         ("churn_rejoin_not_after_leave", "churn[0] never away"),
+        (
+            "committee_byzantine_half",
+            "case: the committee protocol needs 2·t < k, got t=2, k=4",
+        ),
+        (
+            "crash_single_two_peers",
+            "case: Algorithm 1 needs k >= 3 peers, got k=2",
+        ),
         ("deep_nesting", "nesting deeper than 64 at byte 64"),
         ("drop_permille_overflow", "expected u16, found 70000"),
+        (
+            "huge_n",
+            "case.n: 1099511627776 exceeds the replay cap MAX_REPRO_N = 65536",
+        ),
         ("partition_heal_not_after_from", "never active"),
         ("partition_peer_out_of_range", "group: peer p9"),
         ("trailing_garbage", "trailing input at byte 500"),

@@ -1,6 +1,7 @@
 //! Subcommand implementations.
 
 use crate::args::{ArgError, Args};
+use dr_bench::chaos::{ProtocolKind, ProtocolLimit};
 use dr_bench::runners::{self, ByzMix};
 use dr_core::{BitArray, FaultModel, ModelParams, ModelParamsBuilder, PeerId};
 use dr_protocols::lower_bound::{deterministic_attack, AttackOutcome};
@@ -61,26 +62,23 @@ fn check_crashes(crashes: usize, b: usize) -> Result<(), ArgError> {
     )))
 }
 
-/// Algorithm 1's precondition (its constructor asserts it).
-fn check_alg1(k: usize) -> Result<(), ArgError> {
-    if k >= 3 {
-        return Ok(());
-    }
-    Err(ArgError(format!(
-        "--protocol alg1 needs --k >= 3, got --k {k}"
-    )))
-}
-
-/// The committee protocol's precondition, checked where the flags enter so
-/// a bad pair is an error message, not the constructor's assertion.
-fn check_committee_budget(k: usize, t: usize, flag: &str) -> Result<(), ArgError> {
-    if 2 * t < k {
-        return Ok(());
-    }
-    Err(ArgError(format!(
-        "--protocol committee needs 2·{flag} < --k (got {flag}={t}, --k={k}): with half or \
-         more of the peers Byzantine, Thm 3.1 forces Q = n on every deterministic protocol"
-    )))
+/// A protocol constructor's preconditions ([`ProtocolKind::check_limits`]),
+/// checked where the flags enter so a bad instance is an error naming
+/// them, not the constructor's assertion. `t_flag` names the flag that
+/// set the Byzantine budget `t`.
+fn check_limits(protocol: ProtocolKind, k: usize, t: usize, t_flag: &str) -> Result<(), ArgError> {
+    protocol.check_limits(k, t).map_err(|limit| {
+        ArgError(match limit {
+            ProtocolLimit::TooFewPeers { k } => {
+                format!("--protocol alg1 needs --k >= 3, got --k {k}")
+            }
+            ProtocolLimit::ByzantineHalf { k, t } => format!(
+                "--protocol committee needs 2·{t_flag} < --k (got {t_flag}={t}, --k={k}): with \
+                 half or more of the peers Byzantine, Thm 3.1 forces Q = n on every \
+                 deterministic protocol"
+            ),
+        })
+    })
 }
 
 /// `dr run` — execute one protocol under the standard adversary.
@@ -120,7 +118,7 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
             r
         }
         "alg1" => {
-            check_alg1(k)?;
+            check_limits(ProtocolKind::CrashSingle, k, 0, "")?;
             runners::run_single_crash(n, k, seed, (crashes > 0).then_some(PeerId(0)))
         }
         "alg2" | "alg2-early" => {
@@ -129,7 +127,7 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
             runners::run_crash_multi(n, k, b, crashes, msg_bits, early_release, seed)
         }
         "committee" => {
-            check_committee_budget(k, b, "--b")?;
+            check_limits(ProtocolKind::Committee, k, b, "--b")?;
             runners::run_committee(n, k, b, b, seed)
         }
         "two-cycle" => runners::run_two_cycle(n, k, b, mix, seed),
@@ -205,12 +203,12 @@ pub fn attack(args: &Args) -> Result<(), ArgError> {
             deterministic_attack(n, k, target, move |_| BalancedDownload::new(n, k), seed)
         }
         "alg1" => {
-            check_alg1(k)?;
+            check_limits(ProtocolKind::CrashSingle, k, 0, "")?;
             deterministic_attack(n, k, target, move |_| SingleCrashDownload::new(n, k), seed)
         }
         "committee" => {
             let t: usize = args.num("t", k.saturating_sub(1) / 4)?;
-            check_committee_budget(k, t, "--t")?;
+            check_limits(ProtocolKind::Committee, k, t, "--t")?;
             deterministic_attack(n, k, target, move |_| CommitteeDownload::new(n, k, t), seed)
         }
         other => return Err(ArgError(format!("unknown --protocol '{other}'"))),
@@ -347,7 +345,7 @@ pub fn explore(args: &Args) -> Result<(), ArgError> {
     let protocol = args.get_or("protocol", "alg2");
     let report = match protocol {
         "alg1" => {
-            check_alg1(k)?;
+            check_limits(ProtocolKind::CrashSingle, k, 0, "")?;
             dr_sim::explore::explore(&config, move |_| SingleCrashDownload::new(n, k))
         }
         "alg2" => {

@@ -255,7 +255,8 @@ fn bad_instance_flags_are_errors_naming_the_flag_not_panics() {
             "expects a number",
         ),
         // Hostile `--replay` files from dr-bench's corpus: the first used to
-        // overflow the stack and abort, the second to exit 101.
+        // overflow the stack and abort, the next three to exit 101, the
+        // last to ask for a 128 GiB input.
         (
             "chaos --replay ../bench/tests/repro_corpus/malformed/deep_nesting.json",
             "deep_nesting.json",
@@ -265,6 +266,21 @@ fn bad_instance_flags_are_errors_naming_the_flag_not_panics() {
             "chaos --replay ../bench/tests/repro_corpus/malformed/zero_peers.json",
             "zero_peers.json",
             "case: invalid model parameters: peer count k must be positive",
+        ),
+        (
+            "chaos --replay ../bench/tests/repro_corpus/malformed/crash_single_two_peers.json",
+            "crash_single_two_peers.json",
+            "case: Algorithm 1 needs k >= 3 peers",
+        ),
+        (
+            "chaos --replay ../bench/tests/repro_corpus/malformed/committee_byzantine_half.json",
+            "committee_byzantine_half.json",
+            "case: the committee protocol needs 2·t < k",
+        ),
+        (
+            "chaos --replay ../bench/tests/repro_corpus/malformed/huge_n.json",
+            "huge_n.json",
+            "case.n: 1099511627776 exceeds the replay cap MAX_REPRO_N",
         ),
         ("experiments --threads 0", "--threads", "must be positive"),
         ("experiments --trials 0", "--trials", "must be positive"),

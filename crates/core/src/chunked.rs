@@ -34,9 +34,9 @@
 use crate::bits::BitArray;
 use crate::collections::DetMap;
 use crate::source::Source;
-use crate::sync::{Mutex, MutexGuard, PoisonError};
 use std::collections::VecDeque;
 use std::ops::Range;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Default words per chunk (1024 words = 64 Kibit = 8 KiB per chunk).
 const DEFAULT_CHUNK_WORDS: usize = 1024;

@@ -65,11 +65,10 @@ mod peer;
 mod protocol;
 mod segment;
 mod source;
-pub mod sync;
 
 pub use assignment::Assignment;
 pub use bits::{low_mask, BitArray, BitIndices, MaskWord, PartialArray};
-pub use cached::{AdmissionPlane, CacheStats, CachedSource, PlaneHandle, ReadReceipt};
+pub use cached::{AdmissionPlane, CacheStats, CachedSource, ReadReceipt};
 pub use chunked::{ChunkStats, ChunkedSource};
 pub use error::InvalidParamsError;
 pub use params::{FaultModel, ModelParams, ModelParamsBuilder};

@@ -158,7 +158,7 @@ impl Source for ArraySource {
 /// Per-peer query counters shared across threads.
 ///
 /// Counters are atomics, so the threaded runtime's peer threads, the
-/// front door's [`AdmissionPlane`](crate::AdmissionPlane) handles and any
+/// front door's [`AdmissionPlane`](crate::AdmissionPlane) and any
 /// other concurrent reader can charge one meter without a lock. The
 /// single-threaded simulator keeps its own plain counters instead.
 #[derive(Debug)]
@@ -170,7 +170,6 @@ impl QueryMeter {
     /// Creates a meter for `num_peers` peers.
     pub fn new(num_peers: usize) -> Self {
         QueryMeter {
-            // dr-lint: allow(sync-primitive-outside-facade): independent per-peer counters shared by the threaded runtime's peer threads; no protocol is built on them
             counts: (0..num_peers).map(|_| AtomicU64::new(0)).collect(),
         }
     }

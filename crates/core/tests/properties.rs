@@ -28,11 +28,6 @@ impl CacheModel {
         }
     }
 
-    fn invalidate_all(&mut self) {
-        self.words.fill(None);
-        self.stats.resident_words = 0;
-    }
-
     /// Reads `range` of `input`: the bits, the receipt and the upstream
     /// bit ranges, one per maximal run of absent words inside one shard's
     /// stripe.
@@ -78,36 +73,31 @@ impl CacheModel {
 }
 
 proptest! {
-    /// The paged store against the per-word model: interleaved reads and
-    /// invalidations on lengths whose tail page is partly past `len`, odd
-    /// shard counts, and ranges placed on page and stripe boundaries.
+    /// The paged store against the per-word model: read sequences on
+    /// lengths whose tail page is partly past `len`, odd shard counts, and
+    /// ranges placed on page and stripe boundaries.
     #[test]
     fn cached_source_matches_the_per_word_model(
         len in 1usize..40_000,
         shards in 1usize..8,
-        ops in prop::collection::vec((0usize..10, any::<u64>(), 0usize..9_000, -70isize..70), 1..24),
+        ops in prop::collection::vec((any::<bool>(), any::<u64>(), 0usize..9_000, -70isize..70), 1..24),
     ) {
         let input = BitArray::from_fn(len, |i| (i.wrapping_mul(2_654_435_761) >> 7) % 5 < 2);
         let cache = CachedSource::new(ArraySource::new(input.clone()), shards);
         let mut model = CacheModel::new(len, shards);
-        for (kind, pick, span, nudge) in ops {
-            if kind == 0 {
-                cache.invalidate_all();
-                model.invalidate_all();
-            } else {
-                // Start near a page boundary (odd kinds) or a stripe
-                // boundary (even kinds), `nudge` bits to either side.
-                let unit = if kind % 2 == 1 { 64 * 64 } else { model.stripe * 64 };
-                let anchor = (pick as usize % (len / unit + 1)) * unit;
-                let start = anchor.saturating_add_signed(nudge).min(len - 1);
-                let range = start..(start + span).min(len);
-                let mut fetched = Vec::new();
-                let (bits, receipt) = cache.read_range_with(range.clone(), &mut |r| fetched.push(r));
-                let (want_bits, want_receipt, want_fetched) = model.read(&input, range.clone());
-                prop_assert_eq!(bits, want_bits, "range {:?}", range);
-                prop_assert_eq!(receipt, want_receipt, "range {:?}", range);
-                prop_assert_eq!(fetched, want_fetched, "range {:?}", range);
-            }
+        for (on_page, pick, span, nudge) in ops {
+            // Start near a page boundary or a stripe boundary, `nudge`
+            // bits to either side.
+            let unit = if on_page { 64 * 64 } else { model.stripe * 64 };
+            let anchor = (pick as usize % (len / unit + 1)) * unit;
+            let start = anchor.saturating_add_signed(nudge).min(len - 1);
+            let range = start..(start + span).min(len);
+            let mut fetched = Vec::new();
+            let (bits, receipt) = cache.read_range_with(range.clone(), &mut |r| fetched.push(r));
+            let (want_bits, want_receipt, want_fetched) = model.read(&input, range.clone());
+            prop_assert_eq!(bits, want_bits, "range {:?}", range);
+            prop_assert_eq!(receipt, want_receipt, "range {:?}", range);
+            prop_assert_eq!(fetched, want_fetched, "range {:?}", range);
             prop_assert_eq!(cache.stats(), model.stats);
         }
     }

@@ -19,17 +19,13 @@
 //! | `raw-thread-spawn` | always | always |
 //! | `atomic-ordering` | always | always |
 //! | `lock-discipline` | always | always |
-//! | `sync-primitive-outside-facade` | always | always |
 //!
 //! The deterministic tier is `core`, `sim`, `protocols`, `oracle`; the
 //! tooling tier is `bench`, `cli`, `runtime`, and `lint` itself.
 //!
-//! The concurrency rules share two carve-outs: the sync facade
-//! (`crates/core/src/sync.rs`) is the sanctioned owner of raw primitives,
-//! and files driving the vendored `loom` checker are the modelling layer
-//! itself. Everywhere else — the trial fan-out in `dr_bench::par`
-//! included — an OS thread, an explicit `Ordering::*`, a nested lock
-//! guard, or a raw primitive construction needs an anchored
+//! The concurrency rules have no carve-outs: everywhere — the trial
+//! fan-out in `dr_bench::par` included — an OS thread, an explicit
+//! `Ordering::*` or a nested lock guard needs an anchored
 //! `dr-lint: allow(<rule>): <justification>`.
 //!
 //! Escape hatch: a comment of the form
@@ -49,8 +45,8 @@ pub mod tokenizer;
 
 pub use rules::{
     check_source, ALL_RULES, RULE_ATOMIC_ORDERING, RULE_BAD_ALLOW, RULE_ENTROPY_RNG,
-    RULE_FORBID_UNSAFE, RULE_LOCK_DISCIPLINE, RULE_PAYLOAD_CLONE, RULE_RAW_THREAD,
-    RULE_SYNC_OUTSIDE_FACADE, RULE_UNORDERED, RULE_WALL_CLOCK,
+    RULE_FORBID_UNSAFE, RULE_LOCK_DISCIPLINE, RULE_PAYLOAD_CLONE, RULE_RAW_THREAD, RULE_UNORDERED,
+    RULE_WALL_CLOCK,
 };
 
 use std::fmt::Write as _;

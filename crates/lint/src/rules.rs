@@ -33,9 +33,6 @@ pub const RULE_ATOMIC_ORDERING: &str = "atomic-ordering";
 /// Rule: a lock acquired while another guard binding is still live in the
 /// same lexical scope (nested-guard deadlock risk).
 pub const RULE_LOCK_DISCIPLINE: &str = "lock-discipline";
-/// Rule: raw `Mutex`/`Condvar`/`RwLock`/`Atomic*` construction outside the
-/// sync facade, invisible to the loom models.
-pub const RULE_SYNC_OUTSIDE_FACADE: &str = "sync-primitive-outside-facade";
 
 /// Every rule name, for `allow(...)` validation and docs.
 pub const ALL_RULES: &[&str] = &[
@@ -48,31 +45,6 @@ pub const ALL_RULES: &[&str] = &[
     RULE_RAW_THREAD,
     RULE_ATOMIC_ORDERING,
     RULE_LOCK_DISCIPLINE,
-    RULE_SYNC_OUTSIDE_FACADE,
-];
-
-/// The sync facade: the swap point where `std::sync` becomes `loom::sync`
-/// under the `loom-model` feature. Primitive re-exports live here by
-/// definition, so the facade-routing rules do not apply to it.
-const FACADE_FILES: &[&str] = &["crates/core/src/sync.rs"];
-
-/// Primitive types whose *construction* the `sync-primitive-outside-facade`
-/// rule polices.
-const SYNC_PRIMITIVES: &[&str] = &[
-    "Mutex",
-    "Condvar",
-    "RwLock",
-    "AtomicBool",
-    "AtomicUsize",
-    "AtomicIsize",
-    "AtomicU8",
-    "AtomicU16",
-    "AtomicU32",
-    "AtomicU64",
-    "AtomicI8",
-    "AtomicI16",
-    "AtomicI32",
-    "AtomicI64",
 ];
 
 /// Bindings the `payload-clone` rule treats as message payloads. These are
@@ -190,22 +162,6 @@ pub fn check_source(file: &str, source: &str, tier: Tier, is_lib_rs: bool) -> Ve
     let feeds_replay = tokens
         .iter()
         .any(|t| t.is_ident("ScheduleTrace") || t.is_ident("RunReport"));
-    // Files that drive the vendored model checker (`loom::` paths) are the
-    // modelling layer itself: loom collapses every ordering to SeqCst and
-    // its primitives are the instrumented stand-ins, so the atomic and
-    // facade rules would only police the checker's own scaffolding.
-    let imports_model_checker = tokens
-        .windows(3)
-        .any(|w| w[0].is_ident("loom") && w[1].is_punct(':') && w[2].is_punct(':'));
-    // Files that construct primitives *through* the sync facade path
-    // (`crate::sync` inside dr-core, `dr_core::sync` elsewhere) are
-    // already routed through the swap point the facade rule exists to
-    // enforce.
-    let uses_facade_sync = tokens.iter().enumerate().any(|(i, t)| {
-        t.is_ident("sync")
-            && (path_prefix_is(tokens, i, "crate") || path_prefix_is(tokens, i, "dr_core"))
-    });
-    let is_facade = FACADE_FILES.contains(&file);
     // `.write()`/`.read()` only mean lock acquisition in files that
     // actually use an RwLock (io traits share the method names).
     let has_rwlock = tokens.iter().any(|t| t.is_ident("RwLock"));
@@ -364,15 +320,7 @@ pub fn check_source(file: &str, source: &str, tier: Tier, is_lib_rs: bool) -> Ve
             // reality. Applies to both tiers —
             // deterministic crates must not thread at all. The only escape
             // is an anchored allow, which `run_indexed` itself carries.
-            "spawn" | "scope" | "Builder"
-                if path_prefix_is(tokens, i, "thread")
-                    // `loom::thread::spawn` creates *model* threads inside
-                    // the checker, not OS threads.
-                    && !(i >= 6
-                        && tokens[i - 4].is_punct(':')
-                        && tokens[i - 5].is_punct(':')
-                        && tokens[i - 6].is_ident("loom")) =>
-            {
+            "spawn" | "scope" | "Builder" if path_prefix_is(tokens, i, "thread") => {
                 raw.push(Diagnostic {
                     file: file.to_string(),
                     line: t.line,
@@ -392,14 +340,9 @@ pub fn check_source(file: &str, source: &str, tier: Tier, is_lib_rs: bool) -> Ve
             // claim about the program's happens-before graph. `SeqCst` is
             // flagged as the lazy default (it hides the actual invariant
             // and costs fences); weaker orderings are flagged until the
-            // invariant they rely on is stated in an anchored allow. The
-            // facade and the model-checking layer are exempt — loom
-            // collapses all orderings to SeqCst by construction.
+            // invariant they rely on is stated in an anchored allow.
             "Relaxed" | "Acquire" | "Release" | "AcqRel" | "SeqCst"
-                if path_prefix_is(tokens, i, "Ordering")
-                    && !in_use
-                    && !is_facade
-                    && !imports_model_checker =>
+                if path_prefix_is(tokens, i, "Ordering") && !in_use =>
             {
                 let (message, suggestion) = if t.text == "SeqCst" {
                     (
@@ -416,8 +359,7 @@ pub fn check_source(file: &str, source: &str, tier: Tier, is_lib_rs: bool) -> Ve
                             t.text
                         ),
                         "anchor `// dr-lint: allow(atomic-ordering): <why this ordering is \
-                         sufficient>` on this line (DESIGN.md §4 has the contract), or route \
-                         the atomic through the sync facade so loom models it"
+                         sufficient>` on this line (DESIGN.md §4 has the contract)"
                             .to_string(),
                     )
                 };
@@ -428,32 +370,6 @@ pub fn check_source(file: &str, source: &str, tier: Tier, is_lib_rs: bool) -> Ve
                     rule: RULE_ATOMIC_ORDERING,
                     message,
                     suggestion,
-                });
-            }
-            // sync-primitive-outside-facade: a primitive constructed
-            // outside the facade never swaps to its loom stand-in, so the
-            // concurrency models cannot see it and the loom suites
-            // silently lose coverage.
-            name if SYNC_PRIMITIVES.contains(&name)
-                && tokens.get(i + 1).is_some_and(|a| a.is_punct(':'))
-                && tokens.get(i + 2).is_some_and(|a| a.is_punct(':'))
-                && tokens.get(i + 3).is_some_and(|a| a.is_ident("new"))
-                && !is_facade
-                && !imports_model_checker
-                && !uses_facade_sync =>
-            {
-                raw.push(Diagnostic {
-                    file: file.to_string(),
-                    line: t.line,
-                    col: t.col,
-                    rule: RULE_SYNC_OUTSIDE_FACADE,
-                    message: format!("raw {name}::new outside the sync facade"),
-                    suggestion: format!(
-                        "construct through the sync facade (dr_core::sync) so the \
-                         loom-model feature can swap in the checked primitive, or justify \
-                         with `// dr-lint: allow(sync-primitive-outside-facade): <why {name} \
-                         cannot be modelled>`"
-                    ),
                 });
             }
             "random" if tier == Tier::Deterministic && path_prefix_is(tokens, i, "rand") => {
@@ -476,7 +392,7 @@ pub fn check_source(file: &str, source: &str, tier: Tier, is_lib_rs: bool) -> Ve
     // `payload-clone`. A guard binding (`let g = x.lock()…`) is live from
     // its statement until `drop(g)` or the end of its block; acquiring
     // another lock while one is live is the two-guard shape that invites
-    // ABBA deadlocks (a bug class the loom models would report), so it
+    // ABBA deadlocks, so it
     // needs an anchored allow stating the lock order. Statement-temporary
     // guards (`x.lock().unwrap().push(…)`) do not outlive their statement
     // and are not tracked.

@@ -155,18 +155,6 @@ fn raw_thread_spawn_fires_in_both_tiers_and_an_anchored_allow_is_the_only_escape
 }
 
 #[test]
-fn loom_thread_spawn_is_model_threads_not_os_threads() {
-    // `loom::thread::spawn` creates threads *inside* the model checker;
-    // only unqualified/std spawns create OS threads.
-    let model = "fn m() { let h = loom::thread::spawn(|| 1); h.join().unwrap(); }";
-    let diags = check_source("crates/bench/tests/fixture.rs", model, Tier::Tooling, false);
-    assert_eq!(rule_count(&diags, "raw-thread-spawn"), 0, "{diags:?}");
-    let os = "fn m() { std::thread::spawn(|| 1); }";
-    let diags = check_source("crates/bench/tests/fixture.rs", os, Tier::Tooling, false);
-    assert_eq!(rule_count(&diags, "raw-thread-spawn"), 1, "{diags:?}");
-}
-
-#[test]
 fn atomic_ordering_fires_at_call_sites_not_imports() {
     let src = fixture("atomic_ordering.rs");
     let diags = check_source(
@@ -186,18 +174,6 @@ fn atomic_ordering_fires_at_call_sites_not_imports() {
     // The rule polices both tiers.
     let diags = check_source("crates/bench/src/fixture.rs", &src, Tier::Tooling, false);
     assert_eq!(rule_count(&diags, "atomic-ordering"), 3, "{diags:?}");
-    // The facade is exempt by path; model-checking files by their
-    // `loom::` imports (loom collapses every ordering to SeqCst anyway).
-    let diags = check_source("crates/core/src/sync.rs", &src, Tier::Deterministic, false);
-    assert_eq!(rule_count(&diags, "atomic-ordering"), 0, "{diags:?}");
-    let model_src = format!("use loom::sync::atomic::Ordering;\n{src}");
-    let diags = check_source(
-        "crates/bench/tests/fixture.rs",
-        &model_src,
-        Tier::Tooling,
-        false,
-    );
-    assert_eq!(rule_count(&diags, "atomic-ordering"), 0, "{diags:?}");
 }
 
 #[test]
@@ -224,39 +200,6 @@ fn lock_discipline_flags_nested_guards_only() {
               \x20   w.write(&[*g as u8]).unwrap();\n}\n";
     let diags = check_source("crates/cli/src/fixture.rs", io, Tier::Tooling, false);
     assert_eq!(rule_count(&diags, "lock-discipline"), 0, "{diags:?}");
-}
-
-#[test]
-fn sync_primitive_construction_needs_the_facade() {
-    let src = fixture("sync_outside_facade.rs");
-    let diags = check_source("crates/runtime/src/fixture.rs", &src, Tier::Tooling, false);
-    // Mutex::new + Condvar::new + AtomicU64::new on the construction
-    // line; the justified one and the mere-use function are silent.
-    assert_eq!(
-        rule_count(&diags, "sync-primitive-outside-facade"),
-        3,
-        "{diags:?}"
-    );
-    assert_eq!(diags.len(), 3);
-    // Exempt by path: the facade itself, and nothing else. Elsewhere,
-    // the trial fan-out included, an anchored allow is the only escape.
-    let diags = check_source("crates/bench/src/par.rs", &src, Tier::Tooling, false);
-    assert_eq!(rule_count(&diags, "sync-primitive-outside-facade"), 3);
-    let diags = check_source("crates/core/src/sync.rs", &src, Tier::Deterministic, false);
-    assert_eq!(rule_count(&diags, "sync-primitive-outside-facade"), 0);
-    // Exempt by import: construction routed through the facade.
-    let routed = format!("use dr_core::sync::Mutex;\n{src}");
-    let diags = check_source(
-        "crates/sim/src/fixture.rs",
-        &routed,
-        Tier::Deterministic,
-        false,
-    );
-    assert_eq!(
-        rule_count(&diags, "sync-primitive-outside-facade"),
-        0,
-        "{diags:?}"
-    );
 }
 
 #[test]

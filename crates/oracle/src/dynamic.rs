@@ -39,7 +39,6 @@ impl DriftingSource {
             before,
             after,
             drift_after,
-            // dr-lint: allow(sync-primitive-outside-facade): single counter driving the drift cutover; exercised single-threaded by the simulator
             served: AtomicU64::new(0),
         }
     }

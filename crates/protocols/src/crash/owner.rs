@@ -21,9 +21,8 @@
 //! the input permanently assigned to dead owners.)
 
 use dr_core::collections::DetMap;
-use dr_core::sync::{Mutex, PoisonError};
 use dr_core::{BitIndices, PeerId};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
 
 /// `splitmix64` finalizer: a high-quality 64-bit mixing function.
 fn splitmix64(mut z: u64) -> u64 {

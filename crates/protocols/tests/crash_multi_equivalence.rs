@@ -12,7 +12,6 @@
 //! logs, T, M, message bits, event count and fingerprint.
 
 use dr_core::collections::DetMap;
-use dr_core::sync::{Arc, Mutex};
 use dr_core::{BitArray, Context, FaultModel, ModelParams, PartialArray, PeerId, Protocol};
 use dr_protocols::crash::live_partitions;
 use dr_protocols::{owner, CrashMultiDownload, MultiCrashMsg};
@@ -20,7 +19,7 @@ use dr_sim::{
     CrashDirective, CrashPlan, CrashTrigger, RunReport, SimBuilder, StandardAdversary, UniformDelay,
 };
 use proptest::prelude::*;
-use std::sync::Barrier;
+use std::sync::{Arc, Barrier, Mutex};
 
 // ---------------------------------------------------------------------
 // The pre-rewrite `CrashMultiDownload`, unchanged but for its name.

@@ -15,21 +15,20 @@
 //!   that unwinds (an upstream panic) gives its permit back,
 //! * each admitted request is **fanned over the peer fleet**: its range is
 //!   split into contiguous per-peer spans, each read through the shared
-//!   [`AdmissionPlane`] so the leading peer is charged amortized `Q`,
+//!   [`AdmissionPlane`] so the peer that fetches is charged amortized `Q`,
 //! * **overlap is served from the plane**: ranges already fetched (by this
-//!   request or any earlier/concurrent one) cost no upstream queries, and
-//!   concurrent misses on the same words coalesce into one metered fetch.
+//!   request or any earlier/concurrent one) cost no upstream queries;
+//!   concurrent misses on the same words wait for one metered fetch.
 //!
 //! Each request gets a [`RequestOutcome`] with its bits, wall-clock
 //! latency split into gate wait vs. service time, and the aggregated
 //! [`ReadReceipt`] — `metered_bits` is the request's *attributed* share of
 //! upstream `Q`: the full range on a cold read, zero on a warm one.
 
-use dr_core::sync::{Condvar, Mutex, PoisonError};
-use dr_core::{AdmissionPlane, BitArray, PeerId, PlaneHandle, QueryMeter, ReadReceipt, Source};
+use dr_core::{AdmissionPlane, BitArray, PeerId, QueryMeter, ReadReceipt, Source};
 use std::fmt;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Configuration of a [`FrontDoor`].
@@ -61,8 +60,8 @@ impl ServeConfig {
     }
 }
 
-/// Counting semaphore for bounded admission, built on the facade
-/// mutex/condvar so its blocking behaviour is model-checkable.
+/// Counting semaphore for bounded admission: a permit count under a
+/// mutex, and a condvar that wakes one waiter per returned permit.
 struct Gate {
     permits: Mutex<usize>,
     cv: Condvar,
@@ -140,8 +139,7 @@ pub struct RequestOutcome {
     /// Aggregated per-word accounting across the fleet fan-out.
     pub receipt: ReadReceipt,
     /// Upstream bits this request was charged for (its amortized `Q`
-    /// share). Equal to `receipt.fetched_bits`; hits and coalesced words
-    /// cost nothing.
+    /// share). Equal to `receipt.fetched_bits`; hits cost nothing.
     pub metered_bits: u64,
     /// Time spent blocked at the admission gate.
     pub queued: Duration,
@@ -171,8 +169,8 @@ pub struct RequestOutcome {
 #[derive(Clone)]
 pub struct FrontDoor {
     plane: AdmissionPlane,
-    /// One handle per fleet peer, built once; requests borrow them.
-    fleet: Arc<[PlaneHandle]>,
+    /// Fleet size: a request is split over peers `0..peers`.
+    peers: usize,
     gate: Arc<Gate>,
 }
 
@@ -180,13 +178,9 @@ impl FrontDoor {
     /// Builds a front door serving `source` through a fresh admission
     /// plane.
     pub fn new(source: impl Source + 'static, config: ServeConfig) -> Self {
-        let plane = AdmissionPlane::new(source, config.num_peers, config.num_peers);
-        let fleet = (0..config.num_peers)
-            .map(|p| plane.handle(PeerId(p)))
-            .collect();
         FrontDoor {
-            plane,
-            fleet,
+            plane: AdmissionPlane::new(source, config.num_peers, config.num_peers),
+            peers: config.num_peers,
             gate: Arc::new(Gate::new(config.max_in_flight)),
         }
     }
@@ -226,9 +220,9 @@ impl FrontDoor {
     /// past the source is refused before it takes a place at the gate.
     ///
     /// The range is split into `num_peers` contiguous spans, each read
-    /// through that peer's plane handle: the peer leading a miss is
-    /// charged for exactly the bits fetched upstream, while overlap with
-    /// previously- or concurrently-served requests is free.
+    /// through the plane on that peer's account: the peer whose read
+    /// misses is charged for exactly the bits fetched upstream, while
+    /// overlap with previously- or concurrently-served requests is free.
     ///
     /// # Panics
     ///
@@ -249,10 +243,12 @@ impl FrontDoor {
         let mut receipt = ReadReceipt::default();
         // Contiguous per-peer spans, word-aligned at the seams so two
         // peers never split (and double-fetch) one cache word.
-        let span = total.div_ceil(self.fleet.len()).div_ceil(64) * 64;
-        for (handle, offset) in self.fleet.iter().zip((0..total).step_by(span.max(1))) {
+        let span = total.div_ceil(self.peers).div_ceil(64) * 64;
+        for (p, offset) in (0..self.peers).zip((0..total).step_by(span.max(1))) {
             let end = (offset + span).min(total);
-            let (chunk, r) = handle.query_range(range.start + offset..range.start + end);
+            let (chunk, r) = self
+                .plane
+                .query_range(PeerId(p), range.start + offset..range.start + end);
             bits.write_at(offset, &chunk);
             receipt.absorb(&r);
         }
@@ -420,11 +416,11 @@ mod tests {
                     .collect()
             });
             // Only what holds under every interleaving: whether a word is
-            // a hit, coalesced or fetched depends on timing.
+            // a hit or fetched depends on timing.
             for out in &outcomes {
                 assert_eq!(out.bits, input);
                 let r = &out.receipt;
-                assert_eq!(r.hit_words + r.coalesced_words + r.fetched_words, 64);
+                assert_eq!(r.hit_words + r.fetched_words, 64);
             }
             // Six clients, one array: the plane pays n bits upstream, total.
             let fetched: u64 = outcomes.iter().map(|o| o.receipt.fetched_bits).sum();

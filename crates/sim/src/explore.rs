@@ -32,9 +32,9 @@ use crate::builder::SimBuilder;
 use crate::report::{DownloadViolation, RunError, RunReport};
 use crate::time::Ticks;
 use crate::view::View;
-use dr_core::sync::{Arc, Mutex, PoisonError};
 use dr_core::{BitArray, FaultModel, InvalidParamsError, ModelParams, PeerId, ProtocolMessage};
 use rand::rngs::StdRng;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Simulator events after which a single schedule counts as a livelock.
 const MAX_EVENTS_PER_SCHEDULE: u64 = 100_000;

@@ -22,10 +22,9 @@ use crate::linkfault::{
 use crate::time::Ticks;
 use crate::view::{PeerRole, View};
 use dr_core::json::ToJson;
-use dr_core::sync::{Mutex, MutexGuard, PoisonError};
 use dr_core::{json_struct, PeerId, ProtocolMessage};
 use rand::rngs::StdRng;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A recorded mid-send cut: on the `call`-th `crash_during_send`
 /// consultation, crash the sender keeping only the first `keep` messages

@@ -1,7 +1,7 @@
 //! Meter-equivalence suite for the query admission plane.
 //!
 //! The admission plane (`CachedSource` + `AdmissionPlane`) must be a pure
-//! amortization: caching and coalescing may only *remove* metered queries,
+//! amortization: caching may only *remove* metered queries,
 //! never change outputs or shift charges upward. Concretely, for any
 //! sequence (or concurrent interleaving) of `query_range` calls:
 //!
@@ -54,7 +54,7 @@ proptest! {
             let start = start % n;
             let len = len.min(n - start);
             let range = start..start + len;
-            let (bits, receipt) = plane.handle(PeerId(peer)).query_range(range.clone());
+            let (bits, receipt) = plane.query_range(PeerId(peer), range.clone());
             prop_assert_eq!(&bits, &input.slice(range.clone()));
             // Receipts only ever bill word-aligned fetches (tail-clipped).
             prop_assert!(receipt.fetched_bits <= receipt.fetched_words * 64);
@@ -83,7 +83,7 @@ proptest! {
             let start_w = start_w % words;
             let len_w = len_w.min(words - start_w);
             let range = start_w * 64..(start_w + len_w) * 64;
-            let (bits, _) = plane.handle(PeerId(peer)).query_range(range.clone());
+            let (bits, _) = plane.query_range(PeerId(peer), range.clone());
             prop_assert_eq!(&bits, &input.slice(range.clone()));
             uncached.record_range(PeerId(peer), range.clone());
             ranges.push(range);
@@ -103,8 +103,8 @@ proptest! {
 }
 
 /// Concurrent interleavings: four peer threads hammer overlapping windows
-/// simultaneously. Single-flight must keep the totals identical to the
-/// sequential accounting — each unique word billed exactly once across the
+/// simultaneously. Fetching under the shard lock must keep the totals
+/// identical to the sequential accounting — each unique word billed exactly once across the
 /// whole fleet — while every read stays bit-identical.
 #[test]
 fn concurrent_interleavings_preserve_the_meter_equivalence() {
@@ -128,10 +128,9 @@ fn concurrent_interleavings_preserve_the_meter_equivalence() {
             let plane = plane.clone();
             let input = &input;
             scope.spawn(move || {
-                let handle = plane.handle(PeerId(peer));
                 for r in 0..6usize {
                     let range = r * 512..r * 512 + 1024;
-                    let (bits, _) = handle.query_range(range.clone());
+                    let (bits, _) = plane.query_range(PeerId(peer), range.clone());
                     assert_eq!(bits, input.slice(range));
                 }
             });
@@ -165,7 +164,7 @@ fn cached_and_uncached_readers_agree_bit_for_bit() {
         .enumerate()
     {
         let range = start..start + len;
-        let (cached_bits, _) = plane.handle(PeerId(i % 2)).query_range(range.clone());
+        let (cached_bits, _) = plane.query_range(PeerId(i % 2), range.clone());
         let uncached_bits = Source::bits(&raw, range.clone());
         assert_eq!(cached_bits, uncached_bits, "request {i} diverged");
         ranges.push(range);
