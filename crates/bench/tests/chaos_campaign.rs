@@ -4,12 +4,15 @@
 //!   holds all invariants;
 //! * the intentionally broken [`FragileDownload`] fixture produces a
 //!   violation that shrinks to a minimal schedule and replays
-//!   bit-identically (same violation, same report fingerprint).
+//!   bit-identically (same violation, same report fingerprint);
+//! * shrinking the fixture's seed-28 failure writes exactly the committed
+//!   `repro_corpus/chaos_repro_c6e8afd3b45ad0ef.json`.
 
 use dr_bench::chaos::{
     load_repro, replay_repro, run_campaign, run_case, shrink_failing, write_repro, AdvSource,
     AdversaryKind, Campaign, CaseConfig, ProtocolKind,
 };
+use dr_core::json::ToJson;
 
 #[test]
 fn campaign_over_all_protocols_holds_invariants() {
@@ -141,4 +144,17 @@ fn shrunk_schedule_is_one_minimal() {
             "edit {j} still fails — schedule was not 1-minimal"
         );
     }
+}
+
+/// The shrinker's output is pinned byte for byte: the committed fixture
+/// is what `shrink_failing` makes of the fragile case at seed 28, so any
+/// change to the order or the effect of its edit passes shows here.
+#[test]
+fn fragile_seed_28_shrinks_to_the_committed_fixture() {
+    const FIXTURE: &str = "chaos_repro_c6e8afd3b45ad0ef.json";
+    let repro = shrink_failing(&fragile_case(), 28).expect("seed 28 fails");
+    assert_eq!(repro.filename(), FIXTURE);
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/repro_corpus/");
+    let committed = std::fs::read_to_string(format!("{path}{FIXTURE}")).unwrap();
+    assert_eq!(repro.to_json().pretty(), committed);
 }
