@@ -17,23 +17,31 @@
 //!
 //! # Parking, not losing
 //!
-//! A message sent while an active cut separates sender from recipient is
+//! The simulator puts every message on the wire through one delivery
+//! step: a send (attempt 0, at the latency `on_send` chose), a backed-off
+//! resend (attempt `a ≥ 1`, same latency) and a compelled quiescence
+//! release (latency 1). The step's first check is the cut. A message
+//! transmitted while an active cut separates sender from recipient is
 //! **parked**: its payload keeps its slab slot, owned by a delivery event
 //! scheduled at `heal + latency + transmission`, so it re-enters delivery
-//! deterministically the moment the partition heals. Cuts affect messages
-//! *sent* during the cut window; messages already in flight when a cut
-//! begins were transmitted before the link went down and still arrive.
+//! deterministically the moment the partition heals, and no link is
+//! consulted for it. Cuts affect messages *transmitted* during the cut
+//! window; messages already in flight when a cut begins were transmitted
+//! before the link went down and still arrive.
 //!
 //! # Retransmission
 //!
 //! Delivery in the simulator implies acknowledgement, so the ack-tracked
-//! resend layer reduces to its deterministic equivalent: a dropped
-//! transmission schedules a `Retransmit` event after
+//! resend layer reduces to its deterministic equivalent. On a lossy link
+//! the delivery step consults `on_transmit` for each attempt it does not
+//! park; a dropped attempt schedules a `Retransmit` event after
 //! `backoff(attempt) = backoff_base · 2^(attempt-1)` ticks (clamped to
-//! `1..=2·TICKS_PER_UNIT`), re-consulting `on_transmit` at each attempt.
-//! After `max_retries` failed resends the message is abandoned: its slot
-//! is freed, `RunReport::messages_lost` counts it, and with
-//! [`RetransmitPolicy::fail_fast`] the run surfaces a structured
+//! `1..=2·TICKS_PER_UNIT`). When it fires, the resend is dropped if its
+//! recipient crashed or terminated meanwhile, and otherwise goes through
+//! the same step again with the next attempt number. A quiescence release
+//! consults no link. After `max_retries` failed resends the message is
+//! abandoned: its slot is freed, `RunReport::messages_lost` counts it, and
+//! with [`RetransmitPolicy::fail_fast`] the run surfaces a structured
 //! [`RunError::RetriesExhausted`](crate::RunError::RetriesExhausted)
 //! instead of silently losing data.
 //!
