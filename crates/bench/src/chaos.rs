@@ -38,6 +38,7 @@ use dr_sim::{
     ScheduleTrace, SilentAgent, SimBuilder, TraceHandle,
 };
 use std::fmt;
+use std::io::Read;
 use std::path::{Path, PathBuf};
 
 /// Protocol under test in a chaos case.
@@ -608,8 +609,15 @@ pub const MAX_REPRO_N: usize = 1 << 16;
 /// largest case (`k = 64`).
 pub const MAX_REPRO_K: usize = 1 << 10;
 
+/// Largest reproducer file [`load_repro`] reads, in bytes: 80 times the
+/// largest file the default grid records (about 100 kB, a lossy
+/// multi-cycle run at n = 512, k = 64), so a hostile file cannot make the
+/// loader read and parse gigabytes.
+pub const MAX_REPRO_BYTES: u64 = 8 << 20;
+
 /// Loads a reproducer previously written by [`write_repro`] and checks
-/// that [`replay_repro`] can run it: `n` and `k` within [`MAX_REPRO_N`]
+/// that [`replay_repro`] can run it: at most [`MAX_REPRO_BYTES`] long,
+/// `n` and `k` within [`MAX_REPRO_N`]
 /// and [`MAX_REPRO_K`], valid [`ModelParams`], the protocol's
 /// [`ProtocolKind::check_limits`], and a
 /// [`LinkFaultPlan::check`](dr_sim::LinkFaultPlan::check)-clean schedule.
@@ -619,7 +627,24 @@ pub const MAX_REPRO_K: usize = 1 << 10;
 /// Fails on unreadable files, JSON not shaped like a [`ChaosRepro`], or a
 /// failed check; the message names the offending field.
 pub fn load_repro(path: &Path) -> Result<ChaosRepro, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path:?}: {e}"))?;
+    let too_long = |len: u64| {
+        format!("{path:?}: {len} bytes exceed the replay cap MAX_REPRO_BYTES = {MAX_REPRO_BYTES}")
+    };
+    let read_err = |e: std::io::Error| format!("read {path:?}: {e}");
+    let file = std::fs::File::open(path).map_err(read_err)?;
+    let len = file.metadata().map_err(read_err)?.len();
+    if len > MAX_REPRO_BYTES {
+        return Err(too_long(len));
+    }
+    // The file may grow after the length check: read one byte past the
+    // cap at most, and refuse what got that far.
+    let mut text = String::new();
+    file.take(MAX_REPRO_BYTES + 1)
+        .read_to_string(&mut text)
+        .map_err(read_err)?;
+    if text.len() as u64 > MAX_REPRO_BYTES {
+        return Err(too_long(text.len() as u64));
+    }
     let repro: ChaosRepro =
         dr_core::json::from_str(&text).map_err(|e| format!("parse {path:?}: {e}"))?;
     let case = &repro.case;
@@ -647,6 +672,76 @@ pub fn load_repro(path: &Path) -> Result<ChaosRepro, String> {
     Ok(repro)
 }
 
+/// A shrink pass: the length of the list it walks, and its edit of
+/// element `i` — the edited copy of the trace, or `None` when element `i`
+/// is gone (an earlier kept edit re-recorded a shorter list) or already
+/// reduced.
+type ShrinkPass = (
+    fn(&ScheduleTrace) -> usize,
+    fn(&ScheduleTrace, usize) -> Option<ScheduleTrace>,
+);
+
+/// `trace` with `edit` applied, when `applies`.
+fn edited(
+    trace: &ScheduleTrace,
+    applies: bool,
+    edit: impl FnOnce(&mut ScheduleTrace),
+) -> Option<ScheduleTrace> {
+    applies.then(|| {
+        let mut cand = trace.clone();
+        edit(&mut cand);
+        cand
+    })
+}
+
+/// [`shrink_failing`]'s passes, in the order each round tries them.
+const SHRINK_PASSES: [ShrinkPass; 7] = [
+    // Drop crash directives.
+    (
+        |t| t.crashes.len(),
+        |t, i| edited(t, i < t.crashes.len(), |c| _ = c.crashes.remove(i)),
+    ),
+    // Drop mid-send cuts.
+    (
+        |t| t.cuts.len(),
+        |t, i| edited(t, i < t.cuts.len(), |c| _ = c.cuts.remove(i)),
+    ),
+    // Turn held sends into ordinary deliveries.
+    (
+        |t| t.sends.len(),
+        |t, i| edited(t, t.sends.get(i) == Some(&None), |c| c.sends[i] = Some(512)),
+    ),
+    // Widen partial releases to release-all.
+    (
+        |t| t.releases.len(),
+        |t, i| {
+            let partial = t.releases.get(i).is_some_and(Option::is_some);
+            edited(t, partial, |c| c.releases[i] = None)
+        },
+    ),
+    // Drop partition directives (heal the cut entirely).
+    (
+        |t| t.partitions.len(),
+        |t, i| edited(t, i < t.partitions.len(), |c| _ = c.partitions.remove(i)),
+    ),
+    // Drop churn directives (keep the peer present throughout).
+    (
+        |t| t.churn.len(),
+        |t, i| edited(t, i < t.churn.len(), |c| _ = c.churn.remove(i)),
+    ),
+    // Heal dropped transmissions (flip recorded drops to transmits). The
+    // trace stays lossy — `transmits` keeps its length — so the replay's
+    // consult positions still align.
+    (
+        |t| t.transmits.len(),
+        |t, i| {
+            edited(t, t.transmits.get(i) == Some(&false), |c| {
+                c.transmits[i] = true
+            })
+        },
+    ),
+];
+
 /// Shrinks the failing run `(case, seed)` to a 1-minimal failing
 /// schedule: repeatedly tries dropping crash directives and mid-send
 /// cuts, delivering held sends, widening partial releases to
@@ -660,93 +755,22 @@ pub fn shrink_failing(case: &CaseConfig, seed: u64) -> Option<ChaosRepro> {
     let original = run_case(case, seed, AdvSource::Fresh);
     original.violation.as_ref()?;
     let mut best = original;
-    // Each pass tries every single-edit reduction once; passes repeat
-    // until a fixed point. The cap bounds pathological oscillation.
-    for _pass in 0..32 {
+    // Each round tries every pass's single-edit reductions once; rounds
+    // repeat until a fixed point. The cap bounds pathological oscillation.
+    for _round in 0..32 {
         let mut improved = false;
-        let try_edit = |best: &mut RunOutcome, cand: ScheduleTrace| -> bool {
-            let outcome = run_case(case, seed, AdvSource::Replay(&cand));
-            if outcome.violation.is_some() {
-                *best = outcome;
-                true
-            } else {
-                false
-            }
-        };
-        // 1. Drop crash directives.
-        let mut i = best.trace.crashes.len();
-        while i > 0 {
-            i -= 1;
-            if i >= best.trace.crashes.len() {
-                continue;
-            }
-            let mut cand = best.trace.clone();
-            cand.crashes.remove(i);
-            improved |= try_edit(&mut best, cand);
-        }
-        // 2. Drop mid-send cuts.
-        let mut i = best.trace.cuts.len();
-        while i > 0 {
-            i -= 1;
-            if i >= best.trace.cuts.len() {
-                continue;
-            }
-            let mut cand = best.trace.clone();
-            cand.cuts.remove(i);
-            improved |= try_edit(&mut best, cand);
-        }
-        // 3. Turn held sends into ordinary deliveries.
-        let mut i = best.trace.sends.len();
-        while i > 0 {
-            i -= 1;
-            if best.trace.sends.get(i).is_some_and(|s| s.is_none()) {
-                let mut cand = best.trace.clone();
-                cand.sends[i] = Some(512);
-                improved |= try_edit(&mut best, cand);
-            }
-        }
-        // 4. Widen partial releases to release-all.
-        let mut i = best.trace.releases.len();
-        while i > 0 {
-            i -= 1;
-            if best.trace.releases.get(i).is_some_and(|r| r.is_some()) {
-                let mut cand = best.trace.clone();
-                cand.releases[i] = None;
-                improved |= try_edit(&mut best, cand);
-            }
-        }
-        // 5. Drop partition directives (heal the cut entirely).
-        let mut i = best.trace.partitions.len();
-        while i > 0 {
-            i -= 1;
-            if i >= best.trace.partitions.len() {
-                continue;
-            }
-            let mut cand = best.trace.clone();
-            cand.partitions.remove(i);
-            improved |= try_edit(&mut best, cand);
-        }
-        // 6. Drop churn directives (keep the peer present throughout).
-        let mut i = best.trace.churn.len();
-        while i > 0 {
-            i -= 1;
-            if i >= best.trace.churn.len() {
-                continue;
-            }
-            let mut cand = best.trace.clone();
-            cand.churn.remove(i);
-            improved |= try_edit(&mut best, cand);
-        }
-        // 7. Heal dropped transmissions (flip recorded drops to
-        // transmits). The trace stays lossy — `transmits` keeps its
-        // length — so the replay's consult positions still align.
-        let mut i = best.trace.transmits.len();
-        while i > 0 {
-            i -= 1;
-            if best.trace.transmits.get(i) == Some(&false) {
-                let mut cand = best.trace.clone();
-                cand.transmits[i] = true;
-                improved |= try_edit(&mut best, cand);
+        for (len, edit) in SHRINK_PASSES {
+            let mut i = len(&best.trace);
+            while i > 0 {
+                i -= 1;
+                let Some(cand) = edit(&best.trace, i) else {
+                    continue;
+                };
+                let outcome = run_case(case, seed, AdvSource::Replay(&cand));
+                if outcome.violation.is_some() {
+                    best = outcome;
+                    improved = true;
+                }
             }
         }
         if !improved {

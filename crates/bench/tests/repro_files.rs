@@ -1,8 +1,9 @@
 //! Committed reproducer files: a fixture written by an earlier codec still
-//! loads, hashes and replays the same, and every file of the malformed
-//! corpus is an `Err` from `load_repro`, never a panic or an abort.
+//! loads, hashes and replays the same, every file of the malformed corpus
+//! is an `Err` from `load_repro`, never a panic or an abort, and a file
+//! over the size cap is refused before it is read.
 
-use dr_bench::chaos::{load_repro, replay_repro};
+use dr_bench::chaos::{load_repro, replay_repro, MAX_REPRO_BYTES};
 use dr_core::json::ToJson;
 use std::path::{Path, PathBuf};
 
@@ -66,4 +67,22 @@ fn malformed_corpus_is_rejected_naming_the_fault() {
             Err(_) => panic!("{name} panicked"),
         }
     }
+}
+
+#[test]
+fn a_file_over_the_size_cap_is_refused_unread() {
+    let dir = std::env::temp_dir().join(format!("dr_repro_cap_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("huge.json");
+    // Sparse: one byte over the cap costs no disk.
+    let file = std::fs::File::create(&path).unwrap();
+    file.set_len(MAX_REPRO_BYTES + 1).unwrap();
+    let loaded = load_repro(&path);
+    std::fs::remove_dir_all(&dir).ok();
+    let e = loaded.expect_err("an over-long file loaded");
+    let cap = format!(
+        "{} bytes exceed the replay cap MAX_REPRO_BYTES",
+        MAX_REPRO_BYTES + 1
+    );
+    assert!(e.contains(&cap), "{e}");
 }

@@ -10,6 +10,7 @@ use dr_protocols::{
 };
 use dr_sim::explore::ExploreConfig;
 use dr_sim::RunReport;
+use std::io::Write;
 
 fn print_report(report: &RunReport, n: usize) {
     println!("nonfaulty peers    : {}", report.nonfaulty.len());
@@ -579,7 +580,7 @@ pub fn experiments(args: &Args) -> Result<(), ArgError> {
             .write_json(std::path::Path::new(dir))
             .map_err(|e| ArgError(format!("failed to write metrics to {dir}: {e}")))?;
         for p in paths {
-            eprintln!("wrote {}", p.display());
+            let _ = writeln!(std::io::stderr(), "wrote {}", p.display());
         }
     }
     Ok(())

@@ -15,12 +15,14 @@
 //!            [--shrink <0|1>] [--replay <chaos_repro_*.json>]
 //! dr lint    [--root <dir>] [--format <text|json>]
 //! dr experiments [--only <name>] [--json <dir>] [--threads <n>] [--trials <n>]
+//! dr [<subcommand>] --help | -h
 //! ```
 
 mod args;
 mod commands;
 
 use args::Args;
+use std::io::Write;
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -45,20 +47,27 @@ USAGE:
                  [--only <table1|crash_single|crash_scaling|byz_committee|two_cycle|
                   multi_cycle|lower_bound|oracle|msg_size|strategy_ablation|
                   synchrony|exhaustive>]
+  dr [<subcommand>] --help | -h                 this text
 ";
+
+/// Prints `error: <e>` and the usage to stderr and fails. The write's
+/// own result is ignored: with stderr closed there is no one left to tell,
+/// and the exit code still says what happened.
+fn fail(e: impl std::fmt::Display) -> ExitCode {
+    let _ = writeln!(std::io::stderr(), "error: {e}\n\n{USAGE}");
+    ExitCode::FAILURE
+}
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.is_empty() || argv[0] == "--help" || argv[0] == "help" {
-        println!("{USAGE}");
+    let help = |a: &String| a == "--help" || a == "-h";
+    if argv.is_empty() || argv[0] == "help" || argv.iter().any(help) {
+        let _ = writeln!(std::io::stdout(), "{USAGE}");
         return ExitCode::SUCCESS;
     }
     let args = match Args::parse(argv) {
         Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return fail(e),
     };
     let result = match args.command.as_str() {
         "run" => commands::run(&args),
@@ -73,9 +82,6 @@ fn main() -> ExitCode {
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            ExitCode::FAILURE
-        }
+        Err(e) => fail(e),
     }
 }

@@ -23,6 +23,37 @@ fn help_prints_usage() {
 }
 
 #[test]
+fn help_anywhere_prints_usage_and_succeeds() {
+    for args in [
+        &["run", "--help"][..],
+        &["chaos", "-h"],
+        &["experiments", "--help"],
+        &["run", "--protocol", "alg2", "-h"],
+    ] {
+        let (ok, stdout, stderr) = dr(args);
+        assert!(ok, "{args:?}: {stderr}");
+        assert!(stdout.contains("USAGE"), "{args:?}: {stdout}");
+        assert!(stderr.is_empty(), "{args:?}: {stderr}");
+    }
+}
+
+/// With stderr a pipe whose reader has gone, a bad flag still exits 1:
+/// the error write fails quietly instead of panicking (exit 101).
+#[test]
+fn error_on_a_closed_stderr_still_exits_one() {
+    use std::process::Stdio;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_dr"))
+        .args(["run", "--sed", "1"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    drop(child.stderr.take());
+    let status = child.wait().expect("binary exits");
+    assert_eq!(status.code(), Some(1));
+}
+
+#[test]
 fn run_alg2_reports_metrics() {
     let (ok, stdout, _) = dr(&[
         "run",
