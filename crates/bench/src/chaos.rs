@@ -6,7 +6,7 @@
 //! [`RecordingAdversary`]) and checks four invariants afterwards:
 //!
 //! 1. **termination** — the run completed (no deadlock, no event-limit);
-//! 2. **download** — [`RunReport::verify_downloads`] holds for every
+//! 2. **download** — [`RunReport::verify_downloads`](dr_sim::RunReport::verify_downloads) holds for every
 //!    nonfaulty peer;
 //! 3. **fault budget** — `|crashed| + |byzantine| ≤ b`;
 //! 4. **cost envelope** — `Q` and `T` stay inside the protocol's

@@ -12,26 +12,48 @@ use dr_sim::explore::ExploreConfig;
 use dr_sim::RunReport;
 use std::io::Write;
 
+/// Writes to standard output like `print!`, but drops what it cannot
+/// write instead of panicking: once the reader has gone away (`dr trace |
+/// head -1`) the rest of the output goes nowhere, and the command still
+/// ends with its own exit code rather than 101.
+fn emit(args: std::fmt::Arguments) {
+    let _ = std::io::stdout().write_fmt(args);
+}
+
+/// `print!` through [`emit`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        emit(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`emit`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 fn print_report(report: &RunReport, n: usize) {
-    println!("nonfaulty peers    : {}", report.nonfaulty.len());
-    println!("crashed peers      : {}", report.crashed.len());
-    println!("byzantine peers    : {}", report.byzantine.len());
-    println!(
+    outln!("nonfaulty peers    : {}", report.nonfaulty.len());
+    outln!("crashed peers      : {}", report.crashed.len());
+    outln!("byzantine peers    : {}", report.byzantine.len());
+    outln!(
         "Q (max nonfaulty)  : {} (naive = {n})",
         report.max_nonfaulty_queries
     );
-    println!(
+    outln!(
         "mean queries       : {:.1}",
         report.mean_nonfaulty_queries()
     );
-    println!("messages (packets) : {}", report.messages_sent);
-    println!("message bits       : {}", report.message_bits);
-    println!(
+    outln!("messages (packets) : {}", report.messages_sent);
+    outln!("message bits       : {}", report.message_bits);
+    outln!(
         "virtual time       : {:.2} units",
         report.virtual_time_units
     );
-    println!("events             : {}", report.events);
-    println!("verified           : every nonfaulty peer downloaded the exact input");
+    outln!("events             : {}", report.events);
+    outln!("verified           : every nonfaulty peer downloaded the exact input");
 }
 
 fn parse_mix(s: &str) -> Result<ByzMix, ArgError> {
@@ -135,7 +157,7 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
         "multi-cycle" => runners::run_multi_cycle(n, k, b, mix, seed),
         other => return Err(ArgError(format!("unknown --protocol '{other}'"))),
     };
-    println!("protocol {protocol}: n={n} k={k} b={b} seed={seed}");
+    outln!("protocol {protocol}: n={n} k={k} b={b} seed={seed}");
     print_report(&report, n);
     Ok(())
 }
@@ -171,14 +193,15 @@ pub fn trace(args: &Args) -> Result<(), ArgError> {
     report
         .verify_downloads(&input)
         .map_err(|e| ArgError(format!("verification failed: {e}")))?;
-    print!(
+    out!(
         "{}",
         dr_sim::render_trace(report.trace.as_ref().expect("trace enabled"))
     );
-    println!(
+    outln!(
         "
 Q = {}, T = {:.2} units",
-        report.max_nonfaulty_queries, report.virtual_time_units
+        report.max_nonfaulty_queries,
+        report.virtual_time_units
     );
     Ok(())
 }
@@ -214,22 +237,22 @@ pub fn attack(args: &Args) -> Result<(), ArgError> {
         }
         other => return Err(ArgError(format!("unknown --protocol '{other}'"))),
     };
-    println!("Theorem 3.1 attack on '{protocol}' (n={n}, k={k}, coalition=k-1):");
+    outln!("Theorem 3.1 attack on '{protocol}' (n={n}, k={k}, coalition=k-1):");
     match outcome {
         AttackOutcome::FullyQueried { queries } => {
-            println!("  SURVIVES — target queried all {queries} bits (paid Q = n)");
+            outln!("  SURVIVES — target queried all {queries} bits (paid Q = n)");
         }
         AttackOutcome::Violated {
             flipped_index,
             queries,
         } => {
-            println!(
+            outln!(
                 "  FOOLED — target queried only {queries}/{n} bits and output a wrong \
                  value at index {flipped_index}"
             );
         }
         AttackOutcome::NoTermination { flipped_index } => {
-            println!("  HUNG — target never terminated (flipped bit {flipped_index})");
+            outln!("  HUNG — target never terminated (flipped bit {flipped_index})");
         }
     }
     Ok(())
@@ -283,7 +306,7 @@ pub fn oracle(args: &Args) -> Result<(), ArgError> {
     }
     let baseline = run_baseline(&config, config.sources());
     let download = run_download_based(&config, engine);
-    println!(
+    outln!(
         "oracle: {} nodes ({} byz), {} sources ({} corrupt), {} cells",
         config.nodes,
         config.byz_nodes,
@@ -291,26 +314,27 @@ pub fn oracle(args: &Args) -> Result<(), ArgError> {
         config.corrupt_sources,
         config.cells
     );
-    println!(
+    outln!(
         "baseline : total {} bits, max/node {} bits, ODD ok = {}",
         baseline.total_read_bits,
         baseline.max_node_read_bits,
         baseline.odd_satisfied()
     );
-    println!(
+    outln!(
         "download : total {} bits, max/node {} bits, ODD ok = {}",
         download.total_read_bits,
         download.max_node_read_bits,
         download.odd_satisfied()
     );
-    println!(
+    outln!(
         "saving   : {:.1}x total, {:.1}x per node",
         baseline.total_read_bits as f64 / download.total_read_bits.max(1) as f64,
         baseline.max_node_read_bits as f64 / download.max_node_read_bits.max(1) as f64
     );
-    println!(
+    outln!(
         "upstream : baseline {} bits, download {} bits (admission-plane amortized)",
-        baseline.upstream_read_bits, download.upstream_read_bits
+        baseline.upstream_read_bits,
+        download.upstream_read_bits
     );
     Ok(())
 }
@@ -356,7 +380,7 @@ pub fn explore(args: &Args) -> Result<(), ArgError> {
         other => return Err(ArgError(format!("unknown --protocol '{other}'"))),
     }
     .map_err(|e| ArgError(format!("{flags}: {e}")))?;
-    println!(
+    outln!(
         "explored {} schedules ({})",
         report.schedules,
         if report.exhaustive {
@@ -366,10 +390,11 @@ pub fn explore(args: &Args) -> Result<(), ArgError> {
         }
     );
     match report.counterexample {
-        None => println!("verdict: PASS — every explored schedule satisfies Download"),
-        Some(ce) => println!(
+        None => outln!("verdict: PASS — every explored schedule satisfies Download"),
+        Some(ce) => outln!(
             "verdict: FAIL — {} (choices {:?})",
-            ce.violation, ce.choices
+            ce.violation,
+            ce.choices
         ),
     }
     Ok(())
@@ -404,14 +429,16 @@ pub fn chaos(args: &Args) -> Result<(), ArgError> {
     }
     if let Some(path) = args.get("replay") {
         let repro = load_repro(std::path::Path::new(path)).map_err(ArgError)?;
-        println!(
+        outln!(
             "replaying {} seed={} — recorded violation: {}",
-            repro.case, repro.seed, repro.violation
+            repro.case,
+            repro.seed,
+            repro.violation
         );
         let outcome = replay_repro(&repro);
         return match outcome.violation {
             Some(v) if outcome.fingerprint == repro.fingerprint => {
-                println!("reproduced: {v} (fingerprint matches)");
+                outln!("reproduced: {v} (fingerprint matches)");
                 Ok(())
             }
             Some(v) => Err(ArgError(format!(
@@ -459,20 +486,20 @@ pub fn chaos(args: &Args) -> Result<(), ArgError> {
     }
     campaign.shrink = args.num("shrink", 1u8)? != 0;
     campaign.out_dir = Some(args.get_or("out", "chaos_repros").into());
-    println!(
+    outln!(
         "chaos campaign: {} cases x {} runs (base seed {:#x})",
         campaign.cases.len(),
         campaign.runs_per_case,
         campaign.base_seed
     );
     let report = run_campaign(&campaign);
-    println!(
+    outln!(
         "{} runs: {} violation(s)",
         report.total_runs,
         report.violations.len()
     );
     for v in &report.violations {
-        println!(
+        outln!(
             "  VIOLATION {} seed={}: {} ({} fault directives, {} holds, {} link directives in shrunk trace)",
             v.repro.case,
             v.repro.seed,
@@ -482,11 +509,11 @@ pub fn chaos(args: &Args) -> Result<(), ArgError> {
             v.repro.trace.num_link_directives(),
         );
         if let Some(path) = &v.path {
-            println!("    repro written to {}", path.display());
+            outln!("    repro written to {}", path.display());
         }
     }
     if report.violations.is_empty() {
-        println!("all invariants held");
+        outln!("all invariants held");
         Ok(())
     } else {
         Err(ArgError(format!(
@@ -516,8 +543,8 @@ pub fn lint(args: &Args) -> Result<(), ArgError> {
     let report =
         dr_lint::lint_workspace(&root).map_err(|e| ArgError(format!("lint walk failed: {e}")))?;
     match args.get_or("format", "text") {
-        "json" => print!("{}", dr_lint::render_json(&report)),
-        "text" => print!("{}", dr_lint::render_text(&report)),
+        "json" => out!("{}", dr_lint::render_json(&report)),
+        "text" => out!("{}", dr_lint::render_text(&report)),
         other => return Err(ArgError(format!("unknown --format '{other}' (text|json)"))),
     }
     if report.is_clean() {
@@ -573,7 +600,7 @@ pub fn experiments(args: &Args) -> Result<(), ArgError> {
         Some(other) => return Err(ArgError(format!("unknown experiment '{other}'"))),
     };
     for table in tables {
-        print!("{table}");
+        out!("{table}");
     }
     if let Some(dir) = args.get("json") {
         let paths = sink

@@ -53,6 +53,33 @@ fn error_on_a_closed_stderr_still_exits_one() {
     assert_eq!(status.code(), Some(1));
 }
 
+/// With stdout a pipe whose reader leaves after one line, `dr trace`
+/// (far more output than a pipe buffer holds) still exits 0: the writes
+/// that fail are dropped instead of panicking (exit 101).
+#[test]
+fn trace_into_a_closed_pipe_exits_cleanly() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_dr"))
+        .args(["trace", "--n", "4096", "--k", "32", "--b", "4"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("first line");
+    assert!(!first.is_empty(), "no trace line before the pipe closed");
+    let out = child.wait_with_output().expect("binary exits");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "a write into the closed pipe panicked (101) or failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
 #[test]
 fn run_alg2_reports_metrics() {
     let (ok, stdout, _) = dr(&[

@@ -175,10 +175,10 @@ impl ReadReceipt {
 
 /// A sharded, word-level cache over an upstream [`Source`].
 ///
-/// See the [module docs](self) for how it reads. `CachedSource` itself
-/// implements [`Source`], so anything that reads through the trait — the
-/// simulator, the oracle pipeline — transparently gains cross-request
-/// amortization. The upstream must not read back through the same cache:
+/// How it reads is described in the module docs of `cached.rs`.
+/// `CachedSource` itself implements [`Source`], so anything that reads
+/// through the trait — the simulator, the oracle pipeline — transparently
+/// gains cross-request amortization. The upstream must not read back through the same cache:
 /// it is called under a shard lock.
 pub struct CachedSource {
     inner: Box<dyn Source>,

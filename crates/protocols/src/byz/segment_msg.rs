@@ -17,6 +17,12 @@ pub struct SegmentMsg {
     pub bits: BitArray,
 }
 
+// The simulator's slab keeps each payload's sender in the padding after
+// its owner count, so a slot costs no more than the payload and the count.
+const _: () = assert!(
+    dr_sim::slab_slot_bytes::<SegmentMsg>() == std::mem::size_of::<(Option<SegmentMsg>, u32)>()
+);
+
 impl ProtocolMessage for SegmentMsg {
     fn bit_len(&self) -> usize {
         32 + 64 + self.bits.len()

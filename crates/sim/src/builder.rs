@@ -2,6 +2,7 @@
 
 use crate::adversary::{Adversary, StandardAdversary};
 use crate::agent::Agent;
+use crate::shard::SLOT_LIMIT;
 use crate::sim::Simulation;
 use crate::view::PeerRole;
 use dr_core::{ArraySource, BitArray, ModelParams, PeerId, ProtocolMessage, Source};
@@ -76,7 +77,7 @@ impl<M: ProtocolMessage> SimBuilder<M> {
             factory: None,
             byzantine: Vec::new(),
             max_events: 50_000_000,
-            slab_capacity: u32::MAX,
+            slab_capacity: SLOT_LIMIT,
             index_tracking: false,
             trace: false,
         }
@@ -166,14 +167,15 @@ impl<M: ProtocolMessage> SimBuilder<M> {
         self
     }
 
-    /// Caps the message slab at `capacity` payload slots (default:
-    /// `u32::MAX`). A message in flight occupies one slot, a broadcast
-    /// one however many recipients wait for it. Exceeding the cap
-    /// surfaces as
+    /// Caps the message slab at `capacity` payload slots (default and
+    /// ceiling: 2³¹ − 1, the most slots a queued event can address; a
+    /// larger `capacity` is clamped to it). A message in flight occupies
+    /// one slot, a broadcast one however many recipients wait for it.
+    /// Exceeding the cap surfaces as
     /// [`RunError::SlabOverflow`](crate::RunError::SlabOverflow) from
     /// [`Simulation::run`] instead of aborting the process.
     pub fn slab_capacity(mut self, capacity: u32) -> Self {
-        self.slab_capacity = capacity;
+        self.slab_capacity = capacity.min(SLOT_LIMIT);
         self
     }
 

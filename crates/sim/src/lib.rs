@@ -48,6 +48,8 @@ pub use linkfault::{
 };
 pub use report::{DownloadViolation, RunError, RunReport};
 pub use schedule::{CutDecision, RecordingAdversary, ReplayAdversary, ScheduleTrace, TraceHandle};
+#[doc(hidden)]
+pub use shard::slab_slot_bytes;
 pub use sim::Simulation;
 pub use time::{ticks_to_units, Ticks, TICKS_PER_UNIT};
 pub use trace::{render_trace, TraceEntry};

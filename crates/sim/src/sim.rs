@@ -18,17 +18,18 @@
 //! # Hot-loop layout
 //!
 //! Message payloads never live inside queued events. Every in-flight or
-//! held payload sits in a slab (see the `shard` module) and is addressed
-//! by a `u32` slot, so a queued event is a small `Copy` struct appended to
-//! the bucket of its tick, and no `BitArray` moves with it. A slot counts
-//! its owners — queued `Deliver` and `Retransmit` events, held messages,
-//! pre-start buffer entries — and the last one to consume or drop its
-//! message frees it. A step's outbox records a broadcast as one entry and
-//! the dispatch loop stores its payload once, so a k-recipient broadcast
-//! of an n-bit payload costs one slot and k − 1 owner counts — not k − 1
-//! slots, payload clones and O(k·n) copied bits — while the adversary is
-//! still consulted, and M, bits, queue entries and the trace are still
-//! charged, per recipient and in `send` order.
+//! held payload sits in a slab (see the `shard` module) with its sender
+//! and is addressed by a `u32` slot, so a queued event is 8 bytes — the
+//! recipient and the slot — appended to the bucket of its tick, and no
+//! `BitArray` moves with it. A slot counts its owners — queued `Deliver`
+//! and `Retransmit` events, held messages, pre-start buffer entries (bare
+//! slots) — and the last one to consume or drop its message frees it. A
+//! step's outbox records a broadcast as one entry and the dispatch loop
+//! stores its payload once, so a k-recipient broadcast of an n-bit
+//! payload costs one slot and k − 1 owner counts — not k − 1 slots,
+//! payload clones and O(k·n) copied bits — while the adversary is still
+//! consulted, and M, bits, queue entries and the trace are still charged,
+//! per recipient and in `send` order.
 //!
 //! What a message meets after its sender's step is one `Network`: the
 //! pump and its slab, held messages, the link-fault plane, pending
@@ -126,7 +127,8 @@ impl<M> Network<M> {
 
     /// Gives up a delivery's claim on `slot` because its recipient is
     /// dead (crashed or terminated).
-    fn drop_payload(&mut self, at: Ticks, from: PeerId, to: PeerId, slot: u32) {
+    fn drop_payload(&mut self, at: Ticks, to: PeerId, slot: u32) {
+        let from = self.pump.sender(slot);
         self.pump.release_payload(slot);
         self.record(TraceEntry::Drop { at, from, to });
     }
@@ -223,8 +225,8 @@ pub struct Simulation<M: ProtocolMessage> {
     agents: Vec<Box<dyn Agent<M>>>,
     rngs: Vec<StdRng>,
     /// Messages that arrived at a peer before its start event, waiting
-    /// for it to begin. Entries are `(from, slot)` into the slab.
-    pre_start: Vec<Vec<(PeerId, u32)>>,
+    /// for it to begin, as slab slots (each slot names its sender).
+    pre_start: Vec<Vec<u32>>,
     net: Network<M>,
     /// Count of peers that are currently nonfaulty and not terminated.
     /// Maintained incrementally at crash and termination transitions so
@@ -372,8 +374,8 @@ impl<M: ProtocolMessage> Simulation<M> {
         // buffer can never be delivered or dropped through the normal
         // paths — free those slots now instead of leaking them for the
         // rest of the run.
-        for (from, slot) in std::mem::take(&mut self.pre_start[peer.index()]) {
-            self.net.drop_payload(now, from, peer, slot);
+        for slot in std::mem::take(&mut self.pre_start[peer.index()]) {
+            self.net.drop_payload(now, peer, slot);
         }
     }
 
@@ -459,7 +461,7 @@ impl<M: ProtocolMessage> Simulation<M> {
         let net = &mut self.net;
         let slot = net
             .pump
-            .insert_payload(msg)
+            .insert_payload(msg, peer)
             .map_err(|e| RunError::SlabOverflow {
                 capacity: e.capacity,
             })?;
@@ -524,8 +526,8 @@ impl<M: ProtocolMessage> Simulation<M> {
         let to = kind.subject();
         let st = self.status[to.index()].clone();
         if st.crashed || st.terminated {
-            if let EventKind::Deliver { from, to, slot } = kind {
-                self.net.drop_payload(self.now, from, to, slot);
+            if let EventKind::Deliver { to, slot, .. } = kind {
+                self.net.drop_payload(self.now, to, slot);
             }
             return None;
         }
@@ -549,8 +551,8 @@ impl<M: ProtocolMessage> Simulation<M> {
         // (equivalent to the adversary delaying them until the recipient
         // is awake).
         if !st.started {
-            if let EventKind::Deliver { from, slot, .. } = kind {
-                self.pre_start[to.index()].push((from, slot));
+            if let EventKind::Deliver { slot, .. } = kind {
+                self.pre_start[to.index()].push(slot);
                 return None;
             }
         }
@@ -617,16 +619,11 @@ impl<M: ProtocolMessage> Simulation<M> {
             // Deliver anything that arrived before the peer woke up,
             // immediately after its start step, in arrival order.
             let waiting = std::mem::take(&mut self.pre_start[to.index()]);
-            for (from, pslot) in waiting {
-                let now = self.now;
-                self.net.pump.push(
-                    now,
-                    EventKind::Deliver {
-                        from,
-                        to,
-                        slot: pslot,
-                    },
-                );
+            for slot in waiting {
+                let from = self.net.pump.sender(slot);
+                self.net
+                    .pump
+                    .push(self.now, EventKind::Deliver { from, to, slot });
             }
         }
         let was_terminated = self.status[to.index()].terminated;
@@ -728,7 +725,7 @@ impl<M: ProtocolMessage> Simulation<M> {
             .expect("retransmit event fired without resend state");
         let target = &self.status[to.index()];
         if target.crashed || target.terminated {
-            self.net.drop_payload(self.now, from, to, slot);
+            self.net.drop_payload(self.now, to, slot);
             return Ok(());
         }
         let view = View {
@@ -780,8 +777,8 @@ impl<M: ProtocolMessage> Simulation<M> {
                     PeerId(p)
                 );
             }
-            for (_, pslot) in buf {
-                net.pump.release_payload(pslot);
+            for slot in buf {
+                net.pump.release_payload(slot);
             }
         }
         assert_eq!(
