@@ -14,8 +14,9 @@
 //!   deferred) and the slab's peak occupancy;
 //! * `RunReport::fingerprint()`;
 //! * the content hash of the adversary's recorded decisions
-//!   (`ScheduleTrace`), which still pins a run that ends in a `RunError`
-//!   (whose `Debug` text the row pins instead of the report).
+//!   (`ScheduleTrace`, without its retransmission-policy keys), which
+//!   still pins a run that ends in a `RunError` (whose `Debug` text the
+//!   row pins instead of the report).
 //!
 //! To regenerate after an *intentional* change to link-fault semantics
 //! (never for a refactor or a perf change):
@@ -24,12 +25,14 @@
 //! cargo test -p dr-protocols --test link_fault_goldens -- --ignored print_link_fault_goldens --nocapture
 //! ```
 
+use dr_core::json::{ToJson, Value};
 use dr_core::{FaultModel, ModelParams, PeerId, ProtocolMessage};
 use dr_protocols::{BalancedDownload, CrashMultiDownload, TwoCycleDownload};
 use dr_sim::{
     Adversary, ChaosAdversary, ChaosConfig, ChurnMixer, Delivery, HeldInfo, HoldUntilQuiescence,
     LinkFaultPlan, LossyLinks, PartitionDirective, PartitionHealer, RecordingAdversary, Release,
-    RetransmitPolicy, RunReport, SilentAgent, SimBuilder, TraceEntry, View, TICKS_PER_UNIT,
+    RetransmitPolicy, RunReport, ScheduleTrace, SilentAgent, SimBuilder, TraceEntry, View,
+    TICKS_PER_UNIT,
 };
 use rand::rngs::StdRng;
 use std::borrow::Cow;
@@ -65,6 +68,21 @@ fn trace_digest(trace: &[TraceEntry]) -> u64 {
     })
 }
 
+/// FNV-1a over the trace's JSON without its retransmission-policy keys
+/// (`backoff_base`, `max_retries`, `fail_fast`): the content hash of the
+/// decisions the adversary made, not of the knobs it was configured with.
+fn schedule_hash(trace: &ScheduleTrace) -> u64 {
+    let Value::Map(mut entries) = trace.to_json() else {
+        unreachable!("a schedule trace encodes as an object")
+    };
+    entries
+        .retain(|(key, _)| !["backoff_base", "max_retries", "fail_fast"].contains(&key.as_str()));
+    fnv1a(
+        0xcbf2_9ce4_8422_2325,
+        Value::Map(entries).to_string().as_bytes(),
+    )
+}
+
 /// Runs `builder` with tracing on under `adversary`, recording the
 /// adversary's decisions, and collects the row.
 fn pin<M: ProtocolMessage>(
@@ -75,7 +93,7 @@ fn pin<M: ProtocolMessage>(
     let sim = builder.trace().adversary(recorder).build();
     let input = sim.input().clone();
     let result = sim.run();
-    let schedule = handle.take().content_hash();
+    let schedule = schedule_hash(&handle.take());
     match result {
         Ok(report) => {
             report
@@ -290,7 +308,7 @@ const GOLDENS: &[(&str, u64, Pinned)] = &[
         3,
         Pinned {
             error: Cow::Borrowed(""),
-            schedule: 0xe3a7dfe4c49c346a,
+            schedule: 0x5790836815ab43dd,
             trace_digest: 0xac9cf00f30702343,
             trace_len: 5873,
             counters: [0, 1778, 1778, 0, 0],
@@ -303,7 +321,7 @@ const GOLDENS: &[(&str, u64, Pinned)] = &[
         24301,
         Pinned {
             error: Cow::Borrowed(""),
-            schedule: 0xf896a8cfda64f88e,
+            schedule: 0x7e64e44de6bfc85f,
             trace_digest: 0x47003b09f863ffed,
             trace_len: 5811,
             counters: [0, 1717, 1717, 0, 0],
@@ -316,7 +334,7 @@ const GOLDENS: &[(&str, u64, Pinned)] = &[
         3,
         Pinned {
             error: Cow::Borrowed(""),
-            schedule: 0xc6f69a5fd92bd0f8,
+            schedule: 0xdd415003b1dd355f,
             trace_digest: 0xa8bdee85d644935a,
             trace_len: 6080,
             counters: [1995, 0, 0, 0, 0],
@@ -329,7 +347,7 @@ const GOLDENS: &[(&str, u64, Pinned)] = &[
         24301,
         Pinned {
             error: Cow::Borrowed(""),
-            schedule: 0xd01bbccf0a651479,
+            schedule: 0xf6db45af2b08c7ce,
             trace_digest: 0xbef1164e02e75952,
             trace_len: 6102,
             counters: [2015, 0, 0, 0, 0],
@@ -342,7 +360,7 @@ const GOLDENS: &[(&str, u64, Pinned)] = &[
         3,
         Pinned {
             error: Cow::Borrowed(""),
-            schedule: 0xc28eaaf65ee46cf9,
+            schedule: 0x2593a3746cfd844e,
             trace_digest: 0xa611a5461af1f25f,
             trace_len: 4197,
             counters: [0, 0, 0, 0, 102],
@@ -355,7 +373,7 @@ const GOLDENS: &[(&str, u64, Pinned)] = &[
         24301,
         Pinned {
             error: Cow::Borrowed(""),
-            schedule: 0x2f656303058d15cd,
+            schedule: 0x5f1ea926dad9ffca,
             trace_digest: 0x8c0ed32807730218,
             trace_len: 4203,
             counters: [0, 0, 0, 0, 108],
@@ -368,7 +386,7 @@ const GOLDENS: &[(&str, u64, Pinned)] = &[
         3,
         Pinned {
             error: Cow::Borrowed(""),
-            schedule: 0x4034811261bbe221,
+            schedule: 0xcd78f5d9cec19bb6,
             trace_digest: 0x92584cba8135441c,
             trace_len: 5038,
             counters: [0, 0, 0, 0, 0],
@@ -381,7 +399,7 @@ const GOLDENS: &[(&str, u64, Pinned)] = &[
         24301,
         Pinned {
             error: Cow::Borrowed(""),
-            schedule: 0x6efd03b3d1b7cfd2,
+            schedule: 0x8e2ab277c39dbec9,
             trace_digest: 0x4e71d118e696a80d,
             trace_len: 5060,
             counters: [0, 0, 0, 0, 0],
@@ -394,7 +412,7 @@ const GOLDENS: &[(&str, u64, Pinned)] = &[
         3,
         Pinned {
             error: Cow::Borrowed(""),
-            schedule: 0x6433e14831e99148,
+            schedule: 0xbd515ffdf15d9d3e,
             trace_digest: 0xea242321fa8b3825,
             trace_len: 4167,
             counters: [0, 111, 0, 111, 0],
@@ -407,7 +425,7 @@ const GOLDENS: &[(&str, u64, Pinned)] = &[
         24301,
         Pinned {
             error: Cow::Borrowed(""),
-            schedule: 0x538770f4b4680788,
+            schedule: 0x14f0db5623bdeaee,
             trace_digest: 0x6bff3d420f2b687d,
             trace_len: 4249,
             counters: [0, 119, 0, 119, 0],
@@ -420,7 +438,7 @@ const GOLDENS: &[(&str, u64, Pinned)] = &[
         3,
         Pinned {
             error: Cow::Borrowed(""),
-            schedule: 0x8e5415c637e29b83,
+            schedule: 0xe55a04c216f5e20f,
             trace_digest: 0xc49ddb0af125754c,
             trace_len: 4736,
             counters: [0, 698, 680, 18, 0],
@@ -433,7 +451,7 @@ const GOLDENS: &[(&str, u64, Pinned)] = &[
         24301,
         Pinned {
             error: Cow::Borrowed(""),
-            schedule: 0xf555591bd3c5fc07,
+            schedule: 0xcc228ceefede363b,
             trace_digest: 0x0ccd0e12e74cde2a,
             trace_len: 4812,
             counters: [0, 728, 715, 13, 0],
@@ -446,7 +464,7 @@ const GOLDENS: &[(&str, u64, Pinned)] = &[
         3,
         Pinned {
             error: Cow::Borrowed(""),
-            schedule: 0xbe61b5bfae149ee1,
+            schedule: 0xa4738baeb82917cc,
             trace_digest: 0x35a8d41dbed09b2f,
             trace_len: 803,
             counters: [0, 247, 247, 0, 0],
@@ -459,7 +477,7 @@ const GOLDENS: &[(&str, u64, Pinned)] = &[
         24301,
         Pinned {
             error: Cow::Borrowed(""),
-            schedule: 0xda9abe100ef2e89a,
+            schedule: 0x5b9f2a3a86096eb5,
             trace_digest: 0x62ec367984bfbbae,
             trace_len: 828,
             counters: [0, 289, 289, 0, 0],
@@ -472,7 +490,7 @@ const GOLDENS: &[(&str, u64, Pinned)] = &[
         3,
         Pinned {
             error: Cow::Borrowed(""),
-            schedule: 0x206f9123820196b0,
+            schedule: 0xe051fc00723afbd7,
             trace_digest: 0xa9f457bc62290689,
             trace_len: 670,
             counters: [130, 0, 0, 0, 0],
@@ -485,7 +503,7 @@ const GOLDENS: &[(&str, u64, Pinned)] = &[
         24301,
         Pinned {
             error: Cow::Borrowed(""),
-            schedule: 0x3af9e4d9c430af4b,
+            schedule: 0xc5e5e7e96b871cf0,
             trace_digest: 0xa2ecaae2eba82cc2,
             trace_len: 656,
             counters: [115, 0, 0, 0, 0],
@@ -498,7 +516,7 @@ const GOLDENS: &[(&str, u64, Pinned)] = &[
         3,
         Pinned {
             error: Cow::Borrowed(""),
-            schedule: 0x9fa63f06b42169aa,
+            schedule: 0x9174219c4efd9f81,
             trace_digest: 0x0139a03e644dcf6e,
             trace_len: 561,
             counters: [0, 0, 0, 0, 18],
@@ -511,7 +529,7 @@ const GOLDENS: &[(&str, u64, Pinned)] = &[
         24301,
         Pinned {
             error: Cow::Borrowed(""),
-            schedule: 0xa58a2681a08f20cb,
+            schedule: 0x8345d556c98afa70,
             trace_digest: 0xfe7b2b281bbba11f,
             trace_len: 562,
             counters: [0, 0, 0, 0, 23],
@@ -524,7 +542,7 @@ const GOLDENS: &[(&str, u64, Pinned)] = &[
         3,
         Pinned {
             error: Cow::Borrowed(""),
-            schedule: 0xfce47a454f264ffb,
+            schedule: 0x41c2d83269d37e60,
             trace_digest: 0xb2951ca7e0cecc76,
             trace_len: 633,
             counters: [0, 0, 0, 0, 0],
@@ -537,7 +555,7 @@ const GOLDENS: &[(&str, u64, Pinned)] = &[
         24301,
         Pinned {
             error: Cow::Borrowed(""),
-            schedule: 0x6970826d1ae8a84f,
+            schedule: 0xdc1aa11a2d49709c,
             trace_digest: 0xd62a518b923bf2a7,
             trace_len: 581,
             counters: [0, 0, 0, 0, 0],
@@ -552,7 +570,7 @@ const GOLDENS: &[(&str, u64, Pinned)] = &[
             error: Cow::Borrowed(
                 "Deadlock { stuck: [PeerId(0), PeerId(1), PeerId(3), PeerId(5)] }",
             ),
-            schedule: 0xd0c116e1c3f84530,
+            schedule: 0x9f5f60440c4cd786,
             trace_digest: 0x0000000000000000,
             trace_len: 0,
             counters: [0, 0, 0, 0, 0],
@@ -565,7 +583,7 @@ const GOLDENS: &[(&str, u64, Pinned)] = &[
         24301,
         Pinned {
             error: Cow::Borrowed("Deadlock { stuck: [PeerId(0), PeerId(1), PeerId(5)] }"),
-            schedule: 0x5e47e772d229c21c,
+            schedule: 0xf2db49fed331cf28,
             trace_digest: 0x0000000000000000,
             trace_len: 0,
             counters: [0, 0, 0, 0, 0],
@@ -578,7 +596,7 @@ const GOLDENS: &[(&str, u64, Pinned)] = &[
         3,
         Pinned {
             error: Cow::Borrowed("Deadlock { stuck: [PeerId(3), PeerId(5)] }"),
-            schedule: 0x6fa520d1d31077b5,
+            schedule: 0x1ef830a0296cdd14,
             trace_digest: 0x0000000000000000,
             trace_len: 0,
             counters: [0, 0, 0, 0, 0],
@@ -591,7 +609,7 @@ const GOLDENS: &[(&str, u64, Pinned)] = &[
         24301,
         Pinned {
             error: Cow::Borrowed(""),
-            schedule: 0x801ac96f1b048f08,
+            schedule: 0xbdbed0cf70fb7ba9,
             trace_digest: 0xfa27bd9b5ee9eb7f,
             trace_len: 49,
             counters: [0, 7, 7, 0, 0],
@@ -606,7 +624,7 @@ const GOLDENS: &[(&str, u64, Pinned)] = &[
             error: Cow::Borrowed(
                 "RetriesExhausted { from: PeerId(4), to: PeerId(5), attempts: 1 }",
             ),
-            schedule: 0x7bb7c21b55425e77,
+            schedule: 0xdcba68b8c74e8e9a,
             trace_digest: 0x0000000000000000,
             trace_len: 0,
             counters: [0, 0, 0, 0, 0],
@@ -621,7 +639,7 @@ const GOLDENS: &[(&str, u64, Pinned)] = &[
             error: Cow::Borrowed(
                 "RetriesExhausted { from: PeerId(3), to: PeerId(1), attempts: 1 }",
             ),
-            schedule: 0x5eada83abe01587d,
+            schedule: 0xf595ebf9bd74b6a8,
             trace_digest: 0x0000000000000000,
             trace_len: 0,
             counters: [0, 0, 0, 0, 0],
@@ -634,7 +652,7 @@ const GOLDENS: &[(&str, u64, Pinned)] = &[
         3,
         Pinned {
             error: Cow::Borrowed(""),
-            schedule: 0x03e3a673b129e41d,
+            schedule: 0x57b3b92162150ada,
             trace_digest: 0x3e86d5e6c36f760d,
             trace_len: 89,
             counters: [2, 0, 0, 0, 0],
@@ -647,7 +665,7 @@ const GOLDENS: &[(&str, u64, Pinned)] = &[
         24301,
         Pinned {
             error: Cow::Borrowed(""),
-            schedule: 0x56ce689b2ee2982e,
+            schedule: 0x786258667347406d,
             trace_digest: 0xd6a76a29e5127585,
             trace_len: 89,
             counters: [2, 0, 0, 0, 0],
