@@ -152,8 +152,8 @@ pub enum AdversaryKind {
     /// [`PartitionHealer`]: two successive seed-derived cuts that heal on
     /// schedule, parking (not losing) every message across them.
     PartitionHealer,
-    /// [`LossyLinks`]: seeded per-link drop rates with bounded
-    /// backed-off retransmission.
+    /// [`LossyLinks`]: seeded per-link drop rates; every dropped attempt
+    /// is resent after a backoff until it gets through.
     LossyLinks,
     /// [`ChurnMixer`]: peers leave and rejoin; deliveries addressed to an
     /// absent peer defer to its rejoin tick.

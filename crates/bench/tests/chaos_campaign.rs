@@ -6,7 +6,9 @@
 //!   violation that shrinks to a minimal schedule and replays
 //!   bit-identically (same violation, same report fingerprint);
 //! * shrinking the fixture's seed-28 failure writes exactly the committed
-//!   `repro_corpus/chaos_repro_c6e8afd3b45ad0ef.json`.
+//!   `repro_corpus/chaos_repro_16ce62ca2985c47c.json`;
+//! * lossy links at the highest drop rate break no invariant: every
+//!   dropped transmission is resent until it gets through.
 
 use dr_bench::chaos::{
     load_repro, replay_repro, run_campaign, run_case, shrink_failing, write_repro, AdvSource,
@@ -43,6 +45,36 @@ fn campaign_over_all_protocols_holds_invariants() {
         "chaos campaign found violations:\n{}",
         summaries.join("\n")
     );
+}
+
+/// The `LossyLinks` column at the highest drop rate `LossyLinks` takes:
+/// a message may be dropped dozens of times, and every drop is resent, so
+/// no run deadlocks or breaks another invariant (a retry cap of 12 made
+/// most of these runs deadlock).
+#[test]
+fn lossy_links_at_950_permille_break_no_invariant() {
+    let mut campaign = Campaign::new(3, 0xc0ffee);
+    campaign
+        .cases
+        .retain(|c| c.adversary == AdversaryKind::LossyLinks);
+    for c in &mut campaign.cases {
+        c.drop_permille = 950;
+    }
+    campaign.shrink = false;
+    campaign.out_dir = None;
+    let report = run_campaign(&campaign);
+    assert_eq!(report.total_runs, 24);
+    let summaries: Vec<String> = report
+        .violations
+        .iter()
+        .map(|v| {
+            format!(
+                "{} seed={}: {}",
+                v.repro.case, v.repro.seed, v.repro.violation
+            )
+        })
+        .collect();
+    assert!(summaries.is_empty(), "{}", summaries.join("\n"));
 }
 
 fn fragile_case() -> CaseConfig {
@@ -151,7 +183,7 @@ fn shrunk_schedule_is_one_minimal() {
 /// change to the order or the effect of its edit passes shows here.
 #[test]
 fn fragile_seed_28_shrinks_to_the_committed_fixture() {
-    const FIXTURE: &str = "chaos_repro_c6e8afd3b45ad0ef.json";
+    const FIXTURE: &str = "chaos_repro_16ce62ca2985c47c.json";
     let repro = shrink_failing(&fragile_case(), 28).expect("seed 28 fails");
     assert_eq!(repro.filename(), FIXTURE);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/repro_corpus/");

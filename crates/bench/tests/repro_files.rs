@@ -1,22 +1,28 @@
 //! Committed reproducer files: a fixture written by an earlier codec still
-//! loads, hashes and replays the same, every file of the malformed corpus
-//! is an `Err` from `load_repro`, never a panic or an abort, and a file
-//! over the size cap is refused before it is read.
+//! loads, re-encodes to today's format and replays the same, every file of
+//! the malformed corpus is an `Err` from `load_repro`, never a panic or an
+//! abort, and a file over the size cap is refused before it is read.
 
 use dr_bench::chaos::{load_repro, replay_repro, MAX_REPRO_BYTES};
 use dr_core::json::ToJson;
 use std::path::{Path, PathBuf};
 
 const CORPUS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/repro_corpus");
-const FIXTURE: &str = "chaos_repro_c6e8afd3b45ad0ef.json";
+/// A reproducer written before links became reliable: its schedule still
+/// carries the retransmission policy's `backoff_base`, `max_retries` and
+/// `fail_fast` keys.
+const OLD_FIXTURE: &str = "chaos_repro_c6e8afd3b45ad0ef.json";
+/// The same reproducer as `shrink_failing` writes it today.
+const FIXTURE: &str = "chaos_repro_16ce62ca2985c47c.json";
 
 #[test]
 fn committed_fixture_loads_hashes_and_replays_as_recorded() {
-    let path = Path::new(CORPUS).join(FIXTURE);
-    let repro = load_repro(&path).expect("fixture loads");
+    let repro = load_repro(&Path::new(CORPUS).join(OLD_FIXTURE)).expect("old fixture loads");
     assert_eq!(repro.filename(), FIXTURE, "content hash drifted");
-    let text = std::fs::read_to_string(&path).unwrap();
+    let text = std::fs::read_to_string(Path::new(CORPUS).join(FIXTURE)).unwrap();
     assert_eq!(repro.to_json().pretty(), text, "encoding drifted");
+    let current = load_repro(&Path::new(CORPUS).join(FIXTURE)).expect("fixture loads");
+    assert_eq!(current, repro);
     let outcome = replay_repro(&repro);
     assert_eq!(outcome.violation.as_deref(), Some(repro.violation.as_str()));
     assert_eq!(outcome.fingerprint, repro.fingerprint);

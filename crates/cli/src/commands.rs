@@ -454,7 +454,7 @@ pub fn chaos(args: &Args) -> Result<(), ArgError> {
     // Link-fault plane selectors: any of --partition / --drop-rate /
     // --churn restricts the campaign to the chosen link-fault adversary
     // columns (the fault-plane smoke path); --drop-rate additionally
-    // tunes the per-link loss rate of the LossyLinks cases.
+    // tunes the per-link drop rate of the LossyLinks cases.
     use dr_bench::chaos::AdversaryKind;
     let want_partition = args.num("partition", 0u8)? != 0;
     let want_churn = args.num("churn", 0u8)? != 0;
@@ -465,7 +465,7 @@ pub fn chaos(args: &Args) -> Result<(), ArgError> {
     if let Some(rate) = drop_rate {
         if rate >= 1000 {
             return Err(ArgError(format!(
-                "--drop-rate is a permille loss rate and must be below 1000, got {rate}"
+                "--drop-rate is a permille drop rate and must be below 1000, got {rate}"
             )));
         }
     }

@@ -1,6 +1,6 @@
-//! Golden link-fault schedules: every park, link drop, resend, loss,
-//! churn deferral and compelled release of a fixed grid of faulty runs,
-//! pinned across commits.
+//! Golden link-fault schedules: every park, link drop, resend, churn
+//! deferral and compelled release of a fixed grid of faulty runs, pinned
+//! across commits.
 //!
 //! `golden_fingerprints.rs` pins fault-free and crash schedules through
 //! `RunReport::fingerprint`, which leaves the link-fault counters out and
@@ -8,15 +8,14 @@
 //! here pins, for one (case, seed):
 //!
 //! * a digest of the run's full `TraceEntry` stream (every `Deliver`,
-//!   `Park`, `LinkDrop`, `Lost`, `ChurnDefer`, `Hold`, `Drop` and release
+//!   `Park`, `LinkDrop`, `ChurnDefer`, `Hold`, `Drop` and release
 //!   with its tick) and its length;
-//! * the five link counters (parked, link drops, retransmissions, lost,
+//! * the four link counters (parked, link drops, retransmissions,
 //!   deferred) and the slab's peak occupancy;
 //! * `RunReport::fingerprint()`;
 //! * the content hash of the adversary's recorded decisions
-//!   (`ScheduleTrace`, without its retransmission-policy keys), which
-//!   still pins a run that ends in a `RunError` (whose `Debug` text the
-//!   row pins instead of the report).
+//!   (`ScheduleTrace`), which still pins a run that ends in a `RunError`
+//!   (whose `Debug` text the row pins instead of the report).
 //!
 //! To regenerate after an *intentional* change to link-fault semantics
 //! (never for a refactor or a perf change):
@@ -25,14 +24,12 @@
 //! cargo test -p dr-protocols --test link_fault_goldens -- --ignored print_link_fault_goldens --nocapture
 //! ```
 
-use dr_core::json::{ToJson, Value};
 use dr_core::{FaultModel, ModelParams, PeerId, ProtocolMessage};
 use dr_protocols::{BalancedDownload, CrashMultiDownload, TwoCycleDownload};
 use dr_sim::{
     Adversary, ChaosAdversary, ChaosConfig, ChurnMixer, Delivery, HeldInfo, HoldUntilQuiescence,
     LinkFaultPlan, LossyLinks, PartitionDirective, PartitionHealer, RecordingAdversary, Release,
-    RetransmitPolicy, RunReport, ScheduleTrace, SilentAgent, SimBuilder, TraceEntry, View,
-    TICKS_PER_UNIT,
+    RunReport, SilentAgent, SimBuilder, TraceEntry, View, TICKS_PER_UNIT,
 };
 use rand::rngs::StdRng;
 use std::borrow::Cow;
@@ -50,8 +47,8 @@ struct Pinned {
     /// FNV-1a over the `Debug` text of every trace entry (0 on error).
     trace_digest: u64,
     trace_len: usize,
-    /// Parked, link drops, retransmissions, lost, deferred.
-    counters: [u64; 5],
+    /// Parked, link drops, retransmissions, deferred.
+    counters: [u64; 4],
     peak_slab: u64,
     fingerprint: u64,
 }
@@ -68,21 +65,6 @@ fn trace_digest(trace: &[TraceEntry]) -> u64 {
     })
 }
 
-/// FNV-1a over the trace's JSON without its retransmission-policy keys
-/// (`backoff_base`, `max_retries`, `fail_fast`): the content hash of the
-/// decisions the adversary made, not of the knobs it was configured with.
-fn schedule_hash(trace: &ScheduleTrace) -> u64 {
-    let Value::Map(mut entries) = trace.to_json() else {
-        unreachable!("a schedule trace encodes as an object")
-    };
-    entries
-        .retain(|(key, _)| !["backoff_base", "max_retries", "fail_fast"].contains(&key.as_str()));
-    fnv1a(
-        0xcbf2_9ce4_8422_2325,
-        Value::Map(entries).to_string().as_bytes(),
-    )
-}
-
 /// Runs `builder` with tracing on under `adversary`, recording the
 /// adversary's decisions, and collects the row.
 fn pin<M: ProtocolMessage>(
@@ -93,7 +75,7 @@ fn pin<M: ProtocolMessage>(
     let sim = builder.trace().adversary(recorder).build();
     let input = sim.input().clone();
     let result = sim.run();
-    let schedule = schedule_hash(&handle.take());
+    let schedule = handle.take().content_hash();
     match result {
         Ok(report) => {
             report
@@ -106,7 +88,7 @@ fn pin<M: ProtocolMessage>(
             schedule,
             trace_digest: 0,
             trace_len: 0,
-            counters: [0; 5],
+            counters: [0; 4],
             peak_slab: 0,
             fingerprint: 0,
         },
@@ -124,7 +106,6 @@ fn pinned_report(report: &RunReport, schedule: u64) -> Pinned {
             report.parked_messages,
             report.link_drops,
             report.retransmissions,
-            report.messages_lost,
             report.deferred_deliveries,
         ],
         peak_slab: report.peak_slab_len,
@@ -175,28 +156,6 @@ fn two_cycle(links: Links, seed: u64) -> Pinned {
     pin(builder, links.adversary(k, seed, b - 1))
 }
 
-/// 2-cycle with a wider budget and no Byzantine peer, over lossy links
-/// under a tight retry policy: it tolerates the messages that are lost,
-/// so the run completes with `Lost` entries in its trace.
-fn two_cycle_lossy(seed: u64, drop_permille: u16, max_retries: u32) -> Pinned {
-    let (n, k, b) = (512, 64, 6);
-    let params = ModelParams::builder(n, k)
-        .faults(FaultModel::Byzantine, b)
-        .build()
-        .unwrap();
-    let policy = RetransmitPolicy {
-        max_retries,
-        ..RetransmitPolicy::default()
-    };
-    let builder = SimBuilder::new(params)
-        .seed(seed)
-        .protocol(move |_| TwoCycleDownload::new(n, k, b));
-    pin(
-        builder,
-        LossyLinks::new(seed, drop_permille).with_policy(policy),
-    )
-}
-
 /// Algorithm 2 with the whole budget left to the adversary.
 fn crash_multi(links: Links, seed: u64) -> Pinned {
     let (n, k, b) = (192, 12, 2);
@@ -216,17 +175,6 @@ fn balanced(seed: u64, adversary: impl Adversary<dr_protocols::Chunk> + 'static)
         .seed(seed)
         .protocol(move |_| BalancedDownload::new(n, k));
     pin(builder, adversary)
-}
-
-/// The fault-free balanced download over lossy links under a tight
-/// retry policy.
-fn balanced_lossy(seed: u64, max_retries: u32, fail_fast: bool) -> Pinned {
-    let policy = RetransmitPolicy {
-        max_retries,
-        fail_fast,
-        ..RetransmitPolicy::default()
-    };
-    balanced(seed, LossyLinks::new(seed, 120).with_policy(policy))
 }
 
 /// Holds every send and releases the two oldest at a time, while a cut
@@ -276,12 +224,6 @@ fn cases() -> Vec<(&'static str, CaseRunner)> {
         ("two_cycle/chaos_aggressive", |s| {
             two_cycle(Links::ChaosAggressive, s)
         }),
-        ("two_cycle/lossy_max_retries_0", |s| {
-            two_cycle_lossy(s, 30, 0)
-        }),
-        ("two_cycle/lossy_max_retries_2", |s| {
-            two_cycle_lossy(s, 150, 2)
-        }),
         ("crash_multi/lossy", |s| crash_multi(Links::Lossy, s)),
         ("crash_multi/partition", |s| {
             crash_multi(Links::Partition, s)
@@ -290,9 +232,6 @@ fn cases() -> Vec<(&'static str, CaseRunner)> {
         ("crash_multi/chaos_aggressive", |s| {
             crash_multi(Links::ChaosAggressive, s)
         }),
-        ("balanced/max_retries_0", |s| balanced_lossy(s, 0, false)),
-        ("balanced/max_retries_1", |s| balanced_lossy(s, 1, false)),
-        ("balanced/fail_fast", |s| balanced_lossy(s, 0, true)),
         ("balanced/hold_across_cut", |s| {
             balanced(s, HoldAcrossCut(HoldUntilQuiescence::new(1.0, 2)))
         }),
@@ -311,7 +250,7 @@ const GOLDENS: &[(&str, u64, Pinned)] = &[
             schedule: 0x5790836815ab43dd,
             trace_digest: 0xac9cf00f30702343,
             trace_len: 5873,
-            counters: [0, 1778, 1778, 0, 0],
+            counters: [0, 1778, 1778, 0],
             peak_slab: 63,
             fingerprint: 0x911999b629ab05cf,
         },
@@ -324,7 +263,7 @@ const GOLDENS: &[(&str, u64, Pinned)] = &[
             schedule: 0x7e64e44de6bfc85f,
             trace_digest: 0x47003b09f863ffed,
             trace_len: 5811,
-            counters: [0, 1717, 1717, 0, 0],
+            counters: [0, 1717, 1717, 0],
             peak_slab: 63,
             fingerprint: 0x50f6d3613e7702c6,
         },
@@ -337,7 +276,7 @@ const GOLDENS: &[(&str, u64, Pinned)] = &[
             schedule: 0xdd415003b1dd355f,
             trace_digest: 0xa8bdee85d644935a,
             trace_len: 6080,
-            counters: [1995, 0, 0, 0, 0],
+            counters: [1995, 0, 0, 0],
             peak_slab: 63,
             fingerprint: 0x4f14386f4ffa71d6,
         },
@@ -350,7 +289,7 @@ const GOLDENS: &[(&str, u64, Pinned)] = &[
             schedule: 0xf6db45af2b08c7ce,
             trace_digest: 0xbef1164e02e75952,
             trace_len: 6102,
-            counters: [2015, 0, 0, 0, 0],
+            counters: [2015, 0, 0, 0],
             peak_slab: 63,
             fingerprint: 0x5861298ef231b6c8,
         },
@@ -363,7 +302,7 @@ const GOLDENS: &[(&str, u64, Pinned)] = &[
             schedule: 0x2593a3746cfd844e,
             trace_digest: 0xa611a5461af1f25f,
             trace_len: 4197,
-            counters: [0, 0, 0, 0, 102],
+            counters: [0, 0, 0, 102],
             peak_slab: 63,
             fingerprint: 0x4ef25fd868db64f2,
         },
@@ -376,7 +315,7 @@ const GOLDENS: &[(&str, u64, Pinned)] = &[
             schedule: 0x5f1ea926dad9ffca,
             trace_digest: 0x8c0ed32807730218,
             trace_len: 4203,
-            counters: [0, 0, 0, 0, 108],
+            counters: [0, 0, 0, 108],
             peak_slab: 63,
             fingerprint: 0x5a744fcbd9d6f99b,
         },
@@ -389,7 +328,7 @@ const GOLDENS: &[(&str, u64, Pinned)] = &[
             schedule: 0xcd78f5d9cec19bb6,
             trace_digest: 0x92584cba8135441c,
             trace_len: 5038,
-            counters: [0, 0, 0, 0, 0],
+            counters: [0, 0, 0, 0],
             peak_slab: 63,
             fingerprint: 0xa9b4b0e0dabf6ede,
         },
@@ -402,61 +341,9 @@ const GOLDENS: &[(&str, u64, Pinned)] = &[
             schedule: 0x8e2ab277c39dbec9,
             trace_digest: 0x4e71d118e696a80d,
             trace_len: 5060,
-            counters: [0, 0, 0, 0, 0],
+            counters: [0, 0, 0, 0],
             peak_slab: 63,
             fingerprint: 0x5e6e243f519d92ef,
-        },
-    ),
-    (
-        "two_cycle/lossy_max_retries_0",
-        3,
-        Pinned {
-            error: Cow::Borrowed(""),
-            schedule: 0xbd515ffdf15d9d3e,
-            trace_digest: 0xea242321fa8b3825,
-            trace_len: 4167,
-            counters: [0, 111, 0, 111, 0],
-            peak_slab: 64,
-            fingerprint: 0x84d9b88562fda859,
-        },
-    ),
-    (
-        "two_cycle/lossy_max_retries_0",
-        24301,
-        Pinned {
-            error: Cow::Borrowed(""),
-            schedule: 0x14f0db5623bdeaee,
-            trace_digest: 0x6bff3d420f2b687d,
-            trace_len: 4249,
-            counters: [0, 119, 0, 119, 0],
-            peak_slab: 64,
-            fingerprint: 0x36146dfe4128a731,
-        },
-    ),
-    (
-        "two_cycle/lossy_max_retries_2",
-        3,
-        Pinned {
-            error: Cow::Borrowed(""),
-            schedule: 0xe55a04c216f5e20f,
-            trace_digest: 0xc49ddb0af125754c,
-            trace_len: 4736,
-            counters: [0, 698, 680, 18, 0],
-            peak_slab: 64,
-            fingerprint: 0x75fed3fb1ca0e08b,
-        },
-    ),
-    (
-        "two_cycle/lossy_max_retries_2",
-        24301,
-        Pinned {
-            error: Cow::Borrowed(""),
-            schedule: 0xcc228ceefede363b,
-            trace_digest: 0x0ccd0e12e74cde2a,
-            trace_len: 4812,
-            counters: [0, 728, 715, 13, 0],
-            peak_slab: 64,
-            fingerprint: 0x8cd999cee72b2140,
         },
     ),
     (
@@ -467,7 +354,7 @@ const GOLDENS: &[(&str, u64, Pinned)] = &[
             schedule: 0xa4738baeb82917cc,
             trace_digest: 0x35a8d41dbed09b2f,
             trace_len: 803,
-            counters: [0, 247, 247, 0, 0],
+            counters: [0, 247, 247, 0],
             peak_slab: 135,
             fingerprint: 0xa9f5c6e4e9564175,
         },
@@ -480,7 +367,7 @@ const GOLDENS: &[(&str, u64, Pinned)] = &[
             schedule: 0x5b9f2a3a86096eb5,
             trace_digest: 0x62ec367984bfbbae,
             trace_len: 828,
-            counters: [0, 289, 289, 0, 0],
+            counters: [0, 289, 289, 0],
             peak_slab: 139,
             fingerprint: 0x11c74ac580fae172,
         },
@@ -493,7 +380,7 @@ const GOLDENS: &[(&str, u64, Pinned)] = &[
             schedule: 0xe051fc00723afbd7,
             trace_digest: 0xa9f457bc62290689,
             trace_len: 670,
-            counters: [130, 0, 0, 0, 0],
+            counters: [130, 0, 0, 0],
             peak_slab: 126,
             fingerprint: 0x2139a3b61f6e4d0e,
         },
@@ -506,7 +393,7 @@ const GOLDENS: &[(&str, u64, Pinned)] = &[
             schedule: 0xc5e5e7e96b871cf0,
             trace_digest: 0xa2ecaae2eba82cc2,
             trace_len: 656,
-            counters: [115, 0, 0, 0, 0],
+            counters: [115, 0, 0, 0],
             peak_slab: 127,
             fingerprint: 0x3b1e9977f937b922,
         },
@@ -519,7 +406,7 @@ const GOLDENS: &[(&str, u64, Pinned)] = &[
             schedule: 0x9174219c4efd9f81,
             trace_digest: 0x0139a03e644dcf6e,
             trace_len: 561,
-            counters: [0, 0, 0, 0, 18],
+            counters: [0, 0, 0, 18],
             peak_slab: 146,
             fingerprint: 0xff254b2bd49d3ac5,
         },
@@ -532,7 +419,7 @@ const GOLDENS: &[(&str, u64, Pinned)] = &[
             schedule: 0x8345d556c98afa70,
             trace_digest: 0xfe7b2b281bbba11f,
             trace_len: 562,
-            counters: [0, 0, 0, 0, 23],
+            counters: [0, 0, 0, 23],
             peak_slab: 132,
             fingerprint: 0x0addc2027165ed27,
         },
@@ -545,7 +432,7 @@ const GOLDENS: &[(&str, u64, Pinned)] = &[
             schedule: 0x41c2d83269d37e60,
             trace_digest: 0xb2951ca7e0cecc76,
             trace_len: 633,
-            counters: [0, 0, 0, 0, 0],
+            counters: [0, 0, 0, 0],
             peak_slab: 121,
             fingerprint: 0x1e29a7c313b85d15,
         },
@@ -558,93 +445,9 @@ const GOLDENS: &[(&str, u64, Pinned)] = &[
             schedule: 0xdc1aa11a2d49709c,
             trace_digest: 0xd62a518b923bf2a7,
             trace_len: 581,
-            counters: [0, 0, 0, 0, 0],
+            counters: [0, 0, 0, 0],
             peak_slab: 126,
             fingerprint: 0xe11e84975a3399a1,
-        },
-    ),
-    (
-        "balanced/max_retries_0",
-        3,
-        Pinned {
-            error: Cow::Borrowed(
-                "Deadlock { stuck: [PeerId(0), PeerId(1), PeerId(3), PeerId(5)] }",
-            ),
-            schedule: 0x9f5f60440c4cd786,
-            trace_digest: 0x0000000000000000,
-            trace_len: 0,
-            counters: [0, 0, 0, 0, 0],
-            peak_slab: 0,
-            fingerprint: 0x0000000000000000,
-        },
-    ),
-    (
-        "balanced/max_retries_0",
-        24301,
-        Pinned {
-            error: Cow::Borrowed("Deadlock { stuck: [PeerId(0), PeerId(1), PeerId(5)] }"),
-            schedule: 0xf2db49fed331cf28,
-            trace_digest: 0x0000000000000000,
-            trace_len: 0,
-            counters: [0, 0, 0, 0, 0],
-            peak_slab: 0,
-            fingerprint: 0x0000000000000000,
-        },
-    ),
-    (
-        "balanced/max_retries_1",
-        3,
-        Pinned {
-            error: Cow::Borrowed("Deadlock { stuck: [PeerId(3), PeerId(5)] }"),
-            schedule: 0x1ef830a0296cdd14,
-            trace_digest: 0x0000000000000000,
-            trace_len: 0,
-            counters: [0, 0, 0, 0, 0],
-            peak_slab: 0,
-            fingerprint: 0x0000000000000000,
-        },
-    ),
-    (
-        "balanced/max_retries_1",
-        24301,
-        Pinned {
-            error: Cow::Borrowed(""),
-            schedule: 0xbdbed0cf70fb7ba9,
-            trace_digest: 0xfa27bd9b5ee9eb7f,
-            trace_len: 49,
-            counters: [0, 7, 7, 0, 0],
-            peak_slab: 6,
-            fingerprint: 0x9d246d4b70d1ad51,
-        },
-    ),
-    (
-        "balanced/fail_fast",
-        3,
-        Pinned {
-            error: Cow::Borrowed(
-                "RetriesExhausted { from: PeerId(4), to: PeerId(5), attempts: 1 }",
-            ),
-            schedule: 0xdcba68b8c74e8e9a,
-            trace_digest: 0x0000000000000000,
-            trace_len: 0,
-            counters: [0, 0, 0, 0, 0],
-            peak_slab: 0,
-            fingerprint: 0x0000000000000000,
-        },
-    ),
-    (
-        "balanced/fail_fast",
-        24301,
-        Pinned {
-            error: Cow::Borrowed(
-                "RetriesExhausted { from: PeerId(3), to: PeerId(1), attempts: 1 }",
-            ),
-            schedule: 0xf595ebf9bd74b6a8,
-            trace_digest: 0x0000000000000000,
-            trace_len: 0,
-            counters: [0, 0, 0, 0, 0],
-            peak_slab: 0,
-            fingerprint: 0x0000000000000000,
         },
     ),
     (
@@ -655,7 +458,7 @@ const GOLDENS: &[(&str, u64, Pinned)] = &[
             schedule: 0x57b3b92162150ada,
             trace_digest: 0x3e86d5e6c36f760d,
             trace_len: 89,
-            counters: [2, 0, 0, 0, 0],
+            counters: [2, 0, 0, 0],
             peak_slab: 6,
             fingerprint: 0x65a08152cf32488f,
         },
@@ -668,7 +471,7 @@ const GOLDENS: &[(&str, u64, Pinned)] = &[
             schedule: 0x786258667347406d,
             trace_digest: 0xd6a76a29e5127585,
             trace_len: 89,
-            counters: [2, 0, 0, 0, 0],
+            counters: [2, 0, 0, 0],
             peak_slab: 6,
             fingerprint: 0x60c53acd2d653d9b,
         },

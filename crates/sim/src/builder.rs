@@ -161,7 +161,10 @@ impl<M: ProtocolMessage> SimBuilder<M> {
         self
     }
 
-    /// Overrides the livelock guard (default: 50 million events).
+    /// Overrides the livelock guard (default: 50 million): the run fails
+    /// with [`RunError::EventLimitExceeded`](crate::RunError::EventLimitExceeded)
+    /// once its handler steps plus its resends of dropped messages reach
+    /// `limit`.
     pub fn max_events(mut self, limit: u64) -> Self {
         self.max_events = limit;
         self

@@ -44,7 +44,7 @@ pub use builder::SimBuilder;
 pub use chaos::{AdaptiveCrasher, ChaosAdversary, ChaosConfig, HoldUntilQuiescence};
 pub use linkfault::{
     ChurnDirective, ChurnMixer, LinkDecision, LinkFaultPlan, LossyLinks, PartitionDirective,
-    PartitionHealer, RetransmitPolicy,
+    PartitionHealer,
 };
 pub use report::{DownloadViolation, RunError, RunReport};
 pub use schedule::{CutDecision, RecordingAdversary, ReplayAdversary, ScheduleTrace, TraceHandle};

@@ -1,5 +1,5 @@
-//! The link-fault plane: healing partitions, lossy links with bounded
-//! retransmission, and peer churn.
+//! The link-fault plane: healing partitions, lossy links that resend,
+//! and peer churn.
 //!
 //! The base [`Adversary`](crate::Adversary) controls *scheduling* faults
 //! (delays, holds, crashes). This module adds *link* faults, layered
@@ -12,8 +12,12 @@
 //! * [`Adversary::lossy`](crate::Adversary::lossy) +
 //!   [`Adversary::on_transmit`](crate::Adversary::on_transmit) drive
 //!   per-link drops: each transmission attempt of a scheduled delivery may
-//!   be dropped, and dropped messages re-send after exponentially
-//!   backed-off tick intervals under the plan's [`RetransmitPolicy`].
+//!   be dropped, and a dropped message is sent again after an
+//!   exponentially backed-off tick interval.
+//!
+//! Every one of the three is a delay: the links stay reliable, as in the
+//! paper's model (§1.2), where the adversary fixes a finite delay for
+//! every message and loses none.
 //!
 //! # Parking, not losing
 //!
@@ -35,15 +39,15 @@
 //! resend layer reduces to its deterministic equivalent. On a lossy link
 //! the delivery step consults `on_transmit` for each attempt it does not
 //! park; a dropped attempt schedules a `Retransmit` event after
-//! `backoff(attempt) = backoff_base · 2^(attempt-1)` ticks (clamped to
-//! `1..=2·TICKS_PER_UNIT`). When it fires, the resend is dropped if its
-//! recipient crashed or terminated meanwhile, and otherwise goes through
-//! the same step again with the next attempt number. A quiescence release
-//! consults no link. After `max_retries` failed resends the message is
-//! abandoned: its slot is freed, `RunReport::messages_lost` counts it, and
-//! with [`RetransmitPolicy::fail_fast`] the run surfaces a structured
-//! [`RunError::RetriesExhausted`](crate::RunError::RetriesExhausted)
-//! instead of silently losing data.
+//! `backoff(attempt) = (TICKS_PER_UNIT / 8) · 2^(attempt-1)` ticks
+//! (clamped to `1..=2·TICKS_PER_UNIT`). When it fires, the resend is
+//! dropped if its recipient crashed or terminated meanwhile, and
+//! otherwise goes through the same step again with the next attempt
+//! number. A quiescence release consults no link. There is no retry cap:
+//! a message is resent until a link lets it through, so an adversary that
+//! drops one message forever drives a livelock, which the simulator's
+//! event limit reports as
+//! [`RunError::EventLimitExceeded`](crate::RunError::EventLimitExceeded).
 //!
 //! # Churn
 //!
@@ -71,7 +75,7 @@ pub enum LinkDecision {
     /// The attempt succeeds; the message is delivered after its latency.
     Transmit,
     /// The attempt is dropped; the retransmission layer schedules a
-    /// backed-off resend (or abandons the message once retries cap out).
+    /// backed-off resend.
     Drop,
 }
 
@@ -94,13 +98,6 @@ pub struct PartitionDirective {
 
 json_struct!(ToJson, FromJson for PartitionDirective { name, group, from_tick, heal_tick });
 
-impl PartitionDirective {
-    /// Whether this cut is active at `now`.
-    pub fn active_at(&self, now: Ticks) -> bool {
-        self.from_tick <= now && now < self.heal_tick
-    }
-}
-
 /// A peer leaving the network and rejoining later (suspend/resume churn:
 /// the peer keeps its local state but takes no steps while away).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,41 +112,25 @@ pub struct ChurnDirective {
 
 json_struct!(ToJson, FromJson for ChurnDirective { peer, leave, rejoin });
 
-/// Bounded-retry policy for dropped transmissions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetransmitPolicy {
-    /// Base backoff in ticks; resend `a` waits `backoff_base · 2^(a-1)`
-    /// ticks, clamped to `1..=2·TICKS_PER_UNIT`.
-    pub backoff_base: Ticks,
-    /// Maximum number of resends per message before it is abandoned.
-    pub max_retries: u32,
-    /// Whether an abandoned message aborts the run with
-    /// [`RunError::RetriesExhausted`](crate::RunError::RetriesExhausted)
-    /// instead of only counting into `RunReport::messages_lost`.
-    pub fail_fast: bool,
+/// Backoff before the first resend of a dropped message, in ticks.
+const BACKOFF_BASE: Ticks = TICKS_PER_UNIT / 8;
+
+/// Backoff before resend number `attempt` (1-based): exponential in the
+/// attempt, clamped to `1..=2·TICKS_PER_UNIT` so the gap between two
+/// resends stays within a bounded multiple of the latency unit.
+pub(crate) fn backoff(attempt: u32) -> Ticks {
+    let shift = attempt.saturating_sub(1).min(16);
+    (BACKOFF_BASE << shift).clamp(1, 2 * TICKS_PER_UNIT)
 }
 
-impl Default for RetransmitPolicy {
-    fn default() -> Self {
-        RetransmitPolicy {
-            backoff_base: TICKS_PER_UNIT / 8,
-            max_retries: 12,
-            fail_fast: false,
-        }
-    }
-}
-
-/// The static link-fault declaration of one run: partitions, churn, and
-/// the retransmission policy for lossy links. Fetched once from
-/// [`Adversary::link_fault_plan`] at build time.
+/// The static link-fault declaration of one run: partitions and churn.
+/// Fetched once from [`Adversary::link_fault_plan`] at build time.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LinkFaultPlan {
     /// Named partitions with scheduled heal ticks.
     pub partitions: Vec<PartitionDirective>,
     /// Peer leave/rejoin directives.
     pub churn: Vec<ChurnDirective>,
-    /// Retry policy for transmissions dropped via [`Adversary::on_transmit`].
-    pub retransmit: RetransmitPolicy,
 }
 
 impl LinkFaultPlan {
@@ -203,7 +184,6 @@ pub(crate) struct RuntimeLinkState {
     cuts: Vec<RuntimeCut>,
     /// Per-peer `(leave, rejoin)` windows.
     away: Vec<Vec<(Ticks, Ticks)>>,
-    pub(crate) policy: RetransmitPolicy,
 }
 
 impl RuntimeLinkState {
@@ -234,11 +214,7 @@ impl RuntimeLinkState {
         for c in &plan.churn {
             away[c.peer.index()].push((c.leave, c.rejoin));
         }
-        RuntimeLinkState {
-            cuts,
-            away,
-            policy: plan.retransmit,
-        }
+        RuntimeLinkState { cuts, away }
     }
 
     /// If an active cut separates `a` from `b` at `now`, the latest heal
@@ -263,14 +239,6 @@ impl RuntimeLinkState {
             .filter(|(leave, rejoin)| *leave <= now && now < *rejoin)
             .map(|(_, rejoin)| *rejoin)
             .max()
-    }
-
-    /// Backoff before resend number `attempt` (1-based): exponential in
-    /// the attempt, clamped to `1..=2·TICKS_PER_UNIT` so retry chains stay
-    /// within a bounded multiple of the latency unit.
-    pub(crate) fn backoff(&self, attempt: u32) -> Ticks {
-        let shift = attempt.saturating_sub(1).min(16);
-        (self.policy.backoff_base << shift).clamp(1, 2 * TICKS_PER_UNIT)
     }
 }
 
@@ -331,7 +299,6 @@ impl PartitionHealer {
                 },
             ],
             churn: Vec::new(),
-            retransmit: RetransmitPolicy::default(),
         };
         PartitionHealer { plan }
     }
@@ -364,12 +331,11 @@ impl<M: ProtocolMessage> Adversary<M> for PartitionHealer {
 }
 
 /// Adversary dropping transmissions per link at a seed-jittered rate,
-/// with uniform random delays. Dropped messages retry under the plan's
-/// [`RetransmitPolicy`]. Crash-inert.
+/// with uniform random delays. Dropped messages are resent until they get
+/// through. Crash-inert.
 pub struct LossyLinks {
     salt: u64,
     drop_permille: u16,
-    policy: RetransmitPolicy,
 }
 
 impl LossyLinks {
@@ -382,14 +348,7 @@ impl LossyLinks {
         LossyLinks {
             salt: mix(seed ^ 0x10_55_1e_55),
             drop_permille: drop_permille.min(950),
-            policy: RetransmitPolicy::default(),
         }
-    }
-
-    /// Overrides the retransmission policy.
-    pub fn with_policy(mut self, policy: RetransmitPolicy) -> Self {
-        self.policy = policy;
-        self
     }
 
     /// Effective drop rate (permille) of the directed link `from → to`.
@@ -414,14 +373,6 @@ impl<M: ProtocolMessage> Adversary<M> for LossyLinks {
         rng: &mut StdRng,
     ) -> Delivery {
         Delivery::After(rng.gen_range(1..=TICKS_PER_UNIT))
-    }
-
-    fn link_fault_plan(&self) -> LinkFaultPlan {
-        LinkFaultPlan {
-            partitions: Vec::new(),
-            churn: Vec::new(),
-            retransmit: self.policy,
-        }
     }
 
     fn lossy(&self) -> bool {
@@ -491,7 +442,6 @@ impl ChurnMixer {
             plan: LinkFaultPlan {
                 partitions: Vec::new(),
                 churn,
-                retransmit: RetransmitPolicy::default(),
             },
         }
     }
@@ -537,7 +487,6 @@ mod tests {
                 heal_tick: 100,
             }],
             churn: Vec::new(),
-            retransmit: RetransmitPolicy::default(),
         };
         let rt = RuntimeLinkState::new(&plan, 4);
         // Across the cut, inside the window.
@@ -567,7 +516,6 @@ mod tests {
                     rejoin: 40,
                 },
             ],
-            retransmit: RetransmitPolicy::default(),
         };
         let rt = RuntimeLinkState::new(&plan, 2);
         assert_eq!(rt.away_until(PeerId(1), 4), None);
@@ -580,26 +528,13 @@ mod tests {
 
     #[test]
     fn backoff_is_exponential_and_clamped() {
-        let plan = LinkFaultPlan::default();
-        let rt = RuntimeLinkState::new(&plan, 1);
-        let base = RetransmitPolicy::default().backoff_base;
-        assert_eq!(rt.backoff(1), base);
-        assert_eq!(rt.backoff(2), base * 2);
-        assert_eq!(rt.backoff(3), base * 4);
-        // Clamped: never past two time units, never below one tick.
-        assert_eq!(rt.backoff(30), 2 * TICKS_PER_UNIT);
-        let zero = RuntimeLinkState::new(
-            &LinkFaultPlan {
-                retransmit: RetransmitPolicy {
-                    backoff_base: 0,
-                    max_retries: 1,
-                    fail_fast: false,
-                },
-                ..LinkFaultPlan::default()
-            },
-            1,
-        );
-        assert_eq!(zero.backoff(1), 1);
+        let base = TICKS_PER_UNIT / 8;
+        assert_eq!(backoff(1), base);
+        assert_eq!(backoff(2), base * 2);
+        assert_eq!(backoff(3), base * 4);
+        // Clamped: never past two time units.
+        assert_eq!(backoff(5), 2 * TICKS_PER_UNIT);
+        assert_eq!(backoff(30), 2 * TICKS_PER_UNIT);
     }
 
     #[test]
@@ -613,7 +548,6 @@ mod tests {
                 heal_tick: 7,
             }],
             churn: Vec::new(),
-            retransmit: RetransmitPolicy::default(),
         };
         let _ = RuntimeLinkState::new(&plan, 2);
     }

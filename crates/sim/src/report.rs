@@ -16,7 +16,9 @@ pub enum RunError {
         /// Nonfaulty peers that were still waiting.
         stuck: Vec<PeerId>,
     },
-    /// The safety limit on processed events was exceeded (livelock guard).
+    /// The safety limit on handler steps plus resends was exceeded
+    /// (livelock guard; see
+    /// [`SimBuilder::max_events`](crate::SimBuilder::max_events)).
     EventLimitExceeded {
         /// The configured limit.
         limit: u64,
@@ -29,18 +31,6 @@ pub enum RunError {
     SlabOverflow {
         /// The slot capacity that was hit.
         capacity: u32,
-    },
-    /// A lossy link dropped the same message more times than the
-    /// retransmission policy's retry budget allows, and the policy is
-    /// fail-fast (see [`RetransmitPolicy`](crate::RetransmitPolicy)):
-    /// the loss surfaces as a structured error instead of a silent drop.
-    RetriesExhausted {
-        /// Sender of the abandoned message.
-        from: PeerId,
-        /// Intended receiver.
-        to: PeerId,
-        /// Total transmission attempts made (original send + resends).
-        attempts: u32,
     },
 }
 
@@ -55,12 +45,6 @@ impl fmt::Display for RunError {
             }
             RunError::SlabOverflow { capacity } => {
                 write!(f, "message slab overflow: slot capacity {capacity} reached")
-            }
-            RunError::RetriesExhausted { from, to, attempts } => {
-                write!(
-                    f,
-                    "retries exhausted: {from} -> {to} abandoned after {attempts} attempts"
-                )
             }
         }
     }
@@ -155,10 +139,6 @@ pub struct RunReport {
     pub link_drops: u64,
     /// Resend attempts the retransmission layer scheduled.
     pub retransmissions: u64,
-    /// Messages abandoned after exhausting the retry budget. Always zero
-    /// for a fail-fast policy on a successful run (the run errors out
-    /// instead).
-    pub messages_lost: u64,
     /// Deliveries deferred because the recipient had churned away; each
     /// re-fires at the peer's rejoin tick.
     pub deferred_deliveries: u64,
@@ -336,7 +316,6 @@ mod tests {
             parked_messages: 0,
             link_drops: 0,
             retransmissions: 0,
-            messages_lost: 0,
             deferred_deliveries: 0,
             peak_queue_len: 0,
             peak_slab_len: 0,

@@ -3,11 +3,14 @@
 //! Determinism (same seed, same decision sequence ⇒ identical execution)
 //! makes every run reproducible *given the adversary's decisions*. This
 //! module captures those decisions — start offsets, per-message latencies
-//! and holds, quiescence releases, crash triggers, and mid-send cuts — into
-//! a [`ScheduleTrace`] that a [`ReplayAdversary`] plays back bit-identically,
-//! turning any failing chaos run into a committed reproducer. The chaos
-//! campaign (`dr_bench::chaos`) shrinks such traces to minimal failing
-//! schedules.
+//! and holds, quiescence releases, crash triggers, mid-send cuts, the
+//! link-fault plan's partitions and churn, and each transmit-or-drop
+//! decision of a lossy link — into a [`ScheduleTrace`] that a
+//! [`ReplayAdversary`] plays back bit-identically, turning any failing
+//! chaos run into a committed reproducer. The chaos campaign
+//! (`dr_bench::chaos`) shrinks such traces to minimal failing schedules.
+//! Links are reliable, so a trace records no loss: a dropped attempt is
+//! resent, and its resend is one more recorded transmit decision.
 //!
 //! Decisions are recorded positionally, aligned by hook-call order: the
 //! simulator consults the adversary in a deterministic sequence, so the
@@ -16,9 +19,7 @@
 //! instead.
 
 use crate::adversary::{Adversary, Delivery, HeldInfo, Release};
-use crate::linkfault::{
-    ChurnDirective, LinkDecision, LinkFaultPlan, PartitionDirective, RetransmitPolicy,
-};
+use crate::linkfault::{ChurnDirective, LinkDecision, LinkFaultPlan, PartitionDirective};
 use crate::time::Ticks;
 use crate::view::{PeerRole, View};
 use dr_core::json::ToJson;
@@ -41,7 +42,9 @@ pub struct CutDecision {
 /// Every adversary decision of one run, in hook-call order.
 ///
 /// Encodings kept from the first repro files, so they still load (no
-/// data-carrying enum variants, no tuples, peers as bare integers):
+/// data-carrying enum variants, no tuples, peers as bare integers; keys
+/// this struct no longer has, such as the retransmission policy's
+/// `backoff_base`, `max_retries` and `fail_fast`, are ignored):
 /// * `sends[i] = None` means the `i`-th sent message was held,
 ///   `Some(t)` means it was delivered after `t` ticks;
 /// * `releases[q] = None` means the `q`-th quiescence released everything
@@ -65,13 +68,6 @@ pub struct ScheduleTrace {
     pub partitions: Vec<PartitionDirective>,
     /// Churn directives of the recorded link-fault plan.
     pub churn: Vec<ChurnDirective>,
-    /// Retransmission backoff base (ticks) of the recorded plan.
-    pub backoff_base: u64,
-    /// Retry cap of the recorded plan.
-    pub max_retries: u64,
-    /// Whether the recorded plan surfaces exhausted retries as a
-    /// [`RunError::RetriesExhausted`](crate::RunError::RetriesExhausted).
-    pub fail_fast: bool,
     /// Transmit decision per `on_transmit` call (`true` = transmitted,
     /// `false` = dropped). Empty for non-lossy recordings; non-empty
     /// marks the replay itself as lossy.
@@ -80,8 +76,7 @@ pub struct ScheduleTrace {
 
 json_struct!(ToJson, FromJson for CutDecision { call, keep });
 json_struct!(ToJson, FromJson for ScheduleTrace {
-    start_offsets, sends, releases, crashes, cuts, partitions, churn, backoff_base, max_retries,
-    fail_fast, transmits
+    start_offsets, sends, releases, crashes, cuts, partitions, churn, transmits
 });
 
 impl ScheduleTrace {
@@ -110,11 +105,6 @@ impl ScheduleTrace {
         LinkFaultPlan {
             partitions: self.partitions.clone(),
             churn: self.churn.clone(),
-            retransmit: RetransmitPolicy {
-                backoff_base: self.backoff_base,
-                max_retries: self.max_retries as u32,
-                fail_fast: self.fail_fast,
-            },
         }
     }
 
@@ -123,9 +113,6 @@ impl ScheduleTrace {
     pub fn set_link_fault_plan(&mut self, plan: &LinkFaultPlan) {
         self.partitions = plan.partitions.clone();
         self.churn = plan.churn.clone();
-        self.backoff_base = plan.retransmit.backoff_base;
-        self.max_retries = u64::from(plan.retransmit.max_retries);
-        self.fail_fast = plan.retransmit.fail_fast;
     }
 
     /// Stable content hash (FNV-1a over the canonical JSON rendering),
@@ -267,7 +254,7 @@ impl<M: ProtocolMessage> Adversary<M> for RecordingAdversary<M> {
 
     fn link_fault_plan(&self) -> LinkFaultPlan {
         // Fetched once at build time; capture the plan into the trace so
-        // replay reconstructs the same cuts, churn, and retry policy.
+        // replay reconstructs the same cuts and churn.
         let plan = self.inner.link_fault_plan();
         lock_trace(&self.trace).set_link_fault_plan(&plan);
         plan
@@ -465,9 +452,6 @@ mod tests {
                 leave: 100,
                 rejoin: 5000,
             }],
-            backoff_base: 128,
-            max_retries: 12,
-            fail_fast: true,
             transmits: vec![true, false, true],
         };
         let text = trace.to_json().pretty();
@@ -490,18 +474,12 @@ mod tests {
                 leave: 512,
                 rejoin: 4096,
             }],
-            retransmit: RetransmitPolicy {
-                backoff_base: 64,
-                max_retries: 7,
-                fail_fast: true,
-            },
         };
         let mut trace = ScheduleTrace::default();
         trace.set_link_fault_plan(&plan);
         assert_eq!(trace.num_link_directives(), 2);
         assert_eq!(trace.link_fault_plan(), plan);
-        // A default trace encodes the trivial plan (zero policy included:
-        // it is never consulted because `transmits` is empty).
+        // A default trace encodes the trivial plan.
         assert!(ScheduleTrace::default().link_fault_plan().is_trivial());
     }
 

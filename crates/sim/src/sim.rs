@@ -33,15 +33,16 @@
 //!
 //! What a message meets after its sender's step is one `Network`: the
 //! pump and its slab, held messages, the link-fault plane, pending
-//! resends, the five link counters and the trace. Its `transmit` is the
+//! resends, the four link counters and the trace. Its `transmit` is the
 //! one delivery step, shared by a send (attempt 0), a backed-off resend
 //! (attempt `a ≥ 1`, the original latency) and a compelled release at
 //! quiescence (latency 1, never dropped). It parks the message behind
 //! an active cut; otherwise, on a lossy link, it lets `on_transmit` drop
-//! the attempt and then schedules the resend, or loses the message past
-//! the retry cap; otherwise it queues the delivery. A payload whose
-//! recipient is dead leaves through `Network::drop_payload`, which frees
-//! its claim and records the `Drop`.
+//! the attempt and then schedules the resend; otherwise it queues the
+//! delivery. No message is ever lost on the way: links are reliable, as
+//! in the model, and a drop only delays. A payload whose recipient is
+//! dead leaves through `Network::drop_payload`, which frees its claim and
+//! records the `Drop`.
 //!
 //! # One pump, one order
 //!
@@ -59,7 +60,7 @@
 use crate::adversary::{Adversary, Delivery, HeldInfo, Release};
 use crate::agent::Agent;
 use crate::ctx::{LaneCtx, Meter, Outgoing};
-use crate::linkfault::{LinkDecision, RuntimeLinkState};
+use crate::linkfault::{backoff, LinkDecision, RuntimeLinkState};
 use crate::report::{RunError, RunReport};
 use crate::shard::{EventKind, EventPump};
 use crate::time::{Ticks, TICKS_PER_UNIT};
@@ -97,14 +98,14 @@ struct RetransState {
 }
 
 /// The simulator's delivery state: the event pump and its payload slab,
-/// held messages, the link-fault plane, pending resends, the five link
+/// held messages, the link-fault plane, pending resends, the four link
 /// counters and the trace. [`transmit`](Network::transmit) is the one
-/// place a message is parked, dropped, resent, lost or scheduled.
+/// place a message is parked, dropped, resent or scheduled.
 pub(crate) struct Network<M> {
     pump: EventPump<M>,
     held: Vec<HeldMessage>,
     /// Validated runtime form of the adversary's link-fault plan
-    /// (partitions, churn windows, retransmission policy).
+    /// (partitions and churn windows).
     links: RuntimeLinkState,
     /// Cached [`Adversary::lossy`] answer (contractually constant per
     /// run): gates every `on_transmit` consultation.
@@ -113,7 +114,6 @@ pub(crate) struct Network<M> {
     parked_messages: u64,
     link_drops: u64,
     retransmissions: u64,
-    messages_lost: u64,
     deferred_deliveries: u64,
     trace: Option<Vec<TraceEntry>>,
 }
@@ -136,17 +136,16 @@ impl<M> Network<M> {
     /// The delivery step for transmission attempt `attempt` of `msg`. An
     /// active cut parks the message until it heals, with no link consulted.
     /// Otherwise, on a lossy link, `on_transmit(attempt)` decides: a
-    /// drop schedules the backed-off resend, or — past the retry cap —
-    /// loses the message (slot freed; under a fail-fast policy the run
-    /// fails with [`RunError::RetriesExhausted`]). Anything else is
-    /// delivered `latency` plus the extra packets' transmission later.
+    /// drop schedules the backed-off resend, however many attempts came
+    /// before. Anything else is delivered `latency` plus the extra
+    /// packets' transmission later.
     fn transmit(
         &mut self,
         now: Ticks,
         msg: Transit,
         attempt: u32,
         on_transmit: impl FnOnce(u32) -> LinkDecision,
-    ) -> Result<(), RunError> {
+    ) {
         let Transit {
             from,
             to,
@@ -165,11 +164,11 @@ impl<M> Network<M> {
                 until,
             });
             self.pump.push(until + latency + transmission, deliver);
-            return Ok(());
+            return;
         }
         if !self.lossy || on_transmit(attempt) == LinkDecision::Transmit {
             self.pump.push(now + latency + transmission, deliver);
-            return Ok(());
+            return;
         }
         self.link_drops += 1;
         self.record(TraceEntry::LinkDrop {
@@ -178,30 +177,13 @@ impl<M> Network<M> {
             to,
             attempt,
         });
-        let policy = self.links.policy;
-        if attempt >= policy.max_retries {
-            self.pump.release_payload(slot);
-            self.messages_lost += 1;
-            let attempts = attempt + 1;
-            self.record(TraceEntry::Lost {
-                at: now,
-                from,
-                to,
-                attempts,
-            });
-            if policy.fail_fast {
-                return Err(RunError::RetriesExhausted { from, to, attempts });
-            }
-        } else {
-            let attempt = attempt + 1;
-            self.retransmissions += 1;
-            self.retrans
-                .insert((to.index(), slot), RetransState { msg, attempt });
-            let fire = now + self.links.backoff(attempt);
-            self.pump
-                .push(fire, EventKind::Retransmit { from, to, slot });
-        }
-        Ok(())
+        let attempt = attempt + 1;
+        self.retransmissions += 1;
+        self.retrans
+            .insert((to.index(), slot), RetransState { msg, attempt });
+        let fire = now + backoff(attempt);
+        self.pump
+            .push(fire, EventKind::Retransmit { from, to, slot });
     }
 }
 
@@ -291,7 +273,6 @@ impl<M: ProtocolMessage> Simulation<M> {
             parked_messages: 0,
             link_drops: 0,
             retransmissions: 0,
-            messages_lost: 0,
             deferred_deliveries: 0,
             trace: None,
         };
@@ -434,9 +415,8 @@ impl<M: ProtocolMessage> Simulation<M> {
     /// counted down — consulting the adversary for each exactly as for a
     /// point-to-point send. The payload is stored once and every recipient
     /// becomes one more owner of its slot before it is held or handed to
-    /// [`Network::transmit`]. The loop's own claim keeps the slot occupied
-    /// until the last recipient is routed, so a message lost on the spot
-    /// cannot free a slot later recipients share.
+    /// [`Network::transmit`]; the loop's own claim from storing it ends
+    /// once the last recipient is routed.
     fn route(
         &mut self,
         peer: PeerId,
@@ -472,7 +452,6 @@ impl<M: ProtocolMessage> Simulation<M> {
             now,
             peers: &self.status,
         };
-        let mut routed = Ok(());
         for to in recipients {
             *keep -= 1;
             if sender_nonfaulty_now {
@@ -507,15 +486,10 @@ impl<M: ProtocolMessage> Simulation<M> {
             };
             let (adversary, rng) = (&mut self.adversary, &mut self.adv_rng);
             let on_transmit = |attempt| adversary.on_transmit(&view, peer, to, attempt, rng);
-            routed = net.transmit(now, msg(latency), 0, on_transmit);
-            if routed.is_err() {
-                break;
-            }
+            net.transmit(now, msg(latency), 0, on_transmit);
         }
-        // The dispatch loop's own claim ends here, error or not:
-        // recipients routed so far keep theirs.
         net.pump.release_payload(slot);
-        routed
+        Ok(())
     }
 
     /// Delivers one event to a peer, running its handler. The produced
@@ -646,7 +620,9 @@ impl<M: ProtocolMessage> Simulation<M> {
     /// Returns [`RunError::Deadlock`] if every queue drains while a
     /// nonfaulty peer is still waiting (the protocols in the paper are
     /// proven never to reach this state),
-    /// [`RunError::EventLimitExceeded`] if the livelock guard trips, or
+    /// [`RunError::EventLimitExceeded`] if the livelock guard trips (on
+    /// handler steps plus resends, so an adversary that drops a message
+    /// forever trips it too), or
     /// [`RunError::SlabOverflow`] if the payload slab hits its configured
     /// slot capacity.
     pub fn run(mut self) -> Result<RunReport, RunError> {
@@ -676,7 +652,7 @@ impl<M: ProtocolMessage> Simulation<M> {
             if self.pending_nonfaulty == 0 {
                 return Ok(());
             }
-            if self.events >= self.max_events {
+            if self.events + self.net.retransmissions >= self.max_events {
                 return Err(RunError::EventLimitExceeded {
                     limit: self.max_events,
                 });
@@ -685,7 +661,7 @@ impl<M: ProtocolMessage> Simulation<M> {
                 Some((at, kind)) => {
                     self.now = self.now.max(at);
                     if let EventKind::Retransmit { from, to, slot } = kind {
-                        self.handle_retransmit(from, to, slot)?;
+                        self.handle_retransmit(from, to, slot);
                         continue;
                     }
                     if let Some(peer) = self.process_event(kind) {
@@ -708,7 +684,7 @@ impl<M: ProtocolMessage> Simulation<M> {
                     }
                     // Quiescence: the adversary is compelled to release held
                     // messages so the system can make progress.
-                    self.release_held()?;
+                    self.release_held();
                 }
             }
         }
@@ -717,7 +693,7 @@ impl<M: ProtocolMessage> Simulation<M> {
     /// A backed-off resend of the message in `slot` fires: dropped if its
     /// recipient died meanwhile, otherwise transmitted again with the
     /// latency of its original send.
-    fn handle_retransmit(&mut self, from: PeerId, to: PeerId, slot: u32) -> Result<(), RunError> {
+    fn handle_retransmit(&mut self, from: PeerId, to: PeerId, slot: u32) {
         let st = self
             .net
             .retrans
@@ -726,7 +702,7 @@ impl<M: ProtocolMessage> Simulation<M> {
         let target = &self.status[to.index()];
         if target.crashed || target.terminated {
             self.net.drop_payload(self.now, to, slot);
-            return Ok(());
+            return;
         }
         let view = View {
             now: self.now,
@@ -734,7 +710,7 @@ impl<M: ProtocolMessage> Simulation<M> {
         };
         let (adversary, rng) = (&mut self.adversary, &mut self.adv_rng);
         let on_transmit = |attempt| adversary.on_transmit(&view, from, to, attempt, rng);
-        self.net.transmit(self.now, st.msg, st.attempt, on_transmit)
+        self.net.transmit(self.now, st.msg, st.attempt, on_transmit);
     }
 
     /// Debug-build invariant: at the end of a run every occupied slab slot
@@ -792,7 +768,7 @@ impl<M: ProtocolMessage> Simulation<M> {
     /// go are transmitted with latency 1 and never dropped (the adversary's
     /// `on_transmit` is not asked), but one released across an unhealed
     /// cut still parks until it heals.
-    fn release_held(&mut self) -> Result<(), RunError> {
+    fn release_held(&mut self) {
         self.quiescence_releases += 1;
         let held = &self.net.held;
         self.held_infos.clear();
@@ -834,9 +810,8 @@ impl<M: ProtocolMessage> Simulation<M> {
         // delivery event.
         for &i in chosen.iter().rev() {
             let msg = self.net.held.swap_remove(i).msg;
-            self.net.transmit(now, msg, 0, |_| LinkDecision::Transmit)?;
+            self.net.transmit(now, msg, 0, |_| LinkDecision::Transmit);
         }
-        Ok(())
     }
 
     fn into_report(self) -> RunReport {
@@ -878,7 +853,6 @@ impl<M: ProtocolMessage> Simulation<M> {
             parked_messages: self.net.parked_messages,
             link_drops: self.net.link_drops,
             retransmissions: self.net.retransmissions,
-            messages_lost: self.net.messages_lost,
             deferred_deliveries: self.net.deferred_deliveries,
             peak_queue_len: self.net.pump.peak_queued() as u64,
             peak_slab_len: self.net.pump.peak_live() as u64,

@@ -82,7 +82,7 @@ pub enum TraceEntry {
         until: Ticks,
     },
     /// A lossy link dropped a transmission attempt (the retransmission
-    /// layer will resend unless the retry cap is reached).
+    /// layer resends it after a backoff).
     LinkDrop {
         /// Virtual time in ticks.
         at: Ticks,
@@ -93,18 +93,6 @@ pub enum TraceEntry {
         /// Which attempt failed: 0 is the original send, `a ≥ 1` the
         /// `a`-th resend.
         attempt: u32,
-    },
-    /// The retransmission layer gave up on a message after exhausting its
-    /// retry budget; the payload slot was freed.
-    Lost {
-        /// Virtual time in ticks.
-        at: Ticks,
-        /// Sender.
-        from: PeerId,
-        /// Intended receiver.
-        to: PeerId,
-        /// Total transmission attempts made (original send + resends).
-        attempts: u32,
     },
     /// A delivery addressed to a churned-away peer was deferred to its
     /// rejoin tick (the payload slot rides along; nothing is lost).
@@ -131,7 +119,6 @@ impl TraceEntry {
             | TraceEntry::Terminate { at, .. }
             | TraceEntry::Park { at, .. }
             | TraceEntry::LinkDrop { at, .. }
-            | TraceEntry::Lost { at, .. }
             | TraceEntry::ChurnDefer { at, .. } => *at,
         }
     }
@@ -165,11 +152,6 @@ pub fn render_trace(trace: &[TraceEntry]) -> String {
                 from, to, attempt, ..
             } => {
                 format!("{t:8.3}  LDROP    {from} -> {to} (attempt {attempt})")
-            }
-            TraceEntry::Lost {
-                from, to, attempts, ..
-            } => {
-                format!("{t:8.3}  LOST     {from} -> {to} ({attempts} attempts)")
             }
             TraceEntry::ChurnDefer { peer, until, .. } => {
                 let u = ticks_to_units(*until);
@@ -233,12 +215,6 @@ mod tests {
                 to: PeerId(0),
                 attempt: 0,
             },
-            TraceEntry::Lost {
-                at: 2051,
-                from: PeerId(2),
-                to: PeerId(0),
-                attempts: 5,
-            },
             TraceEntry::ChurnDefer {
                 at: 2052,
                 peer: PeerId(1),
@@ -248,11 +224,11 @@ mod tests {
         let text = render_trace(&trace);
         for needle in [
             "START", "DELIVER", "DROP", "CRASH", "HOLD", "RELEASE", "DONE", "PARK", "LDROP",
-            "LOST", "DEFER",
+            "DEFER",
         ] {
             assert!(text.contains(needle), "missing {needle} in {text}");
         }
         assert_eq!(trace[6].at(), 2048);
-        assert_eq!(trace[10].at(), 2052);
+        assert_eq!(trace[9].at(), 2052);
     }
 }

@@ -14,8 +14,8 @@ use dr_core::{BitArray, Context, FaultModel, ModelParams, PeerId, Protocol, Prot
 use dr_sim::{
     Adversary, ChaosAdversary, ChaosConfig, ChurnDirective, ChurnMixer, Delivery,
     HoldUntilQuiescence, LinkDecision, LinkFaultPlan, LossyLinks, PartitionDirective,
-    PartitionHealer, RecordingAdversary, Release, RetransmitPolicy, RunError, RunReport,
-    ScheduleTrace, SimBuilder, StandardAdversary, Ticks, TraceEntry, View, TICKS_PER_UNIT,
+    PartitionHealer, RecordingAdversary, Release, RunError, RunReport, ScheduleTrace, SimBuilder,
+    StandardAdversary, Ticks, TraceEntry, View, TICKS_PER_UNIT,
 };
 use rand::rngs::StdRng;
 
@@ -289,8 +289,8 @@ struct Facts {
     trace: Vec<TraceEntry>,
     messages_sent: u64,
     message_bits: u64,
-    /// Parked, link drops, retransmissions, lost, deferred.
-    link: [u64; 5],
+    /// Parked, link drops, retransmissions, deferred.
+    link: [u64; 4],
     events: u64,
     quiescence_releases: u64,
     peak_queue_len: u64,
@@ -308,7 +308,6 @@ impl Facts {
                 report.parked_messages,
                 report.link_drops,
                 report.retransmissions,
-                report.messages_lost,
                 report.deferred_deliveries,
             ],
             events: report.events,
@@ -548,82 +547,21 @@ fn a_partition_parks_half_a_broadcast() {
     }
 }
 
-/// Lossy links: with retries a dropped recipient waits for its resend
-/// while the rest of the broadcast goes ahead; without, it is lost on the
-/// spot and the slot must survive for the recipients after it.
+/// Lossy links: a dropped recipient waits for its resend while the rest
+/// of the broadcast goes ahead.
 #[test]
-fn lossy_links_with_and_without_retries() {
-    let policy = |max_retries, fail_fast| RetransmitPolicy {
-        backoff_base: TICKS_PER_UNIT / 8,
-        max_retries,
-        fail_fast,
-    };
-    // Quorum 0: peers terminate at their start, so lost messages cannot
-    // deadlock the run and every loss is followed by more recipients.
-    let lost_on_the_spot = assert_equivalent(&Case {
-        label: "no retries",
-        n: 140,
-        k: 7,
-        b: 0,
-        seed: 29,
-        quorum: 0,
-        adversary: scripted(Script {
-            drop_every: 3,
-            plan: LinkFaultPlan {
-                retransmit: policy(0, false),
-                ..Default::default()
-            },
-            ..Script::default()
-        }),
-    });
-    let facts = completed(&lost_on_the_spot, "no retries");
-    assert!(facts.link[3] > 0 && facts.link[2] == 0, "{:?}", facts.link);
-
-    let fail_fast = assert_equivalent(&Case {
-        label: "no retries, fail fast",
-        n: 140,
-        k: 7,
-        b: 0,
-        seed: 29,
-        quorum: 0,
-        adversary: scripted(Script {
-            drop_every: 4,
-            plan: LinkFaultPlan {
-                retransmit: policy(0, true),
-                ..Default::default()
-            },
-            ..Script::default()
-        }),
-    });
-    // The fourth attempt is the broadcast's third recipient.
-    assert_eq!(
-        fail_fast.result,
-        Err(RunError::RetriesExhausted {
-            from: PeerId(0),
-            to: PeerId(3),
-            attempts: 1
-        })
-    );
-
-    let retrying: [(&str, AdversaryFactory); 3] = [
+fn lossy_links_resend_inside_a_broadcast() {
+    let retrying: [(&str, AdversaryFactory); 2] = [
         (
-            "scripted retries",
+            "scripted drops",
             scripted(Script {
                 drop_every: 3,
-                plan: LinkFaultPlan {
-                    retransmit: policy(6, true),
-                    ..Default::default()
-                },
                 ..Script::default()
             }),
         ),
         (
             "lossy links",
             Box::new(|| Box::new(LossyLinks::new(31, 300))),
-        ),
-        (
-            "lossy links, two retries",
-            Box::new(move || Box::new(LossyLinks::new(37, 400).with_policy(policy(2, false)))),
         ),
     ];
     for (label, adversary) in retrying {
@@ -636,15 +574,12 @@ fn lossy_links_with_and_without_retries() {
             quorum: 3,
             adversary,
         });
-        // A run may deadlock on abandoned messages; it must do so the
-        // same way on both sides, which `assert_equivalent` checked.
-        if let Ok(facts) = &observed.result {
-            assert!(
-                facts.link[1] > 0 && facts.link[2] > 0,
-                "{label}: {:?}",
-                facts.link
-            );
-        }
+        let facts = completed(&observed, label);
+        assert!(
+            facts.link[1] > 0 && facts.link[1] == facts.link[2],
+            "{label}: {:?}",
+            facts.link
+        );
     }
 }
 
@@ -670,7 +605,7 @@ fn churn_defers_shared_deliveries() {
             ..Script::default()
         }),
     });
-    assert!(completed(&observed, "fixed churn").link[4] > 0);
+    assert!(completed(&observed, "fixed churn").link[3] > 0);
     for seed in [43u64, 44] {
         let observed = assert_equivalent(&Case {
             label: "churn mixer",

@@ -1,12 +1,12 @@
 //! Integration tests for the link-fault plane: healing partitions,
-//! lossy links with bounded retransmission, peer churn, and the
-//! record/replay + sharded-pump-degrade guarantees of all three.
+//! lossy links that resend until a transmission gets through, peer
+//! churn, and the record/replay guarantees of all three.
 
 use dr_core::{BitArray, Context, ModelParams, PeerId, Protocol, ProtocolMessage};
 use dr_sim::{
     Adversary, ChurnDirective, ChurnMixer, Delivery, LinkDecision, LinkFaultPlan, LossyLinks,
-    PartitionDirective, PartitionHealer, RecordingAdversary, ReplayAdversary, RetransmitPolicy,
-    RunError, RunReport, SimBuilder, Ticks, TraceEntry, View, TICKS_PER_UNIT,
+    PartitionDirective, PartitionHealer, RecordingAdversary, ReplayAdversary, RunError, RunReport,
+    SimBuilder, Ticks, TraceEntry, View, TICKS_PER_UNIT,
 };
 use rand::rngs::StdRng;
 
@@ -104,13 +104,14 @@ impl<M: ProtocolMessage> Adversary<M> for StaticCut {
     }
 }
 
-/// Unit-latency adversary whose lossy layer drops *every* transmission
-/// attempt, under a configurable retry policy. Crash-inert.
-struct AlwaysDrop {
-    policy: RetransmitPolicy,
+/// Unit-latency adversary whose lossy layer drops the first `drops`
+/// transmission attempts of every message (`u32::MAX`: every attempt).
+/// Crash-inert.
+struct DropFirst {
+    drops: u32,
 }
 
-impl<M: ProtocolMessage> Adversary<M> for AlwaysDrop {
+impl<M: ProtocolMessage> Adversary<M> for DropFirst {
     fn on_send(
         &mut self,
         _v: &View<'_>,
@@ -124,12 +125,6 @@ impl<M: ProtocolMessage> Adversary<M> for AlwaysDrop {
     fn planned_crashes(&self) -> Option<usize> {
         Some(0)
     }
-    fn link_fault_plan(&self) -> LinkFaultPlan {
-        LinkFaultPlan {
-            retransmit: self.policy,
-            ..Default::default()
-        }
-    }
     fn lossy(&self) -> bool {
         true
     }
@@ -138,10 +133,14 @@ impl<M: ProtocolMessage> Adversary<M> for AlwaysDrop {
         _v: &View<'_>,
         _f: PeerId,
         _t: PeerId,
-        _a: u32,
+        attempt: u32,
         _r: &mut StdRng,
     ) -> LinkDecision {
-        LinkDecision::Drop
+        if attempt < self.drops {
+            LinkDecision::Drop
+        } else {
+            LinkDecision::Transmit
+        }
     }
 }
 
@@ -159,14 +158,13 @@ fn run_balanced(
         .run()
 }
 
-/// The five link-fault counters, for replay-equality assertions (they
+/// The four link-fault counters, for replay-equality assertions (they
 /// are deliberately excluded from `RunReport::fingerprint`).
-fn link_counters(r: &RunReport) -> [u64; 5] {
+fn link_counters(r: &RunReport) -> [u64; 4] {
     [
         r.parked_messages,
         r.link_drops,
         r.retransmissions,
-        r.messages_lost,
         r.deferred_deliveries,
     ]
 }
@@ -230,45 +228,48 @@ fn partition_parking_is_traced() {
     assert!(parks.iter().all(|&u| u == heal));
 }
 
-/// Exhausted retries under a fail-fast policy surface as the structured
-/// `RetriesExhausted` error — with the exact attempt count — instead of
-/// a silent loss or an eventual deadlock.
+/// Links are reliable: a message whose first 20 attempts are dropped
+/// (more than any retry cap the simulator ever had) is resent until it
+/// gets through, so the run completes and verifies, and every message
+/// counts exactly 20 drops and 20 resends.
 #[test]
-fn exhausted_retries_surface_as_structured_error() {
-    let policy = RetransmitPolicy {
-        backoff_base: TICKS_PER_UNIT / 8,
-        max_retries: 2,
-        fail_fast: true,
-    };
-    match run_balanced(64, 4, 3, AlwaysDrop { policy }) {
-        Err(RunError::RetriesExhausted { attempts, .. }) => {
-            // Original send + max_retries resends, all dropped.
-            assert_eq!(attempts, 3);
-        }
-        other => panic!("expected RetriesExhausted, got {other:?}"),
-    }
+fn a_message_dropped_twenty_times_still_arrives() {
+    let (n, k) = (64, 4);
+    let sim = SimBuilder::new(ModelParams::fault_free(n, k).unwrap())
+        .seed(3)
+        .protocol(move |_| Balanced::new(n))
+        .adversary(DropFirst { drops: 20 })
+        .build();
+    let input = sim.input().clone();
+    let report = sim.run().expect("every message is resent until it arrives");
+    report.verify_downloads(&input).expect("downloads verify");
+    // Each peer broadcasts its share once: k·(k − 1) messages.
+    let messages = (k * (k - 1)) as u64;
+    assert_eq!(report.retransmissions, 20 * messages);
+    assert_eq!(report.link_drops, 20 * messages);
 }
 
-/// Without fail-fast the same exhaustion is a counted loss: the run goes
-/// on (and here deadlocks, since Balanced needs every chunk) — the point
-/// is that the loss is *reported*, not hidden.
+/// An adversary that drops every attempt keeps one message in flight
+/// forever: that livelock ends in the event limit, which counts resends,
+/// instead of hanging.
 #[test]
-fn exhausted_retries_without_fail_fast_deadlock_balanced() {
-    let policy = RetransmitPolicy {
-        backoff_base: TICKS_PER_UNIT / 8,
-        max_retries: 1,
-        fail_fast: false,
-    };
-    match run_balanced(64, 4, 3, AlwaysDrop { policy }) {
-        Err(RunError::Deadlock { stuck }) => assert_eq!(stuck.len(), 4),
-        other => panic!("expected deadlock from total loss, got {other:?}"),
-    }
+fn dropping_every_attempt_hits_the_event_limit() {
+    let (n, k) = (64, 4);
+    let result = SimBuilder::new(ModelParams::fault_free(n, k).unwrap())
+        .seed(3)
+        .protocol(move |_| Balanced::new(n))
+        .adversary(DropFirst { drops: u32::MAX })
+        .max_events(500)
+        .build()
+        .run();
+    assert!(
+        matches!(result, Err(RunError::EventLimitExceeded { limit: 500 })),
+        "{result:?}"
+    );
 }
 
-/// Same-seed record → replay is bit-identical for every new adversary,
-/// including under the sharded pump (where the link-fault gate degrades
-/// window dispatch to the serial path): equal fingerprints and equal
-/// link-fault counters.
+/// Same-seed record → replay is bit-identical for every link-fault
+/// adversary: equal fingerprints and equal link-fault counters.
 #[test]
 fn link_fault_adversaries_replay_bit_identically() {
     let (n, k) = (96, 6);
@@ -366,9 +367,9 @@ use proptest::prelude::*;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Same-seed `LossyLinks` runs replay bit-identically at any drop
-    /// rate: fingerprints and link counters are equal, and (with the generous default retry budget) the
-    /// terminating run's downloads verify at any drop rate < 1.0.
+    /// Same-seed `LossyLinks` runs complete, verify and replay
+    /// bit-identically at any drop rate: fingerprints and link counters
+    /// are equal.
     #[test]
     fn lossy_runs_replay_and_verify_at_any_drop_rate(
         seed in any::<u64>(),
@@ -383,30 +384,16 @@ proptest! {
             .adversary(recorder)
             .build();
         let input = sim.input().clone();
-        // Retransmission makes termination overwhelmingly likely even at
-        // heavy loss (LossyLinks caps per-link rates below 1.0 and the
-        // default policy retries 12 times); a terminating run must then
-        // download correctly — loss surfaces as deadlock, never as a
-        // wrong bit.
-        let original = sim.run();
-        let trace = handle.take();
-        match original {
-            Ok(report) => {
-                prop_assert!(report.verify_downloads(&input).is_ok());
-                if drop_permille > 0 {
-                    prop_assert!(report.link_drops > 0 || report.retransmissions == 0);
-                }
-                let replayed = run_balanced(n, k, seed, ReplayAdversary::new(trace))
-                    .unwrap_or_else(|e| panic!("replay: {e}"));
-                prop_assert_eq!(replayed.fingerprint(), report.fingerprint());
-                prop_assert_eq!(link_counters(&replayed), link_counters(&report));
-            }
-            Err(RunError::Deadlock { .. }) => {
-                // Legal only if something was genuinely abandoned.
-                prop_assert!(trace.transmits.iter().filter(|t| !**t).count() > 12);
-            }
-            Err(e) => panic!("unexpected error: {e}"),
-        }
+        // LossyLinks caps per-link rates below 1.0 and every dropped
+        // attempt is resent, so the run terminates and downloads
+        // correctly at any rate.
+        let report = sim.run().unwrap_or_else(|e| panic!("lossy: {e}"));
+        prop_assert!(report.verify_downloads(&input).is_ok());
+        prop_assert_eq!(report.link_drops, report.retransmissions);
+        let replayed = run_balanced(n, k, seed, ReplayAdversary::new(handle.take()))
+            .unwrap_or_else(|e| panic!("replay: {e}"));
+        prop_assert_eq!(replayed.fingerprint(), report.fingerprint());
+        prop_assert_eq!(link_counters(&replayed), link_counters(&report));
     }
 
     /// Partition + churn adversaries terminate and verify at every seed:
@@ -416,9 +403,9 @@ proptest! {
         let (n, k) = (64, 8);
         let report = run_balanced(n, k, seed, PartitionHealer::new(k, seed, 2))
             .unwrap_or_else(|e| panic!("partition: {e}"));
-        prop_assert_eq!(report.messages_lost, 0);
+        prop_assert!(report.outputs.iter().all(Option::is_some));
         let report = run_balanced(n, k, seed, ChurnMixer::new(k, seed, 2))
             .unwrap_or_else(|e| panic!("churn: {e}"));
-        prop_assert_eq!(report.messages_lost, 0);
+        prop_assert!(report.outputs.iter().all(Option::is_some));
     }
 }

@@ -10,7 +10,7 @@
 use dr_core::{BitArray, Context, FaultModel, ModelParams, PeerId, Protocol, ProtocolMessage};
 use dr_sim::{
     AdaptiveCrasher, Adversary, ChaosAdversary, ChaosConfig, Delivery, LinkDecision, LinkFaultPlan,
-    PartitionDirective, RetransmitPolicy, RunError, SimBuilder, Ticks, TICKS_PER_UNIT,
+    PartitionDirective, RunError, SimBuilder, Ticks, TICKS_PER_UNIT,
 };
 use rand::rngs::StdRng;
 
@@ -357,11 +357,9 @@ fn ample_slab_capacity_never_trips() {
     sim.run().expect("4 slots cover one broadcast per peer");
 }
 
-/// Unit-latency lossy adversary that drops every transmission attempt,
-/// under a configurable retry policy. Crash-inert.
-struct AlwaysDrop {
-    policy: RetransmitPolicy,
-}
+/// Unit-latency lossy adversary that drops every transmission attempt.
+/// Crash-inert.
+struct AlwaysDrop;
 
 impl<M: ProtocolMessage> Adversary<M> for AlwaysDrop {
     fn on_send(
@@ -377,13 +375,6 @@ impl<M: ProtocolMessage> Adversary<M> for AlwaysDrop {
 
     fn planned_crashes(&self) -> Option<usize> {
         Some(0)
-    }
-
-    fn link_fault_plan(&self) -> LinkFaultPlan {
-        LinkFaultPlan {
-            retransmit: self.policy,
-            ..Default::default()
-        }
     }
 
     fn lossy(&self) -> bool {
@@ -437,33 +428,6 @@ impl<M: ProtocolMessage> Adversary<M> for StaticCut {
     }
 }
 
-/// Messages abandoned by the retransmission layer free their slab slots
-/// at the loss: with a zero-retry policy every ping is dropped exactly
-/// once and lost, and the end-of-run audit must find no orphan slots.
-#[test]
-fn lost_messages_free_their_slots() {
-    let (n, k) = (64, 5);
-    let sim = SimBuilder::new(ModelParams::fault_free(n, k).unwrap())
-        .seed(17)
-        .protocol(move |_| Solo { out: None })
-        .adversary(AlwaysDrop {
-            policy: RetransmitPolicy {
-                backoff_base: TICKS_PER_UNIT / 8,
-                max_retries: 0,
-                fail_fast: false,
-            },
-        })
-        .build();
-    let report = sim.run().expect("solo peers need no messages");
-    let pings = (k * (k - 1)) as u64;
-    assert_eq!(report.link_drops, pings);
-    assert_eq!(report.messages_lost, pings);
-    assert_eq!(report.retransmissions, 0);
-    for p in 0..k {
-        assert!(report.outputs[p].is_some());
-    }
-}
-
 /// A run that ends while messages are still parked behind an unhealed
 /// cut: the parked payloads' slots are owned by queued deliveries the
 /// run never drains, and the audit must account for every one of them.
@@ -494,16 +458,13 @@ fn pending_retransmissions_do_not_leak_at_termination() {
     let sim = SimBuilder::new(ModelParams::fault_free(n, k).unwrap())
         .seed(29)
         .protocol(move |_| Solo { out: None })
-        .adversary(AlwaysDrop {
-            policy: RetransmitPolicy::default(),
-        })
+        .adversary(AlwaysDrop)
         .build();
     let report = sim
         .run()
         .expect("solo peers terminate with resends pending");
     assert!(report.link_drops > 0);
-    assert!(report.retransmissions > 0);
-    assert_eq!(report.messages_lost, 0, "retries never capped out");
+    assert_eq!(report.retransmissions, report.link_drops);
 }
 
 /// The adaptive crasher must not spend its budget on the held-at-start
