@@ -1,7 +1,7 @@
 //! Standardized experiment runs: one function per (protocol, scenario),
 //! all verifying the Download specification before returning metrics.
 
-use dr_core::{BitArray, FaultModel, ModelParams, PeerId, SegmentId, Segmentation};
+use dr_core::{FaultModel, ModelParams, PeerId, SegmentId, Segmentation};
 use dr_protocols::byz::strategies::{CollusionGroup, Equivocator, RandomNoise};
 use dr_protocols::{
     CommitteeDownload, CrashMultiDownload, MultiCycleDownload, NaiveDownload, SingleCrashDownload,
@@ -244,11 +244,6 @@ pub fn run_multi_cycle(n: usize, k: usize, b: usize, mix: ByzMix, seed: u64) -> 
     verified(builder.build())
 }
 
-/// Mean of a sample (delegates to [`Stats::of`]).
-pub fn mean(xs: &[f64]) -> f64 {
-    Stats::of(xs).mean
-}
-
 /// Convenience: repeats a run over `trials` seeds and averages a metric
 /// (delegates to [`Stats::sample`]).
 pub fn average<R: FnMut(u64) -> f64>(trials: u64, base_seed: u64, run: R) -> f64 {
@@ -265,15 +260,10 @@ where
     Stats::sample_par(trials, base_seed, run).mean
 }
 
-/// The all-zeros input convenience used by lower-bound experiments.
-pub fn zeros(n: usize) -> BitArray {
-    BitArray::zeros(n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dr_core::{ChunkedSource, Context};
+    use dr_core::{BitArray, ChunkedSource, Context};
     use dr_protocols::MultiCrashMsg;
     use std::sync::{Arc, Mutex};
 

@@ -1165,33 +1165,6 @@ impl PartialArray {
         })
     }
 
-    /// The known values restricted to `range`, or `None` if any bit in the
-    /// range is unknown. The all-known check runs word-at-a-time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds.
-    pub fn known_slice(&self, range: Range<usize>) -> Option<BitArray> {
-        assert!(
-            range.end <= self.len(),
-            "known_slice {range:?} out of range {}",
-            self.len()
-        );
-        let len = range.len();
-        let mut done = 0;
-        while done < len {
-            let pos = range.start + done;
-            let (w, bit) = (pos / 64, pos % 64);
-            let take = (64 - bit).min(len - done);
-            let window = low_mask(take) << bit;
-            if self.known.words[w] & window != window {
-                return None;
-            }
-            done += take;
-        }
-        Some(self.values.slice(range))
-    }
-
     /// Converts into the completed array.
     ///
     /// # Panics
@@ -1314,14 +1287,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.unknown_count(), 2);
         assert_eq!(a.get(3), Some(false));
-    }
-
-    #[test]
-    fn known_slice_requires_full_knowledge() {
-        let mut p = PartialArray::new(6);
-        p.learn_slice(2, &BitArray::from_bools(&[true, true]));
-        assert!(p.known_slice(2..4).is_some());
-        assert!(p.known_slice(1..4).is_none());
     }
 
     #[test]

@@ -17,15 +17,13 @@
 //! * [`collections`] — deterministic [`DetMap`](collections::DetMap) /
 //!   [`DetSet`](collections::DetSet) aliases required for keyed state in
 //!   the deterministic crate tier (enforced by `dr-lint`);
-//! * [`Segmentation`] / [`SegmentString`] — the segment machinery of the
-//!   randomized Byzantine protocols (§3.4);
+//! * [`Segmentation`] — the segment machinery of the randomized
+//!   Byzantine protocols (§3.4);
 //! * [`Source`], [`ArraySource`] — the external source — and
 //!   [`QueryMeter`], its per-peer query accounting across threads (the
 //!   paper's query-complexity measure `Q`);
 //! * [`ChunkedSource`] — a streaming, generate-on-demand source with a
 //!   bounded resident set, for `n` far beyond RAM;
-//! * [`Assignment`] — the bit-to-peer responsibility function of the
-//!   crash-fault protocols (§2);
 //! * [`ModelParams`] — validated instance parameters (`n`, `k`, `b`, `a`);
 //! * [`Protocol`] / [`Context`] / [`ProtocolMessage`] — the event-driven
 //!   state-machine abstraction that both the discrete-event simulator
@@ -53,7 +51,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod assignment;
 mod bits;
 mod cached;
 mod chunked;
@@ -66,7 +63,6 @@ mod protocol;
 mod segment;
 mod source;
 
-pub use assignment::Assignment;
 pub use bits::{low_mask, BitArray, BitIndices, MaskWord, PartialArray};
 pub use cached::{AdmissionPlane, CacheStats, CachedSource, ReadReceipt};
 pub use chunked::{ChunkStats, ChunkedSource};
@@ -74,5 +70,5 @@ pub use error::InvalidParamsError;
 pub use params::{FaultModel, ModelParams, ModelParamsBuilder};
 pub use peer::{PeerId, PeerSet};
 pub use protocol::{Context, Protocol, ProtocolMessage};
-pub use segment::{SegmentId, SegmentString, Segmentation};
+pub use segment::{SegmentId, Segmentation};
 pub use source::{ArraySource, QueryMeter, Source};

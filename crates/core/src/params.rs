@@ -38,7 +38,6 @@ impl std::fmt::Display for FaultModel {
 ///     .message_bits(256)
 ///     .build()?;
 /// assert_eq!(p.beta(), 0.25);
-/// assert_eq!(p.min_honest(), 12);
 /// # Ok::<(), dr_core::InvalidParamsError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -101,12 +100,6 @@ impl ModelParams {
         1.0 - self.beta()
     }
 
-    /// Guaranteed number of nonfaulty peers, `k − b`.
-    #[inline]
-    pub fn min_honest(&self) -> usize {
-        self.k - self.b
-    }
-
     /// The failure model in force.
     #[inline]
     pub fn fault_model(&self) -> FaultModel {
@@ -117,22 +110,6 @@ impl ModelParams {
     #[inline]
     pub fn msg_bits(&self) -> usize {
         self.msg_bits
-    }
-
-    /// Whether faulty peers form a minority (`b < k/2`), the regime of the
-    /// §3.2 Byzantine protocols.
-    pub fn is_fault_minority(&self) -> bool {
-        2 * self.b < self.k
-    }
-
-    /// The naive query complexity (every peer queries everything).
-    pub fn naive_query_complexity(&self) -> usize {
-        self.n
-    }
-
-    /// The balanced fault-free query complexity `⌈n/k⌉`.
-    pub fn balanced_query_complexity(&self) -> usize {
-        self.n.div_ceil(self.k)
     }
 }
 
@@ -161,13 +138,6 @@ impl ModelParamsBuilder {
     pub fn faults(mut self, model: FaultModel, b: usize) -> Self {
         self.fault_model = model;
         self.b = b;
-        self
-    }
-
-    /// Sets the fault budget from a fraction `β`, rounding down.
-    pub fn fault_fraction(mut self, model: FaultModel, beta: f64) -> Self {
-        self.fault_model = model;
-        self.b = ((beta * self.k as f64).floor() as usize).min(self.k);
         self
     }
 
@@ -226,27 +196,6 @@ mod tests {
         assert_eq!(p.b(), 0);
         assert_eq!(p.beta(), 0.0);
         assert_eq!(p.gamma(), 1.0);
-        assert_eq!(p.min_honest(), 10);
-        assert_eq!(p.balanced_query_complexity(), 10);
-    }
-
-    #[test]
-    fn fraction_rounds_down() {
-        let p = ModelParams::builder(10, 7)
-            .fault_fraction(FaultModel::Byzantine, 0.5)
-            .build()
-            .unwrap();
-        assert_eq!(p.b(), 3);
-        assert!(p.is_fault_minority());
-    }
-
-    #[test]
-    fn majority_detected() {
-        let p = ModelParams::builder(10, 6)
-            .faults(FaultModel::Byzantine, 3)
-            .build()
-            .unwrap();
-        assert!(!p.is_fault_minority());
     }
 
     #[test]

@@ -1,13 +1,10 @@
-//! Segmentation of the input array and segment-valued bit strings.
+//! Segmentation of the input array.
 //!
 //! The randomized Byzantine protocols (§3.4) partition the `n`-bit input
 //! into contiguous segments of roughly equal length; peers query whole
 //! segments and gossip `(segment, string)` pairs. [`Segmentation`] computes
-//! the partition, [`SegmentId`] names a segment, and [`SegmentString`] is a
-//! claimed value for one segment — the unit that frequency counting and the
-//! decision-tree machinery operate on.
+//! the partition and [`SegmentId`] names a segment.
 
-use crate::bits::BitArray;
 use std::fmt;
 use std::ops::Range;
 
@@ -103,64 +100,9 @@ impl Segmentation {
         self.range(id).len()
     }
 
-    /// The segment containing bit `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= n`.
-    pub fn segment_of(&self, i: usize) -> SegmentId {
-        assert!(i < self.n, "bit {i} out of range {}", self.n);
-        // Binary search over segment starts.
-        let (mut lo, mut hi) = (0usize, self.count);
-        while lo + 1 < hi {
-            let mid = (lo + hi) / 2;
-            if self.range(SegmentId(mid)).start <= i {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        SegmentId(lo)
-    }
-
     /// Iterates over all segment IDs.
     pub fn ids(&self) -> impl Iterator<Item = SegmentId> {
         (0..self.count).map(SegmentId)
-    }
-}
-
-/// A claimed value for one segment: the pair `(segment id, bit string)` that
-/// peers broadcast in the randomized protocols.
-///
-/// Two segment strings are *overlapping* when they name the same segment and
-/// *consistent* when in addition their bits agree (i.e. they are equal).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct SegmentString {
-    /// Which segment this string claims a value for.
-    pub segment: SegmentId,
-    /// The claimed bits of the segment.
-    pub bits: BitArray,
-}
-
-impl SegmentString {
-    /// Creates a claimed value for a segment.
-    pub fn new(segment: SegmentId, bits: BitArray) -> Self {
-        SegmentString { segment, bits }
-    }
-
-    /// Whether two strings claim the same segment (possibly different bits).
-    pub fn overlaps(&self, other: &SegmentString) -> bool {
-        self.segment == other.segment
-    }
-
-    /// Whether two strings claim the same segment with identical bits.
-    pub fn consistent_with(&self, other: &SegmentString) -> bool {
-        self == other
-    }
-
-    /// Message size of this string in bits (segment id encoded in 64 bits).
-    pub fn bit_len(&self) -> usize {
-        64 + self.bits.len()
     }
 }
 
@@ -214,27 +156,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn segment_of_inverts_range() {
-        let seg = Segmentation::new(101, 7);
-        for id in seg.ids() {
-            for i in seg.range(id) {
-                assert_eq!(seg.segment_of(i), id);
-            }
-        }
-    }
-
-    #[test]
-    fn overlap_and_consistency() {
-        let a = SegmentString::new(SegmentId(1), BitArray::from_bools(&[true, false]));
-        let b = SegmentString::new(SegmentId(1), BitArray::from_bools(&[true, true]));
-        let c = SegmentString::new(SegmentId(2), BitArray::from_bools(&[true, false]));
-        assert!(a.overlaps(&b));
-        assert!(!a.consistent_with(&b));
-        assert!(!a.overlaps(&c));
-        assert!(a.consistent_with(&a.clone()));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Crate-local property tests for `dr-core` invariants.
 
 use dr_core::{
-    ArraySource, Assignment, BitArray, BitIndices, CacheStats, CachedSource, PartialArray, PeerId,
-    PeerSet, QueryMeter, ReadReceipt, Source,
+    ArraySource, BitArray, BitIndices, CacheStats, CachedSource, PartialArray, PeerId, PeerSet,
+    QueryMeter, ReadReceipt, Source,
 };
 use proptest::prelude::*;
 use std::ops::Range;
@@ -150,22 +150,6 @@ proptest! {
         let c = pick(seed_b);
         prop_assert!(a.intersection(&c).len() >= k - 2 * b);
         prop_assert!(!a.intersection(&c).is_empty());
-    }
-
-    #[test]
-    fn assignment_reassignment_is_permutation_invariant(
-        n in 1usize..300,
-        k in 1usize..12,
-        picks in prop::collection::vec(0usize..300, 0..30),
-    ) {
-        let mut a = Assignment::round_robin(n, k);
-        let mut b = a.clone();
-        let bits: Vec<usize> = picks.into_iter().map(|p| p % n).collect();
-        let mut rev = bits.clone();
-        rev.reverse();
-        a.reassign_evenly(&bits);
-        b.reassign_evenly(&rev);
-        prop_assert_eq!(a, b);
     }
 
     #[test]

@@ -128,24 +128,6 @@ pub struct SourceFleet {
 }
 
 impl SourceFleet {
-    /// Builds a fleet from explicit sources and a ground truth (used by
-    /// tests and custom pipelines; [`SourceFleet::generate`] is the
-    /// standard constructor).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless at least one source is honest.
-    pub fn from_sources(sources: Vec<Box<dyn DataSource>>, truth: Vec<u64>) -> Self {
-        assert!(
-            sources.iter().any(|s| s.is_honest()),
-            "need at least one honest source"
-        );
-        SourceFleet {
-            sources: sources.into_iter().map(Arc::from).collect(),
-            truth,
-        }
-    }
-
     /// Appends `count` equivocating sources (each answers every reader
     /// differently — the dynamic/Byzantine regime the §4 static-data
     /// assumption excludes).
