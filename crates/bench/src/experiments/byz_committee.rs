@@ -8,11 +8,6 @@ use crate::table::{f, Table};
 
 const EXPERIMENT: &str = "byz_committee";
 
-/// Runs the committee-scaling experiment, discarding metrics records.
-pub fn run() -> Vec<Table> {
-    run_metered(&mut MetricsSink::new())
-}
-
 /// Runs the committee-scaling experiment, recording per-row metrics.
 pub fn run_metered(sink: &mut MetricsSink) -> Vec<Table> {
     let trials = trials();

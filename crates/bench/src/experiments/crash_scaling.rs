@@ -76,11 +76,6 @@ pub fn run_e3c_probe() -> (u64, u64) {
     (run_with(false), run_with(true))
 }
 
-/// Runs the Algorithm 2 scaling experiments, discarding metrics records.
-pub fn run() -> Vec<Table> {
-    run_metered(&mut MetricsSink::new())
-}
-
 /// Runs the Algorithm 2 scaling experiments, recording per-row metrics.
 pub fn run_metered(sink: &mut MetricsSink) -> Vec<Table> {
     let trials = trials();

@@ -12,11 +12,6 @@ use dr_core::PeerId;
 
 const EXPERIMENT: &str = "crash_single";
 
-/// Runs the Algorithm 1 scaling experiment, discarding metrics records.
-pub fn run() -> Vec<Table> {
-    run_metered(&mut MetricsSink::new())
-}
-
 /// Runs the Algorithm 1 scaling experiment, recording per-row metrics.
 pub fn run_metered(sink: &mut MetricsSink) -> Vec<Table> {
     let trials = trials();

@@ -21,11 +21,6 @@ fn input(n: usize) -> BitArray {
     BitArray::from_fn(n, |i| (i * 11 + 1) % 3 == 0)
 }
 
-/// Runs the model-checking sweep, discarding metrics records.
-pub fn run() -> Vec<Table> {
-    run_metered(&mut MetricsSink::new())
-}
-
 /// Runs the model-checking sweep, recording one record per pattern. The
 /// checker enumerates schedules rather than metering runs, so a record's
 /// `trials` field carries the number of schedules explored and its
@@ -150,7 +145,7 @@ fn verdict(report: &dr_sim::explore::ExploreReport) -> String {
 mod tests {
     #[test]
     fn sweep_has_no_failures() {
-        for table in super::run() {
+        for table in super::run_metered(&mut crate::metrics::MetricsSink::new()) {
             let text = table.to_string();
             assert!(!text.contains("FAIL"), "{text}");
         }

@@ -26,11 +26,6 @@ use dr_protocols::{
 
 const EXPERIMENT: &str = "lower_bound";
 
-/// Runs the lower-bound experiments, discarding metrics records.
-pub fn run() -> Vec<Table> {
-    run_metered(&mut MetricsSink::new())
-}
-
 /// Runs the lower-bound experiments, recording per-attack metrics. The
 /// attack harness meters only the target's queries, so records carry
 /// query statistics alone.

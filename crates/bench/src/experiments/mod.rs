@@ -16,22 +16,23 @@ pub mod two_cycle;
 use crate::metrics::MetricsSink;
 use crate::table::Table;
 
-/// Runs the twelve paper experiments in sequence, recording metrics into
-/// `sink` (one `BENCH_<experiment>.json` group per module on
-/// [`MetricsSink::write_json`]).
-pub fn run_all_metered(sink: &mut MetricsSink) -> Vec<Table> {
-    let mut tables = Vec::new();
-    tables.extend(table1::run_metered(sink));
-    tables.extend(crash_single::run_metered(sink));
-    tables.extend(crash_scaling::run_metered(sink));
-    tables.extend(byz_committee::run_metered(sink));
-    tables.extend(two_cycle::run_metered(sink));
-    tables.extend(multi_cycle::run_metered(sink));
-    tables.extend(lower_bound::run_metered(sink));
-    tables.extend(oracle::run_metered(sink));
-    tables.extend(msg_size::run_metered(sink));
-    tables.extend(strategy_ablation::run_metered(sink));
-    tables.extend(synchrony::run_metered(sink));
-    tables.extend(exhaustive::run_metered(sink));
-    tables
-}
+/// Runs one experiment, recording its metrics into the sink.
+type RunMetered = fn(&mut MetricsSink) -> Vec<Table>;
+
+/// The twelve paper experiments, in the order `dr experiments` runs them:
+/// each one's name (its `--only` value and its metrics group) and the
+/// function that runs it.
+pub const EXPERIMENTS: [(&str, RunMetered); 12] = [
+    ("table1", table1::run_metered),
+    ("crash_single", crash_single::run_metered),
+    ("crash_scaling", crash_scaling::run_metered),
+    ("byz_committee", byz_committee::run_metered),
+    ("two_cycle", two_cycle::run_metered),
+    ("multi_cycle", multi_cycle::run_metered),
+    ("lower_bound", lower_bound::run_metered),
+    ("oracle", oracle::run_metered),
+    ("msg_size", msg_size::run_metered),
+    ("strategy_ablation", strategy_ablation::run_metered),
+    ("synchrony", synchrony::run_metered),
+    ("exhaustive", exhaustive::run_metered),
+];

@@ -12,11 +12,6 @@ use crate::table::{f, Table};
 
 const EXPERIMENT: &str = "msg_size";
 
-/// Runs the message-size ablation, discarding metrics records.
-pub fn run() -> Vec<Table> {
-    run_metered(&mut MetricsSink::new())
-}
-
 /// Runs the message-size ablation, recording per-row metrics.
 pub fn run_metered(sink: &mut MetricsSink) -> Vec<Table> {
     let trials = trials();

@@ -12,11 +12,6 @@ use dr_protocols::MultiCyclePlan;
 
 const EXPERIMENT: &str = "multi_cycle";
 
-/// Runs the multi-cycle experiments, discarding metrics records.
-pub fn run() -> Vec<Table> {
-    run_metered(&mut MetricsSink::new())
-}
-
 /// Runs the multi-cycle experiments, recording per-row metrics.
 pub fn run_metered(sink: &mut MetricsSink) -> Vec<Table> {
     let trials = trials();

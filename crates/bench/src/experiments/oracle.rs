@@ -28,11 +28,6 @@ fn config(seed: u64) -> OracleConfig {
     }
 }
 
-/// Runs the oracle ODC comparison, discarding metrics records.
-pub fn run() -> Vec<Table> {
-    run_metered(&mut MetricsSink::new())
-}
-
 /// Runs the oracle ODC comparison, recording per-pipeline metrics. The
 /// ODC pipelines meter source reads rather than simulator messages, so
 /// records carry the total read bits as the query statistic.

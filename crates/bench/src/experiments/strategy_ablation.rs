@@ -16,11 +16,6 @@ use crate::table::{f, Table};
 
 const EXPERIMENT: &str = "strategy_ablation";
 
-/// Runs the strategy ablation, discarding metrics records.
-pub fn run() -> Vec<Table> {
-    run_metered(&mut MetricsSink::new())
-}
-
 /// Runs the strategy ablation, recording per-strategy metrics.
 pub fn run_metered(sink: &mut MetricsSink) -> Vec<Table> {
     let trials = trials();

@@ -37,11 +37,6 @@ fn run_mode(n: usize, k: usize, b: usize, lockstep: bool, seed: u64) -> RunRepor
     report
 }
 
-/// Runs the synchrony ablation, discarding metrics records.
-pub fn run() -> Vec<Table> {
-    run_metered(&mut MetricsSink::new())
-}
-
 /// Runs the synchrony ablation, recording per-mode metrics.
 pub fn run_metered(sink: &mut MetricsSink) -> Vec<Table> {
     let trials = trials();

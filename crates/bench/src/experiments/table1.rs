@@ -17,11 +17,6 @@ use dr_core::PeerId;
 
 const EXPERIMENT: &str = "table1";
 
-/// Runs the Table 1 comparison, discarding metrics records.
-pub fn run() -> Vec<Table> {
-    run_metered(&mut MetricsSink::new())
-}
-
 /// Runs the Table 1 comparison, recording one metrics record per row.
 pub fn run_metered(sink: &mut MetricsSink) -> Vec<Table> {
     let trials = trials();

@@ -12,11 +12,6 @@ use crate::table::{f, Table};
 
 const EXPERIMENT: &str = "two_cycle";
 
-/// Runs the 2-cycle experiments, discarding metrics records.
-pub fn run() -> Vec<Table> {
-    run_metered(&mut MetricsSink::new())
-}
-
 /// Runs the 2-cycle experiments, recording per-row metrics.
 pub fn run_metered(sink: &mut MetricsSink) -> Vec<Table> {
     let trials = trials();

@@ -583,22 +583,23 @@ pub fn experiments(args: &Args) -> Result<(), ArgError> {
         dr_bench::metrics::set_trials(n);
     }
     let mut sink = MetricsSink::new();
-    let tables = match args.get("only") {
-        None => exp::run_all_metered(&mut sink),
-        Some("table1") => exp::table1::run_metered(&mut sink),
-        Some("crash_single") => exp::crash_single::run_metered(&mut sink),
-        Some("crash_scaling") => exp::crash_scaling::run_metered(&mut sink),
-        Some("byz_committee") => exp::byz_committee::run_metered(&mut sink),
-        Some("two_cycle") => exp::two_cycle::run_metered(&mut sink),
-        Some("multi_cycle") => exp::multi_cycle::run_metered(&mut sink),
-        Some("lower_bound") => exp::lower_bound::run_metered(&mut sink),
-        Some("oracle") => exp::oracle::run_metered(&mut sink),
-        Some("msg_size") => exp::msg_size::run_metered(&mut sink),
-        Some("strategy_ablation") => exp::strategy_ablation::run_metered(&mut sink),
-        Some("synchrony") => exp::synchrony::run_metered(&mut sink),
-        Some("exhaustive") => exp::exhaustive::run_metered(&mut sink),
-        Some(other) => return Err(ArgError(format!("unknown experiment '{other}'"))),
+    let selected = match args.get("only") {
+        None => &exp::EXPERIMENTS[..],
+        Some(name) => match exp::EXPERIMENTS.iter().position(|(n, _)| *n == name) {
+            Some(i) => &exp::EXPERIMENTS[i..=i],
+            None => {
+                let names: Vec<&str> = exp::EXPERIMENTS.iter().map(|(n, _)| *n).collect();
+                return Err(ArgError(format!(
+                    "--only {name}: unknown experiment; valid names are {}",
+                    names.join(", ")
+                )));
+            }
+        },
     };
+    let tables: Vec<_> = selected
+        .iter()
+        .flat_map(|(_, run)| run(&mut sink))
+        .collect();
     for table in tables {
         out!("{table}");
     }

@@ -342,6 +342,12 @@ fn bad_instance_flags_are_errors_naming_the_flag_not_panics() {
         ),
         ("experiments --threads 0", "--threads", "must be positive"),
         ("experiments --trials 0", "--trials", "must be positive"),
+        (
+            "experiments --only tabel1",
+            "--only tabel1",
+            "valid names are table1, crash_single, crash_scaling, byz_committee, two_cycle, \
+             multi_cycle, lower_bound, oracle, msg_size, strategy_ablation, synchrony, exhaustive",
+        ),
     ];
     for (args, flag, reason) in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_dr"))
