@@ -4,8 +4,8 @@
 use dr_core::{FaultModel, ModelParams, PeerId, SegmentId, Segmentation};
 use dr_protocols::byz::strategies::{CollusionGroup, Equivocator, RandomNoise};
 use dr_protocols::{
-    CommitteeDownload, CrashMultiDownload, MultiCycleDownload, NaiveDownload, SingleCrashDownload,
-    TwoCycleDownload, TwoCyclePlan,
+    CommitteeDownload, CrashMultiDownload, CycleDownload, MultiCycleDownload, MultiCyclePlan,
+    NaiveDownload, SingleCrashDownload, TwoCycleDownload, TwoCyclePlan,
 };
 use dr_sim::{CrashPlan, RunReport, SilentAgent, SimBuilder, StandardAdversary, UniformDelay};
 
@@ -168,10 +168,40 @@ pub fn two_cycle_segmentation(n: usize, k: usize, b: usize) -> Option<(Segmentat
 
 /// 2-cycle randomized protocol run under a Byzantine mix.
 pub fn run_two_cycle(n: usize, k: usize, b: usize, mix: ByzMix, seed: u64) -> RunReport {
+    let cycle1 = two_cycle_segmentation(n, k, b);
+    run_cycles(n, k, b, mix, seed, cycle1, TwoCycleDownload::new)
+}
+
+/// Multi-cycle randomized protocol run under a Byzantine mix (colluders
+/// and noise target the cycle-1 segmentation).
+pub fn run_multi_cycle(n: usize, k: usize, b: usize, mix: ByzMix, seed: u64) -> RunReport {
+    let cycle1 = match MultiCyclePlan::choose(n, k, b) {
+        MultiCyclePlan::Sampled {
+            initial_segments,
+            threshold,
+            ..
+        } => Some((Segmentation::new(n, initial_segments), threshold)),
+        MultiCyclePlan::Naive => None,
+    };
+    run_cycles(n, k, b, mix, seed, cycle1, MultiCycleDownload::new)
+}
+
+/// A cycle-engine run under a Byzantine mix aimed at `cycle1`, the
+/// cycle-1 segmentation and τ of a sampled plan; under a naive plan
+/// (`None`) every Byzantine peer is silent.
+fn run_cycles<P: Send + 'static>(
+    n: usize,
+    k: usize,
+    b: usize,
+    mix: ByzMix,
+    seed: u64,
+    cycle1: Option<(Segmentation, usize)>,
+    new: fn(usize, usize, usize) -> CycleDownload<P>,
+) -> RunReport {
     let builder = SimBuilder::new(byz_params(n, k, b))
         .seed(seed)
-        .protocol(move |_| TwoCycleDownload::new(n, k, b));
-    let builder = match two_cycle_segmentation(n, k, b) {
+        .protocol(move |_| new(n, k, b));
+    let builder = match cycle1 {
         // Colluders form groups of τ consecutive IDs sharing one target
         // segment and one fake string, so each group crosses the
         // frequency threshold (the only strategy that can).
@@ -191,48 +221,6 @@ pub fn run_two_cycle(n: usize, k: usize, b: usize, mix: ByzMix, seed: u64) -> Ru
             |_| Box::new(RandomNoise::new(seg)),
         ),
         None => apply_mix(
-            builder,
-            b,
-            mix,
-            |_| Box::new(SilentAgent::new()),
-            |_| Box::new(SilentAgent::new()),
-            |_| Box::new(SilentAgent::new()),
-        ),
-    };
-    verified(builder.build())
-}
-
-/// Multi-cycle randomized protocol run under a Byzantine mix (colluders
-/// and noise target the cycle-1 segmentation).
-pub fn run_multi_cycle(n: usize, k: usize, b: usize, mix: ByzMix, seed: u64) -> RunReport {
-    use dr_protocols::MultiCyclePlan;
-    let builder = SimBuilder::new(byz_params(n, k, b))
-        .seed(seed)
-        .protocol(move |_| MultiCycleDownload::new(n, k, b));
-    let builder = match MultiCyclePlan::choose(n, k, b) {
-        MultiCyclePlan::Sampled {
-            initial_segments,
-            threshold,
-            ..
-        } => {
-            let seg = Segmentation::new(n, initial_segments);
-            apply_mix(
-                builder,
-                b,
-                mix,
-                |i| Box::new(Equivocator::new(seg, SegmentId(i % seg.count()))),
-                move |i| {
-                    let group = i / threshold.max(1);
-                    Box::new(CollusionGroup::new(
-                        seg,
-                        SegmentId(group % seg.count()),
-                        group as u64,
-                    ))
-                },
-                |_| Box::new(RandomNoise::new(seg)),
-            )
-        }
-        MultiCyclePlan::Naive => apply_mix(
             builder,
             b,
             mix,

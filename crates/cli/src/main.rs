@@ -22,6 +22,7 @@ mod args;
 mod commands;
 
 use args::Args;
+use dr_bench::experiments::EXPERIMENTS;
 use std::io::Write;
 use std::process::ExitCode;
 
@@ -44,17 +45,24 @@ USAGE:
              [--shrink <0|1>] [--replay <chaos_repro_*.json>]
   dr lint    [--root <dir>] [--format <text|json>]     determinism static analysis
   dr experiments [--json <dir>] [--threads <n>] [--trials <n>]
-                 [--only <table1|crash_single|crash_scaling|byz_committee|two_cycle|
-                  multi_cycle|lower_bound|oracle|msg_size|strategy_ablation|
-                  synchrony|exhaustive>]
-  dr [<subcommand>] --help | -h                 this text
 ";
+
+/// The usage text: [`USAGE`], then the `--only` names of the experiment
+/// table, four to a line, then the help line.
+fn usage() -> String {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+    let lines: Vec<String> = names.chunks(4).map(|line| line.join("|")).collect();
+    format!(
+        "{USAGE}                 [--only <{}>]\n  dr [<subcommand>] --help | -h                 this text\n",
+        lines.join("|\n                  ")
+    )
+}
 
 /// Prints `error: <e>` and the usage to stderr and fails. The write's
 /// own result is ignored: with stderr closed there is no one left to tell,
 /// and the exit code still says what happened.
 fn fail(e: impl std::fmt::Display) -> ExitCode {
-    let _ = writeln!(std::io::stderr(), "error: {e}\n\n{USAGE}");
+    let _ = writeln!(std::io::stderr(), "error: {e}\n\n{}", usage());
     ExitCode::FAILURE
 }
 
@@ -62,7 +70,7 @@ fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let help = |a: &String| a == "--help" || a == "-h";
     if argv.is_empty() || argv[0] == "help" || argv.iter().any(help) {
-        let _ = writeln!(std::io::stdout(), "{USAGE}");
+        let _ = writeln!(std::io::stdout(), "{}", usage());
         return ExitCode::SUCCESS;
     }
     let args = match Args::parse(argv) {

@@ -23,6 +23,23 @@ fn help_prints_usage() {
 }
 
 #[test]
+fn help_names_every_experiment() {
+    let (ok, stdout, _) = dr(&["--help"]);
+    assert!(ok);
+    let only = &stdout[stdout.find("[--only <").expect("an --only line")..];
+    let only = &only[..only.find(">]").expect("the --only list ends")];
+    let listed: Vec<&str> = only["[--only <".len()..]
+        .split(|c: char| c == '|' || c.is_whitespace())
+        .filter(|name| !name.is_empty())
+        .collect();
+    let table: Vec<&str> = dr_bench::experiments::EXPERIMENTS
+        .iter()
+        .map(|(name, _)| *name)
+        .collect();
+    assert_eq!(listed, table);
+}
+
+#[test]
 fn help_anywhere_prints_usage_and_succeeds() {
     for args in [
         &["run", "--help"][..],

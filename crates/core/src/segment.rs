@@ -76,10 +76,11 @@ impl Segmentation {
     /// `⌊id·n/count⌋ .. ⌊(id+1)·n/count⌋`.
     ///
     /// Lengths differ by at most one bit and ranges tile `0..n` exactly.
-    /// This formula *nests* under halving: with `count` even, segment `i`
-    /// of `Segmentation::new(n, count/2)` is exactly the union of segments
-    /// `2i` and `2i+1` of `Segmentation::new(n, count)` — the property the
-    /// multi-cycle randomized protocol's doubling segments rely on.
+    /// This formula *nests*: with `f` dividing `count`, segment `i` of
+    /// `Segmentation::new(n, count/f)` is exactly the union of segments
+    /// `i·f .. (i+1)·f` of `Segmentation::new(n, count)` — the property the
+    /// randomized protocols' cycles, each merging `f` segments into one,
+    /// rely on.
     ///
     /// # Panics
     ///
@@ -153,6 +154,22 @@ mod tests {
                     assert_eq!(parent.start, left.start);
                     assert_eq!(left.end, right.start);
                     assert_eq!(right.end, parent.end);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dividing_counts_nest_exactly() {
+        for n in [100usize, 1023, 4097] {
+            for (count, f) in [(12usize, 3usize), (16, 4), (24, 6), (10, 10)] {
+                let fine = Segmentation::new(n, count);
+                let coarse = Segmentation::new(n, count / f);
+                for i in 0..count / f {
+                    // `fine` tiles the input, so matching ends suffice.
+                    let parent = coarse.range(SegmentId(i));
+                    assert_eq!(parent.start, fine.range(SegmentId(i * f)).start);
+                    assert_eq!(parent.end, fine.range(SegmentId((i + 1) * f - 1)).end);
                 }
             }
         }

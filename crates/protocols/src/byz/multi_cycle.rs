@@ -1,5 +1,6 @@
 //! The multi-cycle randomized Byzantine Download protocol (§3.4.3,
-//! Theorem 3.12).
+//! Theorem 3.12): the plan of the [cycle engine](super::cycles) that
+//! merges `log₂ p₁` times, with fan-in 2.
 //!
 //! Cycle 1 is the 2-cycle protocol's sampling step over `p₁` segments
 //! (`p₁` a power of two). In every later cycle `c`, the segment size
@@ -7,21 +8,13 @@
 //! uniformly, *determines* its two cycle-`(c−1)` halves by decision trees
 //! over the τ-frequent cycle-`(c−1)` claims (Lemma 3.10: those halves were
 //! each sampled by ≥ τ heard honest peers w.h.p., so the true strings are
-//! leaves), concatenates, and broadcasts the result. After
-//! `log₂ p₁ + 1` cycles the sampled segment is the entire input and the
-//! peer outputs it.
-//!
-//! Every cycle's wait is for claims from `k − b` distinct peers, so
-//! `β < 1/2` guarantees `k − 2b ≥ 1` honest claims per wait and the whole
-//! protocol is deadlock-free. The expected per-peer query cost is
+//! leaves), joins them, and broadcasts the result. After `log₂ p₁ + 1`
+//! cycles the sampled segment is the entire input and the peer outputs
+//! it. The expected per-peer query cost is
 //! `ℓ₁ + O(Σ_c received_c / p_c)` — `Õ(n/k + k)` for the paper's
 //! parameters.
 
-use super::decision_tree::DecisionTree;
-use super::frequent::{CycleClaims, FrequencyTable};
-use super::segment_msg::SegmentMsg;
-use dr_core::{BitArray, Context, PeerId, Protocol, SegmentId, Segmentation};
-use rand::Rng;
+use super::cycles::CycleDownload;
 
 /// Parameter selection for the multi-cycle protocol.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -63,7 +56,8 @@ impl MultiCyclePlan {
     }
 }
 
-/// The multi-cycle randomized protocol of Theorem 3.12 (`β < 1/2`).
+/// The multi-cycle randomized protocol of Theorem 3.12 (`β < 1/2`):
+/// [`CycleDownload`] with segment counts `[p₁, p₁/2, …, 1]`.
 ///
 /// # Examples
 ///
@@ -85,23 +79,9 @@ impl MultiCyclePlan {
 /// report.verify_downloads(&input).unwrap();
 /// # Ok::<(), dr_core::InvalidParamsError>(())
 /// ```
-#[derive(Debug)]
-pub struct MultiCycleDownload {
-    n: usize,
-    k: usize,
-    b: usize,
-    plan: MultiCyclePlan,
-    /// Current cycle (1-based); claims for cycle `c` live at index `c−1`.
-    cycle: u32,
-    /// Per-cycle inboxes, each counted when its `k − b` wait ends.
-    claims: Vec<CycleClaims>,
-    my_pick: Vec<Option<SegmentId>>,
-    my_value: Vec<Option<BitArray>>,
-    out: Option<BitArray>,
-    fallback_segments: usize,
-}
+pub type MultiCycleDownload = CycleDownload<MultiCyclePlan>;
 
-impl MultiCycleDownload {
+impl CycleDownload<MultiCyclePlan> {
     /// Creates an instance with automatically chosen parameters.
     ///
     /// # Panics
@@ -118,40 +98,20 @@ impl MultiCycleDownload {
     /// Panics on inconsistent plans (non-power-of-two segment count, more
     /// segments than bits, or a cycle count that does not match).
     pub fn with_plan(n: usize, k: usize, b: usize, plan: MultiCyclePlan) -> Self {
-        assert!(k > 0, "need at least one peer");
-        assert!(b < k, "fault budget must leave one nonfaulty peer");
-        let cycles = match plan {
+        match plan {
             MultiCyclePlan::Sampled {
                 initial_segments,
+                threshold,
                 cycles,
-                ..
             } => {
                 assert!(initial_segments.is_power_of_two() && initial_segments >= 2);
                 assert!(initial_segments <= n, "more segments than bits");
                 assert_eq!(cycles, initial_segments.trailing_zeros() + 1);
-                cycles as usize
+                let segments: Vec<usize> = (0..cycles).map(|c| initial_segments >> c).collect();
+                Self::with_segments(n, k, b, plan, &segments, threshold)
             }
-            MultiCyclePlan::Naive => 0,
-        };
-        MultiCycleDownload {
-            n,
-            k,
-            b,
-            plan,
-            cycle: 1,
-            claims: (1..=cycles)
-                .map(|c| CycleClaims::new(k, c as u32))
-                .collect(),
-            my_pick: vec![None; cycles],
-            my_value: vec![None; cycles],
-            out: None,
-            fallback_segments: 0,
+            MultiCyclePlan::Naive => Self::with_segments(n, k, b, plan, &[1], 1),
         }
-    }
-
-    /// The plan in force.
-    pub fn plan(&self) -> MultiCyclePlan {
-        self.plan
     }
 
     /// Chaos-campaign invariant envelope, aware of the plan
@@ -177,146 +137,13 @@ impl MultiCycleDownload {
             },
         }
     }
-
-    /// Number of half-segments resolved by direct queries (0 w.h.p.).
-    pub fn fallback_segments(&self) -> usize {
-        self.fallback_segments
-    }
-
-    fn plan_parts(&self) -> (usize, usize, u32) {
-        match self.plan {
-            MultiCyclePlan::Sampled {
-                initial_segments,
-                threshold,
-                cycles,
-            } => (initial_segments, threshold, cycles),
-            MultiCyclePlan::Naive => unreachable!("sampled mode only"),
-        }
-    }
-
-    /// Segmentation used in the given 1-based cycle.
-    fn segmentation(&self, cycle: u32) -> Segmentation {
-        let (p1, _, _) = self.plan_parts();
-        Segmentation::new(self.n, p1 >> (cycle - 1))
-    }
-
-    /// Resolves one cycle-`c` segment from the cycle-`c` claim table,
-    /// using direct queries as the low-probability fallback.
-    fn resolve_child(
-        &mut self,
-        cycle: u32,
-        child: SegmentId,
-        table: &FrequencyTable,
-        ctx: &mut dyn Context<SegmentMsg>,
-    ) -> BitArray {
-        if self.my_pick[cycle as usize - 1] == Some(child) {
-            return self.my_value[cycle as usize - 1]
-                .clone()
-                .expect("own pick resolved in its cycle");
-        }
-        let (_, tau, _) = self.plan_parts();
-        let seg = self.segmentation(cycle);
-        let range = seg.range(child);
-        let frequent = table.frequent(child, tau);
-        let tree = DecisionTree::build(&frequent);
-        match tree.determine(range.clone(), &mut |j| ctx.query(j)) {
-            Some(bits) if bits.len() == range.len() => bits,
-            _ => {
-                self.fallback_segments += 1;
-                ctx.query_range(range)
-            }
-        }
-    }
-
-    /// Advances through every cycle whose wait condition is satisfied.
-    fn advance(&mut self, ctx: &mut dyn Context<SegmentMsg>) {
-        let (_, _, cycles) = self.plan_parts();
-        while self.out.is_none()
-            && self.cycle < cycles
-            && self.claims[self.cycle as usize - 1].heard() >= self.k - self.b
-        {
-            let next = self.cycle + 1;
-            let seg_next = self.segmentation(next);
-            let pick = SegmentId(ctx.rng().gen_range(0..seg_next.count()));
-            let left = SegmentId(2 * pick.index());
-            let right = SegmentId(2 * pick.index() + 1);
-            // Only the two halves of the pick are ever looked up.
-            let table = self.claims[self.cycle as usize - 1].tally(left.index()..right.index() + 1);
-            let mut bits = self.resolve_child(self.cycle, left, &table, ctx);
-            let right_bits = self.resolve_child(self.cycle, right, &table, ctx);
-            let mut joined = BitArray::zeros(bits.len() + right_bits.len());
-            joined.write_at(0, &bits);
-            joined.write_at(bits.len(), &right_bits);
-            bits = joined;
-            debug_assert_eq!(bits.len(), seg_next.len_of(pick));
-            self.cycle = next;
-            self.my_pick[next as usize - 1] = Some(pick);
-            self.my_value[next as usize - 1] = Some(bits.clone());
-            if next == cycles {
-                // The final segment is the whole input; no one consumes
-                // cycle-C claims, so terminate without broadcasting.
-                self.out = Some(bits);
-            } else {
-                let claim = SegmentMsg {
-                    cycle: next,
-                    segment: pick,
-                    bits,
-                };
-                self.claims[next as usize - 1].hear(ctx.me(), claim.clone(), &seg_next);
-                ctx.broadcast(claim);
-            }
-        }
-    }
-}
-
-impl Protocol for MultiCycleDownload {
-    type Msg = SegmentMsg;
-
-    fn on_start(&mut self, ctx: &mut dyn Context<SegmentMsg>) {
-        if matches!(self.plan, MultiCyclePlan::Naive) {
-            self.out = Some(ctx.query_range(0..self.n));
-            return;
-        }
-        let seg = self.segmentation(1);
-        let pick = SegmentId(ctx.rng().gen_range(0..seg.count()));
-        let bits = ctx.query_range(seg.range(pick));
-        self.my_pick[0] = Some(pick);
-        self.my_value[0] = Some(bits.clone());
-        let claim = SegmentMsg {
-            cycle: 1,
-            segment: pick,
-            bits,
-        };
-        self.claims[0].hear(ctx.me(), claim.clone(), &seg);
-        ctx.broadcast(claim);
-        self.advance(ctx);
-    }
-
-    fn on_message(&mut self, from: PeerId, msg: SegmentMsg, ctx: &mut dyn Context<SegmentMsg>) {
-        if self.out.is_some() || matches!(self.plan, MultiCyclePlan::Naive) {
-            return;
-        }
-        let (_, _, cycles) = self.plan_parts();
-        let c = msg.cycle as usize;
-        if (1..cycles as usize).contains(&c) {
-            // Claims of a later or an earlier cycle go to that cycle's
-            // inbox.
-            let seg = self.segmentation(msg.cycle);
-            self.claims[c - 1].hear(from, msg, &seg);
-            self.advance(ctx);
-        }
-    }
-
-    fn output(&self) -> Option<&BitArray> {
-        self.out.as_ref()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::byz::strategies::{CollusionGroup, RandomNoise};
-    use dr_core::{FaultModel, ModelParams};
+    use dr_core::{BitArray, FaultModel, ModelParams, PeerId, SegmentId, Segmentation};
     use dr_sim::{RunReport, SilentAgent, SimBuilder};
 
     fn params(n: usize, k: usize, b: usize) -> ModelParams {

@@ -4,9 +4,11 @@ use dr_core::{BitArray, ProtocolMessage, SegmentId};
 
 /// A claimed value for one segment in one cycle: `⟨cycle, segment, bits⟩`.
 ///
-/// Cycle 1 claims come from direct source queries; cycle `c ≥ 2` claims
-/// (multi-cycle protocol only) are the concatenation of two determined
-/// cycle-`c−1` segments.
+/// Cycle 1 claims come from direct source queries; a cycle `c ≥ 2`
+/// claim is the join of the determined cycle-`c−1` segments it covers
+/// (its plan's fan-in of them, see [`CycleDownload`](super::CycleDownload)).
+/// Only the multi-cycle plan has such a claim on the wire: the last
+/// cycle's join is the output and is never sent.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SegmentMsg {
     /// Protocol cycle this claim belongs to (1-based).

@@ -1,33 +1,26 @@
 //! The 2-cycle randomized Byzantine Download protocol (Protocol 4, §3.4.2,
-//! Theorem 3.7).
+//! Theorem 3.7): the plan of the [cycle engine](super::cycles) that
+//! merges once, with fan-in `p`.
 //!
 //! The input is split into `p` segments of length `ℓ ≈ n/p`. Each peer
 //! samples one segment uniformly at random, queries it completely, and
-//! broadcasts `⟨segment, string⟩`. After hearing claims from `k − b` peers
-//! (waiting for more risks deadlock; at least `k − 2b` of them are honest,
-//! which is why the protocol needs `β < 1/2`), the peer resolves every
-//! other segment by building a decision tree over the claims received from
-//! at least `τ` distinct senders (τ-frequent strings) and walking it with
-//! direct source queries.
+//! broadcasts `⟨1, segment, string⟩`. After hearing claims from `k − b`
+//! peers it resolves every other segment by a decision tree over the
+//! τ-frequent strings and outputs the whole input.
 //!
 //! Parameters are chosen so that, w.h.p., every segment was sampled by at
 //! least `τ` of the honest peers each receiver heard: with
 //! `h = k − 2b` guaranteed honest claims and `p ≤ h/(2τ)` segments, the
 //! expected per-segment honest count is at least `2τ` and Chernoff gives
-//! the high-probability bound (Claim 5). Byzantine claims never corrupt the
-//! output — a wrong leaf is eliminated by the separating-index queries —
-//! they only add `O(received/τ)` extra queries.
+//! the high-probability bound (Claim 5). Byzantine claims only add
+//! `O(received/τ)` extra queries.
 //!
 //! Per-peer cost: `Q = ℓ + O(k)` which for the paper's parameter choices is
 //! `Õ(n/(γk) + k)`; when the fallback regime applies (tiny `k`, huge `β`,
 //! or `n` too small) the protocol degrades to the naive `Q = n`, mirroring
 //! the paper's case analysis.
 
-use super::decision_tree::DecisionTree;
-use super::frequent::CycleClaims;
-use super::segment_msg::SegmentMsg;
-use dr_core::{BitArray, Context, PartialArray, PeerId, Protocol, SegmentId, Segmentation};
-use rand::Rng;
+use super::cycles::CycleDownload;
 
 /// Parameter selection for the 2-cycle protocol (the paper's three-case
 /// analysis, reconstructed).
@@ -74,7 +67,8 @@ impl TwoCyclePlan {
     }
 }
 
-/// The 2-cycle randomized protocol of Theorem 3.7 (`β < 1/2`).
+/// The 2-cycle randomized protocol of Theorem 3.7 (`β < 1/2`):
+/// [`CycleDownload`] with segment counts `[p, 1]`.
 ///
 /// # Examples
 ///
@@ -98,24 +92,9 @@ impl TwoCyclePlan {
 /// assert!(report.max_nonfaulty_queries < n as u64 / 2);
 /// # Ok::<(), dr_core::InvalidParamsError>(())
 /// ```
-#[derive(Debug)]
-pub struct TwoCycleDownload {
-    n: usize,
-    k: usize,
-    b: usize,
-    plan: TwoCyclePlan,
-    seg: Option<Segmentation>,
-    my_pick: Option<SegmentId>,
-    my_bits: Option<BitArray>,
-    /// Cycle-1 claims, counted when the `k − b` wait ends.
-    claims: CycleClaims,
-    out: Option<BitArray>,
-    /// Segments with no τ-frequent string, resolved by direct queries
-    /// (should be empty w.h.p.; exposed for experiments).
-    fallback_segments: usize,
-}
+pub type TwoCycleDownload = CycleDownload<TwoCyclePlan>;
 
-impl TwoCycleDownload {
+impl CycleDownload<TwoCyclePlan> {
     /// Creates an instance with automatically chosen parameters.
     ///
     /// # Panics
@@ -133,32 +112,16 @@ impl TwoCycleDownload {
     /// Panics if `k == 0`, `b >= k`, or a sampled plan has fewer than two
     /// segments or more segments than bits.
     pub fn with_plan(n: usize, k: usize, b: usize, plan: TwoCyclePlan) -> Self {
-        assert!(k > 0, "need at least one peer");
-        assert!(b < k, "fault budget must leave one nonfaulty peer");
-        let seg = match plan {
-            TwoCyclePlan::Sampled { segments, .. } => {
+        match plan {
+            TwoCyclePlan::Sampled {
+                segments,
+                threshold,
+            } => {
                 assert!(segments >= 2 && segments <= n, "invalid segment count");
-                Some(Segmentation::new(n, segments))
+                Self::with_segments(n, k, b, plan, &[segments, 1], threshold)
             }
-            TwoCyclePlan::Naive => None,
-        };
-        TwoCycleDownload {
-            n,
-            k,
-            b,
-            plan,
-            seg,
-            my_pick: None,
-            my_bits: None,
-            claims: CycleClaims::new(k, 1),
-            out: None,
-            fallback_segments: 0,
+            TwoCyclePlan::Naive => Self::with_segments(n, k, b, plan, &[1], 1),
         }
-    }
-
-    /// The plan in force (naive fallback or sampled parameters).
-    pub fn plan(&self) -> TwoCyclePlan {
-        self.plan
     }
 
     /// Chaos-campaign invariant envelope, aware of the plan
@@ -183,107 +146,13 @@ impl TwoCycleDownload {
             t_link_slack: 0.0,
         }
     }
-
-    /// Number of segments resolved by the direct-query fallback (0 w.h.p.).
-    pub fn fallback_segments(&self) -> usize {
-        self.fallback_segments
-    }
-
-    fn threshold(&self) -> usize {
-        match self.plan {
-            TwoCyclePlan::Sampled { threshold, .. } => threshold,
-            TwoCyclePlan::Naive => 1,
-        }
-    }
-
-    /// Cycle 2: resolve every segment via decision trees and terminate.
-    fn determine_all(&mut self, ctx: &mut dyn Context<SegmentMsg>) {
-        let seg = self.seg.expect("sampled mode");
-        let tau = self.threshold();
-        let table = self.claims.tally(0..seg.count());
-        let mut acc = PartialArray::new(self.n);
-        for id in seg.ids() {
-            let range = seg.range(id);
-            if Some(id) == self.my_pick {
-                acc.learn_slice(
-                    range.start,
-                    self.my_bits.as_ref().expect("queried own pick"),
-                );
-                continue;
-            }
-            let frequent = table.frequent(id, tau);
-            let tree = DecisionTree::build(&frequent);
-            let resolved = tree.determine(range.clone(), &mut |j| ctx.query(j));
-            match resolved {
-                Some(bits) if bits.len() == range.len() => {
-                    acc.learn_slice(range.start, &bits);
-                }
-                _ => {
-                    // No τ-frequent string (low-probability event): fall
-                    // back to querying the segment directly.
-                    self.fallback_segments += 1;
-                    let bits = ctx.query_range(range.clone());
-                    acc.learn_slice(range.start, &bits);
-                }
-            }
-        }
-        self.out = Some(acc.into_complete());
-    }
-
-    fn maybe_advance(&mut self, ctx: &mut dyn Context<SegmentMsg>) {
-        if self.out.is_none() && self.claims.heard() >= self.k - self.b {
-            self.determine_all(ctx);
-        }
-    }
-}
-
-impl Protocol for TwoCycleDownload {
-    type Msg = SegmentMsg;
-
-    fn on_start(&mut self, ctx: &mut dyn Context<SegmentMsg>) {
-        match self.plan {
-            TwoCyclePlan::Naive => {
-                self.out = Some(ctx.query_range(0..self.n));
-            }
-            TwoCyclePlan::Sampled { segments, .. } => {
-                let pick = SegmentId(ctx.rng().gen_range(0..segments));
-                let seg = self.seg.expect("sampled mode");
-                let bits = ctx.query_range(seg.range(pick));
-                self.my_pick = Some(pick);
-                self.my_bits = Some(bits.clone());
-                let claim = SegmentMsg {
-                    cycle: 1,
-                    segment: pick,
-                    bits,
-                };
-                self.claims.hear(ctx.me(), claim.clone(), &seg);
-                ctx.broadcast(claim);
-                self.maybe_advance(ctx);
-            }
-        }
-    }
-
-    fn on_message(&mut self, from: PeerId, msg: SegmentMsg, ctx: &mut dyn Context<SegmentMsg>) {
-        if self.out.is_some() || self.seg.is_none() {
-            return;
-        }
-        let seg = self.seg.expect("sampled mode");
-        // Any first message from a sender counts toward progress; only
-        // well-formed cycle-1 claims are logged for the tally.
-        self.claims.hear(from, msg, &seg);
-        self.maybe_advance(ctx);
-    }
-
-    fn output(&self) -> Option<&BitArray> {
-        self.out.as_ref()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::byz::strategies::{CollusionGroup, Equivocator, RandomNoise};
-    use dr_core::{FaultModel, ModelParams};
+    use dr_core::{BitArray, FaultModel, ModelParams, PeerId, SegmentId, Segmentation};
     use dr_sim::{RunReport, SilentAgent, SimBuilder};
 
     fn params(n: usize, k: usize, b: usize) -> ModelParams {

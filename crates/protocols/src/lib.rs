@@ -7,8 +7,8 @@
 //!   (Algorithm 1) and [`CrashMultiDownload`] (Algorithm 2, any `β < 1`);
 //! * Byzantine-minority protocols — the deterministic
 //!   [`CommitteeDownload`] and the randomized [`TwoCycleDownload`] /
-//!   [`MultiCycleDownload`] built on [`FrequencyTable`] and
-//!   [`DecisionTree`];
+//!   [`MultiCycleDownload`], two plans of one [`CycleDownload`] engine
+//!   built on [`FrequencyTable`] and [`DecisionTree`];
 //! * the [`lower_bound`] attacks making Theorems 3.1/3.2 executable;
 //! * a [`byz::strategies`] library of Byzantine behaviours;
 //! * the baselines everything is compared against ([`NaiveDownload`],
@@ -27,8 +27,8 @@ mod naive;
 
 pub use balanced::{BalancedDownload, Chunk};
 pub use byz::{
-    committee, in_committee, CommitteeDownload, DecisionTree, FrequencyTable, MultiCycleDownload,
-    MultiCyclePlan, SegmentMsg, TwoCycleDownload, TwoCyclePlan, VoteBatch,
+    committee, in_committee, CommitteeDownload, CycleDownload, DecisionTree, FrequencyTable,
+    MultiCycleDownload, MultiCyclePlan, SegmentMsg, TwoCycleDownload, TwoCyclePlan, VoteBatch,
 };
 pub use crash::{owner, CrashMultiDownload, MultiCrashMsg, SingleCrashDownload, SingleCrashMsg};
 pub use envelope::{CostEnvelope, EnvelopeViolation};

@@ -19,7 +19,7 @@ use dr_protocols::{
 };
 use dr_sim::SimBuilder;
 use proptest::prelude::*;
-use rand::{rngs::StdRng, RngCore, SeedableRng};
+use rand::{rngs::StdRng, Rng, RngCore, SeedableRng};
 
 /// Deterministic Fisher–Yates permutation of `items` from a `u64` seed
 /// (the vendored proptest has no `prop_shuffle`, so we roll our own).
@@ -34,13 +34,15 @@ fn shuffled<T: Clone>(items: &[T], seed: u64) -> Vec<T> {
 }
 
 /// Minimal honest context: answers queries from a fixed input, counts
-/// and drops outgoing messages, seeds the RNG from the peer ID.
+/// them, counts and drops outgoing messages, seeds the RNG from the peer
+/// ID.
 struct FixedCtx {
     me: PeerId,
     k: usize,
     input: BitArray,
     rng: StdRng,
     sent: usize,
+    queries: usize,
 }
 
 impl FixedCtx {
@@ -52,6 +54,7 @@ impl FixedCtx {
             input: input.clone(),
             rng: StdRng::seed_from_u64(1),
             sent: 0,
+            queries: 0,
         }
     }
 }
@@ -70,6 +73,7 @@ impl<M: dr_core::ProtocolMessage> Context<M> for FixedCtx {
         self.sent += 1;
     }
     fn query(&mut self, index: usize) -> bool {
+        self.queries += 1;
         self.input.get(index)
     }
     fn rng(&mut self) -> &mut dyn RngCore {
@@ -393,6 +397,112 @@ fn multi_cycle_advances_on_exactly_the_k_minus_b_th_distinct_sender() {
         }
     }
     assert_eq!(proto.output(), Some(&input));
+}
+
+#[test]
+fn two_cycle_advances_on_exactly_the_k_minus_b_th_sender_of_cycle_1() {
+    let (n, k, b) = (32usize, 9usize, 2usize);
+    let plan = TwoCyclePlan::Sampled {
+        segments: 2,
+        threshold: 2,
+    };
+    let seg = Segmentation::new(n, 2);
+    let input = wait_input(n);
+    let mut proto = TwoCycleDownload::with_plan(n, k, b, plan);
+    let mut ctx = FixedCtx::last_peer(k, &input);
+    proto.on_start(&mut ctx);
+
+    let good = |s| claim(&input, seg, 1, s);
+    // Nobody waits on cycle 0 or on the last cycle, 2: a sender whose
+    // only message names one of them is not heard.
+    let unheard = [
+        (
+            5,
+            SegmentMsg {
+                cycle: 2,
+                ..good(0)
+            },
+        ),
+        (
+            6,
+            SegmentMsg {
+                cycle: 0,
+                ..good(1)
+            },
+        ),
+    ];
+    // The peer itself and p0..p4 are six of the k − b = 7 it waits for.
+    let before = (0..5).map(|p| (p, good(p % 2))).chain(unheard);
+    for (from, msg) in before {
+        proto.on_message(PeerId(from), msg, &mut ctx);
+        assert!(proto.output().is_none(), "advanced early, after p{from}");
+    }
+    proto.on_message(PeerId(7), good(1), &mut ctx);
+    assert_eq!(proto.output(), Some(&input));
+}
+
+/// Ends the wait of `cycle` with one heard claim of the wrong length from
+/// each of the `k − b − 1` senders it still needs, so that no string of
+/// that cycle is τ-frequent.
+fn end_wait_malformed<P: Protocol<Msg = SegmentMsg>>(
+    proto: &mut P,
+    ctx: &mut FixedCtx,
+    cycle: u32,
+    waited: usize,
+) {
+    for from in 0..waited - 1 {
+        let msg = SegmentMsg {
+            cycle,
+            segment: SegmentId(0),
+            bits: BitArray::zeros(1),
+        };
+        proto.on_message(PeerId(from), msg, ctx);
+    }
+}
+
+#[test]
+fn two_cycle_falls_back_to_direct_queries_for_every_other_segment() {
+    let (n, k, b) = (32usize, 9usize, 2usize);
+    let plan = TwoCyclePlan::Sampled {
+        segments: 4,
+        threshold: 2,
+    };
+    let input = wait_input(n);
+    let mut proto = TwoCycleDownload::with_plan(n, k, b, plan);
+    let mut ctx = FixedCtx::last_peer(k, &input);
+    proto.on_start(&mut ctx);
+    assert!(proto.output().is_none());
+    end_wait_malformed(&mut proto, &mut ctx, 1, k - b);
+    assert_eq!(proto.output(), Some(&input));
+    assert_eq!(proto.fallback_segments(), 3);
+    // Its own segment once, then the three others bit by bit: n in all.
+    assert_eq!(ctx.queries, n);
+}
+
+#[test]
+fn multi_cycle_falls_back_to_direct_queries_for_every_other_half() {
+    let (n, k, b) = (32usize, 9usize, 2usize);
+    let plan = MultiCyclePlan::Sampled {
+        initial_segments: 4,
+        threshold: 2,
+        cycles: 3,
+    };
+    let input = wait_input(n);
+    let mut proto = MultiCycleDownload::with_plan(n, k, b, plan);
+    let mut ctx = FixedCtx::last_peer(k, &input);
+    // The peer's picks, drawn from the rng `FixedCtx` gives it: one of
+    // four quarters, then one of two halves.
+    let mut draws = StdRng::seed_from_u64(1);
+    let (quarter, half) = (draws.gen_range(0..4usize), draws.gen_range(0..2usize));
+    proto.on_start(&mut ctx);
+    end_wait_malformed(&mut proto, &mut ctx, 1, k - b);
+    assert!(proto.output().is_none());
+    end_wait_malformed(&mut proto, &mut ctx, 2, k - b);
+    assert_eq!(proto.output(), Some(&input));
+    // Cycle 2 resolves both quarters of its half but its own quarter;
+    // cycle 3 the half it did not pick.
+    let own_quarter_in_half = usize::from(quarter / 2 == half);
+    assert_eq!(proto.fallback_segments(), 2 - own_quarter_in_half + 1);
 }
 
 proptest! {

@@ -120,11 +120,11 @@ pub trait Adversary<M: ProtocolMessage>: Send {
     }
 
     /// The run's static link-fault declaration: partitions with scheduled
-    /// heal ticks, peer churn windows, and the retransmission policy for
-    /// lossy links. Fetched exactly once at build time and validated
-    /// against the peer count; the default is the trivial plan. Must be a
-    /// pure function of the adversary's configuration (the same plan every
-    /// call) so record/replay stays aligned.
+    /// heal ticks and peer churn windows (lossiness is declared by
+    /// [`lossy`](Self::lossy)). Fetched exactly once at build time and
+    /// validated against the peer count; the default is the trivial plan.
+    /// Must be a pure function of the adversary's configuration (the same
+    /// plan every call) so record/replay stays aligned.
     fn link_fault_plan(&self) -> LinkFaultPlan {
         LinkFaultPlan::default()
     }
@@ -139,9 +139,9 @@ pub trait Adversary<M: ProtocolMessage>: Send {
     /// Called for each transmission attempt of a scheduled delivery while
     /// [`lossy`](Self::lossy) is true: `attempt` 0 is the original send,
     /// `attempt` `a ≥ 1` the `a`-th backed-off resend. Returning
-    /// [`LinkDecision::Drop`] invokes the retransmission layer (or
-    /// abandons the message once the plan's retry cap is hit). Not
-    /// consulted for quiescence releases or partition-parked deliveries.
+    /// [`LinkDecision::Drop`] makes the retransmission layer schedule a
+    /// backed-off resend; no message is ever abandoned. Not consulted for
+    /// quiescence releases or partition-parked deliveries.
     fn on_transmit(
         &mut self,
         view: &View<'_>,
