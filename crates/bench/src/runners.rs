@@ -1,13 +1,22 @@
 //! Standardized experiment runs: one function per (protocol, scenario),
 //! all verifying the Download specification before returning metrics.
+//!
+//! Each `run_*` builds its simulation with the matching `*_sim` and
+//! panics if the run fails: an experiment's instance must finish. A
+//! front end that takes instances from a user runs the `*_sim` through
+//! [`checked`] and reports a [`RunFailure`] instead.
 
-use dr_core::{FaultModel, ModelParams, PeerId, SegmentId, Segmentation};
+use dr_core::{FaultModel, ModelParams, PeerId, ProtocolMessage, SegmentId, Segmentation};
 use dr_protocols::byz::strategies::{CollusionGroup, Equivocator, RandomNoise};
 use dr_protocols::{
     CommitteeDownload, CrashMultiDownload, CycleDownload, MultiCycleDownload, MultiCyclePlan,
     NaiveDownload, SingleCrashDownload, TwoCycleDownload, TwoCyclePlan,
 };
-use dr_sim::{CrashPlan, RunReport, SilentAgent, SimBuilder, StandardAdversary, UniformDelay};
+use dr_sim::{
+    CrashPlan, DownloadViolation, RunError, RunReport, SilentAgent, SimBuilder, Simulation,
+    StandardAdversary, UniformDelay,
+};
+use std::fmt;
 
 use crate::stats::Stats;
 
@@ -41,36 +50,79 @@ pub fn byz_params(n: usize, k: usize, b: usize) -> ModelParams {
         .expect("valid byz params")
 }
 
-fn verified(sim: dr_sim::Simulation<impl dr_core::ProtocolMessage>) -> RunReport {
+/// Why a run gave no verified report.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RunFailure {
+    /// The simulation stopped short (deadlock, event limit, full slab).
+    Run(RunError),
+    /// A nonfaulty peer did not download the input.
+    Violation(DownloadViolation),
+}
+
+impl fmt::Display for RunFailure {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RunFailure::Run(e) => write!(f, "run failed: {e}"),
+            RunFailure::Violation(e) => write!(f, "download specification violated: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for RunFailure {}
+
+/// Runs `sim` and verifies that every nonfaulty peer downloaded its input.
+///
+/// # Errors
+///
+/// Returns [`RunFailure::Run`] if the run does not finish and
+/// [`RunFailure::Violation`] if a download is wrong or missing.
+pub fn checked(sim: Simulation<impl ProtocolMessage>) -> Result<RunReport, RunFailure> {
     let input = sim.input().clone();
-    let report = sim.run().expect("run must terminate");
+    let report = sim.run().map_err(RunFailure::Run)?;
     report
         .verify_downloads(&input)
-        .expect("download specification violated");
-    report
+        .map_err(RunFailure::Violation)?;
+    Ok(report)
+}
+
+fn verified(sim: Simulation<impl ProtocolMessage>) -> RunReport {
+    checked(sim).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Naive protocol run (works under any fault pattern).
 pub fn run_naive(n: usize, k: usize, seed: u64) -> RunReport {
-    let sim = SimBuilder::new(crash_params(n, k, 0, 1024))
+    verified(naive_sim(n, k, seed))
+}
+
+/// The simulation [`run_naive`] runs.
+pub fn naive_sim(n: usize, k: usize, seed: u64) -> Simulation<impl ProtocolMessage> {
+    SimBuilder::new(crash_params(n, k, 0, 1024))
         .seed(seed)
         .protocol(|_| NaiveDownload::new())
-        .build();
-    verified(sim)
+        .build()
 }
 
 /// Algorithm 1 with one adversarial crash (`victim` dies mid-run).
 pub fn run_single_crash(n: usize, k: usize, seed: u64, victim: Option<PeerId>) -> RunReport {
+    verified(single_crash_sim(n, k, seed, victim))
+}
+
+/// The simulation [`run_single_crash`] runs.
+pub fn single_crash_sim(
+    n: usize,
+    k: usize,
+    seed: u64,
+    victim: Option<PeerId>,
+) -> Simulation<impl ProtocolMessage> {
     let plan = match victim {
         Some(v) => CrashPlan::before_event([v], seed % 4),
         None => CrashPlan::none(),
     };
-    let sim = SimBuilder::new(crash_params(n, k, 1, 1024))
+    SimBuilder::new(crash_params(n, k, 1, 1024))
         .seed(seed)
         .protocol(move |_| SingleCrashDownload::new(n, k))
         .adversary(StandardAdversary::new(UniformDelay::new(), plan))
-        .build();
-    verified(sim)
+        .build()
 }
 
 /// Algorithm 2 with `crashes` peers crashed adversarially (budget `b`).
@@ -83,10 +135,35 @@ pub fn run_crash_multi(
     early_release: bool,
     seed: u64,
 ) -> RunReport {
+    verified(crash_multi_sim(
+        n,
+        k,
+        b,
+        crashes,
+        msg_bits,
+        early_release,
+        seed,
+    ))
+}
+
+/// The simulation [`run_crash_multi`] runs.
+///
+/// # Panics
+///
+/// Panics if `crashes > b`.
+pub fn crash_multi_sim(
+    n: usize,
+    k: usize,
+    b: usize,
+    crashes: usize,
+    msg_bits: usize,
+    early_release: bool,
+    seed: u64,
+) -> Simulation<impl ProtocolMessage> {
     assert!(crashes <= b);
     let victims: Vec<PeerId> = (0..crashes).map(PeerId).collect();
     let plan = CrashPlan::before_event(victims, 1 + seed % 3);
-    let sim = SimBuilder::new(crash_params(n, k, b, msg_bits))
+    SimBuilder::new(crash_params(n, k, b, msg_bits))
         .seed(seed)
         .protocol(move |_| {
             let p = CrashMultiDownload::new(n, k, b);
@@ -97,13 +174,27 @@ pub fn run_crash_multi(
             }
         })
         .adversary(StandardAdversary::new(UniformDelay::new(), plan))
-        .build();
-    verified(sim)
+        .build()
 }
 
 /// Deterministic committee protocol with `silent` of the `t` Byzantine
 /// peers instantiated as silent.
 pub fn run_committee(n: usize, k: usize, t: usize, silent: usize, seed: u64) -> RunReport {
+    verified(committee_sim(n, k, t, silent, seed))
+}
+
+/// The simulation [`run_committee`] runs.
+///
+/// # Panics
+///
+/// Panics if `silent > t`.
+pub fn committee_sim(
+    n: usize,
+    k: usize,
+    t: usize,
+    silent: usize,
+    seed: u64,
+) -> Simulation<impl ProtocolMessage> {
     assert!(silent <= t);
     let mut builder = SimBuilder::new(byz_params(n, k, t))
         .seed(seed)
@@ -111,7 +202,7 @@ pub fn run_committee(n: usize, k: usize, t: usize, silent: usize, seed: u64) -> 
     for i in 0..silent {
         builder = builder.byzantine(PeerId(i), SilentAgent::new());
     }
-    verified(builder.build())
+    builder.build()
 }
 
 fn apply_mix<M, FEq, FCol, FNoise>(
@@ -168,13 +259,35 @@ pub fn two_cycle_segmentation(n: usize, k: usize, b: usize) -> Option<(Segmentat
 
 /// 2-cycle randomized protocol run under a Byzantine mix.
 pub fn run_two_cycle(n: usize, k: usize, b: usize, mix: ByzMix, seed: u64) -> RunReport {
+    verified(two_cycle_sim(n, k, b, mix, seed))
+}
+
+/// The simulation [`run_two_cycle`] runs.
+pub fn two_cycle_sim(
+    n: usize,
+    k: usize,
+    b: usize,
+    mix: ByzMix,
+    seed: u64,
+) -> Simulation<impl ProtocolMessage> {
     let cycle1 = two_cycle_segmentation(n, k, b);
-    run_cycles(n, k, b, mix, seed, cycle1, TwoCycleDownload::new)
+    cycles_sim(n, k, b, mix, seed, cycle1, TwoCycleDownload::new)
 }
 
 /// Multi-cycle randomized protocol run under a Byzantine mix (colluders
 /// and noise target the cycle-1 segmentation).
 pub fn run_multi_cycle(n: usize, k: usize, b: usize, mix: ByzMix, seed: u64) -> RunReport {
+    verified(multi_cycle_sim(n, k, b, mix, seed))
+}
+
+/// The simulation [`run_multi_cycle`] runs.
+pub fn multi_cycle_sim(
+    n: usize,
+    k: usize,
+    b: usize,
+    mix: ByzMix,
+    seed: u64,
+) -> Simulation<impl ProtocolMessage> {
     let cycle1 = match MultiCyclePlan::choose(n, k, b) {
         MultiCyclePlan::Sampled {
             initial_segments,
@@ -183,13 +296,13 @@ pub fn run_multi_cycle(n: usize, k: usize, b: usize, mix: ByzMix, seed: u64) -> 
         } => Some((Segmentation::new(n, initial_segments), threshold)),
         MultiCyclePlan::Naive => None,
     };
-    run_cycles(n, k, b, mix, seed, cycle1, MultiCycleDownload::new)
+    cycles_sim(n, k, b, mix, seed, cycle1, MultiCycleDownload::new)
 }
 
-/// A cycle-engine run under a Byzantine mix aimed at `cycle1`, the
+/// A cycle-engine simulation under a Byzantine mix aimed at `cycle1`, the
 /// cycle-1 segmentation and τ of a sampled plan; under a naive plan
 /// (`None`) every Byzantine peer is silent.
-fn run_cycles<P: Send + 'static>(
+fn cycles_sim<P: Send + 'static>(
     n: usize,
     k: usize,
     b: usize,
@@ -197,7 +310,7 @@ fn run_cycles<P: Send + 'static>(
     seed: u64,
     cycle1: Option<(Segmentation, usize)>,
     new: fn(usize, usize, usize) -> CycleDownload<P>,
-) -> RunReport {
+) -> Simulation<impl ProtocolMessage> {
     let builder = SimBuilder::new(byz_params(n, k, b))
         .seed(seed)
         .protocol(move |_| new(n, k, b));
@@ -229,7 +342,7 @@ fn run_cycles<P: Send + 'static>(
             |_| Box::new(SilentAgent::new()),
         ),
     };
-    verified(builder.build())
+    builder.build()
 }
 
 /// Convenience: repeats a run over `trials` seeds and averages a metric

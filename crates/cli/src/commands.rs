@@ -3,13 +3,13 @@
 use crate::args::{ArgError, Args};
 use dr_bench::chaos::{ProtocolKind, ProtocolLimit};
 use dr_bench::runners::{self, ByzMix};
-use dr_core::{BitArray, FaultModel, ModelParams, ModelParamsBuilder, PeerId};
+use dr_core::{BitArray, FaultModel, ModelParams, ModelParamsBuilder, PeerId, ProtocolMessage};
 use dr_protocols::lower_bound::{deterministic_attack, AttackOutcome};
 use dr_protocols::{
     BalancedDownload, CommitteeDownload, CrashMultiDownload, NaiveDownload, SingleCrashDownload,
 };
 use dr_sim::explore::ExploreConfig;
-use dr_sim::RunReport;
+use dr_sim::{RunReport, Simulation};
 use std::io::Write;
 
 /// Writes to standard output like `print!`, but drops what it cannot
@@ -104,6 +104,13 @@ fn check_limits(protocol: ProtocolKind, k: usize, t: usize, t_flag: &str) -> Res
     })
 }
 
+/// Runs `sim` and verifies its downloads: a run that stops short or a
+/// wrong download is an error naming `protocol` for `main` to print,
+/// never a panic.
+fn finish(protocol: &str, sim: Simulation<impl ProtocolMessage>) -> Result<RunReport, ArgError> {
+    runners::checked(sim).map_err(|e| ArgError(format!("--protocol {protocol}: {e}")))
+}
+
 /// `dr run` — execute one protocol under the standard adversary.
 pub fn run(args: &Args) -> Result<(), ArgError> {
     args.reject_unknown(&[
@@ -125,38 +132,38 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
     )?;
 
     let report = match protocol {
-        "naive" => runners::run_naive(n, k, seed),
+        "naive" => finish(protocol, runners::naive_sim(n, k, seed)),
         "balanced" => {
             let params = runners::crash_params(n, k, 0, msg_bits);
-            let sim = dr_sim::SimBuilder::new(params)
-                .seed(seed)
-                .protocol(move |_| BalancedDownload::new(n, k))
-                .build();
-            let input = sim.input().clone();
-            let r = sim
-                .run()
-                .map_err(|e| ArgError(format!("balanced download failed: {e}")))?;
-            r.verify_downloads(&input)
-                .map_err(|e| ArgError(format!("verification failed: {e}")))?;
-            r
+            finish(
+                protocol,
+                dr_sim::SimBuilder::new(params)
+                    .seed(seed)
+                    .protocol(move |_| BalancedDownload::new(n, k))
+                    .build(),
+            )
         }
         "alg1" => {
             check_limits(ProtocolKind::CrashSingle, k, 0, "")?;
-            runners::run_single_crash(n, k, seed, (crashes > 0).then_some(PeerId(0)))
+            let victim = (crashes > 0).then_some(PeerId(0));
+            finish(protocol, runners::single_crash_sim(n, k, seed, victim))
         }
         "alg2" | "alg2-early" => {
             check_crashes(crashes, b)?;
             let early_release = protocol == "alg2-early";
-            runners::run_crash_multi(n, k, b, crashes, msg_bits, early_release, seed)
+            finish(
+                protocol,
+                runners::crash_multi_sim(n, k, b, crashes, msg_bits, early_release, seed),
+            )
         }
         "committee" => {
             check_limits(ProtocolKind::Committee, k, b, "--b")?;
-            runners::run_committee(n, k, b, b, seed)
+            finish(protocol, runners::committee_sim(n, k, b, b, seed))
         }
-        "two-cycle" => runners::run_two_cycle(n, k, b, mix, seed),
-        "multi-cycle" => runners::run_multi_cycle(n, k, b, mix, seed),
+        "two-cycle" => finish(protocol, runners::two_cycle_sim(n, k, b, mix, seed)),
+        "multi-cycle" => finish(protocol, runners::multi_cycle_sim(n, k, b, mix, seed)),
         other => return Err(ArgError(format!("unknown --protocol '{other}'"))),
-    };
+    }?;
     outln!("protocol {protocol}: n={n} k={k} b={b} seed={seed}");
     print_report(&report, n);
     Ok(())
@@ -186,13 +193,7 @@ pub fn trace(args: &Args) -> Result<(), ArgError> {
         ))
         .trace()
         .build();
-    let input = sim.input().clone();
-    let report = sim
-        .run()
-        .map_err(|e| ArgError(format!("run failed: {e}")))?;
-    report
-        .verify_downloads(&input)
-        .map_err(|e| ArgError(format!("verification failed: {e}")))?;
+    let report = runners::checked(sim).map_err(|e| ArgError(e.to_string()))?;
     out!(
         "{}",
         dr_sim::render_trace(report.trace.as_ref().expect("trace enabled"))
@@ -612,4 +613,24 @@ pub fn experiments(args: &Args) -> Result<(), ArgError> {
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_run_past_its_event_cap_is_an_error_naming_the_protocol() {
+        // Naive at k = 4 takes 4 start events: a cap of 3 cannot fit it.
+        let sim = dr_sim::SimBuilder::new(runners::crash_params(64, 4, 0, 1024))
+            .max_events(3)
+            .protocol(|_| NaiveDownload::new())
+            .build();
+        let err = finish("naive", sim).unwrap_err();
+        assert_eq!(
+            err.0,
+            "--protocol naive: run failed: event limit 3 exceeded (livelock?)"
+        );
+        assert!(finish("naive", runners::naive_sim(64, 4, 1)).is_ok());
+    }
 }

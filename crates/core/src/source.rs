@@ -18,6 +18,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 ///
 /// Implementations must be deterministic: repeated queries for the same
 /// index return the same bit (the paper's static-data assumption, see §4).
+/// The simulator relies on it: it reads a range with [`Source::bits`] the
+/// first time any peer queries that range, and serves every later query
+/// of the same range from that read.
 pub trait Source: Send + Sync {
     /// Number of bits stored.
     fn len(&self) -> usize;

@@ -18,6 +18,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// This deliberately violates the DR model's static-data assumption; it
 /// exists to *demonstrate* the violation's consequences, not to be used
 /// under protocols that assume the model.
+///
+/// The simulator reads a queried range once and serves every later query
+/// of that range from the first read, so drift reaches only per-bit and
+/// masked queries. In this crate it runs under [`CrashMultiDownload`]
+/// (`dr_protocols`), whose queries are all masked.
+///
+/// [`CrashMultiDownload`]: dr_protocols::CrashMultiDownload
 #[derive(Debug)]
 pub struct DriftingSource {
     before: BitArray,

@@ -74,9 +74,7 @@ impl<P> CycleDownload<P> {
             "segment counts must each divide the one before, down to 1: {segments:?}"
         );
         let segs: Vec<Segmentation> = segments.iter().map(|&p| Segmentation::new(n, p)).collect();
-        let claims = (1..segs.len() as u32)
-            .map(|cycle| CycleClaims::new(k, cycle))
-            .collect();
+        let claims = (1..segs.len()).map(|_| CycleClaims::new(k)).collect();
         CycleDownload {
             plan,
             tau: threshold,

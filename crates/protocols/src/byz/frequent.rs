@@ -43,11 +43,14 @@ impl SegmentClaims {
     /// this segment before; `true` if it was counted.
     ///
     /// Honest claims of a segment repeat one string, so a claim is first
-    /// held against the string counted last: `==` is a buffer-pointer
-    /// check, then one `memcmp` of the words. Only another string pays a
-    /// binary search and, if new, an insertion, so `m` claims of `d`
-    /// distinct strings take `O(m log d)` string comparisons in any order,
-    /// equivocation floods included.
+    /// held against the string counted last. `==` is a buffer-pointer
+    /// check when the two arrays share a buffer, and a `memcmp` of the
+    /// words otherwise. Honest cycle-1 claims share one: the simulator
+    /// hands every peer that queries a range the same array, and a claim
+    /// carries it by `clone`. Only another string pays a binary search
+    /// and, if new, an insertion, so `m` claims of `d` distinct strings
+    /// take `O(m log d)` string comparisons in any order, equivocation
+    /// floods included.
     fn count(&mut self, sender: usize, string: BitArray) -> bool {
         if !insert_bit(&mut self.senders, sender) {
             return false;
@@ -184,7 +187,7 @@ struct Claim {
 ///
 /// let seg = Segmentation::new(8, 2);
 /// let claim = |segment, bits: BitArray| SegmentMsg { cycle: 1, segment: SegmentId(segment), bits };
-/// let mut inbox = CycleClaims::new(3, 1);
+/// let mut inbox = CycleClaims::new(3);
 /// inbox.hear(PeerId(0), claim(1, BitArray::zeros(4)), &seg);
 /// inbox.hear(PeerId(1), claim(1, BitArray::zeros(4)), &seg);
 /// inbox.hear(PeerId(1), claim(0, BitArray::zeros(4)), &seg); // second message: ignored
@@ -196,26 +199,24 @@ struct Claim {
 /// ```
 #[derive(Debug)]
 pub struct CycleClaims {
-    cycle: u32,
     heard: PeerSet,
     heard_count: usize,
     log: Vec<Claim>,
 }
 
 impl CycleClaims {
-    /// An empty inbox for cycle `cycle` (1-based) among `k` peers.
+    /// An empty inbox among `k` peers.
     ///
     /// # Panics
     ///
     /// Panics if `k > u32::MAX`, which `ModelParams` refuses too: the log
     /// stores peer ids in 32 bits.
-    pub fn new(k: usize, cycle: u32) -> Self {
+    pub fn new(k: usize) -> Self {
         assert!(
             u32::try_from(k).is_ok(),
             "peer ids fit in u32: k={k} is too many"
         );
         CycleClaims {
-            cycle,
             heard: PeerSet::new(k),
             heard_count: 0,
             log: Vec::new(),
@@ -225,8 +226,9 @@ impl CycleClaims {
     /// Takes delivery of a message from `sender`. A sender's first message
     /// counts toward [`heard`](CycleClaims::heard) whatever it carries and
     /// later ones are ignored; the first is logged as a claim only if it
-    /// is for this cycle and names a segment of `seg` with a string of
-    /// that segment's length.
+    /// names a segment of `seg` with a string of that segment's length.
+    /// Its cycle number is not looked at: the caller files each message
+    /// in its own cycle's inbox.
     ///
     /// # Panics
     ///
@@ -236,10 +238,7 @@ impl CycleClaims {
             return;
         }
         self.heard_count += 1;
-        if msg.cycle == self.cycle
-            && msg.segment.index() < seg.count()
-            && msg.bits.len() == seg.len_of(msg.segment)
-        {
+        if msg.segment.index() < seg.count() && msg.bits.len() == seg.len_of(msg.segment) {
             self.log.push(Claim {
                 // `heard` holds `sender`, so `sender < k ≤ u32::MAX`.
                 sender: sender.index() as u32,
@@ -342,7 +341,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "peer ids fit in u32")]
     fn an_inbox_refuses_peer_ids_past_u32() {
-        CycleClaims::new(u32::MAX as usize + 1, 1);
+        CycleClaims::new(u32::MAX as usize + 1);
     }
 
     #[test]

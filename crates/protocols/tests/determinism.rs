@@ -144,20 +144,19 @@ impl BTreeFrequencyTable {
 }
 
 /// One cycle as the cycle protocols kept it before the cycle-end tally,
-/// kept verbatim as the reference: every delivery goes straight into the
+/// kept as the reference: every delivery goes straight into the
 /// frequency table, and into the B-tree table beside it, which shares no
-/// counting code with the tally.
+/// counting code with the tally. As in `CycleDownload`, the caller routes
+/// each message to its own cycle's reference.
 struct PerDeliveryCycle {
-    cycle: u32,
     heard: DetSet<PeerId>,
     table: FrequencyTable,
     btree: BTreeFrequencyTable,
 }
 
 impl PerDeliveryCycle {
-    fn new(cycle: u32) -> Self {
+    fn new() -> Self {
         PerDeliveryCycle {
-            cycle,
             heard: DetSet::new(),
             table: FrequencyTable::new(),
             btree: BTreeFrequencyTable::default(),
@@ -166,7 +165,6 @@ impl PerDeliveryCycle {
 
     fn on_message(&mut self, from: PeerId, msg: &SegmentMsg, seg: &Segmentation) {
         if self.heard.insert(from)
-            && msg.cycle == self.cycle
             && msg.segment.index() < seg.count()
             && msg.bits.len() == seg.len_of(msg.segment)
         {
@@ -617,13 +615,14 @@ proptest! {
     fn two_cycle_tally_matches_per_delivery_recording(
         deliveries in prop::collection::vec(delivery(), 0..120),
     ) {
-        // The 2-cycle protocol has one waiting cycle. A first message
-        // that names another cycle, a segment that does not exist or a
-        // string of the wrong length counts as heard and is not tallied.
+        // The 2-cycle protocol has one waiting cycle, and a message that
+        // names another cycle is not heard at all. A first message that
+        // names a segment that does not exist or a string of the wrong
+        // length counts as heard and is not tallied.
         let seg = Segmentation::new(32, 8);
-        let mut inbox = CycleClaims::new(10, 1);
-        let mut reference = PerDeliveryCycle::new(1);
-        for d in deliveries {
+        let mut inbox = CycleClaims::new(10);
+        let mut reference = PerDeliveryCycle::new();
+        for d in deliveries.into_iter().filter(|d| d.1 == 1) {
             let (from, msg) = delivered(d, &seg);
             reference.on_message(from, &msg, &seg);
             inbox.hear(from, msg, &seg);
@@ -648,10 +647,9 @@ proptest! {
         // already waiting by then, and its own stragglers no longer count.
         let cycles = 3usize;
         let seg_of = |cycle: u32| Segmentation::new(32, 8 >> (cycle - 1));
-        let mut inboxes: Vec<CycleClaims> =
-            (1..=cycles as u32).map(|c| CycleClaims::new(10, c)).collect();
+        let mut inboxes: Vec<CycleClaims> = (0..cycles).map(|_| CycleClaims::new(10)).collect();
         let mut reference: Vec<PerDeliveryCycle> =
-            (1..=cycles as u32).map(PerDeliveryCycle::new).collect();
+            (0..cycles).map(|_| PerDeliveryCycle::new()).collect();
         let mut ends: Vec<usize> = waits.iter().map(|w| w % (deliveries.len() + 1)).collect();
         ends.sort_unstable();
         let mut current = 0;
@@ -676,26 +674,26 @@ proptest! {
 
     #[test]
     fn long_string_tally_matches_per_delivery_recording(
-        deliveries in prop::collection::vec((0u32..3, long_claim(130, 5)), 0..400),
+        deliveries in prop::collection::vec(long_claim(130, 5), 0..400),
         extra in 0usize..64,
         first in 0usize..5,
         width in 1usize..4,
     ) {
         // Four multi-word segments of unequal length and one cycle. Each
         // inbox is tallied over a subrange, as a multi-cycle peer tallies
-        // the two children it resolves; claims outside it, for another
-        // cycle, for segment 4 (which does not exist) or of the wrong
-        // length are heard and not counted.
+        // the two children it resolves; claims outside it, for segment 4
+        // (which does not exist) or of the wrong length are heard and not
+        // counted.
         let seg = Segmentation::new(4 * 150 + extra, 4);
         let input = BitArray::from_fn(seg.input_len(), |i| (i * 13) % 7 < 3);
         let mut earlier: Vec<Vec<BitArray>> = vec![Vec::new(); 5];
-        let mut inbox = CycleClaims::new(130, 1);
-        let mut reference = PerDeliveryCycle::new(1);
-        for (cycle, (from, segment, shape, pos)) in deliveries {
+        let mut inbox = CycleClaims::new(130);
+        let mut reference = PerDeliveryCycle::new();
+        for (from, segment, shape, pos) in deliveries {
             let truth = input.slice(seg.range(SegmentId(segment % 4)));
             let bits = long_string(&truth, &earlier[segment], shape, pos);
             earlier[segment].push(bits.clone());
-            let msg = SegmentMsg { cycle, segment: SegmentId(segment), bits };
+            let msg = SegmentMsg { cycle: 1, segment: SegmentId(segment), bits };
             reference.on_message(PeerId(from), &msg, &seg);
             inbox.hear(PeerId(from), msg, &seg);
             prop_assert_eq!(inbox.heard(), reference.heard.len());

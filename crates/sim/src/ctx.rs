@@ -1,6 +1,7 @@
 //! The simulator's [`Context`]: what an agent's handler sees during one
 //! step, the outbox that step fills, and the meter its queries charge.
 
+use dr_core::collections::DetMap;
 use dr_core::{BitArray, Context, PeerId, ProtocolMessage, Source};
 use rand::rngs::StdRng;
 use rand::RngCore;
@@ -67,14 +68,26 @@ impl Meter {
     }
 }
 
+/// Every range a peer of the run has read with `query_range`, keyed by
+/// `(start, end)`, holding the first read's array. The source is static
+/// (§4, [`Source`]'s contract), so a later reader of the same range gets
+/// that array again: honest peers that query one range hold one buffer,
+/// and comparing their answers is a pointer check. The map holds one
+/// array per distinct range queried: for the in-tree protocols, one per
+/// segment of the segmentations they read, or one `0..n` array for the
+/// naive protocol where there were `k` copies.
+pub(crate) type RangeReads = DetMap<(usize, usize), BitArray>;
+
 /// The [`Context`] the simulator hands its agents: queries read the
-/// source and charge the run's [`Meter`], and sends and broadcasts
-/// accumulate in the step outbox for the run loop to dispatch.
+/// source (a repeated range from [`RangeReads`]) and charge the run's
+/// [`Meter`], and sends and broadcasts accumulate in the step outbox for
+/// the run loop to dispatch.
 pub(crate) struct LaneCtx<'a, M> {
     pub(crate) me: PeerId,
     pub(crate) num_peers: usize,
     pub(crate) input_len: usize,
     pub(crate) source: &'a dyn Source,
+    pub(crate) reads: &'a mut RangeReads,
     pub(crate) meter: &'a mut Meter,
     pub(crate) rng: &'a mut StdRng,
     pub(crate) outbox: &'a mut Vec<Outgoing<M>>,
@@ -104,10 +117,17 @@ impl<M: ProtocolMessage> Context<M> for LaneCtx<'_, M> {
         self.source.bit(index)
     }
     fn query_range(&mut self, range: std::ops::Range<usize>) -> BitArray {
-        // Bulk path: one meter update + word-level copy instead of the
-        // default per-bit loop. Identical accounting and results.
+        // Bulk path: one meter update instead of the default per-bit loop,
+        // and the source read once per distinct range; every reader is
+        // charged the full range all the same. A reader that mutates its
+        // answer un-shares it (copy-on-write), leaving the stored read
+        // intact for the next one.
         self.meter.record_range(self.me, range.clone());
-        self.source.bits(range)
+        let source = self.source;
+        self.reads
+            .entry((range.start, range.end))
+            .or_insert_with(|| source.bits(range))
+            .clone()
     }
     fn query_masked(&mut self, mask: &BitArray) -> BitArray {
         // Same bulk path for a strided query set: one meter update + the

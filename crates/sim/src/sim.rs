@@ -55,11 +55,13 @@
 //! copy of the lifecycle bits and the read-only core every adversary
 //! `View` borrows. Queries charge the run's own meter — plain per-peer
 //! counters, and index logs when tracking is on — with no atomic or lock,
-//! because nothing reads it until the run ends.
+//! because nothing reads it until the run ends. A range query reads the
+//! source only the first time any peer asks for that range; every later
+//! reader is charged the same and handed the same immutable array.
 
 use crate::adversary::{Adversary, Delivery, HeldInfo, Release};
 use crate::agent::Agent;
-use crate::ctx::{LaneCtx, Meter, Outgoing};
+use crate::ctx::{LaneCtx, Meter, Outgoing, RangeReads};
 use crate::linkfault::{backoff, LinkDecision, RuntimeLinkState};
 use crate::report::{RunError, RunReport};
 use crate::shard::{EventKind, EventPump};
@@ -196,6 +198,9 @@ pub struct Simulation<M: ProtocolMessage> {
     /// built with `SimBuilder::streaming_source`).
     pub(crate) input: Option<BitArray>,
     source: Box<dyn Source>,
+    /// The run's range reads, one array per distinct queried range (see
+    /// [`RangeReads`]).
+    reads: RangeReads,
     meter: Meter,
     /// Per-peer status — the read-only core every adversary `View`
     /// borrows.
@@ -283,6 +288,7 @@ impl<M: ProtocolMessage> Simulation<M> {
             params,
             input,
             source,
+            reads: RangeReads::new(),
             meter: Meter::new(k, track_query_indices),
             status: roles.into_iter().map(PeerStatus::new).collect(),
             adversary,
@@ -579,6 +585,7 @@ impl<M: ProtocolMessage> Simulation<M> {
                 num_peers: self.params.k(),
                 input_len: self.params.n(),
                 source: &*self.source,
+                reads: &mut self.reads,
                 meter: &mut self.meter,
                 rng: &mut self.rngs[to.index()],
                 outbox: &mut self.outbox_scratch,
