@@ -61,7 +61,7 @@ pub fn run_metered(sink: &mut MetricsSink) -> Vec<Table> {
             out.total_read_bits,
         );
     }
-    let dl = run_download_based(&cfg, DownloadEngine::TwoCycle);
+    let dl = run_download_based(&cfg, DownloadEngine::TwoCycle).expect("oracle downloads finish");
     t.row(vec![
         "download (2-cycle)".into(),
         dl.total_read_bits.to_string(),
@@ -76,7 +76,8 @@ pub fn run_metered(sink: &mut MetricsSink) -> Vec<Table> {
     );
     let mut crash_cfg = cfg;
     crash_cfg.byz_nodes = 0;
-    let dlc = run_download_based(&crash_cfg, DownloadEngine::CrashMulti);
+    let dlc = run_download_based(&crash_cfg, DownloadEngine::CrashMulti)
+        .expect("oracle downloads finish");
     t.row(vec![
         "download (Alg 2, crash nodes)".into(),
         dlc.total_read_bits.to_string(),
@@ -114,7 +115,9 @@ pub fn run_metered(sink: &mut MetricsSink) -> Vec<Table> {
     }
     {
         let ok = par::run_indexed(20, move |seed| {
-            run_download_based(&small(seed as u64), DownloadEngine::TwoCycle).odd_satisfied()
+            run_download_based(&small(seed as u64), DownloadEngine::TwoCycle)
+                .expect("oracle downloads finish")
+                .odd_satisfied()
         });
         let bad = ok.iter().filter(|&&s| !s).count();
         rob.row(vec!["download (2-cycle)".into(), f(bad as f64 / 20.0)]);
@@ -130,7 +133,8 @@ mod tests {
     fn download_based_is_cheaper_and_sound() {
         let cfg = config(1);
         let base = run_baseline(&cfg, cfg.sources());
-        let dl = run_download_based(&cfg, DownloadEngine::TwoCycle);
+        let dl =
+            run_download_based(&cfg, DownloadEngine::TwoCycle).expect("oracle downloads finish");
         assert!(dl.odd_satisfied());
         assert!(dl.max_node_read_bits < base.max_node_read_bits);
     }

@@ -8,8 +8,6 @@
 //! them, `dr experiments --only <name>` one, and `dr chaos` the chaos
 //! campaign.
 
-#![forbid(unsafe_code)]
-
 pub mod chaos;
 pub mod experiments;
 pub mod metrics;

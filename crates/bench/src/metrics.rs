@@ -11,6 +11,10 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+#[expect(
+    clippy::disallowed_types,
+    reason = "a wall-clock reading for the report; no result depends on it"
+)]
 use std::time::Instant;
 
 use dr_core::json::{ToJson, Value};
@@ -26,14 +30,20 @@ static TRIALS_OVERRIDE: AtomicU64 = AtomicU64::new(0);
 /// Overrides the per-row trial count for the whole process (from `dr`'s
 /// `--trials` flag). Passing 0 clears the override.
 pub fn set_trials(n: u64) {
-    // dr-lint: allow(atomic-ordering): lone config cell, no other memory depends on it
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "lone config cell, no other memory depends on it"
+    )]
     TRIALS_OVERRIDE.store(n, Ordering::Relaxed);
 }
 
 /// Trials each multi-trial experiment row runs: the [`set_trials`]
 /// override, else 3.
 pub fn trials() -> u64 {
-    // dr-lint: allow(atomic-ordering): lone config cell, no other memory depends on it
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "lone config cell, no other memory depends on it"
+    )]
     let explicit = TRIALS_OVERRIDE.load(Ordering::Relaxed);
     if explicit > 0 {
         return explicit;
@@ -162,6 +172,10 @@ pub fn measure_par<R>(trials: u64, base_seed: u64, run: R) -> Measured
 where
     R: Fn(u64) -> RunReport + Sync,
 {
+    #[expect(
+        clippy::disallowed_types,
+        reason = "a wall-clock reading for the report; no result depends on it"
+    )]
     let started = Instant::now();
     let metrics = par::run_indexed(trials as usize, |t| {
         TrialMetrics::from(&run(base_seed + t as u64))

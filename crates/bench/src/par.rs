@@ -17,14 +17,20 @@ static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 /// Overrides the thread count for the whole process (from `dr`'s
 /// `--threads` flag). Passing 0 clears the override.
 pub fn set_threads(n: usize) {
-    // dr-lint: allow(atomic-ordering): lone config cell, no other memory depends on it
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "lone config cell, no other memory depends on it"
+    )]
     THREAD_OVERRIDE.store(n, Ordering::Relaxed);
 }
 
 /// Threads a fan-out uses: the [`set_threads`] override, else the
 /// machine's available parallelism.
 pub fn thread_count() -> usize {
-    // dr-lint: allow(atomic-ordering): lone config cell, no other memory depends on it
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "lone config cell, no other memory depends on it"
+    )]
     let explicit = THREAD_OVERRIDE.load(Ordering::Relaxed);
     if explicit > 0 {
         return explicit;
@@ -58,7 +64,10 @@ where
     let work = || {
         let mut done = Vec::new();
         loop {
-            // dr-lint: allow(atomic-ordering): the RMW alone makes each index unique; results are published by the join
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the RMW alone makes each index unique; results are published by the join"
+            )]
             let i = next.fetch_add(1, Ordering::Relaxed);
             if i >= count {
                 return done;
@@ -67,7 +76,10 @@ where
         }
     };
     let mut results: Vec<(usize, T)> = Vec::with_capacity(count);
-    // dr-lint: allow(raw-thread-spawn): the trial fan-out itself; its threads are joined before it returns
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the trial fan-out itself; its threads are joined before it returns"
+    )]
     std::thread::scope(|s| {
         let helpers: Vec<_> = (1..workers).map(|_| s.spawn(work)).collect();
         results.extend(work());

@@ -306,7 +306,8 @@ pub fn oracle(args: &Args) -> Result<(), ArgError> {
         ));
     }
     let baseline = run_baseline(&config, config.sources());
-    let download = run_download_based(&config, engine);
+    let download = run_download_based(&config, engine)
+        .map_err(|e| ArgError(format!("download-based pipeline: {e}")))?;
     outln!(
         "oracle: {} nodes ({} byz), {} sources ({} corrupt), {} cells",
         config.nodes,
@@ -520,40 +521,6 @@ pub fn chaos(args: &Args) -> Result<(), ArgError> {
         Err(ArgError(format!(
             "{} invariant violation(s) found",
             report.violations.len()
-        )))
-    }
-}
-
-/// `dr lint` — run the determinism static-analysis pass over `crates/`
-/// without remembering the `cargo run -p dr-lint` incantation.
-pub fn lint(args: &Args) -> Result<(), ArgError> {
-    args.reject_unknown(&["root", "format"])?;
-    let root = match args.get("root") {
-        Some(dir) => std::path::PathBuf::from(dir),
-        None => {
-            let cwd = std::env::current_dir()
-                .map_err(|e| ArgError(format!("cannot read current dir: {e}")))?;
-            dr_lint::find_workspace_root(&cwd).ok_or_else(|| {
-                ArgError(format!(
-                    "no workspace root (Cargo.toml + crates/) above {}; pass --root",
-                    cwd.display()
-                ))
-            })?
-        }
-    };
-    let report =
-        dr_lint::lint_workspace(&root).map_err(|e| ArgError(format!("lint walk failed: {e}")))?;
-    match args.get_or("format", "text") {
-        "json" => out!("{}", dr_lint::render_json(&report)),
-        "text" => out!("{}", dr_lint::render_text(&report)),
-        other => return Err(ArgError(format!("unknown --format '{other}' (text|json)"))),
-    }
-    if report.is_clean() {
-        Ok(())
-    } else {
-        Err(ArgError(format!(
-            "{} determinism diagnostic(s) — see report above",
-            report.diagnostics.len()
         )))
     }
 }

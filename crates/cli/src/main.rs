@@ -13,7 +13,6 @@
 //! dr chaos   [--runs-per-case <n>] [--seed <u64>] [--out <dir>] [--threads <n>]
 //!            [--partition <0|1>] [--drop-rate <permille>] [--churn <0|1>]
 //!            [--shrink <0|1>] [--replay <chaos_repro_*.json>]
-//! dr lint    [--root <dir>] [--format <text|json>]
 //! dr experiments [--only <name>] [--json <dir>] [--threads <n>] [--trials <n>]
 //! dr [<subcommand>] --help | -h
 //! ```
@@ -43,7 +42,6 @@ USAGE:
              [--partition <0|1>] [--drop-rate <permille>] [--churn <0|1>]
                                  restrict the sweep to the selected link-fault columns
              [--shrink <0|1>] [--replay <chaos_repro_*.json>]
-  dr lint    [--root <dir>] [--format <text|json>]     determinism static analysis
   dr experiments [--json <dir>] [--threads <n>] [--trials <n>]
 ";
 
@@ -84,7 +82,6 @@ fn main() -> ExitCode {
         "oracle" => commands::oracle(&args),
         "explore" => commands::explore(&args),
         "chaos" => commands::chaos(&args),
-        "lint" => commands::lint(&args),
         "experiments" => commands::experiments(&args),
         other => Err(args::ArgError(format!("unknown subcommand '{other}'"))),
     };

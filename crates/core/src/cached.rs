@@ -260,14 +260,26 @@ impl CachedSource {
     pub fn stats(&self) -> CacheStats {
         let resident: u64 = self.shards.iter().map(|s| lock_shard(s).resident).sum();
         CacheStats {
-            // dr-lint: allow(atomic-ordering): independent monotonic counters; reads are statistical, never gate control flow
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "independent monotonic counters; reads are statistical, never gate control flow"
+            )]
             hits: self.hits.load(Ordering::Relaxed),
-            // dr-lint: allow(atomic-ordering): independent monotonic counters; reads are statistical, never gate control flow
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "independent monotonic counters; reads are statistical, never gate control flow"
+            )]
             misses: self.misses.load(Ordering::Relaxed),
             coalesced: 0,
-            // dr-lint: allow(atomic-ordering): independent monotonic counters; reads are statistical, never gate control flow
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "independent monotonic counters; reads are statistical, never gate control flow"
+            )]
             upstream_calls: self.upstream_calls.load(Ordering::Relaxed),
-            // dr-lint: allow(atomic-ordering): independent monotonic counters; reads are statistical, never gate control flow
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "independent monotonic counters; reads are statistical, never gate control flow"
+            )]
             upstream_bits: self.upstream_bits.load(Ordering::Relaxed),
             resident_words: resident,
         }
@@ -318,10 +330,16 @@ impl CachedSource {
                 _ => receipt.fetched_words += 1,
             }
         }
-        // dr-lint: allow(atomic-ordering): independent monotonic counter; statistics only, never gates control flow
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "independent monotonic counter; statistics only, never gates control flow"
+        )]
         self.hits.fetch_add(receipt.hit_words, Ordering::Relaxed);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "independent monotonic counter; statistics only, never gates control flow"
+        )]
         self.misses
-            // dr-lint: allow(atomic-ordering): independent monotonic counter; statistics only, never gates control flow
             .fetch_add(receipt.fetched_words, Ordering::Relaxed);
 
         // A range that starts inside a word shifts down in place; the
@@ -392,9 +410,15 @@ impl CachedSource {
             state.fill(run.start, got.as_words());
             out[run.start - span.start..run.end - span.start].copy_from_slice(got.as_words());
             let nbits = got.len() as u64;
-            // dr-lint: allow(atomic-ordering): independent monotonic counter; statistics only, never gates control flow
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "independent monotonic counter; statistics only, never gates control flow"
+            )]
             self.upstream_calls.fetch_add(1, Ordering::Relaxed);
-            // dr-lint: allow(atomic-ordering): independent monotonic counter; statistics only, never gates control flow
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "independent monotonic counter; statistics only, never gates control flow"
+            )]
             self.upstream_bits.fetch_add(nbits, Ordering::Relaxed);
             receipt.fetched_bits += nbits;
             receipt.upstream_calls += 1;
@@ -609,7 +633,10 @@ mod tests {
                 self.inner.bit(index)
             }
             fn bits(&self, range: Range<usize>) -> BitArray {
-                // dr-lint: allow(atomic-ordering): a flag this test's one thread reads and clears; it orders nothing
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "a flag this test's one thread reads and clears; it orders nothing"
+                )]
                 let armed = self.armed.swap(false, Ordering::Relaxed);
                 assert!(!armed, "upstream exploded once");
                 Source::bits(&self.inner, range)
@@ -643,7 +670,10 @@ mod tests {
         let n = 64 * 64;
         let input = sample(n, 33);
         let cache = Arc::new(CachedSource::new(ArraySource::new(input.clone()), 4));
-        // dr-lint: allow(raw-thread-spawn): concurrent reader threads in a test, joined by scope exit
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "concurrent reader threads in a test, joined by scope exit"
+        )]
         std::thread::scope(|scope| {
             for t in 0..8 {
                 let cache = Arc::clone(&cache);

@@ -6,9 +6,10 @@
 //! `std::collections::HashMap`/`HashSet` break that promise: their
 //! iteration order depends on a per-instance random hash seed, so any
 //! code that iterates one is one refactor away from silently breaking
-//! replay. The `dr-lint` static-analysis pass therefore bans unordered
-//! maps in the deterministic crate tier (`core`, `sim`, `protocols`,
-//! `oracle`) and this module provides the sanctioned replacements:
+//! replay. The workspace's root `clippy.toml` therefore lists both as
+//! `disallowed-types`, so `cargo clippy -- -D warnings` rejects them in
+//! every workspace crate, and this module provides the sanctioned
+//! replacements:
 //!
 //! * [`DetMap`] — a `BTreeMap`: iteration in ascending key order.
 //! * [`DetSet`] — a `BTreeSet`: iteration in ascending element order.
@@ -35,13 +36,13 @@
 //! ```
 
 /// Deterministic map: iterates in ascending key order regardless of
-/// insertion order. Use for any keyed state in the deterministic crate
-/// tier (`dr-lint` rule `unordered-collections`).
+/// insertion order. Use for any keyed state (clippy rejects
+/// `std::collections::HashMap`; see the root `clippy.toml`).
 pub type DetMap<K, V> = std::collections::BTreeMap<K, V>;
 
 /// Deterministic set: iterates in ascending element order regardless of
-/// insertion order. Use for any set-shaped state in the deterministic
-/// crate tier (`dr-lint` rule `unordered-collections`).
+/// insertion order. Use for any set-shaped state (clippy rejects
+/// `std::collections::HashSet`; see the root `clippy.toml`).
 pub type DetSet<T> = std::collections::BTreeSet<T>;
 
 #[cfg(test)]

@@ -14,7 +14,10 @@ pub const MAX_DEPTH: usize = 64;
 /// A JSON value. Non-negative integers keep full `u64` fidelity; every
 /// other number is a `Float`.
 #[derive(Debug, Clone, PartialEq)]
-#[allow(missing_docs)]
+#[allow(
+    missing_docs,
+    reason = "each variant is the JSON kind it is named after"
+)]
 pub enum Value {
     Null,
     Bool(bool),

@@ -15,8 +15,8 @@
 //! * [`BitArray`] / [`PartialArray`] — the input array and each peer's
 //!   partially-known working copy;
 //! * [`collections`] — deterministic [`DetMap`](collections::DetMap) /
-//!   [`DetSet`](collections::DetSet) aliases required for keyed state in
-//!   the deterministic crate tier (enforced by `dr-lint`);
+//!   [`DetSet`](collections::DetSet) aliases required for keyed state
+//!   (clippy rejects `HashMap`/`HashSet` through the root `clippy.toml`);
 //! * [`Segmentation`] — the segment machinery of the randomized
 //!   Byzantine protocols (§3.4);
 //! * [`Source`], [`ArraySource`] — the external source — and
@@ -48,7 +48,6 @@
 //! # Ok::<(), dr_core::InvalidParamsError>(())
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod bits;

@@ -196,21 +196,30 @@ impl QueryMeter {
     }
 
     fn add(&self, peer: PeerId, bits: u64) {
-        // dr-lint: allow(atomic-ordering): independent monotonic counter; readers observe it only past a barrier or at end of run, never to publish other data
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "independent monotonic counter; readers observe it only past a barrier or at end of run, never to publish other data"
+        )]
         self.counts[peer.index()].fetch_add(bits, Ordering::Relaxed);
     }
 
     /// Number of queries made by `peer` so far.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "count read for reporting; callers sequence it after the writes they care about (join/barrier)"
+    )]
     pub fn count(&self, peer: PeerId) -> u64 {
-        // dr-lint: allow(atomic-ordering): count read for reporting; callers sequence it after the writes they care about (join/barrier)
         self.counts[peer.index()].load(Ordering::Relaxed)
     }
 
     /// Query counts for every peer, indexed by peer ID.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "same read-side discipline as `count`"
+    )]
     pub fn counts(&self) -> Vec<u64> {
         self.counts
             .iter()
-            // dr-lint: allow(atomic-ordering): same read-side discipline as `count`
             .map(|c| c.load(Ordering::Relaxed))
             .collect()
     }

@@ -51,8 +51,11 @@ impl DriftingSource {
     }
 
     /// Queries served so far.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "diagnostic read; no memory is published through this counter"
+    )]
     pub fn served(&self) -> u64 {
-        // dr-lint: allow(atomic-ordering): diagnostic read; no memory is published through this counter
         self.served.load(Ordering::Relaxed)
     }
 }
@@ -63,7 +66,10 @@ impl Source for DriftingSource {
     }
 
     fn bit(&self, index: usize) -> bool {
-        // dr-lint: allow(atomic-ordering): the cutover only needs the counter itself to be exact, not to order other memory
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the cutover only needs the counter itself to be exact, not to order other memory"
+        )]
         let count = self.served.fetch_add(1, Ordering::Relaxed);
         if count < self.drift_after {
             self.before.get(index)

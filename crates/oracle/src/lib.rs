@@ -19,7 +19,6 @@
 //! * the Oracle Data Delivery (ODD) specification check: every published
 //!   value must lie in the honest range of its cell.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod bridge;

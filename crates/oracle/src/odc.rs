@@ -21,7 +21,7 @@ use crate::onchain::Contract;
 use crate::source::SourceFleet;
 use dr_core::{CachedSource, FaultModel, ModelParams, PeerId};
 use dr_protocols::{CrashMultiDownload, TwoCycleDownload};
-use dr_sim::{SilentAgent, SimBuilder};
+use dr_sim::{RunError, SilentAgent, SimBuilder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -199,15 +199,17 @@ pub fn run_baseline_on(fleet: &SourceFleet, config: &OracleConfig, q: usize) -> 
 
 /// Runs one Download instance with peer queries routed through `cache`
 /// (the per-source admission plane). Byzantine oracle nodes sit at the
-/// top IDs and stay silent.
+/// top IDs and stay silent. `max_events` overrides the simulator's
+/// event limit.
 fn run_instance<P, F>(
     params: ModelParams,
     seed: u64,
     cache: Arc<CachedSource>,
     reference: dr_core::BitArray,
     byz_nodes: usize,
+    max_events: Option<u64>,
     factory: F,
-) -> dr_sim::RunReport
+) -> Result<dr_sim::RunReport, RunError>
 where
     P: dr_core::Protocol + 'static,
     F: FnMut(PeerId) -> P + Send + 'static,
@@ -220,7 +222,10 @@ where
     for b in 0..byz_nodes {
         builder = builder.byzantine(PeerId(k - 1 - b), SilentAgent::new());
     }
-    builder.build().run().expect("download run failed")
+    if let Some(limit) = max_events {
+        builder = builder.max_events(limit);
+    }
+    builder.build().run()
 }
 
 /// The Download-based ODC pipeline (Theorem 4.2): one Download instance
@@ -232,11 +237,23 @@ where
 /// are amortized across the fleet — see
 /// [`OdcOutcome::upstream_read_bits`].
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if a Download run deadlocks (impossible for the chosen engines
-/// within their fault regimes).
-pub fn run_download_based(config: &OracleConfig, engine: DownloadEngine) -> OdcOutcome {
+/// The [`RunError`] of the first Download run that does not finish: a
+/// deadlock (impossible for the chosen engines within their fault
+/// regimes) or the simulator's event limit.
+pub fn run_download_based(
+    config: &OracleConfig,
+    engine: DownloadEngine,
+) -> Result<OdcOutcome, RunError> {
+    download_based(config, engine, None)
+}
+
+fn download_based(
+    config: &OracleConfig,
+    engine: DownloadEngine,
+    max_events: Option<u64>,
+) -> Result<OdcOutcome, RunError> {
     let fleet = SourceFleet::generate(
         config.honest_sources,
         config.corrupt_sources,
@@ -278,16 +295,18 @@ pub fn run_download_based(config: &OracleConfig, engine: DownloadEngine) -> OdcO
                 Arc::clone(&cache),
                 reference,
                 byz,
+                max_events,
                 move |_| CrashMultiDownload::new(n_bits, k, byz),
-            ),
+            )?,
             DownloadEngine::TwoCycle => run_instance(
                 params,
                 seed,
                 Arc::clone(&cache),
                 reference,
                 byz,
+                max_events,
                 move |_| TwoCycleDownload::new(n_bits, k, byz),
-            ),
+            )?,
         };
         upstream_read_bits += cache.stats().upstream_bits;
         for node in 0..honest_nodes {
@@ -312,7 +331,14 @@ pub fn run_download_based(config: &OracleConfig, engine: DownloadEngine) -> OdcO
         .collect();
     let total = read_bits_per_node.iter().sum();
     let max = read_bits_per_node.iter().copied().max().unwrap_or(0);
-    finalize(config, &fleet, reports, total, max, upstream_read_bits)
+    Ok(finalize(
+        config,
+        &fleet,
+        reports,
+        total,
+        max,
+        upstream_read_bits,
+    ))
 }
 
 #[cfg(test)]
@@ -348,15 +374,23 @@ mod tests {
     fn download_based_crash_engine_is_sound() {
         let mut cfg = config();
         cfg.byz_nodes = 0;
-        let outcome = run_download_based(&cfg, DownloadEngine::CrashMulti);
+        let outcome = run_download_based(&cfg, DownloadEngine::CrashMulti).unwrap();
         assert!(outcome.odd_satisfied(), "{outcome:?}");
     }
 
     #[test]
     fn download_based_two_cycle_is_sound_with_byzantine_nodes() {
         let cfg = config();
-        let outcome = run_download_based(&cfg, DownloadEngine::TwoCycle);
+        let outcome = run_download_based(&cfg, DownloadEngine::TwoCycle).unwrap();
         assert!(outcome.odd_satisfied(), "{outcome:?}");
+    }
+
+    #[test]
+    fn a_download_over_its_event_limit_is_an_error() {
+        for engine in [DownloadEngine::CrashMulti, DownloadEngine::TwoCycle] {
+            let err = download_based(&config(), engine, Some(10)).unwrap_err();
+            assert_eq!(err, RunError::EventLimitExceeded { limit: 10 });
+        }
     }
 
     #[test]
@@ -364,7 +398,7 @@ mod tests {
         let mut cfg = config();
         cfg.byz_nodes = 0;
         let baseline = run_baseline(&cfg, cfg.sources());
-        let download = run_download_based(&cfg, DownloadEngine::CrashMulti);
+        let download = run_download_based(&cfg, DownloadEngine::CrashMulti).unwrap();
         assert!(
             download.max_node_read_bits < baseline.max_node_read_bits,
             "download {} vs baseline {}",
@@ -379,7 +413,7 @@ mod tests {
         // (attributed Q > n per source), but the admission plane pulls
         // each cell from the data source at most once.
         let cfg = config();
-        let outcome = run_download_based(&cfg, DownloadEngine::TwoCycle);
+        let outcome = run_download_based(&cfg, DownloadEngine::TwoCycle).unwrap();
         let per_source_bits = (cfg.cells * BITS_PER_VALUE) as u64;
         let ceiling = cfg.sources() as u64 * per_source_bits;
         assert!(

@@ -15,7 +15,6 @@
 //!   [`BalancedDownload`]);
 //! * per-protocol [`CostEnvelope`]s — paper-bound-shaped Q/T budgets the
 //!   chaos campaign (`dr_bench::chaos`) checks after every run.
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod balanced;

@@ -717,7 +717,10 @@ fn concurrent_simulations_share_the_registry_and_leave_it_empty() {
     let expected: Vec<Observed> = cases.iter().map(|c| observe(&run_reference(c))).collect();
     assert_eq!(live_partitions(n, k), 0, "the reference never touches it");
     let together = Barrier::new(cases.len());
-    // dr-lint: allow(raw-thread-spawn): the subject is two simulations racing on the process-wide registry, so the test needs its own two OS threads started off one barrier
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the subject is two simulations racing on the process-wide registry, so the test needs its own two OS threads started off one barrier"
+    )]
     std::thread::scope(|scope| {
         let handles: Vec<_> = cases
             .iter()

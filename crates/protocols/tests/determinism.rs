@@ -7,7 +7,8 @@
 //! delivery.
 //!
 //! These are the regression guards behind the ordered-collection sweep
-//! (`dr-lint` rule `unordered-collections`): before it, `HashMap` state
+//! (clippy's `disallowed_types` on `HashMap`/`HashSet`, set in the root
+//! `clippy.toml`): before it, `HashMap` state
 //! in the committee tally and the τ-frequent table meant a per-instance
 //! random hash seed sat one iteration away from replay divergence.
 

@@ -19,7 +19,6 @@
 //! from a shared [`dr_core::AdmissionPlane`] so overlapping clients do not
 //! double-pay query cost.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod serve;
@@ -34,6 +33,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::thread;
+#[expect(
+    clippy::disallowed_types,
+    reason = "the thread runtime runs OS threads over real channels, so its timeout is real time"
+)]
 use std::time::{Duration, Instant};
 
 /// Crash injection: the peer stops processing permanently before its
@@ -227,6 +230,10 @@ impl<M: ProtocolMessage> Context<M> for ThreadCtx<'_, M> {
 /// report.verify(&[]).unwrap();
 /// # Ok::<(), dr_core::InvalidParamsError>(())
 /// ```
+#[expect(
+    clippy::disallowed_types,
+    reason = "the thread runtime runs OS threads over real channels, so its timeout is real time"
+)]
 pub fn run_threaded<P, F>(config: RuntimeConfig, factory: F) -> Result<RuntimeReport, RuntimeError>
 where
     P: Protocol + 'static,
@@ -263,7 +270,10 @@ where
 
     let started = Instant::now();
     let deadline = started + config.timeout;
-    // dr-lint: allow(raw-thread-spawn): one OS thread per peer is this runtime's point — peers are concurrent actors racing real channels, not pool work items
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "one OS thread per peer is this runtime's point — peers are concurrent actors racing real channels, not pool work items"
+    )]
     let outputs: Vec<Option<BitArray>> = thread::scope(|scope| {
         let mut joins = Vec::with_capacity(k);
         for (i, rx) in receivers.into_iter().enumerate() {
@@ -431,6 +441,10 @@ mod tests {
         }
         let mut config = RuntimeConfig::new(params(64, 3, 0), 5);
         config.timeout = Duration::from_millis(50);
+        #[expect(
+            clippy::disallowed_types,
+            reason = "the test bounds how long a real-time timeout takes"
+        )]
         let started = Instant::now();
         let result = run_threaded(config, |_| Silent);
         assert_eq!(result.unwrap_err(), RuntimeError::Timeout);

@@ -29,6 +29,10 @@ use dr_core::{AdmissionPlane, BitArray, PeerId, QueryMeter, ReadReceipt, Source}
 use std::fmt;
 use std::ops::Range;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
+#[expect(
+    clippy::disallowed_types,
+    reason = "request latency is wall-clock time; it is reported, never fed back into what is served"
+)]
 use std::time::{Duration, Instant};
 
 /// Configuration of a [`FrontDoor`].
@@ -235,8 +239,16 @@ impl FrontDoor {
                 len: self.len(),
             });
         }
+        #[expect(
+            clippy::disallowed_types,
+            reason = "request latency is wall-clock time; it is reported, never fed back into what is served"
+        )]
         let arrived = Instant::now();
         let _permit = self.gate.acquire();
+        #[expect(
+            clippy::disallowed_types,
+            reason = "request latency is wall-clock time; it is reported, never fed back into what is served"
+        )]
         let admitted = Instant::now();
         let total = range.len();
         let mut bits = BitArray::zeros(total);
@@ -354,7 +366,10 @@ mod tests {
             Arc::clone(&tracking) as Arc<dyn Source>,
             ServeConfig::new(2).with_max_in_flight(1),
         );
-        // dr-lint: allow(raw-thread-spawn): concurrent client threads in a test, joined by scope exit
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "concurrent client threads in a test, joined by scope exit"
+        )]
         thread::scope(|scope| {
             for t in 0..4 {
                 let door = door.clone();
@@ -402,7 +417,10 @@ mod tests {
             ServeConfig::new(4),
         );
         for door in [instant, throttled] {
-            // dr-lint: allow(raw-thread-spawn): concurrent client threads in a test, joined by scope exit
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "concurrent client threads in a test, joined by scope exit"
+            )]
             let outcomes: Vec<RequestOutcome> = thread::scope(|scope| {
                 let clients: Vec<_> = (0..6)
                     .map(|_| {
@@ -460,7 +478,10 @@ mod tests {
     /// the suite, if it is still blocked after ten seconds.
     fn unless_blocked<T: Send + 'static>(request: impl FnOnce() -> T + Send + 'static) -> T {
         let (done, outcome) = mpsc::channel();
-        // dr-lint: allow(raw-thread-spawn): a client thread in a test; joined below unless it is the wedged one the test reports
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a client thread in a test; joined below unless it is the wedged one the test reports"
+        )]
         let client = thread::spawn(move || {
             let _ = done.send(catch_unwind(AssertUnwindSafe(request)));
         });

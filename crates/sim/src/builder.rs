@@ -277,9 +277,10 @@ impl<M: ProtocolMessage> SimBuilder<M> {
 // or simulation holds has a `Send` supertrait (Agent, Adversary,
 // DelayStrategy, Source) and the factory box is `+ Send`, so both types
 // are `Send` for every message type — checked at compile time here.
-#[allow(dead_code)]
-fn assert_builder_and_simulation_are_send<M: ProtocolMessage>() {
-    fn assert_send<T: Send>() {}
-    assert_send::<SimBuilder<M>>();
-    assert_send::<Simulation<M>>();
-}
+const _: () = {
+    fn _builder_and_simulation_are_send<M: ProtocolMessage>() {
+        fn assert_send<T: Send>() {}
+        assert_send::<SimBuilder<M>>();
+        assert_send::<Simulation<M>>();
+    }
+};

@@ -17,7 +17,6 @@
 //!
 //! See [`SimBuilder`] for a complete end-to-end run.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod adversary;

@@ -234,8 +234,10 @@ pub struct Simulation<M: ProtocolMessage> {
 }
 
 impl<M: ProtocolMessage> Simulation<M> {
-    // Crate-internal constructor fed piecewise by SimBuilder.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "crate-internal constructor fed piecewise by SimBuilder"
+    )]
     pub(crate) fn from_parts(
         params: ModelParams,
         input: Option<BitArray>,

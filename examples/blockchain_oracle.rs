@@ -41,7 +41,8 @@ fn main() {
     );
     println!("  ODD honest-range ok: {}\n", baseline.odd_satisfied());
 
-    let download = run_download_based(&config, DownloadEngine::TwoCycle);
+    let download =
+        run_download_based(&config, DownloadEngine::TwoCycle).expect("every download finishes");
     println!("download-based ODC (one 2-cycle Download per source — Thm 4.2):");
     println!("  total source reads : {} bits", download.total_read_bits);
     println!(

@@ -53,8 +53,6 @@
 //! `crates/bench` for the experiment harness regenerating the paper's
 //! evaluation artifacts.
 
-#![forbid(unsafe_code)]
-
 pub use dr_core as core;
 pub use dr_oracle as oracle;
 pub use dr_protocols as protocols;

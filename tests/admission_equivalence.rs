@@ -123,6 +123,10 @@ fn concurrent_interleavings_preserve_the_meter_equivalence() {
             ranges.push(range);
         }
     }
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "concurrent reader threads in a test, joined by scope exit"
+    )]
     std::thread::scope(|scope| {
         for peer in 0..4usize {
             let plane = plane.clone();

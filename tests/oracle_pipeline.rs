@@ -23,7 +23,7 @@ fn both_pipelines_publish_in_honest_range() {
         let cfg = config(seed);
         let base = run_baseline(&cfg, cfg.sources());
         assert!(base.odd_satisfied(), "baseline seed {seed}: {base:?}");
-        let dl = run_download_based(&cfg, DownloadEngine::TwoCycle);
+        let dl = run_download_based(&cfg, DownloadEngine::TwoCycle).unwrap();
         assert!(dl.odd_satisfied(), "download seed {seed}: {dl:?}");
     }
 }
@@ -39,7 +39,7 @@ fn published_values_track_ground_truth() {
         cfg.spread,
         cfg.seed,
     );
-    let dl = run_download_based(&cfg, DownloadEngine::CrashMulti);
+    let dl = run_download_based(&cfg, DownloadEngine::CrashMulti).unwrap();
     for (c, &v) in dl.published.iter().enumerate() {
         let t = fleet.truth()[c];
         assert!(
@@ -77,8 +77,8 @@ fn crash_engine_and_two_cycle_agree_on_published_values() {
     // the exact arrays, so the final published values must coincide.
     let mut cfg = config(4);
     cfg.byz_nodes = 0;
-    let a = run_download_based(&cfg, DownloadEngine::CrashMulti);
-    let b = run_download_based(&cfg, DownloadEngine::TwoCycle);
+    let a = run_download_based(&cfg, DownloadEngine::CrashMulti).unwrap();
+    let b = run_download_based(&cfg, DownloadEngine::TwoCycle).unwrap();
     assert_eq!(a.published, b.published);
 }
 
@@ -100,7 +100,7 @@ fn more_corrupt_sources_than_honest_breaks_odd() {
         spread: 10,
         seed: 11,
     };
-    let out = run_download_based(&cfg, DownloadEngine::CrashMulti);
+    let out = run_download_based(&cfg, DownloadEngine::CrashMulti).unwrap();
     assert!(!out.odd_satisfied());
 }
 

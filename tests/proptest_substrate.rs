@@ -2,6 +2,7 @@
 //! segmentations, the ownership function, frequency tables, and decision
 //! trees.
 
+use dr_download::core::collections::DetSet;
 use dr_download::core::{BitArray, PartialArray, PeerId, SegmentId, Segmentation};
 use dr_download::protocols::{owner, DecisionTree, FrequencyTable};
 use proptest::prelude::*;
@@ -223,7 +224,7 @@ proptest! {
         // Each distinct sender contributes at most one claim; at most
         // senders/τ strings can become τ-frequent.
         let mut table = FrequencyTable::new();
-        let mut senders = std::collections::HashSet::new();
+        let mut senders = DetSet::new();
         for (i, (sender, bit)) in claims.iter().enumerate() {
             let counted = table.record(
                 PeerId(*sender),
